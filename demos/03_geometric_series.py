@@ -1,6 +1,8 @@
 """The geometric series G = I + L + L^2 + ... inverts I - L on the
-weighted space.  Two independent computation paths are compared, and the
-inversion identities are checked as residuals.
+weighted space.  Three computation paths are compared (the Krylov solve
+with its residual certificate, the Neumann sum with its tail bound, and
+the dense interior solve), and the inversion identities are checked as
+residuals.
 
 Run:  python demos/03_geometric_series.py
 """
@@ -8,8 +10,8 @@ Run:  python demos/03_geometric_series.py
 import numpy as np
 
 from opgeom import (OperatorSpec, check_inversion_identities, default_grid,
-                    geometric_series_neumann, geometric_series_solve, psi,
-                    psi_norm, registry)
+                    geometric_series_krylov, geometric_series_neumann,
+                    geometric_series_solve, psi, psi_norm, registry)
 
 grid = default_grid(401)
 pts = grid.points
@@ -20,11 +22,15 @@ print("eigenfunction with value 1 - 1/n, so G(psi) = n psi exactly.")
 for n in (2, 8, 32):
     op = OperatorSpec("bernstein", n)
     neu = geometric_series_neumann(op, w, 1e-8, grid)
+    kry = geometric_series_krylov(op, w, 1e-8, grid)
     sol = geometric_series_solve(op, w, grid)
     err_n = np.max(np.abs(np.asarray(neu.g(pts)) - n * psi(pts)) / psi(pts))
+    err_k = np.max(np.abs(np.asarray(kry.g(pts)) - n * psi(pts)) / psi(pts))
     err_s = np.max(np.abs(np.asarray(sol.g(pts)) - n * psi(pts)) / psi(pts))
     print(f"  n={n:2d}: neumann err {err_n:.2e} ({neu.terms_used} terms, "
-          f"tail bound {neu.tail_bound:.1e}); solve err {err_s:.2e}")
+          f"tail bound {neu.tail_bound:.1e}); krylov err {err_k:.2e} "
+          f"({kry.terms_used} matvecs, certificate {kry.tail_bound:.1e}); "
+          f"solve err {err_s:.2e}")
 
 print("\nInversion residuals |(I-L)G f - f|_psi and |G(I-L) f - f|_psi")
 for spec, eps in [(OperatorSpec("bernstein", 8), 1e-8),

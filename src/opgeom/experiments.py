@@ -24,8 +24,8 @@ from .funcspace import (EvaluationGrid, F_transform, default_grid,
 from .operators import (OperatorSpec, alpha_profile, bernstein_apply,
                         condition_report, mkz_apply, moment,
                         node_discretization)
-from .series import (check_inversion_identities, geometric_series_neumann,
-                     geometric_series_solve)
+from .series import (check_inversion_identities, geometric_series_krylov,
+                     geometric_series_neumann, geometric_series_solve)
 
 __all__ = [
     "EXPERIMENTS",
@@ -207,7 +207,8 @@ def run_iterates(config: ExperimentConfig) -> ExperimentReport:
 
 def run_geom(config: ExperimentConfig) -> ExperimentReport:
     """Weighted-norm distance between alpha_n G_n(psi f) and twice the
-    kernel transform of f."""
+    kernel transform of f, with G_n from the Krylov solve; terms_used is
+    its count of carrier applications and tail_bound its certificate."""
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
@@ -222,15 +223,17 @@ def run_geom(config: ExperimentConfig) -> ExperimentReport:
             transforms[key] = F_transform(f, grid=fam_grid)
         ref = 2.0 * np.asarray(transforms[key](pts), dtype=float)
         prof = alpha_profile(op, base)
-        res = geometric_series_neumann(op, psi_f, config.eps, base)
+        res = geometric_series_krylov(op, psi_f, config.eps, base)
         vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)
         err = _psi_norm_values(vals - ref, pts)
-        return [(n, err, res.terms_used, res.tail_bound)]
+        return (n, err, res.terms_used, res.tail_bound), res
 
-    chunks = _map_per_n(one, config.n_list, config.jobs)
-    rows = [row for chunk in chunks for row in chunk]
+    done = _map_per_n(one, config.n_list, config.jobs)
+    rows = [row for row, _ in done]
     meta = {"config": _config_dict(config),
-            "tail_bounds": [row[3] for row in rows]}
+            "tail_bounds": [row[3] for row in rows],
+            "series_method": [res.method for _, res in done],
+            "residual_psi_norms": [res.residual_psi_norm for _, res in done]}
     return ExperimentReport("geom", _HEADERS["geom"], rows, metadata=meta)
 
 

@@ -1,14 +1,18 @@
 """Iterates L^k and the geometric series G_L = sum_k L^k on the weighted
-space, with two independent computation paths:
+space, with three computation paths:
 
-* a truncated Neumann sum with a certified geometric tail bound, and
+* a restarted GMRES solve of (I - T) on the interior node block, the
+  default engine (every family in the contraction class);
+* a truncated Neumann sum with a certified geometric tail bound, kept as
+  the oracle for the Krylov path; and
 * a direct linear solve of (I - T) on the interior node block (exact
   carriers only, i.e. bernstein and durrmeyer).
 
-The solve path is the oracle for the Neumann path where both exist; for
-the series families only the Neumann path is available and its quality is
-recorded through the inversion residual |(I-L)G(f) - f| in the weighted
-norm.
+Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
+with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
+path reports that residual certificate as its tail bound; the residual
+is a sup over the family grid, so it is an estimate from below of the
+true sup, like every weighted norm here.
 """
 
 from __future__ import annotations
@@ -29,11 +33,14 @@ __all__ = [
     "neumann_tail_terms",
     "geometric_series_neumann",
     "geometric_series_neumann_batch",
+    "geometric_series_krylov",
     "geometric_series_solve",
     "check_inversion_identities",
 ]
 
 _ENDPOINT_TOL = 1e-12
+_GMRES_RESTART = 40  # Arnoldi basis vectors per cycle
+_GMRES_RTOL = 1e-13  # relative 2-norm residual target on the interior block
 
 
 @dataclass(frozen=True)
@@ -115,14 +122,29 @@ def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
     return float(np.max(np.abs(vals) / psi(grid.points)))
 
 
+def _zero_result(method: str) -> GeometricSeriesResult:
+    zero = Function01(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    return GeometricSeriesResult(g=zero, method=method, terms_used=0,
+                                 tail_bound=0.0, residual_psi_norm=0.0)
+
+
+def _series_setup(op: OperatorSpec, fs: Sequence[Function01], eps: float,
+                  grid: Optional[EvaluationGrid]):
+    """Validate a series request; return the carrier and the family grid."""
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    _require_lambda(op)
+    for f in fs:
+        _gate_cpsi(f)
+    return node_discretization(op), op.grid(grid)
+
+
 def _neumann_core(op: OperatorSpec, disc: NodeDiscretization, f_eval,
                   rep0: np.ndarray, f_norm: float, eps: float,
                   grid: EvaluationGrid) -> GeometricSeriesResult:
     b = op.contraction_bound()
     if f_norm == 0.0:
-        zero = Function01(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        return GeometricSeriesResult(g=zero, method="neumann", terms_used=0,
-                                     tail_bound=0.0, residual_psi_norm=0.0)
+        return _zero_result("neumann")
     k_last = neumann_tail_terms(b, f_norm, eps)
     acc = rep0.copy()
     v = rep0
@@ -142,12 +164,7 @@ def geometric_series_neumann(op: OperatorSpec, f: Function01, eps: float,
                              grid: Optional[EvaluationGrid] = None) -> GeometricSeriesResult:
     """Truncated Neumann sum sum_{k<=K} L^k(f) with K from the certified
     tail bound; requires f in the weighted space (endpoint values zero)."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    _require_lambda(op)
-    _gate_cpsi(f)
-    disc = node_discretization(op)
-    fam_grid = op.grid(grid)
+    disc, fam_grid = _series_setup(op, [f], eps, grid)
     f_norm = psi_norm(f, fam_grid).value
     return _neumann_core(op, disc, f, disc.rep(f), f_norm, eps, fam_grid)
 
@@ -161,18 +178,14 @@ def geometric_series_neumann_batch(op: OperatorSpec, fs: Sequence[Function01],
     batching the right-hand sides is nearly free compared with repeated
     single runs.
     """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    _require_lambda(op)
-    for f in fs:
-        _gate_cpsi(f)
-    disc = node_discretization(op)
-    fam_grid = op.grid(grid)
+    disc, fam_grid = _series_setup(op, fs, eps, grid)
+    if not fs:
+        return []
     b = op.contraction_bound()
     reps = np.column_stack([disc.rep(f) for f in fs])
     norms = [psi_norm(f, fam_grid).value for f in fs]
     k_each = [neumann_tail_terms(b, v, eps) if v > 0.0 else 0 for v in norms]
-    k_max = max(k_each, default=0)
+    k_max = max(k_each)
     acc = reps.copy()
     v = reps
     for _ in range(1, k_max):
@@ -181,8 +194,7 @@ def geometric_series_neumann_batch(op: OperatorSpec, fs: Sequence[Function01],
     out = []
     for i, f in enumerate(fs):
         if norms[i] == 0.0:
-            zero = Function01(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-            out.append(GeometricSeriesResult(zero, "neumann", 0, 0.0, 0.0))
+            out.append(_zero_result("neumann"))
             continue
         col = acc[:, i].copy()
         g = _series_function(f, disc, col)
@@ -190,6 +202,83 @@ def geometric_series_neumann_batch(op: OperatorSpec, fs: Sequence[Function01],
         tail = b ** (k_max + 1) / (1.0 - b) * norms[i]
         out.append(GeometricSeriesResult(g, "neumann", k_max + 1, tail, resid))
     return out
+
+
+def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
+    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi.
+
+    Stops once the Arnoldi estimate of |rhs - A x|_2 falls to
+    _GMRES_RTOL |rhs|_2 or after max_matvecs products; returns
+    (x, matvecs used).  Restart residuals come from the Arnoldi relation,
+    not from an extra product.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    target = _GMRES_RTOL * np.linalg.norm(rhs)
+    used = 0
+    while used < max_matvecs:
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            break
+        m = min(_GMRES_RESTART, max_matvecs - used)
+        q = np.zeros((m + 1, rhs.size))
+        h = np.zeros((m + 1, m))
+        q[0] = r / beta
+        for j in range(m):
+            w = matvec(q[j])
+            used += 1
+            for i in range(j + 1):
+                h[i, j] = q[i] @ w
+                w -= h[i, j] * q[i]
+            h[j + 1, j] = np.linalg.norm(w)
+            if h[j + 1, j] > 0.0:
+                q[j + 1] = w / h[j + 1, j]
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
+            short = e1 - h[:j + 2, :j + 1] @ y
+            if h[j + 1, j] == 0.0 or np.linalg.norm(short) <= target:
+                break
+        x += q[:j + 1].T @ y
+        r = q[:j + 2].T @ short
+    return x, used
+
+
+def geometric_series_krylov(op: OperatorSpec, f: Function01, eps: float,
+                            grid: Optional[EvaluationGrid] = None) -> GeometricSeriesResult:
+    """G_L(f) through GMRES on the interior block (I - T_II) x = rep(f)_I,
+    certified a posteriori by tail_bound = |(I - L) g - f|_psi / (1 - b).
+
+    terms_used counts carrier applications (advance calls), the
+    residual's included.  GMRES gets at most as many products as the
+    Neumann sum would need for eps; if its certificate still exceeds eps
+    the Neumann result is returned instead, so tail_bound <= eps always.
+    """
+    disc, fam_grid = _series_setup(op, [f], eps, grid)
+    f_norm = psi_norm(f, fam_grid).value
+    if f_norm == 0.0:
+        return _zero_result("krylov")
+    b = op.contraction_bound()
+    rep0 = disc.rep(f)
+    idx = np.flatnonzero(disc.interior)
+
+    def matvec(x):
+        # endpoint entries are held at zero: G f vanishes there
+        v = np.zeros_like(rep0)
+        v[idx] = x
+        return x - disc.advance(v)[idx]
+
+    budget = neumann_tail_terms(b, f_norm, eps)
+    sol, used = _gmres(matvec, rep0[idx], budget)
+    acc = np.zeros_like(rep0)
+    acc[idx] = sol
+    resid = _residual_norm(disc, acc, rep0, fam_grid)
+    cert = resid / (1.0 - b)
+    if cert > eps:
+        return _neumann_core(op, disc, f, rep0, f_norm, eps, fam_grid)
+    return GeometricSeriesResult(g=_series_function(f, disc, acc),
+                                 method="krylov", terms_used=used + 1,
+                                 tail_bound=cert, residual_psi_norm=resid)
 
 
 def geometric_series_solve(op: OperatorSpec, f: Function01,

@@ -52,6 +52,8 @@ class TestReports:
         assert meta["config"]["function"] == "e1"
         assert "wall_time_s" in meta
         assert len(meta["tail_bounds"]) == 2
+        assert meta["series_method"] == ["krylov", "krylov"]
+        assert len(meta["residual_psi_norms"]) == 2
 
     def test_csv_headers(self, tmp_path):
         pairs = [

@@ -1,15 +1,17 @@
-"""Iterates and the geometric series: certified tails, the two computation
-paths, and the inversion identities."""
+"""Iterates and the geometric series: certified tails, the three
+computation paths, and the inversion identities."""
 
 import numpy as np
 import pytest
 
+from opgeom import series
 from opgeom.errors import (DegenerateOperatorError, DomainError,
                            NotInCpsiError)
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
                               psi_norm, registry)
 from opgeom.operators import OperatorSpec, node_discretization
 from opgeom.series import (check_inversion_identities,
+                           geometric_series_krylov,
                            geometric_series_neumann,
                            geometric_series_neumann_batch,
                            geometric_series_solve, iterate_apply,
@@ -152,6 +154,12 @@ class TestNeumann:
         for s, b_ in zip(singles, batch):
             assert np.max(np.abs(np.asarray(s.g(x)) - np.asarray(b_.g(x)))) <= 1e-9
 
+    def test_batch_empty(self):
+        op = OperatorSpec("bernstein", 4)
+        assert geometric_series_neumann_batch(op, [], 1e-8, GRID) == []
+        with pytest.raises(DomainError):
+            geometric_series_neumann_batch(op, [], 0.0, GRID)
+
 
 class TestSolve:
     def test_hand_solved_scalar_system(self):
@@ -184,6 +192,72 @@ class TestSolve:
             geometric_series_solve(
                 OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-8),
                 registry("psi"), GRID)
+
+
+def weighted_gap(res_a, res_b, pts):
+    return float(np.max(np.abs(np.asarray(res_a.g(pts))
+                               - np.asarray(res_b.g(pts))) / psi(pts)))
+
+
+class TestKrylov:
+    @pytest.mark.parametrize("op", [
+        OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 32),
+        OperatorSpec("durrmeyer", 7, rho=0.5)])
+    def test_agrees_with_solve(self, op):
+        f = project_to_Cpsi(registry("e3"))
+        kry = geometric_series_krylov(op, f, 1e-8, GRID)
+        sol = geometric_series_solve(op, f, GRID)
+        one_minus_b = 1 - op.contraction_bound()
+        assert kry.method == "krylov"
+        assert kry.tail_bound <= 1e-8
+        assert kry.tail_bound == pytest.approx(
+            kry.residual_psi_norm / one_minus_b, rel=1e-15)
+        assert weighted_gap(kry, sol, GRID.points) <= \
+            kry.tail_bound + sol.residual_psi_norm / one_minus_b
+
+    def test_agrees_with_neumann_mkz_symmetric(self):
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        f = registry("psi") * registry("e1")
+        kry = geometric_series_krylov(op, f, 1e-6, GRID)
+        neu = geometric_series_neumann(op, f, 1e-6, GRID)
+        assert kry.method == "krylov"
+        assert kry.terms_used < neu.terms_used
+        pts = op.grid(GRID).points
+        assert weighted_gap(kry, neu, pts) <= kry.tail_bound + neu.tail_bound
+
+    def test_zero_input(self):
+        zero = Function01.polynomial((0.0,))
+        res = geometric_series_krylov(OperatorSpec("bernstein", 4), zero,
+                                      1e-8, GRID)
+        assert res.terms_used == 0
+        assert res.g(0.4) == 0.0
+
+    def test_endpoint_gate(self):
+        with pytest.raises(NotInCpsiError):
+            geometric_series_krylov(OperatorSpec("bernstein", 4),
+                                    registry("e2"), 1e-8, GRID)
+
+    def test_requires_contraction(self):
+        with pytest.raises(DegenerateOperatorError):
+            geometric_series_krylov(OperatorSpec("mkz", 4, truncation_eps=1e-8),
+                                    registry("psi"), 1e-6, GRID)
+        with pytest.raises(DegenerateOperatorError):
+            geometric_series_krylov(OperatorSpec("bernstein", 1),
+                                    registry("psi"), 1e-8, GRID)
+        with pytest.raises(DomainError):
+            geometric_series_krylov(OperatorSpec("bernstein", 4),
+                                    registry("psi"), 0.0, GRID)
+
+    def test_falls_back_to_neumann(self, monkeypatch):
+        monkeypatch.setattr(series, "_gmres",
+                            lambda matvec, rhs, budget: (np.zeros_like(rhs), 0))
+        op = OperatorSpec("durrmeyer", 5, rho=1.0)
+        res = geometric_series_krylov(op, registry("psi"), 1e-8, GRID)
+        assert res.method == "neumann"
+        assert res.tail_bound <= 1e-8
+        ref = geometric_series_neumann(op, registry("psi"), 1e-8, GRID)
+        assert res.terms_used == ref.terms_used
+        assert weighted_gap(res, ref, GRID.points) == 0.0
 
 
 class TestInversionIdentities:

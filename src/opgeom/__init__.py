@@ -12,8 +12,7 @@ from .funcspace import (EvaluationGrid, F_transform, Function01, PsiNormEstimate
 from .operators import (AlphaProfile, NodeDiscretization, OperatorSpec,
                         alpha_profile, bernstein_apply, condition_report,
                         durrmeyer_apply, durrmeyer_functional, mkz_apply,
-                        mkz_reflected_apply, mkz_symmetric_apply, moment,
-                        node_discretization)
+                        moment, node_discretization)
 from .series import (GeometricSeriesResult, check_inversion_identities,
                      geometric_series_krylov, geometric_series_neumann,
                      geometric_series_neumann_batch, geometric_series_solve,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import DomainError
 from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment)
+from .operators import FAMILIES
 
 _FLAG_KEYS = ("family", "n_list", "rho", "function", "grid_size", "eps",
               "output", "jobs")
@@ -40,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="|".join(EXPERIMENTS))
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
-        p.add_argument("--family", choices=("bernstein", "durrmeyer", "mkz",
-                                            "mkz-reflected", "mkz-symmetric"))
+        p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--n-list", type=_parse_n_list, dest="n_list",
                        help="comma-separated increasing orders, e.g. 4,8,16")
         p.add_argument("--rho", type=float, help="durrmeyer shape parameter")

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .funcspace import (EvaluationGrid, F_transform, default_grid,
                         project_to_Cpsi, psi, psi_norm, registry)
 from .operators import (OperatorSpec, alpha_profile, bernstein_apply,
-                        condition_report, mkz_apply, moment,
+                        condition_report, family_record, mkz_apply, moment,
                         node_discretization)
 from .series import (check_inversion_identities, geometric_series_krylov,
                      geometric_series_neumann, geometric_series_solve)
@@ -65,14 +65,6 @@ _TYPES = {
 ITERATE_STEPS = 30
 
 
-def _default_n_list(family: str):
-    return (4, 8, 16) if family == "mkz-symmetric" else (4, 8, 16, 32)
-
-
-def _default_eps(family: str) -> float:
-    return 1e-6 if family.startswith("mkz") else 1e-8
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -88,23 +80,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
-        n_list = tuple(self.n_list) or _default_n_list(self.family)
+        fam = family_record(self.family)
+        n_list = tuple(self.n_list) or fam.default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise DomainError("n_list must be strictly increasing")
         object.__setattr__(self, "n_list", n_list)
         if self.grid_size < 33:
             raise DomainError("grid_size must be >= 33")
-        eps = self.eps if self.eps is not None else _default_eps(self.family)
+        eps = self.eps if self.eps is not None else fam.default_eps
         if eps <= 0.0:
             raise DomainError("eps must be positive")
         object.__setattr__(self, "eps", eps)
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
 
+    @property
+    def truncation_eps(self) -> Optional[float]:
+        """eps for the families that take a truncation budget, else None."""
+        return self.eps if family_record(self.family).series else None
+
     def spec(self, n: int) -> OperatorSpec:
-        eps = self.eps if self.family.startswith("mkz") else None
         return OperatorSpec(family=self.family, n=n, rho=self.rho,
-                            truncation_eps=eps)
+                            truncation_eps=self.truncation_eps)
 
     def base_grid(self) -> EvaluationGrid:
         return default_grid(self.grid_size)
@@ -300,10 +297,9 @@ def run_inverse_voronovskaya(config: ExperimentConfig) -> ExperimentReport:
 
 def run_conditions(config: ExperimentConfig) -> ExperimentReport:
     """Little-o condition table: sup M^4/M^2, eta, and the mixed bound."""
-    eps = config.eps if config.family.startswith("mkz") else None
     table = condition_report(config.family, config.n_list,
                              config.base_grid(), rho=config.rho,
-                             truncation_eps=eps)
+                             truncation_eps=config.truncation_eps)
     rows = [(r["n"], r["sup_m4_over_m2"], r["eta"], r["cond55"]) for r in table]
     return ExperimentReport("conditions", _HEADERS["conditions"], rows,
                             metadata={"config": _config_dict(config)})
@@ -429,14 +425,8 @@ def run_invariants(config: ExperimentConfig) -> ExperimentReport:
     worst_disc = 0.0
     for spec in specs:
         disc = node_discretization(spec)
-        cap = 1.0 / (4.0 * spec.n)
-        mask = disc.interior
-        if spec.family.startswith("mkz"):
-            mask = mask & (disc.nodes <= 1.0 - cap)
-            if spec.family == "mkz-symmetric":
-                mask = mask & (disc.nodes >= cap)
-            if spec.family == "mkz-reflected":
-                mask = mask & (disc.nodes >= cap)
+        lo, hi = spec.certified_interval()
+        mask = disc.interior & (disc.nodes >= lo) & (disc.nodes <= hi)
         nodes = disc.nodes[mask][:: max(1, mask.sum() // 40)]
         fexp = registry("exp")
         direct = np.asarray(spec.apply(fexp, nodes))

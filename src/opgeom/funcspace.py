@@ -44,35 +44,25 @@ def psi(x):
 class Function01:
     """An evaluable real function on [0, 1].
 
-    kind is "registry-closed-form" for named closed forms, "node-table"
-    for tabulated values with piecewise-linear interpolation (constant
-    extrapolation outside the node range), or "derived" for arithmetic
-    combinations and transform outputs.
-
     poly_coeffs (low-to-high powers) are carried through arithmetic when
     both operands are polynomial, which lets operator code use exact
     monomial moments instead of quadrature.
     """
 
-    __slots__ = ("kind", "name", "_eval", "_d2", "poly_coeffs", "sup_bound",
-                 "quad_error_bound")
+    __slots__ = ("name", "_eval", "_d2", "poly_coeffs", "quad_error_bound")
 
-    def __init__(self, eval_fn, kind="derived", name=None, d2=None,
-                 poly_coeffs=None, sup_bound=None):
+    def __init__(self, eval_fn, name=None, d2=None, poly_coeffs=None):
         self._eval = eval_fn
-        self.kind = kind
         self.name = name
         self._d2 = d2
         self.poly_coeffs = None if poly_coeffs is None else tuple(float(c) for c in poly_coeffs)
-        self.sup_bound = sup_bound
         self.quad_error_bound = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_callable(cls, fn, name=None, d2=None, sup_bound=None):
-        return cls(fn, kind="registry-closed-form", name=name, d2=d2,
-                   sup_bound=sup_bound)
+    def from_callable(cls, fn, name=None, d2=None):
+        return cls(fn, name=name, d2=d2)
 
     @classmethod
     def polynomial(cls, coeffs, name=None):
@@ -81,8 +71,7 @@ class Function01:
         def ev(x):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
-        obj = cls(ev, kind="registry-closed-form", name=name, d2=None,
-                  poly_coeffs=coeffs, sup_bound=float(np.sum(np.abs(coeffs))))
+        obj = cls(ev, name=name, poly_coeffs=coeffs)
         if len(coeffs) <= 2:
             obj._d2 = _zero_function()
         else:
@@ -91,6 +80,8 @@ class Function01:
 
     @classmethod
     def from_nodes(cls, nodes, values):
+        """Piecewise-linear interpolation of a node table, extended as a
+        constant outside the node range."""
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.size != values.size:
@@ -104,8 +95,7 @@ class Function01:
             # np.interp clips outside the node range: constant extrapolation.
             return np.interp(np.asarray(x, dtype=float), nodes, values)
 
-        return cls(ev, kind="node-table", name=None,
-                   sup_bound=float(np.max(np.abs(values))))
+        return cls(ev)
 
     # -- evaluation --------------------------------------------------------
 
@@ -122,14 +112,11 @@ class Function01:
         pc = None
         if self.poly_coeffs is not None and other.poly_coeffs is not None:
             pc = tuple(np.polynomial.polynomial.polyadd(self.poly_coeffs, other.poly_coeffs))
-        sup = None
-        if self.sup_bound is not None and other.sup_bound is not None:
-            sup = self.sup_bound + other.sup_bound
         d2 = None
         if self._d2 is not None and other._d2 is not None:
             d2 = self._d2 + other._d2
         out = Function01(lambda x, a=self, b=other: a._eval(x) + b._eval(x),
-                         poly_coeffs=pc, sup_bound=sup)
+                         poly_coeffs=pc)
         out._d2 = d2
         return out
 
@@ -141,10 +128,8 @@ class Function01:
 
     def scaled(self, c: float) -> "Function01":
         pc = None if self.poly_coeffs is None else tuple(c * v for v in self.poly_coeffs)
-        sup = None if self.sup_bound is None else abs(c) * self.sup_bound
         d2 = None if self._d2 is None else self._d2.scaled(c)
-        out = Function01(lambda x, a=self, cc=c: cc * a._eval(x),
-                         poly_coeffs=pc, sup_bound=sup)
+        out = Function01(lambda x, a=self, cc=c: cc * a._eval(x), poly_coeffs=pc)
         out._d2 = d2
         return out
 
@@ -152,11 +137,8 @@ class Function01:
         pc = None
         if self.poly_coeffs is not None and other.poly_coeffs is not None:
             pc = tuple(np.polynomial.polynomial.polymul(self.poly_coeffs, other.poly_coeffs))
-        sup = None
-        if self.sup_bound is not None and other.sup_bound is not None:
-            sup = self.sup_bound * other.sup_bound
         return Function01(lambda x, a=self, b=other: a._eval(x) * b._eval(x),
-                          poly_coeffs=pc, sup_bound=sup)
+                          poly_coeffs=pc)
 
     def reflected(self) -> "Function01":
         """Composition with tau(x) = 1 - x."""
@@ -165,11 +147,10 @@ class Function01:
             p = np.polynomial.Polynomial(self.poly_coeffs)
             pc = tuple(p(np.polynomial.Polynomial([1.0, -1.0])).coef)
         return Function01(lambda x, a=self: a._eval(1.0 - np.asarray(x, dtype=float)),
-                          poly_coeffs=pc, sup_bound=self.sup_bound)
+                          poly_coeffs=pc)
 
     def __repr__(self):
-        tag = self.name or self.kind
-        return f"Function01({tag})"
+        return f"Function01({self.name or 'unnamed'})"
 
 
 def _poly_deriv(coeffs, order):
@@ -187,10 +168,8 @@ def _zero_function() -> Function01:
         def ev(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        inner = Function01(ev, kind="registry-closed-form", name="zero",
-                           poly_coeffs=(0.0,), sup_bound=0.0)
-        zero = Function01(ev, kind="registry-closed-form", name="zero",
-                          poly_coeffs=(0.0,), sup_bound=0.0)
+        inner = Function01(ev, name="zero", poly_coeffs=(0.0,))
+        zero = Function01(ev, name="zero", poly_coeffs=(0.0,))
         zero._d2 = inner
         _ZERO = zero
     return _ZERO
@@ -212,20 +191,20 @@ def _build_registry():
     reg["psi"] = Function01.polynomial((0.0, 1.0, -1.0), name="psi")
     sin_pi = Function01.from_callable(
         lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
-        name="sin_pi", sup_bound=1.0)
+        name="sin_pi")
     sin_pi._d2 = Function01.from_callable(
         lambda x: -math.pi ** 2 * np.sin(math.pi * np.asarray(x, dtype=float)),
-        name="sin_pi''", sup_bound=math.pi ** 2)
+        name="sin_pi''")
     reg["sin_pi"] = sin_pi
     expf = Function01.from_callable(
-        lambda x: np.exp(np.asarray(x, dtype=float)), name="exp", sup_bound=math.e)
+        lambda x: np.exp(np.asarray(x, dtype=float)), name="exp")
     expf._d2 = Function01.from_callable(
-        lambda x: np.exp(np.asarray(x, dtype=float)), name="exp''", sup_bound=math.e)
+        lambda x: np.exp(np.asarray(x, dtype=float)), name="exp''")
     reg["exp"] = expf
     reg["abs_half"] = Function01.from_callable(
         lambda x: np.abs(np.asarray(x, dtype=float) - 0.5),
-        name="abs_half", sup_bound=0.5)
-    reg["osc"] = Function01.from_callable(_osc_eval, name="osc", sup_bound=1.0)
+        name="abs_half")
+    reg["osc"] = Function01.from_callable(_osc_eval, name="osc")
     return reg
 
 
@@ -345,8 +324,7 @@ def project_to_Cpsi(f: Function01) -> Function01:
     pc = None
     if f.poly_coeffs is not None:
         pc = tuple(np.polynomial.polynomial.polysub(f.poly_coeffs, (f0, f1 - f0)))
-    sup = None if f.sup_bound is None else f.sup_bound + max(abs(f0), abs(f1))
-    out = Function01(ev, poly_coeffs=pc, sup_bound=sup)
+    out = Function01(ev, poly_coeffs=pc)
     out._d2 = f._d2
     return out
 
@@ -470,8 +448,7 @@ def F_transform(f: Function01, quad_panels: int = 1,
     """
     grid = grid or default_grid()
     cache = _CachedTransform(f, grid, quad_panels, stall_budget)
-    sup = None if f.sup_bound is None else f.sup_bound / 8.0  # |F(f)| <= sup|f| * psi/2 pointwise
-    out = Function01(cache, name=None, sup_bound=sup)
+    out = Function01(cache)
     out.quad_error_bound = cache.error_bound  # type: ignore[attr-defined]
     return out
 

@@ -2,6 +2,10 @@
 finite node discretization with a transfer matrix, central moments, and the
 contraction profile alpha = 1 - L(psi)/psi.
 
+Each family tag maps to one Family record in the table at the end of this
+module; OperatorSpec and the module functions look the record up instead
+of branching on the tag.
+
 Family carriers
 ---------------
 bernstein      node values at k/n; the transfer matrix is the basis matrix
@@ -10,11 +14,12 @@ durrmeyer      coefficients in the Bernstein basis: the image of f is
                sum_k c_k(f) p_{n,k} with c_k the Beta-density functionals,
                so one application advances the coefficient vector by the
                matrix c_i(p_{n,j}) (exact; entries in closed Beta form).
-mkz families   node values at k/(n+k) (and the reflected set n/(n+k));
-               the infinite series is truncated at a depth sized from the
-               a-priori geometric tail bound, and each row's omitted mass
-               is routed to the endpoint node, whose value a weighted-space
-               input pins to zero.
+mkz families   the plain series operator (nodes k/(n+k)) and its
+               reflection (nodes n/(n+k)) mixed with shares (1, 0), (0, 1)
+               and (1/2, 1/2); each series is truncated at a depth sized
+               from the a-priori geometric tail bound, and each row's
+               omitted mass is routed to the branch's hard endpoint node,
+               whose value a weighted-space input pins to zero.
 
 OperatorSpec and NodeDiscretization are immutable after construction; all
 apply/moment operations are pure.
@@ -23,9 +28,10 @@ apply/moment operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -38,7 +44,8 @@ from .special import (bernstein_basis_matrix, log_beta, log_binomial,
 
 __all__ = [
     "FAMILIES",
-    "LAMBDA_FAMILIES",
+    "Family",
+    "family_record",
     "OperatorSpec",
     "AlphaProfile",
     "NodeDiscretization",
@@ -46,8 +53,6 @@ __all__ = [
     "durrmeyer_functional",
     "durrmeyer_apply",
     "mkz_apply",
-    "mkz_reflected_apply",
-    "mkz_symmetric_apply",
     "mkz_truncation_index",
     "moment",
     "alpha_profile",
@@ -55,14 +60,42 @@ __all__ = [
     "condition_report",
 ]
 
-FAMILIES = ("bernstein", "durrmeyer", "mkz", "mkz-reflected", "mkz-symmetric")
-# Families with a certified contraction constant below one, i.e. admissible
-# for the geometric series.  The plain and reflected series operators lose
-# the contraction at one endpoint (their second moment over psi vanishes
-# there), so only the symmetrized version qualifies.
-LAMBDA_FAMILIES = ("bernstein", "durrmeyer", "mkz-symmetric")
-
 _SERIES_CAP = 500_000
+_ROW_BLOCK = 512  # carrier rows built per weight-matrix call
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that distinguishes one operator family.
+
+    shares weights the plain and the reflected series branch (the
+    Meyer-Koenig-Zeller tags); the exact families have no series branch.
+    The callables take the OperatorSpec as their first argument.
+    """
+
+    min_n: int
+    param: Optional[str]  # parameter that must be given and positive
+    contraction: Callable  # certified upper bound on |L(psi)|_psi
+    apply: Callable  # (spec, f, x) -> L(f)(x)
+    moment: Callable  # (spec, k, x) -> central moment at one point
+    alpha: Callable  # (spec, xs) -> 1 - L(psi)/psi at the points xs
+    carrier: Callable  # spec -> NodeDiscretization
+    shares: tuple = (0.0, 0.0)
+    default_n_list: tuple = (4, 8, 16, 32)
+    default_eps: float = 1e-8
+
+    @property
+    def series(self) -> bool:
+        """True for the truncated-series families, False for the exact ones."""
+        return any(self.shares)
+
+
+def family_record(tag: str) -> Family:
+    """The table record of one family tag."""
+    try:
+        return _FAMILY_TABLE[tag]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown family {tag!r}; choose from {FAMILIES}") from None
 
 
 @dataclass(frozen=True)
@@ -75,71 +108,55 @@ class OperatorSpec:
     truncation_eps: Optional[float] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.n < 1:
-            raise DomainError("operator order must be >= 1")
-        if self.family == "durrmeyer":
-            if self.n < 2:
-                raise DomainError("durrmeyer requires n >= 2")
-            if self.rho is None or self.rho <= 0.0:
-                raise DomainError("durrmeyer requires rho > 0")
-        if self.family == "mkz-symmetric" and self.n < 3:
-            raise DomainError("mkz-symmetric requires n >= 3")
-        if self.family.startswith("mkz"):
-            if self.truncation_eps is None or self.truncation_eps <= 0.0:
-                raise DomainError(f"{self.family} requires truncation_eps > 0")
+        fam = family_record(self.family)
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise DomainError(f"operator order must be an integer, got {self.n!r}")
+        if self.n < fam.min_n:
+            raise DomainError(f"{self.family} requires n >= {fam.min_n}")
+        if fam.param is not None:
+            value = getattr(self, fam.param)
+            if value is None or value <= 0.0:
+                raise DomainError(f"{self.family} requires {fam.param} > 0")
+
+    @property
+    def record(self) -> Family:
+        return _FAMILY_TABLE[self.family]
 
     # -- admissibility -----------------------------------------------------
 
     @property
     def in_lambda_class(self) -> bool:
-        if self.family == "bernstein":
-            return self.n >= 2  # n = 1 is the endpoint interpolation itself
-        return self.family in ("durrmeyer", "mkz-symmetric")
+        # b = 0 is the endpoint interpolation itself (bernstein n = 1);
+        # b = 1 is a plain or reflected series operator, whose contraction
+        # is lost at its hard endpoint.
+        return 0.0 < self.contraction_bound() < 1.0
 
     def contraction_bound(self) -> float:
         """Certified upper bound on the weighted operator norm |L(psi)|_psi."""
-        if self.family == "bernstein":
-            return 1.0 - 1.0 / self.n
-        if self.family == "durrmeyer":
-            return 1.0 - (self.rho + 1.0) / (self.n * self.rho + 1.0)
-        if self.family == "mkz-symmetric":
-            return 1.0 - 0.5 / (self.n + 1.0)
-        return 1.0  # plain/reflected series operators: sup over (0,1) is 1
+        return self.record.contraction(self)
 
     # -- geometry ----------------------------------------------------------
 
-    def grid(self, base: Optional[EvaluationGrid] = None) -> EvaluationGrid:
-        """The evaluation grid restricted to the family's tractable range.
+    def certified_interval(self):
+        """(lo, hi): where pointwise values and carrier rows are certified.
 
-        The series truncation depth grows like 1/(1-x) (like 1/x for the
-        reflected branch), so the grid is capped a distance 1/(4n) from
-        the hard endpoint(s); the cap tightens toward the endpoint as n
-        grows.
+        [0, 1] trimmed by 1/(4n) at the hard endpoint of each series
+        branch (1 for the plain branch, 0 for the reflected one), toward
+        which the truncation depth grows like 1/(1-x).
         """
-        base = base or default_grid()
         cap = 1.0 / (4.0 * self.n)
-        if self.family == "mkz":
-            return base.restricted(0.0, 1.0 - cap)
-        if self.family == "mkz-reflected":
-            return base.restricted(cap, 1.0)
-        if self.family == "mkz-symmetric":
-            return base.restricted(cap, 1.0 - cap)
-        return base
+        plain, refl = self.record.shares
+        return (cap if refl else 0.0, 1.0 - cap if plain else 1.0)
+
+    def grid(self, base: Optional[EvaluationGrid] = None) -> EvaluationGrid:
+        """The evaluation grid restricted to the certified interval; the
+        cap tightens toward a hard endpoint as n grows."""
+        return (base or default_grid()).restricted(*self.certified_interval())
 
     # -- application -------------------------------------------------------
 
     def apply(self, f: Function01, x):
-        if self.family == "bernstein":
-            return bernstein_apply(self.n, f, x)
-        if self.family == "durrmeyer":
-            return durrmeyer_apply(self.n, self.rho, f, x)
-        if self.family == "mkz":
-            return mkz_apply(self.n, f, x, self.truncation_eps)
-        if self.family == "mkz-reflected":
-            return mkz_reflected_apply(self.n, f, x, self.truncation_eps)
-        return mkz_symmetric_apply(self.n, f, x, self.truncation_eps)
+        return self.record.apply(self, f, x)
 
     def moment(self, k: int, x):
         return moment(self, k, x)
@@ -287,7 +304,7 @@ def durrmeyer_apply(n: int, rho: float, f: Function01, x):
 
 
 # ---------------------------------------------------------------------------
-# Meyer-Koenig and Zeller (Cheney-Sharma form) and its symmetrization
+# Meyer-Koenig and Zeller (Cheney-Sharma form) and its reflections
 # ---------------------------------------------------------------------------
 
 def mkz_truncation_index(n: int, x: float, tail: float,
@@ -319,13 +336,6 @@ def mkz_truncation_index(n: int, x: float, tail: float,
     return k
 
 
-def _mkz_series(n: int, f: Function01, x: float, tail: float) -> float:
-    k = mkz_truncation_index(n, x, tail)
-    w = mkz_weight_row(n, x, k)
-    nodes = np.arange(k + 1) / (n + np.arange(k + 1))
-    return float(w @ np.asarray(f(nodes), dtype=float))
-
-
 def mkz_apply(n: int, f: Function01, x, eps: float):
     """Series operator value with certified tail <= eps * sup|f|."""
     if n < 1:
@@ -337,34 +347,37 @@ def mkz_apply(n: int, f: Function01, x, eps: float):
     x = float(x)
     if x == 1.0:
         return float(f(1.0))
-    return _mkz_series(n, f, x, eps)
+    k = mkz_truncation_index(n, x, eps)
+    w = mkz_weight_row(n, x, k)
+    nodes = np.arange(k + 1) / (n + np.arange(k + 1))
+    return float(w @ np.asarray(f(nodes), dtype=float))
 
 
-def mkz_reflected_apply(n: int, f: Function01, x, eps: float):
-    """The reflected operator: the plain series applied to f(1-t) at 1-x."""
+def _mkz_mix(shares, branch):
+    """Sum of share * branch(share, reflect) over the plain and the
+    reflected branch.  A branch whose share is zero is skipped rather than
+    weighted by 0: it would be evaluated next to its hard endpoint."""
+    out = None
+    for share, reflect in zip(shares, (False, True)):
+        if share:
+            term = share * branch(share, reflect)
+            out = term if out is None else out + term
+    return out
+
+
+def _mkz_family_apply(spec: OperatorSpec, f: Function01, x):
+    """Share-weighted plain and reflected series values; the reflected
+    branch is the plain series of f(1-t) at 1-x, and each branch is
+    truncated at share * eps."""
     if np.ndim(x):
-        return np.array([mkz_reflected_apply(n, f, float(v), eps)
-                         for v in np.asarray(x)])
-    return mkz_apply(n, f.reflected(), 1.0 - float(x), eps)
-
-
-def mkz_symmetric_apply(n: int, f: Function01, x, eps: float):
-    """Average of the plain and reflected operators; each half is truncated
-    to eps/2."""
-    if np.ndim(x):
-        return np.array([mkz_symmetric_apply(n, f, float(v), eps)
-                         for v in np.asarray(x)])
+        return np.array([_mkz_family_apply(spec, f, float(v)) for v in np.asarray(x)])
     x = float(x)
-    half = 0.5 * eps
-    if x == 1.0:
-        plain = float(f(1.0))
-    else:
-        plain = _mkz_series(n, f, x, half)
-    if x == 0.0:
-        refl = float(f(0.0))  # reflected branch hits its exact-value case
-    else:
-        refl = _mkz_series(n, f.reflected(), 1.0 - x, half)
-    return 0.5 * (plain + refl)
+
+    def branch(share, reflect):
+        g, t = (f.reflected(), 1.0 - x) if reflect else (f, x)
+        return mkz_apply(spec.n, g, t, share * spec.truncation_eps)
+
+    return _mkz_mix(spec.record.shares, branch)
 
 
 def _mkz_central_moment(n: int, kpow: int, x: float, tail: float) -> float:
@@ -375,6 +388,16 @@ def _mkz_central_moment(n: int, kpow: int, x: float, tail: float) -> float:
     w = mkz_weight_row(n, x, k)
     nodes = np.arange(k + 1) / (n + np.arange(k + 1))
     return float(w @ (nodes - x) ** kpow)
+
+
+def _mkz_moment(spec: OperatorSpec, k: int, x: float) -> float:
+    def branch(share, reflect):
+        tail = share * spec.truncation_eps
+        if reflect:
+            return (-1.0) ** k * _mkz_central_moment(spec.n, k, 1.0 - x, tail)
+        return _mkz_central_moment(spec.n, k, x, tail)
+
+    return _mkz_mix(spec.record.shares, branch)
 
 
 def _mkz_weight_grid(n: int, xs: np.ndarray, tail: float):
@@ -391,6 +414,20 @@ def _mkz_weight_grid(n: int, xs: np.ndarray, tail: float):
     return w, nodes
 
 
+def _m2_vec(n: int, xs: np.ndarray, tail: float) -> np.ndarray:
+    """Plain-series second central moments at many points (vectorized)."""
+    w, nodes = _mkz_weight_grid(n, xs, tail)
+    d = nodes[None, :] - xs[:, None]
+    return np.einsum("ij,ij->i", w, d * d)
+
+
+def _mkz_alpha(spec: OperatorSpec, xs: np.ndarray) -> np.ndarray:
+    tail = 0.1 * spec.truncation_eps
+    m2 = _mkz_mix(spec.record.shares, lambda share, reflect: _m2_vec(
+        spec.n, 1.0 - xs if reflect else xs, tail))
+    return m2 / psi(xs)
+
+
 # ---------------------------------------------------------------------------
 # Moments and the contraction profile
 # ---------------------------------------------------------------------------
@@ -402,33 +439,28 @@ def _shifted_power_coeffs(kpow: int, x: float) -> np.ndarray:
     return out
 
 
+def _bernstein_moment(op: OperatorSpec, k: int, x: float) -> float:
+    nodes = np.arange(op.n + 1) / op.n
+    row = bernstein_basis_matrix(op.n, np.array([x]))[0]
+    return float(row @ (nodes - x) ** k)
+
+
+def _durrmeyer_moment(op: OperatorSpec, k: int, x: float) -> float:
+    coeffs = _shifted_power_coeffs(k, x)
+    mono = _durrmeyer_monomial_moments(op.n, op.rho, k)
+    interior = mono @ coeffs  # functional values of (t-x)^k, k = 1..n-1
+    full = np.concatenate(([(0.0 - x) ** k], interior, [(1.0 - x) ** k]))
+    row = bernstein_basis_matrix(op.n, np.array([x]))[0]
+    return float(row @ full)
+
+
 def moment(op: OperatorSpec, k: int, x):
     """Central moment L((e1 - x e0)^k)(x)."""
     if k < 0:
         raise DomainError("moment order must be >= 0")
     if np.ndim(x):
         return np.array([moment(op, k, float(v)) for v in np.asarray(x)])
-    x = float(x)
-    n = op.n
-    if op.family == "bernstein":
-        nodes = np.arange(n + 1) / n
-        row = bernstein_basis_matrix(n, np.array([x]))[0]
-        return float(row @ (nodes - x) ** k)
-    if op.family == "durrmeyer":
-        coeffs = _shifted_power_coeffs(k, x)
-        mono = _durrmeyer_monomial_moments(n, op.rho, k)
-        interior = mono @ coeffs  # functional values of (t-x)^k, k = 1..n-1
-        full = np.concatenate(([(0.0 - x) ** k], interior, [(1.0 - x) ** k]))
-        row = bernstein_basis_matrix(n, np.array([x]))[0]
-        return float(row @ full)
-    tail = op.truncation_eps
-    if op.family == "mkz":
-        return _mkz_central_moment(n, k, x, tail)
-    if op.family == "mkz-reflected":
-        return (-1.0) ** k * _mkz_central_moment(n, k, 1.0 - x, tail)
-    plain = _mkz_central_moment(n, k, x, 0.5 * tail)
-    refl = _mkz_central_moment(n, k, 1.0 - x, 0.5 * tail)
-    return 0.5 * (plain + (-1.0) ** k * refl)
+    return op.record.moment(op, k, float(x))
 
 
 @dataclass(frozen=True)
@@ -456,21 +488,7 @@ class AlphaProfile:
 def alpha_profile(op: OperatorSpec, grid: Optional[EvaluationGrid] = None) -> AlphaProfile:
     """Contraction profile on the family-capped grid."""
     grid = op.grid(grid)
-    xs = grid.points
-    n = op.n
-    if op.family == "bernstein":
-        alpha = np.full(xs.size, 1.0 / n)
-    elif op.family == "durrmeyer":
-        alpha = np.full(xs.size, (op.rho + 1.0) / (n * op.rho + 1.0))
-    else:
-        tail_scale = 0.1 * op.truncation_eps
-        m2 = _m2_vec(n, xs, tail_scale)
-        if op.family == "mkz":
-            alpha = m2 / psi(xs)
-        elif op.family == "mkz-reflected":
-            alpha = _m2_vec(n, 1.0 - xs, tail_scale) / psi(xs)
-        else:
-            alpha = 0.5 * (m2 + _m2_vec(n, 1.0 - xs, tail_scale)) / psi(xs)
+    alpha = op.record.alpha(op, grid.points)
     nu = float(alpha.min())
     if nu <= 0.0:
         raise DegenerateOperatorError(
@@ -479,13 +497,6 @@ def alpha_profile(op: OperatorSpec, grid: Optional[EvaluationGrid] = None) -> Al
     eta = float((alpha.max() - alpha.min()) / nu)
     return AlphaProfile(alpha_values=alpha, grid=grid, nu=nu, eta=eta,
                         b_norm=1.0 - nu)
-
-
-def _m2_vec(n: int, xs: np.ndarray, tail: float) -> np.ndarray:
-    """Plain-series second central moments at many points (vectorized)."""
-    w, nodes = _mkz_weight_grid(n, xs, tail)
-    d = nodes[None, :] - xs[:, None]
-    return np.einsum("ij,ij->i", w, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +514,10 @@ class NodeDiscretization:
 
         L^m(f)(x) = basis_matrix(x) @ (transfer^(m-1) @ rep(f)),  m >= 1.
 
-    truncation_error_bound certifies rows at points within the family cap;
-    rows at deeper nodes carry larger omitted mass, which the endpoint
-    routing converts into an error of order psi(node) for weighted-space
-    inputs.
+    truncation_error_bound certifies rows at points within the family's
+    certified interval; rows at deeper nodes carry larger omitted mass,
+    which the endpoint routing converts into an error of order psi(node)
+    for weighted-space inputs.
     """
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
@@ -619,144 +630,104 @@ def _mkz_node_depth(spec: OperatorSpec) -> int:
 
 
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
+    """The carrier of every series family.
+
+    Its nodes are 0, 1 and the nodes of the branches in use: k/(n+k) for
+    the plain branch, n/(n+k) for the reflected one.  Each branch adds its
+    share-weighted weights to its own columns and routes each row's
+    omitted mass to its hard endpoint node (1 plain, 0 reflected): the
+    skipped terms sample f next to that endpoint, where weighted-space
+    inputs vanish like psi.
+    """
     n = spec.n
+    fam = spec.record
     depth = _mkz_node_depth(spec)
     k = np.arange(depth + 1)
-    p_nodes = k / (n + k)
-    nodes = np.concatenate((p_nodes, [1.0]))
-
-    def rows(xs):
-        xs = np.asarray(xs, dtype=float)
-        at_one = xs == 1.0
-        safe = np.where(at_one, 0.0, xs)
-        w = mkz_weight_matrix(n, safe, depth)
-        out = np.zeros((xs.size, depth + 2))
-        out[:, :-1] = w
-        # Route each row's omitted mass to the endpoint node: the skipped
-        # terms sample f within (node_depth, 1), and weighted-space inputs
-        # vanish there like psi.
-        out[:, -1] = np.maximum(0.0, 1.0 - w.sum(axis=1))
-        if np.any(at_one):
-            out[at_one] = 0.0
-            out[at_one, -1] = 1.0
-        return out
-
-    def rep(f):
-        vals = np.empty(depth + 2)
-        vals[:-1] = np.asarray(f(p_nodes), dtype=float)
-        vals[-1] = float(f(1.0))
-        return vals
-
-    transfer = rows(nodes)
-    x_cap = 1.0 - 1.0 / (4.0 * n)
-    certified = nodes <= x_cap
-    bound = float(np.max(transfer[certified, -1])) if np.any(certified) else 1.0
-    return NodeDiscretization(spec, nodes, transfer, bound, rows, rep)
-
-
-def _mkz_reflected_disc(spec: OperatorSpec) -> NodeDiscretization:
-    n = spec.n
-    depth = _mkz_node_depth(spec)
-    k = np.arange(depth + 1)
-    r_nodes = n / (n + k)  # decreasing toward 0
-    nodes = np.concatenate(([0.0], r_nodes[::-1]))
-
-    def rows(xs):
-        xs = np.asarray(xs, dtype=float)
-        at_zero = xs == 0.0
-        safe = np.where(at_zero, 0.0, 1.0 - xs)
-        w = mkz_weight_matrix(n, safe, depth)
-        out = np.zeros((xs.size, depth + 2))
-        out[:, 1:] = w[:, ::-1]
-        out[:, 0] = np.maximum(0.0, 1.0 - w.sum(axis=1))
-        if np.any(at_zero):
-            out[at_zero] = 0.0
-            out[at_zero, 0] = 1.0
-        return out
-
-    def rep(f):
-        vals = np.empty(depth + 2)
-        vals[0] = float(f(0.0))
-        vals[1:] = np.asarray(f(r_nodes[::-1]), dtype=float)
-        return vals
-
-    transfer = rows(nodes)
-    x_cap = 1.0 / (4.0 * n)
-    certified = nodes >= x_cap
-    bound = float(np.max(transfer[certified, 0])) if np.any(certified) else 1.0
-    return NodeDiscretization(spec, nodes, transfer, bound, rows, rep)
-
-
-def _mkz_symmetric_disc(spec: OperatorSpec) -> NodeDiscretization:
-    n = spec.n
-    depth = _mkz_node_depth(spec)
-    k = np.arange(depth + 1)
-    p_nodes = k / (n + k)
-    r_nodes = n / (n + k)
+    used = [(s, reflect) for s, reflect in zip(fam.shares, (False, True)) if s]
     # Collisions p_j = r_m happen exactly when j*m = n^2; both quotients
     # round to the same float, so value-level merging is exact.
-    nodes, inv = np.unique(np.concatenate((p_nodes, r_nodes)), return_inverse=True)
-    p_cols = inv[: depth + 1]
-    r_cols = inv[depth + 1:]
-    col_one = int(np.searchsorted(nodes, 1.0))
-    col_zero = 0
+    nodes, inv = np.unique(np.concatenate(
+        [n / (n + k) if reflect else k / (n + k) for _, reflect in used]
+        + [[0.0, 1.0]]), return_inverse=True)
+    branch_cols = np.split(inv[: len(used) * (depth + 1)], len(used))
+    if len(used) == 1:
+        # A lone branch fills one run of adjacent columns (ascending for
+        # the plain nodes, descending for the reflected ones); a slice
+        # adds a block into it several times faster than an index array.
+        (c,) = branch_cols
+        step = 1 if c[-1] > c[0] else -1
+        branch_cols = [slice(c[0], c[-1] + step, step)]
+    branches = [(s, reflect, c) for (s, reflect), c in zip(used, branch_cols)]
 
-    def rows_routed(xs, out=None):
-        xs = np.asarray(xs, dtype=float)
-        if out is None:
-            out = np.zeros((xs.size, nodes.size))
-        at_one = xs == 1.0
-        at_zero = xs == 0.0
-        w_plain = 0.5 * mkz_weight_matrix(n, np.where(at_one, 0.0, xs), depth)
-        w_plain[at_one] = 0.0
-        w_refl = 0.5 * mkz_weight_matrix(n, np.where(at_zero, 0.0, 1.0 - xs), depth)
-        w_refl[at_zero] = 0.0
-        # p_cols and r_cols are each duplicate-free, so fancy += accumulates
-        # the collision columns correctly across the two scatters.
-        out[:, p_cols] += w_plain
-        out[:, r_cols] += w_refl
-        routed_p = np.where(at_one, 0.5, np.maximum(0.0, 0.5 - w_plain.sum(axis=1)))
-        routed_r = np.where(at_zero, 0.5, np.maximum(0.0, 0.5 - w_refl.sum(axis=1)))
-        out[:, col_one] += routed_p
-        out[:, col_zero] += routed_r
-        return out, routed_p + routed_r
+    def fill(xs, out):
+        """Add the rows at xs into out (zeroed, one row per point); return
+        each row's routed mass."""
+        routed = 0.0
+        for share, reflect, cols in branches:
+            t = 1.0 - xs if reflect else xs
+            at_end = t == 1.0
+            w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), depth)
+            if share != 1.0:
+                w *= share
+            w[at_end] = 0.0
+            # cols is duplicate-free, so fancy += accumulates the collision
+            # columns correctly across the two branches.
+            out[:, cols] += w
+            mass = np.where(at_end, share, np.maximum(0.0, share - w.sum(axis=1)))
+            out[:, 0 if reflect else -1] += mass
+            routed = routed + mass
+            del w  # free before the next branch allocates its own
+        return routed
 
     def rows(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((xs.size, nodes.size))
-        for lo in range(0, xs.size, 512):
-            sl = slice(lo, min(lo + 512, xs.size))
-            rows_routed(xs[sl], out[sl])
+        for start in range(0, xs.size, _ROW_BLOCK):
+            sl = slice(start, start + _ROW_BLOCK)
+            fill(xs[sl], out[sl])
         return out
 
     def rep(f):
         return np.asarray(f(nodes), dtype=float)
 
+    lo, hi = spec.certified_interval()
+
+    def bound(at, routed):
+        certified = (at >= lo) & (at <= hi)
+        return float(np.max(routed[certified])) if np.any(certified) else 1.0
+
+    if fam.shares[0] != fam.shares[1]:
+        # One pass over all rows: a few large temporaries page-fault far
+        # less than a sequence of row blocks.
+        transfer = np.zeros((nodes.size, nodes.size))
+        routed = fill(nodes, transfer)
+        return NodeDiscretization(spec, nodes, transfer, bound(nodes, routed),
+                                  rows, rep)
+
+    # Equal shares make the operator reflection-equivariant: the transfer
+    # is kept as two half-size parity blocks and never materialized.
     # Reflection pairing is exact at the (branch, k) level: the partner of
     # p_k is r_k, merges included.
+    (_, _, p_cols), (_, _, r_cols) = branches
     perm_full = np.empty(nodes.size, dtype=np.intp)
     perm_full[p_cols] = r_cols
     perm_full[r_cols] = p_cols
     low = np.flatnonzero(np.arange(nodes.size) <= perm_full)
     perm_low = perm_full[low]
+    same = low == perm_low  # the self-paired midpoint column
     m = low.size
     t_even = np.empty((m, m))
     t_odd = np.empty((m, m))
     routed = np.empty(m)
-    scratch = np.zeros((min(512, m), nodes.size))
-    for lo in range(0, m, 512):
-        sl = slice(lo, min(lo + 512, m))
+    scratch = np.zeros((min(_ROW_BLOCK, m), nodes.size))
+    for start in range(0, m, _ROW_BLOCK):
+        sl = slice(start, min(start + _ROW_BLOCK, m))
         block = scratch[: sl.stop - sl.start]
         block[:] = 0.0
-        _, routed[sl] = rows_routed(nodes[low[sl]], block)
-        same = low == perm_low  # the self-paired midpoint column
+        routed[sl] = fill(nodes[low[sl]], block)
         t_even[sl] = block[:, low] + np.where(same, 0.0, 1.0) * block[:, perm_low]
         t_odd[sl] = block[:, low] - block[:, perm_low]
-    cap = 1.0 / (4.0 * n)
-    certified = (nodes[low] >= cap) & (nodes[low] <= 1.0 - cap)
-    bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-    return NodeDiscretization(spec, nodes, None, bound, rows, rep,
-                              parity=(low, perm_low, t_even, t_odd))
+    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed),
+                              rows, rep, parity=(low, perm_low, t_even, t_odd))
 
 
 _DISC_CACHE: dict = {}
@@ -766,16 +737,7 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     """Build (or fetch) the finite carrier for one operator instance."""
     got = _DISC_CACHE.get(op)
     if got is None:
-        if op.family == "bernstein":
-            got = _bernstein_disc(op)
-        elif op.family == "durrmeyer":
-            got = _durrmeyer_disc(op)
-        elif op.family == "mkz":
-            got = _mkz_disc(op)
-        elif op.family == "mkz-reflected":
-            got = _mkz_reflected_disc(op)
-        else:
-            got = _mkz_symmetric_disc(op)
+        got = op.record.carrier(op)
         if len(_DISC_CACHE) > 12:
             _DISC_CACHE.clear()  # the mkz carriers are large; keep few
         _DISC_CACHE[op] = got
@@ -805,17 +767,16 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
         m2 = np.array([moment(spec, 2, float(v)) for v in xs])
         m4 = np.array([moment(spec, 4, float(v)) for v in xs])
         sup_ratio = float(np.max(m4 / m2))
-        if family in ("bernstein", "durrmeyer"):
-            cond55 = 0.0  # alpha is constant: the integrand vanishes
-        else:
-            cond55 = _cond55_sup(spec, prof, xs)
         rows.append({"n": n, "sup_m4_over_m2": sup_ratio,
-                     "eta": prof.eta, "cond55": cond55})
+                     "eta": prof.eta, "cond55": _cond55_sup(spec, prof, xs)})
     return rows
 
 
 def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile, xs: np.ndarray) -> float:
     """sup over the grid of L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x))."""
+    if not spec.record.series:
+        return 0.0  # alpha is constant: the integrand vanishes
+    shares = spec.record.shares
     n = spec.n
     tail = 0.1 * spec.truncation_eps
     memo = {}
@@ -829,29 +790,60 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile, xs: np.ndarray) -> float
                     # alpha extends continuously; endpoint nodes carry no
                     # psi weight in the integrand anyway
                     val = float(prof.alpha_values[0 if t == 0.0 else -1])
-                elif spec.family == "mkz":
-                    val = _mkz_central_moment(n, 2, t, tail) / psi(t)
-                elif spec.family == "mkz-reflected":
-                    val = _mkz_central_moment(n, 2, 1.0 - t, tail) / psi(t)
                 else:
-                    val = 0.5 * (_mkz_central_moment(n, 2, t, tail)
-                                 + _mkz_central_moment(n, 2, 1.0 - t, tail)) / psi(t)
+                    m2 = _mkz_mix(shares, lambda share, reflect, t=t:
+                                  _mkz_central_moment(n, 2, 1.0 - t if reflect else t,
+                                                      tail))
+                    val = m2 / psi(t)
                 memo[t] = val
             out[i] = val
         return out
 
     a_x = prof.alpha(xs)
     acc = np.zeros(xs.size)
-    use_plain = spec.family in ("mkz", "mkz-symmetric")
-    use_refl = spec.family in ("mkz-reflected", "mkz-symmetric")
-    share = 0.5 if spec.family == "mkz-symmetric" else 1.0
-    if use_plain:
-        w, nodes = _mkz_weight_grid(n, xs, tail)
-        integ = psi(nodes)[None, :] * np.abs(alpha_at(nodes)[None, :] - a_x[:, None])
-        acc += share * np.einsum("ij,ij->i", w, integ)
-    if use_refl:
-        w, nodes_raw = _mkz_weight_grid(n, 1.0 - xs, tail)
-        nodes_r = 1.0 - nodes_raw
-        integ = psi(nodes_r)[None, :] * np.abs(alpha_at(nodes_r)[None, :] - a_x[:, None])
-        acc += share * np.einsum("ij,ij->i", w, integ)
+    for share, reflect in zip(shares, (False, True)):
+        if share:
+            w, nodes = _mkz_weight_grid(n, 1.0 - xs if reflect else xs, tail)
+            if reflect:
+                nodes = 1.0 - nodes
+            integ = psi(nodes)[None, :] * np.abs(alpha_at(nodes)[None, :] - a_x[:, None])
+            acc += share * np.einsum("ij,ij->i", w, integ)
     return float(np.max(acc / (prof.nu ** 2 * psi(xs))))
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+# The plain series operator; the reflected and symmetrical members differ
+# only in their branch shares (and the symmetrical one in its order range
+# and contraction bound).  The plain and reflected operators lose the
+# contraction at their hard endpoint, where their second moment over psi
+# vanishes, so their bound is 1 and they stay outside the Lambda class.
+_MKZ = Family(min_n=1, param="truncation_eps", contraction=lambda s: 1.0,
+              apply=_mkz_family_apply, moment=_mkz_moment, alpha=_mkz_alpha,
+              carrier=_mkz_disc, shares=(1.0, 0.0), default_eps=1e-6)
+
+_FAMILY_TABLE = {
+    "bernstein": Family(
+        min_n=1, param=None,
+        contraction=lambda s: 1.0 - 1.0 / s.n,
+        apply=lambda s, f, x: bernstein_apply(s.n, f, x),
+        moment=_bernstein_moment,
+        alpha=lambda s, xs: np.full(xs.size, 1.0 / s.n),
+        carrier=_bernstein_disc),
+    "durrmeyer": Family(
+        min_n=2, param="rho",
+        contraction=lambda s: 1.0 - (s.rho + 1.0) / (s.n * s.rho + 1.0),
+        apply=lambda s, f, x: durrmeyer_apply(s.n, s.rho, f, x),
+        moment=_durrmeyer_moment,
+        alpha=lambda s, xs: np.full(xs.size, (s.rho + 1.0) / (s.n * s.rho + 1.0)),
+        carrier=_durrmeyer_disc),
+    "mkz": _MKZ,
+    "mkz-reflected": replace(_MKZ, shares=(0.0, 1.0)),
+    "mkz-symmetric": replace(_MKZ, shares=(0.5, 0.5), min_n=3,
+                             contraction=lambda s: 1.0 - 0.5 / (s.n + 1.0),
+                             default_n_list=(4, 8, 16)),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)

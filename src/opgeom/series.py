@@ -2,7 +2,7 @@
 space, with three computation paths:
 
 * a restarted GMRES solve of (I - T) on the interior node block, the
-  default engine (every family in the contraction class);
+  default engine (every member of the contraction class);
 * a truncated Neumann sum with a certified geometric tail bound, kept as
   the oracle for the Krylov path; and
 * a direct linear solve of (I - T) on the interior node block (exact
@@ -111,7 +111,7 @@ def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Funct
         out = np.asarray(base(xs), dtype=float) + d.apply_rep(r, xs)
         return out if np.ndim(x) else out[0]
 
-    return Function01(ev, kind="derived", name="geometric-series")
+    return Function01(ev, name="geometric-series")
 
 
 def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
@@ -139,25 +139,38 @@ def _series_setup(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     return node_discretization(op), op.grid(grid)
 
 
-def _neumann_core(op: OperatorSpec, disc: NodeDiscretization, f_eval,
-                  rep0: np.ndarray, f_norm: float, eps: float,
-                  grid: EvaluationGrid) -> GeometricSeriesResult:
+def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
+                   reps: np.ndarray, norms, eps: float,
+                   grid: EvaluationGrid) -> list:
+    """Truncated Neumann sums sum_{k<=K} L^k(f), one per column of reps,
+    sharing one transfer-matrix sweep.
+
+    K is the largest certified term count over the columns; matvec memory
+    traffic dominates the cost for the series families, so extra columns
+    are nearly free.  f_evals evaluate the inputs off the nodes and norms
+    are their weighted norms; a zero-norm column gives the zero result.
+    """
     b = op.contraction_bound()
-    if f_norm == 0.0:
-        return _zero_result("neumann")
-    k_last = neumann_tail_terms(b, f_norm, eps)
-    acc = rep0.copy()
-    v = rep0
-    for _ in range(1, k_last):
-        v = disc.advance(v)
+    k_max = max((neumann_tail_terms(b, v, eps) for v in norms if v > 0.0),
+                default=0)
+    # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
+    acc = np.zeros_like(reps)
+    v = reps
+    for k in range(k_max):
+        if k:
+            v = disc.advance(v)
         acc += v
-    if k_last == 0:
-        acc = np.zeros_like(rep0)
-    tail = b ** (k_last + 1) / (1.0 - b) * f_norm
-    g = _series_function(f_eval, disc, acc)
-    resid = _residual_norm(disc, acc, rep0, grid)
-    return GeometricSeriesResult(g=g, method="neumann", terms_used=k_last + 1,
-                                 tail_bound=tail, residual_psi_norm=resid)
+    out = []
+    for i, (f_eval, norm) in enumerate(zip(f_evals, norms)):
+        if norm == 0.0:
+            out.append(_zero_result("neumann"))
+            continue
+        col = acc[:, i].copy()
+        out.append(GeometricSeriesResult(
+            g=_series_function(f_eval, disc, col), method="neumann",
+            terms_used=k_max + 1, tail_bound=b ** (k_max + 1) / (1.0 - b) * norm,
+            residual_psi_norm=_residual_norm(disc, col, reps[:, i], grid)))
+    return out
 
 
 def geometric_series_neumann(op: OperatorSpec, f: Function01, eps: float,
@@ -166,42 +179,21 @@ def geometric_series_neumann(op: OperatorSpec, f: Function01, eps: float,
     tail bound; requires f in the weighted space (endpoint values zero)."""
     disc, fam_grid = _series_setup(op, [f], eps, grid)
     f_norm = psi_norm(f, fam_grid).value
-    return _neumann_core(op, disc, f, disc.rep(f), f_norm, eps, fam_grid)
+    return _neumann_sweep(op, disc, [f], disc.rep(f)[:, None], [f_norm], eps,
+                          fam_grid)[0]
 
 
 def geometric_series_neumann_batch(op: OperatorSpec, fs: Sequence[Function01],
                                    eps: float,
                                    grid: Optional[EvaluationGrid] = None):
-    """Neumann sums for several inputs sharing one transfer-matrix sweep.
-
-    Matvec memory traffic dominates the cost for the series families, so
-    batching the right-hand sides is nearly free compared with repeated
-    single runs.
-    """
+    """Neumann sums for several inputs sharing one transfer-matrix sweep of
+    the largest term count among them."""
     disc, fam_grid = _series_setup(op, fs, eps, grid)
     if not fs:
         return []
-    b = op.contraction_bound()
     reps = np.column_stack([disc.rep(f) for f in fs])
     norms = [psi_norm(f, fam_grid).value for f in fs]
-    k_each = [neumann_tail_terms(b, v, eps) if v > 0.0 else 0 for v in norms]
-    k_max = max(k_each)
-    acc = reps.copy()
-    v = reps
-    for _ in range(1, k_max):
-        v = disc.advance(v)
-        acc += v
-    out = []
-    for i, f in enumerate(fs):
-        if norms[i] == 0.0:
-            out.append(_zero_result("neumann"))
-            continue
-        col = acc[:, i].copy()
-        g = _series_function(f, disc, col)
-        resid = _residual_norm(disc, col, reps[:, i], fam_grid)
-        tail = b ** (k_max + 1) / (1.0 - b) * norms[i]
-        out.append(GeometricSeriesResult(g, "neumann", k_max + 1, tail, resid))
-    return out
+    return _neumann_sweep(op, disc, fs, reps, norms, eps, fam_grid)
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
@@ -275,7 +267,8 @@ def geometric_series_krylov(op: OperatorSpec, f: Function01, eps: float,
     resid = _residual_norm(disc, acc, rep0, fam_grid)
     cert = resid / (1.0 - b)
     if cert > eps:
-        return _neumann_core(op, disc, f, rep0, f_norm, eps, fam_grid)
+        return _neumann_sweep(op, disc, [f], rep0[:, None], [f_norm], eps,
+                              fam_grid)[0]
     return GeometricSeriesResult(g=_series_function(f, disc, acc),
                                  method="krylov", terms_used=used + 1,
                                  tail_bound=cert, residual_psi_norm=resid)
@@ -290,7 +283,7 @@ def geometric_series_solve(op: OperatorSpec, f: Function01,
     the interior block of I - T is a strictly diagonally dominated
     M-matrix solved by dense LU.
     """
-    if op.family not in ("bernstein", "durrmeyer"):
+    if op.record.series:
         raise DomainError("the solve path needs an exact finite carrier "
                           "(bernstein or durrmeyer)")
     _require_lambda(op)
@@ -318,15 +311,13 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
                                grid: Optional[EvaluationGrid] = None):
     """Weighted-norm residuals of the two inversion identities,
     ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f)."""
-    _require_lambda(op)
-    _gate_cpsi(f)
-    disc = node_discretization(op)
-    fam_grid = op.grid(grid)
-    res1 = geometric_series_neumann(op, f, eps, grid)
+    disc, fam_grid = _series_setup(op, [f], eps, grid)
+    rep0 = disc.rep(f)
+    res1 = _neumann_sweep(op, disc, [f], rep0[:, None],
+                          [psi_norm(f, fam_grid).value], eps, fam_grid)[0]
 
     # h = (I - L) f has the same representation algebra in every carrier:
     # rep(h) = rep(f) - T rep(f).
-    rep0 = disc.rep(f)
     rep_h = rep0 - disc.advance(rep0)
 
     def h_eval(x, base=f, d=disc, r=rep0):
@@ -334,7 +325,8 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
         return np.asarray(base(xs), dtype=float) - d.apply_rep(r, xs)
 
     h_norm = float(np.max(np.abs(h_eval(fam_grid.points)) / psi(fam_grid.points)))
-    res2 = _neumann_core(op, disc, h_eval, rep_h, h_norm, eps, fam_grid)
+    res2 = _neumann_sweep(op, disc, [h_eval], rep_h[:, None], [h_norm], eps,
+                          fam_grid)[0]
     diff = np.asarray(res2.g(fam_grid.points), dtype=float) - np.asarray(
         f(fam_grid.points), dtype=float)
     second = float(np.max(np.abs(diff) / psi(fam_grid.points)))

@@ -7,23 +7,17 @@ numpy arrays and may be called concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "LogDomainValue",
     "log_gamma",
     "log_beta",
     "beta",
     "log_binomial",
-    "binomial",
-    "bernstein_basis",
     "bernstein_basis_row",
     "bernstein_basis_matrix",
-    "mkz_basis_weight",
     "mkz_weight_row",
     "mkz_weight_matrix",
 ]
@@ -47,30 +41,6 @@ _LANCZOS_C = np.array(
     ]
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class LogDomainValue:
-    """A real number stored as log|value| plus a sign in {-1, 0, +1}."""
-
-    log_abs: float
-    sign: int
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogDomainValue":
-        if value == 0.0:
-            return cls(0.0, 0)
-        return cls(math.log(abs(value)), 1 if value > 0 else -1)
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-    def __mul__(self, other: "LogDomainValue") -> "LogDomainValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogDomainValue(0.0, 0)
-        return LogDomainValue(self.log_abs + other.log_abs, self.sign * other.sign)
 
 
 def _log_gamma_core(x):
@@ -121,16 +91,6 @@ def beta(a, b):
     return out if np.ndim(out) else float(out)
 
 
-def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float; exact integer arithmetic whenever representable."""
-    if k < 0 or k > n:
-        raise DomainError(f"binomial index k={k} outside [0, {n}]")
-    if n <= 1000:
-        # math.comb is exact; values up to n = 1000 stay inside float range.
-        return float(math.comb(n, k))
-    return math.exp(log_binomial(n, k))
-
-
 def log_binomial(n: int, k: int) -> float:
     """log C(n, k), assembled as a sum of n - k (or k) log ratios.
 
@@ -147,25 +107,6 @@ def log_binomial(n: int, k: int) -> float:
     return float(np.sum(np.log((n - k + j) / j)))
 
 
-def bernstein_basis(n: int, k: int, x: float) -> float:
-    """Bernstein basis value C(n,k) x^k (1-x)^(n-k) at a point of [0, 1].
-
-    Exact binomials and direct products up to n = 1000; the log-domain
-    route above that avoids overflow.
-    """
-    if k < 0 or k > n:
-        raise IndexError(f"basis index k={k} outside [0, {n}]")
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if x == 1.0:
-        return 1.0 if k == n else 0.0
-    if n <= 1000:
-        return float(math.comb(n, k)) * x**k * (1.0 - x) ** (n - k)
-    return math.exp(
-        log_binomial(n, k) + k * math.log(x) + (n - k) * math.log1p(-x)
-    )
-
-
 def bernstein_basis_row(n: int, x) -> np.ndarray:
     """All n+1 Bernstein basis values at x, as a nonnegative row."""
     row = bernstein_basis_matrix(n, np.atleast_1d(np.asarray(x, dtype=float)))
@@ -180,26 +121,6 @@ def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = comb_row * xs[:, None] ** k * (1.0 - xs[:, None]) ** (n - k)
     return p
-
-
-def mkz_basis_weight(n: int, k: int, x: float) -> float:
-    """Negative-binomial weight C(n+k,k) (1-x)^(n+1) x^k, log-domain.
-
-    Defined for x in [0, 1); the operator's x = 1 branch is handled by
-    the caller.
-    """
-    if n < 1:
-        raise DomainError("mkz weight requires n >= 1")
-    if k < 0:
-        raise DomainError("mkz weight requires k >= 0")
-    if not 0.0 <= x < 1.0:
-        raise DomainError("mkz weight requires 0 <= x < 1")
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    term = LogDomainValue(log_binomial(n + k, k), 1) * LogDomainValue(
-        (n + 1) * math.log1p(-x) + k * math.log(x), 1
-    )
-    return term.value()
 
 
 def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:

@@ -1,0 +1,87 @@
+"""Scalar oracle helpers for the special-function tests: a log-domain
+number, exact binomials, and single Bernstein and Meyer-Koenig-Zeller basis
+values.  They compute the same quantities as the vectorized kernels in
+opgeom.special by a separate route."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from opgeom.errors import DomainError
+from opgeom.special import log_binomial
+
+__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "mkz_basis_weight"]
+
+
+@dataclass(frozen=True)
+class LogDomainValue:
+    """A real number stored as log|value| plus a sign in {-1, 0, +1}."""
+
+    log_abs: float
+    sign: int
+
+    @classmethod
+    def from_value(cls, value: float) -> "LogDomainValue":
+        if value == 0.0:
+            return cls(0.0, 0)
+        return cls(math.log(abs(value)), 1 if value > 0 else -1)
+
+    def value(self) -> float:
+        if self.sign == 0:
+            return 0.0
+        return self.sign * math.exp(self.log_abs)
+
+    def __mul__(self, other: "LogDomainValue") -> "LogDomainValue":
+        if self.sign == 0 or other.sign == 0:
+            return LogDomainValue(0.0, 0)
+        return LogDomainValue(self.log_abs + other.log_abs, self.sign * other.sign)
+
+
+def binomial(n: int, k: int) -> float:
+    """C(n, k) as a float; exact integer arithmetic whenever representable."""
+    if k < 0 or k > n:
+        raise DomainError(f"binomial index k={k} outside [0, {n}]")
+    if n <= 1000:
+        # math.comb is exact; values up to n = 1000 stay inside float range.
+        return float(math.comb(n, k))
+    return math.exp(log_binomial(n, k))
+
+
+def bernstein_basis(n: int, k: int, x: float) -> float:
+    """Bernstein basis value C(n,k) x^k (1-x)^(n-k) at a point of [0, 1].
+
+    Exact binomials and direct products up to n = 1000; the log-domain
+    route above that avoids overflow.
+    """
+    if k < 0 or k > n:
+        raise IndexError(f"basis index k={k} outside [0, {n}]")
+    if x == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if x == 1.0:
+        return 1.0 if k == n else 0.0
+    if n <= 1000:
+        return float(math.comb(n, k)) * x**k * (1.0 - x) ** (n - k)
+    return math.exp(
+        log_binomial(n, k) + k * math.log(x) + (n - k) * math.log1p(-x)
+    )
+
+
+def mkz_basis_weight(n: int, k: int, x: float) -> float:
+    """Negative-binomial weight C(n+k,k) (1-x)^(n+1) x^k, log-domain.
+
+    Defined for x in [0, 1); the operator's x = 1 branch is handled by
+    the caller.
+    """
+    if n < 1:
+        raise DomainError("mkz weight requires n >= 1")
+    if k < 0:
+        raise DomainError("mkz weight requires k >= 0")
+    if not 0.0 <= x < 1.0:
+        raise DomainError("mkz weight requires 0 <= x < 1")
+    if x == 0.0:
+        return 1.0 if k == 0 else 0.0
+    term = LogDomainValue(log_binomial(n + k, k), 1) * LogDomainValue(
+        (n + 1) * math.log1p(-x) + k * math.log(x), 1
+    )
+    return term.value()

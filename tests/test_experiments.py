@@ -182,6 +182,16 @@ class TestCli:
                          "--n-list", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_integer_order_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [4.5, 8], "grid_size": 65}))
+        for argv in (["geom", "--family", "bernstein"],
+                     ["voronovskaya", "--family", "mkz-symmetric"]):
+            out = tmp_path / "out.csv"
+            assert cli_main(argv + ["--config", str(cfg), "-o", str(out)]) == 2
+            assert "integer" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_invariants_exit_status(self, tmp_path, capsys):
         code = cli_main(["invariants", "--grid-size", "257",
                          "-o", str(tmp_path / "inv.csv")])

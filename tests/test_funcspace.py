@@ -192,7 +192,6 @@ class TestNodeTable:
         assert f(0.3) == pytest.approx(2.0)
         assert f(0.05) == 1.0   # constant extrapolation below the first node
         assert f(0.95) == 2.0
-        assert f.kind == "node-table"
 
     def test_validation(self):
         with pytest.raises(DomainError):

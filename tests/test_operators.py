@@ -12,7 +12,6 @@ from opgeom.funcspace import default_grid, psi, registry
 from opgeom.operators import (OperatorSpec, alpha_profile, bernstein_apply,
                               condition_report, durrmeyer_apply,
                               durrmeyer_functional, mkz_apply,
-                              mkz_reflected_apply, mkz_symmetric_apply,
                               mkz_truncation_index, moment,
                               node_discretization)
 
@@ -32,6 +31,14 @@ class TestSpecValidation:
             OperatorSpec("mkz", 4)  # missing truncation_eps
         with pytest.raises(DomainError):
             OperatorSpec("mkz-symmetric", 2, truncation_eps=1e-8)
+
+    def test_order_must_be_an_integer(self):
+        for n in (4.5, 4.0, "4", True):
+            with pytest.raises(DomainError):
+                OperatorSpec("bernstein", n)
+            with pytest.raises(DomainError):
+                OperatorSpec("mkz-symmetric", n, truncation_eps=1e-8)
+        assert OperatorSpec("bernstein", np.int64(4)).n == 4
 
     def test_lambda_membership(self):
         assert not OperatorSpec("bernstein", 1).in_lambda_class
@@ -148,24 +155,26 @@ class TestMkzApply:
     def test_reflection_identity(self):
         f = registry("exp")
         for x in (0.1, 0.45, 0.9):
-            lhs = mkz_reflected_apply(5, f, x, 1e-11)
+            lhs = OperatorSpec("mkz-reflected", 5, truncation_eps=1e-11).apply(f, x)
             rhs = mkz_apply(5, f.reflected(), 1.0 - x, 1e-11)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_symmetric_basics(self):
         xs = np.array([0.1, 0.5, 0.9])
-        got = mkz_symmetric_apply(5, registry("e1"), xs, 1e-10)
+        sym = OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-10)
+        got = sym.apply(registry("e1"), xs)
         assert np.max(np.abs(got - xs)) <= 1e-10
         # symmetric input at the symmetry point reduces to the plain value
         f = registry("psi")
-        a = mkz_symmetric_apply(6, f, 0.5, 1e-11)
+        a = OperatorSpec("mkz-symmetric", 6, truncation_eps=1e-11).apply(f, 0.5)
         b = mkz_apply(6, f, 0.5, 1e-11)
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_symmetric_endpoints(self):
         f = registry("exp")
-        assert mkz_symmetric_apply(4, f, 0.0, 1e-10) == pytest.approx(f(0.0), abs=1e-15)
-        assert mkz_symmetric_apply(4, f, 1.0, 1e-10) == pytest.approx(f(1.0), abs=1e-15)
+        sym = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-10)
+        assert sym.apply(f, 0.0) == pytest.approx(f(0.0), abs=1e-15)
+        assert sym.apply(f, 1.0) == pytest.approx(f(1.0), abs=1e-15)
 
 
 class TestMoments:
@@ -223,6 +232,16 @@ class TestAlphaProfile:
         assert prof.nu == pytest.approx(3.0 / 13.0, rel=1e-12)
         assert prof.eta <= 1e-10
 
+    def test_reflected_mirrors_plain(self):
+        # the zero-share plain branch of mkz-reflected is never evaluated,
+        # so its grid may reach 1 as closely as the plain grid reaches 0
+        plain = alpha_profile(OperatorSpec("mkz", 5, truncation_eps=1e-8), GRID)
+        refl = alpha_profile(
+            OperatorSpec("mkz-reflected", 5, truncation_eps=1e-8), GRID)
+        mirrored = plain.alpha(1.0 - refl.grid.points[refl.grid.points < 0.99])
+        got = refl.alpha_values[refl.grid.points < 0.99]
+        assert np.max(np.abs(got - mirrored)) <= 1e-12
+
     def test_symmetric_bounds(self):
         # the lower contraction bound and the oscillation-ratio bound
         # hold; the mirrored upper alpha bound (n+2)/(2(n+1)^2) is violated
@@ -271,14 +290,11 @@ class TestNodeDiscretization:
         for spec in (OperatorSpec("bernstein", 8),
                      OperatorSpec("durrmeyer", 6, rho=1.0),
                      OperatorSpec("mkz", 5, truncation_eps=1e-9),
+                     OperatorSpec("mkz-reflected", 5, truncation_eps=1e-9),
                      OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-9)):
             disc = node_discretization(spec)
-            mask = disc.interior
-            if spec.family.startswith("mkz"):
-                cap = 1.0 / (4.0 * spec.n)
-                mask = mask & (disc.nodes <= 1.0 - cap)
-                if spec.family == "mkz-symmetric":
-                    mask = mask & (disc.nodes >= cap)
+            lo, hi = spec.certified_interval()
+            mask = disc.interior & (disc.nodes >= lo) & (disc.nodes <= hi)
             nodes = disc.nodes[mask][:: max(1, mask.sum() // 25)]
             direct = np.asarray(spec.apply(f, nodes))
             via = disc.apply_rep(disc.rep(f), nodes)

@@ -154,6 +154,18 @@ class TestNeumann:
         for s, b_ in zip(singles, batch):
             assert np.max(np.abs(np.asarray(s.g(x)) - np.asarray(b_.g(x)))) <= 1e-9
 
+    def test_batch_of_one_matches_single_without_a_sweep(self):
+        # the first tail bound already meets eps: K = 0, so G f ~ f alone
+        op = OperatorSpec("bernstein", 8)
+        f = registry("psi").scaled(1e-9)
+        single = geometric_series_neumann(op, f, 1e-8, GRID)
+        (batch,) = geometric_series_neumann_batch(op, [f], 1e-8, GRID)
+        assert single.terms_used == batch.terms_used == 1
+        assert single.tail_bound == batch.tail_bound
+        x = GRID.points
+        assert np.array_equal(np.asarray(batch.g(x)), np.asarray(single.g(x)))
+        assert np.array_equal(np.asarray(single.g(x)), f(x))
+
     def test_batch_empty(self):
         op = OperatorSpec("bernstein", 4)
         assert geometric_series_neumann_batch(op, [], 1e-8, GRID) == []

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from opgeom.errors import DomainError
-from opgeom.special import (LogDomainValue, bernstein_basis,
-                            bernstein_basis_matrix, bernstein_basis_row, beta,
-                            binomial, log_binomial, log_gamma, mkz_basis_weight,
-                            mkz_weight_matrix, mkz_weight_row)
+from opgeom.special import (bernstein_basis_matrix, bernstein_basis_row, beta,
+                            log_binomial, log_gamma, mkz_weight_matrix,
+                            mkz_weight_row)
+from oracles import (LogDomainValue, bernstein_basis, binomial,
+                     mkz_basis_weight)
 
 mp.mp.dps = 40
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError, TruncationBudgetError
 from .experiments import (EXPERIMENTS, ExperimentConfig, run_experiment)
 from .operators import FAMILIES
 
-_FLAG_KEYS = ("family", "n_list", "rho", "function", "grid_size", "eps",
-              "output", "jobs")
+_FLAG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                   if f.name != "experiment")
 
 
 def _parse_n_list(text):
@@ -44,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--n-list", type=_parse_n_list, dest="n_list",
                        help="comma-separated increasing orders, e.g. 4,8,16")
-        p.add_argument("--rho", type=float, help="durrmeyer shape parameter")
+        p.add_argument("--rho", type=float,
+                       help="durrmeyer shape parameter (default 1)")
         p.add_argument("--function", help="registry function name")
         p.add_argument("--grid-size", type=int, dest="grid_size")
         p.add_argument("--eps", type=float,
@@ -68,11 +70,6 @@ def _merge_config(args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if "n_list" in merged and merged["n_list"] is not None:
-        merged["n_list"] = tuple(merged["n_list"])
-    merged.setdefault("family", "bernstein")
-    if merged["family"] == "durrmeyer" and merged.get("rho") is None:
-        merged["rho"] = 1.0
     return ExperimentConfig(**{k: v for k, v in merged.items() if v is not None})
 
 
@@ -81,25 +78,20 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         report = run_experiment(config)
-    except (DomainError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError, QuadratureError,
+            TruncationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not config.output:
-        print(",".join(report.header))
-        for row in report.rows:
-            print(",".join("true" if v is True else "false" if v is False
-                           else repr(v) if isinstance(v, float) else str(v)
-                           for v in row))
+        print("\n".join(report.csv_lines()))
     else:
         print(f"wrote {config.output} ({len(report.rows)} rows, "
               f"{report.metadata['wall_time_s']:.2f}s)")
-    if config.experiment == "invariants":
-        failures = report.failures
-        for name, measured, threshold, _ in failures:
-            print(f"FAIL {name}: measured {measured:.3e} > threshold "
-                  f"{threshold:.3e}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
+    failures = report.failures
+    for name, measured, threshold, _ in failures:
+        print(f"FAIL {name}: measured {measured:.3e} > threshold "
+              f"{threshold:.3e}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
 """Experiment harness: convergence studies across operator families with
 CSV reports, plus the invariant suite used as a health gate.
 
+One table maps each experiment name to its CSV header, column types and
+runner.  run_experiment is the one place that assembles a report and its
+sidecar metadata; ExperimentReport.csv_lines is the one CSV row format,
+for files and for stdout alike.
+
 Every report is deterministic given its config: fixed grids, fixed
 quadrature, no randomness.  Distinct n values may be computed in parallel
 (--jobs); rows are always emitted in n order.
@@ -14,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,37 +37,17 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
-    "run_iterates",
-    "run_geom",
-    "run_voronovskaya",
-    "run_inverse_voronovskaya",
-    "run_conditions",
-    "run_invariants",
     "read_report",
 ]
 
-EXPERIMENTS = ("iterates", "geom", "voronovskaya", "inverse-voronovskaya",
-               "conditions", "invariants")
-
-_HEADERS = {
-    "iterates": ("n", "k", "error_psi", "envelope"),
-    "geom": ("n", "error_psi", "terms_used", "tail_bound"),
-    "voronovskaya": ("n", "error_psi", "aux_error"),
-    "inverse-voronovskaya": ("n", "error_psi", "aux_error"),
-    "conditions": ("n", "sup_m4_over_m2", "eta", "cond55"),
-    "invariants": ("name", "measured", "threshold", "pass"),
-}
-
-_TYPES = {
-    "iterates": (int, int, float, float),
-    "geom": (int, float, int, float),
-    "voronovskaya": (int, float, float),
-    "inverse-voronovskaya": (int, float, float),
-    "conditions": (int, float, float, float),
-    "invariants": (str, float, float, bool),
-}
-
 ITERATE_STEPS = 30
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    header: tuple  # CSV column names
+    types: tuple  # column types that read_report parses back
+    runner: Callable  # config -> (per-n row chunks, extra sidecar entries)
 
 
 @dataclass(frozen=True)
@@ -78,13 +63,15 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _TABLE:
             raise DomainError(f"unknown experiment {self.experiment!r}")
         fam = family_record(self.family)
         n_list = tuple(self.n_list) or fam.default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise DomainError("n_list must be strictly increasing")
         object.__setattr__(self, "n_list", n_list)
+        if self.rho is None:
+            object.__setattr__(self, "rho", fam.default_rho)
         if self.grid_size < 33:
             raise DomainError("grid_size must be >= 33")
         eps = self.eps if self.eps is not None else fam.default_eps
@@ -114,20 +101,20 @@ class ExperimentReport:
     rows: list
     metadata: dict = field(default_factory=dict)
 
+    def csv_lines(self) -> list:
+        """Header and rows as CSV lines: exact float repr, true/false."""
+        def cell(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return repr(v) if isinstance(v, float) else str(v)
+
+        return [",".join(self.header)] + [",".join(map(cell, row))
+                                          for row in self.rows]
+
     def write_csv(self, path) -> None:
         path = Path(path)
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            cells = []
-            for v in row:
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        path.write_text("\n".join(self.csv_lines()) + "\n", encoding="utf-8",
+                        newline="\n")
         meta_path = path.with_name(path.name + ".meta.json")
         meta_path.write_text(json.dumps(self.metadata, indent=2, sort_keys=True)
                              + "\n", encoding="utf-8")
@@ -141,20 +128,18 @@ class ExperimentReport:
 
 def read_report(path, experiment: str) -> list:
     """Parse an emitted CSV back into typed rows (exact float round-trip)."""
-    types = _TYPES[experiment]
+    record = _TABLE[experiment]
     lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    if tuple(lines[0].split(",")) != _HEADERS[experiment]:
+    if tuple(lines[0].split(",")) != record.header:
         raise DomainError(f"unexpected header in {path}")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        row = []
-        for cell, typ in zip(cells, types):
-            if typ is bool:
-                row.append(cell == "true")
-            else:
-                row.append(typ(cell))
-        rows.append(tuple(row))
+        if len(cells) != len(record.types):
+            raise DomainError(f"{path} line {number}: {len(cells)} cells, "
+                              f"header has {len(record.types)}")
+        rows.append(tuple(cell == "true" if typ is bool else typ(cell)
+                          for cell, typ in zip(cells, record.types)))
     return rows
 
 
@@ -170,10 +155,10 @@ def _psi_norm_values(values: np.ndarray, points: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runners: config -> (per-n row chunks, extra sidecar entries)
 # ---------------------------------------------------------------------------
 
-def run_iterates(config: ExperimentConfig) -> ExperimentReport:
+def _iterates(config: ExperimentConfig):
     """Decay of the iterates toward endpoint interpolation, with the
     geometric envelope b^k |f - B1 f| alongside."""
     f = registry(config.function)
@@ -196,13 +181,10 @@ def run_iterates(config: ExperimentConfig) -> ExperimentReport:
             v = disc.advance(v)
         return rows
 
-    chunks = _map_per_n(one, config.n_list, config.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    return ExperimentReport("iterates", _HEADERS["iterates"], rows,
-                            metadata={"config": _config_dict(config)})
+    return _map_per_n(one, config.n_list, config.jobs), {}
 
 
-def run_geom(config: ExperimentConfig) -> ExperimentReport:
+def _geom(config: ExperimentConfig):
     """Weighted-norm distance between alpha_n G_n(psi f) and twice the
     kernel transform of f, with G_n from the Krylov solve; terms_used is
     its count of carrier applications and tail_bound its certificate."""
@@ -223,19 +205,19 @@ def run_geom(config: ExperimentConfig) -> ExperimentReport:
         res = geometric_series_krylov(op, psi_f, config.eps, base)
         vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)
         err = _psi_norm_values(vals - ref, pts)
-        return (n, err, res.terms_used, res.tail_bound), res
+        return [(n, err, res.terms_used, res.tail_bound)], res
 
     done = _map_per_n(one, config.n_list, config.jobs)
-    rows = [row for row, _ in done]
-    meta = {"config": _config_dict(config),
-            "tail_bounds": [row[3] for row in rows],
-            "series_method": [res.method for _, res in done],
-            "residual_psi_norms": [res.residual_psi_norm for _, res in done]}
-    return ExperimentReport("geom", _HEADERS["geom"], rows, metadata=meta)
+    results = [res for _, res in done]
+    return [rows for rows, _ in done], {
+        "tail_bounds": [res.tail_bound for res in results],
+        "series_method": [res.method for res in results],
+        "residual_psi_norms": [res.residual_psi_norm for res in results]}
 
 
-def run_voronovskaya(config: ExperimentConfig) -> ExperimentReport:
-    """Distance of (1/nu)(L_n f - f) from psi f''/2, weighted and plain."""
+def _defects(config: ExperimentConfig):
+    """f, f'' and, per order n, (n, family grid points, L_n f - f on
+    them, the alpha profile): the premise of both Voronovskaya studies."""
     f = registry(config.function)
     d2 = f.second_derivative()
     if d2 is None:
@@ -245,64 +227,50 @@ def run_voronovskaya(config: ExperimentConfig) -> ExperimentReport:
 
     def one(n):
         op = config.spec(n)
-        fam_grid = op.grid(base)
-        pts = fam_grid.points
+        pts = op.grid(base).points
         disc = node_discretization(op)
         lf = disc.apply_rep(disc.rep(f), pts)
-        nu = alpha_profile(op, base).nu
-        resid = (lf - np.asarray(f(pts))) / nu \
-            - 0.5 * np.asarray(d2(pts)) * psi(pts)
-        return [(n, _psi_norm_values(resid, pts), float(np.max(np.abs(resid))))]
+        return n, pts, lf - np.asarray(f(pts)), alpha_profile(op, base)
 
-    chunks = _map_per_n(one, config.n_list, config.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    return ExperimentReport("voronovskaya", _HEADERS["voronovskaya"], rows,
-                            metadata={"config": _config_dict(config)})
+    return f, d2, _map_per_n(one, config.n_list, config.jobs)
 
 
-def run_inverse_voronovskaya(config: ExperimentConfig) -> ExperimentReport:
+def _voronovskaya(config: ExperimentConfig):
+    """Distance of (1/nu)(L_n f - f) from psi f''/2, weighted and plain."""
+    _, d2, defects = _defects(config)
+    chunks = []
+    for n, pts, defect, prof in defects:
+        resid = defect / prof.nu - 0.5 * np.asarray(d2(pts)) * psi(pts)
+        chunks.append([(n, _psi_norm_values(resid, pts),
+                        float(np.max(np.abs(resid))))])
+    return chunks, {}
+
+
+def _inverse_voronovskaya(config: ExperimentConfig):
     """Per-n premise residual (1/alpha)(L_n f - f) - g psi with g = f''/2,
     plus the n-independent reconstruction residual |(f - B1 f) + 2 F(g)|
     in the aux column."""
-    f = registry(config.function)
-    d2 = f.second_derivative()
-    if d2 is None:
-        raise DomainError(f"function {config.function!r} has no registered "
-                          "second derivative")
+    f, d2, defects = _defects(config)
     g = d2.scaled(0.5)
     base = config.base_grid()
-    f1 = project_to_Cpsi(f)
     fg = F_transform(g, grid=base)
     pts_full = base.points
-    recon = _psi_norm_values(np.asarray(f1(pts_full))
+    recon = _psi_norm_values(np.asarray(project_to_Cpsi(f)(pts_full))
                              + 2.0 * np.asarray(fg(pts_full)), pts_full)
-
-    def one(n):
-        op = config.spec(n)
-        fam_grid = op.grid(base)
-        pts = fam_grid.points
-        disc = node_discretization(op)
-        lf = disc.apply_rep(disc.rep(f), pts)
-        alpha = alpha_profile(op, base).alpha_values
-        resid = (lf - np.asarray(f(pts))) / alpha \
-            - np.asarray(g(pts)) * psi(pts)
-        return [(n, _psi_norm_values(resid, pts), recon)]
-
-    chunks = _map_per_n(one, config.n_list, config.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    return ExperimentReport("inverse-voronovskaya",
-                            _HEADERS["inverse-voronovskaya"], rows,
-                            metadata={"config": _config_dict(config)})
+    chunks = []
+    for n, pts, defect, prof in defects:
+        resid = defect / prof.alpha_values - np.asarray(g(pts)) * psi(pts)
+        chunks.append([(n, _psi_norm_values(resid, pts), recon)])
+    return chunks, {}
 
 
-def run_conditions(config: ExperimentConfig) -> ExperimentReport:
+def _conditions(config: ExperimentConfig):
     """Little-o condition table: sup M^4/M^2, eta, and the mixed bound."""
     table = condition_report(config.family, config.n_list,
                              config.base_grid(), rho=config.rho,
                              truncation_eps=config.truncation_eps)
-    rows = [(r["n"], r["sup_m4_over_m2"], r["eta"], r["cond55"]) for r in table]
-    return ExperimentReport("conditions", _HEADERS["conditions"], rows,
-                            metadata={"config": _config_dict(config)})
+    return [[(r["n"], r["sup_m4_over_m2"], r["eta"], r["cond55"])
+             for r in table]], {}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +284,7 @@ def _bernstein_central_moments(n: int, pts: np.ndarray, kpow: int) -> np.ndarray
     return np.einsum("ik,ik->i", p, (nodes[None, :] - pts[:, None]) ** kpow)
 
 
-def run_invariants(config: ExperimentConfig) -> ExperimentReport:
+def _invariants(config: ExperimentConfig):
     """One row per invariant: (name, measured, threshold, pass)."""
     base = config.base_grid()
     pts = base.points
@@ -455,32 +423,40 @@ def run_invariants(config: ExperimentConfig) -> ExperimentReport:
         errs.append(np.max(np.abs(nn * m2a - lead) / psi(apts)))
     add("mkz-moment-asymptotic-order", max(b / a for a, b in zip(errs, errs[1:])), 0.7)
 
-    report = ExperimentReport("invariants", _HEADERS["invariants"], rows,
-                              metadata={"config": _config_dict(config)})
-    return report
+    return [rows], {}
 
 
-_RUNNERS = {
-    "iterates": run_iterates,
-    "geom": run_geom,
-    "voronovskaya": run_voronovskaya,
-    "inverse-voronovskaya": run_inverse_voronovskaya,
-    "conditions": run_conditions,
-    "invariants": run_invariants,
+_TABLE = {
+    "iterates": _Experiment(("n", "k", "error_psi", "envelope"),
+                            (int, int, float, float), _iterates),
+    "geom": _Experiment(("n", "error_psi", "terms_used", "tail_bound"),
+                        (int, float, int, float), _geom),
+    "voronovskaya": _Experiment(("n", "error_psi", "aux_error"),
+                                (int, float, float), _voronovskaya),
+    "inverse-voronovskaya": _Experiment(("n", "error_psi", "aux_error"),
+                                        (int, float, float),
+                                        _inverse_voronovskaya),
+    "conditions": _Experiment(("n", "sup_m4_over_m2", "eta", "cond55"),
+                              (int, float, float, float), _conditions),
+    "invariants": _Experiment(("name", "measured", "threshold", "pass"),
+                              (str, float, float, bool), _invariants),
 }
 
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = asdict(config)
-    out["n_list"] = list(config.n_list)
-    return out
+EXPERIMENTS = tuple(_TABLE)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run one experiment and assemble its report: the rows in n order
+    and the sidecar metadata (config, the runner's extras, wall time).
+    Writes the CSV and its sidecar when config.output is set."""
     start = time.perf_counter()
-    report = _RUNNERS[config.experiment](config)
-    report.metadata.setdefault("config", _config_dict(config))
-    report.metadata["wall_time_s"] = time.perf_counter() - start
+    record = _TABLE[config.experiment]
+    chunks, extras = record.runner(config)
+    metadata = {"config": {**asdict(config), "n_list": list(config.n_list)},
+                **extras, "wall_time_s": time.perf_counter() - start}
+    report = ExperimentReport(config.experiment, record.header,
+                              [row for chunk in chunks for row in chunk],
+                              metadata)
     if config.output:
         report.write_csv(config.output)
     return report

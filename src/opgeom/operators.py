@@ -83,6 +83,7 @@ class Family:
     shares: tuple = (0.0, 0.0)
     default_n_list: tuple = (4, 8, 16, 32)
     default_eps: float = 1e-8
+    default_rho: Optional[float] = None
 
     @property
     def series(self) -> bool:
@@ -838,7 +839,7 @@ _FAMILY_TABLE = {
         apply=lambda s, f, x: durrmeyer_apply(s.n, s.rho, f, x),
         moment=_durrmeyer_moment,
         alpha=lambda s, xs: np.full(xs.size, (s.rho + 1.0) / (s.n * s.rho + 1.0)),
-        carrier=_durrmeyer_disc),
+        carrier=_durrmeyer_disc, default_rho=1.0),
     "mkz": _MKZ,
     "mkz-reflected": replace(_MKZ, shares=(0.0, 1.0)),
     "mkz-symmetric": replace(_MKZ, shares=(0.5, 0.5), min_n=3,

@@ -10,9 +10,9 @@ space, with three computation paths:
 
 Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
 with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
-path reports that residual certificate as its tail bound; the residual
-is a sup over the family grid, so it is an estimate from below of the
-true sup, like every weighted norm here.
+and solve paths report that residual certificate as their tail bound;
+the residual is a sup over the family grid, so it is an estimate from
+below of the true sup, like every weighted norm here.
 """
 
 from __future__ import annotations
@@ -120,6 +120,22 @@ def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
     defect = acc - rep0 - disc.advance(acc)
     vals = disc.apply_rep(defect, grid.points)
     return float(np.max(np.abs(vals) / psi(grid.points)))
+
+
+def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
+                     rep0: np.ndarray, idx: np.ndarray, sol: np.ndarray,
+                     grid: EvaluationGrid, method: str,
+                     terms_used: Optional[int]) -> GeometricSeriesResult:
+    """The series result whose representation is sol on the interior
+    nodes idx and zero at the endpoints, certified by
+    tail_bound = |(I - L) g - f|_psi / (1 - b)."""
+    acc = np.zeros_like(rep0)
+    acc[idx] = sol
+    resid = _residual_norm(disc, acc, rep0, grid)
+    return GeometricSeriesResult(
+        g=_series_function(f, disc, acc), method=method, terms_used=terms_used,
+        tail_bound=resid / (1.0 - op.contraction_bound()),
+        residual_psi_norm=resid)
 
 
 def _zero_result(method: str) -> GeometricSeriesResult:
@@ -262,16 +278,12 @@ def geometric_series_krylov(op: OperatorSpec, f: Function01, eps: float,
 
     budget = neumann_tail_terms(b, f_norm, eps)
     sol, used = _gmres(matvec, rep0[idx], budget)
-    acc = np.zeros_like(rep0)
-    acc[idx] = sol
-    resid = _residual_norm(disc, acc, rep0, fam_grid)
-    cert = resid / (1.0 - b)
-    if cert > eps:
+    res = _interior_result(op, disc, f, rep0, idx, sol, fam_grid, "krylov",
+                           used + 1)
+    if res.tail_bound > eps:
         return _neumann_sweep(op, disc, [f], rep0[:, None], [f_norm], eps,
                               fam_grid)[0]
-    return GeometricSeriesResult(g=_series_function(f, disc, acc),
-                                 method="krylov", terms_used=used + 1,
-                                 tail_bound=cert, residual_psi_norm=resid)
+    return res
 
 
 def geometric_series_solve(op: OperatorSpec, f: Function01,
@@ -281,7 +293,8 @@ def geometric_series_solve(op: OperatorSpec, f: Function01,
     Only for the exact finite carriers (bernstein, durrmeyer): endpoint
     rows of T are identities, so they are dropped rather than zeroed, and
     the interior block of I - T is a strictly diagonally dominated
-    M-matrix solved by dense LU.
+    M-matrix solved by dense LU.  tail_bound is the residual certificate
+    |(I - L) g - f|_psi / (1 - b), as for the Krylov path.
     """
     if op.record.series:
         raise DomainError("the solve path needs an exact finite carrier "
@@ -299,12 +312,8 @@ def geometric_series_solve(op: OperatorSpec, f: Function01,
         raise DegenerateOperatorError(
             "interior block of I - T is singular; the operator is outside "
             "the contraction class") from exc
-    acc = np.zeros_like(rep0)
-    acc[idx] = sol
-    g = _series_function(f, disc, acc)
-    resid = _residual_norm(disc, acc, rep0, fam_grid)
-    return GeometricSeriesResult(g=g, method="solve", terms_used=None,
-                                 tail_bound=0.0, residual_psi_norm=resid)
+    return _interior_result(op, disc, f, rep0, idx, sol, fam_grid, "solve",
+                            None)
 
 
 def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,

@@ -8,7 +8,8 @@ import pytest
 
 from opgeom.cli import main as cli_main
 from opgeom.errors import DomainError
-from opgeom.experiments import (ExperimentConfig, read_report, run_experiment)
+from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
+                                run_experiment)
 
 
 class TestConfig:
@@ -32,6 +33,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(experiment="geom", jobs=0)
 
+    def test_durrmeyer_default_rho(self):
+        assert ExperimentConfig(experiment="geom",
+                                family="durrmeyer").rho == 1.0
+        assert ExperimentConfig(experiment="geom", family="durrmeyer",
+                                rho=2.0).rho == 2.0
+        assert ExperimentConfig(experiment="geom").rho is None
+        with pytest.raises(DomainError):
+            ExperimentConfig(experiment="geom", family="durrmeyer",
+                             rho=0.0).spec(4)
+
     def test_spec_carries_eps_only_for_series_families(self):
         cfg = ExperimentConfig(experiment="geom", family="mkz-symmetric",
                                eps=1e-7)
@@ -54,6 +65,23 @@ class TestReports:
         assert len(meta["tail_bounds"]) == 2
         assert meta["series_method"] == ["krylov", "krylov"]
         assert len(meta["residual_psi_norms"]) == 2
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_experiment_round_trips(self, experiment, tmp_path):
+        out = tmp_path / f"{experiment}.csv"
+        rep = run_experiment(ExperimentConfig(
+            experiment=experiment, family="bernstein", n_list=(4, 8),
+            function="e3", grid_size=65, output=str(out)))
+        assert rep.rows
+        assert read_report(out, experiment) == [tuple(r) for r in rep.rows]
+
+    def test_read_report_checks_row_width(self, tmp_path):
+        header = "n,error_psi,terms_used,tail_bound\n"
+        for body in ("4,0.1\n", "8,0.2,3,1e-9,7\n"):
+            path = tmp_path / "r.csv"
+            path.write_text(header + body)
+            with pytest.raises(DomainError):
+                read_report(path, "geom")
 
     def test_csv_headers(self, tmp_path):
         pairs = [
@@ -166,6 +194,15 @@ class TestCli:
         assert lines[0] == "n,error_psi,aux_error"
         assert lines[1].startswith("4,")
 
+    def test_stdout_mode_prints_the_csv_lines(self, tmp_path, capsys):
+        argv = ["geom", "--family", "bernstein", "--function", "e1",
+                "--n-list", "4,8", "--grid-size", "65"]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "geom.csv"
+        assert cli_main(argv + ["-o", str(out)]) == 0
+        assert printed == out.read_text()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -191,6 +228,17 @@ class TestCli:
             assert cli_main(argv + ["--config", str(cfg), "-o", str(out)]) == 2
             assert "integer" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["iterates", "--family", "mkz", "--n-list", "2000"],
+        ["geom", "--family", "durrmeyer", "--rho", "0.1", "--function", "osc",
+         "--n-list", "4"],
+    ], ids=["truncation-budget", "quadrature"])
+    def test_numerical_failure_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(argv + ["-o", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariants_exit_status(self, tmp_path, capsys):
         code = cli_main(["invariants", "--grid-size", "257",

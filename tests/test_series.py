@@ -199,6 +199,14 @@ class TestSolve:
                           / psi(GRID.points))
             assert diff <= 1e-8 / (1 - op.contraction_bound()) + 1e-9
 
+    def test_tail_bound_is_the_residual_certificate(self):
+        # the residual is nonzero, so a zero tail bound would certify nothing
+        op = OperatorSpec("bernstein", 8)
+        res = geometric_series_solve(op, registry("psi"), GRID)
+        assert res.residual_psi_norm > 0.0
+        assert res.tail_bound == \
+            res.residual_psi_norm / (1 - op.contraction_bound())
+
     def test_rejects_series_family(self):
         with pytest.raises(DomainError):
             geometric_series_solve(

@@ -64,8 +64,11 @@ def _merge_config(args) -> ExperimentConfig:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
-        merged.update({k: v for k, v in loaded.items()
-                       if k in _FLAG_KEYS or k == "experiment"})
+        named = loaded.get("experiment", args.experiment)
+        if named != args.experiment:
+            raise DomainError(f"config {args.config} is for experiment "
+                              f"{named!r}, not {args.experiment!r}")
+        merged.update({k: v for k, v in loaded.items() if k in _FLAG_KEYS})
     for key in _FLAG_KEYS:
         val = getattr(args, key, None)
         if val is not None:

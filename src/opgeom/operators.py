@@ -19,7 +19,9 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                and (1/2, 1/2); each series is truncated at a depth sized
                from the a-priori geometric tail bound, and each row's
                omitted mass is routed to the branch's hard endpoint node,
-               whose value a weighted-space input pins to zero.
+               whose value a weighted-space input pins to zero.  The
+               (1/2, 1/2) transfer is two parity blocks indexed by the
+               series index k of the mirror pair (k/(n+k), n/(n+k)).
 
 OperatorSpec and NodeDiscretization are immutable after construction; all
 apply/moment operations are pure.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 500_000
+_CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier matrix built
 _ROW_BLOCK = 512  # carrier rows built per weight-matrix call
 
 
@@ -295,13 +298,15 @@ def durrmeyer_apply(n: int, rho: float, f: Function01, x):
     if n < 2:
         raise DomainError("durrmeyer requires n >= 2")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    coeffs = np.empty(n + 1)
-    coeffs[0] = float(f(0.0))
-    coeffs[n] = float(f(1.0))
-    for k in range(1, n):
-        coeffs[k] = durrmeyer_functional(n, k, rho, f)
-    out = bernstein_basis_matrix(n, xs) @ coeffs
+    out = bernstein_basis_matrix(n, xs) @ _durrmeyer_coeffs(n, rho, f)
     return out if np.ndim(x) else float(out[0])
+
+
+def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
+    """f(0), the Beta functionals of f for k = 1..n-1, and f(1)."""
+    return np.array([float(f(0.0))]
+                    + [durrmeyer_functional(n, k, rho, f) for k in range(1, n)]
+                    + [float(f(1.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +514,20 @@ class NodeDiscretization:
     advances the family's representation vector by one application, and a
     certified truncation bound.
 
-    rep(f) is the representation of L(f): node samples of f for bernstein
-    and the series families (their images are determined by those values),
-    Beta-functional coefficients for durrmeyer.  For every family
+    rep(f) is the representation of L(f): node samples of f (the default)
+    for bernstein and the series families, whose images are determined by
+    those values, Beta-functional coefficients for durrmeyer.  For every
+    family, with apply_rep(rep, x) = basis_matrix(x) @ rep,
 
         L^m(f)(x) = basis_matrix(x) @ (transfer^(m-1) @ rep(f)),  m >= 1.
+
+    mkz-symmetric keeps its transfer as two parity blocks over the mirror
+    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth.  Row k sits at
+    the pair's node in [0, 1/2] (p_k for k <= n, r_k beyond); its even and
+    odd inputs are the half sum and half difference of that node's entry
+    and its mirror's.  A merged node p_j = r_m (j m = n^2) belongs to the
+    pairs j and m, whose columns add up to its column; the midpoint pair
+    k = n has odd input 0.
 
     truncation_error_bound certifies rows at points within the family's
     certified interval; rows at deeper nodes carry larger omitted mass,
@@ -523,17 +537,16 @@ class NodeDiscretization:
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
                  transfer: Optional[np.ndarray], truncation_error_bound: float,
-                 row_builder, rep_builder, parity=None):
+                 row_builder, rep_builder=None, parity=None, rep_applier=None):
         self.spec = spec
         self.nodes = nodes
         self._transfer = transfer
         self.truncation_error_bound = float(truncation_error_bound)
         self._row_builder = row_builder
         self._rep_builder = rep_builder
+        self._parity = parity  # (low, high, t_even, t_odd), indexed by pair
+        self._rep_applier = rep_applier  # (rep, xs) -> values, without rows
         self.interior = (nodes > 0.0) & (nodes < 1.0)
-        # Reflection-equivariant families store the transfer in two
-        # half-size parity blocks, halving matvec memory traffic.
-        self._parity = parity
 
     @property
     def transfer(self) -> np.ndarray:
@@ -547,19 +560,20 @@ class NodeDiscretization:
         """One transfer-matrix application; v may have several columns."""
         if self._parity is None:
             return self._transfer @ v
-        low, perm, t_even, t_odd = self._parity
-        vl = v[low]
-        vp = v[perm]
-        even = 0.5 * (vl + vp)
-        odd = 0.5 * (vl - vp)
-        even2 = t_even @ even
-        odd2 = t_odd @ odd
+        low, high, t_even, t_odd = self._parity
+        vl, vh = v[low], v[high]
+        # (x.T @ t.T).T streams each block once; t @ x with a few columns
+        # makes the BLAS pack the whole block first.
+        even2 = ((0.5 * (vl + vh)).T @ t_even.T).T
+        odd2 = ((0.5 * (vl - vh)).T @ t_odd.T).T
         out = np.empty_like(v)
         out[low] = even2 + odd2
-        out[perm] = even2 - odd2
+        out[high] = even2 - odd2
         return out
 
     def rep(self, f: Function01) -> np.ndarray:
+        if self._rep_builder is None:
+            return np.asarray(f(self.nodes), dtype=float)
         return self._rep_builder(f)
 
     def basis_matrix(self, xs) -> np.ndarray:
@@ -568,21 +582,15 @@ class NodeDiscretization:
         return self._row_builder(xs)
 
     def apply_rep(self, rep: np.ndarray, xs) -> np.ndarray:
-        return self.basis_matrix(xs) @ rep
+        if self._rep_applier is None:
+            return self.basis_matrix(xs) @ rep
+        return self._rep_applier(rep, np.atleast_1d(np.asarray(xs, dtype=float)))
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
-    n = spec.n
-    nodes = np.arange(n + 1) / n
-
-    def rows(xs):
-        return bernstein_basis_matrix(n, xs)
-
-    def rep(f):
-        return np.asarray(f(nodes), dtype=float)
-
-    transfer = rows(nodes)
-    return NodeDiscretization(spec, nodes, transfer, 0.0, rows, rep)
+    nodes = np.arange(spec.n + 1) / spec.n
+    rows = partial(bernstein_basis_matrix, spec.n)
+    return NodeDiscretization(spec, nodes, rows(nodes), 0.0, rows)
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -598,19 +606,9 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
         b = (n - i) * rho
         # F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b)
         transfer[i] = np.exp(log_comb + log_beta(a + j, b + n - j) - log_beta(a, b))
-
-    def rows(xs):
-        return bernstein_basis_matrix(n, xs)
-
-    def rep(f):
-        out = np.empty(n + 1)
-        out[0] = float(f(0.0))
-        out[n] = float(f(1.0))
-        for k in range(1, n):
-            out[k] = durrmeyer_functional(n, k, rho, f)
-        return out
-
-    return NodeDiscretization(spec, nodes, transfer, 0.0, rows, rep)
+    return NodeDiscretization(spec, nodes, transfer, 0.0,
+                              partial(bernstein_basis_matrix, n),
+                              partial(_durrmeyer_coeffs, n, rho))
 
 
 def _mkz_node_depth(spec: OperatorSpec) -> int:
@@ -640,9 +638,14 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     skipped terms sample f next to that endpoint, where weighted-space
     inputs vanish like psi.
     """
-    n = spec.n
-    fam = spec.record
+    n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
+    parity = fam.shares[0] == fam.shares[1]
+    size = 8 * (2 * (depth + 1) ** 2 if parity else (depth + 2) ** 2)
+    if size > _CARRIER_BYTES_CAP:
+        raise TruncationBudgetError(
+            f"{spec.family} carrier for n={n} needs {size / 2**30:.1f} GiB, "
+            f"above the {_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
     k = np.arange(depth + 1)
     used = [(s, reflect) for s, reflect in zip(fam.shares, (False, True)) if s]
     # Collisions p_j = r_m happen exactly when j*m = n^2; both quotients
@@ -651,84 +654,81 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         [n / (n + k) if reflect else k / (n + k) for _, reflect in used]
         + [[0.0, 1.0]]), return_inverse=True)
     branch_cols = np.split(inv[: len(used) * (depth + 1)], len(used))
-    if len(used) == 1:
-        # A lone branch fills one run of adjacent columns (ascending for
-        # the plain nodes, descending for the reflected ones); a slice
-        # adds a block into it several times faster than an index array.
-        (c,) = branch_cols
-        step = 1 if c[-1] > c[0] else -1
-        branch_cols = [slice(c[0], c[-1] + step, step)]
-    branches = [(s, reflect, c) for (s, reflect), c in zip(used, branch_cols)]
+    if not parity:
+        # A lone branch owns every column but its endpoint's, ascending
+        # (plain) or descending (reflected); a slice reads and writes
+        # them several times faster than an index array.
+        branch_cols = [slice(depth + 1, 0, -1) if used[0][1] else slice(0, depth + 1)]
 
-    def fill(xs, out):
-        """Add the rows at xs into out (zeroed, one row per point); return
-        each row's routed mass."""
-        routed = 0.0
-        for share, reflect, cols in branches:
+    def branches(xs):
+        """Per branch in use at the points xs: its share-weighted weights,
+        their columns, its endpoint column and each row's routed mass."""
+        out = []
+        for (share, reflect), cols in zip(used, branch_cols):
             t = 1.0 - xs if reflect else xs
             at_end = t == 1.0
             w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), depth)
             if share != 1.0:
                 w *= share
             w[at_end] = 0.0
-            # cols is duplicate-free, so fancy += accumulates the collision
-            # columns correctly across the two branches.
-            out[:, cols] += w
             mass = np.where(at_end, share, np.maximum(0.0, share - w.sum(axis=1)))
-            out[:, 0 if reflect else -1] += mass
-            routed = routed + mass
-            del w  # free before the next branch allocates its own
-        return routed
+            out.append((w, cols, 0 if reflect else -1, mass))
+        return out
+
+    def blocks(xs):
+        for start in range(0, xs.size, _ROW_BLOCK):
+            sl = slice(start, start + _ROW_BLOCK)
+            yield sl, branches(xs[sl])
 
     def rows(xs):
         out = np.zeros((xs.size, nodes.size))
-        for start in range(0, xs.size, _ROW_BLOCK):
-            sl = slice(start, start + _ROW_BLOCK)
-            fill(xs[sl], out[sl])
+        for sl, parts in blocks(xs):
+            for w, cols, end, mass in parts:
+                out[sl, cols] += w  # the branches add on merged nodes
+                out[sl, end] += mass
         return out
 
-    def rep(f):
-        return np.asarray(f(nodes), dtype=float)
-
-    lo, hi = spec.certified_interval()
+    def apply_rep(rep, xs):
+        out = np.zeros((xs.size,) + rep.shape[1:])
+        for sl, parts in blocks(xs):
+            for w, cols, end, mass in parts:
+                out[sl] += w @ rep[cols] + np.multiply.outer(mass, rep[end])
+        return out
 
     def bound(at, routed):
+        lo, hi = spec.certified_interval()
         certified = (at >= lo) & (at <= hi)
         return float(np.max(routed[certified])) if np.any(certified) else 1.0
 
-    if fam.shares[0] != fam.shares[1]:
+    if not parity:
         # One pass over all rows: a few large temporaries page-fault far
         # less than a sequence of row blocks.
-        transfer = np.zeros((nodes.size, nodes.size))
-        routed = fill(nodes, transfer)
+        ((w, cols, end, routed),) = branches(nodes)
+        transfer = np.empty((nodes.size, nodes.size))
+        transfer[:, cols] = w
+        transfer[:, end] = routed
         return NodeDiscretization(spec, nodes, transfer, bound(nodes, routed),
-                                  rows, rep)
+                                  rows, rep_applier=apply_rep)
 
-    # Equal shares make the operator reflection-equivariant: the transfer
-    # is kept as two half-size parity blocks and never materialized.
-    # Reflection pairing is exact at the (branch, k) level: the partner of
-    # p_k is r_k, merges included.
-    (_, _, p_cols), (_, _, r_cols) = branches
-    perm_full = np.empty(nodes.size, dtype=np.intp)
-    perm_full[p_cols] = r_cols
-    perm_full[r_cols] = p_cols
-    low = np.flatnonzero(np.arange(nodes.size) <= perm_full)
-    perm_low = perm_full[low]
-    same = low == perm_low  # the self-paired midpoint column
-    m = low.size
-    t_even = np.empty((m, m))
-    t_odd = np.empty((m, m))
-    routed = np.empty(m)
-    scratch = np.zeros((min(_ROW_BLOCK, m), nodes.size))
-    for start in range(0, m, _ROW_BLOCK):
-        sl = slice(start, min(start + _ROW_BLOCK, m))
-        block = scratch[: sl.stop - sl.start]
-        block[:] = 0.0
-        routed[sl] = fill(nodes[low[sl]], block)
-        t_even[sl] = block[:, low] + np.where(same, 0.0, 1.0) * block[:, perm_low]
-        t_odd[sl] = block[:, low] - block[:, perm_low]
-    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed),
-                              rows, rep, parity=(low, perm_low, t_even, t_odd))
+    # Parity blocks over the pairs k (see NodeDiscretization): the odd
+    # sign flips where the pair's node in [0, 1/2] is r_k, and pair 0,
+    # (node 0, node 1), takes the masses routed to those two endpoints.
+    p_cols, r_cols = branch_cols
+    first = k <= n
+    low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
+    sign = np.where(first, 1.0, -1.0)
+    t_even, t_odd = np.empty((2, depth + 1, depth + 1))
+    routed = np.empty(depth + 1)
+    for sl, ((w_p, _, _, m_p), (w_r, _, _, m_r)) in blocks(nodes[low]):
+        np.add(w_p, w_r, out=t_even[sl])
+        np.subtract(w_p, w_r, out=t_odd[sl])
+        t_odd[sl] *= sign
+        t_even[sl, 0] += m_r + m_p
+        t_odd[sl, 0] += m_r - m_p
+        routed[sl] = m_p + m_r
+    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed), rows,
+                              parity=(low, high, t_even, t_odd),
+                              rep_applier=apply_rep)
 
 
 _DISC_CACHE: dict = {}

@@ -214,6 +214,27 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2  # header + the single overridden n
 
+    def test_config_cannot_switch_the_experiment(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        base = {"family": "bernstein", "function": "e1", "n_list": [4],
+                "grid_size": 65}
+        cfg.write_text(json.dumps({**base, "experiment": "geom"}))
+        assert cli_main(["geom", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "n,error_psi,terms_used,tail_bound\n")
+        cfg.write_text(json.dumps({**base, "experiment": "conditions"}))
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_carrier_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--family", "mkz-symmetric", "--n-list", "64",
+                         "-o", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_input_exit_code(self, capsys):
         assert cli_main(["geom", "--function", "nope", "--grid-size", "65",
                          "--n-list", "4"]) == 2

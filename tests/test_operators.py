@@ -9,11 +9,12 @@ import pytest
 
 from opgeom.errors import DomainError, TruncationBudgetError
 from opgeom.funcspace import default_grid, psi, registry
-from opgeom.operators import (OperatorSpec, alpha_profile, bernstein_apply,
-                              condition_report, durrmeyer_apply,
-                              durrmeyer_functional, mkz_apply,
-                              mkz_truncation_index, moment,
+from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
+                              bernstein_apply, condition_report,
+                              durrmeyer_apply, durrmeyer_functional,
+                              mkz_apply, mkz_truncation_index, moment,
                               node_discretization)
+from opgeom.special import mkz_weight_row
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -316,6 +317,84 @@ class TestNodeDiscretization:
             pts = spec.grid(GRID).points[::16]
             vals = np.asarray(spec.apply(registry("psi"), pts))
             assert np.max(vals - psi(pts)) <= 1e-12
+
+
+def _dense_series_carrier(spec):
+    """(nodes, transfer, routed mass per row) of a series family, built
+    row by row: each branch scatters share * mkz_weight_row onto its nodes
+    k/(n+k) (plain) or n/(n+k) (reflected) and routes the row's omitted
+    mass to its hard endpoint (1 plain, 0 reflected).
+
+    With equal shares the carrier computes a row above 1/2 as the mirror
+    of its partner's row at the node x' < 1/2, and the float 1 - x' can
+    differ from x by an ulp, which moves the routed mass of a row near 1
+    by about 1e-14.  So the rows above 1/2 are mirrors here too: the node
+    set is symmetric, and reversing it maps each node to its partner."""
+    n, depth = spec.n, _mkz_node_depth(spec)
+    k = np.arange(depth + 1)
+    used = [(s, r) for s, r in zip(spec.record.shares, (False, True)) if s]
+    nodes = np.unique(np.concatenate(
+        [n / (n + k) if r else k / (n + k) for _, r in used] + [[0.0, 1.0]]))
+    transfer = np.zeros((nodes.size, nodes.size))
+    routed = np.zeros(nodes.size)
+    for share, reflect in used:
+        cols = np.searchsorted(nodes, n / (n + k) if reflect else k / (n + k))
+        end = 0 if reflect else -1
+        for i, x in enumerate(nodes):
+            t = 1.0 - x if reflect else x
+            mass = share
+            if t < 1.0:
+                w = share * mkz_weight_row(n, t, depth)
+                transfer[i, cols] += w
+                mass = max(0.0, share - w.sum())
+            transfer[i, end] += mass
+            routed[i] += mass
+    if spec.record.shares[0] == spec.record.shares[1]:
+        high = nodes > 0.5
+        transfer[high] = transfer[::-1, ::-1][high]
+        routed[high] = routed[::-1][high]
+    return nodes, transfer, routed
+
+
+SERIES_CARRIERS = [OperatorSpec(fam, n, truncation_eps=eps)
+                   for fam in ("mkz", "mkz-reflected", "mkz-symmetric")
+                   for n in (3, 4, 6, 8) for eps in (1e-6, 1e-10)]
+
+
+@pytest.mark.parametrize("spec", SERIES_CARRIERS,
+                         ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
+class TestSeriesCarrier:
+    """The branch-coordinate carrier against a row-by-row dense build;
+    n = 4 and 6 have merged nodes p_j = r_m (j m = n^2)."""
+
+    def test_matches_dense_build(self, spec):
+        disc = node_discretization(spec)
+        nodes, transfer, routed = _dense_series_carrier(spec)
+        assert np.array_equal(disc.nodes, nodes)
+        assert np.max(np.abs(disc.transfer - transfer)) <= 1e-14
+        lo, hi = spec.certified_interval()
+        certified = (nodes >= lo) & (nodes <= hi)
+        assert abs(disc.truncation_error_bound
+                   - np.max(routed[certified])) <= 1e-15
+
+    def test_apply_rep_matches_basis_matrix(self, spec):
+        disc = node_discretization(spec)
+        # more points than one 512-point block, endpoints included
+        xs = np.concatenate(([0.0, 1.0, 0.5], np.linspace(0.0, 1.0, 601)))
+        rows = disc.basis_matrix(xs)
+        rng = np.random.default_rng(spec.n)
+        for rep in (rng.standard_normal(disc.nodes.size),
+                    rng.standard_normal((disc.nodes.size, 3))):
+            got = disc.apply_rep(rep, xs)
+            assert got.shape == (xs.size,) + rep.shape[1:]
+            assert np.max(np.abs(got - rows @ rep)) <= 1e-13
+
+
+class TestCarrierMemoryBudget:
+    def test_oversized_carriers_raise_before_building(self):
+        for family in ("mkz", "mkz-symmetric"):
+            with pytest.raises(TruncationBudgetError, match="GiB"):
+                node_discretization(OperatorSpec(family, 64, truncation_eps=1e-6))
 
 
 class TestConditionReport:

@@ -1,8 +1,8 @@
 """The geometric series G = I + L + L^2 + ... inverts I - L on the
-weighted space.  Three computation paths are compared (the Krylov solve
-with its residual certificate, the Neumann sum with its tail bound, and
-the dense interior solve), and the inversion identities are checked as
-residuals.
+weighted space.  The three methods of the one series entry
+geometric_series are compared (the Krylov solve with its residual
+certificate, the Neumann sum with its tail bound, and the dense interior
+solve), and the inversion identities are checked as residuals.
 
 Run:  python demos/03_geometric_series.py
 """
@@ -10,8 +10,7 @@ Run:  python demos/03_geometric_series.py
 import numpy as np
 
 from opgeom import (OperatorSpec, check_inversion_identities, default_grid,
-                    geometric_series_krylov, geometric_series_neumann,
-                    geometric_series_solve, psi, psi_norm, registry)
+                    geometric_series, psi, psi_norm, registry)
 
 grid = default_grid(401)
 pts = grid.points
@@ -21,9 +20,8 @@ print("Eigenfunction sanity: for the order-n polynomial family, psi is an")
 print("eigenfunction with value 1 - 1/n, so G(psi) = n psi exactly.")
 for n in (2, 8, 32):
     op = OperatorSpec("bernstein", n)
-    neu = geometric_series_neumann(op, w, 1e-8, grid)
-    kry = geometric_series_krylov(op, w, 1e-8, grid)
-    sol = geometric_series_solve(op, w, grid)
+    neu, kry, sol = (geometric_series(op, [w], 1e-8, grid, method=m)[0]
+                     for m in ("neumann", "krylov", "solve"))
     err_n = np.max(np.abs(np.asarray(neu.g(pts)) - n * psi(pts)) / psi(pts))
     err_k = np.max(np.abs(np.asarray(kry.g(pts)) - n * psi(pts)) / psi(pts))
     err_s = np.max(np.abs(np.asarray(sol.g(pts)) - n * psi(pts)) / psi(pts))
@@ -45,10 +43,10 @@ for spec in (OperatorSpec("bernstein", 8),
              OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)):
     eps = 1e-8 if spec.family == "bernstein" else 1e-6
     b = spec.contraction_bound()
-    res = geometric_series_neumann(spec, w, eps, grid)
-    product = (1.0 - b) * psi_norm(res.g, spec.grid(grid)).value
     f = registry("sin_pi")
-    res_f = geometric_series_neumann(spec, f, eps, grid)
+    # one Neumann sweep serves both inputs
+    res, res_f = geometric_series(spec, [w, f], eps, grid, method="neumann")
+    product = (1.0 - b) * psi_norm(res.g, spec.grid(grid)).value
     ratio = psi_norm(res_f.g, spec.grid(grid)).value * (1.0 - b) \
         / psi_norm(f, spec.grid(grid)).value
     print(f"  {spec.family:14s}: (1-b)|G psi| = {product:.6f};"

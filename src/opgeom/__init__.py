@@ -14,9 +14,8 @@ from .operators import (AlphaProfile, NodeDiscretization, OperatorSpec,
                         durrmeyer_apply, durrmeyer_functional, mkz_apply,
                         moment, node_discretization)
 from .series import (GeometricSeriesResult, check_inversion_identities,
-                     geometric_series_krylov, geometric_series_neumann,
-                     geometric_series_neumann_batch, geometric_series_solve,
-                     iterate_apply, neumann_tail_terms)
+                     geometric_series, geometric_series_neumann_batch,
+                     geometric_series_solve, iterate_apply, neumann_tail_terms)
 from .experiments import (ExperimentConfig, ExperimentReport, read_report,
                           run_experiment)
 

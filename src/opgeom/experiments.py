@@ -27,10 +27,10 @@ from .errors import DomainError
 from .funcspace import (EvaluationGrid, F_transform, default_grid,
                         project_to_Cpsi, psi, psi_norm, registry)
 from .operators import (OperatorSpec, alpha_profile, bernstein_apply,
-                        condition_report, family_record, mkz_apply, moment,
-                        node_discretization)
-from .series import (check_inversion_identities, geometric_series_krylov,
-                     geometric_series_neumann, geometric_series_solve)
+                        check_carrier_budget, condition_report, family_record,
+                        mkz_apply, moment, node_discretization)
+from .series import check_inversion_identities, geometric_series
+from .special import bernstein_basis_matrix
 
 __all__ = [
     "EXPERIMENTS",
@@ -143,11 +143,16 @@ def read_report(path, experiment: str) -> list:
     return rows
 
 
-def _map_per_n(fn, n_list, jobs: int):
-    if jobs <= 1:
-        return [fn(n) for n in n_list]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, n_list))
+def _map_per_n(fn, config: ExperimentConfig):
+    """[fn(n) for n in config.n_list], on config.jobs threads.  fn builds
+    the carrier of n, so every order's carrier is checked against the
+    memory budget first: an oversized one fails before any work."""
+    for n in config.n_list:
+        check_carrier_budget(config.spec(n))
+    if config.jobs <= 1:
+        return [fn(n) for n in config.n_list]
+    with ThreadPoolExecutor(max_workers=config.jobs) as ex:
+        return list(ex.map(fn, config.n_list))
 
 
 def _psi_norm_values(values: np.ndarray, points: np.ndarray) -> float:
@@ -170,18 +175,18 @@ def _iterates(config: ExperimentConfig):
         fam_grid = op.grid(base)
         pts = fam_grid.points
         disc = node_discretization(op)
-        w_grid = disc.basis_matrix(pts)
         norm0 = psi_norm(f1, fam_grid).value
         b = op.contraction_bound()
-        rows = [(n, 0, norm0, norm0)]
-        v = disc.rep(f1)
-        for k in range(1, ITERATE_STEPS + 1):
-            measured = _psi_norm_values(w_grid @ v, pts)
-            rows.append((n, k, measured, b ** k * norm0))
-            v = disc.advance(v)
-        return rows
+        # reps[:, k-1] = rep(L^(k-1) f1), so its image on the grid is L^k f1
+        reps = [disc.rep(f1)]
+        for _ in range(ITERATE_STEPS - 1):
+            reps.append(disc.advance(reps[-1]))
+        vals = disc.apply_rep(np.column_stack(reps), pts)
+        return [(n, 0, norm0, norm0)] + [
+            (n, k, _psi_norm_values(vals[:, k - 1], pts), b ** k * norm0)
+            for k in range(1, ITERATE_STEPS + 1)]
 
-    return _map_per_n(one, config.n_list, config.jobs), {}
+    return _map_per_n(one, config), {}
 
 
 def _geom(config: ExperimentConfig):
@@ -202,12 +207,12 @@ def _geom(config: ExperimentConfig):
             transforms[key] = F_transform(f, grid=fam_grid)
         ref = 2.0 * np.asarray(transforms[key](pts), dtype=float)
         prof = alpha_profile(op, base)
-        res = geometric_series_krylov(op, psi_f, config.eps, base)
+        (res,) = geometric_series(op, [psi_f], config.eps, base)
         vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)
         err = _psi_norm_values(vals - ref, pts)
         return [(n, err, res.terms_used, res.tail_bound)], res
 
-    done = _map_per_n(one, config.n_list, config.jobs)
+    done = _map_per_n(one, config)
     results = [res for _, res in done]
     return [rows for rows, _ in done], {
         "tail_bounds": [res.tail_bound for res in results],
@@ -232,7 +237,7 @@ def _defects(config: ExperimentConfig):
         lf = disc.apply_rep(disc.rep(f), pts)
         return n, pts, lf - np.asarray(f(pts)), alpha_profile(op, base)
 
-    return f, d2, _map_per_n(one, config.n_list, config.jobs)
+    return f, d2, _map_per_n(one, config)
 
 
 def _voronovskaya(config: ExperimentConfig):
@@ -278,7 +283,6 @@ def _conditions(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _bernstein_central_moments(n: int, pts: np.ndarray, kpow: int) -> np.ndarray:
-    from .special import bernstein_basis_matrix
     nodes = np.arange(n + 1) / n
     p = bernstein_basis_matrix(n, pts)
     return np.einsum("ik,ik->i", p, (nodes[None, :] - pts[:, None]) ** kpow)
@@ -319,7 +323,6 @@ def _invariants(config: ExperimentConfig):
     add("durrmeyer-m4-closed-form", np.max(np.abs(m4d - ref)), 1e-8)
 
     # Basis health
-    from .special import bernstein_basis_matrix
     p64 = bernstein_basis_matrix(64, pts)
     add("bernstein-partition-of-unity", np.max(np.abs(p64.sum(axis=1) - 1.0)), 1e-12)
     sym = np.abs(bernstein_basis_matrix(33, pts)
@@ -370,11 +373,12 @@ def _invariants(config: ExperimentConfig):
     # Geometric series norm bounds
     spec_b = OperatorSpec("bernstein", 8)
     prof = alpha_profile(spec_b, base)
-    res = geometric_series_neumann(spec_b, registry("psi"), 1e-8, base)
+    (res,) = geometric_series(spec_b, [registry("psi")], 1e-8, base,
+                              method="neumann")
     gnorm = psi_norm(res.g, base).value
     add("series-norm-product", (1.0 - prof.b_norm) * gnorm - 1.0, 1e-6)
     f_sin = registry("sin_pi")
-    res_sin = geometric_series_neumann(spec_b, f_sin, 1e-8, base)
+    (res_sin,) = geometric_series(spec_b, [f_sin], 1e-8, base, method="neumann")
     ratio = psi_norm(res_sin.g, base).value * (1.0 - prof.b_norm) \
         / psi_norm(f_sin, base).value
     add("series-operator-norm", ratio - 1.0, 1e-6)
@@ -382,9 +386,9 @@ def _invariants(config: ExperimentConfig):
     r1, r2 = check_inversion_identities(spec_d6, registry("psi").scaled(-1.0),
                                         1e-8, base)
     add("series-inversion-residuals", max(r1, r2), 1e-7)
-    sol = geometric_series_solve(spec_b, project_to_Cpsi(registry("e3")), base)
-    neu = geometric_series_neumann(spec_b, project_to_Cpsi(registry("e3")),
-                                   1e-8, base)
+    f_e3 = project_to_Cpsi(registry("e3"))
+    (sol,) = geometric_series(spec_b, [f_e3], 1e-8, base, method="solve")
+    (neu,) = geometric_series(spec_b, [f_e3], 1e-8, base, method="neumann")
     diff = _psi_norm_values(np.asarray(sol.g(pts)) - np.asarray(neu.g(pts)), pts)
     add("series-method-agreement", diff,
         1e-8 / (1.0 - spec_b.contraction_bound()) + 1e-9)

@@ -59,11 +59,12 @@ __all__ = [
     "moment",
     "alpha_profile",
     "node_discretization",
+    "check_carrier_budget",
     "condition_report",
 ]
 
 _SERIES_CAP = 500_000
-_CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier matrix built
+_CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
 _ROW_BLOCK = 512  # carrier rows built per weight-matrix call
 
 
@@ -516,10 +517,14 @@ class NodeDiscretization:
 
     rep(f) is the representation of L(f): node samples of f (the default)
     for bernstein and the series families, whose images are determined by
-    those values, Beta-functional coefficients for durrmeyer.  For every
-    family, with apply_rep(rep, x) = basis_matrix(x) @ rep,
+    those values, Beta-functional coefficients for durrmeyer.  apply_rep
+    evaluates the image of a representation (one per column) anywhere:
 
-        L^m(f)(x) = basis_matrix(x) @ (transfer^(m-1) @ rep(f)),  m >= 1.
+        L^m(f)(x) = apply_rep(transfer^(m-1) @ rep(f), x),  m >= 1.
+
+    The exact carriers apply the Bernstein basis matrix at x; the series
+    carriers sum each branch's weights at x against its columns plus the
+    routed mass times its endpoint entry, without full-width rows.
 
     mkz-symmetric keeps its transfer as two parity blocks over the mirror
     pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth.  Row k sits at
@@ -537,15 +542,14 @@ class NodeDiscretization:
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
                  transfer: Optional[np.ndarray], truncation_error_bound: float,
-                 row_builder, rep_builder=None, parity=None, rep_applier=None):
+                 apply_rep: Callable, rep_builder=None, parity=None):
         self.spec = spec
         self.nodes = nodes
         self._transfer = transfer
         self.truncation_error_bound = float(truncation_error_bound)
-        self._row_builder = row_builder
+        self._apply_rep = apply_rep  # (rep, 1-D points) -> values
         self._rep_builder = rep_builder
         self._parity = parity  # (low, high, t_even, t_odd), indexed by pair
-        self._rep_applier = rep_applier  # (rep, xs) -> values, without rows
         self.interior = (nodes > 0.0) & (nodes < 1.0)
 
     @property
@@ -576,21 +580,16 @@ class NodeDiscretization:
             return np.asarray(f(self.nodes), dtype=float)
         return self._rep_builder(f)
 
-    def basis_matrix(self, xs) -> np.ndarray:
-        """Rows of basis weights at arbitrary points (one row per point)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return self._row_builder(xs)
-
     def apply_rep(self, rep: np.ndarray, xs) -> np.ndarray:
-        if self._rep_applier is None:
-            return self.basis_matrix(xs) @ rep
-        return self._rep_applier(rep, np.atleast_1d(np.asarray(xs, dtype=float)))
+        """The image rep stands for at the points xs, one row per point."""
+        return self._apply_rep(rep, np.atleast_1d(np.asarray(xs, dtype=float)))
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
-    nodes = np.arange(spec.n + 1) / spec.n
-    rows = partial(bernstein_basis_matrix, spec.n)
-    return NodeDiscretization(spec, nodes, rows(nodes), 0.0, rows)
+    n = spec.n
+    nodes = np.arange(n + 1) / n
+    return NodeDiscretization(spec, nodes, bernstein_basis_matrix(n, nodes), 0.0,
+                              lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep)
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -607,7 +606,7 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
         # F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b)
         transfer[i] = np.exp(log_comb + log_beta(a + j, b + n - j) - log_beta(a, b))
     return NodeDiscretization(spec, nodes, transfer, 0.0,
-                              partial(bernstein_basis_matrix, n),
+                              lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep,
                               partial(_durrmeyer_coeffs, n, rho))
 
 
@@ -641,11 +640,6 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
     parity = fam.shares[0] == fam.shares[1]
-    size = 8 * (2 * (depth + 1) ** 2 if parity else (depth + 2) ** 2)
-    if size > _CARRIER_BYTES_CAP:
-        raise TruncationBudgetError(
-            f"{spec.family} carrier for n={n} needs {size / 2**30:.1f} GiB, "
-            f"above the {_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
     k = np.arange(depth + 1)
     used = [(s, reflect) for s, reflect in zip(fam.shares, (False, True)) if s]
     # Collisions p_j = r_m happen exactly when j*m = n^2; both quotients
@@ -680,14 +674,6 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
             sl = slice(start, start + _ROW_BLOCK)
             yield sl, branches(xs[sl])
 
-    def rows(xs):
-        out = np.zeros((xs.size, nodes.size))
-        for sl, parts in blocks(xs):
-            for w, cols, end, mass in parts:
-                out[sl, cols] += w  # the branches add on merged nodes
-                out[sl, end] += mass
-        return out
-
     def apply_rep(rep, xs):
         out = np.zeros((xs.size,) + rep.shape[1:])
         for sl, parts in blocks(xs):
@@ -708,7 +694,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         transfer[:, cols] = w
         transfer[:, end] = routed
         return NodeDiscretization(spec, nodes, transfer, bound(nodes, routed),
-                                  rows, rep_applier=apply_rep)
+                                  apply_rep)
 
     # Parity blocks over the pairs k (see NodeDiscretization): the odd
     # sign flips where the pair's node in [0, 1/2] is r_k, and pair 0,
@@ -726,9 +712,26 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         t_even[sl, 0] += m_r + m_p
         t_odd[sl, 0] += m_r - m_p
         routed[sl] = m_p + m_r
-    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed), rows,
-                              parity=(low, high, t_even, t_odd),
-                              rep_applier=apply_rep)
+    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed),
+                              apply_rep, parity=(low, high, t_even, t_odd))
+
+
+def check_carrier_budget(spec: OperatorSpec) -> None:
+    """Raise TruncationBudgetError, without building anything, if the
+    arrays a series carrier build holds at once exceed _CARRIER_BYTES_CAP:
+    two (depth+1)-square parity blocks (equal shares), or an N-square
+    transfer, N = depth + 2, next to the N x (depth+1) weights it is
+    filled from (one branch).  The exact carriers are (n+1)-square."""
+    if not spec.record.series:
+        return
+    depth = _mkz_node_depth(spec)
+    plain, refl = spec.record.shares
+    size = 8 * (2 * (depth + 1) ** 2 if plain == refl
+                else (depth + 2) * (2 * depth + 3))
+    if size > _CARRIER_BYTES_CAP:
+        raise TruncationBudgetError(
+            f"{spec.family} carrier for n={spec.n} needs {size / 2**30:.1f} "
+            f"GiB, above the {_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
 
 
 _DISC_CACHE: dict = {}
@@ -738,6 +741,7 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     """Build (or fetch) the finite carrier for one operator instance."""
     got = _DISC_CACHE.get(op)
     if got is None:
+        check_carrier_budget(op)
         got = op.record.carrier(op)
         if len(_DISC_CACHE) > 12:
             _DISC_CACHE.clear()  # the mkz carriers are large; keep few

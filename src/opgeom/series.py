@@ -1,12 +1,12 @@
 """Iterates L^k and the geometric series G_L = sum_k L^k on the weighted
-space, with three computation paths:
+space, through one entry, geometric_series, with three methods:
 
-* a restarted GMRES solve of (I - T) on the interior node block, the
-  default engine (every member of the contraction class);
-* a truncated Neumann sum with a certified geometric tail bound, kept as
-  the oracle for the Krylov path; and
-* a direct linear solve of (I - T) on the interior node block (exact
-  carriers only, i.e. bernstein and durrmeyer).
+* "krylov" (default): a restarted GMRES solve of (I - T) on the interior
+  node block per input (every member of the contraction class);
+* "neumann": truncated Neumann sums with a certified geometric tail
+  bound, sharing one transfer-matrix sweep; the Krylov oracle; and
+* "solve": a direct linear solve of (I - T) on the interior node block
+  per input (exact carriers only, i.e. bernstein and durrmeyer).
 
 Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
 with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
@@ -31,9 +31,8 @@ __all__ = [
     "GeometricSeriesResult",
     "iterate_apply",
     "neumann_tail_terms",
-    "geometric_series_neumann",
+    "geometric_series",
     "geometric_series_neumann_batch",
-    "geometric_series_krylov",
     "geometric_series_solve",
     "check_inversion_identities",
 ]
@@ -91,20 +90,6 @@ def neumann_tail_terms(b_norm: float, f_psi_norm: float, eps: float) -> int:
     return k
 
 
-def _gate_cpsi(f: Function01):
-    if abs(float(f(0.0))) > _ENDPOINT_TOL or abs(float(f(1.0))) > _ENDPOINT_TOL:
-        raise NotInCpsiError(
-            "input has nonzero endpoint values; split off the affine part "
-            "with project_to_Cpsi first")
-
-
-def _require_lambda(op: OperatorSpec):
-    if not op.in_lambda_class:
-        raise DegenerateOperatorError(
-            f"{op.family} (n={op.n}) has no certified contraction constant "
-            "below one; the geometric series is not available")
-
-
 def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Function01:
     def ev(x, base=f_eval, d=disc, r=acc):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -116,7 +101,7 @@ def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Funct
 
 def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
                    grid: EvaluationGrid) -> float:
-    # (I - L) g - f evaluated off-node: rows(x) @ (acc - rep0 - T acc).
+    # (I - L) g - f off the nodes is the image of acc - rep0 - T acc.
     defect = acc - rep0 - disc.advance(acc)
     vals = disc.apply_rep(defect, grid.points)
     return float(np.max(np.abs(vals) / psi(grid.points)))
@@ -144,72 +129,33 @@ def _zero_result(method: str) -> GeometricSeriesResult:
                                  tail_bound=0.0, residual_psi_norm=0.0)
 
 
-def _series_setup(op: OperatorSpec, fs: Sequence[Function01], eps: float,
-                  grid: Optional[EvaluationGrid]):
-    """Validate a series request; return the carrier and the family grid."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    _require_lambda(op)
-    for f in fs:
-        _gate_cpsi(f)
-    return node_discretization(op), op.grid(grid)
-
-
 def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
-                   reps: np.ndarray, norms, eps: float,
-                   grid: EvaluationGrid) -> list:
-    """Truncated Neumann sums sum_{k<=K} L^k(f), one per column of reps,
-    sharing one transfer-matrix sweep.
+                   reps, norms, eps: float, grid: EvaluationGrid) -> list:
+    """Truncated Neumann sums sum_{k<=K} L^k(f), one per input, sharing
+    one transfer-matrix sweep over the stacked representations reps.
 
-    K is the largest certified term count over the columns; matvec memory
+    K is the largest certified term count over the inputs; matvec memory
     traffic dominates the cost for the series families, so extra columns
     are nearly free.  f_evals evaluate the inputs off the nodes and norms
-    are their weighted norms; a zero-norm column gives the zero result.
+    are their weighted norms.
     """
     b = op.contraction_bound()
-    k_max = max((neumann_tail_terms(b, v, eps) for v in norms if v > 0.0),
-                default=0)
+    k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
     # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
-    acc = np.zeros_like(reps)
-    v = reps
+    v = np.column_stack(reps)
+    acc = np.zeros_like(v)
     for k in range(k_max):
         if k:
             v = disc.advance(v)
         acc += v
     out = []
-    for i, (f_eval, norm) in enumerate(zip(f_evals, norms)):
-        if norm == 0.0:
-            out.append(_zero_result("neumann"))
-            continue
+    for i, (f_eval, rep0, norm) in enumerate(zip(f_evals, reps, norms)):
         col = acc[:, i].copy()
         out.append(GeometricSeriesResult(
             g=_series_function(f_eval, disc, col), method="neumann",
             terms_used=k_max + 1, tail_bound=b ** (k_max + 1) / (1.0 - b) * norm,
-            residual_psi_norm=_residual_norm(disc, col, reps[:, i], grid)))
+            residual_psi_norm=_residual_norm(disc, col, rep0, grid)))
     return out
-
-
-def geometric_series_neumann(op: OperatorSpec, f: Function01, eps: float,
-                             grid: Optional[EvaluationGrid] = None) -> GeometricSeriesResult:
-    """Truncated Neumann sum sum_{k<=K} L^k(f) with K from the certified
-    tail bound; requires f in the weighted space (endpoint values zero)."""
-    disc, fam_grid = _series_setup(op, [f], eps, grid)
-    f_norm = psi_norm(f, fam_grid).value
-    return _neumann_sweep(op, disc, [f], disc.rep(f)[:, None], [f_norm], eps,
-                          fam_grid)[0]
-
-
-def geometric_series_neumann_batch(op: OperatorSpec, fs: Sequence[Function01],
-                                   eps: float,
-                                   grid: Optional[EvaluationGrid] = None):
-    """Neumann sums for several inputs sharing one transfer-matrix sweep of
-    the largest term count among them."""
-    disc, fam_grid = _series_setup(op, fs, eps, grid)
-    if not fs:
-        return []
-    reps = np.column_stack([disc.rep(f) for f in fs])
-    norms = [psi_norm(f, fam_grid).value for f in fs]
-    return _neumann_sweep(op, disc, fs, reps, norms, eps, fam_grid)
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
@@ -252,78 +198,125 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
     return x, used
 
 
-def geometric_series_krylov(op: OperatorSpec, f: Function01, eps: float,
-                            grid: Optional[EvaluationGrid] = None) -> GeometricSeriesResult:
-    """G_L(f) through GMRES on the interior block (I - T_II) x = rep(f)_I,
-    certified a posteriori by tail_bound = |(I - L) g - f|_psi / (1 - b).
+def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
+            eps: float, grid: EvaluationGrid) -> list:
+    """GMRES on the interior block (I - T_II) x = rep(f)_I per input,
+    certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
 
     terms_used counts carrier applications (advance calls), the
     residual's included.  GMRES gets at most as many products as the
     Neumann sum would need for eps; if its certificate still exceeds eps
     the Neumann result is returned instead, so tail_bound <= eps always.
     """
-    disc, fam_grid = _series_setup(op, [f], eps, grid)
-    f_norm = psi_norm(f, fam_grid).value
-    if f_norm == 0.0:
-        return _zero_result("krylov")
     b = op.contraction_bound()
-    rep0 = disc.rep(f)
     idx = np.flatnonzero(disc.interior)
 
     def matvec(x):
         # endpoint entries are held at zero: G f vanishes there
-        v = np.zeros_like(rep0)
+        v = np.zeros(disc.nodes.size)
         v[idx] = x
         return x - disc.advance(v)[idx]
 
-    budget = neumann_tail_terms(b, f_norm, eps)
-    sol, used = _gmres(matvec, rep0[idx], budget)
-    res = _interior_result(op, disc, f, rep0, idx, sol, fam_grid, "krylov",
-                           used + 1)
-    if res.tail_bound > eps:
-        return _neumann_sweep(op, disc, [f], rep0[:, None], [f_norm], eps,
-                              fam_grid)[0]
-    return res
+    out = []
+    for f, rep0, norm in zip(fs, reps, norms):
+        sol, used = _gmres(matvec, rep0[idx], neumann_tail_terms(b, norm, eps))
+        res = _interior_result(op, disc, f, rep0, idx, sol, grid, "krylov",
+                               used + 1)
+        if res.tail_bound > eps:
+            res = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)[0]
+        out.append(res)
+    return out
 
 
-def geometric_series_solve(op: OperatorSpec, f: Function01,
-                           grid: Optional[EvaluationGrid] = None) -> GeometricSeriesResult:
+def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
+           eps: float, grid: EvaluationGrid) -> list:
     """Direct inversion of (I - T) on the interior node block.
 
-    Only for the exact finite carriers (bernstein, durrmeyer): endpoint
-    rows of T are identities, so they are dropped rather than zeroed, and
-    the interior block of I - T is a strictly diagonally dominated
-    M-matrix solved by dense LU.  tail_bound is the residual certificate
-    |(I - L) g - f|_psi / (1 - b), as for the Krylov path.
+    Endpoint rows of an exact carrier's T are identities, so they are
+    dropped rather than zeroed, and the interior block of I - T is a
+    strictly diagonally dominated M-matrix solved by dense LU, once per
+    input: a stacked right-hand side does not round like a single one.
+    tail_bound is the residual certificate |(I - L) g - f|_psi / (1 - b),
+    as for the Krylov path; eps plays no part.
     """
-    if op.record.series:
+    idx = np.flatnonzero(disc.interior)
+    a = np.eye(idx.size) - disc.transfer[np.ix_(idx, idx)]
+    out = []
+    for f, rep0 in zip(fs, reps):
+        try:
+            sol = np.linalg.solve(a, rep0[idx])
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateOperatorError(
+                "interior block of I - T is singular; the operator is "
+                "outside the contraction class") from exc
+        out.append(_interior_result(op, disc, f, rep0, idx, sol, grid,
+                                    "solve", None))
+    return out
+
+
+_METHODS = {"krylov": _krylov, "neumann": _neumann_sweep, "solve": _solve}
+
+
+def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
+                     grid: Optional[EvaluationGrid] = None,
+                     method: str = "krylov") -> list:
+    """One GeometricSeriesResult G_L(f) per input f in fs, in order, by
+    method "krylov", "neumann" or "solve" (see the module docstring).
+
+    Inputs must lie in the weighted space (endpoint values zero), op in
+    the contraction class, and "solve" needs an exact carrier.  Krylov and
+    Neumann results certify tail_bound <= eps.
+    """
+    engine = _METHODS.get(method)
+    if engine is None:
+        raise DomainError(f"unknown series method {method!r}; choose from "
+                          f"{tuple(_METHODS)}")
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    if not op.in_lambda_class:
+        raise DegenerateOperatorError(
+            f"{op.family} (n={op.n}) has no certified contraction constant "
+            "below one; the geometric series is not available")
+    for f in fs:
+        if abs(float(f(0.0))) > _ENDPOINT_TOL or abs(float(f(1.0))) > _ENDPOINT_TOL:
+            raise NotInCpsiError(
+                "input has nonzero endpoint values; split off the affine "
+                "part with project_to_Cpsi first")
+    if method == "solve" and op.record.series:
         raise DomainError("the solve path needs an exact finite carrier "
                           "(bernstein or durrmeyer)")
-    _require_lambda(op)
-    _gate_cpsi(f)
-    disc = node_discretization(op)
     fam_grid = op.grid(grid)
-    rep0 = disc.rep(f)
-    idx = np.flatnonzero(disc.interior)
-    t_int = disc.transfer[np.ix_(idx, idx)]
-    try:
-        sol = np.linalg.solve(np.eye(idx.size) - t_int, rep0[idx])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperatorError(
-            "interior block of I - T is singular; the operator is outside "
-            "the contraction class") from exc
-    return _interior_result(op, disc, f, rep0, idx, sol, fam_grid, "solve",
-                            None)
+    norms = [psi_norm(f, fam_grid).value for f in fs]
+    live = [i for i, v in enumerate(norms) if v > 0.0]
+    out = [_zero_result(method) for _ in fs]  # G 0 = 0, with no carrier work
+    if live:
+        disc = node_discretization(op)
+        done = engine(op, disc, [fs[i] for i in live],
+                      [disc.rep(fs[i]) for i in live], [norms[i] for i in live],
+                      eps, fam_grid)
+        for i, res in zip(live, done):
+            out[i] = res
+    return out
+
+
+# The benchmark harness under bench/ still calls these two names; they
+# go once it calls geometric_series itself.
+def geometric_series_neumann_batch(op, fs, eps, grid=None):
+    return geometric_series(op, fs, eps, grid, method="neumann")
+
+
+def geometric_series_solve(op, f, grid=None):
+    return geometric_series(op, [f], 1.0, grid, method="solve")[0]
 
 
 def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
                                grid: Optional[EvaluationGrid] = None):
     """Weighted-norm residuals of the two inversion identities,
-    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f)."""
-    disc, fam_grid = _series_setup(op, [f], eps, grid)
+    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through Neumann sums."""
+    (res1,) = geometric_series(op, [f], eps, grid, method="neumann")
+    disc = node_discretization(op)
+    fam_grid = op.grid(grid)
     rep0 = disc.rep(f)
-    res1 = _neumann_sweep(op, disc, [f], rep0[:, None],
-                          [psi_norm(f, fam_grid).value], eps, fam_grid)[0]
 
     # h = (I - L) f has the same representation algebra in every carrier:
     # rep(h) = rep(f) - T rep(f).
@@ -334,8 +327,7 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
         return np.asarray(base(xs), dtype=float) - d.apply_rep(r, xs)
 
     h_norm = float(np.max(np.abs(h_eval(fam_grid.points)) / psi(fam_grid.points)))
-    res2 = _neumann_sweep(op, disc, [h_eval], rep_h[:, None], [h_norm], eps,
-                          fam_grid)[0]
+    (res2,) = _neumann_sweep(op, disc, [h_eval], [rep_h], [h_norm], eps, fam_grid)
     diff = np.asarray(res2.g(fam_grid.points), dtype=float) - np.asarray(
         f(fam_grid.points), dtype=float)
     second = float(np.max(np.abs(diff) / psi(fam_grid.points)))

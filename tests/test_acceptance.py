@@ -27,10 +27,7 @@ from opgeom.funcspace import (F_transform, default_grid,
 from opgeom.operators import (OperatorSpec, alpha_profile,
                               durrmeyer_functional, moment,
                               node_discretization, _mkz_weight_grid)
-from opgeom.series import (check_inversion_identities,
-                           geometric_series_neumann,
-                           geometric_series_neumann_batch,
-                           geometric_series_solve)
+from opgeom.series import check_inversion_identities, geometric_series
 from opgeom.special import bernstein_basis_matrix
 
 BASE = default_grid()
@@ -41,6 +38,12 @@ def report(num, text):
     print(f"criterion {num:>2}: PASS  {text}")
 
 
+def series_one(op, f, eps, method):
+    """The series entry's result for the single input f on BASE."""
+    (res,) = geometric_series(op, [f], eps, BASE, method=method)
+    return res
+
+
 def bernstein_central_moments(n, pts, kpow):
     nodes = np.arange(n + 1) / n
     p = bernstein_basis_matrix(n, pts)
@@ -48,8 +51,9 @@ def bernstein_central_moments(n, pts, kpow):
 
 
 # ---------------------------------------------------------------------------
-# Shared heavy fixture: one Neumann sweep per series-family order covering
-# every input the criteria need.
+# Shared heavy fixture: one Krylov solve per series-family order and input,
+# covering every input the criteria need.  TestKrylov in test_series keeps
+# the Neumann cross-check of the Krylov path at n = 4.
 # ---------------------------------------------------------------------------
 
 MKZ_INPUT_NAMES = ("psi_e0", "psi_e1", "psi_sin_pi", "psi_osc", "sin_pi")
@@ -65,7 +69,7 @@ def mkz_series():
         w = registry("psi")
         inputs = [w, w * registry("e1"), w * registry("sin_pi"),
                   w * registry("osc"), registry("sin_pi")]
-        results = geometric_series_neumann_batch(op, inputs, 1e-6, BASE)
+        results = geometric_series(op, inputs, 1e-6, BASE)
         out[n] = {"op": op, "grid": fam, "profile": prof,
                   "series": dict(zip(MKZ_INPUT_NAMES, results))}
     return out
@@ -133,8 +137,8 @@ def test_criterion_04_eigenfunction_series_both_paths():
     worst_n = worst_s = 0.0
     for n in N_SWEEP:
         op = OperatorSpec("bernstein", n)
-        neu = geometric_series_neumann(op, registry("psi"), 1e-8, BASE)
-        sol = geometric_series_solve(op, registry("psi"), BASE)
+        neu = series_one(op, registry("psi"), 1e-8, "neumann")
+        sol = series_one(op, registry("psi"), 1e-8, "solve")
         ref = n * psi(pts)
         err_n = float(np.max(np.abs(np.asarray(neu.g(pts)) - ref) / psi(pts)))
         err_s = float(np.max(np.abs(np.asarray(sol.g(pts)) - ref) / psi(pts)))
@@ -147,8 +151,8 @@ def test_criterion_04_eigenfunction_series_both_paths():
         f = registry(name)
         for n in (4, 8, 16, 32):
             op = OperatorSpec("bernstein", n)
-            neu = geometric_series_neumann(op, f, 1e-8, BASE)
-            sol = geometric_series_solve(op, f, BASE)
+            neu = series_one(op, f, 1e-8, "neumann")
+            sol = series_one(op, f, 1e-8, "solve")
             diff = float(np.max(np.abs(np.asarray(neu.g(pts))
                                        - np.asarray(sol.g(pts))) / psi(pts)))
             allowed = 1e-8 / (1.0 - op.contraction_bound()) + 1e-9
@@ -188,13 +192,13 @@ def test_criterion_06_series_norm_bounds(mkz_series):
         for n in ns:
             op = OperatorSpec(fam, n, **kw)
             prof = alpha_profile(op, BASE)
-            g_psi = geometric_series_neumann(op, registry("psi"), 1e-8, BASE)
+            g_psi = series_one(op, registry("psi"), 1e-8, "neumann")
             lhs = (1.0 - prof.b_norm) * psi_norm(g_psi.g, BASE).value
             assert lhs <= 1.0 + 1e-6, (fam, n)
             worst_iii = max(worst_iii, lhs - 1.0)
             for name in ("psi", "sin_pi"):
                 f = registry(name)
-                res = geometric_series_neumann(op, f, 1e-8, BASE)
+                res = series_one(op, f, 1e-8, "neumann")
                 ratio = psi_norm(res.g, BASE).value * (1.0 - prof.b_norm) \
                     / psi_norm(f, BASE).value
                 assert ratio <= 1.0 + 1e-6, (fam, n, name)

@@ -4,12 +4,16 @@ determinism, and exit codes."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from opgeom import experiments
 from opgeom.cli import main as cli_main
 from opgeom.errors import DomainError
 from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
                                 run_experiment)
+from opgeom.funcspace import project_to_Cpsi, psi, registry
+from opgeom.series import iterate_apply
 
 
 class TestConfig:
@@ -135,6 +139,20 @@ class TestRunners:
         ratios = [b / a for a, b in zip(errs[1:-1], errs[2:])]
         assert all(r == pytest.approx(0.75, abs=1e-6) for r in ratios)
 
+    @pytest.mark.parametrize("family", ["durrmeyer", "mkz-symmetric"])
+    def test_iterates_match_one_iterate_at_a_time(self, family):
+        # the runner evaluates all iterates in one apply_rep call; the
+        # reference is iterate_apply, one iterate per call, which sums in
+        # another order, so the rows agree to a relative 1e-13
+        cfg = ExperimentConfig(experiment="iterates", family=family,
+                               n_list=(4,), function="e2", grid_size=129)
+        op = cfg.spec(4)
+        pts = op.grid(cfg.base_grid()).points
+        f1 = project_to_Cpsi(registry("e2"))
+        for (n, k, err, env) in run_experiment(cfg).rows[1:]:
+            ref = np.max(np.abs(iterate_apply(op, k, f1, pts)) / psi(pts))
+            assert err == pytest.approx(ref, rel=1e-13, abs=0.0), k
+
     def test_geom_identity_case(self):
         rep = run_experiment(ExperimentConfig(
             experiment="geom", family="bernstein", n_list=(4, 8),
@@ -234,6 +252,27 @@ class TestCli:
                          "-o", str(out)]) == 2
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_carrier_fails_before_the_runner(self, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = []
+        for name in ("alpha_profile", "F_transform"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--family", "mkz-symmetric", "--n-list", "4,64",
+                         "-o", str(out)]) == 2
+        assert "GiB" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_conditions_needs_no_carrier(self, monkeypatch):
+        # conditions builds no carrier, so an order whose carrier would not
+        # fit still runs
+        monkeypatch.setattr(experiments, "condition_report",
+                            lambda family, n_list, *a, **k: [])
+        cfg = ExperimentConfig(experiment="conditions", family="mkz-symmetric",
+                               n_list=(64,), grid_size=65)
+        assert run_experiment(cfg).rows == []
 
     def test_bad_input_exit_code(self, capsys):
         assert cli_main(["geom", "--function", "nope", "--grid-size", "65",

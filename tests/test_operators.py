@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from opgeom import operators
 from opgeom.errors import DomainError, TruncationBudgetError
 from opgeom.funcspace import default_grid, psi, registry
 from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
@@ -319,41 +320,45 @@ class TestNodeDiscretization:
             assert np.max(vals - psi(pts)) <= 1e-12
 
 
-def _dense_series_carrier(spec):
-    """(nodes, transfer, routed mass per row) of a series family, built
-    row by row: each branch scatters share * mkz_weight_row onto its nodes
+def _dense_series_carrier(spec, xs=None):
+    """(nodes, rows, routed mass per row) of a series family, built row by
+    row at the points xs (by default the nodes, whose rows are the
+    transfer): each branch scatters share * mkz_weight_row onto its nodes
     k/(n+k) (plain) or n/(n+k) (reflected) and routes the row's omitted
     mass to its hard endpoint (1 plain, 0 reflected).
 
-    With equal shares the carrier computes a row above 1/2 as the mirror
-    of its partner's row at the node x' < 1/2, and the float 1 - x' can
-    differ from x by an ulp, which moves the routed mass of a row near 1
-    by about 1e-14.  So the rows above 1/2 are mirrors here too: the node
-    set is symmetric, and reversing it maps each node to its partner."""
+    With equal shares the carrier computes a node row above 1/2 as the
+    mirror of its partner's row at the node x' < 1/2, and the float
+    1 - x' can differ from x by an ulp, which moves the routed mass of a
+    row near 1 by about 1e-14.  So the node rows above 1/2 are mirrors here
+    too: the node set is symmetric, and reversing it maps each node to its
+    partner.  Rows at other points are computed directly, as apply_rep
+    does."""
     n, depth = spec.n, _mkz_node_depth(spec)
     k = np.arange(depth + 1)
     used = [(s, r) for s, r in zip(spec.record.shares, (False, True)) if s]
     nodes = np.unique(np.concatenate(
         [n / (n + k) if r else k / (n + k) for _, r in used] + [[0.0, 1.0]]))
-    transfer = np.zeros((nodes.size, nodes.size))
-    routed = np.zeros(nodes.size)
+    at = nodes if xs is None else xs
+    rows = np.zeros((at.size, nodes.size))
+    routed = np.zeros(at.size)
     for share, reflect in used:
         cols = np.searchsorted(nodes, n / (n + k) if reflect else k / (n + k))
         end = 0 if reflect else -1
-        for i, x in enumerate(nodes):
+        for i, x in enumerate(at):
             t = 1.0 - x if reflect else x
             mass = share
             if t < 1.0:
                 w = share * mkz_weight_row(n, t, depth)
-                transfer[i, cols] += w
+                rows[i, cols] += w
                 mass = max(0.0, share - w.sum())
-            transfer[i, end] += mass
+            rows[i, end] += mass
             routed[i] += mass
-    if spec.record.shares[0] == spec.record.shares[1]:
+    if xs is None and spec.record.shares[0] == spec.record.shares[1]:
         high = nodes > 0.5
-        transfer[high] = transfer[::-1, ::-1][high]
+        rows[high] = rows[::-1, ::-1][high]
         routed[high] = routed[::-1][high]
-    return nodes, transfer, routed
+    return nodes, rows, routed
 
 
 SERIES_CARRIERS = [OperatorSpec(fam, n, truncation_eps=eps)
@@ -378,10 +383,11 @@ class TestSeriesCarrier:
                    - np.max(routed[certified])) <= 1e-15
 
     def test_apply_rep_matches_basis_matrix(self, spec):
+        # the basis matrix here is the dense build's rows at the points
         disc = node_discretization(spec)
         # more points than one 512-point block, endpoints included
         xs = np.concatenate(([0.0, 1.0, 0.5], np.linspace(0.0, 1.0, 601)))
-        rows = disc.basis_matrix(xs)
+        _, rows, _ = _dense_series_carrier(spec, xs)
         rng = np.random.default_rng(spec.n)
         for rep in (rng.standard_normal(disc.nodes.size),
                     rng.standard_normal((disc.nodes.size, 3))):
@@ -395,6 +401,24 @@ class TestCarrierMemoryBudget:
         for family in ("mkz", "mkz-symmetric"):
             with pytest.raises(TruncationBudgetError, match="GiB"):
                 node_discretization(OperatorSpec(family, 64, truncation_eps=1e-6))
+
+    @pytest.mark.parametrize("family", ["mkz", "mkz-reflected"])
+    def test_one_branch_build_counts_weights_and_transfer(self, family,
+                                                          monkeypatch):
+        # the one-branch build holds the N x (depth+1) weights next to the
+        # N x N transfer, N = depth + 2; a cap that fits the transfer alone
+        # must refuse it
+        spec = OperatorSpec(family, 4, truncation_eps=1e-6)
+        depth = _mkz_node_depth(spec)
+        transfer = 8 * (depth + 2) ** 2
+        weights = 8 * (depth + 2) * (depth + 1)
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP",
+                            transfer + weights - 1)
+        with pytest.raises(TruncationBudgetError, match="GiB"):
+            node_discretization(spec)
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", transfer + weights)
+        assert node_discretization(spec).transfer.shape == (depth + 2,) * 2
 
 
 class TestConditionReport:

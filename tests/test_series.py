@@ -1,5 +1,6 @@
-"""Iterates and the geometric series: certified tails, the three
-computation paths, and the inversion identities."""
+"""Iterates and the geometric series: the one entry and its request
+checks, certified tails, the three methods, and the inversion
+identities."""
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from opgeom.errors import (DegenerateOperatorError, DomainError,
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
                               psi_norm, registry)
 from opgeom.operators import OperatorSpec, node_discretization
-from opgeom.series import (check_inversion_identities,
-                           geometric_series_krylov,
-                           geometric_series_neumann,
-                           geometric_series_neumann_batch,
-                           geometric_series_solve, iterate_apply,
-                           neumann_tail_terms)
+from opgeom.series import (check_inversion_identities, geometric_series,
+                           iterate_apply, neumann_tail_terms)
 
 GRID = default_grid(401)
+
+
+def series_one(op, f, eps, method):
+    """The entry's result for the single input f."""
+    (res,) = geometric_series(op, [f], eps, GRID, method=method)
+    return res
 
 
 def brute_tail_terms(b, f, eps):
@@ -75,42 +78,85 @@ class TestTailTerms:
             neumann_tail_terms(0.5, 1.0, 0.0)
 
 
-class TestNeumann:
+class EntryContract:
+    """Request checks every method shares; each subclass names its method."""
+
+    method = None
+
+    def test_zero_input(self):
+        zero = Function01.polynomial((0.0,))
+        res = series_one(OperatorSpec("bernstein", 4), zero, 1e-8, self.method)
+        assert res.method == self.method
+        assert res.terms_used == 0
+        assert res.g(0.4) == 0.0
+
+    def test_endpoint_gate(self):
+        with pytest.raises(NotInCpsiError):
+            series_one(OperatorSpec("bernstein", 4), registry("e2"), 1e-8,
+                       self.method)
+
+    def test_requires_contraction(self):
+        with pytest.raises(DegenerateOperatorError):
+            series_one(OperatorSpec("mkz", 4, truncation_eps=1e-8),
+                       registry("psi"), 1e-6, self.method)
+        with pytest.raises(DegenerateOperatorError):
+            series_one(OperatorSpec("bernstein", 1), registry("psi"), 1e-8,
+                       self.method)
+        with pytest.raises(DomainError):
+            series_one(OperatorSpec("bernstein", 4), registry("psi"), 0.0,
+                       self.method)
+
+    def test_batch_empty(self):
+        op = OperatorSpec("bernstein", 4)
+        assert geometric_series(op, [], 1e-8, GRID, method=self.method) == []
+        with pytest.raises(DomainError):
+            geometric_series(op, [], 0.0, GRID, method=self.method)
+
+
+def test_unknown_method():
+    with pytest.raises(DomainError, match="unknown series method"):
+        geometric_series(OperatorSpec("bernstein", 4), [registry("psi")],
+                         1e-8, GRID, method="cg")
+
+
+@pytest.mark.parametrize("method,op", [
+    ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
+    ("krylov", OperatorSpec("durrmeyer", 5, rho=1.0)),
+    ("solve", OperatorSpec("bernstein", 8)),
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ids=lambda v: v if isinstance(v, str) else v.family)
+def test_multi_input_is_per_input(method, op):
+    # the per-input methods treat each input exactly as a call of its own
+    fs = [registry("psi"), registry("psi") * registry("sin_pi"),
+          Function01.polynomial((0.0,)), project_to_Cpsi(registry("e3"))]
+    eps = 1e-6 if op.record.series else 1e-8
+    multi = geometric_series(op, fs, eps, GRID, method=method)
+    pts = op.grid(GRID).points
+    for f, res in zip(fs, multi):
+        one = series_one(op, f, eps, method)
+        assert (res.terms_used, res.tail_bound, res.residual_psi_norm) == \
+            (one.terms_used, one.tail_bound, one.residual_psi_norm)
+        assert np.array_equal(np.asarray(res.g(pts)), np.asarray(one.g(pts)))
+
+
+class TestNeumann(EntryContract):
+    method = "neumann"
+
     def test_eigenfunction_closed_form(self):
         for n in (2, 8, 17):
             op = OperatorSpec("bernstein", n)
-            res = geometric_series_neumann(op, registry("psi"), 1e-8, GRID)
+            res = series_one(op, registry("psi"), 1e-8, "neumann")
             err = np.max(np.abs(np.asarray(res.g(GRID.points))
                                 - n * psi(GRID.points)) / psi(GRID.points))
             assert err <= n * 1e-8
             assert res.tail_bound <= 1e-8
             assert res.residual_psi_norm <= 1e-7
 
-    def test_zero_input(self):
-        zero = Function01.polynomial((0.0,))
-        res = geometric_series_neumann(OperatorSpec("bernstein", 4), zero,
-                                       1e-8, GRID)
-        assert res.terms_used == 0
-        assert res.g(0.4) == 0.0
-
-    def test_endpoint_gate(self):
-        with pytest.raises(NotInCpsiError):
-            geometric_series_neumann(OperatorSpec("bernstein", 4),
-                                     registry("e2"), 1e-8, GRID)
-
-    def test_requires_contraction(self):
-        with pytest.raises(DegenerateOperatorError):
-            geometric_series_neumann(OperatorSpec("mkz", 4, truncation_eps=1e-8),
-                                     registry("psi"), 1e-6, GRID)
-        with pytest.raises(DegenerateOperatorError):
-            geometric_series_neumann(OperatorSpec("bernstein", 1),
-                                     registry("psi"), 1e-8, GRID)
-
     def test_norm_bound_product(self):
         # (1 - |b|) G(psi) <= psi within tolerance
         for op in (OperatorSpec("bernstein", 8),
                    OperatorSpec("durrmeyer", 6, rho=1.0)):
-            res = geometric_series_neumann(op, registry("psi"), 1e-8, GRID)
+            res = series_one(op, registry("psi"), 1e-8, "neumann")
             lhs = (1 - op.contraction_bound()) * psi_norm(res.g, GRID).value
             assert lhs <= 1.0 + 1e-6
 
@@ -118,14 +164,13 @@ class TestNeumann:
         op = OperatorSpec("bernstein", 6)
         disc = node_discretization(op)
         f = registry("psi") * registry("abs_half")
-        res = geometric_series_neumann(op, f, 1e-9, GRID)
+        res = series_one(op, f, 1e-9, "neumann")
         assert np.min(np.asarray(res.g(disc.nodes))) >= -1e-10
         g2 = registry("psi")
-        ra = geometric_series_neumann(op, f.scaled(2.0) + g2.scaled(-0.5),
-                                      1e-9, GRID)
+        ra = series_one(op, f.scaled(2.0) + g2.scaled(-0.5), 1e-9, "neumann")
         parts = (2.0 * np.asarray(res.g(disc.nodes))
-                 - 0.5 * np.asarray(geometric_series_neumann(
-                     op, g2, 1e-9, GRID).g(disc.nodes)))
+                 - 0.5 * np.asarray(series_one(
+                     op, g2, 1e-9, "neumann").g(disc.nodes)))
         assert np.max(np.abs(np.asarray(ra.g(disc.nodes)) - parts)) <= 1e-7
 
     def test_tail_bound_sound_pointwise(self):
@@ -148,8 +193,8 @@ class TestNeumann:
     def test_batch_matches_single(self):
         op = OperatorSpec("durrmeyer", 5, rho=1.0)
         fs = [registry("psi"), project_to_Cpsi(registry("e3"))]
-        singles = [geometric_series_neumann(op, f, 1e-8, GRID) for f in fs]
-        batch = geometric_series_neumann_batch(op, fs, 1e-8, GRID)
+        singles = [series_one(op, f, 1e-8, "neumann") for f in fs]
+        batch = geometric_series(op, fs, 1e-8, GRID, method="neumann")
         x = GRID.points[::16]
         for s, b_ in zip(singles, batch):
             assert np.max(np.abs(np.asarray(s.g(x)) - np.asarray(b_.g(x)))) <= 1e-9
@@ -158,32 +203,28 @@ class TestNeumann:
         # the first tail bound already meets eps: K = 0, so G f ~ f alone
         op = OperatorSpec("bernstein", 8)
         f = registry("psi").scaled(1e-9)
-        single = geometric_series_neumann(op, f, 1e-8, GRID)
-        (batch,) = geometric_series_neumann_batch(op, [f], 1e-8, GRID)
+        single = series_one(op, f, 1e-8, "neumann")
+        (batch,) = geometric_series(op, [f], 1e-8, GRID, method="neumann")
         assert single.terms_used == batch.terms_used == 1
         assert single.tail_bound == batch.tail_bound
         x = GRID.points
         assert np.array_equal(np.asarray(batch.g(x)), np.asarray(single.g(x)))
         assert np.array_equal(np.asarray(single.g(x)), f(x))
 
-    def test_batch_empty(self):
-        op = OperatorSpec("bernstein", 4)
-        assert geometric_series_neumann_batch(op, [], 1e-8, GRID) == []
-        with pytest.raises(DomainError):
-            geometric_series_neumann_batch(op, [], 0.0, GRID)
 
+class TestSolve(EntryContract):
+    method = "solve"
 
-class TestSolve:
     def test_hand_solved_scalar_system(self):
-        res = geometric_series_solve(OperatorSpec("bernstein", 2),
-                                     registry("psi"), GRID)
+        res = series_one(OperatorSpec("bernstein", 2), registry("psi"), 1e-8,
+                         "solve")
         assert res.g(0.5) == pytest.approx(0.5, abs=1e-13)
         assert res.residual_psi_norm <= 1e-10
 
     def test_eigenfunction(self):
         for n in (2, 8, 17):
-            res = geometric_series_solve(OperatorSpec("bernstein", n),
-                                         registry("psi"), GRID)
+            res = series_one(OperatorSpec("bernstein", n), registry("psi"),
+                             1e-8, "solve")
             err = np.max(np.abs(np.asarray(res.g(GRID.points))
                                 - n * psi(GRID.points)) / psi(GRID.points))
             assert err <= 1e-10
@@ -192,8 +233,8 @@ class TestSolve:
         for op in (OperatorSpec("bernstein", 8),
                    OperatorSpec("durrmeyer", 7, rho=0.5)):
             f = project_to_Cpsi(registry("e3"))
-            sol = geometric_series_solve(op, f, GRID)
-            neu = geometric_series_neumann(op, f, 1e-8, GRID)
+            sol = series_one(op, f, 1e-8, "solve")
+            neu = series_one(op, f, 1e-8, "neumann")
             diff = np.max(np.abs(np.asarray(sol.g(GRID.points))
                                  - np.asarray(neu.g(GRID.points)))
                           / psi(GRID.points))
@@ -202,16 +243,15 @@ class TestSolve:
     def test_tail_bound_is_the_residual_certificate(self):
         # the residual is nonzero, so a zero tail bound would certify nothing
         op = OperatorSpec("bernstein", 8)
-        res = geometric_series_solve(op, registry("psi"), GRID)
+        res = series_one(op, registry("psi"), 1e-8, "solve")
         assert res.residual_psi_norm > 0.0
         assert res.tail_bound == \
             res.residual_psi_norm / (1 - op.contraction_bound())
 
     def test_rejects_series_family(self):
-        with pytest.raises(DomainError):
-            geometric_series_solve(
-                OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-8),
-                registry("psi"), GRID)
+        with pytest.raises(DomainError, match="exact finite carrier"):
+            series_one(OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-8),
+                       registry("psi"), 1e-8, "solve")
 
 
 def weighted_gap(res_a, res_b, pts):
@@ -219,14 +259,16 @@ def weighted_gap(res_a, res_b, pts):
                                - np.asarray(res_b.g(pts))) / psi(pts)))
 
 
-class TestKrylov:
+class TestKrylov(EntryContract):
+    method = "krylov"
+
     @pytest.mark.parametrize("op", [
         OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 32),
         OperatorSpec("durrmeyer", 7, rho=0.5)])
     def test_agrees_with_solve(self, op):
         f = project_to_Cpsi(registry("e3"))
-        kry = geometric_series_krylov(op, f, 1e-8, GRID)
-        sol = geometric_series_solve(op, f, GRID)
+        kry = series_one(op, f, 1e-8, "krylov")
+        sol = series_one(op, f, 1e-8, "solve")
         one_minus_b = 1 - op.contraction_bound()
         assert kry.method == "krylov"
         assert kry.tail_bound <= 1e-8
@@ -238,44 +280,21 @@ class TestKrylov:
     def test_agrees_with_neumann_mkz_symmetric(self):
         op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
         f = registry("psi") * registry("e1")
-        kry = geometric_series_krylov(op, f, 1e-6, GRID)
-        neu = geometric_series_neumann(op, f, 1e-6, GRID)
+        kry = series_one(op, f, 1e-6, "krylov")
+        neu = series_one(op, f, 1e-6, "neumann")
         assert kry.method == "krylov"
         assert kry.terms_used < neu.terms_used
         pts = op.grid(GRID).points
         assert weighted_gap(kry, neu, pts) <= kry.tail_bound + neu.tail_bound
 
-    def test_zero_input(self):
-        zero = Function01.polynomial((0.0,))
-        res = geometric_series_krylov(OperatorSpec("bernstein", 4), zero,
-                                      1e-8, GRID)
-        assert res.terms_used == 0
-        assert res.g(0.4) == 0.0
-
-    def test_endpoint_gate(self):
-        with pytest.raises(NotInCpsiError):
-            geometric_series_krylov(OperatorSpec("bernstein", 4),
-                                    registry("e2"), 1e-8, GRID)
-
-    def test_requires_contraction(self):
-        with pytest.raises(DegenerateOperatorError):
-            geometric_series_krylov(OperatorSpec("mkz", 4, truncation_eps=1e-8),
-                                    registry("psi"), 1e-6, GRID)
-        with pytest.raises(DegenerateOperatorError):
-            geometric_series_krylov(OperatorSpec("bernstein", 1),
-                                    registry("psi"), 1e-8, GRID)
-        with pytest.raises(DomainError):
-            geometric_series_krylov(OperatorSpec("bernstein", 4),
-                                    registry("psi"), 0.0, GRID)
-
     def test_falls_back_to_neumann(self, monkeypatch):
         monkeypatch.setattr(series, "_gmres",
                             lambda matvec, rhs, budget: (np.zeros_like(rhs), 0))
         op = OperatorSpec("durrmeyer", 5, rho=1.0)
-        res = geometric_series_krylov(op, registry("psi"), 1e-8, GRID)
+        res = series_one(op, registry("psi"), 1e-8, "krylov")
         assert res.method == "neumann"
         assert res.tail_bound <= 1e-8
-        ref = geometric_series_neumann(op, registry("psi"), 1e-8, GRID)
+        ref = series_one(op, registry("psi"), 1e-8, "neumann")
         assert res.terms_used == ref.terms_used
         assert weighted_gap(res, ref, GRID.points) == 0.0
 

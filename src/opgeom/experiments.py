@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .funcspace import (EvaluationGrid, F_transform, default_grid,
-                        project_to_Cpsi, psi, psi_norm, registry)
+                        project_to_Cpsi, psi, psi_norm, psi_sup, registry)
 from .operators import (OperatorSpec, alpha_profile, bernstein_apply,
                         check_carrier_budget, condition_report, family_record,
                         mkz_apply, moment, node_discretization)
@@ -155,10 +155,6 @@ def _map_per_n(fn, config: ExperimentConfig):
         return list(ex.map(fn, config.n_list))
 
 
-def _psi_norm_values(values: np.ndarray, points: np.ndarray) -> float:
-    return float(np.max(np.abs(values) / psi(points)))
-
-
 # ---------------------------------------------------------------------------
 # Runners: config -> (per-n row chunks, extra sidecar entries)
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def _iterates(config: ExperimentConfig):
             reps.append(disc.advance(reps[-1]))
         vals = disc.apply_rep(np.column_stack(reps), pts)
         return [(n, 0, norm0, norm0)] + [
-            (n, k, _psi_norm_values(vals[:, k - 1], pts), b ** k * norm0)
+            (n, k, psi_sup(vals[:, k - 1], pts), b ** k * norm0)
             for k in range(1, ITERATE_STEPS + 1)]
 
     return _map_per_n(one, config), {}
@@ -209,7 +205,7 @@ def _geom(config: ExperimentConfig):
         prof = alpha_profile(op, base)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
         vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)
-        err = _psi_norm_values(vals - ref, pts)
+        err = psi_sup(vals - ref, pts)
         return [(n, err, res.terms_used, res.tail_bound)], res
 
     done = _map_per_n(one, config)
@@ -246,7 +242,7 @@ def _voronovskaya(config: ExperimentConfig):
     chunks = []
     for n, pts, defect, prof in defects:
         resid = defect / prof.nu - 0.5 * np.asarray(d2(pts)) * psi(pts)
-        chunks.append([(n, _psi_norm_values(resid, pts),
+        chunks.append([(n, psi_sup(resid, pts),
                         float(np.max(np.abs(resid))))])
     return chunks, {}
 
@@ -260,12 +256,12 @@ def _inverse_voronovskaya(config: ExperimentConfig):
     base = config.base_grid()
     fg = F_transform(g, grid=base)
     pts_full = base.points
-    recon = _psi_norm_values(np.asarray(project_to_Cpsi(f)(pts_full))
+    recon = psi_sup(np.asarray(project_to_Cpsi(f)(pts_full))
                              + 2.0 * np.asarray(fg(pts_full)), pts_full)
     chunks = []
     for n, pts, defect, prof in defects:
         resid = defect / prof.alpha_values - np.asarray(g(pts)) * psi(pts)
-        chunks.append([(n, _psi_norm_values(resid, pts), recon)])
+        chunks.append([(n, psi_sup(resid, pts), recon)])
     return chunks, {}
 
 
@@ -282,12 +278,6 @@ def _conditions(config: ExperimentConfig):
 # Invariant suite
 # ---------------------------------------------------------------------------
 
-def _bernstein_central_moments(n: int, pts: np.ndarray, kpow: int) -> np.ndarray:
-    nodes = np.arange(n + 1) / n
-    p = bernstein_basis_matrix(n, pts)
-    return np.einsum("ik,ik->i", p, (nodes[None, :] - pts[:, None]) ** kpow)
-
-
 def _invariants(config: ExperimentConfig):
     """One row per invariant: (name, measured, threshold, pass)."""
     base = config.base_grid()
@@ -300,9 +290,10 @@ def _invariants(config: ExperimentConfig):
 
     # Bernstein moment identities
     n = 16
-    m2 = _bernstein_central_moments(n, pts, 2)
+    spec_16 = OperatorSpec("bernstein", n)
+    m2 = moment(spec_16, 2, pts)
     add("bernstein-m2-identity", np.max(np.abs(m2 - psi(pts) / n)), 1e-12)
-    m4 = _bernstein_central_moments(n, pts, 4)
+    m4 = moment(spec_16, 4, pts)
     ref4 = psi(pts) / n ** 2 * ((3.0 - 6.0 / n) * psi(pts) + 1.0 / n)
     add("bernstein-m4-identity", np.max(np.abs(m4 - ref4)), 1e-10)
     add("bernstein-m4-over-m2-bound",
@@ -312,10 +303,10 @@ def _invariants(config: ExperimentConfig):
     nd, rho = 8, 1.0
     spec_d = OperatorSpec("durrmeyer", nd, rho=rho)
     sample = pts[:: max(1, pts.size // 101)]
-    m2d = np.array([moment(spec_d, 2, x) for x in sample])
+    m2d = moment(spec_d, 2, sample)
     add("durrmeyer-m2-closed-form",
         np.max(np.abs(m2d - (rho + 1.0) * psi(sample) / (nd * rho + 1.0))), 1e-10)
-    m4d = np.array([moment(spec_d, 4, x) for x in sample])
+    m4d = moment(spec_d, 4, sample)
     denom = (nd * rho + 1.0) * (nd * rho + 2.0) * (nd * rho + 3.0)
     ref = (3.0 * rho * (rho + 1.0) ** 2 * psi(sample) ** 2 * nd
            + (-6.0 * (rho + 1.0) * (rho ** 2 + 3.0 * rho + 3.0) * psi(sample) ** 2
@@ -361,12 +352,12 @@ def _invariants(config: ExperimentConfig):
     nz = 5
     spec_z = OperatorSpec("mkz", nz, truncation_eps=1e-12)
     zpts = spec_z.grid(base).points[:: 3]
-    m2z = np.array([moment(spec_z, 2, x) for x in zpts])
+    m2z = moment(spec_z, 2, zpts)
     lo = zpts * (1.0 - zpts) ** 2 / (nz + 1.0) * (1.0 + 2.0 * zpts / (nz + 2.0))
     add("mkz-m2-lower-bound", np.max(lo - m2z), 1e-10)
     spec_zs = OperatorSpec("mkz-symmetric", nz, truncation_eps=1e-12)
     spts = spec_zs.grid(base).points[:: 3]
-    m2s = np.array([moment(spec_zs, 2, x) for x in spts])
+    m2s = moment(spec_zs, 2, spts)
     los = psi(spts) / (2.0 * (nz + 1.0)) * (1.0 + 4.0 * psi(spts) / (nz + 2.0))
     add("mkz-symmetric-m2-lower-bound", np.max(los - m2s), 1e-10)
 
@@ -389,7 +380,7 @@ def _invariants(config: ExperimentConfig):
     f_e3 = project_to_Cpsi(registry("e3"))
     (sol,) = geometric_series(spec_b, [f_e3], 1e-8, base, method="solve")
     (neu,) = geometric_series(spec_b, [f_e3], 1e-8, base, method="neumann")
-    diff = _psi_norm_values(np.asarray(sol.g(pts)) - np.asarray(neu.g(pts)), pts)
+    diff = psi_sup(np.asarray(sol.g(pts)) - np.asarray(neu.g(pts)), pts)
     add("series-method-agreement", diff,
         1e-8 / (1.0 - spec_b.contraction_bound()) + 1e-9)
 
@@ -413,7 +404,7 @@ def _invariants(config: ExperimentConfig):
     rpts = spec_r.grid(base).points[:: 37]
     fexp = registry("exp")
     lhs = disc_r.apply_rep(disc_r.rep(fexp), rpts)
-    rhs = np.array([mkz_apply(5, fexp.reflected(), 1.0 - x, 1e-10) for x in rpts])
+    rhs = mkz_apply(5, fexp.reflected(), 1.0 - rpts, 1e-10)
     add("mkz-reflection-identity", np.max(np.abs(lhs - rhs)), 1e-8)
 
     # Second-moment asymptotic: the sup of |n(Z_n e2 - e2) - x(1-x)^2|/psi
@@ -422,7 +413,7 @@ def _invariants(config: ExperimentConfig):
     for nn in (4, 8, 16, 32):
         spec_a = OperatorSpec("mkz", nn, truncation_eps=1e-10)
         apts = spec_a.grid(base).points
-        m2a = np.array([moment(spec_a, 2, x) for x in apts])
+        m2a = moment(spec_a, 2, apts)
         lead = apts * (1.0 - apts) ** 2
         errs.append(np.max(np.abs(nn * m2a - lead) / psi(apts)))
     add("mkz-moment-asymptotic-order", max(b / a for a, b in zip(errs, errs[1:])), 0.7)

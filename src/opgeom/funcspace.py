@@ -25,6 +25,7 @@ __all__ = [
     "EvaluationGrid",
     "default_grid",
     "PsiNormEstimate",
+    "psi_sup",
     "psi_norm",
     "apply_B1",
     "project_to_Cpsi",
@@ -292,17 +293,24 @@ class PsiNormEstimate:
         return self.value
 
 
+def psi_sup(values, points) -> float:
+    """max |values| / psi(points): the weighted sup of samples at interior
+    points (inf or nan if a ratio overflows)."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(values) / psi(points)))
+
+
 def psi_norm(f: Function01, grid: Optional[EvaluationGrid] = None) -> PsiNormEstimate:
     """Estimate the weighted sup norm of f on a grid of interior points."""
     grid = grid or default_grid()
     x = grid.points
-    with np.errstate(over="ignore"):
-        ratios = np.abs(f(x)) / psi(x)
-    if not np.all(np.isfinite(ratios)):
+    vals = np.abs(f(x))
+    value = psi_sup(vals, x)
+    if not math.isfinite(value):
         raise OverflowError("|f|/psi exceeds the representable range; "
                             "f is numerically outside the weighted space")
-    i = int(np.argmax(ratios))
-    return PsiNormEstimate(value=float(ratios[i]), argmax_point=float(x[i]), grid=grid)
+    i = int(np.argmax(vals / psi(x)))
+    return PsiNormEstimate(value=value, argmax_point=float(x[i]), grid=grid)
 
 
 def apply_B1(f: Function01) -> Function01:
@@ -335,6 +343,8 @@ def project_to_Cpsi(f: Function01) -> Function01:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_CAP = 1024
+_START_PANELS = 1  # panels per segment before the first doubling
+_STALL_BUDGET = 1e-3  # largest accumulated stall bound a transform accepts
 
 
 def _segment_integrals(f, a, b, start_panels, fmax_hint):
@@ -383,8 +393,7 @@ class _CachedTransform:
     by the finite-difference probes of the second derivative).
     """
 
-    def __init__(self, f: Function01, grid: EvaluationGrid, start_panels: int,
-                 stall_budget: float):
+    def __init__(self, f: Function01, grid: EvaluationGrid):
         self.f = f
         anchors = np.concatenate(([0.0], grid.points, [1.0]))
         n_seg = anchors.size - 1
@@ -394,21 +403,20 @@ class _CachedTransform:
         fmax = 0.0
         for j in range(n_seg):
             ia, ib, e, fmax = _segment_integrals(
-                f, anchors[j], anchors[j + 1], start_panels, fmax)
+                f, anchors[j], anchors[j + 1], _START_PANELS, fmax)
             seg_a[j] = ia
             seg_b[j] = ib
             err += e
-        if err > stall_budget:
+        if err > _STALL_BUDGET:
             raise QuadratureError(
                 f"panel refinement stalled: residual bound {err:.3e} "
-                f"exceeds budget {stall_budget:.3e}")
+                f"exceeds budget {_STALL_BUDGET:.3e}")
         self.anchors = anchors
         # cum_a[i] = int_0^anchor_i t f ; cum_b likewise for (1-t) f
         self.cum_a = np.concatenate(([0.0], np.cumsum(seg_a)))
         self.cum_b = np.concatenate(([0.0], np.cumsum(seg_b)))
         self.total_b = float(self.cum_b[-1])
         self.error_bound = err
-        self.start_panels = start_panels
         self._memo = {}
 
     def _partials(self, x: float):
@@ -417,7 +425,7 @@ class _CachedTransform:
         a0 = self.anchors[j]
         if x == a0:
             return float(self.cum_a[j]), float(self.cum_b[j])
-        ia, ib, _, _ = _segment_integrals(self.f, a0, x, self.start_panels, 0.0)
+        ia, ib, _, _ = _segment_integrals(self.f, a0, x, _START_PANELS, 0.0)
         return float(self.cum_a[j] + ia), float(self.cum_b[j] + ib)
 
     def value(self, x: float) -> float:
@@ -435,19 +443,18 @@ class _CachedTransform:
         return np.array([self.value(float(v)) for v in xs])
 
 
-def F_transform(f: Function01, quad_panels: int = 1,
-                grid: Optional[EvaluationGrid] = None,
-                stall_budget: float = 1e-3) -> Function01:
+def F_transform(f: Function01,
+                grid: Optional[EvaluationGrid] = None) -> Function01:
     """Kernel transform of f, cached on the evaluation grid.
 
     The result vanishes at both endpoints and its second derivative equals
     -f on (0, 1).  Quadrature error is below 1e-10 for f with a bounded
     second derivative; for bounded f that oscillates near the endpoints,
-    the accumulated stall bound is checked against stall_budget and stored
-    on the result as quad_error_bound.
+    the accumulated stall bound is checked against _STALL_BUDGET (a
+    QuadratureError above it) and stored on the result as quad_error_bound.
     """
     grid = grid or default_grid()
-    cache = _CachedTransform(f, grid, quad_panels, stall_budget)
+    cache = _CachedTransform(f, grid)
     out = Function01(cache)
     out.quad_error_bound = cache.error_bound  # type: ignore[attr-defined]
     return out

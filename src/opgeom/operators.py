@@ -1,6 +1,6 @@
 """The three operator families behind one interface: pointwise application,
 finite node discretization with a transfer matrix, central moments, and the
-contraction profile alpha = 1 - L(psi)/psi.
+contraction profile alpha = 1 - L(psi)/psi = M_2/psi.
 
 Each family tag maps to one Family record in the table at the end of this
 module; OperatorSpec and the module functions look the record up instead
@@ -23,6 +23,12 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                (1/2, 1/2) transfer is two parity blocks indexed by the
                series index k of the mirror pair (k/(n+k), n/(n+k)).
 
+Pointwise quantities (apply, moment, alpha, the mixed condition bound)
+take arrays of points; for the series families they all go through one
+blocked weight-sum kernel, _mkz_sum.  apply truncates each branch at
+share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
+those moments.
+
 OperatorSpec and NodeDiscretization are immutable after construction; all
 apply/moment operations are pure.
 """
@@ -42,7 +48,7 @@ from .errors import (DegenerateOperatorError, DomainError, QuadratureError,
                      TruncationBudgetError)
 from .funcspace import (EvaluationGrid, Function01, default_grid, psi)
 from .special import (bernstein_basis_matrix, log_beta, log_binomial,
-                      mkz_weight_matrix, mkz_weight_row)
+                      mkz_weight_matrix)
 
 __all__ = [
     "FAMILIES",
@@ -66,6 +72,7 @@ __all__ = [
 _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
 _ROW_BLOCK = 512  # carrier rows built per weight-matrix call
+_SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 
 
 @dataclass(frozen=True)
@@ -74,15 +81,18 @@ class Family:
 
     shares weights the plain and the reflected series branch (the
     Meyer-Koenig-Zeller tags); the exact families have no series branch.
-    The callables take the OperatorSpec as their first argument.
+    The callables take the OperatorSpec as their first argument.  The
+    exact families give alpha in closed form; the series families take
+    it as moment(2)/psi, with each branch's moments truncated at the one
+    tail 0.1 * truncation_eps.
     """
 
     min_n: int
     param: Optional[str]  # parameter that must be given and positive
     contraction: Callable  # certified upper bound on |L(psi)|_psi
     apply: Callable  # (spec, f, x) -> L(f)(x)
-    moment: Callable  # (spec, k, x) -> central moment at one point
-    alpha: Callable  # (spec, xs) -> 1 - L(psi)/psi at the points xs
+    moment: Callable  # (spec, k, xs) -> central moments at the points xs
+    alpha: Callable  # (spec, xs) -> 1 - L(psi)/psi = M_2/psi at the points xs
     carrier: Callable  # spec -> NodeDiscretization
     shares: tuple = (0.0, 0.0)
     default_n_list: tuple = (4, 8, 16, 32)
@@ -343,21 +353,63 @@ def mkz_truncation_index(n: int, x: float, tail: float,
     return k
 
 
+def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
+    """Each point's own series depth at tail; 0 at t = 1 (the point mass)."""
+    return np.array([0 if t == 1.0 else mkz_truncation_index(n, t, tail)
+                     for t in ts.tolist()], dtype=np.int64)
+
+
+def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
+             integrand: Callable) -> np.ndarray:
+    """sum_k w_k(t) prod_j g_j[k] at every point t of the plain series,
+    k = 0..depth: the one evaluator of every pointwise series quantity.
+
+    integrand(nodes, rows) returns the factors g_j at the nodes k/(n+k)
+    for the points ts[rows], each broadcastable to (rows, nodes), and the
+    weights are multiplied by them in place.  Rows are sorted by depth and
+    taken in blocks of at most _SUM_CELLS weight cells (a deeper row
+    alone), each truncated at its deepest row, so a row keeps at least its
+    own depth.  Small blocks stay in cache and keep the peak memory flat.
+    A point t = 1 is the point mass at node 1.
+    """
+    out = np.empty(ts.size)
+    at_end = ts == 1.0
+    if at_end.any():
+        rows = np.flatnonzero(at_end)
+        out[rows] = _row_sums(np.ones((rows.size, 1)), integrand(np.ones(1), rows))
+    order = np.flatnonzero(~at_end)
+    order = order[np.argsort(depths[order], kind="stable")]
+    start = 0
+    while start < order.size:
+        stop = start + 1
+        while (stop < order.size
+               and (stop + 1 - start) * (depths[order[stop]] + 1) <= _SUM_CELLS):
+            stop += 1
+        rows = order[start:stop]
+        k = np.arange(depths[rows[-1]] + 1)
+        w = mkz_weight_matrix(n, ts[rows], k.size - 1)
+        out[rows] = _row_sums(w, integrand(k / (n + k), rows))
+        start = stop
+    return out
+
+
+def _row_sums(w: np.ndarray, factors) -> np.ndarray:
+    """Row sums of w times the factors, multiplied into w in place."""
+    for g in factors:
+        w *= g
+    return w.sum(axis=1)
+
+
 def mkz_apply(n: int, f: Function01, x, eps: float):
     """Series operator value with certified tail <= eps * sup|f|."""
     if n < 1:
         raise DomainError("mkz requires n >= 1")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    if np.ndim(x):
-        return np.array([mkz_apply(n, f, float(v), eps) for v in np.asarray(x)])
-    x = float(x)
-    if x == 1.0:
-        return float(f(1.0))
-    k = mkz_truncation_index(n, x, eps)
-    w = mkz_weight_row(n, x, k)
-    nodes = np.arange(k + 1) / (n + np.arange(k + 1))
-    return float(w @ np.asarray(f(nodes), dtype=float))
+    ts = np.atleast_1d(np.asarray(x, dtype=float))
+    out = _mkz_sum(n, ts, _mkz_depths(n, ts, eps),
+                   lambda nodes, rows: (np.asarray(f(nodes), dtype=float),))
+    return out if np.ndim(x) else float(out[0])
 
 
 def _mkz_mix(shares, branch):
@@ -376,98 +428,58 @@ def _mkz_family_apply(spec: OperatorSpec, f: Function01, x):
     """Share-weighted plain and reflected series values; the reflected
     branch is the plain series of f(1-t) at 1-x, and each branch is
     truncated at share * eps."""
-    if np.ndim(x):
-        return np.array([_mkz_family_apply(spec, f, float(v)) for v in np.asarray(x)])
-    x = float(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
 
     def branch(share, reflect):
-        g, t = (f.reflected(), 1.0 - x) if reflect else (f, x)
+        g, t = (f.reflected(), 1.0 - xs) if reflect else (f, xs)
         return mkz_apply(spec.n, g, t, share * spec.truncation_eps)
 
-    return _mkz_mix(spec.record.shares, branch)
+    out = _mkz_mix(spec.record.shares, branch)
+    return out if np.ndim(x) else float(out[0])
 
 
-def _mkz_central_moment(n: int, kpow: int, x: float, tail: float) -> float:
-    """Central moment of the plain series operator at x."""
-    if x == 1.0:
-        return 1.0 if kpow == 0 else 0.0
-    k = mkz_truncation_index(n, x, tail)
-    w = mkz_weight_row(n, x, k)
-    nodes = np.arange(k + 1) / (n + np.arange(k + 1))
-    return float(w @ (nodes - x) ** kpow)
-
-
-def _mkz_moment(spec: OperatorSpec, k: int, x: float) -> float:
-    def branch(share, reflect):
-        tail = share * spec.truncation_eps
-        if reflect:
-            return (-1.0) ** k * _mkz_central_moment(spec.n, k, 1.0 - x, tail)
-        return _mkz_central_moment(spec.n, k, x, tail)
-
-    return _mkz_mix(spec.record.shares, branch)
-
-
-def _mkz_weight_grid(n: int, xs: np.ndarray, tail: float):
-    """Stacked weight rows for many points, sized by the deepest point.
-
-    Returns (W, nodes); each row's omitted tail is below `tail` by the
-    a-priori bound, and the realized row-sum deficit gives the exact
-    omitted mass.
-    """
-    xs = np.asarray(xs, dtype=float)
-    kmax = max(mkz_truncation_index(n, float(v), tail) for v in xs)
-    w = mkz_weight_matrix(n, xs, kmax)
-    nodes = np.arange(kmax + 1) / (n + np.arange(kmax + 1))
-    return w, nodes
-
-
-def _m2_vec(n: int, xs: np.ndarray, tail: float) -> np.ndarray:
-    """Plain-series second central moments at many points (vectorized)."""
-    w, nodes = _mkz_weight_grid(n, xs, tail)
-    d = nodes[None, :] - xs[:, None]
-    return np.einsum("ij,ij->i", w, d * d)
-
-
-def _mkz_alpha(spec: OperatorSpec, xs: np.ndarray) -> np.ndarray:
+def _mkz_moment(spec: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
+    """Share-weighted central moments, each branch truncated at the one
+    moment tail 0.1 * truncation_eps; the reflected branch is the plain
+    moment at 1 - x with the sign of (-1)^k."""
     tail = 0.1 * spec.truncation_eps
-    m2 = _mkz_mix(spec.record.shares, lambda share, reflect: _m2_vec(
-        spec.n, 1.0 - xs if reflect else xs, tail))
-    return m2 / psi(xs)
+
+    def branch(share, reflect):
+        t = 1.0 - xs if reflect else xs
+        m = _mkz_sum(spec.n, t, _mkz_depths(spec.n, t, tail),
+                     lambda nodes, rows: (nodes - t[rows, None],) * k)
+        return (-1.0) ** k * m if reflect else m
+
+    return _mkz_mix(spec.record.shares, branch)
 
 
 # ---------------------------------------------------------------------------
 # Moments and the contraction profile
 # ---------------------------------------------------------------------------
 
-def _shifted_power_coeffs(kpow: int, x: float) -> np.ndarray:
-    """(t - x)^kpow expanded in powers of t."""
-    out = np.array([math.comb(kpow, j) * (-x) ** (kpow - j)
-                    for j in range(kpow + 1)])
-    return out
-
-
-def _bernstein_moment(op: OperatorSpec, k: int, x: float) -> float:
+def _bernstein_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
     nodes = np.arange(op.n + 1) / op.n
-    row = bernstein_basis_matrix(op.n, np.array([x]))[0]
-    return float(row @ (nodes - x) ** k)
+    return np.einsum("ik,ik->i", bernstein_basis_matrix(op.n, xs),
+                     (nodes[None, :] - xs[:, None]) ** k)
 
 
-def _durrmeyer_moment(op: OperatorSpec, k: int, x: float) -> float:
-    coeffs = _shifted_power_coeffs(k, x)
-    mono = _durrmeyer_monomial_moments(op.n, op.rho, k)
-    interior = mono @ coeffs  # functional values of (t-x)^k, k = 1..n-1
-    full = np.concatenate(([(0.0 - x) ** k], interior, [(1.0 - x) ** k]))
-    row = bernstein_basis_matrix(op.n, np.array([x]))[0]
-    return float(row @ full)
+def _durrmeyer_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
+    # functional values of (t - x)^k = sum_j C(k, j) (-x)^(k-j) t^j: exact
+    # monomial moments for the interior indices, the endpoint terms directly
+    j = np.arange(k + 1)
+    coeffs = np.array([float(math.comb(k, i)) for i in j]) * (-xs[:, None]) ** (k - j)
+    interior = _durrmeyer_monomial_moments(op.n, op.rho, k) @ coeffs.T
+    full = np.vstack(((0.0 - xs) ** k, interior, (1.0 - xs) ** k))
+    return np.einsum("ik,ki->i", bernstein_basis_matrix(op.n, xs), full)
 
 
 def moment(op: OperatorSpec, k: int, x):
-    """Central moment L((e1 - x e0)^k)(x)."""
-    if k < 0:
-        raise DomainError("moment order must be >= 0")
-    if np.ndim(x):
-        return np.array([moment(op, k, float(v)) for v in np.asarray(x)])
-    return op.record.moment(op, k, float(x))
+    """Central moment L((e1 - x e0)^k)(x) at a point (a float) or at an
+    array of points (an array)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise DomainError(f"moment order must be an integer >= 0, got {k!r}")
+    out = op.record.moment(op, k, np.atleast_1d(np.asarray(x, dtype=float)))
+    return out if np.ndim(x) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -766,53 +778,41 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
     for n in n_list:
         spec = OperatorSpec(family=family, n=n, rho=rho,
                             truncation_eps=truncation_eps)
-        fam_grid = spec.grid(grid)
-        xs = fam_grid.points
         prof = alpha_profile(spec, grid)
-        m2 = np.array([moment(spec, 2, float(v)) for v in xs])
-        m4 = np.array([moment(spec, 4, float(v)) for v in xs])
-        sup_ratio = float(np.max(m4 / m2))
+        xs = prof.grid.points
+        sup_ratio = float(np.max(moment(spec, 4, xs) / moment(spec, 2, xs)))
         rows.append({"n": n, "sup_m4_over_m2": sup_ratio,
-                     "eta": prof.eta, "cond55": _cond55_sup(spec, prof, xs)})
+                     "eta": prof.eta, "cond55": _cond55_sup(spec, prof)})
     return rows
 
 
-def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile, xs: np.ndarray) -> float:
-    """sup over the grid of L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x))."""
+def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
+    """sup over the profile grid of L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x)),
+    each branch truncated at the moment tail 0.1 * truncation_eps."""
     if not spec.record.series:
         return 0.0  # alpha is constant: the integrand vanishes
-    shares = spec.record.shares
-    n = spec.n
+    n, xs = spec.n, prof.grid.points
     tail = 0.1 * spec.truncation_eps
-    memo = {}
-
-    def alpha_at(points: np.ndarray) -> np.ndarray:
-        out = np.empty(points.size)
-        for i, t in enumerate(points):
-            val = memo.get(t)
-            if val is None:
-                if t == 0.0 or t == 1.0:
-                    # alpha extends continuously; endpoint nodes carry no
-                    # psi weight in the integrand anyway
-                    val = float(prof.alpha_values[0 if t == 0.0 else -1])
-                else:
-                    m2 = _mkz_mix(shares, lambda share, reflect, t=t:
-                                  _mkz_central_moment(n, 2, 1.0 - t if reflect else t,
-                                                      tail))
-                    val = m2 / psi(t)
-                memo[t] = val
-            out[i] = val
-        return out
-
-    a_x = prof.alpha(xs)
+    used = [(share, 1.0 - xs if reflect else xs, reflect)
+            for share, reflect in zip(spec.record.shares, (False, True)) if share]
+    depths = [_mkz_depths(n, t, tail) for _, t, _ in used]
+    k = np.arange(max(int(d.max()) for d in depths) + 1)
+    # each branch's nodes in x, one row per branch, and alpha at them from
+    # one call; the endpoint nodes carry no psi weight
+    at = np.stack([n / (n + k) if reflect else k / (n + k)
+                   for _, _, reflect in used])
+    a_nodes = np.zeros(at.shape)
+    inner = (at > 0.0) & (at < 1.0)
+    a_nodes[inner] = spec.record.alpha(spec, at[inner])
     acc = np.zeros(xs.size)
-    for share, reflect in zip(shares, (False, True)):
-        if share:
-            w, nodes = _mkz_weight_grid(n, 1.0 - xs if reflect else xs, tail)
-            if reflect:
-                nodes = 1.0 - nodes
-            integ = psi(nodes)[None, :] * np.abs(alpha_at(nodes)[None, :] - a_x[:, None])
-            acc += share * np.einsum("ij,ij->i", w, integ)
+    for (share, t, _), d, a_b, psi_b in zip(used, depths, a_nodes, psi(at)):
+        def integrand(nodes, rows, a_b=a_b, psi_b=psi_b):
+            g = a_b[None, :nodes.size] - prof.alpha_values[rows, None]
+            np.abs(g, out=g)
+            g *= psi_b[:nodes.size]
+            return (g,)
+
+        acc += share * _mkz_sum(n, t, d, integrand)
     return float(np.max(acc / (prof.nu ** 2 * psi(xs))))
 
 
@@ -826,7 +826,8 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile, xs: np.ndarray) -> float
 # contraction at their hard endpoint, where their second moment over psi
 # vanishes, so their bound is 1 and they stay outside the Lambda class.
 _MKZ = Family(min_n=1, param="truncation_eps", contraction=lambda s: 1.0,
-              apply=_mkz_family_apply, moment=_mkz_moment, alpha=_mkz_alpha,
+              apply=_mkz_family_apply, moment=_mkz_moment,
+              alpha=lambda s, xs: moment(s, 2, xs) / psi(xs),
               carrier=_mkz_disc, shares=(1.0, 0.0), default_eps=1e-6)
 
 _FAMILY_TABLE = {

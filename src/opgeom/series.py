@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
-from .funcspace import EvaluationGrid, Function01, psi, psi_norm
+from .funcspace import EvaluationGrid, Function01, psi_norm, psi_sup
 from .operators import NodeDiscretization, OperatorSpec, node_discretization
 
 __all__ = [
@@ -103,8 +103,7 @@ def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
                    grid: EvaluationGrid) -> float:
     # (I - L) g - f off the nodes is the image of acc - rep0 - T acc.
     defect = acc - rep0 - disc.advance(acc)
-    vals = disc.apply_rep(defect, grid.points)
-    return float(np.max(np.abs(vals) / psi(grid.points)))
+    return psi_sup(disc.apply_rep(defect, grid.points), grid.points)
 
 
 def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
@@ -319,16 +318,10 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
     rep0 = disc.rep(f)
 
     # h = (I - L) f has the same representation algebra in every carrier:
-    # rep(h) = rep(f) - T rep(f).
-    rep_h = rep0 - disc.advance(rep0)
-
-    def h_eval(x, base=f, d=disc, r=rep0):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.asarray(base(xs), dtype=float) - d.apply_rep(r, xs)
-
-    h_norm = float(np.max(np.abs(h_eval(fam_grid.points)) / psi(fam_grid.points)))
-    (res2,) = _neumann_sweep(op, disc, [h_eval], [rep_h], [h_norm], eps, fam_grid)
-    diff = np.asarray(res2.g(fam_grid.points), dtype=float) - np.asarray(
-        f(fam_grid.points), dtype=float)
-    second = float(np.max(np.abs(diff) / psi(fam_grid.points)))
+    # rep(h) = rep(f) - T rep(f), and off the nodes h = f + L(-rep(f)).
+    h = _series_function(f, disc, -rep0)
+    pts = fam_grid.points
+    (res2,) = _neumann_sweep(op, disc, [h], [rep0 - disc.advance(rep0)],
+                             [psi_sup(h(pts), pts)], eps, fam_grid)
+    second = psi_sup(np.asarray(res2.g(pts)) - np.asarray(f(pts)), pts)
     return res1.residual_psi_norm, second

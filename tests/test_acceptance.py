@@ -26,9 +26,8 @@ from opgeom.funcspace import (F_transform, default_grid,
                               psi_norm, registry)
 from opgeom.operators import (OperatorSpec, alpha_profile,
                               durrmeyer_functional, moment,
-                              node_discretization, _mkz_weight_grid)
+                              node_discretization)
 from opgeom.series import check_inversion_identities, geometric_series
-from opgeom.special import bernstein_basis_matrix
 
 BASE = default_grid()
 N_SWEEP = range(2, 33)
@@ -42,12 +41,6 @@ def series_one(op, f, eps, method):
     """The series entry's result for the single input f on BASE."""
     (res,) = geometric_series(op, [f], eps, BASE, method=method)
     return res
-
-
-def bernstein_central_moments(n, pts, kpow):
-    nodes = np.arange(n + 1) / n
-    p = bernstein_basis_matrix(n, pts)
-    return np.einsum("ik,ik->i", p, (nodes[None, :] - pts[:, None]) ** kpow)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +72,9 @@ def test_criterion_01_bernstein_moment_identities():
     pts = BASE.points
     worst2 = worst4 = 0.0
     for n in N_SWEEP:
-        m2 = bernstein_central_moments(n, pts, 2)
+        m2 = moment(OperatorSpec("bernstein", n), 2, pts)
         worst2 = max(worst2, float(np.max(np.abs(m2 - psi(pts) / n))))
-        m4 = bernstein_central_moments(n, pts, 4)
+        m4 = moment(OperatorSpec("bernstein", n), 4, pts)
         ratio_ref = (3.0 / n - 6.0 / n ** 2) * psi(pts) + 1.0 / n ** 2
         worst4 = max(worst4, float(np.max(np.abs(m4 / m2 - ratio_ref))))
     assert worst2 <= 1e-12
@@ -93,8 +86,8 @@ def test_criterion_02_bernstein_ratio_bound():
     pts = BASE.points
     worst = -np.inf
     for n in N_SWEEP:
-        m2 = bernstein_central_moments(n, pts, 2)
-        m4 = bernstein_central_moments(n, pts, 4)
+        m2 = moment(OperatorSpec("bernstein", n), 2, pts)
+        m4 = moment(OperatorSpec("bernstein", n), 4, pts)
         slack = np.max(m4 / m2) - (0.75 / n - 0.5 / n ** 2)
         worst = max(worst, float(slack))
     assert worst <= 1e-12
@@ -107,10 +100,10 @@ def test_criterion_03_durrmeyer_moments():
     for n in (4, 8, 16):
         for rho in (0.5, 1.0, 2.0):
             spec = OperatorSpec("durrmeyer", n, rho=rho)
-            m2 = np.array([moment(spec, 2, float(x)) for x in pts])
+            m2 = moment(spec, 2, pts)
             ref2 = (rho + 1.0) * psi(pts) / (n * rho + 1.0)
             worst2 = max(worst2, float(np.max(np.abs(m2 - ref2))))
-            m4 = np.array([moment(spec, 4, float(x)) for x in pts])
+            m4 = moment(spec, 4, pts)
             denom = (n * rho + 1.0) * (n * rho + 2.0) * (n * rho + 3.0)
             ref4 = (3.0 * rho * (rho + 1.0) ** 2 * psi(pts) ** 2 * n
                     + (-6.0 * (rho + 1.0) * (rho ** 2 + 3.0 * rho + 3.0)
@@ -295,15 +288,14 @@ def test_criterion_09_second_moment_lower_bounds():
     for n in range(3, 17):
         spec = OperatorSpec("mkz", n, truncation_eps=1e-10)
         pts = spec.grid(BASE).points
-        w, nodes = _mkz_weight_grid(n, pts, 1e-10)
-        m2 = np.einsum("ij,ij->i", w, (nodes[None, :] - pts[:, None]) ** 2)
+        m2 = moment(spec, 2, pts)
         lo = pts * (1 - pts) ** 2 / (n + 1) * (1 + 2 * pts / (n + 2))
         viol = float(np.max(lo - m2))
         assert viol <= 1e-10, n
         worst = max(worst, viol)
         spec_s = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-10)
         spts = spec_s.grid(BASE).points
-        m2s = np.array([moment(spec_s, 2, float(x)) for x in spts[::4]])
+        m2s = moment(spec_s, 2, spts[::4])
         los = psi(spts[::4]) / (2 * (n + 1)) * (1 + 4 * psi(spts[::4]) / (n + 2))
         viol_s = float(np.max(los - m2s))
         assert viol_s <= 1e-10, n
@@ -324,8 +316,7 @@ def test_criterion_09_second_moment_upper_bounds():
     for n in range(3, 17):
         spec = OperatorSpec("mkz", n, truncation_eps=1e-10)
         pts = spec.grid(BASE).points
-        w, nodes = _mkz_weight_grid(n, pts, 1e-10)
-        m2 = np.einsum("ij,ij->i", w, (nodes[None, :] - pts[:, None]) ** 2)
+        m2 = moment(spec, 2, pts)
         hi = pts * (1 - pts) ** 2 / (n + 1) * (1 + 2 * pts / (n + 1))
         assert float(np.max(m2 - hi)) <= 1e-10, n
 
@@ -352,8 +343,7 @@ def test_criterion_10_moment_asymptotic_rate():
         for n in (4, 8, 16, 32):
             spec = OperatorSpec("mkz", n, truncation_eps=1e-10)
             pts = spec.grid(BASE).points
-            w, nodes = _mkz_weight_grid(n, pts, 1e-10)
-            vals = w @ nodes ** r
+            vals = spec.apply(registry(f"e{r}"), pts)
             lead = math.comb(r, 2) * pts ** (r - 1) * (1 - pts) ** 2
             errs.append(float(np.max(
                 np.abs(n * (vals - pts ** r) - lead) / psi(pts))))

@@ -1,0 +1,82 @@
+"""Randomized properties of the pointwise operator quantities, moment and
+apply, over families, orders and interior point sets.
+
+Every series value is within its truncation tail of the operator's exact
+value, so two evaluations of one quantity may differ by twice that tail:
+at most 0.1 * eps per unit share for a moment, eps * sup|f| for apply.
+The runs are derandomized, so the examples are the same on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from opgeom.funcspace import registry
+from opgeom.operators import FAMILIES, OperatorSpec, family_record, moment
+
+EPS = 1e-10
+ROUNDING = 1e-12
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=20)
+
+
+@st.composite
+def specs_and_points(draw, families=FAMILIES):
+    """An operator of a random family and order, and 1..12 points inside
+    its certified interval."""
+    family = draw(st.sampled_from(families))
+    fam = family_record(family)
+    n = draw(st.integers(fam.min_n, 12))
+    rho = draw(st.sampled_from((1.0, 2.0))) if fam.param == "rho" else None
+    spec = OperatorSpec(family, n, rho=rho,
+                        truncation_eps=EPS if fam.series else None)
+    lo, hi = spec.certified_interval()
+    u = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12))
+    return spec, lo + (hi - lo) * np.array(u)
+
+
+def moment_tail(spec):
+    return 0.1 * EPS if spec.record.series else 0.0
+
+
+@PROPERTY
+@given(specs_and_points(), st.integers(0, 4))
+def test_vector_moment_matches_per_point_calls(case, k):
+    spec, xs = case
+    each = np.array([moment(spec, k, float(x)) for x in xs])
+    gap = moment(spec, k, xs) - each
+    assert np.max(np.abs(gap)) <= 2 * moment_tail(spec) + ROUNDING
+
+
+@PROPERTY
+@given(specs_and_points(), st.sampled_from(("e2", "psi", "abs_half", "osc")))
+def test_vector_apply_matches_per_point_calls(case, name):
+    spec, xs = case
+    f = registry(name)
+    each = np.array([spec.apply(f, float(x)) for x in xs])
+    tail = EPS * 1.0 if spec.record.series else 0.0  # sup|f| <= 1 on [0, 1]
+    assert np.max(np.abs(spec.apply(f, xs) - each)) <= 2 * tail + ROUNDING
+
+
+@PROPERTY
+@given(specs_and_points())
+def test_order_zero_and_one_moments(case):
+    spec, xs = case
+    tail = moment_tail(spec)
+    assert np.max(np.abs(moment(spec, 0, xs) - 1.0)) <= tail + ROUNDING
+    assert np.max(np.abs(moment(spec, 1, xs))) <= tail + ROUNDING
+
+
+@PROPERTY
+@given(specs_and_points())
+def test_apply_is_positive(case):
+    spec, xs = case
+    assert np.min(spec.apply(registry("abs_half"), xs)) >= 0.0
+
+
+@PROPERTY
+@given(specs_and_points(families=("mkz-symmetric",)), st.integers(0, 4))
+def test_symmetric_moments_mirror(case, k):
+    # even moments are symmetric under x -> 1 - x, odd ones antisymmetric
+    spec, xs = case
+    gap = moment(spec, k, 1.0 - xs) - (-1.0) ** k * moment(spec, k, xs)
+    assert np.max(np.abs(gap)) <= 2 * moment_tail(spec) + ROUNDING

@@ -13,7 +13,13 @@ bernstein      node values at k/n; the transfer matrix is the basis matrix
 durrmeyer      coefficients in the Bernstein basis: the image of f is
                sum_k c_k(f) p_{n,k} with c_k the Beta-density functionals,
                so one application advances the coefficient vector by the
-               matrix c_i(p_{n,j}) (exact; entries in closed Beta form).
+               matrix c_i(p_{n,j}) (exact): row i is the beta-binomial
+               law, built by its positive ratio recurrence and divided
+               by its sum, so every row has unit mass.  All n - 1
+               functionals of an input come from one batched Gauss-Jacobi
+               kernel with unit-mass weights (closed-form monomial
+               moments for polynomial inputs); no log-Gamma constant
+               enters either.
 mkz families   the plain series operator (nodes k/(n+k)) and its
                reflection (nodes n/(n+k)) mixed with shares (1, 0), (0, 1)
                and (1/2, 1/2); each series is truncated at a depth sized
@@ -42,7 +48,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (DegenerateOperatorError, DomainError, QuadratureError,
                      TruncationBudgetError)
@@ -73,6 +78,8 @@ _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
 _ROW_BLOCK = 512  # carrier rows built per weight-matrix call
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
+_GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
+_GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 
 
 @dataclass(frozen=True)
@@ -212,9 +219,18 @@ def durrmeyer_functional(n: int, k: int, rho: float, f: Function01,
                          method: str = "auto") -> float:
     """Integral of f against the Beta(k rho, (n-k) rho) density.
 
-    Polynomial inputs go through exact monomial moments; everything else
-    uses Gauss-Jacobi quadrature whose weight absorbs the endpoint
-    singularities that appear when k rho < 1 or (n-k) rho < 1.
+    Polynomial inputs go through exact monomial moments ("auto" and
+    "closed-form"); everything else ("auto" and "quadrature") is the row k
+    of the batched Gauss-Jacobi kernel _durrmeyer_quadrature.  Its rules
+    come from the Golub-Welsch construction in numpy: nodes are the
+    eigenvalues of the Jacobi matrix of the Beta density, weights the
+    Christoffel numbers from the orthonormal three-term recurrence,
+    normalized to unit mass, so no Beta-function constant enters.  The
+    weight absorbs the endpoint singularities that appear when k rho < 1
+    or (n-k) rho < 1.  A row settles once two successive rules agree to
+    1e-13 relative; a row that does not settle by 192 points takes
+    endpoint-graded composite panels when the density is bounded, is
+    accepted at 1e-4, or raises QuadratureError.
     """
     if not 1 <= k <= n - 1:
         raise DomainError(f"functional index k={k} outside [1, {n - 1}]")
@@ -225,31 +241,93 @@ def durrmeyer_functional(n: int, k: int, rho: float, f: Function01,
     if method != "quadrature" and f.poly_coeffs is not None:
         coeffs = np.asarray(f.poly_coeffs)
         moments = _durrmeyer_monomial_moments(n, rho, len(coeffs) - 1)[k - 1]
-        return float(coeffs @ moments[: len(coeffs)])
+        return float(coeffs @ moments)
     if method == "closed-form":
         raise DomainError("closed form needs a polynomial input")
-    a = k * rho
-    b = (n - k) * rho
-    log_norm = (1.0 - a - b) * math.log(2.0) - log_beta(a, b)
-    prev = None
-    delta = math.inf
-    for m in (24, 48, 96, 192):
-        ynodes, yweights = roots_jacobi(m, b - 1.0, a - 1.0)
-        t = 0.5 * (ynodes + 1.0)
-        val = float(yweights @ np.asarray(f(t), dtype=float)) * math.exp(log_norm)
-        if prev is not None:
-            delta = abs(val - prev)
-            if delta <= 1e-13 * max(1.0, abs(val)):
-                return val
-        prev = val
-    # Global polynomial quadrature converges only algebraically for kinked
-    # or endpoint-oscillatory f; fall back to endpoint-graded composite
-    # panels when the weight itself is bounded.
-    if a >= 1.0 and b >= 1.0:
-        return _beta_integral_composite(a, b, f)
-    if delta <= 1e-4 * max(1.0, abs(val)):
-        return val
-    raise QuadratureError(f"Gauss-Jacobi did not settle for k={k}, rho={rho}")
+    return float(_durrmeyer_quadrature(n, rho, f, np.array([k]))[0])
+
+
+def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
+    """m-point Gauss rules of the Beta(a[r], b[r]) densities on [0, 1]:
+    nodes and unit-mass weights, each of shape (rows, m).
+
+    The Jacobi matrix is that of the Jacobi weight (alpha, beta) =
+    (b - 1, a - 1) mapped to [0, 1], with the j = 0 and j = 1 entries in
+    closed form (the general ones are 0/0 when a + b is 1 or 2).  Each
+    rule is built for the density with its mass toward 0 (a <= b), whose
+    small nodes the eigensolver resolves to high relative accuracy, and
+    reflected by t -> 1 - t where a > b.  Nodes whose recurrence overflows
+    carry weight below the smallest double and get weight 0.
+    """
+    flip = (a > b)[:, None]
+    a, b = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+    s = a + b - 2.0
+    j = np.arange(m)
+    c = 2.0 * j + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (2.0 * j * j + 2.0 * j * (s + 1.0) + a * s) / (c * (c + 2.0))
+        off2 = (j * (j + b - 1.0) * (j + a - 1.0) * (j + s)
+                / (c * c * (c + 1.0) * (c - 1.0)))
+    diag[:, 0] = (a / (a + b))[:, 0]
+    off2[:, 0] = 0.0
+    off2[:, 1] = (a * b / ((a + b) ** 2 * (a + b + 1.0)))[:, 0]
+    off = np.sqrt(off2)  # off[:, j] couples rows j - 1 and j
+    jac = np.zeros((a.shape[0], m, m))
+    rows = np.arange(m)
+    jac[:, rows, rows] = diag
+    jac[:, rows[1:], rows[:-1]] = off[:, 1:]
+    t = np.linalg.eigvalsh(jac)  # the lower triangle is read
+    # Christoffel numbers 1 / sum_j p_j(t)^2 over the orthonormal
+    # polynomials of the unit-mass density (p_0 = 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_prev, p = np.zeros_like(t), np.ones_like(t)
+        total = np.ones_like(t)
+        for i in range(m - 1):
+            p_next = ((t - diag[:, i:i + 1]) * p
+                      - off[:, i:i + 1] * p_prev) / off[:, i + 1:i + 2]
+            p_prev, p = p, p_next
+            total += p * p
+        w = np.where(np.isfinite(total), 1.0 / total, 0.0)
+    return np.where(flip, 1.0 - t, t), w / w.sum(axis=1, keepdims=True)
+
+
+def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
+                          ks: np.ndarray) -> np.ndarray:
+    """The Beta(k rho, (n-k) rho) functionals of f for every k in ks,
+    settled row by row as durrmeyer_functional describes.
+
+    Each open row gets the rules of _GAUSS_ORDERS in turn, rows taken in
+    blocks of at most _GAUSS_CELLS Jacobi-matrix cells and f evaluated
+    once per block on the stacked nodes.  The composite fallback is for
+    kinked or endpoint-oscillatory f, on which global polynomial rules
+    converge only algebraically.
+    """
+    k = np.asarray(ks, dtype=float)
+    a, b = k * rho, (n - k) * rho
+    out = np.empty(a.size)
+    prev = np.full(a.size, np.nan)
+    delta = np.full(a.size, np.inf)
+    open_rows = np.arange(a.size)
+    for m in _GAUSS_ORDERS:
+        step = max(1, _GAUSS_CELLS // (m * m))
+        for start in range(0, open_rows.size, step):
+            rows = open_rows[start:start + step]
+            t, w = _beta_rules(a[rows], b[rows], m)
+            ft = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
+            val = np.sum(w * ft, axis=1)
+            delta[rows] = np.abs(val - prev[rows])
+            out[rows] = prev[rows] = val
+        settled = delta[open_rows] <= 1e-13 * np.maximum(1.0, np.abs(out[open_rows]))
+        open_rows = open_rows[~settled]
+    bounded = (a[open_rows] >= 1.0) & (b[open_rows] >= 1.0)
+    loose = open_rows[~bounded]
+    failed = loose[delta[loose] > 1e-4 * np.maximum(1.0, np.abs(out[loose]))]
+    if failed.size:
+        raise QuadratureError(f"Gauss-Jacobi did not settle for "
+                              f"k={int(ks[failed[0]])}, rho={rho}")
+    for r in open_rows[bounded]:
+        out[r] = _beta_integral_composite(a[r], b[r], f)
+    return out
 
 
 _BETA_GL_NODES, _BETA_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -315,9 +393,12 @@ def durrmeyer_apply(n: int, rho: float, f: Function01, x):
 
 def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
     """f(0), the Beta functionals of f for k = 1..n-1, and f(1)."""
-    return np.array([float(f(0.0))]
-                    + [durrmeyer_functional(n, k, rho, f) for k in range(1, n)]
-                    + [float(f(1.0))])
+    if f.poly_coeffs is not None:
+        coeffs = np.asarray(f.poly_coeffs)
+        inner = _durrmeyer_monomial_moments(n, rho, len(coeffs) - 1) @ coeffs
+    else:
+        inner = _durrmeyer_quadrature(n, rho, f, np.arange(1, n))
+    return np.concatenate(([float(f(0.0))], inner, [float(f(1.0))]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +407,8 @@ def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
 
 def mkz_truncation_index(n: int, x: float, tail: float,
                          cap: int = _SERIES_CAP) -> int:
-    """Smallest series depth with certified weight tail <= tail.
+    """Smallest series depth with certified weight tail <= tail: the
+    one-point case of _mkz_depths.
 
     Beyond k0 the term ratio x(n+k+1)/(k+1) is below x' = (1+x)/2, so the
     tail after K is bounded by w_{k0} x'^(K+1-k0) / (1-x'); solving that
@@ -334,29 +416,47 @@ def mkz_truncation_index(n: int, x: float, tail: float,
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("truncation index needs 0 <= x < 1")
+    return int(_mkz_depths(n, np.array([float(x)]), tail, cap)[0])
+
+
+def _mkz_depths(n: int, ts: np.ndarray, tail: float,
+                cap: int = _SERIES_CAP) -> np.ndarray:
+    """Each point's own series depth at tail (see mkz_truncation_index);
+    0 at t = 0 and at t = 1 (the point mass).
+
+    The arithmetic runs over all points at once.  The logarithms come from
+    math, per point, and log_binomial once per distinct k0, because
+    numpy's log differs from libm's in the last bit for a few arguments
+    and a depth is the ceiling of a quotient of them.
+    """
+    if not np.all((ts >= 0.0) & (ts <= 1.0)):
+        raise DomainError("series points need 0 <= t <= 1")
     if tail <= 0.0:
         raise DomainError("tail target must be positive")
-    if x == 0.0:
-        return 0
+    out = np.zeros(ts.size, dtype=np.int64)
+    live = np.flatnonzero((ts > 0.0) & (ts < 1.0))
+    x = ts[live]
     xp = 0.5 * (1.0 + x)
-    k0 = max(0, math.ceil((x * (n + 1.0) - xp) / (xp - x)))
-    log_w_k0 = (log_binomial(n + k0, k0) + (n + 1.0) * math.log1p(-x)
-                + k0 * math.log(x))
-    log_target = math.log(tail) + math.log1p(-xp) - math.log(xp)
-    if log_w_k0 <= log_target:
-        k = k0
-    else:
-        k = k0 + math.ceil((log_target - log_w_k0) / math.log(xp))
-    if k > cap:
+    k0 = np.maximum(0.0, np.ceil((x * (n + 1.0) - xp) / (xp - x)))
+    distinct, at = np.unique(k0, return_inverse=True)
+    log_binom = np.array([log_binomial(n + int(k), int(k)) for k in distinct])
+
+    def libm(fn, arg):
+        return np.array(list(map(fn, arg.tolist())))
+
+    log_xp = libm(math.log, xp)
+    log_w_k0 = (log_binom[at] + (n + 1.0) * libm(math.log1p, -x)
+                + k0 * libm(math.log, x))
+    log_target = math.log(tail) + libm(math.log1p, -xp) - log_xp
+    depth = np.where(log_w_k0 <= log_target, k0,
+                     k0 + np.ceil((log_target - log_w_k0) / log_xp))
+    over = np.flatnonzero(depth > cap)
+    if over.size:
         raise TruncationBudgetError(
-            f"series depth {k} exceeds cap {cap} (x={x} too close to 1)")
-    return k
-
-
-def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
-    """Each point's own series depth at tail; 0 at t = 1 (the point mass)."""
-    return np.array([0 if t == 1.0 else mkz_truncation_index(n, t, tail)
-                     for t in ts.tolist()], dtype=np.int64)
+            f"series depth {int(depth[over[0]])} exceeds cap {cap} "
+            f"(x={float(x[over[0]])} too close to 1)")
+    out[live] = depth
+    return out
 
 
 def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
@@ -605,18 +705,32 @@ def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
+    """Row i of the transfer is the beta-binomial law
+    F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b), a = i rho,
+    b = (n - i) rho, built from the positive ratio
+    T[i, j+1] / T[i, j] = (n-j)/(j+1) * (a+j)/(b+n-j-1) and divided by its
+    sum, since F_{n,i}(1) = 1.  The ratio falls through 1 once when
+    a + b >= 2, so the row is anchored at its largest entry and every
+    product outward is at most 1; when a + b < 2 it rises through 1 and
+    the anchor is the smallest entry, with the others at most a power of
+    n above it."""
     n, rho = spec.n, spec.rho
     nodes = np.arange(n + 1) / n
-    j = np.arange(n + 1)
-    log_comb = np.array([log_binomial(n, int(v)) for v in j])
+    a = np.arange(1, n)[:, None] * rho
+    b = (n - np.arange(1, n))[:, None] * rho
+    j = np.arange(n)
+    up = (n - j) / (j + 1.0) * ((a + j) / (b + (n - 1.0 - j)))
+    anchor = np.where(a + b >= 2.0, np.sum(up >= 1.0, axis=1, keepdims=True),
+                      np.sum(up < 1.0, axis=1, keepdims=True))
+    inner = np.ones((n - 1, n + 1))
+    inner[:, 1:] = np.cumprod(np.where(j >= anchor, up, 1.0), axis=1)
+    inner[:, :-1] *= np.cumprod(np.where(j < anchor, 1.0 / up, 1.0)[:, ::-1],
+                                axis=1)[:, ::-1]
+    inner /= inner.sum(axis=1, keepdims=True)
     transfer = np.zeros((n + 1, n + 1))
     transfer[0, 0] = 1.0
     transfer[n, n] = 1.0
-    for i in range(1, n):
-        a = i * rho
-        b = (n - i) * rho
-        # F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b)
-        transfer[i] = np.exp(log_comb + log_beta(a + j, b + n - j) - log_beta(a, b))
+    transfer[1:n] = inner
     return NodeDiscretization(spec, nodes, transfer, 0.0,
                               lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep,
                               partial(_durrmeyer_coeffs, n, rho))

@@ -256,6 +256,22 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
 _METHODS = {"krylov": _krylov, "neumann": _neumann_sweep, "solve": _solve}
 
 
+def _check_request(op: OperatorSpec, fs: Sequence[Function01], eps: float) -> None:
+    """Reject a series request outside the theory: eps <= 0, op outside
+    the contraction class, or an input with nonzero endpoint values."""
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    if not op.in_lambda_class:
+        raise DegenerateOperatorError(
+            f"{op.family} (n={op.n}) has no certified contraction constant "
+            "below one; the geometric series is not available")
+    for f in fs:
+        if abs(float(f(0.0))) > _ENDPOINT_TOL or abs(float(f(1.0))) > _ENDPOINT_TOL:
+            raise NotInCpsiError(
+                "input has nonzero endpoint values; split off the affine "
+                "part with project_to_Cpsi first")
+
+
 def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
                      grid: Optional[EvaluationGrid] = None,
                      method: str = "krylov") -> list:
@@ -270,17 +286,7 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     if engine is None:
         raise DomainError(f"unknown series method {method!r}; choose from "
                           f"{tuple(_METHODS)}")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    if not op.in_lambda_class:
-        raise DegenerateOperatorError(
-            f"{op.family} (n={op.n}) has no certified contraction constant "
-            "below one; the geometric series is not available")
-    for f in fs:
-        if abs(float(f(0.0))) > _ENDPOINT_TOL or abs(float(f(1.0))) > _ENDPOINT_TOL:
-            raise NotInCpsiError(
-                "input has nonzero endpoint values; split off the affine "
-                "part with project_to_Cpsi first")
+    _check_request(op, fs, eps)
     if method == "solve" and op.record.series:
         raise DomainError("the solve path needs an exact finite carrier "
                           "(bernstein or durrmeyer)")
@@ -311,16 +317,19 @@ def geometric_series_solve(op, f, grid=None):
 def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
                                grid: Optional[EvaluationGrid] = None):
     """Weighted-norm residuals of the two inversion identities,
-    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through Neumann sums."""
-    (res1,) = geometric_series(op, [f], eps, grid, method="neumann")
-    disc = node_discretization(op)
+    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through Neumann sums;
+    both sweeps start from one representation rep(f)."""
+    _check_request(op, [f], eps)
     fam_grid = op.grid(grid)
+    pts = fam_grid.points
+    disc = node_discretization(op)
     rep0 = disc.rep(f)
+    (res1,) = _neumann_sweep(op, disc, [f], [rep0],
+                             [psi_norm(f, fam_grid).value], eps, fam_grid)
 
     # h = (I - L) f has the same representation algebra in every carrier:
     # rep(h) = rep(f) - T rep(f), and off the nodes h = f + L(-rep(f)).
     h = _series_function(f, disc, -rep0)
-    pts = fam_grid.points
     (res2,) = _neumann_sweep(op, disc, [h], [rep0 - disc.advance(rep0)],
                              [psi_sup(h(pts), pts)], eps, fam_grid)
     second = psi_sup(np.asarray(res2.g(pts)) - np.asarray(f(pts)), pts)

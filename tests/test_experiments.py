@@ -2,6 +2,9 @@
 determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +315,20 @@ class TestCli:
                          "--function", "e2", "--n-list", "4",
                          "--grid-size", "65"])
         assert code == 0
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the one runtime dependency: a durrmeyer run, quadrature
+        # included, loads no scipy module
+        import opgeom
+        src = str(Path(opgeom.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import sys, opgeom, opgeom.cli\n"
+                "assert opgeom.cli.main(['geom', '--family', 'durrmeyer', "
+                "'--n-list', '8', '-o', sys.argv[1]]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.csv")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "[]"

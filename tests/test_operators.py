@@ -4,6 +4,7 @@ contraction profile, and the node carriers."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
                               durrmeyer_apply, durrmeyer_functional,
                               mkz_apply, mkz_truncation_index, moment,
                               node_discretization)
-from opgeom.special import mkz_weight_row
+from opgeom.special import log_binomial, mkz_weight_row
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -113,6 +114,44 @@ class TestDurrmeyerFunctional:
                        epsabs=1e-14)[0] for (a, b) in [(0, 0.5), (0.5, 1)]) / b33
         assert got == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("rho,tol", [(0.1, 1e-11), (0.5, 1e-12),
+                                         (1.0, 1e-12), (2.0, 1e-12)])
+    def test_quadrature_of_psi_matches_closed_form(self, n, rho, tol):
+        # the edge rows, whose mass sits next to an endpoint, are the hard
+        # ones; the middle is sampled
+        ks = sorted(set(range(1, 9)) | set(range(n - 8, n)) | set(range(1, n, 29)))
+        f = registry("psi")
+        for k in ks:
+            exact = durrmeyer_functional(n, k, rho, f, method="closed-form")
+            got = durrmeyer_functional(n, k, rho, f, method="quadrature")
+            assert abs(got / exact - 1.0) <= tol, (k, got, exact)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    @pytest.mark.parametrize("name", ["sin_pi", "psi*sin_pi"])
+    def test_batch_row_is_the_functional(self, name, rho):
+        f = registry("psi") * registry("sin_pi") if "*" in name else registry(name)
+        coeffs = operators._durrmeyer_coeffs(33, rho, f)
+        for k in range(1, 33):
+            assert coeffs[k] == durrmeyer_functional(33, k, rho, f)
+
+    def test_kinked_input_composite_rows_in_batch(self, monkeypatch):
+        from scipy.integrate import quad
+        n, rho = 16, 1.0
+        composite = []
+        inner = operators._beta_integral_composite
+        monkeypatch.setattr(operators, "_beta_integral_composite",
+                            lambda a, b, f: composite.append(a) or inner(a, b, f))
+        got = operators._durrmeyer_coeffs(n, rho, registry("abs_half"))
+        assert composite, "no row fell back to the composite panels"
+        for k in range(1, n):
+            a, b = k * rho, (n - k) * rho
+            norm = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+            ref = sum(quad(lambda t: abs(t - 0.5) * t ** (a - 1) * (1 - t) ** (b - 1),
+                           lo, hi, epsabs=1e-14)[0]
+                      for (lo, hi) in [(0, 0.5), (0.5, 1)]) / norm
+            assert got[k] == pytest.approx(ref, abs=1e-10)
+
     def test_parameter_errors(self):
         with pytest.raises(DomainError):
             durrmeyer_functional(6, 0, 1.0, registry("e0"))
@@ -152,7 +191,41 @@ class TestMkzApply:
         with pytest.raises(TruncationBudgetError):
             mkz_truncation_index(4, 1.0 - 1e-9, 1e-10)
         with pytest.raises(TruncationBudgetError):
+            operators._mkz_depths(4, np.array([0.5, 1.0 - 1e-9]), 1e-10)
+        with pytest.raises(DomainError):
+            operators._mkz_depths(4, np.array([0.5, 1.5]), 1e-10)
+        with pytest.raises(TruncationBudgetError):
             mkz_apply(4, registry("e0"), 1.0 - 1e-9, 1e-10)
+
+    @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
+    def test_depths_are_the_scalar_formula(self, family):
+        # the depths at every default-grid point and every carrier node,
+        # both branches, at the apply and the moment tail, bit for bit
+        def scalar(n, x, tail):
+            if x in (0.0, 1.0):
+                return 0
+            xp = 0.5 * (1.0 + x)
+            k0 = max(0, math.ceil((x * (n + 1.0) - xp) / (xp - x)))
+            log_w_k0 = (log_binomial(n + k0, k0) + (n + 1.0) * math.log1p(-x)
+                        + k0 * math.log(x))
+            log_target = math.log(tail) + math.log1p(-xp) - math.log(xp)
+            if log_w_k0 <= log_target:
+                return k0
+            return k0 + math.ceil((log_target - log_w_k0) / math.log(xp))
+
+        eps = 1e-6
+        grid = default_grid().points
+        for n in (4, 8, 16, 32):
+            spec = OperatorSpec(family, n, truncation_eps=eps)
+            lo, hi = spec.certified_interval()
+            k = np.arange(_mkz_node_depth(spec) + 1)
+            pts = grid[(grid >= lo) & (grid <= hi)]
+            ts = np.unique(np.concatenate((pts, 1.0 - pts, k / (n + k), n / (n + k))))
+            for tail in (0.5 * eps, 0.1 * eps):
+                ref = [scalar(n, t, tail) for t in ts.tolist()]
+                keep = np.array(ref) <= operators._SERIES_CAP
+                got = operators._mkz_depths(n, ts[keep], tail)
+                assert got.tolist() == np.array(ref)[keep].tolist()
 
     def test_reflection_identity(self):
         f = registry("exp")
@@ -273,6 +346,28 @@ class TestNodeDiscretization:
         means = disc.transfer @ disc.nodes
         assert np.max(np.abs(means - disc.nodes)) <= 1e-12
         assert np.min(disc.transfer) >= 0.0
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0])
+    def test_durrmeyer_rows_are_unit_mass_beta_binomials(self, rho):
+        n = 512
+        transfer = node_discretization(OperatorSpec("durrmeyer", n, rho=rho)).transfer
+        assert np.max(np.abs(transfer.sum(axis=1) - 1.0)) <= 1e-14
+        with mp.workdps(40):
+            for i in (1, 2, 171, 256, 510, 511):
+                a, b = mp.mpf(i * rho), mp.mpf((n - i) * rho)
+                for j in sorted({0, 1, i - 1, i, i + 1, n - 1, n} | set(range(0, n, 37))):
+                    ref = mp.binomial(n, j) * mp.beta(a + j, b + n - j) / mp.beta(a, b)
+                    assert abs(transfer[i, j] - float(ref)) <= 1e-14, (i, j)
+
+    def test_durrmeyer_transfer_needs_no_log_gamma(self, monkeypatch):
+        from opgeom import special
+
+        def refuse(x):
+            raise AssertionError("log_gamma called")
+
+        monkeypatch.setattr(special, "log_gamma", refuse)
+        disc = operators._durrmeyer_disc(OperatorSpec("durrmeyer", 9, rho=0.3))
+        assert np.max(np.abs(disc.transfer.sum(axis=1) - 1.0)) <= 1e-15
 
     def test_mkz_row_sums(self):
         disc = node_discretization(OperatorSpec("mkz", 3, truncation_eps=1e-8))

@@ -10,7 +10,8 @@ from opgeom.errors import (DegenerateOperatorError, DomainError,
                            NotInCpsiError)
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
                               psi_norm, registry)
-from opgeom.operators import OperatorSpec, node_discretization
+from opgeom.operators import (NodeDiscretization, OperatorSpec,
+                              node_discretization)
 from opgeom.series import (check_inversion_identities, geometric_series,
                            iterate_apply, neumann_tail_terms)
 
@@ -315,6 +316,19 @@ class TestInversionIdentities:
         r1, r2 = check_inversion_identities(
             OperatorSpec("durrmeyer", 6, rho=1.0),
             registry("psi").scaled(-1.0), 1e-8, GRID)
+        assert r1 <= 1e-7 and r2 <= 1e-7
+
+    def test_one_representation(self, monkeypatch):
+        # a durrmeyer representation is n - 1 Beta functionals; both
+        # sweeps start from the one computed
+        calls = []
+        rep = NodeDiscretization.rep
+        monkeypatch.setattr(NodeDiscretization, "rep",
+                            lambda self, f: calls.append(f) or rep(self, f))
+        r1, r2 = check_inversion_identities(
+            OperatorSpec("durrmeyer", 9, rho=0.5),
+            registry("psi") * registry("sin_pi"), 1e-8, GRID)
+        assert len(calls) == 1
         assert r1 <= 1e-7 and r2 <= 1e-7
 
     def test_mkz_symmetric_within_budget(self):

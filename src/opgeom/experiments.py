@@ -192,16 +192,12 @@ def _geom(config: ExperimentConfig):
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
-    transforms = {}
 
     def one(n):
         op = config.spec(n)
         fam_grid = op.grid(base)
         pts = fam_grid.points
-        key = (pts[0], pts[-1], pts.size)
-        if key not in transforms:
-            transforms[key] = F_transform(f, grid=fam_grid)
-        ref = 2.0 * np.asarray(transforms[key](pts), dtype=float)
+        ref = 2.0 * np.asarray(F_transform(f, grid=fam_grid)(pts), dtype=float)
         prof = alpha_profile(op, base)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
         vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)

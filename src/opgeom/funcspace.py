@@ -2,8 +2,9 @@
 psi(x) = x(1-x), the weighted sup norm, endpoint interpolation, and the
 kernel transform that inverts -d^2/dx^2 with vanishing endpoint values.
 
-Function01 values are immutable after construction; transform caches are
-write-once per grid, so everything here is safe for concurrent reads.
+Function01 values are immutable after construction, and a kernel transform
+holds only the cumulative integrals it computes when it is built: no
+evaluation writes to it, so everything here is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -342,121 +343,104 @@ def project_to_Cpsi(f: Function01) -> Function01:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_CAP = 1024
-_START_PANELS = 1  # panels per segment before the first doubling
+_PANEL_CAP = 1024  # panels per interval at which refinement stalls
+_PANEL_CELLS = 2**18  # integrand samples per call of the integrand
 _STALL_BUDGET = 1e-3  # largest accumulated stall bound a transform accepts
 
 
-def _segment_integrals(f, a, b, start_panels, fmax_hint):
-    """Integrals of t*f(t) and (1-t)*f(t) over [a, b] with Gauss-Legendre
-    panels doubled until agreement; returns (Ia, Ib, err_bound, fmax).
+def _panel_integrals(h, lo, hi):
+    """Integrals of a vector-valued integrand over the intervals
+    [lo[i], hi[i]] (at least one): h maps points t to an array of shape
+    (components, t.size).  Returns the integrals, shape (components,
+    intervals), and one error bound per interval.
 
-    On a stall the remainder is bounded by the sampled amplitude times the
-    weight mass, which is what the endpoint-oscillatory registry function
-    needs: its unresolved mass shrinks quadratically toward the endpoints.
+    Each interval is split into 1, 2, 4, ... equal panels, each with the
+    16-point Gauss-Legendre rule; at every level the open intervals are
+    sampled together, one call of h per block of at most _PANEL_CELLS
+    points.  With the amplitude the largest |h| sampled so far, an
+    interval settles once two levels agree to 1e-14 of the larger of its
+    integrals and amplitude * (hi - lo), and its bound is that difference.
+    At _PANEL_CAP panels it stalls with the bound min(difference,
+    amplitude * (hi - lo)): the unresolved mass of a bounded integrand
+    that oscillates toward an endpoint shrinks with the widths there.
     """
-    width = b - a
-    if width <= 0.0:
-        return 0.0, 0.0, 0.0, fmax_hint
-    mass_a = 0.5 * (b * b - a * a)
-    mass_b = 0.5 * ((1.0 - a) ** 2 - (1.0 - b) ** 2)
-    prev = None
-    fmax = fmax_hint
-    panels = max(1, start_panels)
-    while True:
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        t = (mid + half * _GL_NODES).ravel()
-        w = (half * _GL_WEIGHTS).ravel()
-        ft = np.asarray(f(t), dtype=float)
-        fmax = max(fmax, float(np.max(np.abs(ft))) if ft.size else 0.0)
-        ia = float(np.dot(w, t * ft))
-        ib = float(np.dot(w, (1.0 - t) * ft))
-        if prev is not None:
-            delta = max(abs(ia - prev[0]), abs(ib - prev[1]))
-            scale = max(abs(ia), abs(ib), fmax * max(mass_a, mass_b))
-            if delta <= 1e-14 * scale + 1e-300:
-                return ia, ib, delta, fmax
-            if panels >= _PANEL_CAP:
-                bound = min(delta, fmax * max(mass_a, mass_b))
-                return ia, ib, bound, fmax
-        prev = (ia, ib)
-        panels *= 2
-
-
-class _CachedTransform:
-    """Cumulative antiderivatives of t*f and (1-t)*f over grid segments.
-
-    Off-grid queries integrate only the partial segment from the nearest
-    anchor, so pointwise evaluations stay at quadrature accuracy (needed
-    by the finite-difference probes of the second derivative).
-    """
-
-    def __init__(self, f: Function01, grid: EvaluationGrid):
-        self.f = f
-        anchors = np.concatenate(([0.0], grid.points, [1.0]))
-        n_seg = anchors.size - 1
-        seg_a = np.zeros(n_seg)
-        seg_b = np.zeros(n_seg)
-        err = 0.0
-        fmax = 0.0
-        for j in range(n_seg):
-            ia, ib, e, fmax = _segment_integrals(
-                f, anchors[j], anchors[j + 1], _START_PANELS, fmax)
-            seg_a[j] = ia
-            seg_b[j] = ib
-            err += e
-        if err > _STALL_BUDGET:
-            raise QuadratureError(
-                f"panel refinement stalled: residual bound {err:.3e} "
-                f"exceeds budget {_STALL_BUDGET:.3e}")
-        self.anchors = anchors
-        # cum_a[i] = int_0^anchor_i t f ; cum_b likewise for (1-t) f
-        self.cum_a = np.concatenate(([0.0], np.cumsum(seg_a)))
-        self.cum_b = np.concatenate(([0.0], np.cumsum(seg_b)))
-        self.total_b = float(self.cum_b[-1])
-        self.error_bound = err
-        self._memo = {}
-
-    def _partials(self, x: float):
-        j = int(np.searchsorted(self.anchors, x, side="right") - 1)
-        j = min(max(j, 0), self.anchors.size - 2)
-        a0 = self.anchors[j]
-        if x == a0:
-            return float(self.cum_a[j]), float(self.cum_b[j])
-        ia, ib, _, _ = _segment_integrals(self.f, a0, x, _START_PANELS, 0.0)
-        return float(self.cum_a[j] + ia), float(self.cum_b[j] + ib)
-
-    def value(self, x: float) -> float:
-        got = self._memo.get(x)
-        if got is None:
-            ax, bx = self._partials(x)
-            got = (1.0 - x) * ax + x * (self.total_b - bx)
-            self._memo[x] = got
-        return got
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim == 0:
-            return self.value(float(xs))
-        return np.array([self.value(float(v)) for v in xs])
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    width, err = hi - lo, np.zeros(lo.size)
+    open_, prev, panels, amp = np.arange(lo.size), None, 1, 0.0
+    while open_.size:
+        step, parts = max(1, _PANEL_CELLS // (panels * _GL_NODES.size)), []
+        for start in range(0, open_.size, step):
+            idx = open_[start:start + step]
+            # panel edges placed as np.linspace(lo, hi, panels + 1) does
+            edges = lo[idx, None] + np.arange(panels + 1) * (width[idx, None] / panels)
+            edges[:, -1] = hi[idx]
+            half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+            t = (0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+                 + half * _GL_NODES).reshape(idx.size, -1)
+            hv = np.asarray(h(t.ravel()), dtype=float).reshape(-1, *t.shape)
+            parts.append(np.sum(hv * (half * _GL_WEIGHTS).reshape(t.shape), axis=2))
+            amp = max(amp, float(np.max(np.abs(hv))))
+        cur = np.concatenate(parts, axis=1)
+        if prev is None:
+            out = np.zeros((cur.shape[0], lo.size))
+        else:
+            delta, mass = np.max(np.abs(cur - prev), axis=0), amp * width[open_]
+            settled = delta <= 1e-14 * np.maximum(np.max(np.abs(cur), axis=0), mass)
+            done = settled | (panels >= _PANEL_CAP)
+            err[open_[done]] = np.where(settled, delta, np.minimum(delta, mass))[done]
+            out[:, open_[done]] = cur[:, done]
+            open_, cur = open_[~done], cur[:, ~done]
+        prev, panels = cur, 2 * panels
+    return out, err
 
 
 def F_transform(f: Function01,
                 grid: Optional[EvaluationGrid] = None) -> Function01:
-    """Kernel transform of f, cached on the evaluation grid.
+    """Kernel transform of f, with its integrals anchored at 0, the grid
+    points and 1.
 
     The result vanishes at both endpoints and its second derivative equals
-    -f on (0, 1).  Quadrature error is below 1e-10 for f with a bounded
-    second derivative; for bounded f that oscillates near the endpoints,
-    the accumulated stall bound is checked against _STALL_BUDGET (a
-    QuadratureError above it) and stored on the result as quad_error_bound.
+    -f on (0, 1).  All integrals come from the batched panel rule
+    _panel_integrals: the grid segments in one call when the transform is
+    built, summed from 0 for t*f and from 1 for (1-t)*f (so neither sum
+    is a difference of nearly equal totals), and the partial segments of
+    an evaluation's off-grid points in one more.  An anchor reads the
+    sums, so F(0) == F(1) == 0.0 exactly.  Quadrature error is below
+    1e-10 for f with a bounded second derivative; for bounded f that
+    oscillates near the endpoints, the summed segment bounds are checked
+    against _STALL_BUDGET (a QuadratureError above it) and stored on the
+    result as quad_error_bound.
     """
-    grid = grid or default_grid()
-    cache = _CachedTransform(f, grid)
-    out = Function01(cache)
-    out.quad_error_bound = cache.error_bound  # type: ignore[attr-defined]
+    anchors = np.concatenate(([0.0], (grid or default_grid()).points, [1.0]))
+
+    def h(t):
+        ft = np.asarray(f(t), dtype=float)
+        return np.stack((t * ft, (1.0 - t) * ft))
+
+    (seg_a, seg_b), err = _panel_integrals(h, anchors[:-1], anchors[1:])
+    bound = float(np.sum(err))
+    if bound > _STALL_BUDGET:
+        raise QuadratureError(f"panel refinement stalled: residual bound {bound:.3e} "
+                              f"exceeds budget {_STALL_BUDGET:.3e}")
+    # head_a[i] = int_0^anchor_i t f ; tail_b[i] = int_anchor_i^1 (1-t) f
+    head_a = np.concatenate(([0.0], np.cumsum(seg_a)))
+    tail_b = np.concatenate((np.cumsum(seg_b[::-1])[::-1], [0.0]))
+
+    def ev(x):
+        flat = x.ravel()
+        j = np.clip(np.searchsorted(anchors, flat, side="right") - 1, 0, anchors.size - 1)
+        ax, bx = head_a[j], tail_b[j]
+        off = flat != anchors[j]
+        if off.any():
+            xo, jo = flat[off], np.minimum(j[off], anchors.size - 2)
+            ints, _ = _panel_integrals(h, np.concatenate((anchors[jo], xo)),
+                                       np.concatenate((xo, anchors[jo + 1])))
+            ax[off] = head_a[jo] + ints[0, :xo.size]
+            bx[off] = tail_b[jo + 1] + ints[1, xo.size:]
+        return ((1.0 - flat) * ax + flat * bx).reshape(x.shape)
+
+    out = Function01(ev)
+    out.quad_error_bound = bound
     return out
 
 

@@ -51,9 +51,9 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, DomainError, QuadratureError,
                      TruncationBudgetError)
-from .funcspace import (EvaluationGrid, Function01, default_grid, psi)
-from .special import (bernstein_basis_matrix, log_beta, log_binomial,
-                      mkz_weight_matrix)
+from .funcspace import (EvaluationGrid, Function01, _panel_integrals,
+                        default_grid, psi)
+from .special import bernstein_basis_matrix, log_binomial, mkz_weight_matrix
 
 __all__ = [
     "FAMILIES",
@@ -330,54 +330,36 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
     return out
 
 
-_BETA_GL_NODES, _BETA_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _beta_integral_composite(a: float, b: float, f: Function01) -> float:
-    """Integral of f against the Beta(a, b) density via composite panels
-    graded geometrically toward both endpoints; needs a, b >= 1 so the
-    density is bounded."""
-    log_norm = -float(log_beta(a, b))
-    edges = np.concatenate((
-        [0.0], np.logspace(-15, -1.01, 48), np.linspace(0.1, 0.5, 14)[1:]))
-    edges = np.concatenate((edges, (1.0 - edges)[::-1]))
+    """Integral of f against the Beta(a, b) density, for a, b >= 1 (a
+    bounded density), on panels graded geometrically toward both
+    endpoints: the ratio of the integrals of f*d and d, with d the density
+    scaled to 1 at its mode, both from one _panel_integrals call.  The
+    weights have unit mass, so no Beta-function constant enters; a
+    summed panel bound above 1e-6 relative raises QuadratureError."""
+    half = np.concatenate(([0.0], np.logspace(-15, -1.01, 48),
+                           np.linspace(0.1, 0.5, 14)[1:]))
+    edges = np.concatenate((half, (1.0 - half[-2::-1])))
 
-    def density(t):
-        lg = np.full(t.shape, log_norm)
-        if a != 1.0:
-            lg += (a - 1.0) * np.log(t)
-        if b != 1.0:
-            with np.errstate(divide="ignore"):
+    def h(t):
+        # (a - 1) log(t / mode) + (b - 1) log((1 - t) / (1 - mode)),
+        # each term left out when its exponent is 0 (0 * log 0)
+        lg = np.zeros(t.shape)
+        with np.errstate(divide="ignore"):
+            if a != 1.0:
+                lg += (a - 1.0) * (np.log(t) - math.log((a - 1.0) / (a + b - 2.0)))
+            if b != 1.0:
                 # rounding can land a node exactly on 1; exp(-inf) -> 0
-                lg += (b - 1.0) * np.log1p(-t)
-        return np.exp(lg)
+                lg += (b - 1.0) * (np.log1p(-t) - math.log((b - 1.0) / (a + b - 2.0)))
+        d = np.exp(lg)
+        return np.stack((np.asarray(f(t), dtype=float) * d, d))
 
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        prev = None
-        panels = 1
-        while True:
-            sub = np.linspace(lo, hi, panels + 1)
-            mid = 0.5 * (sub[:-1] + sub[1:])[:, None]
-            half = 0.5 * (sub[1:] - sub[:-1])[:, None]
-            t = (mid + half * _BETA_GL_NODES).ravel()
-            w = (half * _BETA_GL_WEIGHTS).ravel()
-            ft = np.asarray(f(t), dtype=float)
-            dens = density(t)
-            val = float(np.dot(w, ft * dens))
-            if prev is not None:
-                d = abs(val - prev)
-                if d <= 1e-14 * max(abs(val), 1e-3) or panels >= 256:
-                    mass = float(np.dot(w, dens))
-                    err += min(d, mass * float(np.max(np.abs(ft))) if ft.size else 0.0)
-                    break
-            prev = val
-            panels *= 2
-        total += val
-    if err > 1e-6 * max(1.0, abs(total)):
+    (fd, d), err = _panel_integrals(h, edges[:-1], edges[1:])
+    mass = float(np.sum(d))
+    total = float(np.sum(fd)) / mass
+    if np.sum(err) > 1e-6 * mass * max(1.0, abs(total)):
         raise QuadratureError(
-            f"composite Beta quadrature residual {err:.2e} too large")
+            f"composite Beta quadrature residual {np.sum(err) / mass:.2e} too large")
     return total
 
 
@@ -911,13 +893,15 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
             for share, reflect in zip(spec.record.shares, (False, True)) if share]
     depths = [_mkz_depths(n, t, tail) for _, t, _ in used]
     k = np.arange(max(int(d.max()) for d in depths) + 1)
-    # each branch's nodes in x, one row per branch, and alpha at them from
-    # one call; the endpoint nodes carry no psi weight
+    # each branch's nodes in x, one row per branch, and alpha at the first
+    # branch's nodes; the endpoint nodes carry no psi weight.  The one
+    # two-branch family has equal shares, so its alpha is mirror-symmetric
+    # and the reflected nodes n/(n+k), the mirrors of k/(n+k), reuse it.
     at = np.stack([n / (n + k) if reflect else k / (n + k)
                    for _, _, reflect in used])
     a_nodes = np.zeros(at.shape)
-    inner = (at > 0.0) & (at < 1.0)
-    a_nodes[inner] = spec.record.alpha(spec, at[inner])
+    inner = (at[0] > 0.0) & (at[0] < 1.0)
+    a_nodes[:, inner] = spec.record.alpha(spec, at[0, inner])
     acc = np.zeros(xs.size)
     for (share, t, _), d, a_b, psi_b in zip(used, depths, a_nodes, psi(at)):
         def integrand(nodes, rows, a_b=a_b, psi_b=psi_b):

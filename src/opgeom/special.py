@@ -41,6 +41,7 @@ _LANCZOS_C = np.array(
     ]
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_EXACT_COMB_N = 1000  # largest order whose binomials and powers stay in range
 
 
 def _log_gamma_core(x):
@@ -114,13 +115,30 @@ def bernstein_basis_row(n: int, x) -> np.ndarray:
 
 
 def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix P with P[i, k] = C(n,k) xs[i]^k (1-xs[i])^(n-k)."""
+    """Matrix P with P[i, k] = C(n,k) xs[i]^k (1-xs[i])^(n-k).
+
+    Up to n = _EXACT_COMB_N the binomials are exact floats and the powers
+    direct products.  Above it, where C(n, k) overflows and the powers
+    go subnormal, every entry is formed in the log domain, with log C(n, k)
+    the log of the exact integer (a running sum of float logs would carry
+    its rounding into every entry).
+    """
     xs = np.asarray(xs, dtype=float)
     k = np.arange(n + 1)
-    comb_row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+    if n <= _EXACT_COMB_N:
+        comb_row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return comb_row * xs[:, None] ** k * (1.0 - xs[:, None]) ** (n - k)
+    half, comb = [0.0], 1
+    for j in range(1, n // 2 + 1):
+        comb = comb * (n - j + 1) // j
+        half.append(math.log(comb))
+    log_comb = np.array(half + half[n - n // 2 - 1::-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = comb_row * xs[:, None] ** k * (1.0 - xs[:, None]) ** (n - k)
-    return p
+        lx, l1x = np.log(xs)[:, None], np.log1p(-xs)[:, None]
+        # 0 * log 0 is 0 here: the k = 0 and k = n powers are 1 at x = 0, 1
+        return np.exp(log_comb + np.where(k > 0, k * lx, 0.0)
+                      + np.where(k < n, (n - k) * l1x, 0.0))
 
 
 def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:

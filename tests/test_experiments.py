@@ -268,6 +268,17 @@ class TestCli:
         assert "GiB" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("family", ["bernstein", "durrmeyer"])
+    def test_exact_family_past_exact_binomials(self, family, tmp_path):
+        # C(n, k) overflows a float from n = 1030; eps 1e-6 lets the
+        # Krylov solve certify at n = 1100
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--family", family, "--function", "sin_pi",
+                         "--n-list", "1100", "--grid-size", "65",
+                         "--eps", "1e-6", "-o", str(out)]) == 0
+        (row,) = read_report(out, "geom")
+        assert row[0] == 1100 and np.isfinite(row[1]) and row[3] <= 1e-6
+
     def test_conditions_needs_no_carrier(self, monkeypatch):
         # conditions builds no carrier, so an order whose carrier would not
         # fit still runs

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from opgeom.errors import DomainError, StepSizeError
+from opgeom import funcspace
+from opgeom.errors import DomainError, QuadratureError, StepSizeError
 from opgeom.funcspace import (EvaluationGrid, F_transform, Function01,
                               apply_B1, check_F_second_derivative,
                               default_grid, modulus_of_continuity,
@@ -184,6 +185,42 @@ class TestFTransform:
         F = F_transform(registry("osc"))
         assert F.quad_error_bound <= 1e-3
         assert np.isfinite(psi_norm(F).value)
+
+    def test_oscillatory_stall_bound_and_budget(self, monkeypatch):
+        bound = F_transform(registry("osc")).quad_error_bound
+        assert 0.0 < bound <= 1e-6
+        monkeypatch.setattr(funcspace, "_STALL_BUDGET", 0.5 * bound)
+        with pytest.raises(QuadratureError):
+            F_transform(registry("osc"))
+
+    def test_weighted_closed_forms(self):
+        # |F - F_exact| / psi on the default grid, whose end points lie
+        # 6e-7 from 0 and 1; the exact forms are evaluated in y = min(x,
+        # 1-x) where they are symmetric, so they carry no cancellation
+        x = default_grid().points
+        y = np.minimum(x, 1.0 - x)
+        exact = {"e0": psi(x) / 2, "e1": psi(x) * (1 + x) / 6,
+                 "psi": psi(x) * (1 + psi(x)) / 12,
+                 "sin_pi": np.sin(math.pi * y) / math.pi ** 2,
+                 # u'' = -|x - 1/2| with u(0) = u(1) = 0
+                 "abs_half": y / 8 - y ** 2 / 4 + y ** 3 / 6}
+        for name, ref in exact.items():
+            got = F_transform(registry(name))(x)
+            assert np.max(np.abs(got - ref) / psi(x)) <= 1e-13, name
+
+    def test_off_grid_points(self):
+        x = np.linspace(0.0, 1.0, 52)[1:-1] + 1e-3 / 7
+        got = F_transform(registry("sin_pi"))(x)
+        assert np.max(np.abs(got - np.sin(math.pi * x) / math.pi ** 2)) <= 1e-14
+
+    def test_few_integrand_calls(self):
+        # every grid segment goes through the one batched panel rule, so a
+        # cubic integrand settles after two levels of one call each
+        calls = []
+        e1 = registry("e1")
+        f = Function01.from_callable(lambda t: calls.append(t.size) or e1(t))
+        F_transform(f)
+        assert 0 < len(calls) <= 8
 
 
 class TestNodeTable:

@@ -152,6 +152,36 @@ class TestDurrmeyerFunctional:
                       for (lo, hi) in [(0, 0.5), (0.5, 1)]) / norm
             assert got[k] == pytest.approx(ref, abs=1e-10)
 
+    def test_composite_rows_need_no_log_gamma(self, monkeypatch):
+        from opgeom import special
+
+        def refuse(*args):
+            raise AssertionError("log-Gamma called")
+
+        monkeypatch.setattr(special, "log_gamma", refuse)
+        monkeypatch.setattr(special, "log_beta", refuse)
+        composite = []
+        inner = operators._beta_integral_composite
+        monkeypatch.setattr(operators, "_beta_integral_composite",
+                            lambda a, b, f: composite.append(a) or inner(a, b, f))
+        got = operators._durrmeyer_coeffs(16, 1.0, registry("abs_half"))
+        assert composite and np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_composite_rows_match_closed_form(self, n):
+        # E|X - 1/2| for X ~ Beta(a, b) through the regularized incomplete
+        # Beta function I: (a/(a+b) - 1/2) + 2 (I(a, b) / 2 - a/(a+b) I(a+1, b))
+        # at 1/2.  Rows 1 and n - 1 have a == 1 and b == 1.
+        f = registry("abs_half")
+        with mp.workdps(40):
+            for k in sorted({1, 2, n // 3, n // 2, n - 1}):
+                a, b, half = mp.mpf(k), mp.mpf(n - k), mp.mpf(1) / 2
+                ia, ia1 = (mp.betainc(a + s, b, 0, half, regularized=True)
+                           for s in (0, 1))
+                ref = a / (a + b) - half + 2 * (half * ia - a / (a + b) * ia1)
+                got = operators._beta_integral_composite(float(k), float(n - k), f)
+                assert abs(got / float(ref) - 1.0) <= 1e-12, (n, k)
+
     def test_parameter_errors(self):
         with pytest.raises(DomainError):
             durrmeyer_functional(6, 0, 1.0, registry("e0"))

@@ -145,6 +145,21 @@ class TestBernsteinBasis:
         ref = float(mp.binomial(1200, 600) * mp.mpf(0.5) ** 1200)
         assert val == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("n", [1200, 2000])
+    def test_matrix_past_exact_binomials(self, n):
+        # C(n, k) overflows a float from n = 1030 and the powers go
+        # subnormal from about n = 1022: the matrix takes the log domain
+        xs = np.array([0.0, 1e-9, 0.013, 0.2, 0.37, 0.5, 0.71, 0.999,
+                       1.0 - 1e-9, 1.0])
+        p = bernstein_basis_matrix(n, xs)
+        assert np.all(np.isfinite(p)) and np.min(p) >= 0.0
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+        for i, x in enumerate(xs):
+            for k in range(n + 1):
+                ref = bernstein_basis(n, k, float(x))
+                if ref >= 1e-300:
+                    assert abs(p[i, k] / ref - 1.0) <= 1e-11, (x, k)
+
 
 class TestMkzWeights:
     def test_values(self):

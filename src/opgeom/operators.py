@@ -25,9 +25,12 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                and (1/2, 1/2); each series is truncated at a depth sized
                from the a-priori geometric tail bound, and each row's
                omitted mass is routed to the branch's hard endpoint node,
-               whose value a weighted-space input pins to zero.  The
-               (1/2, 1/2) transfer is two parity blocks indexed by the
-               series index k of the mirror pair (k/(n+k), n/(n+k)).
+               whose value a weighted-space input pins to zero; weights
+               below the smallest normal float are flushed into that
+               mass.  The (1/2, 1/2) carrier is indexed by the mirror
+               pairs (k/(n+k), n/(n+k)) and stores the reflected branch's
+               weights once and the plain branch's up to their underflow
+               column, one stack that advances both parities per product.
 
 Pointwise quantities (apply, moment, alpha, the mixed condition bound)
 take arrays of points; for the series families they all go through one
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -80,6 +84,7 @@ _ROW_BLOCK = 512  # carrier rows built per weight-matrix call
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -620,13 +625,28 @@ class NodeDiscretization:
     carriers sum each branch's weights at x against its columns plus the
     routed mass times its endpoint entry, without full-width rows.
 
-    mkz-symmetric keeps its transfer as two parity blocks over the mirror
-    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth.  Row k sits at
-    the pair's node in [0, 1/2] (p_k for k <= n, r_k beyond); its even and
-    odd inputs are the half sum and half difference of that node's entry
-    and its mirror's.  A merged node p_j = r_m (j m = n^2) belongs to the
-    pairs j and m, whose columns add up to its column; the midpoint pair
-    k = n has odd input 0.
+    mkz-symmetric keeps its transfer in pair coordinates over the mirror
+    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth.  Row i sits at
+    the pair's low node t_i in [0, 1/2] (p_i for i <= n, r_i beyond); the
+    even and odd inputs e, o of pair j are the half sum and half difference
+    of its low node's entry and its mirror's, and s_j = +1 for j <= n, -1
+    beyond.  Only the two branch blocks are stored, k-major:
+    W_r[i, j] = w_j(1 - t_i)/2 (dense) and W_p[i, j] = w_j(t_i)/2 for the
+    columns j < c_p; c_p is one past the last column whose weight at the
+    deepest low node 1/2 is a normal float (for j > n, w_j rises on
+    [0, 1/2]), so every plain weight beyond it is flushed to zero.  One
+    advance multiplies U = [e | s o] by both blocks:
+
+        even = W_p e + W_r e + (m_p + m_r) e_0,
+        odd  = W_p (s o) - W_r (s o) + (m_r - m_p) o_0,
+
+    with m_p, m_r the masses routed to nodes 1 and 0 (pair 0).  Each mass
+    is stored in the other block's column 0 (W_p[:, 0] += m_r,
+    W_r[:, 0] += m_p; s_0 = +1), so both come out of the same product.
+    advance writes even + odd at the low nodes and even - odd at their
+    mirrors.  A merged node p_j = r_m (j m = n^2) belongs to the pairs j
+    and m, whose columns add up to its column; the midpoint pair k = n has
+    odd input 0.
 
     truncation_error_bound certifies rows at points within the family's
     certified interval; rows at deeper nodes carry larger omitted mass,
@@ -643,31 +663,49 @@ class NodeDiscretization:
         self.truncation_error_bound = float(truncation_error_bound)
         self._apply_rep = apply_rep  # (rep, 1-D points) -> values
         self._rep_builder = rep_builder
-        self._parity = parity  # (low, high, t_even, t_odd), indexed by pair
+        # (low, high, sign, [W_p^T; W_r^T]) by pair, masses in row 0 of each
+        self._parity = parity
         self.interior = (nodes > 0.0) & (nodes < 1.0)
 
     @property
     def transfer(self) -> np.ndarray:
         if self._transfer is None:
-            # unfold the parity blocks; columns of T are advances of the
+            # unfold the branch stack; columns of T are advances of the
             # unit vectors (used by tests and the small exact carriers)
             self._transfer = self.advance(np.eye(self.nodes.size))
         return self._transfer
+
+    @property
+    def matrix_bytes(self) -> int:
+        """Bytes of the matrices this carrier holds."""
+        held = [self._transfer] + list(self._parity or ())
+        return sum(a.nbytes for a in held
+                   if isinstance(a, np.ndarray) and a.ndim == 2)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
         if self._parity is None:
             return self._transfer @ v
-        low, high, t_even, t_odd = self._parity
-        vl, vh = v[low], v[high]
-        # (x.T @ t.T).T streams each block once; t @ x with a few columns
-        # makes the BLAS pack the whole block first.
-        even2 = ((0.5 * (vl + vh)).T @ t_even.T).T
-        odd2 = ((0.5 * (vl - vh)).T @ t_odd.T).T
-        out = np.empty_like(v)
-        out[low] = even2 + odd2
-        out[high] = even2 - odd2
-        return out
+        low, high, sign, stack = self._parity
+        width = stack.shape[0] - low.size  # c_p
+        cols = v.reshape(v.shape[0], -1)
+        m = cols.shape[1]
+        vl, vh = cols[low], cols[high]
+        e = (0.5 * (vl + vh)).T
+        so = ((0.5 * sign)[:, None] * (vl - vh)).T
+        # rows [e | e] and [s o | -s o] against [W_p^T; W_r^T] give even
+        # and odd in one product; u @ stack streams the k-major stack once,
+        # where stack.T @ u.T with a few columns makes the BLAS pack it first
+        u = np.empty((2 * m, stack.shape[0]))
+        u[:m, :width], u[:m, width:] = e[:, :width], e
+        u[m:, :width] = so[:, :width]
+        np.negative(so, out=u[m:, width:])
+        both = u @ stack
+        even, odd = both[:m].T, both[m:].T
+        out = np.empty_like(cols)
+        out[low] = even + odd
+        out[high] = even - odd
+        return out.reshape(v.shape)
 
     def rep(self, f: Function01) -> np.ndarray:
         if self._rep_builder is None:
@@ -762,25 +800,32 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         # them several times faster than an index array.
         branch_cols = [slice(depth + 1, 0, -1) if used[0][1] else slice(0, depth + 1)]
 
-    def branches(xs):
+    def branches(xs, plain_width=depth + 1):
         """Per branch in use at the points xs: its share-weighted weights,
-        their columns, its endpoint column and each row's routed mass."""
+        their columns, its endpoint column and each row's routed mass.
+        The plain branch keeps its first plain_width columns only, which
+        loses nothing where every later weight flushes to zero."""
         out = []
         for (share, reflect), cols in zip(used, branch_cols):
             t = 1.0 - xs if reflect else xs
             at_end = t == 1.0
-            w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), depth)
+            kmax = depth if reflect else plain_width - 1
+            w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), kmax)
             if share != 1.0:
                 w *= share
             w[at_end] = 0.0
+            # subnormal weights slow every product they enter; the routed
+            # mass absorbs them exactly
+            np.putmask(w, w < _TINY, 0.0)
             mass = np.where(at_end, share, np.maximum(0.0, share - w.sum(axis=1)))
-            out.append((w, cols, 0 if reflect else -1, mass))
+            out.append((w, cols if kmax == depth else cols[:kmax + 1],
+                        0 if reflect else -1, mass))
         return out
 
-    def blocks(xs):
+    def blocks(xs, plain_width=depth + 1):
         for start in range(0, xs.size, _ROW_BLOCK):
             sl = slice(start, start + _ROW_BLOCK)
-            yield sl, branches(xs[sl])
+            yield sl, branches(xs[sl], plain_width)
 
     def apply_rep(rep, xs):
         out = np.zeros((xs.size,) + rep.shape[1:])
@@ -804,56 +849,90 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         return NodeDiscretization(spec, nodes, transfer, bound(nodes, routed),
                                   apply_rep)
 
-    # Parity blocks over the pairs k (see NodeDiscretization): the odd
-    # sign flips where the pair's node in [0, 1/2] is r_k, and pair 0,
-    # (node 0, node 1), takes the masses routed to those two endpoints.
+    # Branch blocks over the pairs k, stored k-major (see
+    # NodeDiscretization): the odd sign flips where the pair's low node is
+    # r_k, and pair 0, (node 0, node 1), takes the routed masses, each in
+    # the other branch's endpoint row.
     p_cols, r_cols = branch_cols
     first = k <= n
     low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
     sign = np.where(first, 1.0, -1.0)
-    t_even, t_odd = np.empty((2, depth + 1, depth + 1))
+    width = _mkz_plain_width(spec, depth)
+    stack = np.empty((width + depth + 1, depth + 1))  # [W_p^T[:c_p]; W_r^T]
     routed = np.empty(depth + 1)
-    for sl, ((w_p, _, _, m_p), (w_r, _, _, m_r)) in blocks(nodes[low]):
-        np.add(w_p, w_r, out=t_even[sl])
-        np.subtract(w_p, w_r, out=t_odd[sl])
-        t_odd[sl] *= sign
-        t_even[sl, 0] += m_r + m_p
-        t_odd[sl, 0] += m_r - m_p
+    for sl, ((w_p, _, _, m_p), (w_r, _, _, m_r)) in blocks(nodes[low], width):
+        stack[:width, sl] = w_p.T
+        stack[width:, sl] = w_r.T
+        stack[0, sl] += m_r
+        stack[width, sl] += m_p
         routed[sl] = m_p + m_r
-    return NodeDiscretization(spec, nodes, None, bound(nodes[low], routed),
-                              apply_rep, parity=(low, high, t_even, t_odd))
+        del w_p, w_r  # free this block before the next one is built
+    return NodeDiscretization(
+        spec, nodes, None, bound(nodes[low], routed), apply_rep,
+        parity=(low, high, sign, stack))
+
+
+def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
+    """c_p of the mkz-symmetric carrier: one past the last column whose
+    share-weighted plain weight at t = 1/2 is a normal float.  For k > n,
+    w_k(t) rises on [0, 1/2], so no low node keeps a plain weight beyond
+    it once subnormals are flushed."""
+    share = spec.record.shares[0]
+    w = share * mkz_weight_matrix(spec.n, np.array([0.5]), depth)[0]
+    return int(np.flatnonzero(w >= _TINY)[-1]) + 1
 
 
 def check_carrier_budget(spec: OperatorSpec) -> None:
     """Raise TruncationBudgetError, without building anything, if the
-    arrays a series carrier build holds at once exceed _CARRIER_BYTES_CAP:
-    two (depth+1)-square parity blocks (equal shares), or an N-square
-    transfer, N = depth + 2, next to the N x (depth+1) weights it is
-    filled from (one branch).  The exact carriers are (n+1)-square."""
+    arrays a series carrier build holds at once exceed _CARRIER_BYTES_CAP.
+    Equal shares: the (c_p + depth + 1) x (depth + 1) branch stack next to
+    three row blocks of depth + 1 columns (the plain weights, at most
+    that wide, and the reflected weights with their ratio scratch).  One
+    branch: an N-square transfer, N = depth + 2, next to the
+    N x (depth+1) weights it is filled from.  The exact carriers are
+    (n+1)-square."""
     if not spec.record.series:
         return
     depth = _mkz_node_depth(spec)
     plain, refl = spec.record.shares
-    size = 8 * (2 * (depth + 1) ** 2 if plain == refl
-                else (depth + 2) * (2 * depth + 3))
+    if plain == refl:
+        rows = (_mkz_plain_width(spec, depth) + depth + 1
+                + 3 * min(_ROW_BLOCK, depth + 1))
+        size = 8 * rows * (depth + 1)
+    else:
+        size = 8 * (depth + 2) * (2 * depth + 3)
     if size > _CARRIER_BYTES_CAP:
         raise TruncationBudgetError(
             f"{spec.family} carrier for n={spec.n} needs {size / 2**30:.1f} "
             f"GiB, above the {_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
 
 
-_DISC_CACHE: dict = {}
+_CACHE_BYTES_CAP = 2**30  # carrier matrix bytes kept for reuse
+_DISC_CACHE: dict = {}  # spec -> carrier, least recently used first
+_DISC_LOCK = threading.Lock()
 
 
 def node_discretization(op: OperatorSpec) -> NodeDiscretization:
-    """Build (or fetch) the finite carrier for one operator instance."""
-    got = _DISC_CACHE.get(op)
-    if got is None:
-        check_carrier_budget(op)
-        got = op.record.carrier(op)
-        if len(_DISC_CACHE) > 12:
-            _DISC_CACHE.clear()  # the mkz carriers are large; keep few
+    """Build (or fetch) the finite carrier for one operator instance.
+
+    Carriers are kept least recently used first and evicted once the
+    matrices they hold pass _CACHE_BYTES_CAP (the newest always stays).
+    Builds run outside the lock.
+    """
+    with _DISC_LOCK:
+        got = _DISC_CACHE.pop(op, None)
+        if got is not None:
+            _DISC_CACHE[op] = got  # now the most recently used
+            return got
+    check_carrier_budget(op)
+    got = op.record.carrier(op)
+    with _DISC_LOCK:
         _DISC_CACHE[op] = got
+        held = sum(d.matrix_bytes for d in _DISC_CACHE.values())
+        for old in list(_DISC_CACHE)[:-1]:
+            if held <= _CACHE_BYTES_CAP:
+                break
+            held -= _DISC_CACHE.pop(old).matrix_bytes
     return got
 
 

@@ -99,11 +99,14 @@ def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Funct
     return Function01(ev, name="geometric-series")
 
 
-def _residual_norm(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
-                   grid: EvaluationGrid) -> float:
-    # (I - L) g - f off the nodes is the image of acc - rep0 - T acc.
+def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
+                    grid: EvaluationGrid) -> list:
+    """|(I - L) g - f|_psi per column of acc: off the nodes (I - L) g - f
+    is the image of acc - rep0 - T acc, formed for all columns at once."""
+    pts = grid.points
     defect = acc - rep0 - disc.advance(acc)
-    return psi_sup(disc.apply_rep(defect, grid.points), grid.points)
+    images = disc.apply_rep(defect, pts).reshape(pts.size, -1)
+    return [psi_sup(col, pts) for col in images.T]
 
 
 def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
@@ -115,7 +118,7 @@ def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
     tail_bound = |(I - L) g - f|_psi / (1 - b)."""
     acc = np.zeros_like(rep0)
     acc[idx] = sol
-    resid = _residual_norm(disc, acc, rep0, grid)
+    (resid,) = _residual_norms(disc, acc, rep0, grid)
     return GeometricSeriesResult(
         g=_series_function(f, disc, acc), method=method, terms_used=terms_used,
         tail_bound=resid / (1.0 - op.contraction_bound()),
@@ -141,20 +144,18 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     b = op.contraction_bound()
     k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
     # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
-    v = np.column_stack(reps)
-    acc = np.zeros_like(v)
+    rep0 = np.column_stack(reps)
+    v, acc = rep0, np.zeros_like(rep0)
     for k in range(k_max):
         if k:
             v = disc.advance(v)
         acc += v
-    out = []
-    for i, (f_eval, rep0, norm) in enumerate(zip(f_evals, reps, norms)):
-        col = acc[:, i].copy()
-        out.append(GeometricSeriesResult(
-            g=_series_function(f_eval, disc, col), method="neumann",
-            terms_used=k_max + 1, tail_bound=b ** (k_max + 1) / (1.0 - b) * norm,
-            residual_psi_norm=_residual_norm(disc, col, rep0, grid)))
-    return out
+    resids = _residual_norms(disc, acc, rep0, grid)
+    return [GeometricSeriesResult(
+        g=_series_function(f_eval, disc, acc[:, i].copy()), method="neumann",
+        terms_used=k_max + 1, tail_bound=b ** (k_max + 1) / (1.0 - b) * norm,
+        residual_psi_norm=resids[i])
+        for i, (f_eval, norm) in enumerate(zip(f_evals, norms))]
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):

@@ -2,6 +2,7 @@
 contraction profile, and the node carriers."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,7 +17,7 @@ from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
                               durrmeyer_apply, durrmeyer_functional,
                               mkz_apply, mkz_truncation_index, moment,
                               node_discretization)
-from opgeom.special import log_binomial, mkz_weight_row
+from opgeom.special import log_binomial, mkz_weight_matrix, mkz_weight_row
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -525,6 +526,37 @@ class TestSeriesCarrier:
             assert np.max(np.abs(got - rows @ rep)) <= 1e-13
 
 
+    def test_advance_matches_dense_build(self, spec):
+        disc = node_discretization(spec)
+        _, transfer, _ = _dense_series_carrier(spec)
+        v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 5))
+        got = disc.advance(v)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - transfer @ v)) <= 1e-13
+        assert np.max(np.abs(disc.advance(v[:, 2]) - got[:, 2])) <= 1e-14
+
+
+SYMMETRIC_CARRIERS = [s for s in SERIES_CARRIERS if s.family == "mkz-symmetric"]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
+    # every plain weight at the low nodes min(p_k, r_k) beyond c_p is
+    # below the smallest normal float, so the carrier flushes it to 0 and
+    # stores the plain block only up to c_p; n = 8 cuts
+    n, depth = spec.n, _mkz_node_depth(spec)
+    width = operators._mkz_plain_width(spec, depth)
+    k = np.arange(depth + 1)
+    low = np.minimum(k / (n + k), n / (n + k))
+    plain = 0.5 * mkz_weight_matrix(n, low, depth)
+    assert np.all(plain[:, width:] < np.finfo(float).tiny)
+    assert np.max(plain[:, width - 1]) >= np.finfo(float).tiny
+    assert width < depth + 1 if n == 8 else width <= depth + 1
+    stored = operators._mkz_disc(spec).matrix_bytes  # no unfolded transfer
+    assert stored == 8 * (width + depth + 1) * (depth + 1)
+
+
 class TestCarrierMemoryBudget:
     def test_oversized_carriers_raise_before_building(self):
         for family in ("mkz", "mkz-symmetric"):
@@ -548,6 +580,55 @@ class TestCarrierMemoryBudget:
             node_discretization(spec)
         monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", transfer + weights)
         assert node_discretization(spec).transfer.shape == (depth + 2,) * 2
+
+
+    def test_symmetric_build_counts_stack_and_row_blocks(self, monkeypatch):
+        # the equal-share build holds the (c_p + depth + 1) x (depth + 1)
+        # branch stack next to three row blocks of weights; a cap one byte
+        # short of that must refuse it
+        spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+        depth = _mkz_node_depth(spec)
+        width = operators._mkz_plain_width(spec, depth)
+        assert width < depth + 1
+        stack = 8 * (width + depth + 1) * (depth + 1)
+        blocks = 8 * 3 * min(512, depth + 1) * (depth + 1)
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack + blocks - 1)
+        with pytest.raises(TruncationBudgetError, match="GiB"):
+            node_discretization(spec)
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack + blocks)
+        assert node_discretization(spec).matrix_bytes == stack
+
+
+class TestCarrierCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Fresh cache; every bernstein build is recorded."""
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        record = operators.family_record("bernstein")
+        log = []
+
+        def carrier(spec):
+            log.append(spec)
+            return record.carrier(spec)
+
+        monkeypatch.setitem(operators._FAMILY_TABLE, "bernstein",
+                            replace(record, carrier=carrier))
+        return log
+
+    def test_least_recently_used_carrier_leaves_first(self, builds,
+                                                      monkeypatch):
+        log = builds
+        a, b, c = (OperatorSpec("bernstein", n) for n in (5, 6, 7))
+        held = {s: 8 * (s.n + 1) ** 2 for s in (a, b, c)}
+        assert all(node_discretization(s).matrix_bytes == held[s] for s in (a, b))
+        monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", held[a] + held[c])
+        node_discretization(a)  # a is now the most recently used
+        node_discretization(c)  # over the cap: b leaves, not a
+        assert list(operators._DISC_CACHE) == [a, c]
+        node_discretization(a)
+        node_discretization(b)
+        assert log == [a, b, c, b]
 
 
 class TestConditionReport:

@@ -9,7 +9,7 @@ from opgeom import series
 from opgeom.errors import (DegenerateOperatorError, DomainError,
                            NotInCpsiError)
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
-                              psi_norm, registry)
+                              psi_norm, psi_sup, registry)
 from opgeom.operators import (NodeDiscretization, OperatorSpec,
                               node_discretization)
 from opgeom.series import (check_inversion_identities, geometric_series,
@@ -199,6 +199,28 @@ class TestNeumann(EntryContract):
         x = GRID.points[::16]
         for s, b_ in zip(singles, batch):
             assert np.max(np.abs(np.asarray(s.g(x)) - np.asarray(b_.g(x)))) <= 1e-9
+
+    def test_batch_residuals_are_the_per_column_ones(self, monkeypatch):
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        disc = node_discretization(op)
+        fs = [registry("psi"), registry("psi") * registry("sin_pi"),
+              registry("sin_pi")]
+        calls = []
+        advance = NodeDiscretization.advance
+        monkeypatch.setattr(NodeDiscretization, "advance",
+                            lambda d, v: calls.append(v.shape) or advance(d, v))
+        batch = geometric_series(op, fs, 1e-6, GRID, method="neumann")
+        # K - 1 sweep products and one for all the residuals
+        assert len(calls) == batch[0].terms_used - 1
+        assert all(shape == (disc.nodes.size, len(fs)) for shape in calls)
+        pts = op.grid(GRID).points
+        reps = np.column_stack([disc.rep(f) for f in fs])
+        acc = reps + advance(disc, reps)
+        for i, got in enumerate(series._residual_norms(disc, acc, reps,
+                                                       op.grid(GRID))):
+            defect = acc[:, i] - reps[:, i] - advance(disc, acc[:, i])
+            want = psi_sup(disc.apply_rep(defect, pts), pts)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_batch_of_one_matches_single_without_a_sweep(self):
         # the first tail bound already meets eps: K = 0, so G f ~ f alone

@@ -27,10 +27,14 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                omitted mass is routed to the branch's hard endpoint node,
                whose value a weighted-space input pins to zero; weights
                below the smallest normal float are flushed into that
-               mass.  The (1/2, 1/2) carrier is indexed by the mirror
-               pairs (k/(n+k), n/(n+k)) and stores the reflected branch's
+               mass.  Every tag holds one k-major stack, allocated once
+               and filled in place by the ratio recurrence, one vector
+               operation per series index over all nodes (_mkz_fill).  A
+               one-branch stack is the transposed transfer matrix; the
+               (1/2, 1/2) stack is indexed by the mirror pairs
+               (k/(n+k), n/(n+k)) and holds the reflected branch's
                weights once and the plain branch's up to their underflow
-               column, one stack that advances both parities per product.
+               row, so one product advances both parities.
 
 Pointwise quantities (apply, moment, alpha, the mixed condition bound)
 take arrays of points; for the series families they all go through one
@@ -80,7 +84,7 @@ __all__ = [
 
 _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
-_ROW_BLOCK = 512  # carrier rows built per weight-matrix call
+_ROW_BLOCK = 512  # points per weight-matrix call of a series apply_rep
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
@@ -610,9 +614,9 @@ def alpha_profile(op: OperatorSpec, grid: Optional[EvaluationGrid] = None) -> Al
 # ---------------------------------------------------------------------------
 
 class NodeDiscretization:
-    """Finite carrier of one operator: nodes, a square transfer matrix that
-    advances the family's representation vector by one application, and a
-    certified truncation bound.
+    """Finite carrier of one operator: nodes, a k-major stack that advances
+    the family's representation vector by one application, and a certified
+    truncation bound.
 
     rep(f) is the representation of L(f): node samples of f (the default)
     for bernstein and the series families, whose images are determined by
@@ -625,15 +629,22 @@ class NodeDiscretization:
     carriers sum each branch's weights at x against its columns plus the
     routed mass times its endpoint entry, without full-width rows.
 
-    mkz-symmetric keeps its transfer in pair coordinates over the mirror
-    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth.  Row i sits at
-    the pair's low node t_i in [0, 1/2] (p_i for i <= n, r_i beyond); the
-    even and odd inputs e, o of pair j are the half sum and half difference
-    of its low node's entry and its mirror's, and s_j = +1 for j <= n, -1
-    beyond.  Only the two branch blocks are stored, k-major:
-    W_r[i, j] = w_j(1 - t_i)/2 (dense) and W_p[i, j] = w_j(t_i)/2 for the
-    columns j < c_p; c_p is one past the last column whose weight at the
-    deepest low node 1/2 is a normal float (for j > n, w_j rises on
+    Every family holds one matrix, the stack, k-major: stack[j, i] is the
+    weight of input j at output i.  Without a pair map it is the transpose
+    of the square transfer matrix, so advance is stack.T @ v; the exact
+    carriers pass the view transfer.T, and a one-branch series carrier
+    fills its rows in node order with the routed masses in its endpoint
+    row.
+
+    mkz-symmetric keeps its stack in pair coordinates over the mirror
+    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth, with the pair map
+    (low, high, sign).  Column i sits at the pair's low node t_i in
+    [0, 1/2] (p_i for i <= n, r_i beyond); the even and odd inputs e, o of
+    pair j are the half sum and half difference of its low node's entry
+    and its mirror's, and s_j = +1 for j <= n, -1 beyond.  The stack is
+    [W_p^T[:c_p]; W_r^T] with W_r[i, j] = w_j(1 - t_i)/2 (dense) and
+    W_p[i, j] = w_j(t_i)/2; c_p is one past the last column whose weight
+    at the deepest low node 1/2 is a normal float (for j > n, w_j rises on
     [0, 1/2]), so every plain weight beyond it is flushed to zero.  One
     advance multiplies U = [e | s o] by both blocks:
 
@@ -655,38 +666,36 @@ class NodeDiscretization:
     """
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
-                 transfer: Optional[np.ndarray], truncation_error_bound: float,
-                 apply_rep: Callable, rep_builder=None, parity=None):
+                 stack: np.ndarray, truncation_error_bound: float,
+                 apply_rep: Callable, rep_builder=None, pairs=None):
         self.spec = spec
         self.nodes = nodes
-        self._transfer = transfer
+        self._stack = stack
         self.truncation_error_bound = float(truncation_error_bound)
         self._apply_rep = apply_rep  # (rep, 1-D points) -> values
         self._rep_builder = rep_builder
-        # (low, high, sign, [W_p^T; W_r^T]) by pair, masses in row 0 of each
-        self._parity = parity
+        self._pairs = pairs  # (low, high, sign) by pair, or None
         self.interior = (nodes > 0.0) & (nodes < 1.0)
 
     @property
     def transfer(self) -> np.ndarray:
-        if self._transfer is None:
-            # unfold the branch stack; columns of T are advances of the
-            # unit vectors (used by tests and the small exact carriers)
-            self._transfer = self.advance(np.eye(self.nodes.size))
-        return self._transfer
+        """The square transfer matrix; a paired stack is unfolded (columns
+        of T are advances of the unit vectors) on every call."""
+        if self._pairs is None:
+            return self._stack.T
+        return self.advance(np.eye(self.nodes.size))
 
     @property
     def matrix_bytes(self) -> int:
-        """Bytes of the matrices this carrier holds."""
-        held = [self._transfer] + list(self._parity or ())
-        return sum(a.nbytes for a in held
-                   if isinstance(a, np.ndarray) and a.ndim == 2)
+        """Bytes of the matrix this carrier holds."""
+        return self._stack.nbytes
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
-        if self._parity is None:
-            return self._transfer @ v
-        low, high, sign, stack = self._parity
+        stack = self._stack
+        if self._pairs is None:
+            return stack.T @ v
+        low, high, sign = self._pairs
         width = stack.shape[0] - low.size  # c_p
         cols = v.reshape(v.shape[0], -1)
         m = cols.shape[1]
@@ -720,8 +729,8 @@ class NodeDiscretization:
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
     n = spec.n
     nodes = np.arange(n + 1) / n
-    return NodeDiscretization(spec, nodes, bernstein_basis_matrix(n, nodes), 0.0,
-                              lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep)
+    return NodeDiscretization(spec, nodes, bernstein_basis_matrix(n, nodes).T,
+                              0.0, lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep)
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -751,7 +760,7 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     transfer[0, 0] = 1.0
     transfer[n, n] = 1.0
     transfer[1:n] = inner
-    return NodeDiscretization(spec, nodes, transfer, 0.0,
+    return NodeDiscretization(spec, nodes, transfer.T, 0.0,
                               lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep,
                               partial(_durrmeyer_coeffs, n, rho))
 
@@ -773,19 +782,56 @@ def _mkz_node_depth(spec: OperatorSpec) -> int:
     return mkz_truncation_index(n, x_cap, tau_row)
 
 
+def _mkz_fill(rows: np.ndarray, n: int, t: np.ndarray,
+              share: float) -> np.ndarray:
+    """Write share * w_j(t) into rows[j], j = 0..len(rows) - 1, at all the
+    points t at once; return each point's routed mass, share minus the
+    weights written (share itself at t = 1, the point mass at the
+    branch's endpoint, which gets no weights).
+
+    Each row is one vector operation over the points, multiplied in the
+    order of mkz_weight_matrix (running product of t (n+j)/j, then
+    (1-t)^(n+1), then the share), so the weights equal its columns bit for
+    bit.  Subnormal weights slow every product they enter; they are
+    flushed to 0 and the routed mass absorbs them exactly.  The weights
+    are summed with Kahan's compensation: a plain running sum over
+    thousands of rows would carry its rounding into the routed mass.
+    """
+    at_end = t == 1.0
+    t = np.where(at_end, 0.0, t)
+    w0 = np.where(at_end, 0.0, (1.0 - t) ** (n + 1))
+    run, ratio, y = np.ones(t.size), np.empty(t.size), np.empty(t.size)
+    total, lost, step = np.zeros(t.size), np.zeros(t.size), np.empty(t.size)
+    for j, row in enumerate(rows):
+        if j:
+            np.multiply(t, (n + j) / j, out=ratio)
+            run *= ratio
+        np.multiply(run, w0, out=row)
+        if share != 1.0:
+            row *= share
+        np.putmask(row, row < _TINY, 0.0)
+        # total += row, with the rounding of each addition kept in lost
+        np.subtract(row, lost, out=y)
+        np.add(total, y, out=step)
+        np.subtract(step, total, out=lost)
+        lost -= y
+        total, step = step, total
+    return np.where(at_end, share, np.maximum(0.0, share - total))
+
+
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     """The carrier of every series family.
 
     Its nodes are 0, 1 and the nodes of the branches in use: k/(n+k) for
     the plain branch, n/(n+k) for the reflected one.  Each branch adds its
-    share-weighted weights to its own columns and routes each row's
-    omitted mass to its hard endpoint node (1 plain, 0 reflected): the
-    skipped terms sample f next to that endpoint, where weighted-space
-    inputs vanish like psi.
+    share-weighted weights to its own nodes and routes each row's omitted
+    mass to its hard endpoint node (1 plain, 0 reflected): the skipped
+    terms sample f next to that endpoint, where weighted-space inputs
+    vanish like psi.  The stack (see NodeDiscretization) is allocated once
+    and filled in place by _mkz_fill.
     """
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
-    parity = fam.shares[0] == fam.shares[1]
     k = np.arange(depth + 1)
     used = [(s, reflect) for s, reflect in zip(fam.shares, (False, True)) if s]
     # Collisions p_j = r_m happen exactly when j*m = n^2; both quotients
@@ -794,82 +840,54 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         [n / (n + k) if reflect else k / (n + k) for _, reflect in used]
         + [[0.0, 1.0]]), return_inverse=True)
     branch_cols = np.split(inv[: len(used) * (depth + 1)], len(used))
-    if not parity:
-        # A lone branch owns every column but its endpoint's, ascending
-        # (plain) or descending (reflected); a slice reads and writes
-        # them several times faster than an index array.
-        branch_cols = [slice(depth + 1, 0, -1) if used[0][1] else slice(0, depth + 1)]
-
-    def branches(xs, plain_width=depth + 1):
-        """Per branch in use at the points xs: its share-weighted weights,
-        their columns, its endpoint column and each row's routed mass.
-        The plain branch keeps its first plain_width columns only, which
-        loses nothing where every later weight flushes to zero."""
-        out = []
-        for (share, reflect), cols in zip(used, branch_cols):
-            t = 1.0 - xs if reflect else xs
-            at_end = t == 1.0
-            kmax = depth if reflect else plain_width - 1
-            w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), kmax)
-            if share != 1.0:
-                w *= share
-            w[at_end] = 0.0
-            # subnormal weights slow every product they enter; the routed
-            # mass absorbs them exactly
-            np.putmask(w, w < _TINY, 0.0)
-            mass = np.where(at_end, share, np.maximum(0.0, share - w.sum(axis=1)))
-            out.append((w, cols if kmax == depth else cols[:kmax + 1],
-                        0 if reflect else -1, mass))
-        return out
-
-    def blocks(xs, plain_width=depth + 1):
-        for start in range(0, xs.size, _ROW_BLOCK):
-            sl = slice(start, start + _ROW_BLOCK)
-            yield sl, branches(xs[sl], plain_width)
 
     def apply_rep(rep, xs):
         out = np.zeros((xs.size,) + rep.shape[1:])
-        for sl, parts in blocks(xs):
-            for w, cols, end, mass in parts:
-                out[sl] += w @ rep[cols] + np.multiply.outer(mass, rep[end])
+        for start in range(0, xs.size, _ROW_BLOCK):
+            sl = slice(start, start + _ROW_BLOCK)
+            for (share, reflect), cols in zip(used, branch_cols):
+                t = 1.0 - xs[sl] if reflect else xs[sl]
+                at_end = t == 1.0
+                w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), depth)
+                if share != 1.0:
+                    w *= share
+                w[at_end] = 0.0
+                np.putmask(w, w < _TINY, 0.0)
+                mass = np.where(at_end, share,
+                                np.maximum(0.0, share - w.sum(axis=1)))
+                out[sl] += (w @ rep[cols]
+                            + np.multiply.outer(mass, rep[0 if reflect else -1]))
         return out
 
-    def bound(at, routed):
-        lo, hi = spec.certified_interval()
-        certified = (at >= lo) & (at <= hi)
-        return float(np.max(routed[certified])) if np.any(certified) else 1.0
-
-    if not parity:
-        # One pass over all rows: a few large temporaries page-fault far
-        # less than a sequence of row blocks.
-        ((w, cols, end, routed),) = branches(nodes)
-        transfer = np.empty((nodes.size, nodes.size))
-        transfer[:, cols] = w
-        transfer[:, end] = routed
-        return NodeDiscretization(spec, nodes, transfer, bound(nodes, routed),
-                                  apply_rep)
-
-    # Branch blocks over the pairs k, stored k-major (see
-    # NodeDiscretization): the odd sign flips where the pair's low node is
-    # r_k, and pair 0, (node 0, node 1), takes the routed masses, each in
-    # the other branch's endpoint row.
-    p_cols, r_cols = branch_cols
-    first = k <= n
-    low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
-    sign = np.where(first, 1.0, -1.0)
-    width = _mkz_plain_width(spec, depth)
-    stack = np.empty((width + depth + 1, depth + 1))  # [W_p^T[:c_p]; W_r^T]
-    routed = np.empty(depth + 1)
-    for sl, ((w_p, _, _, m_p), (w_r, _, _, m_r)) in blocks(nodes[low], width):
-        stack[:width, sl] = w_p.T
-        stack[width:, sl] = w_r.T
-        stack[0, sl] += m_r
-        stack[width, sl] += m_p
-        routed[sl] = m_p + m_r
-        del w_p, w_r  # free this block before the next one is built
-    return NodeDiscretization(
-        spec, nodes, None, bound(nodes[low], routed), apply_rep,
-        parity=(low, high, sign, stack))
+    stack = np.empty(_mkz_stack_shape(spec, depth))
+    if len(used) == 1:
+        # one branch: rows in node order, so the reflected nodes n/(n+k)
+        # fill backwards, and the routed masses in the endpoint row
+        ((share, reflect),) = used
+        at, pairs = nodes, None
+        if reflect:
+            routed = stack[0] = _mkz_fill(stack[:0:-1], n, 1.0 - nodes, share)
+        else:
+            routed = stack[-1] = _mkz_fill(stack[:-1], n, nodes, share)
+    else:
+        # pair k's low node is p_k up to k = n and r_k beyond, where the
+        # odd sign flips; pair 0, (node 0, node 1), takes the routed
+        # masses, each in the other branch's row 0
+        p_cols, r_cols = branch_cols
+        first = k <= n
+        low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
+        pairs = (low, high, np.where(first, 1.0, -1.0))
+        width = stack.shape[0] - depth - 1  # c_p
+        at = nodes[low]
+        m_p = _mkz_fill(stack[:width], n, at, fam.shares[0])
+        m_r = _mkz_fill(stack[width:], n, 1.0 - at, fam.shares[1])
+        stack[0] += m_r
+        stack[width] += m_p
+        routed = m_p + m_r
+    lo, hi = spec.certified_interval()
+    certified = (at >= lo) & (at <= hi)
+    bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
+    return NodeDiscretization(spec, nodes, stack, bound, apply_rep, pairs=pairs)
 
 
 def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
@@ -882,25 +900,25 @@ def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
     return int(np.flatnonzero(w >= _TINY)[-1]) + 1
 
 
-def check_carrier_budget(spec: OperatorSpec) -> None:
-    """Raise TruncationBudgetError, without building anything, if the
-    arrays a series carrier build holds at once exceed _CARRIER_BYTES_CAP.
-    Equal shares: the (c_p + depth + 1) x (depth + 1) branch stack next to
-    three row blocks of depth + 1 columns (the plain weights, at most
-    that wide, and the reflected weights with their ratio scratch).  One
-    branch: an N-square transfer, N = depth + 2, next to the
-    N x (depth+1) weights it is filled from.  The exact carriers are
-    (n+1)-square."""
-    if not spec.record.series:
-        return
-    depth = _mkz_node_depth(spec)
+def _mkz_stack_shape(spec: OperatorSpec, depth: int) -> tuple:
+    """(rows, columns) of a series carrier's stack: (c_p + depth + 1,
+    depth + 1) over the mirror pairs for equal shares, N-square with
+    N = depth + 2 nodes for one branch."""
     plain, refl = spec.record.shares
     if plain == refl:
-        rows = (_mkz_plain_width(spec, depth) + depth + 1
-                + 3 * min(_ROW_BLOCK, depth + 1))
-        size = 8 * rows * (depth + 1)
-    else:
-        size = 8 * (depth + 2) * (2 * depth + 3)
+        return _mkz_plain_width(spec, depth) + depth + 1, depth + 1
+    return depth + 2, depth + 2
+
+
+def check_carrier_budget(spec: OperatorSpec) -> None:
+    """Raise TruncationBudgetError, without building anything, if a series
+    carrier's stack exceeds _CARRIER_BYTES_CAP: the build allocates that
+    one array and fills it in place, next to a few vectors of its width.
+    The exact carriers are (n+1)-square."""
+    if not spec.record.series:
+        return
+    rows, cols = _mkz_stack_shape(spec, _mkz_node_depth(spec))
+    size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
         raise TruncationBudgetError(
             f"{spec.family} carrier for n={spec.n} needs {size / 2**30:.1f} "

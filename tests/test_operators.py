@@ -1,9 +1,12 @@
 """Operator families: pointwise application, functionals, moments, the
 contraction profile, and the node carriers."""
 
+import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -154,13 +157,7 @@ class TestDurrmeyerFunctional:
             assert got[k] == pytest.approx(ref, abs=1e-10)
 
     def test_composite_rows_need_no_log_gamma(self, monkeypatch):
-        from opgeom import special
-
-        def refuse(*args):
-            raise AssertionError("log-Gamma called")
-
-        monkeypatch.setattr(special, "log_gamma", refuse)
-        monkeypatch.setattr(special, "log_beta", refuse)
+        # no module can call a log-Gamma (test_no_module_has_a_log_gamma)
         composite = []
         inner = operators._beta_integral_composite
         monkeypatch.setattr(operators, "_beta_integral_composite",
@@ -390,13 +387,8 @@ class TestNodeDiscretization:
                     ref = mp.binomial(n, j) * mp.beta(a + j, b + n - j) / mp.beta(a, b)
                     assert abs(transfer[i, j] - float(ref)) <= 1e-14, (i, j)
 
-    def test_durrmeyer_transfer_needs_no_log_gamma(self, monkeypatch):
-        from opgeom import special
-
-        def refuse(x):
-            raise AssertionError("log_gamma called")
-
-        monkeypatch.setattr(special, "log_gamma", refuse)
+    def test_durrmeyer_transfer_needs_no_log_gamma(self):
+        # no module can call a log-Gamma (test_no_module_has_a_log_gamma)
         disc = operators._durrmeyer_disc(OperatorSpec("durrmeyer", 9, rho=0.3))
         assert np.max(np.abs(disc.transfer.sum(axis=1) - 1.0)) <= 1e-15
 
@@ -496,15 +488,22 @@ SERIES_CARRIERS = [OperatorSpec(fam, n, truncation_eps=eps)
                    for n in (3, 4, 6, 8) for eps in (1e-6, 1e-10)]
 
 
-@pytest.mark.parametrize("spec", SERIES_CARRIERS,
+@pytest.fixture(scope="class")
+def dense_nodes(spec):
+    """The dense build at the nodes, made once per spec for the tests of
+    TestSeriesCarrier that read it."""
+    return _dense_series_carrier(spec)
+
+
+@pytest.mark.parametrize("spec", SERIES_CARRIERS, scope="class",
                          ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
 class TestSeriesCarrier:
     """The branch-coordinate carrier against a row-by-row dense build;
     n = 4 and 6 have merged nodes p_j = r_m (j m = n^2)."""
 
-    def test_matches_dense_build(self, spec):
+    def test_matches_dense_build(self, spec, dense_nodes):
         disc = node_discretization(spec)
-        nodes, transfer, routed = _dense_series_carrier(spec)
+        nodes, transfer, routed = dense_nodes
         assert np.array_equal(disc.nodes, nodes)
         assert np.max(np.abs(disc.transfer - transfer)) <= 1e-14
         lo, hi = spec.certified_interval()
@@ -526,9 +525,9 @@ class TestSeriesCarrier:
             assert np.max(np.abs(got - rows @ rep)) <= 1e-13
 
 
-    def test_advance_matches_dense_build(self, spec):
+    def test_advance_matches_dense_build(self, spec, dense_nodes):
         disc = node_discretization(spec)
-        _, transfer, _ = _dense_series_carrier(spec)
+        _, transfer, _ = dense_nodes
         v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 5))
         got = disc.advance(v)
         assert got.shape == v.shape
@@ -563,41 +562,72 @@ class TestCarrierMemoryBudget:
             with pytest.raises(TruncationBudgetError, match="GiB"):
                 node_discretization(OperatorSpec(family, 64, truncation_eps=1e-6))
 
+    @staticmethod
+    def _cap_must_fit_the_stack(spec, stack, monkeypatch):
+        # a cap one byte short of the stack refuses the build, and a cap
+        # equal to it builds: the build holds nothing else of that order
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack - 1)
+        with pytest.raises(TruncationBudgetError, match="GiB"):
+            node_discretization(spec)
+        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack)
+        assert node_discretization(spec).matrix_bytes == stack
+
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected"])
     def test_one_branch_build_counts_weights_and_transfer(self, family,
                                                           monkeypatch):
-        # the one-branch build holds the N x (depth+1) weights next to the
-        # N x N transfer, N = depth + 2; a cap that fits the transfer alone
-        # must refuse it
+        # the one-branch stack is the N-square transfer, N = depth + 2,
+        # transposed: the weights of each node and its routed-mass row
         spec = OperatorSpec(family, 4, truncation_eps=1e-6)
         depth = _mkz_node_depth(spec)
-        transfer = 8 * (depth + 2) ** 2
-        weights = 8 * (depth + 2) * (depth + 1)
-        monkeypatch.setattr(operators, "_DISC_CACHE", {})
-        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP",
-                            transfer + weights - 1)
-        with pytest.raises(TruncationBudgetError, match="GiB"):
-            node_discretization(spec)
-        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", transfer + weights)
+        self._cap_must_fit_the_stack(spec, 8 * (depth + 2) ** 2, monkeypatch)
         assert node_discretization(spec).transfer.shape == (depth + 2,) * 2
 
-
-    def test_symmetric_build_counts_stack_and_row_blocks(self, monkeypatch):
-        # the equal-share build holds the (c_p + depth + 1) x (depth + 1)
-        # branch stack next to three row blocks of weights; a cap one byte
-        # short of that must refuse it
+    def test_symmetric_build_counts_its_stack(self, monkeypatch):
+        # the equal-share stack is (c_p + depth + 1) x (depth + 1)
         spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
         depth = _mkz_node_depth(spec)
         width = operators._mkz_plain_width(spec, depth)
         assert width < depth + 1
-        stack = 8 * (width + depth + 1) * (depth + 1)
-        blocks = 8 * 3 * min(512, depth + 1) * (depth + 1)
-        monkeypatch.setattr(operators, "_DISC_CACHE", {})
-        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack + blocks - 1)
+        self._cap_must_fit_the_stack(
+            spec, 8 * (width + depth + 1) * (depth + 1), monkeypatch)
+
+    @pytest.mark.parametrize("family, largest", [
+        ("mkz", 50), ("mkz-reflected", 50), ("mkz-symmetric", 49)])
+    def test_ceilings_at_the_default_tolerance(self, family, largest):
+        # the guard alone, no build: the 4 GiB budget admits the stack of
+        # each tag up to these orders at eps 1e-6 and refuses n = 64
+        operators.check_carrier_budget(
+            OperatorSpec(family, largest, truncation_eps=1e-6))
         with pytest.raises(TruncationBudgetError, match="GiB"):
-            node_discretization(spec)
-        monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack + blocks)
-        assert node_discretization(spec).matrix_bytes == stack
+            operators.check_carrier_budget(
+                OperatorSpec(family, 64, truncation_eps=1e-6))
+
+    @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
+    def test_build_peaks_at_its_stack(self, family):
+        # the stack is allocated once and filled in place: no transfer
+        # next to its weights, no row blocks, no ratio scratch
+        spec = OperatorSpec(family, 8, truncation_eps=1e-6)
+        tracemalloc.start()
+        try:
+            disc = operators._mkz_disc(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * disc.matrix_bytes
+
+
+def test_no_module_has_a_log_gamma():
+    # every Beta and binomial constant comes from ratios, unit-mass
+    # normalization or exact integers; no opgeom module defines, imports
+    # or reads a log-Gamma
+    banned = {"log_gamma", "lgamma", "gammaln"}
+    for path in Path(operators.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for key in ("name", "asname", "id", "attr"):
+                value = getattr(node, key, None)
+                if isinstance(value, str):
+                    assert not banned & set(value.split(".")), (path.name, value)
 
 
 class TestCarrierCache:

@@ -2,68 +2,19 @@
 errors, and the basis-weight invariants."""
 
 import math
-from fractions import Fraction
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from opgeom.errors import DomainError
-from opgeom.special import (bernstein_basis_matrix, bernstein_basis_row, beta,
-                            log_binomial, log_gamma, mkz_weight_matrix,
-                            mkz_weight_row)
+from opgeom.special import (bernstein_basis_matrix, bernstein_basis_row,
+                            log_binomial, mkz_weight_matrix, mkz_weight_row)
 from oracles import (LogDomainValue, bernstein_basis, binomial,
                      mkz_basis_weight)
 
 mp.mp.dps = 40
-
-
-class TestLogGamma:
-    def test_exact_points(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_against_mpmath_sweep(self):
-        xs = np.concatenate([
-            np.logspace(-6, 0, 60), np.linspace(0.1, 4.0, 79),
-            np.logspace(1, 6, 60)])
-        for x in xs:
-            ref = float(mp.loggamma(mp.mpf(float(x))))
-            got = log_gamma(float(x))
-            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), x
-
-    def test_vectorized(self):
-        xs = np.array([0.5, 1.0, 5.0])
-        out = log_gamma(xs)
-        assert out.shape == (3,)
-        assert out[2] == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-3.2)
-
-
-class TestBeta:
-    def test_values(self):
-        assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        exact = Fraction(math.factorial(1) * math.factorial(2),
-                         math.factorial(4))
-        assert beta(2.0, 3.0) == pytest.approx(float(exact), rel=1e-13)
-        assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_symmetry_exact(self):
-        # the log-domain formula commutes in a and b, so equality is exact
-        for a, b in [(0.3, 4.7), (2.0, 9.5), (13.25, 0.75)]:
-            assert beta(a, b) == beta(b, a)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta(0.0, 1.0)
-        with pytest.raises(DomainError):
-            beta(1.0, -2.0)
 
 
 class TestLogDomainValue:
@@ -192,3 +143,15 @@ class TestMkzWeights:
         mat = mkz_weight_matrix(5, xs, 200)
         for i, x in enumerate(xs):
             assert np.max(np.abs(mat[i] - mkz_weight_row(5, float(x), 200))) == 0.0
+
+    def test_matrix_holds_nothing_beside_its_output(self):
+        # the ratios are written into the output and multiplied up in
+        # place: a 512-row block at n = 16 peaks at its own bytes
+        xs = np.linspace(0.0, 0.999, 512)
+        tracemalloc.start()
+        try:
+            out = mkz_weight_matrix(16, xs, 4112)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes

@@ -89,6 +89,11 @@ _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 _TINY = np.finfo(float).tiny  # smallest normal float
+_SWEEP_DELTA = 1e-12  # largest certified error of a compressed sweep step
+_SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
+_SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
+_OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
+_CERT_ROWS = 32  # stack rows per block of the certificate pass
 
 
 @dataclass(frozen=True)
@@ -659,6 +664,14 @@ class NodeDiscretization:
     and m, whose columns add up to its column; the midpoint pair k = n has
     odd input 0.
 
+    sweep_step() gives a Neumann sweep a stand-in for advance and its
+    certified weighted error delta.  Without a pair map that is advance
+    itself, delta 0.  A paired stack is factored for the one sweep as
+    stack ~ Qs Bs, (rows + cols) r numbers with r about its numerical
+    rank (under 100 through n = 16), and the step wraps advance's
+    gather/scatter around (u @ Qs) @ Bs plus the exact pair-0 terms:
+    O((rows + cols) r) per step instead of a pass over the stack.
+
     truncation_error_bound certifies rows at points within the family's
     certified interval; rows at deeper nodes carry larger omitted mass,
     which the endpoint routing converts into an error of order psi(node)
@@ -695,8 +708,26 @@ class NodeDiscretization:
         stack = self._stack
         if self._pairs is None:
             return stack.T @ v
+        return self._paired(v, lambda u: u @ stack)
+
+    def sweep_step(self):
+        """(step, delta): a stand-in for advance in a long sweep, with
+        |step(v) - advance(v)|_psi <= delta |v|_psi over the interior
+        nodes; (advance, 0.0) without a pair map or where the compression
+        (_low_rank_pairs) is not certified.  Nothing is cached: the
+        factors live as long as step."""
+        if self._pairs is not None:
+            product, delta = _low_rank_pairs(self._stack, self._pairs, self.nodes)
+            if product is not None:
+                return partial(self._paired, product=product), delta
+        return self.advance, 0.0
+
+    def _paired(self, v: np.ndarray, product: Callable) -> np.ndarray:
+        """The parity gather/scatter of a paired stack around product,
+        which maps the rows u to u @ stack (or stands in for it)."""
         low, high, sign = self._pairs
-        width = stack.shape[0] - low.size  # c_p
+        rows = self._stack.shape[0]
+        width = rows - low.size  # c_p
         cols = v.reshape(v.shape[0], -1)
         m = cols.shape[1]
         vl, vh = cols[low], cols[high]
@@ -705,11 +736,11 @@ class NodeDiscretization:
         # rows [e | e] and [s o | -s o] against [W_p^T; W_r^T] give even
         # and odd in one product; u @ stack streams the k-major stack once,
         # where stack.T @ u.T with a few columns makes the BLAS pack it first
-        u = np.empty((2 * m, stack.shape[0]))
+        u = np.empty((2 * m, rows))
         u[:m, :width], u[:m, width:] = e[:, :width], e
         u[m:, :width] = so[:, :width]
         np.negative(so, out=u[m:, width:])
-        both = u @ stack
+        both = product(u)
         even, odd = both[:m].T, both[m:].T
         out = np.empty_like(cols)
         out[low] = even + odd
@@ -857,6 +888,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
                                 np.maximum(0.0, share - w.sum(axis=1)))
                 out[sl] += (w @ rep[cols]
                             + np.multiply.outer(mass, rep[0 if reflect else -1]))
+                del w  # free the block before the next branch allocates its own
         return out
 
     stack = np.empty(_mkz_stack_shape(spec, depth))
@@ -908,6 +940,91 @@ def _mkz_stack_shape(spec: OperatorSpec, depth: int) -> tuple:
     if plain == refl:
         return _mkz_plain_width(spec, depth) + depth + 1, depth + 1
     return depth + 2, depth + 2
+
+
+def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
+    """Rows start .. start + count - 1 of the range finder's fixed test
+    matrix: entries uniform on [-1, 1) from the SplitMix64 hash (Steele,
+    Lea and Flood, OOPSLA 2014) of their index, the same on every run and
+    platform, without loading numpy.random (5 MB resident)."""
+    z = np.arange(start * cols + 1, (start + count) * cols + 1, dtype=np.uint64)
+    for mult, shift in ((0x9E3779B97F4A7C15, 30), (0xBF58476D1CE4E5B9, 27),
+                        (0x94D049BB133111EB, 31)):
+        z *= np.uint64(mult)
+        z ^= z >> np.uint64(shift)
+    return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(count, cols)
+
+
+def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
+    """(product, delta) with product(u) standing in for u @ stack of a
+    paired stack, or (None, 0.0) where no factorization within
+    _SWEEP_DELTA and a quarter of the stack's width is found.
+
+    The weighted stack S[j, i] = stack[j, i] rho_j / w_i, with rho_j psi
+    at row j's pair (the larger of its two nodes) and w_i psi at output
+    pair i (the smaller), is factored S ~ Q Q^T S by a randomized range
+    finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), sec. 4): Q
+    is an orthonormal basis of the sketch S G, G of _test_rows, widened by
+    _SKETCH_CHUNK columns until _OVERSAMPLE of its singular values are at
+    most _SKETCH_CUT of the largest.  Row j of u is at most rho_j |v|_psi, and
+    each output node of pair i is the sum or the difference of two
+    products, so
+
+        |step(v) - advance(v)|_psi <= 2 max_i sum_j |S - Q Q^T S|_ji |v|_psi,
+
+    and delta is that bound summed over the stored factors, _CERT_ROWS
+    rows at a time.  psi vanishes on pair 0, so its rows (the routed
+    masses) and output column 0 are kept exact.  The stack is the right
+    operand of every product, and every other array has at most
+    rank + _SKETCH_CHUNK rows or columns.
+    """
+    low, high, _ = pairs
+    rows, cols = stack.shape
+    width = rows - low.size  # c_p
+    p_low, p_high = psi(nodes[low]), psi(nodes[high])
+    rho = np.maximum(p_low, p_high)
+    rw = np.concatenate((rho[:width], rho))  # zero on the pair-0 rows
+    iw = np.zeros(cols)
+    iw[1:] = 1.0 / np.minimum(p_low, p_high)[1:]
+    sketch = np.empty((0, rows))
+    while True:
+        if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
+            return None, 0.0
+        g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
+        sketch = np.vstack((sketch, (g @ stack.T) * rw))
+        qs, r = np.linalg.qr(sketch.T)
+        sv = np.linalg.svd(r, compute_uv=False)
+        if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
+            break  # the sketch holds the rank, with _OVERSAMPLE to spare
+    del sketch
+    # stack ~ qs @ bs off pair 0 and column 0, with bs = (rho Q)^T stack
+    # = B w and qs = Q / rho, both from Q scaled in place
+    qs *= rw[:, None]
+    bs = qs.T @ stack
+    bs[:, 0] = 0.0
+    irw = np.zeros(rows)
+    np.divide(1.0, rw, out=irw, where=rw > 0.0)
+    qs *= (irw * irw)[:, None]
+    col_sums = np.zeros(cols)
+    for start in range(0, rows, _CERT_ROWS):
+        block = slice(start, start + _CERT_ROWS)
+        gap = qs[block] @ bs
+        np.subtract(stack[block], gap, out=gap)
+        np.abs(gap, out=gap)
+        col_sums += rw[block] @ gap
+    delta = 2.0 * float(np.max(col_sums * iw))
+    if delta > _SWEEP_DELTA:
+        return None, 0.0
+    ends = [0, width]
+    top, col0 = stack[ends], stack[:, 0].copy()
+
+    def product(u):
+        both = (u @ qs) @ bs
+        both += u[:, ends] @ top
+        both[:, 0] = u @ col0
+        return both
+
+    return product, delta
 
 
 def check_carrier_budget(spec: OperatorSpec) -> None:

@@ -3,8 +3,9 @@ space, through one entry, geometric_series, with three methods:
 
 * "krylov" (default): a restarted GMRES solve of (I - T) on the interior
   node block per input (every member of the contraction class);
-* "neumann": truncated Neumann sums with a certified geometric tail
-  bound, sharing one transfer-matrix sweep; the Krylov oracle; and
+* "neumann": truncated Neumann sums sharing one sweep of the carrier's
+  sweep_step, certified by the geometric tail plus the step's
+  compression term (see _neumann_sweep); the Krylov oracle; and
 * "solve": a direct linear solve of (I - T) on the interior node block
   per input (exact carriers only, i.e. bernstein and durrmeyer).
 
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
-from .funcspace import EvaluationGrid, Function01, psi_norm, psi_sup
+from .funcspace import EvaluationGrid, Function01, psi, psi_norm, psi_sup
 from .operators import NodeDiscretization, OperatorSpec, node_discretization
 
 __all__ = [
@@ -136,24 +137,45 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     """Truncated Neumann sums sum_{k<=K} L^k(f), one per input, sharing
     one transfer-matrix sweep over the stacked representations reps.
 
-    K is the largest certified term count over the inputs; matvec memory
-    traffic dominates the cost for the series families, so extra columns
-    are nearly free.  f_evals evaluate the inputs off the nodes and norms
-    are their weighted norms.
+    The sweep advances by the carrier's sweep_step, whose error is at most
+    delta |v|_psi per step.  With |T| <= b on the nodes, the K partial sums
+    then drift from the exact ones by at most
+    delta |rep f|_nodes / (1 - b - delta)^2, and one more application of L
+    scales that by b, so each certificate is
+
+        tail_bound = b^(K+1) / (1 - b) |f|_psi
+                     + b delta |rep f|_nodes / (1 - b - delta)^2,
+
+    with |rep f|_nodes the weighted max over the interior nodes.  K is the
+    largest term count over the inputs that keeps every tail_bound <= eps;
+    a step whose term would take half of eps is replaced by the exact
+    advance (delta = 0).  The step is freed before the residuals, which
+    take one exact advance for all the columns.  Matvec memory traffic
+    dominates the cost, so extra columns are nearly free.  f_evals
+    evaluate the inputs off the nodes and norms are their weighted norms.
     """
     b = op.contraction_bound()
-    k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
-    # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
     rep0 = np.column_stack(reps)
+    idx = np.flatnonzero(disc.interior)
+    rep_norms = np.max(np.abs(rep0[idx]) / psi(disc.nodes[idx])[:, None],
+                       axis=0, initial=0.0)
+    step, delta = disc.sweep_step()
+    terms = b * delta / (1.0 - b - delta) ** 2 * rep_norms
+    if np.any(terms > 0.5 * eps):
+        step, terms = disc.advance, np.zeros_like(terms)
+    k_max = max(neumann_tail_terms(b, v, eps - t) for v, t in zip(norms, terms))
+    # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
     v, acc = rep0, np.zeros_like(rep0)
     for k in range(k_max):
         if k:
-            v = disc.advance(v)
+            v = step(v)
         acc += v
+    del step
     resids = _residual_norms(disc, acc, rep0, grid)
     return [GeometricSeriesResult(
         g=_series_function(f_eval, disc, acc[:, i].copy()), method="neumann",
-        terms_used=k_max + 1, tail_bound=b ** (k_max + 1) / (1.0 - b) * norm,
+        terms_used=k_max + 1,
+        tail_bound=b ** (k_max + 1) / (1.0 - b) * norm + float(terms[i]),
         residual_psi_norm=resids[i])
         for i, (f_eval, norm) in enumerate(zip(f_evals, norms))]
 
@@ -318,20 +340,20 @@ def geometric_series_solve(op, f, grid=None):
 def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
                                grid: Optional[EvaluationGrid] = None):
     """Weighted-norm residuals of the two inversion identities,
-    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through Neumann sums;
-    both sweeps start from one representation rep(f)."""
+    ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through one two-column
+    Neumann sweep over G_L f and G_L h, h = (I - L) f, with one K (the
+    larger of the two) and one compressed step; both columns start from
+    one representation rep(f)."""
     _check_request(op, [f], eps)
     fam_grid = op.grid(grid)
     pts = fam_grid.points
     disc = node_discretization(op)
     rep0 = disc.rep(f)
-    (res1,) = _neumann_sweep(op, disc, [f], [rep0],
-                             [psi_norm(f, fam_grid).value], eps, fam_grid)
-
     # h = (I - L) f has the same representation algebra in every carrier:
     # rep(h) = rep(f) - T rep(f), and off the nodes h = f + L(-rep(f)).
     h = _series_function(f, disc, -rep0)
-    (res2,) = _neumann_sweep(op, disc, [h], [rep0 - disc.advance(rep0)],
-                             [psi_sup(h(pts), pts)], eps, fam_grid)
+    res1, res2 = _neumann_sweep(
+        op, disc, [f, h], [rep0, rep0 - disc.advance(rep0)],
+        [psi_norm(f, fam_grid).value, psi_sup(h(pts), pts)], eps, fam_grid)
     second = psi_sup(np.asarray(res2.g(pts)) - np.asarray(f(pts)), pts)
     return res1.residual_psi_norm, second

@@ -556,6 +556,83 @@ def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
     assert stored == 8 * (width + depth + 1) * (depth + 1)
 
 
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_sweep_step_is_certified(spec):
+    # |step(v) - advance(v)|_psi <= delta |v|_psi over the interior nodes,
+    # for v vanishing at the endpoints like a weighted-space input
+    disc = node_discretization(spec)
+    step, delta = disc.sweep_step()
+    assert 0.0 < delta <= operators._SWEEP_DELTA
+    idx = np.flatnonzero(disc.interior)
+    w = psi(disc.nodes[idx])[:, None]
+    rng = np.random.default_rng(spec.n)
+    for scale in (w, 1.0):
+        v = np.zeros((disc.nodes.size, 4))
+        v[idx] = rng.standard_normal((idx.size, 4)) * scale
+        gap = np.max(np.abs(step(v) - disc.advance(v))[idx] / w, axis=0)
+        assert np.all(gap <= delta * np.max(np.abs(v[idx]) / w, axis=0))
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec("bernstein", 6), OperatorSpec("durrmeyer", 5, rho=1.0),
+    OperatorSpec("mkz", 4, truncation_eps=1e-6),
+    OperatorSpec("mkz-reflected", 4, truncation_eps=1e-6)],
+    ids=lambda s: s.family)
+def test_sweep_step_without_pairs_is_advance(spec):
+    disc = node_discretization(spec)
+    assert disc.sweep_step() == (disc.advance, 0.0)
+
+
+def test_test_rows_are_splitmix64():
+    # the range finder's test matrix against a scalar SplitMix64 on
+    # Python integers; its first output from state 0 is the published
+    # 0xE220A8397B1DCDAF
+    def splitmix(i):
+        mask = 2**64 - 1
+        z = (i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    assert splitmix(1) == 0xE220A8397B1DCDAF
+    got = operators._test_rows(2, 3, 7)
+    want = [[(splitmix(i) >> 11) * 2.0**-52 - 1.0 for i in range(r * 7 + 1, r * 7 + 8)]
+            for r in (2, 3, 4)]
+    assert np.array_equal(got, want)
+
+
+def test_sweep_step_holds_factors_not_a_stack():
+    # the compression keeps every product narrow: beyond the stack it holds
+    # a few arrays of (rows + cols) x rank, where rank is the numerical
+    # rank of the weighted stack (cut at 1e-16 of its largest singular
+    # value, from one wide sketch), and never a stack-sized array
+    spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+    disc = node_discretization(spec)
+    stack = disc._stack
+    rows, cols = stack.shape
+    low, high, _ = disc._pairs
+    width = rows - low.size
+    p_low, p_high = psi(disc.nodes[low]), psi(disc.nodes[high])
+    rho = np.maximum(p_low, p_high)
+    iw = np.zeros(cols)
+    iw[1:] = 1 / np.minimum(p_low, p_high)[1:]
+    sketch = (np.random.default_rng(1).standard_normal((128, cols)) * iw) @ stack.T
+    sv = np.linalg.svd(sketch.T * np.concatenate((rho[:width], rho))[:, None],
+                       compute_uv=False)
+    rank = int(np.sum(sv > 1e-16 * sv[0]))
+    assert rank < 128
+    tracemalloc.start()
+    try:
+        step, delta = disc.sweep_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta > 0.0
+    assert peak <= 6 * (rows + cols) * rank * 8
+    assert peak < stack.nbytes / 4
+
+
 class TestCarrierMemoryBudget:
     def test_oversized_carriers_raise_before_building(self):
         for family in ("mkz", "mkz-symmetric"):

@@ -5,7 +5,7 @@ identities."""
 import numpy as np
 import pytest
 
-from opgeom import series
+from opgeom import operators, series
 from opgeom.errors import (DegenerateOperatorError, DomainError,
                            NotInCpsiError)
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
@@ -205,14 +205,24 @@ class TestNeumann(EntryContract):
         disc = node_discretization(op)
         fs = [registry("psi"), registry("psi") * registry("sin_pi"),
               registry("sin_pi")]
-        calls = []
+        steps, advances = [], []
         advance = NodeDiscretization.advance
+        sweep_step = NodeDiscretization.sweep_step
+
+        def counted_sweep_step(d):
+            step, delta = sweep_step(d)
+            assert delta > 0.0  # the compressed step, not advance
+            return (lambda v: steps.append(v.shape) or step(v)), delta
+
+        monkeypatch.setattr(NodeDiscretization, "sweep_step", counted_sweep_step)
         monkeypatch.setattr(NodeDiscretization, "advance",
-                            lambda d, v: calls.append(v.shape) or advance(d, v))
+                            lambda d, v: advances.append(v.shape) or advance(d, v))
         batch = geometric_series(op, fs, 1e-6, GRID, method="neumann")
-        # K - 1 sweep products and one for all the residuals
-        assert len(calls) == batch[0].terms_used - 1
-        assert all(shape == (disc.nodes.size, len(fs)) for shape in calls)
+        # terms_used is K + 1 (g = f + L(acc)): K - 1 sweep steps, and one
+        # exact advance for all the residuals
+        assert len(steps) == batch[0].terms_used - 2
+        assert all(shape == (disc.nodes.size, len(fs)) for shape in steps)
+        assert advances == [(disc.nodes.size, len(fs))]
         pts = op.grid(GRID).points
         reps = np.column_stack([disc.rep(f) for f in fs])
         acc = reps + advance(disc, reps)
@@ -233,6 +243,110 @@ class TestNeumann(EntryContract):
         x = GRID.points
         assert np.array_equal(np.asarray(batch.g(x)), np.asarray(single.g(x)))
         assert np.array_equal(np.asarray(single.g(x)), f(x))
+
+
+SWEEP_INPUTS = [registry("psi"), registry("psi") * registry("e1"),
+                registry("psi") * registry("sin_pi"), registry("sin_pi")]
+
+
+def exact_sweep(monkeypatch):
+    """Make every Neumann sweep advance by the exact carrier product."""
+    monkeypatch.setattr(NodeDiscretization, "sweep_step",
+                        lambda d: (d.advance, 0.0))
+
+
+def assert_identical(got, want, pts):
+    for a, b in zip(got, want):
+        assert (a.terms_used, a.tail_bound, a.residual_psi_norm) == \
+            (b.terms_used, b.tail_bound, b.residual_psi_norm)
+        assert np.array_equal(np.asarray(a.g(pts)), np.asarray(b.g(pts)))
+
+
+class TestCompressedSweep:
+    """The mkz-symmetric Neumann sweep advances by the certified low-rank
+    step of NodeDiscretization.sweep_step."""
+
+    op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+
+    def test_within_the_compression_term_of_the_exact_sweep(self, monkeypatch):
+        eps = 1e-6
+        disc = node_discretization(self.op)
+        b = self.op.contraction_bound()
+        _, delta = disc.sweep_step()
+        assert delta > 0.0
+        got = geometric_series(self.op, SWEEP_INPUTS, eps, GRID, method="neumann")
+        with monkeypatch.context() as m:
+            exact_sweep(m)
+            want = geometric_series(self.op, SWEEP_INPUTS, eps, GRID,
+                                    method="neumann")
+        idx = np.flatnonzero(disc.interior)
+        pts = self.op.grid(GRID).points
+        for f, a, e in zip(SWEEP_INPUTS, got, want):
+            rep_norm = np.max(np.abs(disc.rep(f)[idx]) / psi(disc.nodes[idx]))
+            term = b * delta * rep_norm / (1 - b - delta) ** 2
+            assert a.terms_used == e.terms_used
+            assert a.tail_bound == pytest.approx(e.tail_bound + term,
+                                                 rel=1e-15)
+            assert e.tail_bound < a.tail_bound <= eps
+            # the sums differ by L applied to the drift of the partial sums
+            assert 0.0 < weighted_gap(a, e, pts) <= term * (1 + 1e-9)
+
+    def test_out_of_reach_target_is_the_exact_sweep(self, monkeypatch):
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_SWEEP_DELTA", 0.0)
+            assert node_discretization(op).sweep_step()[1] == 0.0
+            got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID,
+                                   method="neumann")
+        exact_sweep(monkeypatch)
+        want = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
+        assert_identical(got, want, op.grid(GRID).points)
+
+    def test_term_past_half_eps_is_the_exact_sweep(self, monkeypatch):
+        # at n = 4 the compression term is about 1e-12 |rep f|_nodes, so an
+        # eps of 1e-12 keeps the exact advance
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        fs = SWEEP_INPUTS[:2]
+        got = geometric_series(op, fs, 1e-12, GRID, method="neumann")
+        exact_sweep(monkeypatch)
+        want = geometric_series(op, fs, 1e-12, GRID, method="neumann")
+        assert_identical(got, want, op.grid(GRID).points)
+        assert all(res.tail_bound <= 1e-12 for res in got)
+
+    def test_runs_agree_bit_for_bit(self):
+        disc = node_discretization(self.op)
+        (step1, delta1), (step2, delta2) = disc.sweep_step(), disc.sweep_step()
+        v = np.random.default_rng(3).standard_normal((disc.nodes.size, 4))
+        assert delta1 == delta2
+        assert np.array_equal(step1(v), step2(v))
+        runs = [geometric_series(self.op, SWEEP_INPUTS, 1e-6, GRID,
+                                 method="neumann") for _ in range(2)]
+        assert_identical(*runs, self.op.grid(GRID).points)
+
+    @pytest.mark.parametrize("op", [OperatorSpec("bernstein", 8),
+                                    OperatorSpec("durrmeyer", 7, rho=0.5)],
+                             ids=lambda op: op.family)
+    def test_exact_carriers_sum_the_plain_series(self, op):
+        # the sweep of the exact carriers: K from the a-priori tail alone,
+        # K - 1 exact products, no compression term
+        fs = [registry("psi"), project_to_Cpsi(registry("e3"))]
+        got = geometric_series(op, fs, 1e-8, GRID, method="neumann")
+        disc = node_discretization(op)
+        b = op.contraction_bound()
+        norms = [psi_norm(f, op.grid(GRID)).value for f in fs]
+        k_max = max(neumann_tail_terms(b, v, 1e-8) for v in norms)
+        v = np.column_stack([disc.rep(f) for f in fs])
+        acc = np.zeros_like(v)
+        for k in range(k_max):
+            if k:
+                v = disc.transfer @ v
+            acc += v
+        pts = op.grid(GRID).points
+        for i, (f, res) in enumerate(zip(fs, got)):
+            assert res.terms_used == k_max + 1
+            assert res.tail_bound == b ** (k_max + 1) / (1 - b) * norms[i]
+            want = np.asarray(f(pts)) + disc.apply_rep(acc[:, i], pts)
+            assert np.array_equal(np.asarray(res.g(pts)), want)
 
 
 class TestSolve(EntryContract):

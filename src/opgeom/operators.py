@@ -93,7 +93,7 @@ _SWEEP_DELTA = 1e-12  # largest certified error of a compressed sweep step
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
 _SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
 _OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
-_CERT_ROWS = 32  # stack rows per block of the certificate pass
+_FACTOR_BLOCK = 32  # stack rows per certificate block, unit rows per block of H
 
 
 @dataclass(frozen=True)
@@ -464,9 +464,10 @@ def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
     for the points ts[rows], each broadcastable to (rows, nodes), and the
     weights are multiplied by them in place.  Rows are sorted by depth and
     taken in blocks of at most _SUM_CELLS weight cells (a deeper row
-    alone), each truncated at its deepest row, so a row keeps at least its
-    own depth.  Small blocks stay in cache and keep the peak memory flat.
-    A point t = 1 is the point mass at node 1.
+    alone), each as wide as its deepest row; every row's weights beyond
+    its own depth are zeroed, so a point's value does not depend on the
+    other points of the call.  Small blocks stay in cache and keep the
+    peak memory flat.  A point t = 1 is the point mass at node 1.
     """
     out = np.empty(ts.size)
     at_end = ts == 1.0
@@ -484,6 +485,10 @@ def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
         rows = order[start:stop]
         k = np.arange(depths[rows[-1]] + 1)
         w = mkz_weight_matrix(n, ts[rows], k.size - 1)
+        # rows are sorted by depth: only columns past the first row's depth
+        # hold weights beyond a row's own
+        cut = depths[rows[0]] + 1
+        np.putmask(w[:, cut:], k[cut:] > depths[rows][:, None], 0.0)
         out[rows] = _row_sums(w, integrand(k / (n + k), rows))
         start = stop
     return out
@@ -664,13 +669,17 @@ class NodeDiscretization:
     and m, whose columns add up to its column; the midpoint pair k = n has
     odd input 0.
 
-    sweep_step() gives a Neumann sweep a stand-in for advance and its
-    certified weighted error delta.  Without a pair map that is advance
-    itself, delta 0.  A paired stack is factored for the one sweep as
-    stack ~ Qs Bs, (rows + cols) r numbers with r about its numerical
-    rank (under 100 through n = 16), and the step wraps advance's
-    gather/scatter around (u @ Qs) @ Bs plus the exact pair-0 terms:
-    O((rows + cols) r) per step instead of a pass over the stack.
+    sweep_sums() gives a Neumann sweep its partial sums
+    sum_{j<k} S^j v under a stand-in S for advance, and S's certified
+    weighted error delta.  Without a pair map S is advance itself, delta
+    0, summed by advance_sums.  A paired stack is factored for the one
+    sweep as stack ~ Y Z with a = r + 3 columns of Y, r about its
+    numerical rank (under 100 through n = 16), the three extra ones
+    keeping the pair-0 rows and column 0 exact.  S = expand o lift then
+    maps v to 2a coordinates per column, lift(v) = gather(v) Y, and back,
+    expand(c) = scatter(c Z), so S^k = expand H^(k-1) lift with the
+    2a-square H = lift o expand: each term of the sum costs one small
+    matrix product instead of a pass over the stack.
 
     truncation_error_bound certifies rows at points within the family's
     certified interval; rows at deeper nodes carry larger omitted mass,
@@ -705,47 +714,96 @@ class NodeDiscretization:
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
-        stack = self._stack
         if self._pairs is None:
-            return stack.T @ v
-        return self._paired(v, lambda u: u @ stack)
+            return self._stack.T @ v
+        # u @ stack streams the k-major stack once, where stack.T @ u.T
+        # with a few columns makes the BLAS pack it first
+        return self._scatter(self._gather(v) @ self._stack).reshape(v.shape)
 
-    def sweep_step(self):
-        """(step, delta): a stand-in for advance in a long sweep, with
-        |step(v) - advance(v)|_psi <= delta |v|_psi over the interior
-        nodes; (advance, 0.0) without a pair map or where the compression
-        (_low_rank_pairs) is not certified.  Nothing is cached: the
-        factors live as long as step."""
+    def advance_sums(self, v: np.ndarray, k: int) -> np.ndarray:
+        """sum_{j<k} T^j v, by k - 1 advances."""
+        term, acc = v, np.zeros_like(v)
+        for j in range(k):
+            if j:
+                term = self.advance(term)
+            acc += term
+        return acc
+
+    def sweep_sums(self):
+        """(sums, delta): sums(v, k) = sum_{j<k} S^j v for a stand-in S
+        of advance with |S v - advance(v)|_psi <= delta |v|_psi over the
+        interior nodes; (advance_sums, 0.0) without a pair map or where the
+        compression (_low_rank_pairs) is not certified.  Nothing is cached:
+        the factors live as long as sums."""
         if self._pairs is not None:
-            product, delta = _low_rank_pairs(self._stack, self._pairs, self.nodes)
-            if product is not None:
-                return partial(self._paired, product=product), delta
-        return self.advance, 0.0
+            y, z, delta = _low_rank_pairs(self._stack, self._pairs, self.nodes)
+            if y is not None:
+                return partial(self._coordinate_sums, y=y, z=z,
+                               h=self._coordinate_map(y, z)), delta
+        return self.advance_sums, 0.0
 
-    def _paired(self, v: np.ndarray, product: Callable) -> np.ndarray:
-        """The parity gather/scatter of a paired stack around product,
-        which maps the rows u to u @ stack (or stands in for it)."""
+    def _coordinate_sums(self, v: np.ndarray, k: int, y: np.ndarray,
+                         z: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """sum_{j<k} S^j v = v + expand(sum_{j<k-1} H^j lift(v)) for the
+        factored step S = expand o lift and H = lift o expand, with the 2a
+        coordinates of each column of v one row and H acting on the right."""
+        acc = np.zeros_like(v)
+        if k:
+            acc += v
+        if k > 1:
+            term = self._lift(v, y)
+            total = term.copy()
+            for _ in range(k - 2):
+                term = term @ h
+                total += term
+            acc += self._expand(total, z).reshape(v.shape)
+        return acc
+
+    def _coordinate_map(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """H of _coordinate_sums: row i is lift(expand(unit row i)), taken
+        _FACTOR_BLOCK rows at a time, so no temporary is wider than a
+        block."""
+        dim = 2 * z.shape[0]
+        unit, h = np.eye(dim), np.empty((dim, dim))
+        for start in range(0, dim, _FACTOR_BLOCK):
+            block = slice(start, start + _FACTOR_BLOCK)
+            h[block] = self._lift(self._expand(unit[block], z), y)
+        return h
+
+    def _lift(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """gather(v) @ y: the even then the odd coordinates of each column
+        of v in one row."""
+        return (self._gather(v) @ y).reshape(-1, 2 * y.shape[1])
+
+    def _expand(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """scatter(c @ z) for the coordinate rows x of _lift."""
+        return self._scatter(x.reshape(-1, z.shape[0]) @ z)
+
+    def _gather(self, v: np.ndarray) -> np.ndarray:
+        """The rows u of a paired product, two per column of v: [e | e]
+        and [s o | -s o], so that u @ stack holds its even and odd rows."""
         low, high, sign = self._pairs
         rows = self._stack.shape[0]
         width = rows - low.size  # c_p
         cols = v.reshape(v.shape[0], -1)
-        m = cols.shape[1]
         vl, vh = cols[low], cols[high]
         e = (0.5 * (vl + vh)).T
         so = ((0.5 * sign)[:, None] * (vl - vh)).T
-        # rows [e | e] and [s o | -s o] against [W_p^T; W_r^T] give even
-        # and odd in one product; u @ stack streams the k-major stack once,
-        # where stack.T @ u.T with a few columns makes the BLAS pack it first
-        u = np.empty((2 * m, rows))
-        u[:m, :width], u[:m, width:] = e[:, :width], e
-        u[m:, :width] = so[:, :width]
-        np.negative(so, out=u[m:, width:])
-        both = product(u)
-        even, odd = both[:m].T, both[m:].T
-        out = np.empty_like(cols)
+        u = np.empty((cols.shape[1], 2, rows))
+        u[:, 0, :width], u[:, 0, width:] = e[:, :width], e
+        u[:, 1, :width] = so[:, :width]
+        np.negative(so, out=u[:, 1, width:])
+        return u.reshape(-1, rows)
+
+    def _scatter(self, both: np.ndarray) -> np.ndarray:
+        """even + odd at the low nodes and even - odd at their mirrors,
+        one column per even and odd row pair of a paired product."""
+        low, high, _ = self._pairs
+        even, odd = both[0::2].T, both[1::2].T
+        out = np.empty((self.nodes.size, even.shape[1]))
         out[low] = even + odd
         out[high] = even - odd
-        return out.reshape(v.shape)
+        return out
 
     def rep(self, f: Function01) -> np.ndarray:
         if self._rep_builder is None:
@@ -956,8 +1014,8 @@ def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
 
 
 def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
-    """(product, delta) with product(u) standing in for u @ stack of a
-    paired stack, or (None, 0.0) where no factorization within
+    """(y, z, delta) with u @ y @ z standing in for u @ stack of a paired
+    stack, or (None, None, 0.0) where no factorization within
     _SWEEP_DELTA and a quarter of the stack's width is found.
 
     The weighted stack S[j, i] = stack[j, i] rho_j / w_i, with rho_j psi
@@ -972,11 +1030,14 @@ def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
 
         |step(v) - advance(v)|_psi <= 2 max_i sum_j |S - Q Q^T S|_ji |v|_psi,
 
-    and delta is that bound summed over the stored factors, _CERT_ROWS
+    and delta is that bound summed over the stored factors, _FACTOR_BLOCK
     rows at a time.  psi vanishes on pair 0, so its rows (the routed
-    masses) and output column 0 are kept exact.  The stack is the right
-    operand of every product, and every other array has at most
-    rank + _SKETCH_CHUNK rows or columns.
+    masses) and output column 0 are kept exact by three more factor
+    columns and rows: y = [Q / rho | e_0 | e_(c_p) | stack[:, 0]] and
+    z = [(rho Q)^T stack; stack[0]; stack[c_p]; e_0^T], with column 0 of
+    z zero but in its last row.  The stack is the right operand of every
+    product, and every other array has at most rank + _SKETCH_CHUNK rows
+    or columns.
     """
     low, high, _ = pairs
     rows, cols = stack.shape
@@ -989,42 +1050,43 @@ def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
     sketch = np.empty((0, rows))
     while True:
         if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
-            return None, 0.0
+            return None, None, 0.0
         g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
         sketch = np.vstack((sketch, (g @ stack.T) * rw))
-        qs, r = np.linalg.qr(sketch.T)
+        q, r = np.linalg.qr(sketch.T)
         sv = np.linalg.svd(r, compute_uv=False)
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
             break  # the sketch holds the rank, with _OVERSAMPLE to spare
     del sketch
+    rank = q.shape[1]
+    y, z = np.zeros((rows, rank + 3)), np.zeros((rank + 3, cols))
+    y[:, :rank] = q
+    del q
     # stack ~ qs @ bs off pair 0 and column 0, with bs = (rho Q)^T stack
     # = B w and qs = Q / rho, both from Q scaled in place
+    qs, bs = y[:, :rank], z[:rank]
     qs *= rw[:, None]
-    bs = qs.T @ stack
+    np.matmul(qs.T, stack, out=bs)
     bs[:, 0] = 0.0
     irw = np.zeros(rows)
     np.divide(1.0, rw, out=irw, where=rw > 0.0)
     qs *= (irw * irw)[:, None]
     col_sums = np.zeros(cols)
-    for start in range(0, rows, _CERT_ROWS):
-        block = slice(start, start + _CERT_ROWS)
+    for start in range(0, rows, _FACTOR_BLOCK):
+        block = slice(start, start + _FACTOR_BLOCK)
         gap = qs[block] @ bs
         np.subtract(stack[block], gap, out=gap)
         np.abs(gap, out=gap)
         col_sums += rw[block] @ gap
     delta = 2.0 * float(np.max(col_sums * iw))
     if delta > _SWEEP_DELTA:
-        return None, 0.0
+        return None, None, 0.0
     ends = [0, width]
-    top, col0 = stack[ends], stack[:, 0].copy()
-
-    def product(u):
-        both = (u @ qs) @ bs
-        both += u[:, ends] @ top
-        both[:, 0] = u @ col0
-        return both
-
-    return product, delta
+    y[ends, [rank, rank + 1]] = 1.0
+    y[:, rank + 2] = stack[:, 0]
+    z[rank:rank + 2, 1:] = stack[ends, 1:]
+    z[rank + 2, 0] = 1.0
+    return y, z, delta
 
 
 def check_carrier_budget(spec: OperatorSpec) -> None:

@@ -3,9 +3,9 @@ space, through one entry, geometric_series, with three methods:
 
 * "krylov" (default): a restarted GMRES solve of (I - T) on the interior
   node block per input (every member of the contraction class);
-* "neumann": truncated Neumann sums sharing one sweep of the carrier's
-  sweep_step, certified by the geometric tail plus the step's
-  compression term (see _neumann_sweep); the Krylov oracle; and
+* "neumann": truncated Neumann sums sharing one sweep, formed by the
+  carrier's sweep_sums and certified by the geometric tail plus the
+  step's compression term (see _neumann_sweep); the Krylov oracle; and
 * "solve": a direct linear solve of (I - T) on the interior node block
   per input (exact carriers only, i.e. bernstein and durrmeyer).
 
@@ -137,11 +137,13 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     """Truncated Neumann sums sum_{k<=K} L^k(f), one per input, sharing
     one transfer-matrix sweep over the stacked representations reps.
 
-    The sweep advances by the carrier's sweep_step, whose error is at most
-    delta |v|_psi per step.  With |T| <= b on the nodes, the K partial sums
-    then drift from the exact ones by at most
-    delta |rep f|_nodes / (1 - b - delta)^2, and one more application of L
-    scales that by b, so each certificate is
+    The carrier's sweep_sums forms the sums under a stand-in step whose
+    error is at most delta |v|_psi per step; on the paired mkz-symmetric
+    carrier each term is one small matrix product in the coordinates of
+    the factored step (NodeDiscretization), elsewhere an exact advance.
+    With |T| <= b on the nodes, the K partial sums then drift from the
+    exact ones by at most delta |rep f|_nodes / (1 - b - delta)^2, and
+    one more application of L scales that by b, so each certificate is
 
         tail_bound = b^(K+1) / (1 - b) |f|_psi
                      + b delta |rep f|_nodes / (1 - b - delta)^2,
@@ -149,9 +151,8 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     with |rep f|_nodes the weighted max over the interior nodes.  K is the
     largest term count over the inputs that keeps every tail_bound <= eps;
     a step whose term would take half of eps is replaced by the exact
-    advance (delta = 0).  The step is freed before the residuals, which
-    take one exact advance for all the columns.  Matvec memory traffic
-    dominates the cost, so extra columns are nearly free.  f_evals
+    advance_sums (delta = 0).  The factors are freed before the
+    residuals, which take one exact advance for all the columns.  f_evals
     evaluate the inputs off the nodes and norms are their weighted norms.
     """
     b = op.contraction_bound()
@@ -159,18 +160,14 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     idx = np.flatnonzero(disc.interior)
     rep_norms = np.max(np.abs(rep0[idx]) / psi(disc.nodes[idx])[:, None],
                        axis=0, initial=0.0)
-    step, delta = disc.sweep_step()
+    sums, delta = disc.sweep_sums()
     terms = b * delta / (1.0 - b - delta) ** 2 * rep_norms
     if np.any(terms > 0.5 * eps):
-        step, terms = disc.advance, np.zeros_like(terms)
+        sums, terms = disc.advance_sums, np.zeros_like(terms)
     k_max = max(neumann_tail_terms(b, v, eps - t) for v, t in zip(norms, terms))
     # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
-    v, acc = rep0, np.zeros_like(rep0)
-    for k in range(k_max):
-        if k:
-            v = step(v)
-        acc += v
-    del step
+    acc = sums(rep0, k_max)
+    del sums
     resids = _residual_norms(disc, acc, rep0, grid)
     return [GeometricSeriesResult(
         g=_series_function(f_eval, disc, acc[:, i].copy()), method="neumann",

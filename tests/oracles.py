@@ -1,17 +1,20 @@
-"""Scalar oracle helpers for the special-function tests: a log-domain
-number, exact binomials, and single Bernstein and Meyer-Koenig-Zeller basis
-values.  They compute the same quantities as the vectorized kernels in
-opgeom.special by a separate route."""
+"""Oracle helpers: for the special-function tests a log-domain number,
+exact binomials, and single Bernstein and Meyer-Koenig-Zeller basis
+values, which compute the same quantities as the vectorized kernels in
+opgeom.special by a separate route; for the sweep tests the certified
+low-rank step of a paired carrier, applied one step at a time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from opgeom import operators
 from opgeom.errors import DomainError
 from opgeom.special import log_binomial
 
-__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "mkz_basis_weight"]
+__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "mkz_basis_weight",
+           "factored_step"]
 
 
 @dataclass(frozen=True)
@@ -85,3 +88,15 @@ def mkz_basis_weight(n: int, k: int, x: float) -> float:
         (n + 1) * math.log1p(-x) + k * math.log(x), 1
     )
     return term.value()
+
+
+def factored_step(disc):
+    """(step, delta) with step(v) = scatter((gather(v) @ y) @ z), the
+    certified low-rank step of the paired carrier disc, whose partial sums
+    disc.sweep_sums() forms in the step's own coordinates."""
+    y, z, delta = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+
+    def step(v):
+        return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
+
+    return step, delta

@@ -21,6 +21,7 @@ from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
                               mkz_apply, mkz_truncation_index, moment,
                               node_discretization)
 from opgeom.special import log_binomial, mkz_weight_matrix, mkz_weight_row
+from oracles import factored_step
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -325,6 +326,22 @@ class TestMoments:
         rhs = 0.5 * (moment(plain, 2, xs) + moment(plain, 2, 1.0 - xs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
+    def test_point_value_does_not_depend_on_the_batch(self):
+        # each point sums to its own series depth: alpha at 0.8 once read
+        # 3.4e-12 higher in a call whose deepest point set the depth of all
+        spec = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        inner = node_discretization(spec).nodes[1:-1]
+
+        def alpha(xs):
+            return moment(spec, 2, xs) / psi(xs)
+
+        alone = float(alpha(np.array([0.8]))[0])
+        assert alone == pytest.approx(0.11439563517568803, rel=1e-15, abs=0.0)
+        for batch in (np.concatenate(([0.8], inner)),
+                      np.concatenate((inner, [0.8], 1.0 - inner))):
+            at = int(np.flatnonzero(batch == 0.8)[0])
+            assert alpha(batch)[at] == pytest.approx(alone, rel=1e-15, abs=0.0)
+
 
 class TestAlphaProfile:
     def test_bernstein_constant(self):
@@ -556,22 +573,57 @@ def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
     assert stored == 8 * (width + depth + 1) * (depth + 1)
 
 
+def weighted_inputs(disc, cols, seed):
+    """Random columns on the nodes that vanish at the endpoints, each once
+    scaled by psi like a weighted-space input and once not."""
+    idx = np.flatnonzero(disc.interior)
+    w = psi(disc.nodes[idx])[:, None]
+    rng = np.random.default_rng(seed)
+    for scale in (w, 1.0):
+        v = np.zeros((disc.nodes.size, cols))
+        v[idx] = rng.standard_normal((idx.size, cols)) * scale
+        yield v
+
+
+def weighted_max(disc, v):
+    """Per column, the psi-weighted max of v over the interior nodes."""
+    idx = np.flatnonzero(disc.interior)
+    return np.max(np.abs(v[idx]) / psi(disc.nodes[idx])[:, None], axis=0)
+
+
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sweep_step_is_certified(spec):
-    # |step(v) - advance(v)|_psi <= delta |v|_psi over the interior nodes,
-    # for v vanishing at the endpoints like a weighted-space input
+    # |S v - advance(v)|_psi <= delta |v|_psi over the interior nodes for
+    # the step S v = sums(v, 2) - v, for v vanishing at the endpoints like
+    # a weighted-space input
     disc = node_discretization(spec)
-    step, delta = disc.sweep_step()
+    sums, delta = disc.sweep_sums()
     assert 0.0 < delta <= operators._SWEEP_DELTA
-    idx = np.flatnonzero(disc.interior)
-    w = psi(disc.nodes[idx])[:, None]
-    rng = np.random.default_rng(spec.n)
-    for scale in (w, 1.0):
-        v = np.zeros((disc.nodes.size, 4))
-        v[idx] = rng.standard_normal((idx.size, 4)) * scale
-        gap = np.max(np.abs(step(v) - disc.advance(v))[idx] / w, axis=0)
-        assert np.all(gap <= delta * np.max(np.abs(v[idx]) / w, axis=0))
+    for v in weighted_inputs(disc, 4, spec.n):
+        gap = weighted_max(disc, sums(v, 2) - v - disc.advance(v))
+        assert np.all(gap <= delta * weighted_max(disc, v))
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_sweep_sums_are_the_factored_steps(spec):
+    # the sum in the step's coordinates is the same linear map as k - 1
+    # explicit factored steps; only the rounding moves
+    disc = node_discretization(spec)
+    sums, delta = disc.sweep_sums()
+    step, delta_explicit = factored_step(disc)
+    assert delta == delta_explicit
+    for v in weighted_inputs(disc, 3, spec.n):
+        assert np.array_equal(sums(v, 0), np.zeros_like(v))
+        assert np.array_equal(sums(v, 1), v)
+        term, want = v, v.copy()
+        for k in range(2, 51):
+            term = step(term)
+            want += term
+            if k in (2, 50):
+                gap = weighted_max(disc, sums(v, k) - want)
+                assert np.all(gap <= 1e-13 * weighted_max(disc, v))
 
 
 @pytest.mark.parametrize("spec", [
@@ -580,8 +632,16 @@ def test_sweep_step_is_certified(spec):
     OperatorSpec("mkz-reflected", 4, truncation_eps=1e-6)],
     ids=lambda s: s.family)
 def test_sweep_step_without_pairs_is_advance(spec):
+    # the plain sum of exact advances, bit for bit
     disc = node_discretization(spec)
-    assert disc.sweep_step() == (disc.advance, 0.0)
+    assert disc.sweep_sums() == (disc.advance_sums, 0.0)
+    v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 3))
+    term, want = v, np.zeros_like(v)
+    for k in range(20):
+        if k:
+            term = disc.transfer @ term
+        want += term
+    assert np.array_equal(disc.advance_sums(v, 20), want)
 
 
 def test_test_rows_are_splitmix64():
@@ -606,7 +666,9 @@ def test_sweep_step_holds_factors_not_a_stack():
     # the compression keeps every product narrow: beyond the stack it holds
     # a few arrays of (rows + cols) x rank, where rank is the numerical
     # rank of the weighted stack (cut at 1e-16 of its largest singular
-    # value, from one wide sketch), and never a stack-sized array
+    # value, from one wide sketch), and never a stack-sized array; the
+    # coordinate matrix H of the sums is built a block of unit rows at a
+    # time, within the same budget
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
     stack = disc._stack
@@ -624,7 +686,7 @@ def test_sweep_step_holds_factors_not_a_stack():
     assert rank < 128
     tracemalloc.start()
     try:
-        step, delta = disc.sweep_step()
+        sums, delta = disc.sweep_sums()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,6 +14,7 @@ from opgeom.operators import (NodeDiscretization, OperatorSpec,
                               node_discretization)
 from opgeom.series import (check_inversion_identities, geometric_series,
                            iterate_apply, neumann_tail_terms)
+from oracles import factored_step
 
 GRID = default_grid(401)
 
@@ -205,26 +206,33 @@ class TestNeumann(EntryContract):
         disc = node_discretization(op)
         fs = [registry("psi"), registry("psi") * registry("sin_pi"),
               registry("sin_pi")]
-        steps, advances = [], []
+        advances, sums = [], []
         advance = NodeDiscretization.advance
-        sweep_step = NodeDiscretization.sweep_step
-
-        def counted_sweep_step(d):
-            step, delta = sweep_step(d)
-            assert delta > 0.0  # the compressed step, not advance
-            return (lambda v: steps.append(v.shape) or step(v)), delta
-
-        monkeypatch.setattr(NodeDiscretization, "sweep_step", counted_sweep_step)
+        residual_norms = series._residual_norms
         monkeypatch.setattr(NodeDiscretization, "advance",
                             lambda d, v: advances.append(v.shape) or advance(d, v))
+        monkeypatch.setattr(series, "_residual_norms",
+                            lambda d, acc, *rest: sums.append(acc.copy())
+                            or residual_norms(d, acc, *rest))
         batch = geometric_series(op, fs, 1e-6, GRID, method="neumann")
-        # terms_used is K + 1 (g = f + L(acc)): K - 1 sweep steps, and one
-        # exact advance for all the residuals
-        assert len(steps) == batch[0].terms_used - 2
-        assert all(shape == (disc.nodes.size, len(fs)) for shape in steps)
+        # the sums make no advance: one exact advance, with all the
+        # columns, serves all the residuals
         assert advances == [(disc.nodes.size, len(fs))]
-        pts = op.grid(GRID).points
+        # terms_used is K + 1 (g = f + L(acc)), and acc is K - 1 factored
+        # steps summed, to rounding
         reps = np.column_stack([disc.rep(f) for f in fs])
+        step, delta = factored_step(disc)
+        assert delta > 0.0  # the compressed step, not advance
+        term, want = reps, reps.copy()
+        for _ in range(batch[0].terms_used - 2):
+            term = step(term)
+            want += term
+        (acc,) = sums
+        idx = np.flatnonzero(disc.interior)
+        w = psi(disc.nodes[idx])[:, None]
+        assert np.all(np.max(np.abs(acc - want)[idx] / w, axis=0)
+                      <= 1e-13 * np.max(np.abs(reps[idx]) / w, axis=0))
+        pts = op.grid(GRID).points
         acc = reps + advance(disc, reps)
         for i, got in enumerate(series._residual_norms(disc, acc, reps,
                                                        op.grid(GRID))):
@@ -250,9 +258,9 @@ SWEEP_INPUTS = [registry("psi"), registry("psi") * registry("e1"),
 
 
 def exact_sweep(monkeypatch):
-    """Make every Neumann sweep advance by the exact carrier product."""
-    monkeypatch.setattr(NodeDiscretization, "sweep_step",
-                        lambda d: (d.advance, 0.0))
+    """Make every Neumann sweep sum exact carrier products."""
+    monkeypatch.setattr(NodeDiscretization, "sweep_sums",
+                        lambda d: (d.advance_sums, 0.0))
 
 
 def assert_identical(got, want, pts):
@@ -263,8 +271,8 @@ def assert_identical(got, want, pts):
 
 
 class TestCompressedSweep:
-    """The mkz-symmetric Neumann sweep advances by the certified low-rank
-    step of NodeDiscretization.sweep_step."""
+    """The mkz-symmetric Neumann sweep sums the certified low-rank step of
+    NodeDiscretization.sweep_sums."""
 
     op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
 
@@ -272,7 +280,7 @@ class TestCompressedSweep:
         eps = 1e-6
         disc = node_discretization(self.op)
         b = self.op.contraction_bound()
-        _, delta = disc.sweep_step()
+        _, delta = disc.sweep_sums()
         assert delta > 0.0
         got = geometric_series(self.op, SWEEP_INPUTS, eps, GRID, method="neumann")
         with monkeypatch.context() as m:
@@ -295,7 +303,7 @@ class TestCompressedSweep:
         op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
         with monkeypatch.context() as m:
             m.setattr(operators, "_SWEEP_DELTA", 0.0)
-            assert node_discretization(op).sweep_step()[1] == 0.0
+            assert node_discretization(op).sweep_sums()[1] == 0.0
             got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID,
                                    method="neumann")
         exact_sweep(monkeypatch)
@@ -315,10 +323,10 @@ class TestCompressedSweep:
 
     def test_runs_agree_bit_for_bit(self):
         disc = node_discretization(self.op)
-        (step1, delta1), (step2, delta2) = disc.sweep_step(), disc.sweep_step()
+        (sums1, delta1), (sums2, delta2) = disc.sweep_sums(), disc.sweep_sums()
         v = np.random.default_rng(3).standard_normal((disc.nodes.size, 4))
         assert delta1 == delta2
-        assert np.array_equal(step1(v), step2(v))
+        assert np.array_equal(sums1(v, 50), sums2(v, 50))
         runs = [geometric_series(self.op, SWEEP_INPUTS, 1e-6, GRID,
                                  method="neumann") for _ in range(2)]
         assert_identical(*runs, self.op.grid(GRID).points)

@@ -21,7 +21,7 @@ for spec in (OperatorSpec("bernstein", 6),
              OperatorSpec("mkz-symmetric", 6, truncation_eps=1e-8)):
     pts = spec.grid(grid).points
     b = spec.contraction_bound()
-    norm0 = psi_norm(f1, spec.grid(grid)).value
+    norm0 = psi_norm(f1, spec.grid(grid))
     print(f"\n{spec.family} (n = {spec.n}), certified contraction b = {b:.4f}")
     print("   k   measured       envelope b^k")
     for k in (0, 1, 2, 4, 8, 16, 30):

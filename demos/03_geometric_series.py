@@ -46,8 +46,8 @@ for spec in (OperatorSpec("bernstein", 8),
     f = registry("sin_pi")
     # one Neumann sweep serves both inputs
     res, res_f = geometric_series(spec, [w, f], eps, grid, method="neumann")
-    product = (1.0 - b) * psi_norm(res.g, spec.grid(grid)).value
-    ratio = psi_norm(res_f.g, spec.grid(grid)).value * (1.0 - b) \
-        / psi_norm(f, spec.grid(grid)).value
+    product = (1.0 - b) * psi_norm(res.g, spec.grid(grid))
+    ratio = psi_norm(res_f.g, spec.grid(grid)) * (1.0 - b) \
+        / psi_norm(f, spec.grid(grid))
     print(f"  {spec.family:14s}: (1-b)|G psi| = {product:.6f};"
           f"   (1-b)|G f|/|f| = {ratio:.6f}   (both <= 1)")

@@ -4,15 +4,12 @@ convergence experiments for the Bernstein, Durrmeyer-type, and symmetrized
 Meyer-Koenig-Zeller families."""
 
 from .errors import (DegenerateOperatorError, DomainError, NotInCpsiError,
-                     QuadratureError, StepSizeError, TruncationBudgetError)
-from .funcspace import (EvaluationGrid, F_transform, Function01, PsiNormEstimate,
-                        apply_B1, check_F_second_derivative, default_grid,
-                        modulus_of_continuity, project_to_Cpsi, psi, psi_norm,
-                        registry, registry_names)
+                     QuadratureError, TruncationBudgetError)
+from .funcspace import (EvaluationGrid, F_transform, Function01, default_grid,
+                        project_to_Cpsi, psi, psi_norm, registry)
 from .operators import (AlphaProfile, NodeDiscretization, OperatorSpec,
-                        alpha_profile, bernstein_apply, condition_report,
-                        durrmeyer_apply, durrmeyer_functional, mkz_apply,
-                        moment, node_discretization)
+                        alpha_profile, condition_report, moment,
+                        node_discretization)
 from .series import (GeometricSeriesResult, check_inversion_identities,
                      geometric_series, geometric_series_neumann_batch,
                      geometric_series_solve, iterate_apply, neumann_tail_terms)

@@ -9,10 +9,6 @@ class QuadratureError(ArithmeticError):
     """Panel refinement stalled before reaching the requested accuracy."""
 
 
-class StepSizeError(ArithmeticError):
-    """Finite-difference step too small: cancellation exceeds quadrature accuracy."""
-
-
 class TruncationBudgetError(RuntimeError):
     """Series truncation index exceeds the configured cap (x too close to 1)."""
 

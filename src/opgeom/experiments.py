@@ -26,9 +26,9 @@ import numpy as np
 from .errors import DomainError
 from .funcspace import (EvaluationGrid, F_transform, default_grid,
                         project_to_Cpsi, psi, psi_norm, psi_sup, registry)
-from .operators import (OperatorSpec, alpha_profile, bernstein_apply,
-                        check_carrier_budget, condition_report, family_record,
-                        mkz_apply, moment, node_discretization)
+from .operators import (OperatorSpec, alpha_profile, check_carrier_budget,
+                        condition_report, family_record, moment,
+                        node_discretization)
 from .series import check_inversion_identities, geometric_series
 from .special import bernstein_basis_matrix
 
@@ -72,11 +72,13 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", n_list)
         if self.rho is None:
             object.__setattr__(self, "rho", fam.default_rho)
+        elif not 0.0 < self.rho < math.inf:
+            raise DomainError(f"rho must be finite and positive, got {self.rho!r}")
         if self.grid_size < 33:
             raise DomainError("grid_size must be >= 33")
         eps = self.eps if self.eps is not None else fam.default_eps
-        if eps <= 0.0:
-            raise DomainError("eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise DomainError(f"eps must be finite and positive, got {eps!r}")
         object.__setattr__(self, "eps", eps)
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
@@ -171,7 +173,7 @@ def _iterates(config: ExperimentConfig):
         fam_grid = op.grid(base)
         pts = fam_grid.points
         disc = node_discretization(op)
-        norm0 = psi_norm(f1, fam_grid).value
+        norm0 = psi_norm(f1, fam_grid)
         b = op.contraction_bound()
         # reps[:, k-1] = rep(L^(k-1) f1), so its image on the grid is L^k f1
         reps = [disc.rep(f1)]
@@ -315,7 +317,7 @@ def _invariants(config: ExperimentConfig):
     sym = np.abs(bernstein_basis_matrix(33, pts)
                  - bernstein_basis_matrix(33, 1.0 - pts)[:, ::-1])
     add("bernstein-basis-symmetry", np.max(sym), 1e-13)
-    bpsi = bernstein_apply(16, registry("psi"), pts)
+    bpsi = OperatorSpec("bernstein", 16).apply(registry("psi"), pts)
     add("bernstein-eigenfunction",
         np.max(np.abs(bpsi - (1.0 - 1.0 / 16) * psi(pts))), 1e-12)
 
@@ -362,12 +364,12 @@ def _invariants(config: ExperimentConfig):
     prof = alpha_profile(spec_b, base)
     (res,) = geometric_series(spec_b, [registry("psi")], 1e-8, base,
                               method="neumann")
-    gnorm = psi_norm(res.g, base).value
+    gnorm = psi_norm(res.g, base)
     add("series-norm-product", (1.0 - prof.b_norm) * gnorm - 1.0, 1e-6)
     f_sin = registry("sin_pi")
     (res_sin,) = geometric_series(spec_b, [f_sin], 1e-8, base, method="neumann")
-    ratio = psi_norm(res_sin.g, base).value * (1.0 - prof.b_norm) \
-        / psi_norm(f_sin, base).value
+    ratio = psi_norm(res_sin.g, base) * (1.0 - prof.b_norm) \
+        / psi_norm(f_sin, base)
     add("series-operator-norm", ratio - 1.0, 1e-6)
     spec_d6 = OperatorSpec("durrmeyer", 6, rho=1.0)
     r1, r2 = check_inversion_identities(spec_d6, registry("psi").scaled(-1.0),
@@ -400,7 +402,8 @@ def _invariants(config: ExperimentConfig):
     rpts = spec_r.grid(base).points[:: 37]
     fexp = registry("exp")
     lhs = disc_r.apply_rep(disc_r.rep(fexp), rpts)
-    rhs = mkz_apply(5, fexp.reflected(), 1.0 - rpts, 1e-10)
+    rhs = OperatorSpec("mkz", 5, truncation_eps=1e-10).apply(fexp.reflected(),
+                                                             1.0 - rpts)
     add("mkz-reflection-identity", np.max(np.abs(lhs - rhs)), 1e-8)
 
     # Second-moment asymptotic: the sup of |n(Z_n e2 - e2) - x(1-x)^2|/psi

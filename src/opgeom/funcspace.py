@@ -10,29 +10,24 @@ evaluation writes to it, so everything here is safe for concurrent reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, StepSizeError
+from .errors import DomainError, QuadratureError
 
 __all__ = [
     "psi",
     "Function01",
     "registry",
-    "registry_names",
     "EvaluationGrid",
     "default_grid",
-    "PsiNormEstimate",
     "psi_sup",
     "psi_norm",
-    "apply_B1",
     "project_to_Cpsi",
     "F_transform",
-    "check_F_second_derivative",
-    "modulus_of_continuity",
 ]
 
 
@@ -63,10 +58,6 @@ class Function01:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_callable(cls, fn, name=None, d2=None):
-        return cls(fn, name=name, d2=d2)
-
-    @classmethod
     def polynomial(cls, coeffs, name=None):
         coeffs = tuple(float(c) for c in coeffs)
 
@@ -79,25 +70,6 @@ class Function01:
         else:
             obj._d2 = cls.polynomial(_poly_deriv(coeffs, 2))
         return obj
-
-    @classmethod
-    def from_nodes(cls, nodes, values):
-        """Piecewise-linear interpolation of a node table, extended as a
-        constant outside the node range."""
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.size != values.size:
-            raise DomainError("node table needs matching 1-d nodes and values")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise DomainError("node table requires strictly increasing nodes")
-        if nodes[0] < 0.0 or nodes[-1] > 1.0:
-            raise DomainError("nodes must lie inside [0, 1]")
-
-        def ev(x):
-            # np.interp clips outside the node range: constant extrapolation.
-            return np.interp(np.asarray(x, dtype=float), nodes, values)
-
-        return cls(ev)
 
     # -- evaluation --------------------------------------------------------
 
@@ -191,22 +163,22 @@ def _build_registry():
         coeffs = (0.0,) * j + (1.0,)
         reg[f"e{j}"] = Function01.polynomial(coeffs, name=f"e{j}")
     reg["psi"] = Function01.polynomial((0.0, 1.0, -1.0), name="psi")
-    sin_pi = Function01.from_callable(
+    sin_pi = Function01(
         lambda x: np.sin(math.pi * np.asarray(x, dtype=float)),
         name="sin_pi")
-    sin_pi._d2 = Function01.from_callable(
+    sin_pi._d2 = Function01(
         lambda x: -math.pi ** 2 * np.sin(math.pi * np.asarray(x, dtype=float)),
         name="sin_pi''")
     reg["sin_pi"] = sin_pi
-    expf = Function01.from_callable(
+    expf = Function01(
         lambda x: np.exp(np.asarray(x, dtype=float)), name="exp")
-    expf._d2 = Function01.from_callable(
+    expf._d2 = Function01(
         lambda x: np.exp(np.asarray(x, dtype=float)), name="exp''")
     reg["exp"] = expf
-    reg["abs_half"] = Function01.from_callable(
+    reg["abs_half"] = Function01(
         lambda x: np.abs(np.asarray(x, dtype=float) - 0.5),
         name="abs_half")
-    reg["osc"] = Function01.from_callable(_osc_eval, name="osc")
+    reg["osc"] = Function01(_osc_eval, name="osc")
     return reg
 
 
@@ -214,16 +186,13 @@ _REGISTRY = _build_registry()
 
 
 def registry(name: str) -> Function01:
-    """Look up a named test function; see registry_names() for the set."""
+    """Look up a named test function; an unknown name raises a KeyError
+    that lists the set."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown registry function {name!r}; "
                        f"choose from {sorted(_REGISTRY)}") from None
-
-
-def registry_names():
-    return tuple(sorted(_REGISTRY))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +208,6 @@ class EvaluationGrid:
     """
 
     points: np.ndarray
-    scheme: str
-    count: int = field(default=0)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -249,28 +216,16 @@ class EvaluationGrid:
         if pts[0] <= 0.0 or pts[-1] >= 1.0 or np.any(np.diff(pts) <= 0.0):
             raise DomainError("grid points must be strictly increasing inside (0, 1)")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "count", pts.size)
 
     @classmethod
     def chebyshev_interior(cls, count: int) -> "EvaluationGrid":
         i = np.arange(count)
         pts = np.sin(math.pi * (2 * i + 1) / (4.0 * count)) ** 2
-        return cls(points=pts, scheme="chebyshev-interior")
-
-    @classmethod
-    def uniform_interior(cls, count: int) -> "EvaluationGrid":
-        pts = np.arange(1, count + 1) / (count + 1.0)
-        return cls(points=pts, scheme="uniform-interior")
+        return cls(points=pts)
 
     def restricted(self, lo: float, hi: float) -> "EvaluationGrid":
         mask = (self.points >= lo) & (self.points <= hi)
-        return EvaluationGrid(points=self.points[mask], scheme=self.scheme)
-
-    def refined(self) -> "EvaluationGrid":
-        """Grid of doubled resolution in the same scheme, for diagnostics."""
-        if self.scheme == "chebyshev-interior":
-            return EvaluationGrid.chebyshev_interior(2 * self.count)
-        return EvaluationGrid.uniform_interior(2 * self.count)
+        return EvaluationGrid(points=self.points[mask])
 
 
 @lru_cache(maxsize=8)
@@ -282,18 +237,6 @@ def default_grid(count: int = 1001) -> EvaluationGrid:
     return _default_grid_cached(count)
 
 
-@dataclass(frozen=True)
-class PsiNormEstimate:
-    """Grid maximum of |f|/psi; a lower bound of the true weighted sup."""
-
-    value: float
-    argmax_point: float
-    grid: EvaluationGrid
-
-    def __float__(self):
-        return self.value
-
-
 def psi_sup(values, points) -> float:
     """max |values| / psi(points): the weighted sup of samples at interior
     points (inf or nan if a ratio overflows)."""
@@ -301,24 +244,15 @@ def psi_sup(values, points) -> float:
         return float(np.max(np.abs(values) / psi(points)))
 
 
-def psi_norm(f: Function01, grid: Optional[EvaluationGrid] = None) -> PsiNormEstimate:
-    """Estimate the weighted sup norm of f on a grid of interior points."""
-    grid = grid or default_grid()
-    x = grid.points
-    vals = np.abs(f(x))
-    value = psi_sup(vals, x)
+def psi_norm(f: Function01, grid: Optional[EvaluationGrid] = None) -> float:
+    """The grid maximum of |f|/psi over interior points: an estimate from
+    below of the weighted sup norm of f."""
+    x = (grid or default_grid()).points
+    value = psi_sup(f(x), x)
     if not math.isfinite(value):
         raise OverflowError("|f|/psi exceeds the representable range; "
                             "f is numerically outside the weighted space")
-    i = int(np.argmax(vals / psi(x)))
-    return PsiNormEstimate(value=value, argmax_point=float(x[i]), grid=grid)
-
-
-def apply_B1(f: Function01) -> Function01:
-    """Affine interpolation of the endpoint values of f."""
-    f0 = float(f(0.0))
-    f1 = float(f(1.0))
-    return Function01.polynomial((f0, f1 - f0), name=None)
+    return value
 
 
 def project_to_Cpsi(f: Function01) -> Function01:
@@ -443,35 +377,3 @@ def F_transform(f: Function01,
     out.quad_error_bound = bound
     return out
 
-
-def check_F_second_derivative(f: Function01, x: float, h: float,
-                              transform: Optional[Function01] = None) -> float:
-    """Central second difference of the transform at x; tends to -f(x) at
-    O(h^2) for smooth f."""
-    if not (0.0 < x - h and x + h < 1.0):
-        raise DomainError("x +- h must stay inside (0, 1)")
-    if h < 1e-7:
-        raise StepSizeError("step below 1e-7: cancellation would exceed "
-                            "quadrature accuracy")
-    F = transform if transform is not None else F_transform(f)
-    return (F(x - h) - 2.0 * F(x) + F(x + h)) / (h * h)
-
-
-def modulus_of_continuity(f: Function01, delta: float,
-                          grid: Optional[EvaluationGrid] = None) -> float:
-    """Max |f(u)-f(v)| over grid pairs with |u-v| <= delta (diagnostic;
-    a lower estimate of the true modulus)."""
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
-    grid = grid or default_grid()
-    pts = grid.points
-    vals = f(pts)
-    best = 0.0
-    j_hi = 0
-    for i in range(pts.size):
-        j_hi = max(j_hi, i)
-        while j_hi + 1 < pts.size and pts[j_hi + 1] - pts[i] <= delta:
-            j_hi += 1
-        window = vals[i:j_hi + 1]
-        best = max(best, float(window.max() - window.min()))
-    return best

@@ -36,9 +36,12 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                weights once and the plain branch's up to their underflow
                row, so one product advances both parities.
 
-Pointwise quantities (apply, moment, alpha, the mixed condition bound)
-take arrays of points; for the series families they all go through one
-blocked weight-sum kernel, _mkz_sum.  apply truncates each branch at
+Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
+condition bound) take arrays of points: apply and moment turn a point
+into a one-point array and back once, and the family record's kernels
+take the spec and a 1-D array.  For the series families they all go
+through one blocked weight-sum kernel, _mkz_sum, over the (share,
+reflect) pairs of Family.branches.  apply truncates each branch at
 share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
 those moments.
 
@@ -70,10 +73,6 @@ __all__ = [
     "OperatorSpec",
     "AlphaProfile",
     "NodeDiscretization",
-    "bernstein_apply",
-    "durrmeyer_functional",
-    "durrmeyer_apply",
-    "mkz_apply",
     "mkz_truncation_index",
     "moment",
     "alpha_profile",
@@ -109,9 +108,9 @@ class Family:
     """
 
     min_n: int
-    param: Optional[str]  # parameter that must be given and positive
+    param: Optional[str]  # parameter that must be given, finite and positive
     contraction: Callable  # certified upper bound on |L(psi)|_psi
-    apply: Callable  # (spec, f, x) -> L(f)(x)
+    apply: Callable  # (spec, f, xs) -> L(f) at the points xs
     moment: Callable  # (spec, k, xs) -> central moments at the points xs
     alpha: Callable  # (spec, xs) -> 1 - L(psi)/psi = M_2/psi at the points xs
     carrier: Callable  # spec -> NodeDiscretization
@@ -124,6 +123,14 @@ class Family:
     def series(self) -> bool:
         """True for the truncated-series families, False for the exact ones."""
         return any(self.shares)
+
+    @property
+    def branches(self) -> tuple:
+        """(share, reflect) of each series branch in use, plain first.  A
+        branch whose share is zero is left out rather than weighted by 0:
+        it would be evaluated next to its hard endpoint."""
+        return tuple((share, reflect) for share, reflect
+                     in zip(self.shares, (False, True)) if share)
 
 
 def family_record(tag: str) -> Family:
@@ -151,8 +158,9 @@ class OperatorSpec:
             raise DomainError(f"{self.family} requires n >= {fam.min_n}")
         if fam.param is not None:
             value = getattr(self, fam.param)
-            if value is None or value <= 0.0:
-                raise DomainError(f"{self.family} requires {fam.param} > 0")
+            if value is None or not 0.0 < value < math.inf:
+                raise DomainError(f"{self.family} requires a finite "
+                                  f"{fam.param} > 0, got {value!r}")
 
     @property
     def record(self) -> Family:
@@ -192,7 +200,9 @@ class OperatorSpec:
     # -- application -------------------------------------------------------
 
     def apply(self, f: Function01, x):
-        return self.record.apply(self, f, x)
+        """L(f) at a point (a float) or at an array of points (an array)."""
+        out = self.record.apply(self, f, np.atleast_1d(np.asarray(x, dtype=float)))
+        return out if np.ndim(x) else float(out[0])
 
     def moment(self, k: int, x):
         return moment(self, k, x)
@@ -202,14 +212,11 @@ class OperatorSpec:
 # Bernstein
 # ---------------------------------------------------------------------------
 
-def bernstein_apply(n: int, f: Function01, x):
+def _bernstein_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
     """sum_k f(k/n) p_{n,k}(x); reproduces affine functions exactly."""
-    if n < 1:
-        raise DomainError("bernstein requires n >= 1")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    n = spec.n
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
-    out = bernstein_basis_matrix(n, xs) @ vals
-    return out if np.ndim(x) else float(out[0])
+    return bernstein_basis_matrix(n, xs) @ vals
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +234,6 @@ def _durrmeyer_monomial_moments(n: int, rho: float, jmax: int):
     for j in range(1, jmax + 1):
         out[:, j] = out[:, j - 1] * (a + j - 1.0) / (a + b + j - 1.0)
     return out
-
-
-def durrmeyer_functional(n: int, k: int, rho: float, f: Function01,
-                         method: str = "auto") -> float:
-    """Integral of f against the Beta(k rho, (n-k) rho) density.
-
-    Polynomial inputs go through exact monomial moments ("auto" and
-    "closed-form"); everything else ("auto" and "quadrature") is the row k
-    of the batched Gauss-Jacobi kernel _durrmeyer_quadrature.  Its rules
-    come from the Golub-Welsch construction in numpy: nodes are the
-    eigenvalues of the Jacobi matrix of the Beta density, weights the
-    Christoffel numbers from the orthonormal three-term recurrence,
-    normalized to unit mass, so no Beta-function constant enters.  The
-    weight absorbs the endpoint singularities that appear when k rho < 1
-    or (n-k) rho < 1.  A row settles once two successive rules agree to
-    1e-13 relative; a row that does not settle by 192 points takes
-    endpoint-graded composite panels when the density is bounded, is
-    accepted at 1e-4, or raises QuadratureError.
-    """
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"functional index k={k} outside [1, {n - 1}]")
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
-    if method not in ("auto", "closed-form", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    if method != "quadrature" and f.poly_coeffs is not None:
-        coeffs = np.asarray(f.poly_coeffs)
-        moments = _durrmeyer_monomial_moments(n, rho, len(coeffs) - 1)[k - 1]
-        return float(coeffs @ moments)
-    if method == "closed-form":
-        raise DomainError("closed form needs a polynomial input")
-    return float(_durrmeyer_quadrature(n, rho, f, np.array([k]))[0])
 
 
 def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
@@ -307,8 +282,19 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
 
 def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
                           ks: np.ndarray) -> np.ndarray:
-    """The Beta(k rho, (n-k) rho) functionals of f for every k in ks,
-    settled row by row as durrmeyer_functional describes.
+    """The Beta(k rho, (n-k) rho) functionals of f for every k in ks, by
+    Gauss-Jacobi rules (_durrmeyer_coeffs takes exact monomial moments for
+    polynomial inputs instead).
+
+    The rules come from the Golub-Welsch construction in numpy: nodes are
+    the eigenvalues of the Jacobi matrix of the Beta density, weights the
+    Christoffel numbers from the orthonormal three-term recurrence,
+    normalized to unit mass, so no Beta-function constant enters.  The
+    weight absorbs the endpoint singularities that appear when k rho < 1
+    or (n-k) rho < 1.  A row settles once two successive rules agree to
+    1e-13 relative; a row that does not settle by 192 points takes
+    endpoint-graded composite panels when the density is bounded, is
+    accepted at 1e-4, or raises QuadratureError.
 
     Each open row gets the rules of _GAUSS_ORDERS in turn, rows taken in
     blocks of at most _GAUSS_CELLS Jacobi-matrix cells and f evaluated
@@ -377,14 +363,10 @@ def _beta_integral_composite(a: float, b: float, f: Function01) -> float:
     return total
 
 
-def durrmeyer_apply(n: int, rho: float, f: Function01, x):
+def _durrmeyer_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
     """Durrmeyer-type image: interior Beta functionals recombined with the
     Bernstein basis plus exact endpoint terms."""
-    if n < 2:
-        raise DomainError("durrmeyer requires n >= 2")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = bernstein_basis_matrix(n, xs) @ _durrmeyer_coeffs(n, rho, f)
-    return out if np.ndim(x) else float(out[0])
+    return bernstein_basis_matrix(spec.n, xs) @ _durrmeyer_coeffs(spec.n, spec.rho, f)
 
 
 def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
@@ -401,8 +383,7 @@ def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
 # Meyer-Koenig and Zeller (Cheney-Sharma form) and its reflections
 # ---------------------------------------------------------------------------
 
-def mkz_truncation_index(n: int, x: float, tail: float,
-                         cap: int = _SERIES_CAP) -> int:
+def mkz_truncation_index(n: int, x: float, tail: float) -> int:
     """Smallest series depth with certified weight tail <= tail: the
     one-point case of _mkz_depths.
 
@@ -412,11 +393,10 @@ def mkz_truncation_index(n: int, x: float, tail: float,
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("truncation index needs 0 <= x < 1")
-    return int(_mkz_depths(n, np.array([float(x)]), tail, cap)[0])
+    return int(_mkz_depths(n, np.array([float(x)]), tail)[0])
 
 
-def _mkz_depths(n: int, ts: np.ndarray, tail: float,
-                cap: int = _SERIES_CAP) -> np.ndarray:
+def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     """Each point's own series depth at tail (see mkz_truncation_index);
     0 at t = 0 and at t = 1 (the point mass).
 
@@ -446,10 +426,10 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float,
     log_target = math.log(tail) + libm(math.log1p, -xp) - log_xp
     depth = np.where(log_w_k0 <= log_target, k0,
                      k0 + np.ceil((log_target - log_w_k0) / log_xp))
-    over = np.flatnonzero(depth > cap)
+    over = np.flatnonzero(depth > _SERIES_CAP)
     if over.size:
         raise TruncationBudgetError(
-            f"series depth {int(depth[over[0]])} exceeds cap {cap} "
+            f"series depth {int(depth[over[0]])} exceeds cap {_SERIES_CAP} "
             f"(x={float(x[over[0]])} too close to 1)")
     out[live] = depth
     return out
@@ -501,57 +481,30 @@ def _row_sums(w: np.ndarray, factors) -> np.ndarray:
     return w.sum(axis=1)
 
 
-def mkz_apply(n: int, f: Function01, x, eps: float):
-    """Series operator value with certified tail <= eps * sup|f|."""
-    if n < 1:
-        raise DomainError("mkz requires n >= 1")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    ts = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mkz_sum(n, ts, _mkz_depths(n, ts, eps),
-                   lambda nodes, rows: (np.asarray(f(nodes), dtype=float),))
-    return out if np.ndim(x) else float(out[0])
-
-
-def _mkz_mix(shares, branch):
-    """Sum of share * branch(share, reflect) over the plain and the
-    reflected branch.  A branch whose share is zero is skipped rather than
-    weighted by 0: it would be evaluated next to its hard endpoint."""
-    out = None
-    for share, reflect in zip(shares, (False, True)):
-        if share:
-            term = share * branch(share, reflect)
-            out = term if out is None else out + term
-    return out
-
-
-def _mkz_family_apply(spec: OperatorSpec, f: Function01, x):
-    """Share-weighted plain and reflected series values; the reflected
-    branch is the plain series of f(1-t) at 1-x, and each branch is
-    truncated at share * eps."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def branch(share, reflect):
+def _mkz_family_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
+    """Share-weighted plain and reflected series values, each branch with
+    certified tail <= share * eps * sup|f|; the reflected branch is the
+    plain series of f(1-t) at 1-x."""
+    n, out = spec.n, 0.0
+    for share, reflect in spec.record.branches:
         g, t = (f.reflected(), 1.0 - xs) if reflect else (f, xs)
-        return mkz_apply(spec.n, g, t, share * spec.truncation_eps)
-
-    out = _mkz_mix(spec.record.shares, branch)
-    return out if np.ndim(x) else float(out[0])
+        out = out + share * _mkz_sum(
+            n, t, _mkz_depths(n, t, share * spec.truncation_eps),
+            lambda nodes, rows: (np.asarray(g(nodes), dtype=float),))
+    return out
 
 
 def _mkz_moment(spec: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
     """Share-weighted central moments, each branch truncated at the one
     moment tail 0.1 * truncation_eps; the reflected branch is the plain
     moment at 1 - x with the sign of (-1)^k."""
-    tail = 0.1 * spec.truncation_eps
-
-    def branch(share, reflect):
+    n, tail, out = spec.n, 0.1 * spec.truncation_eps, 0.0
+    for share, reflect in spec.record.branches:
         t = 1.0 - xs if reflect else xs
-        m = _mkz_sum(spec.n, t, _mkz_depths(spec.n, t, tail),
+        m = _mkz_sum(n, t, _mkz_depths(n, t, tail),
                      lambda nodes, rows: (nodes - t[rows, None],) * k)
-        return (-1.0) ** k * m if reflect else m
-
-    return _mkz_mix(spec.record.shares, branch)
+        out = out + share * ((-1.0) ** k * m if reflect else m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +551,6 @@ class AlphaProfile:
     nu: float
     eta: float
     b_norm: float
-
-    def alpha(self, x):
-        """Piecewise-linear read-back of the profile at interior points."""
-        return np.interp(np.asarray(x, dtype=float), self.grid.points,
-                         self.alpha_values)
 
 
 def alpha_profile(op: OperatorSpec, grid: Optional[EvaluationGrid] = None) -> AlphaProfile:
@@ -922,7 +870,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
     k = np.arange(depth + 1)
-    used = [(s, reflect) for s, reflect in zip(fam.shares, (False, True)) if s]
+    used = fam.branches
     # Collisions p_j = r_m happen exactly when j*m = n^2; both quotients
     # round to the same float, so value-level merging is exact.
     nodes, inv = np.unique(np.concatenate(
@@ -1166,7 +1114,7 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
     n, xs = spec.n, prof.grid.points
     tail = 0.1 * spec.truncation_eps
     used = [(share, 1.0 - xs if reflect else xs, reflect)
-            for share, reflect in zip(spec.record.shares, (False, True)) if share]
+            for share, reflect in spec.record.branches]
     depths = [_mkz_depths(n, t, tail) for _, t, _ in used]
     k = np.arange(max(int(d.max()) for d in depths) + 1)
     # each branch's nodes in x, one row per branch, and alpha at the first
@@ -1208,14 +1156,14 @@ _FAMILY_TABLE = {
     "bernstein": Family(
         min_n=1, param=None,
         contraction=lambda s: 1.0 - 1.0 / s.n,
-        apply=lambda s, f, x: bernstein_apply(s.n, f, x),
+        apply=_bernstein_apply,
         moment=_bernstein_moment,
         alpha=lambda s, xs: np.full(xs.size, 1.0 / s.n),
         carrier=_bernstein_disc),
     "durrmeyer": Family(
         min_n=2, param="rho",
         contraction=lambda s: 1.0 - (s.rho + 1.0) / (s.n * s.rho + 1.0),
-        apply=lambda s, f, x: durrmeyer_apply(s.n, s.rho, f, x),
+        apply=_durrmeyer_apply,
         moment=_durrmeyer_moment,
         alpha=lambda s, xs: np.full(xs.size, (s.rho + 1.0) / (s.n * s.rho + 1.0)),
         carrier=_durrmeyer_disc, default_rho=1.0),

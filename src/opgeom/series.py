@@ -279,8 +279,8 @@ _METHODS = {"krylov": _krylov, "neumann": _neumann_sweep, "solve": _solve}
 def _check_request(op: OperatorSpec, fs: Sequence[Function01], eps: float) -> None:
     """Reject a series request outside the theory: eps <= 0, op outside
     the contraction class, or an input with nonzero endpoint values."""
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and positive, got {eps!r}")
     if not op.in_lambda_class:
         raise DegenerateOperatorError(
             f"{op.family} (n={op.n}) has no certified contraction constant "
@@ -311,7 +311,7 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
         raise DomainError("the solve path needs an exact finite carrier "
                           "(bernstein or durrmeyer)")
     fam_grid = op.grid(grid)
-    norms = [psi_norm(f, fam_grid).value for f in fs]
+    norms = [psi_norm(f, fam_grid) for f in fs]
     live = [i for i, v in enumerate(norms) if v > 0.0]
     out = [_zero_result(method) for _ in fs]  # G 0 = 0, with no carrier work
     if live:
@@ -351,6 +351,6 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
     h = _series_function(f, disc, -rep0)
     res1, res2 = _neumann_sweep(
         op, disc, [f, h], [rep0, rep0 - disc.advance(rep0)],
-        [psi_norm(f, fam_grid).value, psi_sup(h(pts), pts)], eps, fam_grid)
+        [psi_norm(f, fam_grid), psi_sup(h(pts), pts)], eps, fam_grid)
     second = psi_sup(np.asarray(res2.g(pts)) - np.asarray(f(pts)), pts)
     return res1.residual_psi_norm, second

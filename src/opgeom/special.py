@@ -13,9 +13,7 @@ from .errors import DomainError
 
 __all__ = [
     "log_binomial",
-    "bernstein_basis_row",
     "bernstein_basis_matrix",
-    "mkz_weight_row",
     "mkz_weight_matrix",
 ]
 
@@ -36,12 +34,6 @@ def log_binomial(n: int, k: int) -> float:
         return 0.0
     j = np.arange(1, k + 1, dtype=float)
     return float(np.sum(np.log((n - k + j) / j)))
-
-
-def bernstein_basis_row(n: int, x) -> np.ndarray:
-    """All n+1 Bernstein basis values at x, as a nonnegative row."""
-    row = bernstein_basis_matrix(n, np.atleast_1d(np.asarray(x, dtype=float)))
-    return row[0] if np.ndim(x) == 0 else row
 
 
 def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
@@ -69,29 +61,6 @@ def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
         # 0 * log 0 is 0 here: the k = 0 and k = n powers are 1 at x = 0, 1
         return np.exp(log_comb + np.where(k > 0, k * lx, 0.0)
                       + np.where(k < n, (n - k) * l1x, 0.0))
-
-
-def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:
-    """Weights k = 0..kmax at one x, by the stable ratio recurrence.
-
-    w_{k+1} = w_k * x * (n+k+1)/(k+1); every factor is positive, so the
-    relative error stays at ~kmax ulp and deep weights underflow to 0
-    harmlessly.
-    """
-    if not 0.0 <= x < 1.0:
-        raise DomainError("mkz weights require 0 <= x < 1")
-    w0 = (1.0 - x) ** (n + 1)
-    if x == 0.0 or w0 == 0.0:
-        out = np.zeros(kmax + 1)
-        out[0] = w0 if x > 0.0 else 1.0
-        return out
-    k = np.arange(kmax, dtype=float)
-    ratios = x * ((n + 1.0 + k) / (k + 1.0))
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    np.cumprod(ratios, out=out[1:])
-    out *= w0
-    return out
 
 
 def mkz_weight_matrix(n: int, xs: np.ndarray, kmax: int) -> np.ndarray:

@@ -1,20 +1,23 @@
 """Oracle helpers: for the special-function tests a log-domain number,
-exact binomials, and single Bernstein and Meyer-Koenig-Zeller basis
-values, which compute the same quantities as the vectorized kernels in
-opgeom.special by a separate route; for the sweep tests the certified
-low-rank step of a paired carrier, applied one step at a time."""
+exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values
+and one Meyer-Koenig-Zeller weight row, which compute the same
+quantities as the vectorized kernels in opgeom.special by a separate
+route; for the sweep tests the certified low-rank step of a paired
+carrier, applied one step at a time."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from opgeom import operators
 from opgeom.errors import DomainError
 from opgeom.special import log_binomial
 
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "mkz_basis_weight",
-           "factored_step"]
+           "mkz_weight_row", "factored_step"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,29 @@ def mkz_basis_weight(n: int, k: int, x: float) -> float:
         (n + 1) * math.log1p(-x) + k * math.log(x), 1
     )
     return term.value()
+
+
+def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:
+    """Weights k = 0..kmax at one x, by the stable ratio recurrence.
+
+    w_{k+1} = w_k * x * (n+k+1)/(k+1); every factor is positive, so the
+    relative error stays at ~kmax ulp and deep weights underflow to 0
+    harmlessly.
+    """
+    if not 0.0 <= x < 1.0:
+        raise DomainError("mkz weights require 0 <= x < 1")
+    w0 = (1.0 - x) ** (n + 1)
+    if x == 0.0 or w0 == 0.0:
+        out = np.zeros(kmax + 1)
+        out[0] = w0 if x > 0.0 else 1.0
+        return out
+    k = np.arange(kmax, dtype=float)
+    ratios = x * ((n + 1.0 + k) / (k + 1.0))
+    out = np.empty(kmax + 1)
+    out[0] = 1.0
+    np.cumprod(ratios, out=out[1:])
+    out *= w0
+    return out
 
 
 def factored_step(disc):

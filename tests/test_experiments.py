@@ -2,6 +2,7 @@
 determinism, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,8 +36,12 @@ class TestConfig:
             ExperimentConfig(experiment="geom", n_list=(8, 4))
         with pytest.raises(DomainError):
             ExperimentConfig(experiment="geom", grid_size=16)
-        with pytest.raises(DomainError):
-            ExperimentConfig(experiment="geom", eps=-1.0)
+        for value in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ExperimentConfig(experiment="geom", eps=value)
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                ExperimentConfig(experiment="geom", family="durrmeyer", rho=value)
         with pytest.raises(DomainError):
             ExperimentConfig(experiment="geom", jobs=0)
 
@@ -288,10 +293,23 @@ class TestCli:
                                n_list=(64,), grid_size=65)
         assert run_experiment(cfg).rows == []
 
-    def test_bad_input_exit_code(self, capsys):
+    def test_bad_input_exit_code(self, tmp_path, capsys):
         assert cli_main(["geom", "--function", "nope", "--grid-size", "65",
                          "--n-list", "4"]) == 2
         assert "error" in capsys.readouterr().err
+        # --eps inf once overflowed the depth formula into a traceback,
+        # and nan reached it as a NaN depth; every subcommand now rejects
+        # both before any work
+        out = tmp_path / "out.csv"
+        for name in EXPERIMENTS:
+            for value in ("nan", "inf"):
+                for args in (["--family", "mkz-symmetric", "--eps", value],
+                             ["--family", "bernstein", "--eps", value],
+                             ["--family", "durrmeyer", "--rho", value]):
+                    argv = [name, *args, "--n-list", "4", "-o", str(out)]
+                    assert cli_main(argv) == 2, argv
+                    assert "finite" in capsys.readouterr().err, argv
+                    assert not out.exists()
 
     def test_non_integer_order_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

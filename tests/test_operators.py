@@ -16,15 +16,34 @@ from opgeom import operators
 from opgeom.errors import DomainError, TruncationBudgetError
 from opgeom.funcspace import default_grid, psi, registry
 from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
-                              bernstein_apply, condition_report,
-                              durrmeyer_apply, durrmeyer_functional,
-                              mkz_apply, mkz_truncation_index, moment,
+                              condition_report, mkz_truncation_index, moment,
                               node_discretization)
-from opgeom.special import log_binomial, mkz_weight_matrix, mkz_weight_row
-from oracles import factored_step
+from opgeom.special import log_binomial, mkz_weight_matrix
+from oracles import factored_step, mkz_weight_row
 
 GRID = default_grid(401)
 X = GRID.points[::8]
+
+
+def bernstein(n):
+    return OperatorSpec("bernstein", n)
+
+
+def durrmeyer(n, rho):
+    return OperatorSpec("durrmeyer", n, rho=rho)
+
+
+def mkz(n, eps):
+    return OperatorSpec("mkz", n, truncation_eps=eps)
+
+
+def durrmeyer_routes(n, rho, f, ks):
+    """The Beta functionals of a polynomial f at the indices ks by the two
+    routes: exact monomial moments and the batched Gauss-Jacobi kernel."""
+    coeffs = np.asarray(f.poly_coeffs)
+    closed = operators._durrmeyer_monomial_moments(n, rho, len(coeffs) - 1)
+    return (closed[np.asarray(ks) - 1] @ coeffs,
+            operators._durrmeyer_quadrature(n, rho, f, np.asarray(ks)))
 
 
 class TestSpecValidation:
@@ -39,6 +58,14 @@ class TestSpecValidation:
             OperatorSpec("mkz", 4)  # missing truncation_eps
         with pytest.raises(DomainError):
             OperatorSpec("mkz-symmetric", 2, truncation_eps=1e-8)
+        # a parameter must be finite and positive: nan once reached the
+        # depth formula as a NaN depth, and inf overflowed it
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                OperatorSpec("durrmeyer", 4, rho=value)
+            for family in ("mkz", "mkz-reflected", "mkz-symmetric"):
+                with pytest.raises(DomainError, match="finite"):
+                    OperatorSpec(family, 4, truncation_eps=value)
 
     def test_order_must_be_an_integer(self):
         for n in (4.5, 4.0, "4", True):
@@ -68,50 +95,51 @@ class TestSpecValidation:
 class TestBernstein:
     def test_order_one_is_endpoint_interpolation(self):
         f = registry("exp")
-        got = bernstein_apply(1, f, 0.3)
+        got = bernstein(1).apply(f, 0.3)
         assert got == pytest.approx(0.7 * f(0.0) + 0.3 * f(1.0), rel=1e-15)
 
     def test_linear_reproduction(self):
-        assert np.max(np.abs(bernstein_apply(13, registry("e1"), X) - X)) <= 1e-14
+        assert np.max(np.abs(bernstein(13).apply(registry("e1"), X) - X)) <= 1e-14
 
     def test_e2_value(self):
-        assert bernstein_apply(2, registry("e2"), 0.5) == pytest.approx(0.375)
+        assert bernstein(2).apply(registry("e2"), 0.5) == pytest.approx(0.375)
 
     def test_eigenfunction(self):
         for n in (2, 9, 32):
-            got = bernstein_apply(n, registry("psi"), X)
+            got = bernstein(n).apply(registry("psi"), X)
             assert np.max(np.abs(got - (1 - 1 / n) * psi(X))) <= 1e-12
 
     def test_endpoint_interpolation_exact(self):
         f = registry("sin_pi")
-        assert bernstein_apply(7, f, 0.0) == f(0.0)
-        assert bernstein_apply(7, f, 1.0) == f(1.0)
+        assert bernstein(7).apply(f, 0.0) == f(0.0)
+        assert bernstein(7).apply(f, 1.0) == f(1.0)
 
 
 class TestDurrmeyerFunctional:
     def test_unit_and_mean(self):
+        # a polynomial input's coefficients are its exact monomial moments
         for (n, k, rho) in [(6, 1, 0.5), (6, 3, 1.0), (9, 8, 2.0)]:
-            assert durrmeyer_functional(n, k, rho, registry("e0")) == pytest.approx(
-                1.0, rel=1e-13)
-            assert durrmeyer_functional(n, k, rho, registry("e1")) == pytest.approx(
-                k / n, rel=1e-13)
+            coeffs = operators._durrmeyer_coeffs(n, rho, registry("e0"))
+            assert coeffs[k] == pytest.approx(1.0, rel=1e-13)
+            coeffs = operators._durrmeyer_coeffs(n, rho, registry("e1"))
+            assert coeffs[k] == pytest.approx(k / n, rel=1e-13)
 
     def test_second_moment_fraction_oracle(self):
         # Beta(2,2): E t^2 = a(a+1)/((a+b)(a+b+1)) = 6/20
         exact = Fraction(2 * 3, 4 * 5)
-        assert durrmeyer_functional(4, 2, 1.0, registry("e2")) == pytest.approx(
-            float(exact), rel=1e-14)
+        assert operators._durrmeyer_coeffs(4, 1.0, registry("e2"))[2] == \
+            pytest.approx(float(exact), rel=1e-14)
 
     def test_closed_vs_quadrature(self):
         for name in ("e0", "e1", "e2", "e3", "e4", "psi"):
             f = registry(name)
             for (n, k, rho) in [(6, 2, 0.5), (8, 5, 1.0), (5, 1, 2.0)]:
-                a = durrmeyer_functional(n, k, rho, f, method="closed-form")
-                b = durrmeyer_functional(n, k, rho, f, method="quadrature")
+                (a,), (b,) = durrmeyer_routes(n, rho, f, [k])
                 assert a == pytest.approx(b, abs=1e-8)
 
     def test_kinked_input_routes_to_composite(self):
-        got = durrmeyer_functional(6, 3, 1.0, registry("abs_half"))
+        got = operators._durrmeyer_quadrature(6, 1.0, registry("abs_half"),
+                                              np.array([3]))[0]
         # integral of |t-1/2| against Beta(3,3), split at the kink
         from scipy.integrate import quad
         b33 = math.gamma(3) ** 2 / math.gamma(6)
@@ -126,11 +154,9 @@ class TestDurrmeyerFunctional:
         # the edge rows, whose mass sits next to an endpoint, are the hard
         # ones; the middle is sampled
         ks = sorted(set(range(1, 9)) | set(range(n - 8, n)) | set(range(1, n, 29)))
-        f = registry("psi")
-        for k in ks:
-            exact = durrmeyer_functional(n, k, rho, f, method="closed-form")
-            got = durrmeyer_functional(n, k, rho, f, method="quadrature")
-            assert abs(got / exact - 1.0) <= tol, (k, got, exact)
+        exact, got = durrmeyer_routes(n, rho, registry("psi"), ks)
+        for k, a, b in zip(ks, exact, got):
+            assert abs(b / a - 1.0) <= tol, (k, b, a)
 
     @pytest.mark.parametrize("rho", [0.5, 1.0])
     @pytest.mark.parametrize("name", ["sin_pi", "psi*sin_pi"])
@@ -138,7 +164,8 @@ class TestDurrmeyerFunctional:
         f = registry("psi") * registry("sin_pi") if "*" in name else registry(name)
         coeffs = operators._durrmeyer_coeffs(33, rho, f)
         for k in range(1, 33):
-            assert coeffs[k] == durrmeyer_functional(33, k, rho, f)
+            assert coeffs[k] == operators._durrmeyer_quadrature(
+                33, rho, f, np.array([k]))[0]
 
     def test_kinked_input_composite_rows_in_batch(self, monkeypatch):
         from scipy.integrate import quad
@@ -182,27 +209,26 @@ class TestDurrmeyerFunctional:
                 assert abs(got / float(ref) - 1.0) <= 1e-12, (n, k)
 
     def test_parameter_errors(self):
+        # the functionals' order and shape are checked once, by the spec:
+        # n >= 2 (at least one interior functional) and a finite rho > 0
         with pytest.raises(DomainError):
-            durrmeyer_functional(6, 0, 1.0, registry("e0"))
+            durrmeyer(1, 1.0)
         with pytest.raises(DomainError):
-            durrmeyer_functional(6, 6, 1.0, registry("e0"))
-        with pytest.raises(DomainError):
-            durrmeyer_functional(6, 2, -1.0, registry("e0"))
-        with pytest.raises(DomainError):
-            durrmeyer_functional(6, 2, 1.0, registry("sin_pi"), method="closed-form")
+            durrmeyer(6, -1.0)
+        assert durrmeyer(2, 0.1).apply(registry("e1"), 0.5) == pytest.approx(0.5)
 
 
 class TestDurrmeyerApply:
     def test_linear_and_unit(self):
         for rho in (0.5, 1.0, 2.0):
-            got = durrmeyer_apply(7, rho, registry("e1"), X)
+            got = durrmeyer(7, rho).apply(registry("e1"), X)
             assert np.max(np.abs(got - X)) <= 1e-10
-            got0 = durrmeyer_apply(7, rho, registry("e0"), X)
+            got0 = durrmeyer(7, rho).apply(registry("e0"), X)
             assert np.max(np.abs(got0 - 1.0)) <= 1e-10
 
     def test_psi_eigen_form(self):
         n, rho = 9, 0.5
-        got = durrmeyer_apply(n, rho, registry("psi"), X)
+        got = durrmeyer(n, rho).apply(registry("psi"), X)
         ref = (1.0 - (rho + 1) / (n * rho + 1)) * psi(X)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -210,11 +236,11 @@ class TestDurrmeyerApply:
 class TestMkzApply:
     def test_unit_and_linear(self):
         xs = np.array([0.0, 0.2, 0.5, 0.85])
-        assert np.max(np.abs(mkz_apply(5, registry("e0"), xs, 1e-10) - 1.0)) <= 1e-10
-        assert np.max(np.abs(mkz_apply(5, registry("e1"), xs, 1e-10) - xs)) <= 1e-10
+        assert np.max(np.abs(mkz(5, 1e-10).apply(registry("e0"), xs) - 1.0)) <= 1e-10
+        assert np.max(np.abs(mkz(5, 1e-10).apply(registry("e1"), xs) - xs)) <= 1e-10
 
     def test_exact_branch_at_one(self):
-        assert mkz_apply(4, registry("exp"), 1.0, 1e-10) == math.e
+        assert mkz(4, 1e-10).apply(registry("exp"), 1.0) == math.e
 
     def test_truncation_budget(self):
         with pytest.raises(TruncationBudgetError):
@@ -224,7 +250,7 @@ class TestMkzApply:
         with pytest.raises(DomainError):
             operators._mkz_depths(4, np.array([0.5, 1.5]), 1e-10)
         with pytest.raises(TruncationBudgetError):
-            mkz_apply(4, registry("e0"), 1.0 - 1e-9, 1e-10)
+            mkz(4, 1e-10).apply(registry("e0"), 1.0 - 1e-9)
 
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
     def test_depths_are_the_scalar_formula(self, family):
@@ -260,7 +286,7 @@ class TestMkzApply:
         f = registry("exp")
         for x in (0.1, 0.45, 0.9):
             lhs = OperatorSpec("mkz-reflected", 5, truncation_eps=1e-11).apply(f, x)
-            rhs = mkz_apply(5, f.reflected(), 1.0 - x, 1e-11)
+            rhs = mkz(5, 1e-11).apply(f.reflected(), 1.0 - x)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_symmetric_basics(self):
@@ -271,7 +297,7 @@ class TestMkzApply:
         # symmetric input at the symmetry point reduces to the plain value
         f = registry("psi")
         a = OperatorSpec("mkz-symmetric", 6, truncation_eps=1e-11).apply(f, 0.5)
-        b = mkz_apply(6, f, 0.5, 1e-11)
+        b = mkz(6, 1e-11).apply(f, 0.5)
         assert a == pytest.approx(b, abs=1e-11)
 
     def test_symmetric_endpoints(self):
@@ -362,7 +388,8 @@ class TestAlphaProfile:
         plain = alpha_profile(OperatorSpec("mkz", 5, truncation_eps=1e-8), GRID)
         refl = alpha_profile(
             OperatorSpec("mkz-reflected", 5, truncation_eps=1e-8), GRID)
-        mirrored = plain.alpha(1.0 - refl.grid.points[refl.grid.points < 0.99])
+        mirrored = np.interp(1.0 - refl.grid.points[refl.grid.points < 0.99],
+                             plain.grid.points, plain.alpha_values)
         got = refl.alpha_values[refl.grid.points < 0.99]
         assert np.max(np.abs(got - mirrored)) <= 1e-12
 
@@ -475,7 +502,7 @@ def _dense_series_carrier(spec, xs=None):
     does."""
     n, depth = spec.n, _mkz_node_depth(spec)
     k = np.arange(depth + 1)
-    used = [(s, r) for s, r in zip(spec.record.shares, (False, True)) if s]
+    used = spec.record.branches
     nodes = np.unique(np.concatenate(
         [n / (n + k) if r else k / (n + k) for _, r in used] + [[0.0, 1.0]]))
     at = nodes if xs is None else xs

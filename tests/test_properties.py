@@ -6,6 +6,7 @@ value: at most 0.1 * eps per unit share for a moment, eps * sup|f| for
 apply.  Each point keeps its own series depth whatever the other points
 of a call, so a vector call and per-point calls agree to rounding.  The
 runs are derandomized, so the examples are the same on every run.
+Operator values go through OperatorSpec.apply and moment only.
 """
 
 import numpy as np
@@ -37,6 +38,9 @@ def specs_and_points(draw, families=FAMILIES):
 
 def moment_tail(spec):
     return 0.1 * EPS if spec.record.series else 0.0
+
+
+SUP = {"e2": 1.0, "exp": np.e, "abs_half": 0.5, "osc": 1.0}  # sup|f| on [0, 1]
 
 
 @PROPERTY
@@ -80,3 +84,31 @@ def test_symmetric_moments_mirror(case, k):
     spec, xs = case
     gap = moment(spec, k, 1.0 - xs) - (-1.0) ** k * moment(spec, k, xs)
     assert np.max(np.abs(gap)) <= 2 * moment_tail(spec) + ROUNDING
+
+
+@PROPERTY
+@given(specs_and_points(), st.sampled_from(("e0", "e1")))
+def test_affine_reproduction(case, name):
+    # every family reproduces e0 and e1; a series value only up to its
+    # tail, since sup|e0| = sup|e1| = 1
+    spec, xs = case
+    f = registry(name)
+    tail = EPS if spec.record.series else 0.0
+    assert np.max(np.abs(spec.apply(f, xs) - f(xs))) <= tail + ROUNDING
+
+
+@PROPERTY
+@given(specs_and_points(families=("mkz-symmetric",)), st.sampled_from(tuple(SUP)))
+def test_reflection_identity(case, name):
+    # mkz-reflected is the plain operator on f(1 - t) at 1 - x, bit for
+    # bit; mkz-symmetric is the mean of the two up to their tails: each
+    # of its branches at half the share and half the eps, each of the
+    # one-branch operators at eps
+    spec, xs = case
+    f = registry(name)
+    plain = OperatorSpec("mkz", spec.n, truncation_eps=EPS)
+    reflected = OperatorSpec("mkz-reflected", spec.n, truncation_eps=EPS).apply(f, xs)
+    assert np.array_equal(reflected, plain.apply(f.reflected(), 1.0 - xs))
+    mean = 0.5 * (plain.apply(f, xs) + reflected)
+    gap = spec.apply(f, xs) - mean
+    assert np.max(np.abs(gap)) <= 1.5 * EPS * SUP[name] + ROUNDING

@@ -2,6 +2,8 @@
 checks, certified tails, the three methods, and the inversion
 identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestIterates:
         op = OperatorSpec("durrmeyer", 5, rho=1.0)
         f1 = project_to_Cpsi(registry("e3"))
         b = op.contraction_bound()
-        norm0 = psi_norm(f1, GRID).value
+        norm0 = psi_norm(f1, GRID)
         for k in (5, 15, 30):
             vals = iterate_apply(op, k, f1, GRID.points)
             measured = np.max(np.abs(vals) / psi(GRID.points))
@@ -104,9 +106,10 @@ class EntryContract:
         with pytest.raises(DegenerateOperatorError):
             series_one(OperatorSpec("bernstein", 1), registry("psi"), 1e-8,
                        self.method)
-        with pytest.raises(DomainError):
-            series_one(OperatorSpec("bernstein", 4), registry("psi"), 0.0,
-                       self.method)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                series_one(OperatorSpec("bernstein", 4), registry("psi"), eps,
+                           self.method)
 
     def test_batch_empty(self):
         op = OperatorSpec("bernstein", 4)
@@ -159,7 +162,7 @@ class TestNeumann(EntryContract):
         for op in (OperatorSpec("bernstein", 8),
                    OperatorSpec("durrmeyer", 6, rho=1.0)):
             res = series_one(op, registry("psi"), 1e-8, "neumann")
-            lhs = (1 - op.contraction_bound()) * psi_norm(res.g, GRID).value
+            lhs = (1 - op.contraction_bound()) * psi_norm(res.g, GRID)
             assert lhs <= 1.0 + 1e-6
 
     def test_positivity_and_linearity(self):
@@ -341,7 +344,7 @@ class TestCompressedSweep:
         got = geometric_series(op, fs, 1e-8, GRID, method="neumann")
         disc = node_discretization(op)
         b = op.contraction_bound()
-        norms = [psi_norm(f, op.grid(GRID)).value for f in fs]
+        norms = [psi_norm(f, op.grid(GRID)) for f in fs]
         k_max = max(neumann_tail_terms(b, v, 1e-8) for v in norms)
         v = np.column_stack([disc.rep(f) for f in fs])
         acc = np.zeros_like(v)
@@ -449,6 +452,12 @@ class TestInversionIdentities:
         r1, r2 = check_inversion_identities(OperatorSpec("bernstein", 6),
                                             registry("psi"), 1e-8, GRID)
         assert r1 <= 1e-7 and r2 <= 1e-7
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(DomainError, match="finite"):
+            check_inversion_identities(OperatorSpec("bernstein", 6),
+                                       registry("psi"), eps, GRID)
 
     def test_zero(self):
         zero = Function01.polynomial((0.0,))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from opgeom.errors import DomainError
-from opgeom.special import (bernstein_basis_matrix, bernstein_basis_row,
-                            log_binomial, mkz_weight_matrix, mkz_weight_row)
+from opgeom.special import (bernstein_basis_matrix, log_binomial,
+                            mkz_weight_matrix)
 from oracles import (LogDomainValue, bernstein_basis, binomial,
-                     mkz_basis_weight)
+                     mkz_basis_weight, mkz_weight_row)
 
 mp.mp.dps = 40
 
@@ -86,7 +86,7 @@ class TestBernsteinBasis:
             assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_row_matches_scalar(self):
-        row = bernstein_basis_row(12, 0.37)
+        (row,) = bernstein_basis_matrix(12, np.array([0.37]))
         for k in range(13):
             assert row[k] == pytest.approx(bernstein_basis(12, k, 0.37), rel=1e-14)
 
@@ -127,14 +127,14 @@ class TestMkzWeights:
             mkz_basis_weight(0, 1, 0.5)
 
     def test_partial_sums_monotone_normalized(self):
-        w = mkz_weight_row(3, 0.4, 400)
+        (w,) = mkz_weight_matrix(3, np.array([0.4]), 400)
         cums = np.cumsum(w)
         assert np.all(np.diff(cums) >= 0.0)
         assert cums[-1] <= 1.0 + 1e-12
         assert cums[-1] >= 1.0 - 1e-10
 
     def test_row_matches_scalar_log_route(self):
-        w = mkz_weight_row(4, 0.8, 300)
+        (w,) = mkz_weight_matrix(4, np.array([0.8]), 300)
         for k in (0, 1, 17, 120, 300):
             assert w[k] == pytest.approx(mkz_basis_weight(4, k, 0.8), rel=1e-11)
 

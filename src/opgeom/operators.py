@@ -43,7 +43,7 @@ take the spec and a 1-D array.  For the series families they all go
 through one blocked weight-sum kernel, _mkz_sum, over the (share,
 reflect) pairs of Family.branches.  apply truncates each branch at
 share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
-those moments.
+those moments; a series carrier's apply_rep uses the same block schedule.
 
 OperatorSpec and NodeDiscretization are immutable after construction; all
 apply/moment operations are pure.
@@ -83,7 +83,10 @@ __all__ = [
 
 _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
-_ROW_BLOCK = 512  # points per weight-matrix call of a series apply_rep
+# share-relative tail at which apply_rep stops a point's series: the dropped
+# weights join the routed mass, moving a value by <= 2^-63 |rep|_inf, which
+# is below one rounding of |rep|_inf
+_EVAL_TAIL = 2.0**-64
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
@@ -407,8 +410,8 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     """
     if not np.all((ts >= 0.0) & (ts <= 1.0)):
         raise DomainError("series points need 0 <= t <= 1")
-    if tail <= 0.0:
-        raise DomainError("tail target must be positive")
+    if not 0.0 < tail < math.inf:
+        raise DomainError(f"tail target must be finite and positive, got {tail!r}")
     out = np.zeros(ts.size, dtype=np.int64)
     live = np.flatnonzero((ts > 0.0) & (ts < 1.0))
     x = ts[live]
@@ -442,19 +445,27 @@ def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
 
     integrand(nodes, rows) returns the factors g_j at the nodes k/(n+k)
     for the points ts[rows], each broadcastable to (rows, nodes), and the
-    weights are multiplied by them in place.  Rows are sorted by depth and
-    taken in blocks of at most _SUM_CELLS weight cells (a deeper row
-    alone), each as wide as its deepest row; every row's weights beyond
-    its own depth are zeroed, so a point's value does not depend on the
-    other points of the call.  Small blocks stay in cache and keep the
-    peak memory flat.  A point t = 1 is the point mass at node 1.
+    weights of each block of _mkz_blocks are multiplied by them in place.
+    A point t = 1 is the point mass at node 1.
     """
     out = np.empty(ts.size)
-    at_end = ts == 1.0
-    if at_end.any():
-        rows = np.flatnonzero(at_end)
-        out[rows] = _row_sums(np.ones((rows.size, 1)), integrand(np.ones(1), rows))
-    order = np.flatnonzero(~at_end)
+    at_end = np.flatnonzero(ts == 1.0)
+    if at_end.size:
+        out[at_end] = _row_sums(np.ones((at_end.size, 1)),
+                                integrand(np.ones(1), at_end))
+    for rows, k, w in _mkz_blocks(n, ts, depths):
+        out[rows] = _row_sums(w, integrand(k / (n + k), rows))
+    return out
+
+
+def _mkz_blocks(n: int, ts: np.ndarray, depths: np.ndarray):
+    """Yield (rows, k, w), w[i, j] = w_k[j](ts[rows[i]]) for the points t != 1:
+    the one block schedule of the series weight sums.  Rows are sorted by
+    depth and taken in blocks of at most _SUM_CELLS weight cells (a deeper
+    row alone), each as wide as its deepest row; every row's weights beyond
+    its own depth are zeroed, so a point's value does not depend on the
+    other points of the call.  Small blocks keep the peak memory flat."""
+    order = np.flatnonzero(ts != 1.0)
     order = order[np.argsort(depths[order], kind="stable")]
     start = 0
     while start < order.size:
@@ -469,9 +480,8 @@ def _mkz_sum(n: int, ts: np.ndarray, depths: np.ndarray,
         # hold weights beyond a row's own
         cut = depths[rows[0]] + 1
         np.putmask(w[:, cut:], k[cut:] > depths[rows][:, None], 0.0)
-        out[rows] = _row_sums(w, integrand(k / (n + k), rows))
+        yield rows, k, w
         start = stop
-    return out
 
 
 def _row_sums(w: np.ndarray, factors) -> np.ndarray:
@@ -584,8 +594,8 @@ class NodeDiscretization:
         L^m(f)(x) = apply_rep(transfer^(m-1) @ rep(f), x),  m >= 1.
 
     The exact carriers apply the Bernstein basis matrix at x; the series
-    carriers sum each branch's weights at x against its columns plus the
-    routed mass times its endpoint entry, without full-width rows.
+    carriers sum each point's branch weights to its own depth (_mkz_blocks)
+    against the columns, plus the routed mass times the endpoint entry.
 
     Every family holds one matrix, the stack, k-major: stack[j, i] is the
     weight of input j at output i.  Without a pair map it is the transpose
@@ -880,21 +890,20 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
 
     def apply_rep(rep, xs):
         out = np.zeros((xs.size,) + rep.shape[1:])
-        for start in range(0, xs.size, _ROW_BLOCK):
-            sl = slice(start, start + _ROW_BLOCK)
-            for (share, reflect), cols in zip(used, branch_cols):
-                t = 1.0 - xs[sl] if reflect else xs[sl]
-                at_end = t == 1.0
-                w = mkz_weight_matrix(n, np.where(at_end, 0.0, t), depth)
-                if share != 1.0:
-                    w *= share
-                w[at_end] = 0.0
+        for (share, reflect), cols in zip(used, branch_cols):
+            # own depths up to the cap point 1 - 1/(4n), the carrier's beyond
+            t = 1.0 - xs if reflect else xs
+            own = (t >= 0.0) & (t <= 1.0 - 1.0 / (4.0 * n))
+            depths = np.full(t.size, depth)
+            depths[own] = np.minimum(depth, _mkz_depths(n, t[own], share * _EVAL_TAIL))
+            vals = np.zeros(out.shape)
+            mass = np.full(t.size, share)
+            for rows, k, w in _mkz_blocks(n, t, depths):
+                w *= share
                 np.putmask(w, w < _TINY, 0.0)
-                mass = np.where(at_end, share,
-                                np.maximum(0.0, share - w.sum(axis=1)))
-                out[sl] += (w @ rep[cols]
-                            + np.multiply.outer(mass, rep[0 if reflect else -1]))
-                del w  # free the block before the next branch allocates its own
+                mass[rows] = np.maximum(0.0, share - w.sum(axis=1))
+                vals[rows] = w @ rep[cols[:k.size]]
+            out += vals + np.multiply.outer(mass, rep[0 if reflect else -1])
         return out
 
     stack = np.empty(_mkz_stack_shape(spec, depth))

@@ -74,8 +74,8 @@ def neumann_tail_terms(b_norm: float, f_psi_norm: float, eps: float) -> int:
     """Smallest K with b^(K+1)/(1-b) * |f| <= eps."""
     if not 0.0 < b_norm < 1.0:
         raise DomainError("tail bound needs 0 < b_norm < 1")
-    if f_psi_norm < 0.0 or eps <= 0.0:
-        raise DomainError("need f_psi_norm >= 0 and eps > 0")
+    if not (0.0 <= f_psi_norm < math.inf and 0.0 < eps < math.inf):
+        raise DomainError("need a finite f_psi_norm >= 0 and a finite eps > 0")
     if f_psi_norm == 0.0:
         return 0
 

@@ -252,6 +252,13 @@ class TestMkzApply:
         with pytest.raises(TruncationBudgetError):
             mkz(4, 1e-10).apply(registry("e0"), 1.0 - 1e-9)
 
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+    def test_tail_must_be_finite_and_positive(self, tail):
+        with pytest.raises(DomainError, match="finite and positive"):
+            mkz_truncation_index(4, 0.5, tail)
+        with pytest.raises(DomainError, match="finite and positive"):
+            operators._mkz_depths(4, np.array([0.25, 0.5]), tail)
+
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
     def test_depths_are_the_scalar_formula(self, family):
         # the depths at every default-grid point and every carrier node,
@@ -558,8 +565,15 @@ class TestSeriesCarrier:
     def test_apply_rep_matches_basis_matrix(self, spec):
         # the basis matrix here is the dense build's rows at the points
         disc = node_discretization(spec)
-        # more points than one 512-point block, endpoints included
-        xs = np.concatenate(([0.0, 1.0, 0.5], np.linspace(0.0, 1.0, 601)))
+        # endpoints, points next to them (whose own depth is a few terms
+        # at one branch and the carrier's at the other), the floats on
+        # either side of the cap point 1 - 1/(4n) (own depth up to it,
+        # the carrier's beyond), and more points than fit in one block
+        cap = 1.0 - 1.0 / (4.0 * spec.n)
+        xs = np.concatenate(([0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12,
+                              np.nextafter(cap, 0.0), np.nextafter(cap, 2.0),
+                              1.0 - cap, np.nextafter(1.0 - cap, 0.0)],
+                             np.linspace(0.0, 1.0, 601)))
         _, rows, _ = _dense_series_carrier(spec, xs)
         rng = np.random.default_rng(spec.n)
         for rep in (rng.standard_normal(disc.nodes.size),
@@ -577,6 +591,25 @@ class TestSeriesCarrier:
         assert got.shape == v.shape
         assert np.max(np.abs(got - transfer @ v)) <= 1e-13
         assert np.max(np.abs(disc.advance(v[:, 2]) - got[:, 2])) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
+def test_apply_rep_point_alone_matches_batch(family):
+    # apply_rep sums each point to its own depth and zeroes every weight
+    # past it, so a point's value does not depend on the other points of
+    # the call, only on the rounding of the block it lands in
+    spec = OperatorSpec(family, 8, truncation_eps=1e-6)
+    disc = node_discretization(spec)
+    cap = 1.0 - 1.0 / (4.0 * spec.n)
+    xs = np.concatenate((X, [0.0, 1.0, 1e-12, 1.0 - 1e-12, np.nextafter(cap, 0.0),
+                             np.nextafter(cap, 2.0), 1.0 - cap]))
+    rng = np.random.default_rng(3)
+    for rep in (rng.standard_normal(disc.nodes.size),
+                rng.standard_normal((disc.nodes.size, 3))):
+        batch = disc.apply_rep(rep, xs)
+        alone = np.array([disc.apply_rep(rep, x)[0] for x in xs])
+        assert alone.shape == batch.shape
+        assert np.max(np.abs(alone - batch)) <= 1e-14
 
 
 SYMMETRIC_CARRIERS = [s for s in SERIES_CARRIERS if s.family == "mkz-symmetric"]

@@ -81,6 +81,12 @@ class TestTailTerms:
         with pytest.raises(DomainError):
             neumann_tail_terms(0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("f,eps", [(1.0, math.nan), (1.0, math.inf),
+                                       (math.nan, 1e-6), (math.inf, 1e-6)])
+    def test_non_finite_input(self, f, eps):
+        with pytest.raises(DomainError, match="finite"):
+            neumann_tail_terms(0.5, f, eps)
+
 
 class EntryContract:
     """Request checks every method shares; each subclass names its method."""
@@ -445,6 +451,21 @@ class TestKrylov(EntryContract):
         ref = series_one(op, registry("psi"), 1e-8, "neumann")
         assert res.terms_used == ref.terms_used
         assert weighted_gap(res, ref, GRID.points) == 0.0
+
+
+@pytest.mark.parametrize("method", ["krylov", "neumann"])
+def test_series_value_alone_matches_batch(method):
+    # g = f + L(acc) sums each point's series to the point's own depth, so
+    # a point's value does not depend on the other points of the call;
+    # mkz-symmetric is the one series tag with a contraction below one
+    op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+    fs = [registry("psi"), registry("psi") * registry("sin_pi"),
+          registry("psi") * registry("osc")]
+    pts = np.concatenate((op.grid(GRID).points[::4], [0.0, 1.0, 1e-12]))
+    for res in geometric_series(op, fs, 1e-6, GRID, method=method):
+        batch = np.asarray(res.g(pts))
+        alone = np.array([res.g(x) for x in pts])
+        assert np.max(np.abs(alone - batch)) <= 1e-14
 
 
 class TestInversionIdentities:

@@ -17,9 +17,9 @@ durrmeyer      coefficients in the Bernstein basis: the image of f is
                law, built by its positive ratio recurrence and divided
                by its sum, so every row has unit mass.  All n - 1
                functionals of an input come from one batched Gauss-Jacobi
-               kernel with unit-mass weights (closed-form monomial
-               moments for polynomial inputs); no log-Gamma constant
-               enters either.
+               kernel with unit-mass weights, one rule per mirror pair
+               (closed-form monomial moments for polynomial inputs); no
+               log-Gamma constant enters either.
 mkz families   the plain series operator (nodes k/(n+k)) and its
                reflection (nodes n/(n+k)) mixed with shares (1, 0), (0, 1)
                and (1/2, 1/2); each series is truncated at a depth sized
@@ -37,9 +37,9 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                row, so one product advances both parities.
 
 Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
-condition bound) take arrays of points: apply and moment turn a point
-into a one-point array and back once, and the family record's kernels
-take the spec and a 1-D array.  For the series families they all go
+condition bound) take arrays of points of [0, 1]: apply and moment turn a
+point into a one-point array and back once, and the family record's
+kernels take the spec and a 1-D array.  For the series families they all go
 through one blocked weight-sum kernel, _mkz_sum, over the (share,
 reflect) pairs of Family.branches.  apply truncates each branch at
 share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
@@ -204,11 +204,19 @@ class OperatorSpec:
 
     def apply(self, f: Function01, x):
         """L(f) at a point (a float) or at an array of points (an array)."""
-        out = self.record.apply(self, f, np.atleast_1d(np.asarray(x, dtype=float)))
+        out = self.record.apply(self, f, _points(x))
         return out if np.ndim(x) else float(out[0])
 
     def moment(self, k: int, x):
         return moment(self, k, x)
+
+
+def _points(x) -> np.ndarray:
+    """x as a 1-D float array; DomainError unless every point is in [0, 1]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise DomainError("operator points need 0 <= x <= 1")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +248,17 @@ def _durrmeyer_monomial_moments(n: int, rho: float, jmax: int):
 
 
 def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
-    """m-point Gauss rules of the Beta(a[r], b[r]) densities on [0, 1]:
-    nodes and unit-mass weights, each of shape (rows, m).
+    """m-point Gauss rules of the Beta(a[r], b[r]) densities on [0, 1],
+    a <= b: nodes and unit-mass weights, each of shape (rows, m).
 
     The Jacobi matrix is that of the Jacobi weight (alpha, beta) =
     (b - 1, a - 1) mapped to [0, 1], with the j = 0 and j = 1 entries in
-    closed form (the general ones are 0/0 when a + b is 1 or 2).  Each
-    rule is built for the density with its mass toward 0 (a <= b), whose
-    small nodes the eigensolver resolves to high relative accuracy, and
-    reflected by t -> 1 - t where a > b.  Nodes whose recurrence overflows
-    carry weight below the smallest double and get weight 0.
+    closed form (the general ones are 0/0 when a + b is 1 or 2).  With
+    a <= b (callers reflect for a > b) the small nodes, next to the mass
+    at 0, come out to high relative accuracy.  Nodes whose recurrence
+    overflows carry weight below the smallest double and get weight 0.
     """
-    flip = (a > b)[:, None]
-    a, b = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+    a, b = a[:, None], b[:, None]
     s = a + b - 2.0
     j = np.arange(m)
     c = 2.0 * j + s
@@ -280,7 +286,7 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
             p_prev, p = p, p_next
             total += p * p
         w = np.where(np.isfinite(total), 1.0 / total, 0.0)
-    return np.where(flip, 1.0 - t, t), w / w.sum(axis=1, keepdims=True)
+    return t, w / w.sum(axis=1, keepdims=True)
 
 
 def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
@@ -299,25 +305,33 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
     endpoint-graded composite panels when the density is bounded, is
     accepted at 1e-4, or raises QuadratureError.
 
-    Each open row gets the rules of _GAUSS_ORDERS in turn, rows taken in
-    blocks of at most _GAUSS_CELLS Jacobi-matrix cells and f evaluated
-    once per block on the stacked nodes.  The composite fallback is for
-    kinked or endpoint-oscillatory f, on which global polynomial rules
+    Each open row gets the rules of _GAUSS_ORDERS in turn; mirror rows k
+    and n - k, Beta(a, b) and Beta(b, a), share the rule solved once per
+    distinct min(a, b), reflected where a > b, and settle one by one.
+    Blocks hold at most _GAUSS_CELLS / 2 Jacobi-matrix cells, f evaluated
+    once per block on its rows' stacked nodes.  The composite fallback is
+    for kinked or endpoint-oscillatory f, on which global polynomial rules
     converge only algebraically.
     """
     k = np.asarray(ks, dtype=float)
     a, b = k * rho, (n - k) * rho
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     out = np.empty(a.size)
     prev = np.full(a.size, np.nan)
     delta = np.full(a.size, np.inf)
     open_rows = np.arange(a.size)
     for m in _GAUSS_ORDERS:
-        step = max(1, _GAUSS_CELLS // (m * m))
-        for start in range(0, open_rows.size, step):
-            rows = open_rows[start:start + step]
-            t, w = _beta_rules(a[rows], b[rows], m)
+        keys, first, of_row = np.unique(lo[open_rows], return_index=True,
+                                        return_inverse=True)
+        step = max(1, _GAUSS_CELLS // (2 * m * m))
+        for start in range(0, keys.size, step):
+            block = (of_row >= start) & (of_row < start + step)
+            rows, at = open_rows[block], of_row[block] - start
+            t, w = _beta_rules(keys[start:start + step],
+                               hi[open_rows[first[start:start + step]]], m)
+            t = np.where((a[rows] > b[rows])[:, None], 1.0 - t[at], t[at])
             ft = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
-            val = np.sum(w * ft, axis=1)
+            val = np.sum(w[at] * ft, axis=1)
             delta[rows] = np.abs(val - prev[rows])
             out[rows] = prev[rows] = val
         settled = delta[open_rows] <= 1e-13 * np.maximum(1.0, np.abs(out[open_rows]))
@@ -408,8 +422,7 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     numpy's log differs from libm's in the last bit for a few arguments
     and a depth is the ceiling of a quotient of them.
     """
-    if not np.all((ts >= 0.0) & (ts <= 1.0)):
-        raise DomainError("series points need 0 <= t <= 1")
+    ts = _points(ts)
     if not 0.0 < tail < math.inf:
         raise DomainError(f"tail target must be finite and positive, got {tail!r}")
     out = np.zeros(ts.size, dtype=np.int64)
@@ -542,7 +555,7 @@ def moment(op: OperatorSpec, k: int, x):
     array of points (an array)."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {k!r}")
-    out = op.record.moment(op, k, np.atleast_1d(np.asarray(x, dtype=float)))
+    out = op.record.moment(op, k, _points(x))
     return out if np.ndim(x) else float(out[0])
 
 
@@ -769,8 +782,8 @@ class NodeDiscretization:
         return self._rep_builder(f)
 
     def apply_rep(self, rep: np.ndarray, xs) -> np.ndarray:
-        """The image rep stands for at the points xs, one row per point."""
-        return self._apply_rep(rep, np.atleast_1d(np.asarray(xs, dtype=float)))
+        """The image rep stands for at the points xs in [0, 1], one row each."""
+        return self._apply_rep(rep, _points(xs))
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -893,7 +906,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         for (share, reflect), cols in zip(used, branch_cols):
             # own depths up to the cap point 1 - 1/(4n), the carrier's beyond
             t = 1.0 - xs if reflect else xs
-            own = (t >= 0.0) & (t <= 1.0 - 1.0 / (4.0 * n))
+            own = t <= 1.0 - 1.0 / (4.0 * n)
             depths = np.full(t.size, depth)
             depths[own] = np.minimum(depth, _mkz_depths(n, t[own], share * _EVAL_TAIL))
             vals = np.zeros(out.shape)

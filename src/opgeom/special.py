@@ -37,30 +37,47 @@ def log_binomial(n: int, k: int) -> float:
 
 
 def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:
-    """Matrix P with P[i, k] = C(n,k) xs[i]^k (1-xs[i])^(n-k).
+    """Matrix P with P[i, k] = C(n,k) xs[i]^k (1-xs[i])^(n-k), xs in [0, 1].
 
-    Up to n = _EXACT_COMB_N the binomials are exact floats and the powers
-    direct products.  Above it, where C(n, k) overflows and the powers
-    go subnormal, every entry is formed in the log domain, with log C(n, k)
-    the log of the exact integer (a running sum of float logs would carry
-    its rounding into every entry).
+    C(n, k) comes from one exact-integer recurrence over half the row.  Up
+    to n = _EXACT_COMB_N it is floated, times x^k, times (1-x)^(n-k), with
+    pow's powers (_powers).  Above it, where C(n, k) overflows and the
+    powers go subnormal, every entry is formed in the log domain from the
+    log of the exact integer (a running sum of float logs would carry its
+    rounding into every entry).
     """
     xs = np.asarray(xs, dtype=float)
     k = np.arange(n + 1)
-    if n <= _EXACT_COMB_N:
-        comb_row = np.array([float(math.comb(n, j)) for j in range(n + 1)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return comb_row * xs[:, None] ** k * (1.0 - xs[:, None]) ** (n - k)
-    half, comb = [0.0], 1
+    half, comb = [1], 1
     for j in range(1, n // 2 + 1):
         comb = comb * (n - j + 1) // j
-        half.append(math.log(comb))
-    log_comb = np.array(half + half[n - n // 2 - 1::-1])
+        half.append(comb)
+    row = half + half[n - n // 2 - 1::-1]
+    if n <= _EXACT_COMB_N:
+        out = _powers(xs, k)
+        out *= np.array([float(c) for c in row])
+        return np.multiply(out, _powers(1.0 - xs, n - k), out=out)
+    log_comb = np.array([math.log(c) for c in row])
     with np.errstate(divide="ignore", invalid="ignore"):
         lx, l1x = np.log(xs)[:, None], np.log1p(-xs)[:, None]
         # 0 * log 0 is 0 here: the k = 0 and k = n powers are 1 at x = 0, 1
         return np.exp(log_comb + np.where(k > 0, k * lx, 0.0)
                       + np.where(k < n, (n - k) * l1x, 0.0))
+
+
+def _powers(base: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """base[i]^e[j] for base in [0, 1], bit for bit pow's, skipping pow's
+    slow path on underflow: a cell with e > 1100 / -log2(base) is below
+    2^-1100, 25 binades under half the smallest subnormal, and set to +0 as
+    pow would (rounding moves the cut far less than a binade).  0.0 - log2
+    makes the limit +inf at base 1; at base 0 it is 0, which keeps 0^0 = 1."""
+    with np.errstate(divide="ignore"):
+        limit = 1100.0 / (0.0 - np.log2(base))
+    cut = limit < e.max()
+    out = np.where(cut, 1.0, base)[:, None] ** e
+    out[cut] = np.power(base[cut, None], e, out=np.zeros((cut.sum(), e.size)),
+                        where=e <= limit[cut, None])
+    return out
 
 
 def mkz_weight_matrix(n: int, xs: np.ndarray, kmax: int) -> np.ndarray:

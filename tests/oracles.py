@@ -1,6 +1,7 @@
 """Oracle helpers: for the special-function tests a log-domain number,
-exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values
-and one Meyer-Koenig-Zeller weight row, which compute the same
+exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values,
+the plain-pow Bernstein table, a 40-digit Bernstein row and one
+Meyer-Koenig-Zeller weight row, which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
 route; for the sweep tests the certified low-rank step of a paired
 carrier, applied one step at a time."""
@@ -10,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from opgeom import operators
 from opgeom.errors import DomainError
 from opgeom.special import log_binomial
 
-__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "mkz_basis_weight",
-           "mkz_weight_row", "factored_step"]
+__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
+           "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
+           "factored_step"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,31 @@ def bernstein_basis(n: int, k: int, x: float) -> float:
     return math.exp(
         log_binomial(n, k) + k * math.log(x) + (n - k) * math.log1p(-x)
     )
+
+
+def bernstein_pow_table(n: int, xs: np.ndarray) -> np.ndarray:
+    """C(n,k) * x^k * (1-x)^(n-k) for n <= 1000 as one numpy expression:
+    math.comb binomials and plain pow on every cell, multiplied left to
+    right.  The vectorized basis must equal it bit for bit."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    k = np.arange(n + 1)
+    comb = np.array([float(math.comb(n, j)) for j in range(n + 1)])
+    return comb * xs ** k * (1.0 - xs) ** (n - k)
+
+
+def bernstein_row_mp(n: int, x: float) -> list:
+    """C(n,k) x^k y^(n-k), k = 0..n, in 40-digit arithmetic with y the
+    rounded float 1 - x, by the ratio recurrence from y^n (its rounding
+    stays near n * 1e-40 relative)."""
+    y = 1.0 - x
+    with mp.workdps(40):
+        mx, my = mp.mpf(x), mp.mpf(y)
+        if y == 0.0:
+            return [mp.mpf(0)] * n + [mp.mpf(1)]
+        row = [my ** n]
+        for k in range(n):
+            row.append(row[-1] * (n - k) / (k + 1) * mx / my)
+        return row
 
 
 def mkz_basis_weight(n: int, k: int, x: float) -> float:

@@ -15,8 +15,9 @@ import pytest
 from opgeom import operators
 from opgeom.errors import DomainError, TruncationBudgetError
 from opgeom.funcspace import default_grid, psi, registry
-from opgeom.operators import (OperatorSpec, _mkz_node_depth, alpha_profile,
-                              condition_report, mkz_truncation_index, moment,
+from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
+                              alpha_profile, condition_report, family_record,
+                              mkz_truncation_index, moment,
                               node_discretization)
 from opgeom.special import log_binomial, mkz_weight_matrix
 from oracles import factored_step, mkz_weight_row
@@ -166,6 +167,49 @@ class TestDurrmeyerFunctional:
         for k in range(1, 33):
             assert coeffs[k] == operators._durrmeyer_quadrature(
                 33, rho, f, np.array([k]))[0]
+
+    @pytest.mark.parametrize("n", [31, 32])
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
+    def test_mirror_rows_share_rules_exactly(self, n, rho):
+        # rows k and n - k share one rule, reflected for one of them; at
+        # n = 32 row 16 is its own mirror, and the partial ks holds rows 1
+        # and 5 without their mirrors
+        f = registry("exp") * registry("sin_pi")
+        alone = np.array([operators._durrmeyer_quadrature(n, rho, f, np.array([k]))[0]
+                          for k in range(1, n)])
+        full = operators._durrmeyer_quadrature(n, rho, f, np.arange(1, n))
+        assert np.array_equal(full, alone)
+        part = np.array([1, 2, 5, n // 2, n - 2])
+        assert np.array_equal(operators._durrmeyer_quadrature(n, rho, f, part),
+                              alone[part - 1])
+
+    @pytest.mark.parametrize("name", ["exp", "abs_half"])
+    def test_one_jacobi_solve_per_mirror_pair(self, monkeypatch, name):
+        # each order solves one Jacobi matrix per distinct min(a, b) among
+        # its open rows; a row is open at an order where it is alone
+        n, rho, f = 32, 1.0, registry(name)
+        inner, solved = operators._beta_rules, []
+
+        def counting(a, b, m):
+            assert np.all(a <= b)
+            solved.append((m, a.copy()))
+            return inner(a, b, m)
+
+        monkeypatch.setattr(operators, "_beta_rules", counting)
+        expected = {}
+        for k in range(1, n):
+            solved.clear()
+            operators._durrmeyer_quadrature(n, rho, f, np.array([k]))
+            for m, _ in solved:
+                expected.setdefault(m, set()).add(min(k, n - k) * rho)
+        solved.clear()
+        operators._durrmeyer_quadrature(n, rho, f, np.arange(1, n))
+        for m, keys in expected.items():
+            got = np.concatenate([a for order, a in solved if order == m])
+            assert sorted(got) == sorted(keys), m
+        assert {m for m, _ in solved} == set(expected)
+        if name == "abs_half":  # the kink keeps rows open to the last order
+            assert len(expected) == len(operators._GAUSS_ORDERS)
 
     def test_kinked_input_composite_rows_in_batch(self, monkeypatch):
         from scipy.integrate import quad
@@ -374,6 +418,26 @@ class TestMoments:
                       np.concatenate((inner, [0.8], 1.0 - inner))):
             at = int(np.flatnonzero(batch == 0.8)[0])
             assert alpha(batch)[at] == pytest.approx(alone, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_points_outside_the_unit_interval_raise(family):
+    # bernstein and durrmeyer once extrapolated (bernstein n = 8 gave
+    # -0.3196 at -0.1), and a series carrier summed meaningless weights
+    param = family_record(family).param
+    values = {"rho": 1.0, "truncation_eps": 1e-6}
+    spec = OperatorSpec(family, 8, **({param: values[param]} if param else {}))
+    disc = node_discretization(spec)
+    rep = disc.rep(registry("sin_pi"))
+    for x in (-0.1, 1.5, math.nan):
+        for call in (lambda p: spec.apply(registry("sin_pi"), p),
+                     lambda p: spec.moment(2, p),
+                     lambda p: disc.apply_rep(rep, p)):
+            with pytest.raises(DomainError, match="0 <= x <= 1"):
+                call(x)
+            with pytest.raises(DomainError, match="0 <= x <= 1"):
+                call(np.array([0.0, 0.5, x]))
+    assert np.isfinite(spec.apply(registry("sin_pi"), np.array([0.0, 0.5, 1.0]))).all()
 
 
 class TestAlphaProfile:

@@ -34,6 +34,14 @@ def brute_tail_terms(b, f, eps):
     return k
 
 
+def test_series_function_rejects_points_outside_the_unit_interval():
+    res = series_one(OperatorSpec("bernstein", 8), registry("psi"), 1e-8, "krylov")
+    for x in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match="0 <= x <= 1"):
+            res.g(x)
+    assert math.isfinite(res.g(0.5))
+
+
 class TestIterates:
     def test_identity(self):
         f = registry("exp")

@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from opgeom.errors import DomainError
+from opgeom.funcspace import default_grid
 from opgeom.special import (bernstein_basis_matrix, log_binomial,
                             mkz_weight_matrix)
-from oracles import (LogDomainValue, bernstein_basis, binomial,
-                     mkz_basis_weight, mkz_weight_row)
+from oracles import (LogDomainValue, bernstein_basis, bernstein_pow_table,
+                     bernstein_row_mp, binomial, mkz_basis_weight,
+                     mkz_weight_row)
 
 mp.mp.dps = 40
+
+CHEB = default_grid(1001).points
+EDGE = np.array([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-16, 1.0])
 
 
 class TestLogDomainValue:
@@ -95,6 +100,24 @@ class TestBernsteinBasis:
         val = bernstein_basis(1200, 600, 0.5)
         ref = float(mp.binomial(1200, 600) * mp.mpf(0.5) ** 1200)
         assert val == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 256, 512, 1000])
+    def test_matrix_is_the_plain_pow_table(self, n):
+        # the cells skipped as underflowing are those that pow rounds to 0
+        for xs in (CHEB, EDGE):
+            assert np.array_equal(bernstein_basis_matrix(n, xs),
+                                  bernstein_pow_table(n, xs))
+
+    @pytest.mark.parametrize("n", [256, 512, 1000])
+    def test_matrix_against_forty_digits(self, n):
+        u = 2.0 ** -53
+        xs = np.concatenate((CHEB[::10], EDGE))
+        p = bernstein_basis_matrix(n, xs)
+        for i, x in enumerate(xs):
+            ref = np.array([float(v) for v in bernstein_row_mp(n, float(x))])
+            assert np.max(np.abs(p[i] - ref)) <= 2e-16, x
+            big = ref >= 1e-30
+            assert np.max(np.abs(p[i][big] / ref[big] - 1.0)) <= 8 * u, x
 
     @pytest.mark.parametrize("n", [1200, 2000])
     def test_matrix_past_exact_binomials(self, n):

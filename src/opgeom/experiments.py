@@ -202,7 +202,7 @@ def _geom(config: ExperimentConfig):
         ref = 2.0 * np.asarray(F_transform(f, grid=fam_grid)(pts), dtype=float)
         prof = alpha_profile(op, base)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
-        vals = prof.alpha_values * np.asarray(res.g(pts), dtype=float)
+        vals = prof.alpha_values * res.grid_values
         err = psi_sup(vals - ref, pts)
         return [(n, err, res.terms_used, res.tail_bound)], res
 
@@ -235,20 +235,25 @@ def _defects(config: ExperimentConfig):
 
 
 def _voronovskaya(config: ExperimentConfig):
-    """Distance of (1/nu)(L_n f - f) from psi f''/2, weighted and plain."""
+    """Distance of (1/nu)(L_n f - f) from psi f''/2, weighted and plain.
+    The sidecar's error_psi_condition holds max_x 1/(nu psi(x)) per n: a
+    change delta of L_n f moves error_psi by at most delta times it."""
     _, d2, defects = _defects(config)
-    chunks = []
+    chunks, conds = [], []
     for n, pts, defect, prof in defects:
         resid = defect / prof.nu - 0.5 * np.asarray(d2(pts)) * psi(pts)
         chunks.append([(n, psi_sup(resid, pts),
                         float(np.max(np.abs(resid))))])
-    return chunks, {}
+        conds.append(float(np.max(1.0 / (prof.nu * psi(pts)))))
+    return chunks, {"error_psi_condition": conds}
 
 
 def _inverse_voronovskaya(config: ExperimentConfig):
     """Per-n premise residual (1/alpha)(L_n f - f) - g psi with g = f''/2,
     plus the n-independent reconstruction residual |(f - B1 f) + 2 F(g)|
-    in the aux column."""
+    in the aux column.  The sidecar's error_psi_condition holds
+    max_x 1/(alpha(x) psi(x)) per n: a change delta of L_n f moves
+    error_psi by at most delta times it."""
     f, d2, defects = _defects(config)
     g = d2.scaled(0.5)
     base = config.base_grid()
@@ -256,11 +261,12 @@ def _inverse_voronovskaya(config: ExperimentConfig):
     pts_full = base.points
     recon = psi_sup(np.asarray(project_to_Cpsi(f)(pts_full))
                              + 2.0 * np.asarray(fg(pts_full)), pts_full)
-    chunks = []
+    chunks, conds = [], []
     for n, pts, defect, prof in defects:
         resid = defect / prof.alpha_values - np.asarray(g(pts)) * psi(pts)
         chunks.append([(n, psi_sup(resid, pts), recon)])
-    return chunks, {}
+        conds.append(float(np.max(1.0 / (prof.alpha_values * psi(pts)))))
+    return chunks, {"error_psi_condition": conds}
 
 
 def _conditions(config: ExperimentConfig):

@@ -609,6 +609,8 @@ class NodeDiscretization:
     The exact carriers apply the Bernstein basis matrix at x; the series
     carriers sum each point's branch weights to its own depth (_mkz_blocks)
     against the columns, plus the routed mass times the endpoint entry.
+    apply_reps evaluates that basis or those blocks once for several
+    representations.
 
     Every family holds one matrix, the stack, k-major: stack[j, i] is the
     weight of input j at output i.  Without a pair map it is the transpose
@@ -660,12 +662,12 @@ class NodeDiscretization:
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
                  stack: np.ndarray, truncation_error_bound: float,
-                 apply_rep: Callable, rep_builder=None, pairs=None):
+                 images: Callable, rep_builder=None, pairs=None):
         self.spec = spec
         self.nodes = nodes
         self._stack = stack
         self.truncation_error_bound = float(truncation_error_bound)
-        self._apply_rep = apply_rep  # (rep, 1-D points) -> values
+        self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
         self._pairs = pairs  # (low, high, sign) by pair, or None
         self.interior = (nodes > 0.0) & (nodes < 1.0)
@@ -783,14 +785,27 @@ class NodeDiscretization:
 
     def apply_rep(self, rep: np.ndarray, xs) -> np.ndarray:
         """The image rep stands for at the points xs in [0, 1], one row each."""
-        return self._apply_rep(rep, _points(xs))
+        return self._images([rep], _points(xs))[0]
+
+    def apply_reps(self, reps, xs) -> list:
+        """apply_rep of each representation in reps at the points xs, from
+        one evaluation of the basis or weight blocks at xs; each rep is
+        applied on its own, so each image equals its apply_rep bit for bit."""
+        return self._images(reps, _points(xs))
+
+
+def _basis_images(n: int, reps, xs: np.ndarray) -> list:
+    """The images of Bernstein-basis representations at xs: one basis
+    matrix, applied to each rep on its own."""
+    basis = bernstein_basis_matrix(n, xs)
+    return [basis @ rep for rep in reps]
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
     n = spec.n
     nodes = np.arange(n + 1) / n
     return NodeDiscretization(spec, nodes, bernstein_basis_matrix(n, nodes).T,
-                              0.0, lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep)
+                              0.0, partial(_basis_images, n))
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -821,7 +836,7 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     transfer[n, n] = 1.0
     transfer[1:n] = inner
     return NodeDiscretization(spec, nodes, transfer.T, 0.0,
-                              lambda rep, xs: bernstein_basis_matrix(n, xs) @ rep,
+                              partial(_basis_images, n),
                               partial(_durrmeyer_coeffs, n, rho))
 
 
@@ -901,23 +916,25 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         + [[0.0, 1.0]]), return_inverse=True)
     branch_cols = np.split(inv[: len(used) * (depth + 1)], len(used))
 
-    def apply_rep(rep, xs):
-        out = np.zeros((xs.size,) + rep.shape[1:])
+    def images(reps, xs):
+        outs = [np.zeros((xs.size,) + rep.shape[1:]) for rep in reps]
         for (share, reflect), cols in zip(used, branch_cols):
             # own depths up to the cap point 1 - 1/(4n), the carrier's beyond
             t = 1.0 - xs if reflect else xs
             own = t <= 1.0 - 1.0 / (4.0 * n)
             depths = np.full(t.size, depth)
             depths[own] = np.minimum(depth, _mkz_depths(n, t[own], share * _EVAL_TAIL))
-            vals = np.zeros(out.shape)
+            vals = [np.zeros(out.shape) for out in outs]
             mass = np.full(t.size, share)
             for rows, k, w in _mkz_blocks(n, t, depths):
                 w *= share
                 np.putmask(w, w < _TINY, 0.0)
                 mass[rows] = np.maximum(0.0, share - w.sum(axis=1))
-                vals[rows] = w @ rep[cols[:k.size]]
-            out += vals + np.multiply.outer(mass, rep[0 if reflect else -1])
-        return out
+                for val, rep in zip(vals, reps):
+                    val[rows] = w @ rep[cols[:k.size]]
+            for out, val, rep in zip(outs, vals, reps):
+                out += val + np.multiply.outer(mass, rep[0 if reflect else -1])
+        return outs
 
     stack = np.empty(_mkz_stack_shape(spec, depth))
     if len(used) == 1:
@@ -947,7 +964,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
     bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-    return NodeDiscretization(spec, nodes, stack, bound, apply_rep, pairs=pairs)
+    return NodeDiscretization(spec, nodes, stack, bound, images, pairs=pairs)
 
 
 def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:

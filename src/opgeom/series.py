@@ -2,7 +2,8 @@
 space, through one entry, geometric_series, with three methods:
 
 * "krylov" (default): a restarted GMRES solve of (I - T) on the interior
-  node block per input (every member of the contraction class);
+  node block per input (every member of the contraction class), split by
+  parity (see _krylov);
 * "neumann": truncated Neumann sums sharing one sweep, formed by the
   carrier's sweep_sums and certified by the geometric tail plus the
   step's compression term (see _neumann_sweep); the Krylov oracle; and
@@ -13,7 +14,24 @@ Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
 with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
 and solve paths report that residual certificate as their tail bound;
 the residual is a sup over the family grid, so it is an estimate from
-below of the true sup, like every weighted norm here.
+below of the true sup, like every weighted norm here.  Every result also
+keeps g at the points of that grid, from the same evaluation of the grid
+basis as the residual.
+
+Every carrier that reaches the series (bernstein, durrmeyer and
+mkz-symmetric: the contraction class) commutes with the reflection
+x -> 1 - x, which reverses its interior coordinates: node values for
+bernstein and the mkz-symmetric mirror pairs, Bernstein coefficients
+c_k <-> c_(n-k) for durrmeyer.  So (I - T) x = b splits into an even and
+an odd problem, b = (b + Rb)/2 + (b - Rb)/2, and T maps each half into
+itself.  The Krylov path solves the two halves by GMRES in lockstep, one
+carrier product of the sum of their Arnoldi vectors per step, split back
+by parity; it stops on the combined estimate
+sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it never takes more
+products than one GMRES on b would (without a restart), and each half
+only damps its own part of the spectrum.  An input with one half below
+that target (psi, sin_pi, psi sin_pi) takes the one GMRES on b instead.
+terms_used counts carrier products: one per step, plus the residual's.
 """
 
 from __future__ import annotations
@@ -41,18 +59,22 @@ __all__ = [
 _ENDPOINT_TOL = 1e-12
 _GMRES_RESTART = 40  # Arnoldi basis vectors per cycle
 _GMRES_RTOL = 1e-13  # relative 2-norm residual target on the interior block
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class GeometricSeriesResult:
     """G_L(f) on the node carrier, evaluable anywhere through the
-    fixed-point extension g = f + L(g-on-nodes)."""
+    fixed-point extension g = f + L(g-on-nodes); grid_values is g at the
+    points of the family grid the residual was taken on, equal to
+    g(points) bit for bit."""
 
     g: Function01
     method: str
     terms_used: Optional[int]
     tail_bound: float
     residual_psi_norm: float
+    grid_values: np.ndarray
 
 
 def iterate_apply(op: OperatorSpec, k: int, f: Function01, x):
@@ -101,13 +123,17 @@ def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Funct
 
 
 def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
-                    grid: EvaluationGrid) -> list:
-    """|(I - L) g - f|_psi per column of acc: off the nodes (I - L) g - f
-    is the image of acc - rep0 - T acc, formed for all columns at once."""
+                    grid: EvaluationGrid, accs: Sequence[np.ndarray]):
+    """(norms, images): |(I - L) g - f|_psi per column of acc, and the
+    images L(acc_i) at the grid points of accs, the columns of acc one by
+    one, each taken on its own as g(points) takes it, from the same
+    evaluation of the grid basis.  Off the nodes (I - L) g - f is the
+    image of acc - rep0 - T acc, formed for all columns at once."""
     pts = grid.points
     defect = acc - rep0 - disc.advance(acc)
-    images = disc.apply_rep(defect, pts).reshape(pts.size, -1)
-    return [psi_sup(col, pts) for col in images.T]
+    images, *parts = disc.apply_reps([defect, *accs], pts)
+    norms = [psi_sup(col, pts) for col in images.reshape(pts.size, -1).T]
+    return norms, parts
 
 
 def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
@@ -119,17 +145,19 @@ def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
     tail_bound = |(I - L) g - f|_psi / (1 - b)."""
     acc = np.zeros_like(rep0)
     acc[idx] = sol
-    (resid,) = _residual_norms(disc, acc, rep0, grid)
+    (resid,), (image,) = _residual_norms(disc, acc, rep0, grid, [acc])
     return GeometricSeriesResult(
         g=_series_function(f, disc, acc), method=method, terms_used=terms_used,
         tail_bound=resid / (1.0 - op.contraction_bound()),
-        residual_psi_norm=resid)
+        residual_psi_norm=resid,
+        grid_values=np.asarray(f(grid.points), dtype=float) + image)
 
 
-def _zero_result(method: str) -> GeometricSeriesResult:
+def _zero_result(method: str, grid: EvaluationGrid) -> GeometricSeriesResult:
     zero = Function01(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     return GeometricSeriesResult(g=zero, method=method, terms_used=0,
-                                 tail_bound=0.0, residual_psi_norm=0.0)
+                                 tail_bound=0.0, residual_psi_norm=0.0,
+                                 grid_values=np.zeros(grid.points.size))
 
 
 def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
@@ -168,81 +196,150 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
     # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
     acc = sums(rep0, k_max)
     del sums
-    resids = _residual_norms(disc, acc, rep0, grid)
+    accs = [col.copy() for col in acc.T]
+    resids, images = _residual_norms(disc, acc, rep0, grid, accs)
     return [GeometricSeriesResult(
-        g=_series_function(f_eval, disc, acc[:, i].copy()), method="neumann",
+        g=_series_function(f_eval, disc, accs[i]), method="neumann",
         terms_used=k_max + 1,
         tail_bound=b ** (k_max + 1) / (1.0 - b) * norm + float(terms[i]),
-        residual_psi_norm=resids[i])
+        residual_psi_norm=resids[i],
+        grid_values=np.asarray(f_eval(grid.points), dtype=float) + images[i])
         for i, (f_eval, norm) in enumerate(zip(f_evals, norms))]
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
-    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi.
+    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi, for
+    the rows of rhs in lockstep: matvec maps a block of rows v (one per
+    row of rhs) to the block of their products A v_k at the cost of one
+    carrier product, and row k solves A x_k = rhs[k].
 
-    Stops once the Arnoldi estimate of |rhs - A x|_2 falls to
-    _GMRES_RTOL |rhs|_2 or after max_matvecs products; returns
-    (x, matvecs used).  Restart residuals come from the Arnoldi relation,
-    not from an extra product.
+    Each row grows its own Arnoldi basis by one vector per product; a row
+    whose basis breaks down (its Krylov space is invariant, so its
+    estimate is exact) stops growing and is fed zeros.  The rows stop
+    together, once the combined Arnoldi estimate
+    sqrt(sum_k |rhs_k - A x_k|_2^2) falls to _GMRES_RTOL |rhs|_2 or after
+    max_matvecs products; returns (x, matvecs used).  Restart residuals
+    come from the Arnoldi relation, not from an extra product.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    target = _GMRES_RTOL * np.linalg.norm(rhs)
+    target = _GMRES_RTOL * math.hypot(*map(np.linalg.norm, rhs))
     used = 0
     while used < max_matvecs:
-        beta = np.linalg.norm(r)
-        if beta <= target:
+        betas = [np.linalg.norm(rk) for rk in r]
+        if math.hypot(*betas) <= target:
             break
         m = min(_GMRES_RESTART, max_matvecs - used)
-        q = np.zeros((m + 1, rhs.size))
-        h = np.zeros((m + 1, m))
-        q[0] = r / beta
+        bases = [[rk / beta] if beta > 0.0 else [] for rk, beta in zip(r, betas)]
+        h = np.zeros((len(r), m + 1, m))
+        ys = [np.zeros(0) for _ in r]
+        shorts = [np.array([beta]) for beta in betas]
         for j in range(m):
-            w = matvec(q[j])
+            w = matvec(np.array([q[j] if len(q) > j else np.zeros(rk.size)
+                                 for q, rk in zip(bases, r)]))
             used += 1
-            for i in range(j + 1):
-                h[i, j] = q[i] @ w
-                w -= h[i, j] * q[i]
-            h[j + 1, j] = np.linalg.norm(w)
-            if h[j + 1, j] > 0.0:
-                q[j + 1] = w / h[j + 1, j]
-            e1 = np.zeros(j + 2)
-            e1[0] = beta
-            y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
-            short = e1 - h[:j + 2, :j + 1] @ y
-            if h[j + 1, j] == 0.0 or np.linalg.norm(short) <= target:
+            for k, (q, hk, wk) in enumerate(zip(bases, h, w)):
+                if len(q) <= j:
+                    continue
+                for i in range(j + 1):
+                    hk[i, j] = q[i] @ wk
+                    wk -= hk[i, j] * q[i]
+                hk[j + 1, j] = np.linalg.norm(wk)
+                if hk[j + 1, j] > 0.0:
+                    q.append(wk / hk[j + 1, j])
+                e1 = np.zeros(j + 2)
+                e1[0] = betas[k]
+                ys[k] = np.linalg.lstsq(hk[:j + 2, :j + 1], e1, rcond=None)[0]
+                shorts[k] = e1 - hk[:j + 2, :j + 1] @ ys[k]
+            if all(len(q) <= j + 1 for q in bases) or \
+                    math.hypot(*map(np.linalg.norm, shorts)) <= target:
                 break
-        x += q[:j + 1].T @ y
-        r = q[:j + 2].T @ short
+        for k, q in enumerate(bases):
+            basis = np.array(q).reshape(len(q), rhs.shape[1])
+            x[k] += basis[:ys[k].size].T @ ys[k]
+            r[k] = basis.T @ shorts[k][:len(q)]
     return x, used
+
+
+def _fold(t: np.ndarray) -> np.ndarray:
+    """The even and odd halves of a vector t under its reversal R, as the
+    two rows of a (2, ceil(size/2)) array: the coordinates of
+    (t + Rt)/2 and (t - Rt)/2 in the orthonormal bases
+    (e_i + e_(size-1-i))/sqrt(2) and (e_i - e_(size-1-i))/sqrt(2),
+    i < size/2, with the middle unit vector (odd size) in the even basis
+    and a zero, (t_mid - t_mid)/sqrt(2), in the odd row.  The change of
+    coordinates is orthogonal, so GMRES on the rows is GMRES on the two
+    halves."""
+    c, mid = (t.size + 1) // 2, t.size // 2
+    lo, hi = t[:c], t[::-1][:c]
+    out = np.array([lo + hi, lo - hi]) / _SQRT2
+    out[0, mid:] = lo[mid:]
+    return out
+
+
+def _unfold(u: np.ndarray, size: int) -> np.ndarray:
+    """The vector of the given size whose _fold is u: the sum of its two
+    halves."""
+    c, mid = u.shape[1], size // 2
+    even, odd = u / _SQRT2
+    out = np.empty(size)
+    out[:c] = even + odd
+    out[::-1][:c] = even - odd
+    out[mid:c] = u[0, mid:]
+    return out
 
 
 def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
             eps: float, grid: EvaluationGrid) -> list:
     """GMRES on the interior block (I - T_II) x = rep(f)_I per input,
-    certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
+    split by parity, certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
 
-    terms_used counts carrier applications (advance calls), the
-    residual's included.  GMRES gets at most as many products as the
-    Neumann sum would need for eps; if its certificate still exceeds eps
-    the Neumann result is returned instead, so tail_bound <= eps always.
+    The interior coordinates reverse under the reflection x -> 1 - x, and
+    T commutes with that reversal R, so the even and odd halves of the
+    right-hand side, (b + Rb)/2 and (b - Rb)/2, are solved by _gmres in
+    lockstep in their _fold coordinates: one advance of the sum of the
+    two Arnoldi vectors per step, its image split back by parity, until
+    sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2.  If one half is below
+    that target already, the other runs alone as one GMRES on b with
+    unprojected products.
+
+    terms_used counts carrier applications (advance calls): one per
+    GMRES step, the residual's included.  GMRES gets at most as many
+    products as the Neumann sum would need for eps; if its certificate
+    still exceeds eps the Neumann result is returned instead, so
+    tail_bound <= eps always.
     """
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
 
-    def matvec(x):
+    def product(x):
         # endpoint entries are held at zero: G f vanishes there
         v = np.zeros(disc.nodes.size)
         v[idx] = x
-        return x - disc.advance(v)[idx]
+        return disc.advance(v)[idx]
+
+    def matvec(x):
+        return x - product(x[0])
+
+    def split_matvec(u):
+        return u - _fold(product(_unfold(u, idx.size)))
 
     out = []
     for f, rep0, norm in zip(fs, reps, norms):
-        sol, used = _gmres(matvec, rep0[idx], neumann_tail_terms(b, norm, eps))
+        budget = neumann_tail_terms(b, norm, eps)
+        rhs = rep0[idx]
+        halves = _fold(rhs)
+        sizes = [np.linalg.norm(half) for half in halves]
+        if min(sizes) <= _GMRES_RTOL * math.hypot(*sizes):
+            sol, used = _gmres(matvec, rhs[None], budget)
+            sol = sol[0]
+        else:
+            sol, used = _gmres(split_matvec, halves, budget)
+            sol = _unfold(sol, idx.size)
         res = _interior_result(op, disc, f, rep0, idx, sol, grid, "krylov",
                                used + 1)
         if res.tail_bound > eps:
-            res = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)[0]
+            (res,) = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)
         out.append(res)
     return out
 
@@ -313,7 +410,7 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     fam_grid = op.grid(grid)
     norms = [psi_norm(f, fam_grid) for f in fs]
     live = [i for i, v in enumerate(norms) if v > 0.0]
-    out = [_zero_result(method) for _ in fs]  # G 0 = 0, with no carrier work
+    out = [_zero_result(method, fam_grid) for _ in fs]  # G 0 = 0, no carrier work
     if live:
         disc = node_discretization(op)
         done = engine(op, disc, [fs[i] for i in live],
@@ -352,5 +449,5 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
     res1, res2 = _neumann_sweep(
         op, disc, [f, h], [rep0, rep0 - disc.advance(rep0)],
         [psi_norm(f, fam_grid), psi_sup(h(pts), pts)], eps, fam_grid)
-    second = psi_sup(np.asarray(res2.g(pts)) - np.asarray(f(pts)), pts)
+    second = psi_sup(res2.grid_values - np.asarray(f(pts)), pts)
     return res1.residual_psi_norm, second

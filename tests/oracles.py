@@ -4,7 +4,8 @@ the plain-pow Bernstein table, a 40-digit Bernstein row and one
 Meyer-Koenig-Zeller weight row, which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
 route; for the sweep tests the certified low-rank step of a paired
-carrier, applied one step at a time."""
+carrier, applied one step at a time; for the Krylov tests one GMRES on
+the whole interior right-hand side, without the parity split."""
 
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from opgeom import operators
+from opgeom import operators, series
 from opgeom.errors import DomainError
+from opgeom.funcspace import psi_norm
 from opgeom.special import log_binomial
 
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
            "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
-           "factored_step"]
+           "factored_step", "unsplit_krylov"]
 
 
 @dataclass(frozen=True)
@@ -154,3 +156,60 @@ def factored_step(disc):
         return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
 
     return step, delta
+
+
+def _unsplit_gmres(matvec, rhs, max_matvecs):
+    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi on one
+    right-hand side, stopping once the Arnoldi estimate of |rhs - A x|_2
+    falls to series._GMRES_RTOL |rhs|_2; returns (x, matvecs used)."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    target = series._GMRES_RTOL * np.linalg.norm(rhs)
+    used = 0
+    while used < max_matvecs:
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            break
+        m = min(series._GMRES_RESTART, max_matvecs - used)
+        q = np.zeros((m + 1, rhs.size))
+        h = np.zeros((m + 1, m))
+        q[0] = r / beta
+        for j in range(m):
+            w = matvec(q[j])
+            used += 1
+            for i in range(j + 1):
+                h[i, j] = q[i] @ w
+                w -= h[i, j] * q[i]
+            h[j + 1, j] = np.linalg.norm(w)
+            if h[j + 1, j] > 0.0:
+                q[j + 1] = w / h[j + 1, j]
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
+            short = e1 - h[:j + 2, :j + 1] @ y
+            if h[j + 1, j] == 0.0 or np.linalg.norm(short) <= target:
+                break
+        x += q[:j + 1].T @ y
+        r = q[:j + 2].T @ short
+    return x, used
+
+
+def unsplit_krylov(op, f, eps, grid):
+    """The Krylov series result for one input from one GMRES on the whole
+    interior right-hand side with plain products (I - T_II) x, certified
+    like the entry's (no Neumann fallback); grid is the base grid."""
+    disc = operators.node_discretization(op)
+    fam_grid = op.grid(grid)
+    idx = np.flatnonzero(disc.interior)
+    rep0 = disc.rep(f)
+
+    def matvec(x):
+        v = np.zeros(disc.nodes.size)
+        v[idx] = x
+        return x - disc.advance(v)[idx]
+
+    budget = series.neumann_tail_terms(op.contraction_bound(),
+                                       psi_norm(f, fam_grid), eps)
+    sol, used = _unsplit_gmres(matvec, rep0[idx], budget)
+    return series._interior_result(op, disc, f, rep0, idx, sol, fam_grid,
+                                   "krylov", used + 1)

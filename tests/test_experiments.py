@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opgeom import experiments
+from opgeom import experiments, operators
 from opgeom.cli import main as cli_main
 from opgeom.errors import DomainError
 from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
                                 run_experiment)
 from opgeom.funcspace import project_to_Cpsi, psi, registry
+from opgeom.operators import alpha_profile
 from opgeom.series import iterate_apply
 
 
@@ -160,6 +161,33 @@ class TestRunners:
         for (n, k, err, env) in run_experiment(cfg).rows[1:]:
             ref = np.max(np.abs(iterate_apply(op, k, f1, pts)) / psi(pts))
             assert err == pytest.approx(ref, rel=1e-13, abs=0.0), k
+
+    def test_geom_evaluates_the_grid_basis_once_per_row(self, monkeypatch):
+        # the residual and g share one basis at the grid points (a carrier
+        # build, if its carrier is not cached yet, takes one at the nodes)
+        calls = []
+        basis = operators.bernstein_basis_matrix
+        monkeypatch.setattr(operators, "bernstein_basis_matrix",
+                            lambda n, xs: calls.append((n, len(xs))) or basis(n, xs))
+        run_experiment(ExperimentConfig(experiment="geom", family="bernstein",
+                                        n_list=(4, 8), function="e1",
+                                        grid_size=65))
+        assert [n for n, size in calls if size == 65] == [4, 8]
+        assert all(size == n + 1 for n, size in calls if size != 65)
+
+    @pytest.mark.parametrize("experiment,family", [
+        ("voronovskaya", "mkz"), ("inverse-voronovskaya", "mkz"),
+        ("voronovskaya", "durrmeyer"), ("inverse-voronovskaya", "bernstein")])
+    def test_condition_of_error_psi_in_sidecar(self, experiment, family):
+        cfg = ExperimentConfig(experiment=experiment, family=family,
+                               n_list=(4, 8), function="e2", grid_size=65)
+        conds = run_experiment(cfg).metadata["error_psi_condition"]
+        assert len(conds) == 2
+        for n, cond in zip(cfg.n_list, conds):
+            prof = alpha_profile(cfg.spec(n), cfg.base_grid())
+            pts = prof.grid.points
+            scale = prof.nu if experiment == "voronovskaya" else prof.alpha_values
+            assert cond == np.max(1.0 / (scale * psi(pts)))
 
     def test_geom_identity_case(self):
         rep = run_experiment(ExperimentConfig(

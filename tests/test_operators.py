@@ -657,6 +657,21 @@ class TestSeriesCarrier:
         assert np.max(np.abs(disc.advance(v[:, 2]) - got[:, 2])) <= 1e-14
 
 
+@pytest.mark.parametrize("spec", [bernstein(9), OperatorSpec("durrmeyer", 6, rho=1.0),
+                                  OperatorSpec("mkz", 5, truncation_eps=1e-6),
+                                  OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-6)],
+                         ids=lambda s: s.family)
+def test_apply_reps_is_apply_rep_of_each(spec):
+    # one evaluation of the basis or blocks, each rep applied on its own
+    disc = node_discretization(spec)
+    rng = np.random.default_rng(5)
+    reps = [rng.standard_normal(disc.nodes.size),
+            rng.standard_normal((disc.nodes.size, 3)),
+            rng.standard_normal(disc.nodes.size)]
+    for rep, got in zip(reps, disc.apply_reps(reps, X)):
+        assert np.array_equal(got, disc.apply_rep(rep, X))
+
+
 @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
 def test_apply_rep_point_alone_matches_batch(family):
     # apply_rep sums each point to its own depth and zeroes every weight

@@ -12,11 +12,11 @@ from opgeom.errors import (DegenerateOperatorError, DomainError,
                            NotInCpsiError)
 from opgeom.funcspace import (Function01, default_grid, project_to_Cpsi, psi,
                               psi_norm, psi_sup, registry)
-from opgeom.operators import (NodeDiscretization, OperatorSpec,
+from opgeom.operators import (FAMILIES, NodeDiscretization, OperatorSpec,
                               node_discretization)
 from opgeom.series import (check_inversion_identities, geometric_series,
                            iterate_apply, neumann_tail_terms)
-from oracles import factored_step
+from oracles import factored_step, unsplit_krylov
 
 GRID = default_grid(401)
 
@@ -251,8 +251,8 @@ class TestNeumann(EntryContract):
                       <= 1e-13 * np.max(np.abs(reps[idx]) / w, axis=0))
         pts = op.grid(GRID).points
         acc = reps + advance(disc, reps)
-        for i, got in enumerate(series._residual_norms(disc, acc, reps,
-                                                       op.grid(GRID))):
+        got_norms, _ = series._residual_norms(disc, acc, reps, op.grid(GRID), [])
+        for i, got in enumerate(got_norms):
             defect = acc[:, i] - reps[:, i] - advance(disc, acc[:, i])
             want = psi_sup(disc.apply_rep(defect, pts), pts)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -459,6 +459,95 @@ class TestKrylov(EntryContract):
         ref = series_one(op, registry("psi"), 1e-8, "neumann")
         assert res.terms_used == ref.terms_used
         assert weighted_gap(res, ref, GRID.points) == 0.0
+
+
+LAMBDA_CARRIERS = [OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 33),
+                   OperatorSpec("durrmeyer", 7, rho=2.0),
+                   OperatorSpec("durrmeyer", 16, rho=1.0),
+                   OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6),
+                   OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)]
+MIXED_INPUTS = ["e1", "e3", "osc"]  # each times psi: both parities
+SINGLE_PARITY_INPUTS = [registry("psi"), registry("sin_pi"),
+                        registry("psi") * registry("sin_pi")]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_lambda_class_carrier_is_mirror_symmetric(family):
+    # the parity split of the Krylov path rests on this: the interior
+    # coordinates reverse under x -> 1 - x and advance commutes with that
+    # reversal; a family outside the class never reaches the series
+    record = operators.family_record(family)
+    for n in (4, 7):
+        op = OperatorSpec(family, n, rho=record.default_rho,
+                          truncation_eps=1e-6 if record.series else None)
+        if not op.in_lambda_class:
+            assert family in ("mkz", "mkz-reflected")
+            with pytest.raises(DegenerateOperatorError):
+                geometric_series(op, [registry("psi")], 1e-6, GRID)
+            continue
+        disc = node_discretization(op)
+        nodes = disc.nodes[disc.interior]
+        assert np.max(np.abs(nodes[::-1] - (1.0 - nodes))) <= 2.0**-52
+        v = np.random.default_rng(n).standard_normal(disc.nodes.size)
+        v[~disc.interior] = 0.0
+        assert np.max(np.abs(disc.advance(v[::-1]) - disc.advance(v)[::-1])) \
+            <= 1e-15 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("op", LAMBDA_CARRIERS, ids=lambda s: f"{s.family}-{s.n}")
+class TestParitySplit:
+    def test_never_more_products_than_one_gmres(self, op):
+        eps = 1e-6 if op.record.series else 1e-8
+        for name in MIXED_INPUTS + ["sin_pi"]:
+            f = registry("psi") * registry(name)
+            split = series_one(op, f, eps, "krylov")
+            whole = unsplit_krylov(op, f, eps, GRID)
+            assert split.method == whole.method == "krylov"
+            assert split.terms_used <= whole.terms_used
+            assert split.tail_bound <= eps
+
+    def test_single_parity_input_is_one_gmres_bit_for_bit(self, op):
+        eps = 1e-6 if op.record.series else 1e-8
+        pts = op.grid(GRID).points
+        for f in SINGLE_PARITY_INPUTS:
+            split = series_one(op, f, eps, "krylov")
+            whole = unsplit_krylov(op, f, eps, GRID)
+            assert (split.terms_used, split.tail_bound, split.residual_psi_norm) \
+                == (whole.terms_used, whole.tail_bound, whole.residual_psi_norm)
+            assert np.array_equal(np.asarray(split.g(pts)), np.asarray(whole.g(pts)))
+
+    def test_within_the_certificates_of_neumann(self, op):
+        eps = 1e-6 if op.record.series else 1e-8
+        pts = op.grid(GRID).points
+        for name in MIXED_INPUTS:
+            f = registry("psi") * registry(name)
+            split = series_one(op, f, eps, "krylov")
+            neu = series_one(op, f, eps, "neumann")
+            assert split.tail_bound <= eps and neu.tail_bound <= eps
+            assert weighted_gap(split, neu, pts) <= split.tail_bound + neu.tail_bound
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_split_takes_fewer_products_on_mkz_symmetric(n):
+    op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+    f = registry("psi") * registry("e1")
+    split = series_one(op, f, 1e-6, "krylov")
+    assert split.terms_used < unsplit_krylov(op, f, 1e-6, GRID).terms_used
+
+
+@pytest.mark.parametrize("method,op", [
+    ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
+    ("krylov", OperatorSpec("bernstein", 8)),
+    ("neumann", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ids=lambda v: v if isinstance(v, str) else v.family)
+def test_grid_values_are_g_on_the_family_grid(method, op):
+    # the residual's evaluation of the grid basis also gives g there
+    fs = [registry("psi") * registry("e1"), Function01.polynomial((0.0,)),
+          registry("psi") * registry("osc")]
+    pts = op.grid(GRID).points
+    for res in geometric_series(op, fs, 1e-6, GRID, method=method):
+        assert np.array_equal(res.grid_values, np.asarray(res.g(pts)))
 
 
 @pytest.mark.parametrize("method", ["krylov", "neumann"])

@@ -27,14 +27,16 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                omitted mass is routed to the branch's hard endpoint node,
                whose value a weighted-space input pins to zero; weights
                below the smallest normal float are flushed into that
-               mass.  Every tag holds one k-major stack, allocated once
-               and filled in place by the ratio recurrence, one vector
-               operation per series index over all nodes (_mkz_fill).  A
+               mass.  Every tag holds a k-major stack, allocated once and
+               filled in place by the ratio recurrence, one vector
+               operation per series index over all nodes (_MkzFill).  A
                one-branch stack is the transposed transfer matrix; the
                (1/2, 1/2) stack is indexed by the mirror pairs
                (k/(n+k), n/(n+k)) and holds the reflected branch's
                weights once and the plain branch's up to their underflow
-               row, so one product advances both parities.
+               row, so one product advances both parities; its plain rows
+               past a cut row keep only the leading columns where their
+               weights are normal floats.
 
 Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
 condition bound) take arrays of points of [0, 1]: apply and moment turn a
@@ -64,7 +66,7 @@ from .errors import (DegenerateOperatorError, DomainError, QuadratureError,
                      TruncationBudgetError)
 from .funcspace import (EvaluationGrid, Function01, _panel_integrals,
                         default_grid, psi)
-from .special import bernstein_basis_matrix, log_binomial, mkz_weight_matrix
+from .special import bernstein_basis_matrix, mkz_weight_matrix
 
 __all__ = [
     "FAMILIES",
@@ -417,10 +419,11 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     """Each point's own series depth at tail (see mkz_truncation_index);
     0 at t = 0 and at t = 1 (the point mass).
 
-    The arithmetic runs over all points at once.  The logarithms come from
-    math, per point, and log_binomial once per distinct k0, because
-    numpy's log differs from libm's in the last bit for a few arguments
-    and a depth is the ceiling of a quotient of them.
+    The arithmetic runs over all points at once.  The logarithms of the
+    points come from math, per point, because numpy's log differs from
+    libm's in the last bit for a few arguments and a depth is the ceiling
+    of a quotient of them; log C(n + k0, k0) comes from _log_binomials,
+    once per distinct k0, equal to log_binomial bit for bit.
     """
     ts = _points(ts)
     if not 0.0 < tail < math.inf:
@@ -431,7 +434,7 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     xp = 0.5 * (1.0 + x)
     k0 = np.maximum(0.0, np.ceil((x * (n + 1.0) - xp) / (xp - x)))
     distinct, at = np.unique(k0, return_inverse=True)
-    log_binom = np.array([log_binomial(n + int(k), int(k)) for k in distinct])
+    log_binom = _log_binomials(n, distinct)
 
     def libm(fn, arg):
         return np.array(list(map(fn, arg.tolist())))
@@ -448,6 +451,21 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
             f"series depth {int(depth[over[0]])} exceeds cap {_SERIES_CAP} "
             f"(x={float(x[over[0]])} too close to 1)")
     out[live] = depth
+    return out
+
+
+def _log_binomials(n: int, ks: np.ndarray) -> np.ndarray:
+    """log_binomial(n + k, k) for every integer k in ks, bit for bit: the
+    sum of log((n + k - m + j) / j), j = 1..m, with m = min(k, n).  The k
+    that share m form one block whose rows are summed along the contiguous
+    axis, so each sum groups its m logs as numpy's pairwise sum groups
+    log_binomial's one row."""
+    out = np.zeros(ks.size)
+    short = np.minimum(ks, n)
+    for m in np.unique(short[short > 0]):
+        rows = np.flatnonzero(short == m)
+        j = np.arange(1.0, m + 1.0)
+        out[rows] = np.log((ks[rows, None] + (n - m) + j) / j).sum(axis=1)
     return out
 
 
@@ -612,12 +630,12 @@ class NodeDiscretization:
     apply_reps evaluates that basis or those blocks once for several
     representations.
 
-    Every family holds one matrix, the stack, k-major: stack[j, i] is the
-    weight of input j at output i.  Without a pair map it is the transpose
-    of the square transfer matrix, so advance is stack.T @ v; the exact
-    carriers pass the view transfer.T, and a one-branch series carrier
-    fills its rows in node order with the routed masses in its endpoint
-    row.
+    Every family holds its matrix, the stack, k-major: stack[j, i] is the
+    weight of input j at output i.  Without a pair map it is one array,
+    the transpose of the square transfer matrix, so advance is
+    stack.T @ v; the exact carriers pass the view transfer.T, and a
+    one-branch series carrier fills its rows in node order with the routed
+    masses in its endpoint row.
 
     mkz-symmetric keeps its stack in pair coordinates over the mirror
     pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth, with the pair map
@@ -628,14 +646,29 @@ class NodeDiscretization:
     [W_p^T[:c_p]; W_r^T] with W_r[i, j] = w_j(1 - t_i)/2 (dense) and
     W_p[i, j] = w_j(t_i)/2; c_p is one past the last column whose weight
     at the deepest low node 1/2 is a normal float (for j > n, w_j rises on
-    [0, 1/2]), so every plain weight beyond it is flushed to zero.  One
-    advance multiplies U = [e | s o] by both blocks:
+    [0, 1/2]), so every plain weight beyond it is flushed to zero.
+
+    It is stored as two blocks, (wide, narrow):
+
+        wide   = [W_p^T[:r0]; W_r^T], depth + 1 columns,
+        narrow = W_p^T[r0:c_p, :L], the plain rows past the cut row r0.
+
+    r0 >= n + 1 puts every plain row of narrow past its mode: w_j(t)
+    falls with j at every t <= 1/2, so a weight that row r0 flushes stays
+    flushed below it, and L, one past the last nonzero column of row r0,
+    cuts nothing but zeros.  r0 minimizes the stored bytes
+    8 ((r0 + depth + 1)(depth + 1) + (c_p - r0) L) and is chosen before
+    the fill (_mkz_cut_row); L is read off the fill.  The gathered rows
+    are ordered [plain j < r0 | reflected | plain r0 <= j < c_p], so a
+    product is u[:, :R] @ wide, R = r0 + depth + 1, with u[:, R:] @ narrow
+    added into its first L columns (_paired_product).  One advance
+    multiplies U = [e | s o] by both branches:
 
         even = W_p e + W_r e + (m_p + m_r) e_0,
         odd  = W_p (s o) - W_r (s o) + (m_r - m_p) o_0,
 
     with m_p, m_r the masses routed to nodes 1 and 0 (pair 0).  Each mass
-    is stored in the other block's column 0 (W_p[:, 0] += m_r,
+    is stored in column 0 of the other branch's weights (W_p[:, 0] += m_r,
     W_r[:, 0] += m_p; s_0 = +1), so both come out of the same product.
     advance writes even + odd at the low nodes and even - odd at their
     mirrors.  A merged node p_j = r_m (j m = n^2) belongs to the pairs j
@@ -661,11 +694,11 @@ class NodeDiscretization:
     """
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
-                 stack: np.ndarray, truncation_error_bound: float,
+                 stack, truncation_error_bound: float,
                  images: Callable, rep_builder=None, pairs=None):
         self.spec = spec
         self.nodes = nodes
-        self._stack = stack
+        self._stack = stack  # one array, or (wide, narrow) with a pair map
         self.truncation_error_bound = float(truncation_error_bound)
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
@@ -683,7 +716,9 @@ class NodeDiscretization:
     @property
     def matrix_bytes(self) -> int:
         """Bytes of the matrix this carrier holds."""
-        return self._stack.nbytes
+        if self._pairs is None:
+            return self._stack.nbytes
+        return sum(block.nbytes for block in self._stack)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
@@ -691,7 +726,8 @@ class NodeDiscretization:
             return self._stack.T @ v
         # u @ stack streams the k-major stack once, where stack.T @ u.T
         # with a few columns makes the BLAS pack it first
-        return self._scatter(self._gather(v) @ self._stack).reshape(v.shape)
+        both = _paired_product(self._gather(v), self._stack)
+        return self._scatter(both).reshape(v.shape)
 
     def advance_sums(self, v: np.ndarray, k: int) -> np.ndarray:
         """sum_{j<k} T^j v, by k - 1 advances."""
@@ -753,19 +789,24 @@ class NodeDiscretization:
         return self._scatter(x.reshape(-1, z.shape[0]) @ z)
 
     def _gather(self, v: np.ndarray) -> np.ndarray:
-        """The rows u of a paired product, two per column of v: [e | e]
-        and [s o | -s o], so that u @ stack holds its even and odd rows."""
+        """The rows u of a paired product, two per column of v, in the
+        stack's row order [plain j < r0 | reflected | plain r0 <= j < c_p]:
+        e on every row, and s o on the plain rows and -s o on the reflected
+        ones, so that u @ stack holds its even and odd rows."""
         low, high, sign = self._pairs
-        rows = self._stack.shape[0]
-        width = rows - low.size  # c_p
+        wide, narrow = self._stack
+        top = wide.shape[0]
+        r0, rows = top - low.size, top + narrow.shape[0]
         cols = v.reshape(v.shape[0], -1)
         vl, vh = cols[low], cols[high]
         e = (0.5 * (vl + vh)).T
         so = ((0.5 * sign)[:, None] * (vl - vh)).T
         u = np.empty((cols.shape[1], 2, rows))
-        u[:, 0, :width], u[:, 0, width:] = e[:, :width], e
-        u[:, 1, :width] = so[:, :width]
-        np.negative(so, out=u[:, 1, width:])
+        for half, x in ((0, e), (1, so)):
+            u[:, half, :r0] = x[:, :r0]
+            u[:, half, top:] = x[:, r0:r0 + narrow.shape[0]]
+        u[:, 0, r0:top] = e
+        np.negative(so, out=u[:, 1, r0:top])
         return u.reshape(-1, rows)
 
     def _scatter(self, both: np.ndarray) -> np.ndarray:
@@ -857,41 +898,77 @@ def _mkz_node_depth(spec: OperatorSpec) -> int:
     return mkz_truncation_index(n, x_cap, tau_row)
 
 
-def _mkz_fill(rows: np.ndarray, n: int, t: np.ndarray,
-              share: float) -> np.ndarray:
-    """Write share * w_j(t) into rows[j], j = 0..len(rows) - 1, at all the
-    points t at once; return each point's routed mass, share minus the
-    weights written (share itself at t = 1, the point mass at the
-    branch's endpoint, which gets no weights).
+class _MkzFill:
+    """share * w_j(t) for j = 0, 1, ... at all the points t at once,
+    written a block of rows at a time: write(rows) fills the next
+    len(rows) rows, and the running product, the Kahan sum and its
+    compensation (run, total, lost) carry from one block to the next.
+    restrict(width, zero_rows) keeps only the first width points from
+    then on.  routed is each point's routed mass, share minus the weights
+    written (share itself at t = 1, the point mass at the branch's
+    endpoint, which gets no weights).
 
     Each row is one vector operation over the points, multiplied in the
     order of mkz_weight_matrix (running product of t (n+j)/j, then
-    (1-t)^(n+1), then the share), so the weights equal its columns bit for
-    bit.  Subnormal weights slow every product they enter; they are
-    flushed to 0 and the routed mass absorbs them exactly.  The weights
-    are summed with Kahan's compensation: a plain running sum over
-    thousands of rows would carry its rounding into the routed mass.
+    (1-t)^(n+1)) with the share folded into (1-t)^(n+1).  For the shares
+    1 and 1/2 the fold moves no normal float, so the weights equal share
+    times its columns bit for bit.  Subnormal weights slow every product
+    they enter; they are flushed to 0 and the routed mass absorbs them
+    exactly.  The weights are summed with Kahan's compensation: a plain
+    running sum over thousands of rows would carry its rounding into the
+    routed mass.
     """
-    at_end = t == 1.0
-    t = np.where(at_end, 0.0, t)
-    w0 = np.where(at_end, 0.0, (1.0 - t) ** (n + 1))
-    run, ratio, y = np.ones(t.size), np.empty(t.size), np.empty(t.size)
-    total, lost, step = np.zeros(t.size), np.zeros(t.size), np.empty(t.size)
-    for j, row in enumerate(rows):
-        if j:
-            np.multiply(t, (n + j) / j, out=ratio)
-            run *= ratio
-        np.multiply(run, w0, out=row)
-        if share != 1.0:
-            row *= share
-        np.putmask(row, row < _TINY, 0.0)
-        # total += row, with the rounding of each addition kept in lost
-        np.subtract(row, lost, out=y)
-        np.add(total, y, out=step)
-        np.subtract(step, total, out=lost)
-        lost -= y
-        total, step = step, total
-    return np.where(at_end, share, np.maximum(0.0, share - total))
+
+    def __init__(self, n: int, t: np.ndarray, share: float):
+        self.n, self.j, self.share, self.width = n, 0, share, t.size
+        self.at_end = t == 1.0
+        self.t = np.where(self.at_end, 0.0, t)
+        self.w0 = np.where(self.at_end, 0.0, share * (1.0 - self.t) ** (n + 1))
+        self.run = np.ones(t.size)
+        self.total, self.lost = np.zeros(t.size), np.zeros(t.size)
+
+    def write(self, rows: np.ndarray) -> None:
+        """Fill rows with the next len(rows) weight rows, one column per
+        point kept."""
+        n, j, w = self.n, self.j, self.width
+        t, w0, run = self.t[:w], self.w0[:w], self.run[:w]
+        total, lost = self.total[:w], self.lost[:w]
+        ratio, y, step = np.empty(w), np.empty(w), np.empty(w)
+        for row in rows:
+            if j:
+                np.multiply(t, (n + j) / j, out=ratio)
+                run *= ratio
+            np.multiply(run, w0, out=row)
+            np.putmask(row, row < _TINY, 0.0)
+            # total += row, with the rounding of each addition kept in lost
+            np.subtract(row, lost, out=y)
+            np.add(total, y, out=step)
+            np.subtract(step, total, out=lost)
+            lost -= y
+            total, step = step, total
+            j += 1
+        self.j = j
+        self.total[:w] = total
+
+    def restrict(self, width: int, zero_rows: int) -> None:
+        """Fill only the first width points from here on; the next
+        zero_rows rows are zero at the others, which add them to their
+        sums here.  A zero row leaves a sum as it is where
+        fl(total - lost) == total, and so does every one after it."""
+        total, lost = self.total[width:], self.lost[width:]
+        for _ in range(zero_rows):
+            y = 0.0 - lost
+            step = total + y
+            if np.array_equal(step, total):
+                break
+            lost[:] = (step - total) - y
+            total[:] = step
+        self.width = width
+
+    @property
+    def routed(self) -> np.ndarray:
+        return np.where(self.at_end, self.share,
+                        np.maximum(0.0, self.share - self.total))
 
 
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -903,7 +980,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     mass to its hard endpoint node (1 plain, 0 reflected): the skipped
     terms sample f next to that endpoint, where weighted-space inputs
     vanish like psi.  The stack (see NodeDiscretization) is allocated once
-    and filled in place by _mkz_fill.
+    and filled in place by _MkzFill.
     """
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
@@ -936,16 +1013,15 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
                 out += val + np.multiply.outer(mass, rep[0 if reflect else -1])
         return outs
 
-    stack = np.empty(_mkz_stack_shape(spec, depth))
     if len(used) == 1:
         # one branch: rows in node order, so the reflected nodes n/(n+k)
         # fill backwards, and the routed masses in the endpoint row
         ((share, reflect),) = used
         at, pairs = nodes, None
-        if reflect:
-            routed = stack[0] = _mkz_fill(stack[:0:-1], n, 1.0 - nodes, share)
-        else:
-            routed = stack[-1] = _mkz_fill(stack[:-1], n, nodes, share)
+        stack = np.empty((depth + 2, depth + 2))
+        fill = _MkzFill(n, 1.0 - nodes if reflect else nodes, share)
+        fill.write(stack[:0:-1] if reflect else stack[:-1])
+        routed = stack[0 if reflect else -1] = fill.routed
     else:
         # pair k's low node is p_k up to k = n and r_k beyond, where the
         # odd sign flips; pair 0, (node 0, node 1), takes the routed
@@ -954,17 +1030,42 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         first = k <= n
         low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
         pairs = (low, high, np.where(first, 1.0, -1.0))
-        width = stack.shape[0] - depth - 1  # c_p
         at = nodes[low]
-        m_p = _mkz_fill(stack[:width], n, at, fam.shares[0])
-        m_r = _mkz_fill(stack[width:], n, 1.0 - at, fam.shares[1])
-        stack[0] += m_r
-        stack[width] += m_p
+        stack, m_p, m_r = _mkz_paired_stack(spec, at)
         routed = m_p + m_r
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
     bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
     return NodeDiscretization(spec, nodes, stack, bound, images, pairs=pairs)
+
+
+def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray):
+    """((wide, narrow), m_p, m_r): the blocks of the mkz-symmetric stack
+    over the low nodes at (NodeDiscretization) and the masses routed to
+    nodes 1 and 0, each added to the other branch's row 0.  The plain
+    fill runs full width up to the cut row r0, reads L off row r0 and
+    goes on at the first L nodes only."""
+    n, (p_share, r_share) = spec.n, spec.record.shares
+    cols = at.size  # depth + 1
+    width = _mkz_plain_width(spec, cols - 1)  # c_p
+    r0 = _mkz_cut_row(n, p_share, at, width)
+    wide, narrow = np.empty((r0 + cols, cols)), np.empty((0, cols))
+    plain = _MkzFill(n, at, p_share)
+    plain.write(wide[:r0])
+    if r0 < width:
+        row = np.empty((1, cols))
+        plain.write(row)
+        cut = int(np.flatnonzero(row[0])[-1]) + 1  # L
+        narrow = np.empty((width - r0, cut))
+        narrow[0] = row[0, :cut]
+        plain.restrict(cut, width - r0 - 1)
+        plain.write(narrow[1:])
+    refl = _MkzFill(n, 1.0 - at, r_share)
+    refl.write(wide[r0:])
+    m_p, m_r = plain.routed, refl.routed
+    wide[0] += m_r
+    wide[r0] += m_p
+    return (wide, narrow), m_p, m_r
 
 
 def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
@@ -977,14 +1078,34 @@ def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
     return int(np.flatnonzero(w >= _TINY)[-1]) + 1
 
 
-def _mkz_stack_shape(spec: OperatorSpec, depth: int) -> tuple:
-    """(rows, columns) of a series carrier's stack: (c_p + depth + 1,
-    depth + 1) over the mirror pairs for equal shares, N-square with
-    N = depth + 2 nodes for one branch."""
-    plain, refl = spec.record.shares
-    if plain == refl:
-        return _mkz_plain_width(spec, depth) + depth + 1, depth + 1
-    return depth + 2, depth + 2
+def _mkz_cut_row(n: int, share: float, at: np.ndarray, width: int) -> int:
+    """r0 of the paired stack (NodeDiscretization): the row in
+    n + 1 .. c_p = width that minimizes the stored cells
+    (r0 + N) N + (c_p - r0) L(r0), N = at.size, chosen before the fill.
+
+    L(r) is one past the last low node in at whose plain weight at row r
+    is a normal float.  Past the mode (j >= n) the weight falls with j at
+    every low node, so each node's last such row is found by bisection on
+    log(share w_j(t)) = log(share) + log C(n+j, j) + (n+1) log(1-t)
+    + j log t; this estimates the cut that the fill then reads off row r0
+    exactly.
+    """
+    j = np.arange(1.0, width)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n + j) / j))))
+    with np.errstate(divide="ignore"):
+        slope = np.log(at)
+    base = math.log(share) + (n + 1) * np.log1p(-at) - math.log(_TINY)
+    # lo: each node's last row with a normal weight (n - 1: none from n)
+    lo, hi = np.full(at.size, n - 1), np.full(at.size, width)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        normal = base + log_binom[mid] + mid * slope >= 0.0
+        lo, hi = np.where(normal, mid, lo), np.where(normal, hi, mid)
+    # L(r) counts the leading nodes up to the last one that is normal at r
+    last = np.maximum.accumulate(lo[::-1])  # nondecreasing, from the end
+    rows = np.arange(n + 1, width + 1)
+    cuts = at.size - np.searchsorted(last, rows)
+    return int(rows[np.argmin(at.size * rows + (width - rows) * cuts)])
 
 
 def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
@@ -1000,38 +1121,53 @@ def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
     return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(count, cols)
 
 
-def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
-    """(y, z, delta) with u @ y @ z standing in for u @ stack of a paired
-    stack, or (None, None, 0.0) where no factorization within
+def _paired_product(u: np.ndarray, stack, out=None) -> np.ndarray:
+    """u @ S for the implied stack S of the blocks (wide, narrow), with
+    u's columns in the gather order (NodeDiscretization): u[:, :R] @ wide,
+    plus u[:, R:] @ narrow added into the first L columns."""
+    wide, narrow = stack
+    top = wide.shape[0]
+    out = np.matmul(u[:, :top], wide, out=out)
+    out[:, :narrow.shape[1]] += u[:, top:] @ narrow
+    return out
+
+
+def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
+    """(y, z, delta) with u @ y @ z standing in for u @ S, S the implied
+    stack of the paired blocks stack = (wide, narrow) with its rows in the
+    gather order, or (None, None, 0.0) where no factorization within
     _SWEEP_DELTA and a quarter of the stack's width is found.
 
-    The weighted stack S[j, i] = stack[j, i] rho_j / w_i, with rho_j psi
+    The weighted stack S'[j, i] = S[j, i] rho_j / w_i, with rho_j psi
     at row j's pair (the larger of its two nodes) and w_i psi at output
-    pair i (the smaller), is factored S ~ Q Q^T S by a randomized range
+    pair i (the smaller), is factored S' ~ Q Q^T S' by a randomized range
     finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), sec. 4): Q
-    is an orthonormal basis of the sketch S G, G of _test_rows, widened by
+    is an orthonormal basis of the sketch S' G, G of _test_rows, widened by
     _SKETCH_CHUNK columns until _OVERSAMPLE of its singular values are at
     most _SKETCH_CUT of the largest.  Row j of u is at most rho_j |v|_psi, and
     each output node of pair i is the sum or the difference of two
     products, so
 
-        |step(v) - advance(v)|_psi <= 2 max_i sum_j |S - Q Q^T S|_ji |v|_psi,
+        |step(v) - advance(v)|_psi <= 2 max_i sum_j |S' - Q Q^T S'|_ji |v|_psi,
 
     and delta is that bound summed over the stored factors, _FACTOR_BLOCK
-    rows at a time.  psi vanishes on pair 0, so its rows (the routed
-    masses) and output column 0 are kept exact by three more factor
-    columns and rows: y = [Q / rho | e_0 | e_(c_p) | stack[:, 0]] and
-    z = [(rho Q)^T stack; stack[0]; stack[c_p]; e_0^T], with column 0 of
-    z zero but in its last row.  The stack is the right operand of every
-    product, and every other array has at most rank + _SKETCH_CHUNK rows
-    or columns.
+    rows at a time, over every column of S: the narrow block's rows are
+    compared in full width, zeros included.  psi vanishes on pair 0, so
+    its rows (the routed masses, rows 0 and r0) and output column 0 are
+    kept exact by three more factor columns and rows:
+    y = [Q / rho | e_0 | e_(r0) | S[:, 0]] and
+    z = [(rho Q)^T S; S[0]; S[r0]; e_0^T], with column 0 of z zero but in
+    its last row.  The blocks are the right operand of every product, and
+    every other array has at most rank + _SKETCH_CHUNK rows or columns.
     """
+    wide, narrow = stack
     low, high, _ = pairs
-    rows, cols = stack.shape
-    width = rows - low.size  # c_p
+    cols, top = low.size, wide.shape[0]
+    r0, rows, cut = top - cols, top + narrow.shape[0], narrow.shape[1]
     p_low, p_high = psi(nodes[low]), psi(nodes[high])
     rho = np.maximum(p_low, p_high)
-    rw = np.concatenate((rho[:width], rho))  # zero on the pair-0 rows
+    # rho of each row in the gather order, zero on the pair-0 rows
+    rw = np.concatenate((rho[:r0], rho, rho[r0:r0 + narrow.shape[0]]))
     iw = np.zeros(cols)
     iw[1:] = 1.0 / np.minimum(p_low, p_high)[1:]
     sketch = np.empty((0, rows))
@@ -1039,51 +1175,64 @@ def _low_rank_pairs(stack: np.ndarray, pairs, nodes: np.ndarray):
         if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
             return None, None, 0.0
         g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
-        sketch = np.vstack((sketch, (g @ stack.T) * rw))
+        chunk = np.concatenate((g @ wide.T, g[:, :cut] @ narrow.T), axis=1)
+        sketch = np.vstack((sketch, chunk * rw))
         q, r = np.linalg.qr(sketch.T)
         sv = np.linalg.svd(r, compute_uv=False)
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
             break  # the sketch holds the rank, with _OVERSAMPLE to spare
-    del sketch
+    del sketch, chunk
     rank = q.shape[1]
     y, z = np.zeros((rows, rank + 3)), np.zeros((rank + 3, cols))
     y[:, :rank] = q
     del q
-    # stack ~ qs @ bs off pair 0 and column 0, with bs = (rho Q)^T stack
+    # S ~ qs @ bs off pair 0 and column 0, with bs = (rho Q)^T S
     # = B w and qs = Q / rho, both from Q scaled in place
     qs, bs = y[:, :rank], z[:rank]
     qs *= rw[:, None]
-    np.matmul(qs.T, stack, out=bs)
+    _paired_product(qs.T, stack, out=bs)
     bs[:, 0] = 0.0
     irw = np.zeros(rows)
     np.divide(1.0, rw, out=irw, where=rw > 0.0)
     qs *= (irw * irw)[:, None]
     col_sums = np.zeros(cols)
-    for start in range(0, rows, _FACTOR_BLOCK):
-        block = slice(start, start + _FACTOR_BLOCK)
-        gap = qs[block] @ bs
-        np.subtract(stack[block], gap, out=gap)
-        np.abs(gap, out=gap)
-        col_sums += rw[block] @ gap
+    for first, block in ((0, wide), (top, narrow)):
+        width = block.shape[1]
+        for start in range(0, block.shape[0], _FACTOR_BLOCK):
+            part = block[start:start + _FACTOR_BLOCK]
+            at = slice(first + start, first + start + part.shape[0])
+            gap = qs[at] @ bs
+            np.subtract(part, gap[:, :width], out=gap[:, :width])
+            np.abs(gap, out=gap)
+            col_sums += rw[at] @ gap
     delta = 2.0 * float(np.max(col_sums * iw))
     if delta > _SWEEP_DELTA:
         return None, None, 0.0
-    ends = [0, width]
+    ends = [0, r0]
     y[ends, [rank, rank + 1]] = 1.0
-    y[:, rank + 2] = stack[:, 0]
-    z[rank:rank + 2, 1:] = stack[ends, 1:]
+    y[:top, rank + 2] = wide[:, 0]
+    y[top:, rank + 2] = narrow[:, 0]
+    z[rank:rank + 2, 1:] = wide[ends, 1:]
     z[rank + 2, 0] = 1.0
     return y, z, delta
 
 
 def check_carrier_budget(spec: OperatorSpec) -> None:
     """Raise TruncationBudgetError, without building anything, if a series
-    carrier's stack exceeds _CARRIER_BYTES_CAP: the build allocates that
-    one array and fills it in place, next to a few vectors of its width.
+    carrier's stack may exceed _CARRIER_BYTES_CAP: the build allocates the
+    stack once and fills it in place, next to a few vectors of its width.
+    A one-branch stack is N-square, N = depth + 2.  The paired stack is
+    counted as the single (c_p + depth + 1) x (depth + 1) array, an upper
+    bound on its two blocks (L <= depth + 1) that needs no fill to know.
     The exact carriers are (n+1)-square."""
     if not spec.record.series:
         return
-    rows, cols = _mkz_stack_shape(spec, _mkz_node_depth(spec))
+    depth = _mkz_node_depth(spec)
+    plain, refl = spec.record.shares
+    if plain == refl:
+        rows, cols = _mkz_plain_width(spec, depth) + depth + 1, depth + 1
+    else:
+        rows = cols = depth + 2
     size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
         raise TruncationBudgetError(

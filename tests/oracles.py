@@ -4,8 +4,10 @@ the plain-pow Bernstein table, a 40-digit Bernstein row and one
 Meyer-Koenig-Zeller weight row, which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
 route; for the sweep tests the certified low-rank step of a paired
-carrier, applied one step at a time; for the Krylov tests one GMRES on
-the whole interior right-hand side, without the parity split."""
+carrier, applied one step at a time; for the paired carrier the
+mkz-symmetric stack as one array, built row by row without a cut row,
+and its product; for the Krylov tests one GMRES on the whole interior
+right-hand side, without the parity split."""
 
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from opgeom.special import log_binomial
 
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
            "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
-           "factored_step", "unsplit_krylov"]
+           "factored_step", "single_stack", "single_stack_advance",
+           "implied_stack", "unsplit_krylov"]
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,100 @@ def factored_step(disc):
         return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
 
     return step, delta
+
+
+def _fill_rows(rows, n, t, share):
+    """Write share * w_j(t) into rows[j], j = 0..len(rows) - 1, at all the
+    points t at once; return each point's routed mass, share minus the
+    weights written (share itself at t = 1, the point mass at the
+    branch's endpoint, which gets no weights).
+
+    Each row is one vector operation over the points, multiplied in the
+    order of mkz_weight_matrix (running product of t (n+j)/j, then
+    (1-t)^(n+1), then the share), so the weights equal its columns bit for
+    bit.  Subnormal weights are flushed to 0 and the routed mass absorbs
+    them exactly.  The weights are summed with Kahan's compensation.
+    """
+    at_end = t == 1.0
+    t = np.where(at_end, 0.0, t)
+    w0 = np.where(at_end, 0.0, (1.0 - t) ** (n + 1))
+    run, ratio, y = np.ones(t.size), np.empty(t.size), np.empty(t.size)
+    total, lost, step = np.zeros(t.size), np.zeros(t.size), np.empty(t.size)
+    for j, row in enumerate(rows):
+        if j:
+            np.multiply(t, (n + j) / j, out=ratio)
+            run *= ratio
+        np.multiply(run, w0, out=row)
+        if share != 1.0:
+            row *= share
+        np.putmask(row, row < operators._TINY, 0.0)
+        # total += row, with the rounding of each addition kept in lost
+        np.subtract(row, lost, out=y)
+        np.add(total, y, out=step)
+        np.subtract(step, total, out=lost)
+        lost -= y
+        total, step = step, total
+    return np.where(at_end, share, np.maximum(0.0, share - total))
+
+
+def single_stack(spec):
+    """(nodes, pairs, stack, m_p, m_r, bound) of the mkz-symmetric carrier
+    with its paired stack held as one (c_p + depth + 1) x (depth + 1)
+    array [W_p^T[:c_p]; W_r^T], every row full width: the layout the two
+    blocks (wide, narrow) stand for, with the masses m_p, m_r routed to
+    nodes 1 and 0 and the certified truncation bound."""
+    n, fam = spec.n, spec.record
+    depth = operators._mkz_node_depth(spec)
+    k = np.arange(depth + 1)
+    nodes, inv = np.unique(np.concatenate((k / (n + k), n / (n + k), [0.0, 1.0])),
+                           return_inverse=True)
+    p_cols, r_cols = np.split(inv[:2 * (depth + 1)], 2)
+    first = k <= n
+    low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
+    pairs = (low, high, np.where(first, 1.0, -1.0))
+    width = operators._mkz_plain_width(spec, depth)  # c_p
+    stack = np.empty((width + depth + 1, depth + 1))
+    at = nodes[low]
+    m_p = _fill_rows(stack[:width], n, at, fam.shares[0])
+    m_r = _fill_rows(stack[width:], n, 1.0 - at, fam.shares[1])
+    stack[0] += m_r
+    stack[width] += m_p
+    routed = m_p + m_r
+    lo, hi = spec.certified_interval()
+    certified = (at >= lo) & (at <= hi)
+    bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
+    return nodes, pairs, stack, m_p, m_r, bound
+
+
+def single_stack_advance(disc, stack, v):
+    """One advance of the paired carrier disc through the single stack of
+    single_stack: the rows u = [e | e] and [s o | -s o] of each column of
+    v times the whole stack, scattered to the nodes."""
+    low, high, sign = disc._pairs
+    rows = stack.shape[0]
+    width = rows - low.size  # c_p
+    cols = v.reshape(v.shape[0], -1)
+    vl, vh = cols[low], cols[high]
+    e = (0.5 * (vl + vh)).T
+    so = ((0.5 * sign)[:, None] * (vl - vh)).T
+    u = np.empty((cols.shape[1], 2, rows))
+    u[:, 0, :width], u[:, 0, width:] = e[:, :width], e
+    u[:, 1, :width] = so[:, :width]
+    np.negative(so, out=u[:, 1, width:])
+    return disc._scatter(u.reshape(-1, rows) @ stack).reshape(v.shape)
+
+
+def implied_stack(blocks):
+    """The single stack [W_p^T[:c_p]; W_r^T] that the paired blocks
+    (wide, narrow) stand for, the cells cut from narrow as zeros."""
+    wide, narrow = blocks
+    cols = wide.shape[1]
+    r0, cut = wide.shape[0] - cols, narrow.shape[0]
+    out = np.zeros((wide.shape[0] + cut, cols))
+    out[:r0] = wide[:r0]
+    out[r0:r0 + cut, :narrow.shape[1]] = narrow
+    out[r0 + cut:] = wide[r0:]
+    return out
 
 
 def _unsplit_gmres(matvec, rhs, max_matvecs):

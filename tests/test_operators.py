@@ -20,7 +20,8 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               mkz_truncation_index, moment,
                               node_discretization)
 from opgeom.special import log_binomial, mkz_weight_matrix
-from oracles import factored_step, mkz_weight_row
+from oracles import (factored_step, implied_stack, mkz_weight_row, single_stack,
+                     single_stack_advance)
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -697,19 +698,28 @@ SYMMETRIC_CARRIERS = [s for s in SERIES_CARRIERS if s.family == "mkz-symmetric"]
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
-    # every plain weight at the low nodes min(p_k, r_k) beyond c_p is
-    # below the smallest normal float, so the carrier flushes it to 0 and
-    # stores the plain block only up to c_p; n = 8 cuts
+    # every plain weight at the low nodes min(p_k, r_k) beyond c_p, and
+    # from the cut row r0 on at the low nodes from L on, is below the
+    # smallest normal float, so the carrier flushes it to 0 and stores
+    # the plain block only up to c_p, and past r0 only its first L
+    # columns; n = 8 cuts at c_p, every spec at r0
     n, depth = spec.n, _mkz_node_depth(spec)
     width = operators._mkz_plain_width(spec, depth)
     k = np.arange(depth + 1)
     low = np.minimum(k / (n + k), n / (n + k))
     plain = 0.5 * mkz_weight_matrix(n, low, depth)
-    assert np.all(plain[:, width:] < np.finfo(float).tiny)
-    assert np.max(plain[:, width - 1]) >= np.finfo(float).tiny
+    tiny = np.finfo(float).tiny
+    assert np.all(plain[:, width:] < tiny)
+    assert np.max(plain[:, width - 1]) >= tiny
     assert width < depth + 1 if n == 8 else width <= depth + 1
-    stored = operators._mkz_disc(spec).matrix_bytes  # no unfolded transfer
-    assert stored == 8 * (width + depth + 1) * (depth + 1)
+    disc = operators._mkz_disc(spec)  # no unfolded transfer
+    wide, narrow = disc._stack
+    r0, cut = wide.shape[0] - depth - 1, narrow.shape[1]
+    assert n + 1 <= r0 < width == r0 + narrow.shape[0]
+    assert np.all(plain[cut:, r0:] < tiny)
+    assert plain[cut - 1, r0] >= tiny
+    assert disc.matrix_bytes == 8 * ((r0 + depth + 1) * (depth + 1)
+                                     + (width - r0) * cut)
 
 
 def weighted_inputs(disc, cols, seed):
@@ -728,6 +738,61 @@ def weighted_max(disc, v):
     """Per column, the psi-weighted max of v over the interior nodes."""
     idx = np.flatnonzero(disc.interior)
     return np.max(np.abs(v[idx]) / psi(disc.nodes[idx])[:, None], axis=0)
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_cut_row_changes_no_number(spec, monkeypatch):
+    # the two blocks stand for the single stack of the uncut build bit for
+    # bit, with the same routed masses and truncation bound, at the
+    # smallest cut row n + 1, at the rule's and at c_p (no narrow rows);
+    # advance only regroups its sums
+    nodes, pairs, stack, m_p, m_r, bound = single_stack(spec)
+    width = operators._mkz_plain_width(spec, _mkz_node_depth(spec))
+    cols = pairs[0].size  # depth + 1
+    chosen = operators._mkz_disc(spec)._stack[0].shape[0] - cols
+    assert spec.n + 1 <= chosen <= width
+    for r0 in (spec.n + 1, chosen, width):
+        monkeypatch.setattr(operators, "_mkz_cut_row", lambda *args, r0=r0: r0)
+        disc = operators._mkz_disc(spec)
+        assert disc._stack[0].shape[0] == r0 + cols
+        assert np.array_equal(disc.nodes, nodes)
+        assert all(np.array_equal(a, b) for a, b in zip(disc._pairs, pairs))
+        blocks, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]])
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, disc._stack))
+        assert np.array_equal(implied_stack(blocks), stack)
+        assert np.array_equal(got_p, m_p) and np.array_equal(got_r, m_r)
+        assert disc.truncation_error_bound == bound
+        for v in weighted_inputs(disc, 4, spec.n):
+            gap = np.abs(disc.advance(v) - single_stack_advance(disc, stack, v))
+            assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
+
+
+def test_restricted_fill_adds_the_zero_rows_that_move_a_sum():
+    # the rows past the kept points are zero, but a zero row still moves a
+    # Kahan sum where fl(total - lost) != total, here a power-of-two total
+    # with lost = 2^-54; restrict adds such rows as the full-width fill does
+    t = np.array([0.3, 0.0])  # from row 1 on every weight at t = 0 is zero
+    full, cut = (operators._MkzFill(4, t, 0.5) for _ in range(2))
+    for fill in (full, cut):
+        fill.write(np.empty((1, 2)))
+        fill.total[1], fill.lost[1] = 0.5, 2.0**-54
+    full.write(np.empty((3, 2)))
+    cut.restrict(1, 3)
+    cut.write(np.empty((3, 1)))
+    assert full.total[1] == 0.5 - 2.0**-54
+    assert np.array_equal(cut.total, full.total)
+    assert np.array_equal(cut.lost, full.lost)
+    assert np.array_equal(cut.routed, full.routed)
+
+
+def test_default_geom_carriers_store_pinned_bytes():
+    # the stored bytes of the cut stacks that geom builds by default, so
+    # that a change of the cut rule or of the fill shows; the single
+    # stack held 7.7e6, 35.5e6 and 172.3e6 bytes
+    for n, stored in ((4, 5477800), (8, 25629528), (16, 145832344)):
+        spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+        assert operators._mkz_disc(spec).matrix_bytes == stored
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
@@ -810,7 +875,7 @@ def test_sweep_step_holds_factors_not_a_stack():
     # time, within the same budget
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
-    stack = disc._stack
+    stack = implied_stack(disc._stack)
     rows, cols = stack.shape
     low, high, _ = disc._pairs
     width = rows - low.size
@@ -842,14 +907,15 @@ class TestCarrierMemoryBudget:
 
     @staticmethod
     def _cap_must_fit_the_stack(spec, stack, monkeypatch):
-        # a cap one byte short of the stack refuses the build, and a cap
-        # equal to it builds: the build holds nothing else of that order
+        # a cap one byte short of the counted stack refuses the build, and
+        # a cap equal to it builds: the build holds nothing else of that
+        # order; returns the carrier built under the equal cap
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack - 1)
         with pytest.raises(TruncationBudgetError, match="GiB"):
             node_discretization(spec)
         monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack)
-        assert node_discretization(spec).matrix_bytes == stack
+        return node_discretization(spec)
 
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected"])
     def test_one_branch_build_counts_weights_and_transfer(self, family,
@@ -858,17 +924,21 @@ class TestCarrierMemoryBudget:
         # transposed: the weights of each node and its routed-mass row
         spec = OperatorSpec(family, 4, truncation_eps=1e-6)
         depth = _mkz_node_depth(spec)
-        self._cap_must_fit_the_stack(spec, 8 * (depth + 2) ** 2, monkeypatch)
-        assert node_discretization(spec).transfer.shape == (depth + 2,) * 2
+        disc = self._cap_must_fit_the_stack(spec, 8 * (depth + 2) ** 2, monkeypatch)
+        assert disc.matrix_bytes == 8 * (depth + 2) ** 2
+        assert disc.transfer.shape == (depth + 2,) * 2
 
     def test_symmetric_build_counts_its_stack(self, monkeypatch):
-        # the equal-share stack is (c_p + depth + 1) x (depth + 1)
+        # the guard counts the equal-share stack as the single
+        # (c_p + depth + 1) x (depth + 1) array, an upper bound on the two
+        # blocks the build stores
         spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
         depth = _mkz_node_depth(spec)
         width = operators._mkz_plain_width(spec, depth)
         assert width < depth + 1
-        self._cap_must_fit_the_stack(
-            spec, 8 * (width + depth + 1) * (depth + 1), monkeypatch)
+        single = 8 * (width + depth + 1) * (depth + 1)
+        disc = self._cap_must_fit_the_stack(spec, single, monkeypatch)
+        assert disc.matrix_bytes < single
 
     @pytest.mark.parametrize("family, largest", [
         ("mkz", 50), ("mkz-reflected", 50), ("mkz-symmetric", 49)])

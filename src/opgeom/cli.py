@@ -64,6 +64,8 @@ def _merge_config(args) -> ExperimentConfig:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise DomainError(f"config {args.config} is not a JSON object")
         named = loaded.get("experiment", args.experiment)
         if named != args.experiment:
             raise DomainError(f"config {args.config} is for experiment "

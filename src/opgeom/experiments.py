@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -65,6 +66,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _TABLE:
             raise DomainError(f"unknown experiment {self.experiment!r}")
+        for name, kind in (("grid_size", numbers.Integral), ("jobs", numbers.Integral),
+                           ("rho", numbers.Real), ("eps", numbers.Real)):
+            value = getattr(self, name)  # rho and eps may be None: the defaults
+            if isinstance(value, bool) or not isinstance(value, (kind, type(None))):
+                raise DomainError(
+                    f"{name} must be {kind.__name__.lower()}, got {value!r}")
         fam = family_record(self.family)
         n_list = tuple(self.n_list) or fam.default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):

@@ -679,9 +679,10 @@ class NodeDiscretization:
     sum_{j<k} S^j v under a stand-in S for advance, and S's certified
     weighted error delta.  Without a pair map S is advance itself, delta
     0, summed by advance_sums.  A paired stack is factored for the one
-    sweep as stack ~ Y Z with a = r + 3 columns of Y, r about its
-    numerical rank (under 100 through n = 16), the three extra ones
-    keeping the pair-0 rows and column 0 exact.  S = expand o lift then
+    sweep as stack ~ Y Z with a = r columns of Y, r its numerical rank
+    (under 100 through n = 16); v has zero endpoint entries (the series
+    entry projects its inputs) and column 0 of Z is zero, so every term
+    keeps them zero.  S = expand o lift then
     maps v to 2a coordinates per column, lift(v) = gather(v) Y, and back,
     expand(c) = scatter(c Z), so S^k = expand H^(k-1) lift with the
     2a-square H = lift o expand: each term of the sum costs one small
@@ -707,11 +708,11 @@ class NodeDiscretization:
 
     @property
     def transfer(self) -> np.ndarray:
-        """The square transfer matrix; a paired stack is unfolded (columns
-        of T are advances of the unit vectors) on every call."""
-        if self._pairs is None:
-            return self._stack.T
-        return self.advance(np.eye(self.nodes.size))
+        """The square transfer matrix of a carrier without a pair map; a
+        paired stack is never unfolded (515 MiB at n = 16)."""
+        if self._pairs is not None:
+            raise DomainError("a paired carrier stores no transfer matrix")
+        return self._stack.T
 
     @property
     def matrix_bytes(self) -> int:
@@ -741,9 +742,10 @@ class NodeDiscretization:
     def sweep_sums(self):
         """(sums, delta): sums(v, k) = sum_{j<k} S^j v for a stand-in S
         of advance with |S v - advance(v)|_psi <= delta |v|_psi over the
-        interior nodes; (advance_sums, 0.0) without a pair map or where the
-        compression (_low_rank_pairs) is not certified.  Nothing is cached:
-        the factors live as long as sums."""
+        interior nodes, for v with zero endpoint entries (else the compressed
+        sums raise DomainError); (advance_sums, 0.0) without a pair map or
+        where the compression (_low_rank_pairs) is not certified.  Nothing
+        is cached: the factors live as long as sums."""
         if self._pairs is not None:
             y, z, delta = _low_rank_pairs(self._stack, self._pairs, self.nodes)
             if y is not None:
@@ -756,6 +758,8 @@ class NodeDiscretization:
         """sum_{j<k} S^j v = v + expand(sum_{j<k-1} H^j lift(v)) for the
         factored step S = expand o lift and H = lift o expand, with the 2a
         coordinates of each column of v one row and H acting on the right."""
+        if np.any(v[~self.interior]):
+            raise DomainError("the factored step needs zero endpoint entries")
         acc = np.zeros_like(v)
         if k:
             acc += v
@@ -1152,13 +1156,13 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
 
     and delta is that bound summed over the stored factors, _FACTOR_BLOCK
     rows at a time, over every column of S: the narrow block's rows are
-    compared in full width, zeros included.  psi vanishes on pair 0, so
-    its rows (the routed masses, rows 0 and r0) and output column 0 are
-    kept exact by three more factor columns and rows:
-    y = [Q / rho | e_0 | e_(r0) | S[:, 0]] and
-    z = [(rho Q)^T S; S[0]; S[r0]; e_0^T], with column 0 of z zero but in
-    its last row.  The blocks are the right operand of every product, and
-    every other array has at most rank + _SKETCH_CHUNK rows or columns.
+    compared in full width, zeros included.  The factors are
+    y = Q / rho and z = (rho Q)^T S, rank columns and rows, with column 0
+    of z zero.  psi vanishes on pair 0, so an input with zero endpoint
+    entries (sweep_sums) has zero pair-0 rows u (rows 0 and r0, the routed
+    masses), which y ignores, and its endpoint outputs stay zero.  The
+    blocks are the right operand of every product, and every other array
+    has at most rank + _SKETCH_CHUNK rows or columns.
     """
     wide, narrow = stack
     low, high, _ = pairs
@@ -1182,38 +1186,27 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
             break  # the sketch holds the rank, with _OVERSAMPLE to spare
     del sketch, chunk
-    rank = q.shape[1]
-    y, z = np.zeros((rows, rank + 3)), np.zeros((rank + 3, cols))
-    y[:, :rank] = q
+    # S ~ y @ z off pair 0 and column 0, with z = (rho Q)^T S and y = Q / rho
+    y = q * rw[:, None]
     del q
-    # S ~ qs @ bs off pair 0 and column 0, with bs = (rho Q)^T S
-    # = B w and qs = Q / rho, both from Q scaled in place
-    qs, bs = y[:, :rank], z[:rank]
-    qs *= rw[:, None]
-    _paired_product(qs.T, stack, out=bs)
-    bs[:, 0] = 0.0
+    z = _paired_product(y.T, stack)
+    z[:, 0] = 0.0
     irw = np.zeros(rows)
     np.divide(1.0, rw, out=irw, where=rw > 0.0)
-    qs *= (irw * irw)[:, None]
+    y *= (irw * irw)[:, None]
     col_sums = np.zeros(cols)
     for first, block in ((0, wide), (top, narrow)):
         width = block.shape[1]
         for start in range(0, block.shape[0], _FACTOR_BLOCK):
             part = block[start:start + _FACTOR_BLOCK]
             at = slice(first + start, first + start + part.shape[0])
-            gap = qs[at] @ bs
+            gap = y[at] @ z
             np.subtract(part, gap[:, :width], out=gap[:, :width])
             np.abs(gap, out=gap)
             col_sums += rw[at] @ gap
     delta = 2.0 * float(np.max(col_sums * iw))
     if delta > _SWEEP_DELTA:
         return None, None, 0.0
-    ends = [0, r0]
-    y[ends, [rank, rank + 1]] = 1.0
-    y[:top, rank + 2] = wide[:, 0]
-    y[top:, rank + 2] = narrow[:, 0]
-    z[rank:rank + 2, 1:] = wide[ends, 1:]
-    z[rank + 2, 0] = 1.0
     return y, z, delta
 
 

@@ -18,6 +18,12 @@ below of the true sup, like every weighted norm here.  Every result also
 keeps g at the points of that grid, from the same evaluation of the grid
 basis as the residual.
 
+The series is defined on the weighted space only (L fixes affine
+functions, whose series diverges).  The entry admits inputs within
+_ENDPOINT_TOL of zero at 0 and 1 and projects each once (project_to_Cpsi),
+so every engine sees zero endpoint entries and every method solves,
+certifies and returns the series of the same input.
+
 Every carrier that reaches the series (bernstein, durrmeyer and
 mkz-symmetric: the contraction class) commutes with the reflection
 x -> 1 - x, which reverses its interior coordinates: node values for
@@ -29,8 +35,9 @@ carrier product of the sum of their Arnoldi vectors per step, split back
 by parity; it stops on the combined estimate
 sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it never takes more
 products than one GMRES on b would (without a restart), and each half
-only damps its own part of the spectrum.  An input with one half below
-that target (psi, sin_pi, psi sin_pi) takes the one GMRES on b instead.
+only damps its own part of the spectrum.  A half at or below that target
+(the odd half of psi, sin_pi, psi sin_pi) is set to zero and gets no
+basis.
 terms_used counts carrier products: one per step, plus the residual's.
 """
 
@@ -43,7 +50,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
-from .funcspace import EvaluationGrid, Function01, psi, psi_norm, psi_sup
+from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi, psi,
+                        psi_norm, psi_sup)
 from .operators import NodeDiscretization, OperatorSpec, node_discretization
 
 __all__ = [
@@ -292,16 +300,11 @@ def _unfold(u: np.ndarray, size: int) -> np.ndarray:
 def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
             eps: float, grid: EvaluationGrid) -> list:
     """GMRES on the interior block (I - T_II) x = rep(f)_I per input,
-    split by parity, certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
+    certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
 
-    The interior coordinates reverse under the reflection x -> 1 - x, and
-    T commutes with that reversal R, so the even and odd halves of the
-    right-hand side, (b + Rb)/2 and (b - Rb)/2, are solved by _gmres in
-    lockstep in their _fold coordinates: one advance of the sum of the
-    two Arnoldi vectors per step, its image split back by parity, until
-    sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2.  If one half is below
-    that target already, the other runs alone as one GMRES on b with
-    unprojected products.
+    The even and odd halves of the right-hand side (module docstring) are
+    solved by _gmres in lockstep in their _fold coordinates; a half at or
+    below the stopping target is set to zero, so its row gets no basis.
 
     terms_used counts carrier applications (advance calls): one per
     GMRES step, the residual's included.  GMRES gets at most as many
@@ -312,32 +315,20 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
 
-    def product(x):
+    def matvec(u):
         # endpoint entries are held at zero: G f vanishes there
         v = np.zeros(disc.nodes.size)
-        v[idx] = x
-        return disc.advance(v)[idx]
-
-    def matvec(x):
-        return x - product(x[0])
-
-    def split_matvec(u):
-        return u - _fold(product(_unfold(u, idx.size)))
+        v[idx] = _unfold(u, idx.size)
+        return u - _fold(disc.advance(v)[idx])
 
     out = []
     for f, rep0, norm in zip(fs, reps, norms):
-        budget = neumann_tail_terms(b, norm, eps)
-        rhs = rep0[idx]
-        halves = _fold(rhs)
-        sizes = [np.linalg.norm(half) for half in halves]
-        if min(sizes) <= _GMRES_RTOL * math.hypot(*sizes):
-            sol, used = _gmres(matvec, rhs[None], budget)
-            sol = sol[0]
-        else:
-            sol, used = _gmres(split_matvec, halves, budget)
-            sol = _unfold(sol, idx.size)
-        res = _interior_result(op, disc, f, rep0, idx, sol, grid, "krylov",
-                               used + 1)
+        halves = _fold(rep0[idx])
+        sizes = np.linalg.norm(halves, axis=1)
+        halves[sizes <= _GMRES_RTOL * math.hypot(*sizes)] = 0.0
+        sol, used = _gmres(matvec, halves, neumann_tail_terms(b, norm, eps))
+        res = _interior_result(op, disc, f, rep0, idx, _unfold(sol, idx.size),
+                               grid, "krylov", used + 1)
         if res.tail_bound > eps:
             (res,) = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)
         out.append(res)
@@ -375,7 +366,8 @@ _METHODS = {"krylov": _krylov, "neumann": _neumann_sweep, "solve": _solve}
 
 def _check_request(op: OperatorSpec, fs: Sequence[Function01], eps: float) -> None:
     """Reject a series request outside the theory: eps <= 0, op outside
-    the contraction class, or an input with nonzero endpoint values."""
+    the contraction class, or an input with an endpoint value above
+    _ENDPOINT_TOL."""
     if not 0.0 < eps < math.inf:
         raise DomainError(f"eps must be finite and positive, got {eps!r}")
     if not op.in_lambda_class:
@@ -395,15 +387,18 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     """One GeometricSeriesResult G_L(f) per input f in fs, in order, by
     method "krylov", "neumann" or "solve" (see the module docstring).
 
-    Inputs must lie in the weighted space (endpoint values zero), op in
-    the contraction class, and "solve" needs an exact carrier.  Krylov and
-    Neumann results certify tail_bound <= eps.
+    Inputs must lie in the weighted space up to _ENDPOINT_TOL at the
+    endpoints, op in the contraction class, and "solve" needs an exact
+    carrier.  Every result is that of project_to_Cpsi(f), whose values are
+    f's, bit for bit, if f is exactly 0 at 0 and 1.  Krylov and Neumann
+    results certify tail_bound <= eps.
     """
     engine = _METHODS.get(method)
     if engine is None:
         raise DomainError(f"unknown series method {method!r}; choose from "
                           f"{tuple(_METHODS)}")
     _check_request(op, fs, eps)
+    fs = [project_to_Cpsi(f) for f in fs]
     if method == "solve" and op.record.series:
         raise DomainError("the solve path needs an exact finite carrier "
                           "(bernstein or durrmeyer)")
@@ -437,8 +432,9 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
     ((I-L) o G_L - I)(f) and (G_L o (I-L) - I)(f), through one two-column
     Neumann sweep over G_L f and G_L h, h = (I - L) f, with one K (the
     larger of the two) and one compressed step; both columns start from
-    one representation rep(f)."""
+    one representation rep(f) of the projected input (geometric_series)."""
     _check_request(op, [f], eps)
+    f = project_to_Cpsi(f)
     fam_grid = op.grid(grid)
     pts = fam_grid.points
     disc = node_discretization(op)

@@ -6,8 +6,9 @@ quantities as the vectorized kernels in opgeom.special by a separate
 route; for the sweep tests the certified low-rank step of a paired
 carrier, applied one step at a time; for the paired carrier the
 mkz-symmetric stack as one array, built row by row without a cut row,
-and its product; for the Krylov tests one GMRES on the whole interior
-right-hand side, without the parity split."""
+and its product; the square transfer matrix of any carrier, paired or
+not, from advances of the unit vectors; for the Krylov tests one GMRES
+on the whole interior right-hand side, without the parity split."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from opgeom.special import log_binomial
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
            "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
            "factored_step", "single_stack", "single_stack_advance",
-           "implied_stack", "unsplit_krylov"]
+           "implied_stack", "transfer", "unsplit_krylov"]
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,13 @@ def implied_stack(blocks):
     out[r0:r0 + cut, :narrow.shape[1]] = narrow
     out[r0 + cut:] = wide[r0:]
     return out
+
+
+def transfer(disc):
+    """The square transfer matrix of the carrier disc: its columns are the
+    advances of the unit vectors (a paired carrier stores no square
+    matrix; without a pair map this equals disc.transfer bit for bit)."""
+    return disc.advance(np.eye(disc.nodes.size))
 
 
 def _unsplit_gmres(matvec, rhs, max_matvecs):

@@ -349,6 +349,28 @@ class TestCli:
             assert "integer" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"jobs": "2"}, {"jobs": 2.5}, {"jobs": True}, {"eps": "1e-6"},
+        {"rho": "1"}, {"grid_size": "abc"}, {"grid_size": 100.5}, [1]],
+        ids=lambda c: json.dumps(c))
+    def test_mistyped_config_exit_code(self, config, tmp_path, capsys):
+        # a mistyped config is bad input (exit 2), never a traceback with
+        # exit 1, the code of a failed invariant
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--family", "durrmeyer", "--n-list", "4",
+                         "--config", str(cfg), "-o", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid_size", 100.5), ("grid_size", True), ("jobs", 2.5),
+        ("jobs", "2"), ("eps", "1e-6"), ("eps", True), ("rho", "1.0")])
+    def test_config_checks_types(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            ExperimentConfig(experiment="geom", **{field: value})
+
     @pytest.mark.parametrize("argv", [
         ["iterates", "--family", "mkz", "--n-list", "2000"],
         ["geom", "--family", "durrmeyer", "--rho", "0.1", "--function", "osc",

@@ -21,7 +21,7 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               node_discretization)
 from opgeom.special import log_binomial, mkz_weight_matrix
 from oracles import (factored_step, implied_stack, mkz_weight_row, single_stack,
-                     single_stack_advance)
+                     single_stack_advance, transfer)
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -619,9 +619,9 @@ class TestSeriesCarrier:
 
     def test_matches_dense_build(self, spec, dense_nodes):
         disc = node_discretization(spec)
-        nodes, transfer, routed = dense_nodes
+        nodes, dense, routed = dense_nodes
         assert np.array_equal(disc.nodes, nodes)
-        assert np.max(np.abs(disc.transfer - transfer)) <= 1e-14
+        assert np.max(np.abs(transfer(disc) - dense)) <= 1e-14
         lo, hi = spec.certified_interval()
         certified = (nodes >= lo) & (nodes <= hi)
         assert abs(disc.truncation_error_bound
@@ -828,6 +828,45 @@ def test_sweep_sums_are_the_factored_steps(spec):
             if k in (2, 50):
                 gap = weighted_max(disc, sums(v, k) - want)
                 assert np.all(gap <= 1e-13 * weighted_max(disc, v))
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_sweep_step_keeps_endpoint_entries_zero(spec):
+    # the factors hold the rank and nothing for pair 0: y = Q / rho, with
+    # Q's columns a whole number of sketch chunks, is zero on the pair-0
+    # rows, and column 0 of z is zero, so a weighted-space input keeps
+    # exactly zero endpoint entries and any other input is refused
+    disc = node_discretization(spec)
+    y, z, _ = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    rank = y.shape[1]
+    assert rank % operators._SKETCH_CHUNK == 0
+    assert z.shape == (rank, disc._pairs[0].size)
+    r0 = disc._stack[0].shape[0] - z.shape[1]
+    assert not np.any(y[[0, r0]]) and not np.any(z[:, 0])
+    sums, _ = disc.sweep_sums()
+    ends = ~disc.interior
+    for v in weighted_inputs(disc, 3, spec.n):
+        for k in (2, 50):
+            assert not np.any(sums(v, k)[ends])
+        for end in np.flatnonzero(ends):
+            bad = v.copy()
+            bad[end, 1] = 1e-300
+            with pytest.raises(DomainError, match="endpoint"):
+                sums(bad, 2)
+
+
+def test_paired_carrier_has_no_square_transfer():
+    # a paired stack is never unfolded; its transfer is the advances of
+    # the unit vectors, which the unpaired transfer matches bit for bit
+    paired = node_discretization(OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6))
+    with pytest.raises(DomainError, match="no transfer"):
+        paired.transfer
+    assert transfer(paired).shape == (paired.nodes.size,) * 2
+    for spec in (OperatorSpec("bernstein", 6), OperatorSpec("durrmeyer", 5, rho=1.0),
+                 OperatorSpec("mkz", 4, truncation_eps=1e-6)):
+        disc = node_discretization(spec)
+        assert np.array_equal(transfer(disc), disc.transfer)
 
 
 @pytest.mark.parametrize("spec", [

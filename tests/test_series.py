@@ -138,6 +138,44 @@ def test_unknown_method():
                          1e-8, GRID, method="cg")
 
 
+# inputs inside the endpoint gate with an affine residue: sin_pi(1) is
+# 1.2e-16, not 0
+RESIDUE_INPUTS = [registry("sin_pi"), registry("psi") + registry("e1").scaled(1e-13)]
+
+
+@pytest.mark.parametrize("method,op", [
+    ("krylov", OperatorSpec("bernstein", 64)),
+    ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
+    ("neumann", OperatorSpec("durrmeyer", 16, rho=1.0)),
+    ("neumann", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
+    ("solve", OperatorSpec("bernstein", 8)),
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ids=lambda v: v if isinstance(v, str) else f"{v.family}-{v.n}")
+def test_each_input_is_projected_at_the_entry(method, op):
+    # every method solves, certifies and returns the series of
+    # project_to_Cpsi(f), so the residue reaches no engine
+    eps = 1e-6 if op.record.series else 1e-8
+    for f in RESIDUE_INPUTS:
+        assert 0.0 < abs(f(1.0)) <= 1e-12
+        got = series_one(op, f, eps, method)
+        want = series_one(op, project_to_Cpsi(f), eps, method)
+        assert (got.terms_used, got.tail_bound) == (want.terms_used, want.tail_bound)
+        assert np.array_equal(got.grid_values, want.grid_values)
+
+
+@pytest.mark.parametrize("op", [OperatorSpec("bernstein", 512),
+                                OperatorSpec("durrmeyer", 512, rho=1.0)],
+                         ids=lambda op: op.family)
+def test_krylov_certifies_sin_pi_at_large_n(op):
+    # sin_pi(1) is 1.2e-16; left in the residual it alone would hold the
+    # certificate above eps, and the row would sum thousands of Neumann
+    # terms
+    (res,) = geometric_series(op, [registry("sin_pi")], 1e-8)
+    assert res.method == "krylov"
+    assert res.tail_bound <= 1e-8
+    assert res.terms_used <= 20
+
+
 @pytest.mark.parametrize("method,op", [
     ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
     ("krylov", OperatorSpec("durrmeyer", 5, rho=1.0)),
@@ -342,6 +380,7 @@ class TestCompressedSweep:
         disc = node_discretization(self.op)
         (sums1, delta1), (sums2, delta2) = disc.sweep_sums(), disc.sweep_sums()
         v = np.random.default_rng(3).standard_normal((disc.nodes.size, 4))
+        v[~disc.interior] = 0.0  # the factored step takes weighted-space inputs
         assert delta1 == delta2
         assert np.array_equal(sums1(v, 50), sums2(v, 50))
         runs = [geometric_series(self.op, SWEEP_INPUTS, 1e-6, GRID,
@@ -506,15 +545,19 @@ class TestParitySplit:
             assert split.terms_used <= whole.terms_used
             assert split.tail_bound <= eps
 
-    def test_single_parity_input_is_one_gmres_bit_for_bit(self, op):
+    def test_single_parity_input_agrees_with_one_gmres(self, op):
+        # the half below the target gets no basis, so the split GMRES is
+        # one GMRES on the other half: the same products, and the same
+        # series within the two certificates
         eps = 1e-6 if op.record.series else 1e-8
         pts = op.grid(GRID).points
         for f in SINGLE_PARITY_INPUTS:
             split = series_one(op, f, eps, "krylov")
-            whole = unsplit_krylov(op, f, eps, GRID)
-            assert (split.terms_used, split.tail_bound, split.residual_psi_norm) \
-                == (whole.terms_used, whole.tail_bound, whole.residual_psi_norm)
-            assert np.array_equal(np.asarray(split.g(pts)), np.asarray(whole.g(pts)))
+            whole = unsplit_krylov(op, project_to_Cpsi(f), eps, GRID)
+            assert split.method == whole.method == "krylov"
+            assert split.terms_used == whole.terms_used
+            assert weighted_gap(split, whole, pts) <= \
+                split.tail_bound + whole.tail_bound
 
     def test_within_the_certificates_of_neumann(self, op):
         eps = 1e-6 if op.record.series else 1e-8

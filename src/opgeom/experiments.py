@@ -72,6 +72,13 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (kind, type(None))):
                 raise DomainError(
                     f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if not isinstance(self.n_list, (list, tuple)) or not all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                for n in self.n_list):
+            raise DomainError(
+                f"n_list must be a list of integers, got {self.n_list!r}")
+        if not isinstance(self.output, (str, type(None))):
+            raise DomainError(f"output must be a string path, got {self.output!r}")
         fam = family_record(self.family)
         n_list = tuple(self.n_list) or fam.default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):

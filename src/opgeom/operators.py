@@ -19,7 +19,9 @@ durrmeyer      coefficients in the Bernstein basis: the image of f is
                functionals of an input come from one batched Gauss-Jacobi
                kernel with unit-mass weights, one rule per mirror pair
                (closed-form monomial moments for polynomial inputs); no
-               log-Gamma constant enters either.
+               log-Gamma constant enters either.  The carrier keeps the
+               rules it has solved, so each is solved once over all the
+               inputs it represents.
 mkz families   the plain series operator (nodes k/(n+k)) and its
                reflection (nodes n/(n+k)) mixed with shares (1, 0), (0, 1)
                and (1/2, 1/2); each series is truncated at a depth sized
@@ -47,8 +49,9 @@ reflect) pairs of Family.branches.  apply truncates each branch at
 share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
 those moments; a series carrier's apply_rep uses the same block schedule.
 
-OperatorSpec and NodeDiscretization are immutable after construction; all
-apply/moment operations are pure.
+OperatorSpec and NodeDiscretization are immutable after construction,
+apart from the Gauss-Jacobi rules a Durrmeyer carrier keeps as its inputs
+need them, which change no number; all apply/moment operations are pure.
 """
 
 from __future__ import annotations
@@ -291,8 +294,45 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
     return t, w / w.sum(axis=1, keepdims=True)
 
 
+class _GaussRules:
+    """The Gauss-Jacobi rules of one Durrmeyer carrier, kept as long as the
+    carrier is: for each order m, the nodes and weights _beta_rules gave,
+    one row per min(a, b), and the row of each key.  A rule is solved once,
+    in the first batch that needs it, and every later use reads its stored
+    row; a stacked solve treats each row on its own, so a stored row is
+    the row a fresh solve gives, bit for bit.  One lock guards the table,
+    so threads that share the carrier also solve each rule once."""
+
+    def __init__(self):
+        self._rules = {}  # m -> ({min(a, b): row}, nodes, weights)
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored nodes and weights."""
+        with self._lock:
+            return sum(t.nbytes + w.nbytes for _, t, w in self._rules.values())
+
+    def __call__(self, keys: np.ndarray, his: np.ndarray, m: int):
+        """_beta_rules(keys, his, m) for distinct keys, with _beta_rules
+        called only on the keys not stored yet, in one batch."""
+        with self._lock:
+            row, t, w = self._rules.get(m, ({}, np.empty((0, m)), np.empty((0, m))))
+            new = [i for i, key in enumerate(keys.tolist()) if key not in row]
+            if new:
+                t_new, w_new = _beta_rules(keys[new], his[new], m)
+                start = t.shape[0]
+                t, w = np.concatenate((t, t_new)), np.concatenate((w, w_new))
+                row.update((key, start + i)
+                           for i, key in enumerate(keys[new].tolist()))
+                self._rules[m] = row, t, w
+            at = [row[key] for key in keys.tolist()]
+        return t[at], w[at]
+
+
 def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
-                          ks: np.ndarray) -> np.ndarray:
+                          ks: np.ndarray,
+                          rules: Optional[_GaussRules] = None) -> np.ndarray:
     """The Beta(k rho, (n-k) rho) functionals of f for every k in ks, by
     Gauss-Jacobi rules (_durrmeyer_coeffs takes exact monomial moments for
     polynomial inputs instead).
@@ -314,6 +354,12 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
     once per block on its rows' stacked nodes.  The composite fallback is
     for kinked or endpoint-oscillatory f, on which global polynomial rules
     converge only algebraically.
+
+    rules, the table a Durrmeyer carrier keeps (_durrmeyer_disc), supplies
+    the rules it holds and stores the ones each block solves, so a carrier
+    solves every rule once over all its inputs; the functionals are those
+    of a call without it, bit for bit.  Without it every rule is solved
+    afresh.
     """
     k = np.asarray(ks, dtype=float)
     a, b = k * rho, (n - k) * rho
@@ -322,6 +368,7 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
     prev = np.full(a.size, np.nan)
     delta = np.full(a.size, np.inf)
     open_rows = np.arange(a.size)
+    solve = _beta_rules if rules is None else rules
     for m in _GAUSS_ORDERS:
         keys, first, of_row = np.unique(lo[open_rows], return_index=True,
                                         return_inverse=True)
@@ -329,8 +376,8 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
         for start in range(0, keys.size, step):
             block = (of_row >= start) & (of_row < start + step)
             rows, at = open_rows[block], of_row[block] - start
-            t, w = _beta_rules(keys[start:start + step],
-                               hi[open_rows[first[start:start + step]]], m)
+            t, w = solve(keys[start:start + step],
+                         hi[open_rows[first[start:start + step]]], m)
             t = np.where((a[rows] > b[rows])[:, None], 1.0 - t[at], t[at])
             ft = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
             val = np.sum(w[at] * ft, axis=1)
@@ -388,13 +435,15 @@ def _durrmeyer_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.nd
     return bernstein_basis_matrix(spec.n, xs) @ _durrmeyer_coeffs(spec.n, spec.rho, f)
 
 
-def _durrmeyer_coeffs(n: int, rho: float, f: Function01) -> np.ndarray:
-    """f(0), the Beta functionals of f for k = 1..n-1, and f(1)."""
+def _durrmeyer_coeffs(n: int, rho: float, f: Function01,
+                      rules: Optional[_GaussRules] = None) -> np.ndarray:
+    """f(0), the Beta functionals of f for k = 1..n-1, and f(1); rules as
+    in _durrmeyer_quadrature."""
     if f.poly_coeffs is not None:
         coeffs = np.asarray(f.poly_coeffs)
         inner = _durrmeyer_monomial_moments(n, rho, len(coeffs) - 1) @ coeffs
     else:
-        inner = _durrmeyer_quadrature(n, rho, f, np.arange(1, n))
+        inner = _durrmeyer_quadrature(n, rho, f, np.arange(1, n), rules)
     return np.concatenate(([float(f(0.0))], inner, [float(f(1.0))]))
 
 
@@ -462,7 +511,9 @@ def _log_binomials(n: int, ks: np.ndarray) -> np.ndarray:
     log_binomial's one row."""
     out = np.zeros(ks.size)
     short = np.minimum(ks, n)
-    for m in np.unique(short[short > 0]):
+    # sorted distinct m without np.unique, whose masked-array check
+    # imports numpy.ma (about 1 MB) on the first call
+    for m in sorted(set(short[short > 0].tolist())):
         rows = np.flatnonzero(short == m)
         j = np.arange(1.0, m + 1.0)
         out[rows] = np.log((ks[rows, None] + (n - m) + j) / j).sum(axis=1)
@@ -696,7 +747,8 @@ class NodeDiscretization:
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
                  stack, truncation_error_bound: float,
-                 images: Callable, rep_builder=None, pairs=None):
+                 images: Callable, rep_builder=None, pairs=None,
+                 rules: Optional[_GaussRules] = None):
         self.spec = spec
         self.nodes = nodes
         self._stack = stack  # one array, or (wide, narrow) with a pair map
@@ -704,6 +756,7 @@ class NodeDiscretization:
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
         self._pairs = pairs  # (low, high, sign) by pair, or None
+        self._rules = rules  # the rule table rep_builder fills, or None
         self.interior = (nodes > 0.0) & (nodes < 1.0)
 
     @property
@@ -716,10 +769,11 @@ class NodeDiscretization:
 
     @property
     def matrix_bytes(self) -> int:
-        """Bytes of the matrix this carrier holds."""
-        if self._pairs is None:
-            return self._stack.nbytes
-        return sum(block.nbytes for block in self._stack)
+        """Bytes of the matrix this carrier holds, plus those of the
+        Gauss-Jacobi rules a Durrmeyer carrier has kept so far."""
+        held = 0 if self._rules is None else self._rules.nbytes
+        blocks = (self._stack,) if self._pairs is None else self._stack
+        return held + sum(block.nbytes for block in blocks)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
@@ -862,7 +916,13 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     a + b >= 2, so the row is anchored at its largest entry and every
     product outward is at most 1; when a + b < 2 it rises through 1 and
     the anchor is the smallest entry, with the others at most a power of
-    n above it."""
+    n above it.
+
+    The carrier keeps one _GaussRules table, bound into its rep builder:
+    the Gauss-Jacobi rules depend on (n, rho) and the row only, so every
+    input this carrier represents reuses the rules an earlier one solved.
+    The table's bytes count in matrix_bytes, so the carrier cache's byte
+    cap bounds it, and it leaves the cache with the carrier."""
     n, rho = spec.n, spec.rho
     nodes = np.arange(n + 1) / n
     a = np.arange(1, n)[:, None] * rho
@@ -880,9 +940,11 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     transfer[0, 0] = 1.0
     transfer[n, n] = 1.0
     transfer[1:n] = inner
+    rules = _GaussRules()
     return NodeDiscretization(spec, nodes, transfer.T, 0.0,
                               partial(_basis_images, n),
-                              partial(_durrmeyer_coeffs, n, rho))
+                              partial(_durrmeyer_coeffs, n, rho, rules=rules),
+                              rules=rules)
 
 
 def _mkz_node_depth(spec: OperatorSpec) -> int:

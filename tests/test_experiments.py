@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opgeom import experiments, operators
+from opgeom import cli, experiments, operators
 from opgeom.cli import main as cli_main
 from opgeom.errors import DomainError
 from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
@@ -19,6 +19,20 @@ from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
 from opgeom.funcspace import project_to_Cpsi, psi, registry
 from opgeom.operators import alpha_profile
 from opgeom.series import iterate_apply
+
+
+def run_fresh(code, path):
+    """Run code after `import sys, opgeom, opgeom.cli` in a fresh process,
+    on this checkout's opgeom, with sys.argv[1] = path; assert it exits 0."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, opgeom, opgeom.cli\n" + code, str(path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out
 
 
 class TestConfig:
@@ -351,22 +365,31 @@ class TestCli:
 
     @pytest.mark.parametrize("config", [
         {"jobs": "2"}, {"jobs": 2.5}, {"jobs": True}, {"eps": "1e-6"},
-        {"rho": "1"}, {"grid_size": "abc"}, {"grid_size": 100.5}, [1]],
+        {"rho": "1"}, {"grid_size": "abc"}, {"grid_size": 100.5}, [1],
+        {"n_list": 4}, {"output": 3, "n_list": [4]}],
         ids=lambda c: json.dumps(c))
-    def test_mistyped_config_exit_code(self, config, tmp_path, capsys):
-        # a mistyped config is bad input (exit 2), never a traceback with
-        # exit 1, the code of a failed invariant
+    def test_mistyped_config_exit_code(self, config, tmp_path, capsys,
+                                       monkeypatch):
+        # a mistyped config is bad input (exit 2) before any work, never a
+        # traceback with exit 1, the code of a failed invariant; the flags
+        # are left out where the config sets the field, since they override it
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out.csv"
-        assert cli_main(["geom", "--family", "durrmeyer", "--n-list", "4",
-                         "--config", str(cfg), "-o", str(out)]) == 2
+        argv = ["geom", "--family", "durrmeyer", "--config", str(cfg)]
+        if "n_list" not in config:
+            argv += ["--n-list", "4"]
+        if "output" not in config:
+            argv += ["-o", str(out)]
+        monkeypatch.setattr(cli, "run_experiment", None)  # no run starts
+        assert cli_main(argv) == 2
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("grid_size", 100.5), ("grid_size", True), ("jobs", 2.5),
-        ("jobs", "2"), ("eps", "1e-6"), ("eps", True), ("rho", "1.0")])
+        ("jobs", "2"), ("eps", "1e-6"), ("eps", True), ("rho", "1.0"),
+        ("n_list", 4), ("n_list", [4, "8"]), ("output", 3)])
     def test_config_checks_types(self, field, value):
         with pytest.raises(DomainError, match=field):
             ExperimentConfig(experiment="geom", **{field: value})
@@ -398,16 +421,33 @@ class TestCli:
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the one runtime dependency: a durrmeyer run, quadrature
         # included, loads no scipy module
-        import opgeom
-        src = str(Path(opgeom.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = ("import sys, opgeom, opgeom.cli\n"
-                "assert opgeom.cli.main(['geom', '--family', 'durrmeyer', "
-                "'--n-list', '8', '-o', sys.argv[1]]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.csv")],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert out.returncode == 0, out.stderr
+        out = run_fresh("assert opgeom.cli.main(['geom', '--family', 'durrmeyer', "
+                        "'--n-list', '8', '-o', sys.argv[1]]) == 0\n"
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))\n", tmp_path / "g.csv")
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_mkz_run_loads_no_masked_arrays(self, tmp_path):
+        # numpy.ma (about 1 MB) loads lazily on np.unique's masked-array
+        # check; the series depths take their distinct values without it
+        out = run_fresh("assert opgeom.cli.main(['geom', '--family', "
+                        "'mkz-symmetric', '--n-list', '4', '-o', sys.argv[1]]) == 0\n"
+                        "print('numpy.ma' in sys.modules)\n", tmp_path / "g.csv")
+        assert out.stdout.strip().splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_warm_rule_tables_write_the_fresh_csv(self, jobs, tmp_path,
+                                                  monkeypatch):
+        # voronovskaya leaves each durrmeyer carrier's Gauss-Jacobi rules
+        # in the carrier cache; geom after it, in the same process, writes
+        # the bytes geom writes alone in a fresh one
+        flags = ["--family", "durrmeyer", "--rho", "1", "--function", "sin_pi",
+                 "--n-list", "32,64", "--jobs", jobs]
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        warm, fresh = tmp_path / "warm.csv", tmp_path / "fresh.csv"
+        assert cli_main(["voronovskaya", *flags, "-o", str(tmp_path / "v.csv")]) == 0
+        assert cli_main(["geom", *flags, "-o", str(warm)]) == 0
+        run_fresh(f"assert opgeom.cli.main(['geom', *{flags!r}, '-o', "
+                  f"sys.argv[1]]) == 0\n", fresh)
+        assert warm.read_bytes() == fresh.read_bytes()
+

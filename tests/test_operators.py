@@ -3,6 +3,8 @@ contraction profile, and the node carriers."""
 
 import ast
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from opgeom import operators
-from opgeom.errors import DomainError, TruncationBudgetError
+from opgeom.errors import (DomainError, QuadratureError,
+                           TruncationBudgetError)
 from opgeom.funcspace import default_grid, psi, registry
 from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               alpha_profile, condition_report, family_record,
@@ -261,6 +264,116 @@ class TestDurrmeyerFunctional:
         with pytest.raises(DomainError):
             durrmeyer(6, -1.0)
         assert durrmeyer(2, 0.1).apply(registry("e1"), 0.5) == pytest.approx(0.5)
+
+
+def rule_inputs():
+    return {"sin_pi": registry("sin_pi"),
+            "psi*sin_pi": registry("psi") * registry("sin_pi"),
+            "exp": registry("exp"), "abs_half": registry("abs_half")}
+
+
+def counting_rules(monkeypatch):
+    """Record each (m, min(a, b)) that _beta_rules solves."""
+    inner, solved = operators._beta_rules, []
+
+    def counting(a, b, m):
+        solved.extend((m, key) for key in a.tolist())
+        return inner(a, b, m)
+
+    monkeypatch.setattr(operators, "_beta_rules", counting)
+    return solved
+
+
+class TestDurrmeyerRuleTable:
+    """A Durrmeyer carrier keeps the Gauss-Jacobi rules its reps solve;
+    each carrier below is built directly, so its table starts empty."""
+
+    @pytest.mark.parametrize("n,rho", [(32, 1.0), (33, 0.5), (256, 1.0)])
+    def test_warm_rep_is_the_fresh_functional(self, n, rho, monkeypatch):
+        composite = []
+        inner = operators._beta_integral_composite
+        monkeypatch.setattr(operators, "_beta_integral_composite",
+                            lambda a, b, f: composite.append(a) or inner(a, b, f))
+        disc = operators._durrmeyer_disc(durrmeyer(n, rho))
+        inputs = rule_inputs()
+        # each input once on a cold table, then again in reverse on a warm one
+        for name in [*inputs, *reversed(inputs)]:
+            composite.clear()
+            got = disc.rep(inputs[name])
+            expected = operators._durrmeyer_coeffs(n, rho, inputs[name])
+            assert np.array_equal(got, expected), name
+            if name == "abs_half":  # the fallback rows are in the comparison
+                assert composite
+        assert disc.matrix_bytes > disc.transfer.nbytes
+
+    @pytest.mark.parametrize("first,second", [
+        ("psi*sin_pi", "sin_pi"), ("sin_pi", "abs_half"), ("abs_half", "exp")])
+    def test_second_input_solves_only_new_rules(self, first, second,
+                                                monkeypatch):
+        n, rho, inputs = 64, 1.0, rule_inputs()
+        solved = counting_rules(monkeypatch)
+        operators._durrmeyer_coeffs(n, rho, inputs[second])
+        alone = set(solved)  # what the second input needs on its own
+        disc = operators._durrmeyer_disc(durrmeyer(n, rho))
+        solved.clear()
+        disc.rep(inputs[first])
+        before = set(solved)
+        solved.clear()
+        disc.rep(inputs[second])
+        assert len(solved) == len(set(solved))  # no rule solved twice
+        assert set(solved) == alone - before
+        if (first, second) == ("psi*sin_pi", "sin_pi"):
+            assert solved == []
+
+    def test_failed_rep_leaves_a_correct_table(self):
+        n, rho = 4, 0.1
+        disc = operators._durrmeyer_disc(durrmeyer(n, rho))
+        for _ in range(2):
+            with pytest.raises(QuadratureError):
+                disc.rep(registry("osc"))
+        f = registry("sin_pi")
+        assert np.array_equal(disc.rep(f), operators._durrmeyer_coeffs(n, rho, f))
+
+    def test_threads_sharing_a_carrier_solve_each_rule_once(self,
+                                                            monkeypatch):
+        # more threads than cores, switching often, each rep on its own
+        # input and then on the others' on one shared carrier
+        n, rho, inputs = 32, 0.5, rule_inputs()
+        fresh = {name: operators._durrmeyer_coeffs(n, rho, f)
+                 for name, f in inputs.items()}
+        solved = counting_rules(monkeypatch)
+        disc = operators._durrmeyer_disc(durrmeyer(n, rho))
+        names = list(inputs)
+        got = {}
+
+        def work(i):
+            for name in names[i:] + names[:i]:
+                got[i, name] = disc.rep(inputs[name])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(names))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == len(names) ** 2
+        assert all(np.array_equal(rep, fresh[name])
+                   for (_, name), rep in got.items())
+        assert len(solved) == len(set(solved))
+
+    def test_cache_holds_the_table_bytes(self, monkeypatch):
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        disc = node_discretization(durrmeyer(32, 1.0))
+        cold = disc.matrix_bytes
+        assert cold == disc.transfer.nbytes
+        disc.rep(registry("sin_pi"))
+        assert disc.matrix_bytes > cold
 
 
 class TestDurrmeyerApply:

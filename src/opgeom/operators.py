@@ -87,7 +87,8 @@ __all__ = [
 ]
 
 _SERIES_CAP = 500_000
-_CARRIER_BYTES_CAP = 4 * 2**30  # largest series carrier build, in bytes
+_CARRIER_BYTES_CAP = 4 * 2**30  # largest carrier build, in bytes
+_EXACT_BUILD_ARRAYS = 5  # (n+1)-square float arrays an exact build holds at once
 # share-relative tail at which apply_rep stops a point's series: the dropped
 # weights join the routed mass, moving a value by <= 2^-63 |rep|_inf, which
 # is below one rounding of |rep|_inf
@@ -96,11 +97,10 @@ _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 _TINY = np.finfo(float).tiny  # smallest normal float
-_SWEEP_DELTA = 1e-12  # largest certified error of a compressed sweep step
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
 _SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
 _OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
-_FACTOR_BLOCK = 32  # stack rows per certificate block, unit rows per block of H
+_FACTOR_BLOCK = 32  # unit rows per block of the coordinate map H
 
 
 @dataclass(frozen=True)
@@ -727,13 +727,12 @@ class NodeDiscretization:
     odd input 0.
 
     sweep_sums() gives a Neumann sweep its partial sums
-    sum_{j<k} S^j v under a stand-in S for advance, and S's certified
-    weighted error delta.  Without a pair map S is advance itself, delta
-    0, summed by advance_sums.  A paired stack is factored for the one
-    sweep as stack ~ Y Z with a = r columns of Y, r its numerical rank
-    (under 100 through n = 16); v has zero endpoint entries (the series
-    entry projects its inputs) and column 0 of Z is zero, so every term
-    keeps them zero.  S = expand o lift then
+    sum_{j<k} S^j v under a stand-in S for advance.  Without a pair map S
+    is advance itself, summed by advance_sums.  A paired stack is factored
+    for the one sweep as stack ~ Y Z with a = r columns of Y, r its
+    numerical rank (under 100 through n = 16); v has zero endpoint
+    entries (the series entry projects its inputs) and column 0 of Z is
+    zero, so every term keeps them zero.  S = expand o lift then
     maps v to 2a coordinates per column, lift(v) = gather(v) Y, and back,
     expand(c) = scatter(c Z), so S^k = expand H^(k-1) lift with the
     2a-square H = lift o expand: each term of the sum costs one small
@@ -794,18 +793,18 @@ class NodeDiscretization:
         return acc
 
     def sweep_sums(self):
-        """(sums, delta): sums(v, k) = sum_{j<k} S^j v for a stand-in S
-        of advance with |S v - advance(v)|_psi <= delta |v|_psi over the
-        interior nodes, for v with zero endpoint entries (else the compressed
-        sums raise DomainError); (advance_sums, 0.0) without a pair map or
-        where the compression (_low_rank_pairs) is not certified.  Nothing
-        is cached: the factors live as long as sums."""
+        """sums(v, k) = sum_{j<k} S^j v for the factored stand-in S of
+        advance (_low_rank_pairs), for v with zero endpoint entries (else
+        it raises DomainError); advance_sums without a pair map or where
+        no factorization is found.  S's error is not bounded here: the
+        Neumann sweep certifies what it sums by the exact residual.
+        Nothing is cached: the factors live as long as sums."""
         if self._pairs is not None:
-            y, z, delta = _low_rank_pairs(self._stack, self._pairs, self.nodes)
+            y, z = _low_rank_pairs(self._stack, self._pairs, self.nodes)
             if y is not None:
                 return partial(self._coordinate_sums, y=y, z=z,
-                               h=self._coordinate_map(y, z)), delta
-        return self.advance_sums, 0.0
+                               h=self._coordinate_map(y, z))
+        return self.advance_sums
 
     def _coordinate_sums(self, v: np.ndarray, k: int, y: np.ndarray,
                          z: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -1199,10 +1198,10 @@ def _paired_product(u: np.ndarray, stack, out=None) -> np.ndarray:
 
 
 def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
-    """(y, z, delta) with u @ y @ z standing in for u @ S, S the implied
-    stack of the paired blocks stack = (wide, narrow) with its rows in the
-    gather order, or (None, None, 0.0) where no factorization within
-    _SWEEP_DELTA and a quarter of the stack's width is found.
+    """(y, z) with u @ y @ z standing in for u @ S, S the implied stack of
+    the paired blocks stack = (wide, narrow) with its rows in the gather
+    order, or (None, None) where the rank reaches a quarter of the
+    stack's width.
 
     The weighted stack S'[j, i] = S[j, i] rho_j / w_i, with rho_j psi
     at row j's pair (the larger of its two nodes) and w_i psi at output
@@ -1210,18 +1209,12 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), sec. 4): Q
     is an orthonormal basis of the sketch S' G, G of _test_rows, widened by
     _SKETCH_CHUNK columns until _OVERSAMPLE of its singular values are at
-    most _SKETCH_CUT of the largest.  Row j of u is at most rho_j |v|_psi, and
-    each output node of pair i is the sum or the difference of two
-    products, so
-
-        |step(v) - advance(v)|_psi <= 2 max_i sum_j |S' - Q Q^T S'|_ji |v|_psi,
-
-    and delta is that bound summed over the stored factors, _FACTOR_BLOCK
-    rows at a time, over every column of S: the narrow block's rows are
-    compared in full width, zeros included.  The factors are
-    y = Q / rho and z = (rho Q)^T S, rank columns and rows, with column 0
-    of z zero.  psi vanishes on pair 0, so an input with zero endpoint
-    entries (sweep_sums) has zero pair-0 rows u (rows 0 and r0, the routed
+    most _SKETCH_CUT of the largest.  Row j of u is at most rho_j |v|_psi,
+    so the weighting makes the factorization accurate in the weighted
+    norm the series is certified in.  The factors are y = Q / rho and
+    z = (rho Q)^T S, rank columns and rows, with column 0 of z zero.  psi
+    vanishes on pair 0, so an input with zero endpoint entries
+    (sweep_sums) has zero pair-0 rows u (rows 0 and r0, the routed
     masses), which y ignores, and its endpoint outputs stay zero.  The
     blocks are the right operand of every product, and every other array
     has at most rank + _SKETCH_CHUNK rows or columns.
@@ -1239,7 +1232,7 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     sketch = np.empty((0, rows))
     while True:
         if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
-            return None, None, 0.0
+            return None, None
         g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
         chunk = np.concatenate((g @ wide.T, g[:, :cut] @ narrow.T), axis=1)
         sketch = np.vstack((sketch, chunk * rw))
@@ -1256,38 +1249,30 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     irw = np.zeros(rows)
     np.divide(1.0, rw, out=irw, where=rw > 0.0)
     y *= (irw * irw)[:, None]
-    col_sums = np.zeros(cols)
-    for first, block in ((0, wide), (top, narrow)):
-        width = block.shape[1]
-        for start in range(0, block.shape[0], _FACTOR_BLOCK):
-            part = block[start:start + _FACTOR_BLOCK]
-            at = slice(first + start, first + start + part.shape[0])
-            gap = y[at] @ z
-            np.subtract(part, gap[:, :width], out=gap[:, :width])
-            np.abs(gap, out=gap)
-            col_sums += rw[at] @ gap
-    delta = 2.0 * float(np.max(col_sums * iw))
-    if delta > _SWEEP_DELTA:
-        return None, None, 0.0
-    return y, z, delta
+    return y, z
 
 
 def check_carrier_budget(spec: OperatorSpec) -> None:
-    """Raise TruncationBudgetError, without building anything, if a series
-    carrier's stack may exceed _CARRIER_BYTES_CAP: the build allocates the
-    stack once and fills it in place, next to a few vectors of its width.
-    A one-branch stack is N-square, N = depth + 2.  The paired stack is
-    counted as the single (c_p + depth + 1) x (depth + 1) array, an upper
-    bound on its two blocks (L <= depth + 1) that needs no fill to know.
-    The exact carriers are (n+1)-square."""
-    if not spec.record.series:
-        return
-    depth = _mkz_node_depth(spec)
-    plain, refl = spec.record.shares
-    if plain == refl:
-        rows, cols = _mkz_plain_width(spec, depth) + depth + 1, depth + 1
+    """Raise TruncationBudgetError, without building anything, if a
+    carrier's build may hold more than _CARRIER_BYTES_CAP at its peak.
+
+    A series build allocates its stack once and fills it in place, next to
+    a few vectors of its width.  A one-branch stack is N-square,
+    N = depth + 2.  The paired stack is counted as the single
+    (c_p + depth + 1) x (depth + 1) array, an upper bound on its two
+    blocks (L <= depth + 1) that needs no fill to know.  An exact build
+    holds at most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once: for
+    durrmeyer the transfer, up, both cumulative products and inner; for
+    bernstein the basis (its transfer) and the tables of _powers."""
+    if spec.record.series:
+        depth = _mkz_node_depth(spec)
+        plain, refl = spec.record.shares
+        if plain == refl:
+            rows, cols = _mkz_plain_width(spec, depth) + depth + 1, depth + 1
+        else:
+            rows = cols = depth + 2
     else:
-        rows = cols = depth + 2
+        rows, cols = _EXACT_BUILD_ARRAYS * (spec.n + 1), spec.n + 1
     size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
         raise TruncationBudgetError(

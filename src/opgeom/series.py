@@ -5,14 +5,16 @@ space, through one entry, geometric_series, with three methods:
   node block per input (every member of the contraction class), split by
   parity (see _krylov);
 * "neumann": truncated Neumann sums sharing one sweep, formed by the
-  carrier's sweep_sums and certified by the geometric tail plus the
-  step's compression term (see _neumann_sweep); the Krylov oracle; and
+  carrier's sweep_sums and certified by the geometric tail, and by the
+  residual as well where the sums take a factored step (see
+  _neumann_sweep); the Krylov oracle; and
 * "solve": a direct linear solve of (I - T) on the interior node block
   per input (exact carriers only, i.e. bernstein and durrmeyer).
 
 Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
 with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
-and solve paths report that residual certificate as their tail bound;
+and solve paths report that residual certificate as their tail bound,
+and a factored Neumann sweep the larger of it and the geometric tail;
 the residual is a sup over the family grid, so it is an estimate from
 below of the true sup, like every weighted norm here.  Every result also
 keeps g at the points of that grid, from the same evaluation of the grid
@@ -50,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
-from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi, psi,
+from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi,
                         psi_norm, psi_sup)
 from .operators import NodeDiscretization, OperatorSpec, node_discretization
 
@@ -79,7 +81,7 @@ class GeometricSeriesResult:
 
     g: Function01
     method: str
-    terms_used: Optional[int]
+    terms_used: int
     tail_bound: float
     residual_psi_norm: float
     grid_values: np.ndarray
@@ -147,7 +149,7 @@ def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
 def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
                      rep0: np.ndarray, idx: np.ndarray, sol: np.ndarray,
                      grid: EvaluationGrid, method: str,
-                     terms_used: Optional[int]) -> GeometricSeriesResult:
+                     terms_used: int) -> GeometricSeriesResult:
     """The series result whose representation is sol on the interior
     nodes idx and zero at the endpoints, certified by
     tail_bound = |(I - L) g - f|_psi / (1 - b)."""
@@ -169,50 +171,49 @@ def _zero_result(method: str, grid: EvaluationGrid) -> GeometricSeriesResult:
 
 
 def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
-                   reps, norms, eps: float, grid: EvaluationGrid) -> list:
+                   reps, norms, eps: float, grid: EvaluationGrid,
+                   exact: bool = False) -> list:
     """Truncated Neumann sums sum_{k<=K} L^k(f), one per input, sharing
     one transfer-matrix sweep over the stacked representations reps.
 
-    The carrier's sweep_sums forms the sums under a stand-in step whose
-    error is at most delta |v|_psi per step; on the paired mkz-symmetric
-    carrier each term is one small matrix product in the coordinates of
-    the factored step (NodeDiscretization), elsewhere an exact advance.
-    With |T| <= b on the nodes, the K partial sums then drift from the
-    exact ones by at most delta |rep f|_nodes / (1 - b - delta)^2, and
-    one more application of L scales that by b, so each certificate is
+    K is the smallest term count whose a-priori tail
+    b^(K+1) / (1 - b) |f|_psi meets eps for every input.  The carrier's
+    sweep_sums forms the sums: on the paired mkz-symmetric carrier each
+    term is one small matrix product in the coordinates of its factored
+    step (NodeDiscretization), elsewhere an exact advance.  The factored
+    step is not exact, so each of its sums is certified by
 
-        tail_bound = b^(K+1) / (1 - b) |f|_psi
-                     + b delta |rep f|_nodes / (1 - b - delta)^2,
+        tail_bound = max(b^(K+1) / (1 - b) |f|_psi,
+                         |(I - L) g - f|_psi / (1 - b)),
 
-    with |rep f|_nodes the weighted max over the interior nodes.  K is the
-    largest term count over the inputs that keeps every tail_bound <= eps;
-    a step whose term would take half of eps is replaced by the exact
-    advance_sums (delta = 0).  The factors are freed before the
-    residuals, which take one exact advance for all the columns.  f_evals
-    evaluate the inputs off the nodes and norms are their weighted norms.
+    and if any column's exceeds eps (or exact is set) the whole batch is
+    summed again by advance_sums, whose tail_bound is the a-priori tail.
+    The factors are freed before the residuals, which take one exact
+    advance for all the columns.  f_evals evaluate the inputs off the
+    nodes and norms are their weighted norms.
     """
     b = op.contraction_bound()
     rep0 = np.column_stack(reps)
-    idx = np.flatnonzero(disc.interior)
-    rep_norms = np.max(np.abs(rep0[idx]) / psi(disc.nodes[idx])[:, None],
-                       axis=0, initial=0.0)
-    sums, delta = disc.sweep_sums()
-    terms = b * delta / (1.0 - b - delta) ** 2 * rep_norms
-    if np.any(terms > 0.5 * eps):
-        sums, terms = disc.advance_sums, np.zeros_like(terms)
-    k_max = max(neumann_tail_terms(b, v, eps - t) for v, t in zip(norms, terms))
+    k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
+    sums = disc.advance_sums if exact else disc.sweep_sums()
+    factored = sums != disc.advance_sums
     # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
     acc = sums(rep0, k_max)
     del sums
     accs = [col.copy() for col in acc.T]
     resids, images = _residual_norms(disc, acc, rep0, grid, accs)
+    bounds = [b ** (k_max + 1) / (1.0 - b) * norm for norm in norms]
+    if factored:
+        bounds = [max(t, r / (1.0 - b)) for t, r in zip(bounds, resids)]
+        if max(bounds) > eps:
+            return _neumann_sweep(op, disc, f_evals, reps, norms, eps, grid,
+                                  exact=True)
     return [GeometricSeriesResult(
         g=_series_function(f_eval, disc, accs[i]), method="neumann",
-        terms_used=k_max + 1,
-        tail_bound=b ** (k_max + 1) / (1.0 - b) * norm + float(terms[i]),
+        terms_used=k_max + 1, tail_bound=bounds[i],
         residual_psi_norm=resids[i],
         grid_values=np.asarray(f_eval(grid.points), dtype=float) + images[i])
-        for i, (f_eval, norm) in enumerate(zip(f_evals, norms))]
+        for i, f_eval in enumerate(f_evals)]
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
@@ -344,7 +345,8 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     strictly diagonally dominated M-matrix solved by dense LU, once per
     input: a stacked right-hand side does not round like a single one.
     tail_bound is the residual certificate |(I - L) g - f|_psi / (1 - b),
-    as for the Krylov path; eps plays no part.
+    as for the Krylov path; eps plays no part.  terms_used is 1, the
+    residual's carrier product.
     """
     idx = np.flatnonzero(disc.interior)
     a = np.eye(idx.size) - disc.transfer[np.ix_(idx, idx)]
@@ -357,7 +359,7 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
                 "interior block of I - T is singular; the operator is "
                 "outside the contraction class") from exc
         out.append(_interior_result(op, disc, f, rep0, idx, sol, grid,
-                                    "solve", None))
+                                    "solve", 1))
     return out
 
 

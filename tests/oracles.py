@@ -3,17 +3,20 @@ exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values,
 the plain-pow Bernstein table, a 40-digit Bernstein row and one
 Meyer-Koenig-Zeller weight row, which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
-route; for the sweep tests the certified low-rank step of a paired
+route; for the sweep tests the low-rank step of a paired
 carrier, applied one step at a time; for the paired carrier the
 mkz-symmetric stack as one array, built row by row without a cut row,
 and its product; the square transfer matrix of any carrier, paired or
 not, from advances of the unit vectors; for the Krylov tests one GMRES
-on the whole interior right-hand side, without the parity split."""
+on the whole interior right-hand side, without the parity split; for the
+exact families their geometric series of a polynomial input, in exact
+rational arithmetic."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +29,7 @@ from opgeom.special import log_binomial
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
            "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
            "factored_step", "single_stack", "single_stack_advance",
-           "implied_stack", "transfer", "unsplit_krylov"]
+           "implied_stack", "transfer", "unsplit_krylov", "exact_series"]
 
 
 @dataclass(frozen=True)
@@ -151,15 +154,15 @@ def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:
 
 
 def factored_step(disc):
-    """(step, delta) with step(v) = scatter((gather(v) @ y) @ z), the
-    certified low-rank step of the paired carrier disc, whose partial sums
-    disc.sweep_sums() forms in the step's own coordinates."""
-    y, z, delta = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    """step(v) = scatter((gather(v) @ y) @ z), the low-rank step of the
+    paired carrier disc, whose partial sums disc.sweep_sums() forms in the
+    step's own coordinates."""
+    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
 
     def step(v):
         return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
 
-    return step, delta
+    return step
 
 
 def _fill_rows(rows, n, t, share):
@@ -318,3 +321,70 @@ def unsplit_krylov(op, f, eps, grid):
     sol, used = _unsplit_gmres(matvec, rep0[idx], budget)
     return series._interior_result(op, disc, f, rep0, idx, sol, fam_grid,
                                    "krylov", used + 1)
+
+
+def _bernstein_monomial_images(n: int, degree: int) -> list:
+    """Ascending coefficients of B_n(t^k), k = 0..degree, exactly:
+    B_n(t^k) = sum_j S(k, j) n!/((n-j)! n^k) t^j, with S the Stirling
+    numbers of the second kind."""
+    stirling = [[Fraction(1)]]  # stirling[k][j] = S(k, j)
+    for k in range(1, degree + 1):
+        prev = stirling[-1] + [Fraction(0)]
+        stirling.append([Fraction(0)] + [j * prev[j] + prev[j - 1]
+                                         for j in range(1, k + 1)])
+    falling = [Fraction(1)]  # n!/(n-j)!
+    for j in range(degree):
+        falling.append(falling[-1] * (n - j))
+    return [[stirling[k][j] * falling[j] / Fraction(n) ** k for j in range(k + 1)]
+            for k in range(degree + 1)]
+
+
+def exact_series(family: str, n: int, rho, q):
+    """G_n(psi q) for the exact family "bernstein" or "durrmeyer" (shape
+    rho, ignored for bernstein) and the polynomial q (ascending
+    coefficients), as a function of float points: each value is formed
+    exactly from the point's exact binary value and rounded once.
+
+    Both operators map the polynomials of each degree to themselves,
+    triangularly: B_n(t^k) by _bernstein_monomial_images, and
+    U_n^rho(e_k) = B_n(g_k) with g_k(t) = prod_{j<k} (n rho t + j)/(n rho + j),
+    the k-th moment of the Beta(i rho, (n - i) rho) functional at
+    t = i/n.  So (I - L) g = psi q is solved by back-substitution from
+    the top degree down to 2 (L fixes e_0 and e_1, so 1 - M[m, m] > 0
+    only for m >= 2), and the affine part follows from g(0) = g(1) = 0."""
+    f = [Fraction(0)] * (len(q) + 2)
+    for i, c in enumerate(q):  # psi q = (t - t^2) q
+        f[i + 1] += Fraction(c)
+        f[i + 2] -= Fraction(c)
+    degree = len(f) - 1
+    images = _bernstein_monomial_images(n, degree)
+    if family == "durrmeyer":
+        nr = n * Fraction(rho)
+        bern, images, g_k = images, [], [Fraction(1)]
+        for k in range(degree + 1):
+            if k:  # g_k = g_(k-1) (nr t + k - 1) / (nr + k - 1)
+                g_k = [(a * (k - 1) + b * nr) / (nr + k - 1)
+                       for a, b in zip(g_k + [0], [0] + g_k)]
+            image = [Fraction(0)] * (k + 1)
+            for i, c in enumerate(g_k):
+                for j, b in enumerate(bern[i]):
+                    image[j] += c * b
+            images.append(image)
+    elif family != "bernstein":
+        raise DomainError(f"no exact series for {family!r}")
+    g = [Fraction(0)] * (degree + 1)
+    for m in range(degree, 1, -1):
+        rhs = f[m] + sum(images[j][m] * g[j] for j in range(m + 1, degree + 1))
+        g[m] = rhs / (1 - images[m][m])
+    g[1] = -sum(g[2:])
+
+    def values(xs):
+        out = []
+        for x in np.atleast_1d(np.asarray(xs, dtype=float)):
+            x, acc = Fraction(float(x)), Fraction(0)
+            for c in reversed(g):
+                acc = acc * x + c
+            out.append(float(acc))
+        return np.array(out)
+
+    return values

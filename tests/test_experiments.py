@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,21 @@ class TestCli:
                          "-o", str(out)]) == 2
         assert "GiB" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("family", ["bernstein", "durrmeyer"])
+    def test_oversized_exact_carrier_fails_before_the_runner(
+            self, family, tmp_path, capsys, monkeypatch):
+        # n = 30000 would hold a 7.2 GB transfer: the guard refuses it by
+        # arithmetic before n = 4 runs, and no carrier is built
+        built = []
+        record = operators.family_record(family)
+        monkeypatch.setitem(operators._FAMILY_TABLE, family,
+                            replace(record, carrier=built.append))
+        out = tmp_path / "out.csv"
+        assert cli_main(["geom", "--family", family, "--n-list", "4,30000",
+                         "-o", str(out)]) == 2
+        assert "GiB" in capsys.readouterr().err
+        assert built == [] and not out.exists()
 
     @pytest.mark.parametrize("family", ["bernstein", "durrmeyer"])
     def test_exact_family_past_exact_binomials(self, family, tmp_path):

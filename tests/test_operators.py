@@ -835,6 +835,9 @@ def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
                                      + (width - r0) * cut)
 
 
+STEP_GAP = 1e-12  # weighted error of one factored sweep step, relative
+
+
 def weighted_inputs(disc, cols, seed):
     """Random columns on the nodes that vanish at the endpoints, each once
     scaled by psi like a weighted-space input and once not."""
@@ -911,15 +914,16 @@ def test_default_geom_carriers_store_pinned_bytes():
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sweep_step_is_certified(spec):
-    # |S v - advance(v)|_psi <= delta |v|_psi over the interior nodes for
-    # the step S v = sums(v, 2) - v, for v vanishing at the endpoints like
-    # a weighted-space input
+    # |S v - advance(v)|_psi <= STEP_GAP |v|_psi over the interior nodes
+    # for the step S v = sums(v, 2) - v, for v vanishing at the endpoints
+    # like a weighted-space input; the series certifies its sums by their
+    # residual, and this keeps the factorization itself as accurate
     disc = node_discretization(spec)
-    sums, delta = disc.sweep_sums()
-    assert 0.0 < delta <= operators._SWEEP_DELTA
+    sums = disc.sweep_sums()
+    assert sums != disc.advance_sums  # the factored step
     for v in weighted_inputs(disc, 4, spec.n):
         gap = weighted_max(disc, sums(v, 2) - v - disc.advance(v))
-        assert np.all(gap <= delta * weighted_max(disc, v))
+        assert np.all(gap <= STEP_GAP * weighted_max(disc, v))
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
@@ -928,9 +932,8 @@ def test_sweep_sums_are_the_factored_steps(spec):
     # the sum in the step's coordinates is the same linear map as k - 1
     # explicit factored steps; only the rounding moves
     disc = node_discretization(spec)
-    sums, delta = disc.sweep_sums()
-    step, delta_explicit = factored_step(disc)
-    assert delta == delta_explicit
+    sums = disc.sweep_sums()
+    step = factored_step(disc)
     for v in weighted_inputs(disc, 3, spec.n):
         assert np.array_equal(sums(v, 0), np.zeros_like(v))
         assert np.array_equal(sums(v, 1), v)
@@ -951,13 +954,13 @@ def test_sweep_step_keeps_endpoint_entries_zero(spec):
     # rows, and column 0 of z is zero, so a weighted-space input keeps
     # exactly zero endpoint entries and any other input is refused
     disc = node_discretization(spec)
-    y, z, _ = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
     rank = y.shape[1]
     assert rank % operators._SKETCH_CHUNK == 0
     assert z.shape == (rank, disc._pairs[0].size)
     r0 = disc._stack[0].shape[0] - z.shape[1]
     assert not np.any(y[[0, r0]]) and not np.any(z[:, 0])
-    sums, _ = disc.sweep_sums()
+    sums = disc.sweep_sums()
     ends = ~disc.interior
     for v in weighted_inputs(disc, 3, spec.n):
         for k in (2, 50):
@@ -990,7 +993,7 @@ def test_paired_carrier_has_no_square_transfer():
 def test_sweep_step_without_pairs_is_advance(spec):
     # the plain sum of exact advances, bit for bit
     disc = node_discretization(spec)
-    assert disc.sweep_sums() == (disc.advance_sums, 0.0)
+    assert disc.sweep_sums() == disc.advance_sums
     v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 3))
     term, want = v, np.zeros_like(v)
     for k in range(20):
@@ -1042,11 +1045,11 @@ def test_sweep_step_holds_factors_not_a_stack():
     assert rank < 128
     tracemalloc.start()
     try:
-        sums, delta = disc.sweep_sums()
+        sums = disc.sweep_sums()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert delta > 0.0
+    assert sums != disc.advance_sums  # the factored step
     assert peak <= 6 * (rows + cols) * rank * 8
     assert peak < stack.nbytes / 4
 
@@ -1115,6 +1118,32 @@ class TestCarrierMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * disc.matrix_bytes
+
+
+    @pytest.mark.parametrize("family, rho", [("bernstein", None),
+                                             ("durrmeyer", 1.0)])
+    def test_exact_ceiling(self, family, rho):
+        # the guard alone, no build: five (n+1)-square arrays fit the
+        # 4 GiB budget up to n = 10361
+        operators.check_carrier_budget(OperatorSpec(family, 10361, rho=rho))
+        with pytest.raises(TruncationBudgetError, match="GiB"):
+            operators.check_carrier_budget(OperatorSpec(family, 10362, rho=rho))
+
+    @pytest.mark.parametrize("spec", [OperatorSpec("bernstein", 256),
+                                      OperatorSpec("durrmeyer", 256, rho=1.0)],
+                             ids=lambda s: s.family)
+    def test_exact_build_peaks_within_its_count(self, spec, monkeypatch):
+        # the guard counts _EXACT_BUILD_ARRAYS (n+1)-square arrays, refusing
+        # a cap one byte short of them; the build's traced peak stays below
+        counted = 8 * operators._EXACT_BUILD_ARRAYS * (spec.n + 1) ** 2
+        self._cap_must_fit_the_stack(spec, counted, monkeypatch)
+        tracemalloc.start()
+        try:
+            spec.record.carrier(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted
 
 
 def test_no_module_has_a_log_gamma():

@@ -1275,9 +1275,11 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
         rows, cols = _EXACT_BUILD_ARRAYS * (spec.n + 1), spec.n + 1
     size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
+        # rounded up, so a size just past the cap reads above it
         raise TruncationBudgetError(
-            f"{spec.family} carrier for n={spec.n} needs {size / 2**30:.1f} "
-            f"GiB, above the {_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
+            f"{spec.family} carrier for n={spec.n} needs "
+            f"{math.ceil(10 * size / 2**30) / 10:.1f} GiB, above the "
+            f"{_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
 
 
 _CACHE_BYTES_CAP = 2**30  # carrier matrix bytes kept for reuse

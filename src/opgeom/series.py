@@ -1,24 +1,24 @@
 """Iterates L^k and the geometric series G_L = sum_k L^k on the weighted
 space, through one entry, geometric_series, with three methods:
 
-* "krylov" (default): a restarted GMRES solve of (I - T) on the interior
-  node block per input (every member of the contraction class), split by
-  parity (see _krylov);
+* "krylov" (default): one GMRES cycle on (I - T) on the interior node
+  block per input (every member of the contraction class), split by
+  parity, with the Neumann sum as its fallback (see _krylov);
 * "neumann": truncated Neumann sums sharing one sweep, formed by the
-  carrier's sweep_sums and certified by the geometric tail, and by the
-  residual as well where the sums take a factored step (see
+  carrier's sweep_sums, and by exact products where those miss eps (see
   _neumann_sweep); the Krylov oracle; and
 * "solve": a direct linear solve of (I - T) on the interior node block
   per input (exact carriers only, i.e. bernstein and durrmeyer).
 
 Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
-with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  The Krylov
-and solve paths report that residual certificate as their tail bound,
-and a factored Neumann sweep the larger of it and the geometric tail;
-the residual is a sup over the family grid, so it is an estimate from
-below of the true sup, like every weighted norm here.  Every result also
-keeps g at the points of that grid, from the same evaluation of the grid
-basis as the residual.
+with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  Every result
+is certified by one rule, formed in one place (_certify): its tail_bound
+is the larger of that residual certificate and, for a truncated Neumann
+sum of K + 1 terms, the geometric tail b^(K+1) / (1 - b) |f|_psi.  The
+residual is a sup over the family grid, so it is an estimate from below
+of the true sup, like every weighted norm here.  Every result also keeps
+g at the points of that grid, from the same evaluation of the grid basis
+as the residual.
 
 The series is defined on the weighted space only (L fixes affine
 functions, whose series diverges).  The entry admits inputs within
@@ -36,10 +36,9 @@ itself.  The Krylov path solves the two halves by GMRES in lockstep, one
 carrier product of the sum of their Arnoldi vectors per step, split back
 by parity; it stops on the combined estimate
 sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it never takes more
-products than one GMRES on b would (without a restart), and each half
-only damps its own part of the spectrum.  A half at or below that target
-(the odd half of psi, sin_pi, psi sin_pi) is set to zero and gets no
-basis.
+products than one GMRES on b would, and each half only damps its own
+part of the spectrum.  A half at or below that target (the odd half of
+psi, sin_pi, psi sin_pi) is set to zero and gets no basis.
 terms_used counts carrier products: one per step, plus the residual's.
 """
 
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 _ENDPOINT_TOL = 1e-12
-_GMRES_RESTART = 40  # Arnoldi basis vectors per cycle
+_GMRES_MAX = 40  # carrier products in the one Arnoldi cycle
 _GMRES_RTOL = 1e-13  # relative 2-norm residual target on the interior block
 _SQRT2 = math.sqrt(2.0)
 
@@ -146,21 +145,28 @@ def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
     return norms, parts
 
 
-def _interior_result(op: OperatorSpec, disc: NodeDiscretization, f: Function01,
-                     rep0: np.ndarray, idx: np.ndarray, sol: np.ndarray,
-                     grid: EvaluationGrid, method: str,
-                     terms_used: int) -> GeometricSeriesResult:
-    """The series result whose representation is sol on the interior
-    nodes idx and zero at the endpoints, certified by
-    tail_bound = |(I - L) g - f|_psi / (1 - b)."""
-    acc = np.zeros_like(rep0)
-    acc[idx] = sol
-    (resid,), (image,) = _residual_norms(disc, acc, rep0, grid, [acc])
-    return GeometricSeriesResult(
-        g=_series_function(f, disc, acc), method=method, terms_used=terms_used,
-        tail_bound=resid / (1.0 - op.contraction_bound()),
+def _certify(op: OperatorSpec, disc: NodeDiscretization, f_evals,
+             rep0: np.ndarray, acc: np.ndarray, grid: EvaluationGrid,
+             method: str, terms_used: int, tails=None) -> list:
+    """One result g_i = f_i + L(acc_i) per column of acc, rep0 holding the
+    inputs' representations as columns, each certified by the rule every
+    series result here follows:
+
+        tail_bound = max(tails_i, |(I - L) g_i - f_i|_psi / (1 - b)),
+
+    with tails_i the a-priori Neumann tail of a truncated sum and zero
+    where tails is None (krylov, solve).  One exact advance serves the
+    residuals of all the columns (_residual_norms)."""
+    b = op.contraction_bound()
+    accs = [col.copy() for col in acc.T]
+    resids, images = _residual_norms(disc, acc, rep0, grid, accs)
+    return [GeometricSeriesResult(
+        g=_series_function(f_eval, disc, col), method=method,
+        terms_used=terms_used, tail_bound=max(tail, resid / (1.0 - b)),
         residual_psi_norm=resid,
-        grid_values=np.asarray(f(grid.points), dtype=float) + image)
+        grid_values=np.asarray(f_eval(grid.points), dtype=float) + image)
+        for f_eval, col, tail, resid, image
+        in zip(f_evals, accs, tails or [0.0] * len(accs), resids, images)]
 
 
 def _zero_result(method: str, grid: EvaluationGrid) -> GeometricSeriesResult:
@@ -171,53 +177,41 @@ def _zero_result(method: str, grid: EvaluationGrid) -> GeometricSeriesResult:
 
 
 def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
-                   reps, norms, eps: float, grid: EvaluationGrid,
-                   exact: bool = False) -> list:
+                   reps, norms, eps: float, grid: EvaluationGrid) -> list:
     """Truncated Neumann sums sum_{k<=K} L^k(f), one per input, sharing
     one transfer-matrix sweep over the stacked representations reps.
 
     K is the smallest term count whose a-priori tail
     b^(K+1) / (1 - b) |f|_psi meets eps for every input.  The carrier's
-    sweep_sums forms the sums: on the paired mkz-symmetric carrier each
-    term is one small matrix product in the coordinates of its factored
-    step (NodeDiscretization), elsewhere an exact advance.  The factored
-    step is not exact, so each of its sums is certified by
-
-        tail_bound = max(b^(K+1) / (1 - b) |f|_psi,
-                         |(I - L) g - f|_psi / (1 - b)),
-
-    and if any column's exceeds eps (or exact is set) the whole batch is
-    summed again by advance_sums, whose tail_bound is the a-priori tail.
-    The factors are freed before the residuals, which take one exact
-    advance for all the columns.  f_evals evaluate the inputs off the
-    nodes and norms are their weighted norms.
+    sweep_sums forms the sums first: on the paired mkz-symmetric carrier
+    each term is one small matrix product in the coordinates of its
+    factored step (NodeDiscretization), elsewhere an exact advance.  Each
+    sum is certified by _certify, the larger of that tail and the
+    residual certificate; if any column's exceeds eps after a factored
+    step, the whole batch is summed again by advance_sums, and that exact
+    batch is returned whatever its certificate (near the rounding of the
+    sum the residual one exceeds eps).  The factors are freed before the
+    residuals.  f_evals evaluate the inputs off the nodes and norms are
+    their weighted norms.
     """
     b = op.contraction_bound()
     rep0 = np.column_stack(reps)
     k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
-    sums = disc.advance_sums if exact else disc.sweep_sums()
-    factored = sums != disc.advance_sums
-    # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
-    acc = sums(rep0, k_max)
-    del sums
-    accs = [col.copy() for col in acc.T]
-    resids, images = _residual_norms(disc, acc, rep0, grid, accs)
-    bounds = [b ** (k_max + 1) / (1.0 - b) * norm for norm in norms]
-    if factored:
-        bounds = [max(t, r / (1.0 - b)) for t, r in zip(bounds, resids)]
-        if max(bounds) > eps:
-            return _neumann_sweep(op, disc, f_evals, reps, norms, eps, grid,
-                                  exact=True)
-    return [GeometricSeriesResult(
-        g=_series_function(f_eval, disc, accs[i]), method="neumann",
-        terms_used=k_max + 1, tail_bound=bounds[i],
-        residual_psi_norm=resids[i],
-        grid_values=np.asarray(f_eval(grid.points), dtype=float) + images[i])
-        for i, f_eval in enumerate(f_evals)]
+    tails = [b ** (k_max + 1) / (1.0 - b) * norm for norm in norms]
+    sums = disc.sweep_sums()
+    while True:
+        exact = sums == disc.advance_sums
+        # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
+        acc = sums(rep0, k_max)
+        sums = disc.advance_sums  # drops the factors before the residuals
+        out = _certify(op, disc, f_evals, rep0, acc, grid, "neumann",
+                       k_max + 1, tails)
+        if exact or max(res.tail_bound for res in out) <= eps:
+            return out
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
-    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi, for
+    """One GMRES cycle from x = 0 with modified Gram-Schmidt Arnoldi, for
     the rows of rhs in lockstep: matvec maps a block of rows v (one per
     row of rhs) to the block of their products A v_k at the cost of one
     carrier product, and row k solves A x_k = rhs[k].
@@ -227,46 +221,39 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
     estimate is exact) stops growing and is fed zeros.  The rows stop
     together, once the combined Arnoldi estimate
     sqrt(sum_k |rhs_k - A x_k|_2^2) falls to _GMRES_RTOL |rhs|_2 or after
-    max_matvecs products; returns (x, matvecs used).  Restart residuals
-    come from the Arnoldi relation, not from an extra product.
+    max_matvecs products; there is no restart.  Returns (x, matvecs used).
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    target = _GMRES_RTOL * math.hypot(*map(np.linalg.norm, rhs))
+    betas = [np.linalg.norm(rk) for rk in rhs]
+    target = _GMRES_RTOL * math.hypot(*betas)
+    bases = [[rk / beta] if beta > 0.0 else [] for rk, beta in zip(rhs, betas)]
+    h = np.zeros((len(rhs), max_matvecs + 1, max_matvecs))
+    ys = [np.zeros(0) for _ in rhs]
+    shorts = [np.array([beta]) for beta in betas]
     used = 0
-    while used < max_matvecs:
-        betas = [np.linalg.norm(rk) for rk in r]
-        if math.hypot(*betas) <= target:
+    for j in range(max_matvecs if any(bases) else 0):
+        w = matvec(np.array([q[j] if len(q) > j else np.zeros(rk.size)
+                             for q, rk in zip(bases, rhs)]))
+        used += 1
+        for k, (q, hk, wk) in enumerate(zip(bases, h, w)):
+            if len(q) <= j:
+                continue
+            for i in range(j + 1):
+                hk[i, j] = q[i] @ wk
+                wk -= hk[i, j] * q[i]
+            hk[j + 1, j] = np.linalg.norm(wk)
+            if hk[j + 1, j] > 0.0:
+                q.append(wk / hk[j + 1, j])
+            e1 = np.zeros(j + 2)
+            e1[0] = betas[k]
+            ys[k] = np.linalg.lstsq(hk[:j + 2, :j + 1], e1, rcond=None)[0]
+            shorts[k] = e1 - hk[:j + 2, :j + 1] @ ys[k]
+        if all(len(q) <= j + 1 for q in bases) or \
+                math.hypot(*map(np.linalg.norm, shorts)) <= target:
             break
-        m = min(_GMRES_RESTART, max_matvecs - used)
-        bases = [[rk / beta] if beta > 0.0 else [] for rk, beta in zip(r, betas)]
-        h = np.zeros((len(r), m + 1, m))
-        ys = [np.zeros(0) for _ in r]
-        shorts = [np.array([beta]) for beta in betas]
-        for j in range(m):
-            w = matvec(np.array([q[j] if len(q) > j else np.zeros(rk.size)
-                                 for q, rk in zip(bases, r)]))
-            used += 1
-            for k, (q, hk, wk) in enumerate(zip(bases, h, w)):
-                if len(q) <= j:
-                    continue
-                for i in range(j + 1):
-                    hk[i, j] = q[i] @ wk
-                    wk -= hk[i, j] * q[i]
-                hk[j + 1, j] = np.linalg.norm(wk)
-                if hk[j + 1, j] > 0.0:
-                    q.append(wk / hk[j + 1, j])
-                e1 = np.zeros(j + 2)
-                e1[0] = betas[k]
-                ys[k] = np.linalg.lstsq(hk[:j + 2, :j + 1], e1, rcond=None)[0]
-                shorts[k] = e1 - hk[:j + 2, :j + 1] @ ys[k]
-            if all(len(q) <= j + 1 for q in bases) or \
-                    math.hypot(*map(np.linalg.norm, shorts)) <= target:
-                break
-        for k, q in enumerate(bases):
-            basis = np.array(q).reshape(len(q), rhs.shape[1])
-            x[k] += basis[:ys[k].size].T @ ys[k]
-            r[k] = basis.T @ shorts[k][:len(q)]
+    x = np.zeros_like(rhs)
+    for k, q in enumerate(bases):
+        basis = np.array(q).reshape(len(q), rhs.shape[1])
+        x[k] += basis[:ys[k].size].T @ ys[k]
     return x, used
 
 
@@ -301,17 +288,18 @@ def _unfold(u: np.ndarray, size: int) -> np.ndarray:
 def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
             eps: float, grid: EvaluationGrid) -> list:
     """GMRES on the interior block (I - T_II) x = rep(f)_I per input,
-    certified by tail_bound = |(I - L) g - f|_psi / (1 - b).
+    certified by _certify with no a-priori tail:
+    tail_bound = |(I - L) g - f|_psi / (1 - b).
 
     The even and odd halves of the right-hand side (module docstring) are
     solved by _gmres in lockstep in their _fold coordinates; a half at or
     below the stopping target is set to zero, so its row gets no basis.
 
     terms_used counts carrier applications (advance calls): one per
-    GMRES step, the residual's included.  GMRES gets at most as many
-    products as the Neumann sum would need for eps; if its certificate
-    still exceeds eps the Neumann result is returned instead, so
-    tail_bound <= eps always.
+    GMRES step, the residual's included.  GMRES runs one cycle of at most
+    _GMRES_MAX products, and no more than the Neumann sum would need for
+    eps; if its certificate still exceeds eps the Neumann result for that
+    input is returned instead (_neumann_sweep).
     """
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
@@ -327,9 +315,12 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
         halves = _fold(rep0[idx])
         sizes = np.linalg.norm(halves, axis=1)
         halves[sizes <= _GMRES_RTOL * math.hypot(*sizes)] = 0.0
-        sol, used = _gmres(matvec, halves, neumann_tail_terms(b, norm, eps))
-        res = _interior_result(op, disc, f, rep0, idx, _unfold(sol, idx.size),
-                               grid, "krylov", used + 1)
+        sol, used = _gmres(matvec, halves,
+                           min(_GMRES_MAX, neumann_tail_terms(b, norm, eps)))
+        acc = np.zeros((rep0.size, 1))
+        acc[idx, 0] = _unfold(sol, idx.size)
+        (res,) = _certify(op, disc, [f], rep0[:, None], acc, grid, "krylov",
+                          used + 1)
         if res.tail_bound > eps:
             (res,) = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)
         out.append(res)
@@ -344,22 +335,22 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     dropped rather than zeroed, and the interior block of I - T is a
     strictly diagonally dominated M-matrix solved by dense LU, once per
     input: a stacked right-hand side does not round like a single one.
-    tail_bound is the residual certificate |(I - L) g - f|_psi / (1 - b),
-    as for the Krylov path; eps plays no part.  terms_used is 1, the
-    residual's carrier product.
+    tail_bound is the residual certificate of _certify, as for the
+    Krylov path; eps plays no part.  terms_used is 1, the residual's
+    carrier product.
     """
     idx = np.flatnonzero(disc.interior)
     a = np.eye(idx.size) - disc.transfer[np.ix_(idx, idx)]
     out = []
     for f, rep0 in zip(fs, reps):
+        acc = np.zeros((rep0.size, 1))
         try:
-            sol = np.linalg.solve(a, rep0[idx])
+            acc[idx, 0] = np.linalg.solve(a, rep0[idx])
         except np.linalg.LinAlgError as exc:
             raise DegenerateOperatorError(
                 "interior block of I - T is singular; the operator is "
                 "outside the contraction class") from exc
-        out.append(_interior_result(op, disc, f, rep0, idx, sol, grid,
-                                    "solve", 1))
+        out += _certify(op, disc, [f], rep0[:, None], acc, grid, "solve", 1)
     return out
 
 
@@ -393,7 +384,9 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     endpoints, op in the contraction class, and "solve" needs an exact
     carrier.  Every result is that of project_to_Cpsi(f), whose values are
     f's, bit for bit, if f is exactly 0 at 0 and 1.  Krylov and Neumann
-    results certify tail_bound <= eps.
+    results certify tail_bound <= eps, except a Neumann sum by exact
+    products limited by rounding: it reports its residual certificate,
+    even above eps.
     """
     engine = _METHODS.get(method)
     if engine is None:

@@ -267,39 +267,31 @@ def transfer(disc):
 
 
 def _unsplit_gmres(matvec, rhs, max_matvecs):
-    """Restarted GMRES from x = 0 with modified Gram-Schmidt Arnoldi on one
-    right-hand side, stopping once the Arnoldi estimate of |rhs - A x|_2
-    falls to series._GMRES_RTOL |rhs|_2; returns (x, matvecs used)."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    target = series._GMRES_RTOL * np.linalg.norm(rhs)
-    used = 0
-    while used < max_matvecs:
-        beta = np.linalg.norm(r)
-        if beta <= target:
+    """One GMRES cycle from x = 0 with modified Gram-Schmidt Arnoldi on one
+    right-hand side, of at most max_matvecs products, stopping once the
+    Arnoldi estimate of |rhs - A x|_2 falls to series._GMRES_RTOL |rhs|_2;
+    returns (x, matvecs used)."""
+    beta = np.linalg.norm(rhs)
+    target = series._GMRES_RTOL * beta
+    q = np.zeros((max_matvecs + 1, rhs.size))
+    h = np.zeros((max_matvecs + 1, max_matvecs))
+    q[0] = rhs / beta
+    j, y = -1, np.zeros(0)
+    for j in range(max_matvecs):
+        w = matvec(q[j])
+        for i in range(j + 1):
+            h[i, j] = q[i] @ w
+            w -= h[i, j] * q[i]
+        h[j + 1, j] = np.linalg.norm(w)
+        if h[j + 1, j] > 0.0:
+            q[j + 1] = w / h[j + 1, j]
+        e1 = np.zeros(j + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
+        if h[j + 1, j] == 0.0 or \
+                np.linalg.norm(e1 - h[:j + 2, :j + 1] @ y) <= target:
             break
-        m = min(series._GMRES_RESTART, max_matvecs - used)
-        q = np.zeros((m + 1, rhs.size))
-        h = np.zeros((m + 1, m))
-        q[0] = r / beta
-        for j in range(m):
-            w = matvec(q[j])
-            used += 1
-            for i in range(j + 1):
-                h[i, j] = q[i] @ w
-                w -= h[i, j] * q[i]
-            h[j + 1, j] = np.linalg.norm(w)
-            if h[j + 1, j] > 0.0:
-                q[j + 1] = w / h[j + 1, j]
-            e1 = np.zeros(j + 2)
-            e1[0] = beta
-            y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
-            short = e1 - h[:j + 2, :j + 1] @ y
-            if h[j + 1, j] == 0.0 or np.linalg.norm(short) <= target:
-                break
-        x += q[:j + 1].T @ y
-        r = q[:j + 2].T @ short
-    return x, used
+    return q[:j + 1].T @ y, j + 1
 
 
 def unsplit_krylov(op, f, eps, grid):
@@ -318,9 +310,12 @@ def unsplit_krylov(op, f, eps, grid):
 
     budget = series.neumann_tail_terms(op.contraction_bound(),
                                        psi_norm(f, fam_grid), eps)
-    sol, used = _unsplit_gmres(matvec, rep0[idx], budget)
-    return series._interior_result(op, disc, f, rep0, idx, sol, fam_grid,
-                                   "krylov", used + 1)
+    sol, used = _unsplit_gmres(matvec, rep0[idx], min(series._GMRES_MAX, budget))
+    acc = np.zeros((rep0.size, 1))
+    acc[idx, 0] = sol
+    (res,) = series._certify(op, disc, [f], rep0[:, None], acc, fam_grid,
+                             "krylov", used + 1)
+    return res
 
 
 def _bernstein_monomial_images(n: int, degree: int) -> list:

@@ -3,6 +3,7 @@ contraction profile, and the node carriers."""
 
 import ast
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -1124,10 +1125,13 @@ class TestCarrierMemoryBudget:
                                              ("durrmeyer", 1.0)])
     def test_exact_ceiling(self, family, rho):
         # the guard alone, no build: five (n+1)-square arrays fit the
-        # 4 GiB budget up to n = 10361
+        # 4 GiB budget up to n = 10361; one past it, the message names a
+        # size above the budget (4.0002 GiB must not read 4.0)
         operators.check_carrier_budget(OperatorSpec(family, 10361, rho=rho))
-        with pytest.raises(TruncationBudgetError, match="GiB"):
+        with pytest.raises(TruncationBudgetError, match="GiB") as err:
             operators.check_carrier_budget(OperatorSpec(family, 10362, rho=rho))
+        needs, budget = map(float, re.findall(r"([\d.]+) GiB", str(err.value)))
+        assert needs > budget
 
     @pytest.mark.parametrize("spec", [OperatorSpec("bernstein", 256),
                                       OperatorSpec("durrmeyer", 256, rho=1.0)],

@@ -406,7 +406,8 @@ class TestCompressedSweep:
                              ids=lambda op: op.family)
     def test_exact_carriers_sum_the_plain_series(self, op):
         # the sweep of the exact carriers: K from the a-priori tail alone,
-        # K - 1 exact products, no compression term
+        # K - 1 exact products, no compression term, and the one
+        # certificate rule (for psi the two terms agree up to rounding)
         fs = [registry("psi"), project_to_Cpsi(registry("e3"))]
         got = geometric_series(op, fs, 1e-8, GRID, method="neumann")
         disc = node_discretization(op)
@@ -422,9 +423,52 @@ class TestCompressedSweep:
         pts = op.grid(GRID).points
         for i, (f, res) in enumerate(zip(fs, got)):
             assert res.terms_used == k_max + 1
-            assert res.tail_bound == b ** (k_max + 1) / (1 - b) * norms[i]
+            assert res.tail_bound == max(b ** (k_max + 1) / (1 - b) * norms[i],
+                                         res.residual_psi_norm / (1 - b))
             want = np.asarray(f(pts)) + disc.apply_rep(acc[:, i], pts)
             assert np.array_equal(np.asarray(res.g(pts)), want)
+
+
+    def test_quarter_width_gate_takes_the_exact_sweep(self, monkeypatch):
+        # n = 3 at truncation_eps 0.1 has 224 pair columns, and its rank
+        # reaches a quarter of them: no factors, so the sweep is the exact
+        # one from the start
+        op = OperatorSpec("mkz-symmetric", 3, truncation_eps=0.1)
+        disc = node_discretization(op)
+        assert disc._pairs[0].size == 224
+        assert operators._low_rank_pairs(disc._stack, disc._pairs,
+                                         disc.nodes) == (None, None)
+        assert disc.sweep_sums() == disc.advance_sums
+        got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
+        exact_sweep(monkeypatch)
+        want = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
+        assert_identical(got, want, op.grid(GRID).points)
+
+
+@pytest.mark.parametrize("op", [OperatorSpec("bernstein", 8),
+                                OperatorSpec("durrmeyer", 7, rho=0.5),
+                                OperatorSpec("mkz-symmetric", 4,
+                                             truncation_eps=1e-6)],
+                         ids=lambda op: op.family)
+def test_every_certificate_covers_its_residual(op):
+    # one rule for every method: tail_bound is at least the residual
+    # certificate |(I - L) g - f|_psi / (1 - b)
+    b = op.contraction_bound()
+    eps = 1e-6 if op.record.series else 1e-8
+    for method in ("krylov", "neumann", "solve"):
+        if method == "solve" and op.record.series:
+            continue
+        for res in geometric_series(op, SWEEP_INPUTS, eps, GRID, method=method):
+            assert res.tail_bound >= res.residual_psi_norm / (1 - b)
+
+
+def test_exact_sweep_reports_its_rounding():
+    # at eps 1e-13 the exact sum's residual certificate (about 1.1e-12)
+    # is above its a-priori tail and above eps: the result reports it
+    op = OperatorSpec("bernstein", 32)
+    b = op.contraction_bound()
+    res = series_one(op, registry("psi") * registry("e1"), 1e-13, "neumann")
+    assert res.tail_bound >= res.residual_psi_norm / (1 - b) > 1e-13
 
 
 class TestSolve(EntryContract):
@@ -556,6 +600,28 @@ class TestKrylov(EntryContract):
         assert kry.terms_used < neu.terms_used
         pts = op.grid(GRID).points
         assert weighted_gap(kry, neu, pts) <= kry.tail_bound + neu.tail_bound
+
+    def test_one_cycle_then_neumann(self, monkeypatch):
+        # psi*osc on bernstein 32 takes 11 GMRES products; capped at 3 the
+        # one cycle ends short of eps and the input gets the Neumann sum
+        op = OperatorSpec("bernstein", 32)
+        f = registry("psi") * registry("osc")
+        gmres, used = series._gmres, []
+
+        def counted(*args):
+            x, matvecs = gmres(*args)
+            used.append(matvecs)
+            return x, matvecs
+
+        monkeypatch.setattr(series, "_gmres", counted)
+        assert series_one(op, f, 1e-8, "krylov").terms_used == 12
+        monkeypatch.setattr(series, "_GMRES_MAX", 3)
+        res = series_one(op, f, 1e-8, "krylov")
+        assert used == [11, 3]
+        assert res.method == "neumann"
+        assert res.terms_used == 690 and res.tail_bound <= 1e-8
+        ref = series_one(op, f, 1e-8, "neumann")
+        assert_identical([res], [ref], op.grid(GRID).points)
 
     def test_falls_back_to_neumann(self, monkeypatch):
         monkeypatch.setattr(series, "_gmres",

@@ -92,6 +92,12 @@ def main(argv=None) -> int:
     else:
         print(f"wrote {config.output} ({len(report.rows)} rows, "
               f"{report.metadata['wall_time_s']:.2f}s)")
+    meta = report.metadata
+    for n, met, bound in zip(config.n_list, meta.get("eps_met", ()),
+                             meta.get("tail_bounds", ())):
+        if not met:
+            print(f"warning: n = {n}: tail_bound {bound:.3e} exceeds eps "
+                  f"{config.eps:.3e}", file=sys.stderr)
     failures = report.failures
     for name, measured, threshold, _ in failures:
         print(f"FAIL {name}: measured {measured:.3e} > threshold "

@@ -204,7 +204,8 @@ def _iterates(config: ExperimentConfig):
 def _geom(config: ExperimentConfig):
     """Weighted-norm distance between alpha_n G_n(psi f) and twice the
     kernel transform of f, with G_n from the Krylov solve; terms_used is
-    its count of carrier applications and tail_bound its certificate."""
+    its count of carrier applications and tail_bound its certificate.
+    The sidecar's eps_met says, per n, whether tail_bound <= eps."""
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
@@ -224,6 +225,7 @@ def _geom(config: ExperimentConfig):
     results = [res for _, res in done]
     return [rows for rows, _ in done], {
         "tail_bounds": [res.tail_bound for res in results],
+        "eps_met": [bool(res.tail_bound <= config.eps) for res in results],
         "series_method": [res.method for res in results],
         "residual_psi_norms": [res.residual_psi_norm for res in results]}
 

@@ -30,8 +30,9 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                whose value a weighted-space input pins to zero; weights
                below the smallest normal float are flushed into that
                mass.  Every tag holds a k-major stack, allocated once and
-               filled in place by the ratio recurrence, one vector
-               operation per series index over all nodes (_MkzFill).  A
+               filled in place by the ratio recurrence over all nodes at
+               once, a block of series indices at a time, and summed
+               with one Kahan step per block (_MkzFill).  A
                one-branch stack is the transposed transfer matrix; the
                (1/2, 1/2) stack is indexed by the mirror pairs
                (k/(n+k), n/(n+k)) and holds the reflected branch's
@@ -97,6 +98,7 @@ _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 _TINY = np.finfo(float).tiny  # smallest normal float
+_FILL_ROWS = 32  # weight rows per block of the series carrier fill
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
 _SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
 _OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
@@ -963,25 +965,38 @@ def _mkz_node_depth(spec: OperatorSpec) -> int:
     return mkz_truncation_index(n, x_cap, tau_row)
 
 
-class _MkzFill:
-    """share * w_j(t) for j = 0, 1, ... at all the points t at once,
-    written a block of rows at a time: write(rows) fills the next
-    len(rows) rows, and the running product, the Kahan sum and its
-    compensation (run, total, lost) carry from one block to the next.
-    restrict(width, zero_rows) keeps only the first width points from
-    then on.  routed is each point's routed mass, share minus the weights
-    written (share itself at t = 1, the point mass at the branch's
-    endpoint, which gets no weights).
+def _kahan_step(total, lost, s):
+    """(total + s, its rounding error): one compensated (Kahan) addition."""
+    y = s - lost
+    step = total + y
+    return step, (step - total) - y
 
-    Each row is one vector operation over the points, multiplied in the
-    order of mkz_weight_matrix (running product of t (n+j)/j, then
-    (1-t)^(n+1)) with the share folded into (1-t)^(n+1).  For the shares
-    1 and 1/2 the fold moves no normal float, so the weights equal share
-    times its columns bit for bit.  Subnormal weights slow every product
-    they enter; they are flushed to 0 and the routed mass absorbs them
-    exactly.  The weights are summed with Kahan's compensation: a plain
-    running sum over thousands of rows would carry its rounding into the
-    routed mass.
+
+class _MkzFill:
+    """share * w_j(t) for j = 0, 1, ... at all the points t at once:
+    write(rows) fills the next len(rows) rows, and the running product
+    run carries from one call to the next.  restrict(width, zero_rows)
+    keeps only the first width points from then on.  routed is each
+    point's routed mass, share minus the weights written (share itself at
+    t = 1, the point mass at the branch's endpoint, which gets no weights).
+
+    The rows are made in blocks of _FILL_ROWS, aligned at the absolute row
+    indices that are multiples of _FILL_ROWS whatever rows each write
+    receives; the open block's rows wait in self.block.  A block takes one
+    outer product for its ratios t (n+j)/j, one multiply per row for the
+    running product, then one multiply by (1-t)^(n+1) and one flush, so
+    each weight is multiplied in the order of mkz_weight_matrix, with the
+    share folded into (1-t)^(n+1).  For the shares 1 and 1/2 the fold
+    moves no normal float, so the weights equal share times its columns
+    bit for bit.  Subnormal weights slow every product they enter; they
+    are flushed to 0 and the routed mass absorbs them exactly.
+
+    The weights are summed a block at a time: numpy adds a block's rows
+    in order, and one Kahan step adds the block sum into (total, lost).
+    A plain running sum over thousands of rows would carry its rounding
+    into the routed mass; blocked, the error stays a few ulps of share
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and
+    it depends only on the rows, not on how writes split them.
     """
 
     def __init__(self, n: int, t: np.ndarray, share: float):
@@ -991,49 +1006,69 @@ class _MkzFill:
         self.w0 = np.where(self.at_end, 0.0, share * (1.0 - self.t) ** (n + 1))
         self.run = np.ones(t.size)
         self.total, self.lost = np.zeros(t.size), np.zeros(t.size)
+        # one spare column: numpy adds the rows of two or more columns in
+        # order, but sums a single column pairwise
+        self.block = np.zeros((_FILL_ROWS, t.size + 1))
+
+    def _block_sum(self, rows: int, lo: int, hi: int) -> np.ndarray:
+        """Sum of the open block's rows 0 .. rows - 1 at the points lo .. hi - 1."""
+        return np.add.reduce(self.block[:rows, lo:hi + 1], axis=0)[:-1]
 
     def write(self, rows: np.ndarray) -> None:
         """Fill rows with the next len(rows) weight rows, one column per
         point kept."""
-        n, j, w = self.n, self.j, self.width
+        n, w, done = self.n, self.width, 0
         t, w0, run = self.t[:w], self.w0[:w], self.run[:w]
-        total, lost = self.total[:w], self.lost[:w]
-        ratio, y, step = np.empty(w), np.empty(w), np.empty(w)
-        for row in rows:
-            if j:
-                np.multiply(t, (n + j) / j, out=ratio)
-                run *= ratio
-            np.multiply(run, w0, out=row)
-            np.putmask(row, row < _TINY, 0.0)
-            # total += row, with the rounding of each addition kept in lost
-            np.subtract(row, lost, out=y)
-            np.add(total, y, out=step)
-            np.subtract(step, total, out=lost)
-            lost -= y
-            total, step = step, total
-            j += 1
-        self.j = j
-        self.total[:w] = total
+        while done < len(rows):
+            first = self.j % _FILL_ROWS
+            count = min(_FILL_ROWS - first, len(rows) - done)
+            seg = self.block[first:first + count, :w]
+            k = np.arange(self.j, self.j + count, dtype=float)
+            np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
+            if self.j:
+                seg[0] *= run
+            else:
+                seg[0] = 1.0
+            for i in range(1, count):
+                seg[i] *= seg[i - 1]
+            run[:] = seg[-1]
+            seg *= w0
+            seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
+            rows[done:done + count] = seg
+            done += count
+            self.j += count
+            if first + count == _FILL_ROWS:
+                self.total[:w], self.lost[:w] = _kahan_step(
+                    self.total[:w], self.lost[:w], self._block_sum(_FILL_ROWS, 0, w))
 
     def restrict(self, width: int, zero_rows: int) -> None:
-        """Fill only the first width points from here on; the next
-        zero_rows rows are zero at the others, which add them to their
-        sums here.  A zero row leaves a sum as it is where
+        """Fill only the first width points from here on.  The others end
+        after zero_rows more rows, all zero there: their open block adds
+        its sum so far, and each further block they reach adds a zero
+        block sum.  A zero sum leaves a sum as it is where
         fl(total - lost) == total, and so does every one after it."""
-        total, lost = self.total[width:], self.lost[width:]
-        for _ in range(zero_rows):
-            y = 0.0 - lost
-            step = total + y
+        j, w = self.j, self.width
+        total, lost = self.total[width:w], self.lost[width:w]
+        blocks = -(-(j + zero_rows) // _FILL_ROWS) - j // _FILL_ROWS
+        if blocks:
+            total[:], lost[:] = _kahan_step(total, lost,
+                                            self._block_sum(j % _FILL_ROWS, width, w))
+        for _ in range(blocks - 1):
+            step, err = _kahan_step(total, lost, 0.0)
             if np.array_equal(step, total):
                 break
-            lost[:] = (step - total) - y
-            total[:] = step
+            total[:], lost[:] = step, err
         self.width = width
 
     @property
     def routed(self) -> np.ndarray:
+        total = self.total.copy()
+        w, rows = self.width, self.j % _FILL_ROWS
+        if rows:  # the open block
+            total[:w] = _kahan_step(total[:w], self.lost[:w],
+                                    self._block_sum(rows, 0, w))[0]
         return np.where(self.at_end, self.share,
-                        np.maximum(0.0, self.share - self.total))
+                        np.maximum(0.0, self.share - total))
 
 
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:

@@ -175,13 +175,14 @@ def _fill_rows(rows, n, t, share):
     order of mkz_weight_matrix (running product of t (n+j)/j, then
     (1-t)^(n+1), then the share), so the weights equal its columns bit for
     bit.  Subnormal weights are flushed to 0 and the routed mass absorbs
-    them exactly.  The weights are summed with Kahan's compensation.
+    them exactly.  The weights are summed in blocks of _FILL_ROWS rows
+    from row 0, each block's rows added in order, and the block sums with
+    Kahan's compensation.
     """
     at_end = t == 1.0
     t = np.where(at_end, 0.0, t)
     w0 = np.where(at_end, 0.0, (1.0 - t) ** (n + 1))
-    run, ratio, y = np.ones(t.size), np.empty(t.size), np.empty(t.size)
-    total, lost, step = np.zeros(t.size), np.zeros(t.size), np.empty(t.size)
+    run, ratio = np.ones(t.size), np.empty(t.size)
     for j, row in enumerate(rows):
         if j:
             np.multiply(t, (n + j) / j, out=ratio)
@@ -190,12 +191,17 @@ def _fill_rows(rows, n, t, share):
         if share != 1.0:
             row *= share
         np.putmask(row, row < operators._TINY, 0.0)
-        # total += row, with the rounding of each addition kept in lost
-        np.subtract(row, lost, out=y)
-        np.add(total, y, out=step)
-        np.subtract(step, total, out=lost)
-        lost -= y
-        total, step = step, total
+    total, lost = np.zeros(t.size), np.zeros(t.size)
+    for start in range(0, len(rows), operators._FILL_ROWS):
+        block = rows[start:start + operators._FILL_ROWS]
+        s = block[0].copy()
+        for row in block[1:]:
+            s += row
+        # total += s, with the rounding of the addition kept in lost
+        y = s - lost
+        step = total + y
+        lost = (step - total) - y
+        total = step
     return np.where(at_end, share, np.maximum(0.0, share - total))
 
 

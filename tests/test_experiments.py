@@ -91,6 +91,7 @@ class TestReports:
         assert meta["config"]["function"] == "e1"
         assert "wall_time_s" in meta
         assert len(meta["tail_bounds"]) == 2
+        assert meta["eps_met"] == [True, True]
         assert meta["series_method"] == ["krylov", "krylov"]
         assert len(meta["residual_psi_norms"]) == 2
 
@@ -253,6 +254,26 @@ class TestCli:
         assert code == 0
         assert out.exists() and Path(str(out) + ".meta.json").exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_geom_flags_a_bound_above_eps(self, tmp_path, capsys):
+        # bernstein n = 32 certifies e1 only to 1.137e-12: the row and the
+        # exit status stay as they are, the sidecar and one warning say so
+        out = tmp_path / "geom.csv"
+        argv = ["geom", "--family", "bernstein", "--function", "e1",
+                "-o", str(out)]
+        assert cli_main(argv + ["--n-list", "32", "--eps", "1e-13"]) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["eps_met"] == [False]
+        (bound,) = meta["tail_bounds"]
+        assert read_report(out, "geom")[0][3] == bound > 1e-13
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: ")]
+        assert warnings == [f"warning: n = 32: tail_bound {bound:.3e} "
+                            "exceeds eps 1.000e-13"]
+        assert cli_main(argv) == 0  # the default orders and eps
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["eps_met"] == [True] * 4
+        assert "warning" not in capsys.readouterr().err
 
     def test_stdout_mode(self, capsys):
         code = cli_main(["voronovskaya", "--family", "bernstein",

@@ -886,21 +886,71 @@ def test_cut_row_changes_no_number(spec, monkeypatch):
 
 
 def test_restricted_fill_adds_the_zero_rows_that_move_a_sum():
-    # the rows past the kept points are zero, but a zero row still moves a
-    # Kahan sum where fl(total - lost) != total, here a power-of-two total
-    # with lost = 2^-54; restrict adds such rows as the full-width fill does
+    # the rows past the kept points are zero, but a zero block sum still
+    # moves a Kahan sum where fl(total - lost) != total, here a
+    # power-of-two total with lost = 2^-54; restrict closes the dropped
+    # points' open block and adds such zero blocks as the full-width fill
+    # does
+    B = operators._FILL_ROWS
     t = np.array([0.3, 0.0])  # from row 1 on every weight at t = 0 is zero
     full, cut = (operators._MkzFill(4, t, 0.5) for _ in range(2))
     for fill in (full, cut):
-        fill.write(np.empty((1, 2)))
+        fill.write(np.empty((B + 5, 2)))  # one block summed, one open
         fill.total[1], fill.lost[1] = 0.5, 2.0**-54
-    full.write(np.empty((3, 2)))
-    cut.restrict(1, 3)
-    cut.write(np.empty((3, 1)))
+    full.write(np.empty((2 * B, 2)))
+    cut.restrict(1, 2 * B)
+    cut.write(np.empty((2 * B, 1)))
     assert full.total[1] == 0.5 - 2.0**-54
     assert np.array_equal(cut.total, full.total)
     assert np.array_equal(cut.lost, full.lost)
     assert np.array_equal(cut.routed, full.routed)
+
+
+@pytest.mark.parametrize("spec", SERIES_CARRIERS,
+                         ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
+def test_fill_routes_the_exactly_summed_missing_mass(spec):
+    # routed = max(0, share - sum of the weights written) to within 8 ulps
+    # of share, against math.fsum of the stored weights, at every third
+    # node of the carrier, for both branches at the family's share (1
+    # where the family leaves the branch out)
+    n, depth = spec.n, _mkz_node_depth(spec)
+    nodes = node_discretization(spec).nodes
+    ulp = np.finfo(float).eps / 2
+    for reflect, share in enumerate(spec.record.shares):
+        share = share or 1.0
+        t = 1.0 - nodes if reflect else nodes
+        fill = operators._MkzFill(n, t, share)
+        rows = np.empty((depth + 1, t.size))
+        fill.write(rows)
+        exact = np.array([math.fsum(col.tolist()) for col in rows.T[::3]])
+        want = np.maximum(0.0, share - exact)
+        assert np.all(np.abs(fill.routed[::3] - want) <= 8 * ulp * share)
+
+
+def test_fill_split_into_writes_changes_no_number():
+    # the block sums sit at absolute rows, so writes of any length, and a
+    # restrict in the middle of a block, leave every weight, sum and
+    # compensation as one full-width write does; the dropped points
+    # 1e-30, 0 and 1 have no normal weight from the cut row on, and the
+    # weights of the first two sit in the block that the restrict closes
+    t = np.array([0.95, 0.7, 0.5, 0.3, 0.2, 1e-30, 0.0, 1.0])
+    rows, cut, width = 300, 20, 5
+    full = operators._MkzFill(4, t, 0.5)
+    stack = np.empty((rows, t.size))
+    full.write(stack)
+    assert np.all(stack[cut:, width:] == 0.0) and stack[0, 6] == 0.5
+    for chunk in (1, 7, 31, 33, 100):
+        fill = operators._MkzFill(4, t, 0.5)
+        head, tail = np.empty((cut, t.size)), np.empty((rows - cut, width))
+        for start in range(0, cut, chunk):
+            fill.write(head[start:start + chunk])
+        fill.restrict(width, rows - cut)
+        for start in range(0, rows - cut, chunk):
+            fill.write(tail[start:start + chunk])
+        assert np.array_equal(head, stack[:cut])
+        assert np.array_equal(tail, stack[cut:, :width])
+        for name in ("total", "lost", "routed"):
+            assert np.array_equal(getattr(fill, name), getattr(full, name)), name
 
 
 def test_default_geom_carriers_store_pinned_bytes():

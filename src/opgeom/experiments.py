@@ -205,7 +205,10 @@ def _geom(config: ExperimentConfig):
     """Weighted-norm distance between alpha_n G_n(psi f) and twice the
     kernel transform of f, with G_n from the Krylov solve; terms_used is
     its count of carrier applications and tail_bound its certificate.
-    The sidecar's eps_met says, per n, whether tail_bound <= eps."""
+    The sidecar's eps_met says, per n, whether tail_bound <= eps; it also
+    lists, per n, the bounds computed on the way: b, the carrier's
+    truncation_error_bound and node count, and the quad_error_bound of
+    the kernel transform."""
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
@@ -214,20 +217,26 @@ def _geom(config: ExperimentConfig):
         op = config.spec(n)
         fam_grid = op.grid(base)
         pts = fam_grid.points
-        ref = 2.0 * np.asarray(F_transform(f, grid=fam_grid)(pts), dtype=float)
+        transform = F_transform(f, grid=fam_grid)
+        ref = 2.0 * np.asarray(transform(pts), dtype=float)
         prof = alpha_profile(op, base)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
         vals = prof.alpha_values * res.grid_values
         err = psi_sup(vals - ref, pts)
-        return [(n, err, res.terms_used, res.tail_bound)], res
+        disc = node_discretization(op)
+        return [(n, err, res.terms_used, res.tail_bound)], {
+            "tail_bounds": res.tail_bound,
+            "eps_met": bool(res.tail_bound <= config.eps),
+            "series_method": res.method,
+            "residual_psi_norms": res.residual_psi_norm,
+            "contraction_bounds": op.contraction_bound(),
+            "truncation_error_bounds": disc.truncation_error_bound,
+            "carrier_nodes": int(disc.nodes.size),
+            "quad_error_bounds": transform.quad_error_bound}
 
     done = _map_per_n(one, config)
-    results = [res for _, res in done]
     return [rows for rows, _ in done], {
-        "tail_bounds": [res.tail_bound for res in results],
-        "eps_met": [bool(res.tail_bound <= config.eps) for res in results],
-        "series_method": [res.method for res in results],
-        "residual_psi_norms": [res.residual_psi_norm for res in results]}
+        key: [extra[key] for _, extra in done] for key in done[0][1]}
 
 
 def _defects(config: ExperimentConfig):

@@ -974,54 +974,54 @@ def _kahan_step(total, lost, s):
 
 class _MkzFill:
     """share * w_j(t) for j = 0, 1, ... at all the points t at once:
-    write(rows) fills the next len(rows) rows, and the running product
-    run carries from one call to the next.  restrict(width, zero_rows)
-    keeps only the first width points from then on.  routed is each
-    point's routed mass, share minus the weights written (share itself at
-    t = 1, the point mass at the branch's endpoint, which gets no weights).
+    write(rows) fills the next len(rows) rows at the first rows.shape[1]
+    points, and the running product run carries from one call to the
+    next.  The points a write leaves out count as zero from then on, so
+    no write may be wider than the one before it.  routed is each point's
+    routed mass, share minus the weights written (share itself at t = 1,
+    the point mass at the branch's endpoint, which gets no weights).
 
     The rows are made in blocks of _FILL_ROWS, aligned at the absolute row
     indices that are multiples of _FILL_ROWS whatever rows each write
-    receives; the open block's rows wait in self.block.  A block takes one
-    outer product for its ratios t (n+j)/j, one multiply per row for the
-    running product, then one multiply by (1-t)^(n+1) and one flush, so
-    each weight is multiplied in the order of mkz_weight_matrix, with the
-    share folded into (1-t)^(n+1).  For the shares 1 and 1/2 the fold
-    moves no normal float, so the weights equal share times its columns
-    bit for bit.  Subnormal weights slow every product they enter; they
-    are flushed to 0 and the routed mass absorbs them exactly.
+    receives; the open block's rows wait in self.block, zero at the points
+    left out.  A block takes one outer product for its ratios t (n+j)/j,
+    one multiply per row for the running product, then one multiply by
+    (1-t)^(n+1) and one flush, so each weight is multiplied in the order
+    of mkz_weight_matrix, with the share folded into (1-t)^(n+1).  For the
+    shares 1 and 1/2 the fold moves no normal float, so the weights equal
+    share times its columns bit for bit.  Subnormal weights slow every
+    product they enter; they are flushed to 0 and the routed mass absorbs
+    them exactly.
 
-    The weights are summed a block at a time: numpy adds a block's rows
-    in order, and one Kahan step adds the block sum into (total, lost).
-    A plain running sum over thousands of rows would carry its rounding
-    into the routed mass; blocked, the error stays a few ulps of share
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and
-    it depends only on the rows, not on how writes split them.
+    Each block is summed over all the points: numpy adds its rows in
+    order (a single column it would sum pairwise; every carrier has two or
+    more points), and one Kahan step adds the block sum into (total,
+    lost).  A plain running sum over thousands of rows would carry its
+    rounding into the routed mass; blocked, the error stays a few ulps of
+    share (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4),
+    and it depends only on the rows, not on how writes split them.  A
+    point left out takes zero block sums, which leave its sum as it is
+    once fl(total - lost) == total.
     """
 
     def __init__(self, n: int, t: np.ndarray, share: float):
-        self.n, self.j, self.share, self.width = n, 0, share, t.size
+        self.n, self.j, self.share = n, 0, share
         self.at_end = t == 1.0
         self.t = np.where(self.at_end, 0.0, t)
         self.w0 = np.where(self.at_end, 0.0, share * (1.0 - self.t) ** (n + 1))
         self.run = np.ones(t.size)
         self.total, self.lost = np.zeros(t.size), np.zeros(t.size)
-        # one spare column: numpy adds the rows of two or more columns in
-        # order, but sums a single column pairwise
-        self.block = np.zeros((_FILL_ROWS, t.size + 1))
-
-    def _block_sum(self, rows: int, lo: int, hi: int) -> np.ndarray:
-        """Sum of the open block's rows 0 .. rows - 1 at the points lo .. hi - 1."""
-        return np.add.reduce(self.block[:rows, lo:hi + 1], axis=0)[:-1]
+        self.block = np.zeros((_FILL_ROWS, t.size))
 
     def write(self, rows: np.ndarray) -> None:
-        """Fill rows with the next len(rows) weight rows, one column per
-        point kept."""
-        n, w, done = self.n, self.width, 0
+        """Fill rows with the next len(rows) weight rows at the first
+        rows.shape[1] points."""
+        n, w, done = self.n, rows.shape[1], 0
         t, w0, run = self.t[:w], self.w0[:w], self.run[:w]
         while done < len(rows):
             first = self.j % _FILL_ROWS
             count = min(_FILL_ROWS - first, len(rows) - done)
+            self.block[first:first + count, w:] = 0.0
             seg = self.block[first:first + count, :w]
             k = np.arange(self.j, self.j + count, dtype=float)
             np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
@@ -1038,35 +1038,15 @@ class _MkzFill:
             done += count
             self.j += count
             if first + count == _FILL_ROWS:
-                self.total[:w], self.lost[:w] = _kahan_step(
-                    self.total[:w], self.lost[:w], self._block_sum(_FILL_ROWS, 0, w))
-
-    def restrict(self, width: int, zero_rows: int) -> None:
-        """Fill only the first width points from here on.  The others end
-        after zero_rows more rows, all zero there: their open block adds
-        its sum so far, and each further block they reach adds a zero
-        block sum.  A zero sum leaves a sum as it is where
-        fl(total - lost) == total, and so does every one after it."""
-        j, w = self.j, self.width
-        total, lost = self.total[width:w], self.lost[width:w]
-        blocks = -(-(j + zero_rows) // _FILL_ROWS) - j // _FILL_ROWS
-        if blocks:
-            total[:], lost[:] = _kahan_step(total, lost,
-                                            self._block_sum(j % _FILL_ROWS, width, w))
-        for _ in range(blocks - 1):
-            step, err = _kahan_step(total, lost, 0.0)
-            if np.array_equal(step, total):
-                break
-            total[:], lost[:] = step, err
-        self.width = width
+                self.total, self.lost = _kahan_step(
+                    self.total, self.lost, np.add.reduce(self.block, axis=0))
 
     @property
     def routed(self) -> np.ndarray:
-        total = self.total.copy()
-        w, rows = self.width, self.j % _FILL_ROWS
+        total, rows = self.total, self.j % _FILL_ROWS
         if rows:  # the open block
-            total[:w] = _kahan_step(total[:w], self.lost[:w],
-                                    self._block_sum(rows, 0, w))[0]
+            total = _kahan_step(total, self.lost,
+                                np.add.reduce(self.block[:rows], axis=0))[0]
         return np.where(self.at_end, self.share,
                         np.maximum(0.0, self.share - total))
 
@@ -1144,7 +1124,7 @@ def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray):
     over the low nodes at (NodeDiscretization) and the masses routed to
     nodes 1 and 0, each added to the other branch's row 0.  The plain
     fill runs full width up to the cut row r0, reads L off row r0 and
-    goes on at the first L nodes only."""
+    writes the narrow rows at the first L nodes, zero beyond (_MkzFill)."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     cols = at.size  # depth + 1
     width = _mkz_plain_width(spec, cols - 1)  # c_p
@@ -1158,7 +1138,6 @@ def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray):
         cut = int(np.flatnonzero(row[0])[-1]) + 1  # L
         narrow = np.empty((width - r0, cut))
         narrow[0] = row[0, :cut]
-        plain.restrict(cut, width - r0 - 1)
         plain.write(narrow[1:])
     refl = _MkzFill(n, 1.0 - at, r_share)
     refl.write(wide[r0:])

@@ -107,13 +107,17 @@ def neumann_tail_terms(b_norm: float, f_psi_norm: float, eps: float) -> int:
         raise DomainError("tail bound needs 0 < b_norm < 1")
     if not (0.0 <= f_psi_norm < math.inf and 0.0 < eps < math.inf):
         raise DomainError("need a finite f_psi_norm >= 0 and a finite eps > 0")
-    if f_psi_norm == 0.0:
-        return 0
 
     def bound(k):
         return b_norm ** (k + 1) / (1.0 - b_norm) * f_psi_norm
 
-    guess = math.log(eps * (1.0 - b_norm) / f_psi_norm) / math.log(b_norm) - 1.0
+    if bound(0) <= eps:  # also where eps (1-b) / |f| would overflow
+        return 0
+    ratio = eps * (1.0 - b_norm) / f_psi_norm
+    if ratio < np.finfo(float).tiny:  # subnormal b^(K+1): K could fall short
+        raise DomainError("eps * (1 - b_norm) / f_psi_norm underflows the "
+                          "normal float range")
+    guess = math.log(ratio) / math.log(b_norm) - 1.0
     k = max(0, math.ceil(guess) - 2)
     while bound(k) > eps:
         k += 1

@@ -95,6 +95,35 @@ class TestReports:
         assert meta["series_method"] == ["krylov", "krylov"]
         assert len(meta["residual_psi_norms"]) == 2
 
+    def test_geom_sidecar_records_its_bounds(self, tmp_path):
+        # b, the carrier's truncation bound and node count and the kernel
+        # transform's quadrature bound, per n; with one worker and with
+        # two the sidecars differ only in the wall time
+        metas = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}.csv"
+            cfg = ExperimentConfig(experiment="geom", family="mkz-symmetric",
+                                   n_list=(3, 4), function="e1", grid_size=65,
+                                   jobs=jobs, output=str(out))
+            run_experiment(cfg)
+            meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+            del meta["wall_time_s"], meta["config"]["jobs"], meta["config"]["output"]
+            metas.append(meta)
+        assert metas[0] == metas[1]
+        meta = metas[0]
+        for key in ("contraction_bounds", "truncation_error_bounds",
+                    "carrier_nodes", "quad_error_bounds"):
+            assert len(meta[key]) == 2, key
+        for i, n in enumerate(cfg.n_list):
+            op = cfg.spec(n)
+            disc = operators.node_discretization(op)
+            transform = experiments.F_transform(registry("e1"),
+                                                grid=op.grid(cfg.base_grid()))
+            assert meta["contraction_bounds"][i] == op.contraction_bound() < 1.0
+            assert meta["truncation_error_bounds"][i] == disc.truncation_error_bound > 0.0
+            assert meta["carrier_nodes"][i] == disc.nodes.size
+            assert meta["quad_error_bounds"][i] == transform.quad_error_bound
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_experiment_round_trips(self, experiment, tmp_path):
         out = tmp_path / f"{experiment}.csv"
@@ -111,6 +140,12 @@ class TestReports:
             path.write_text(header + body)
             with pytest.raises(DomainError):
                 read_report(path, "geom")
+
+    def test_read_report_checks_the_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("n,error_psi,terms_used,tail_bound\n4,0.1,3,1e-9\n")
+        with pytest.raises(DomainError, match="unexpected header"):
+            read_report(path, "conditions")
 
     def test_csv_headers(self, tmp_path):
         pairs = [
@@ -303,6 +338,21 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2  # header + the single overridden n
+
+    def test_bad_n_list_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["geom", "--n-list", "4,x"])
+        assert exc.value.code == 2
+        assert "bad n-list" in capsys.readouterr().err
+
+    def test_unreadable_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        out = tmp_path / "out.csv"
+        for cfg in (tmp_path / "missing.json", bad):
+            assert cli_main(["geom", "--config", str(cfg), "-o", str(out)]) == 2
+            assert "error: cannot read config" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_cannot_switch_the_experiment(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -411,6 +411,10 @@ class TestMkzApply:
         with pytest.raises(TruncationBudgetError):
             mkz(4, 1e-10).apply(registry("e0"), 1.0 - 1e-9)
 
+    def test_truncation_index_needs_a_point_below_one(self):
+        with pytest.raises(DomainError, match="0 <= x < 1"):
+            mkz_truncation_index(4, 1.0, 1e-6)
+
     @pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
     def test_tail_must_be_finite_and_positive(self, tail):
         with pytest.raises(DomainError, match="finite and positive"):
@@ -885,12 +889,12 @@ def test_cut_row_changes_no_number(spec, monkeypatch):
             assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
 
 
-def test_restricted_fill_adds_the_zero_rows_that_move_a_sum():
+def test_narrow_rows_add_the_zero_rows_that_move_a_sum():
     # the rows past the kept points are zero, but a zero block sum still
     # moves a Kahan sum where fl(total - lost) != total, here a
-    # power-of-two total with lost = 2^-54; restrict closes the dropped
-    # points' open block and adds such zero blocks as the full-width fill
-    # does
+    # power-of-two total with lost = 2^-54; rows written at width 1 close
+    # the dropped point's open block and add such zero blocks as the
+    # full-width fill does
     B = operators._FILL_ROWS
     t = np.array([0.3, 0.0])  # from row 1 on every weight at t = 0 is zero
     full, cut = (operators._MkzFill(4, t, 0.5) for _ in range(2))
@@ -898,7 +902,6 @@ def test_restricted_fill_adds_the_zero_rows_that_move_a_sum():
         fill.write(np.empty((B + 5, 2)))  # one block summed, one open
         fill.total[1], fill.lost[1] = 0.5, 2.0**-54
     full.write(np.empty((2 * B, 2)))
-    cut.restrict(1, 2 * B)
     cut.write(np.empty((2 * B, 1)))
     assert full.total[1] == 0.5 - 2.0**-54
     assert np.array_equal(cut.total, full.total)
@@ -928,11 +931,11 @@ def test_fill_routes_the_exactly_summed_missing_mass(spec):
 
 
 def test_fill_split_into_writes_changes_no_number():
-    # the block sums sit at absolute rows, so writes of any length, and a
-    # restrict in the middle of a block, leave every weight, sum and
-    # compensation as one full-width write does; the dropped points
-    # 1e-30, 0 and 1 have no normal weight from the cut row on, and the
-    # weights of the first two sit in the block that the restrict closes
+    # the block sums sit at absolute rows, so writes of any length, and
+    # narrower writes from the middle of a block on, leave every weight,
+    # sum and compensation as one full-width write does; the dropped
+    # points 1e-30, 0 and 1 have no normal weight from the cut row on, and
+    # the weights of the first two sit in the block the narrow rows close
     t = np.array([0.95, 0.7, 0.5, 0.3, 0.2, 1e-30, 0.0, 1.0])
     rows, cut, width = 300, 20, 5
     full = operators._MkzFill(4, t, 0.5)
@@ -944,7 +947,6 @@ def test_fill_split_into_writes_changes_no_number():
         head, tail = np.empty((cut, t.size)), np.empty((rows - cut, width))
         for start in range(0, cut, chunk):
             fill.write(head[start:start + chunk])
-        fill.restrict(width, rows - cut)
         for start in range(0, rows - cut, chunk):
             fill.write(tail[start:start + chunk])
         assert np.array_equal(head, stack[:cut])

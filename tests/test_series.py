@@ -95,6 +95,25 @@ class TestTailTerms:
         with pytest.raises(DomainError, match="finite"):
             neumann_tail_terms(0.5, f, eps)
 
+    @pytest.mark.parametrize("b,f,eps", [(0.5, 1e-310, 1.0), (0.75, 1e-320, 1e-8)])
+    def test_first_term_meets_eps_where_the_log_would_overflow(self, b, f, eps):
+        # eps (1 - b) / |f| overflows to inf, but b / (1 - b) |f| <= eps
+        assert neumann_tail_terms(b, f, eps) == 0
+
+    @pytest.mark.parametrize("b,f,eps", [(0.5, 1.0, 5e-324), (0.5, 1e300, 1e-300),
+                                         (0.04, 1e300, 1e-23)])
+    def test_underflowing_ratio_is_a_domain_error(self, b, f, eps):
+        # the ratio is 0, 0 and 1e-323; at the last, a subnormal b^(K+1)
+        # would give K = 230, whose tail is 1.24 eps
+        with pytest.raises(DomainError, match="underflows"):
+            neumann_tail_terms(b, f, eps)
+
+    @pytest.mark.parametrize("method", ["krylov", "neumann"])
+    def test_subnormal_scale_input_takes_one_term(self, method):
+        f = registry("psi").scaled(1e-310)
+        (res,) = geometric_series(OperatorSpec("bernstein", 4), [f], 1.0, method=method)
+        assert res.terms_used == 1 and res.tail_bound <= 1.0
+
 
 class EntryContract:
     """Request checks every method shares; each subclass names its method."""

@@ -29,10 +29,11 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                omitted mass is routed to the branch's hard endpoint node,
                whose value a weighted-space input pins to zero; weights
                below the smallest normal float are flushed into that
-               mass.  Every tag holds a k-major stack, allocated once and
-               filled in place by the ratio recurrence over all nodes at
-               once, a block of series indices at a time, and summed
-               with one Kahan step per block (_MkzFill).  A
+               mass.  Every tag holds a k-major stack, allocated once, on
+               the carrier's first product, and filled in place by the
+               ratio recurrence over all nodes at once, a block of series
+               indices at a time, and summed with one Kahan step per
+               block (_MkzFill).  A
                one-branch stack is the transposed transfer matrix; the
                (1/2, 1/2) stack is indexed by the mirror pairs
                (k/(n+k), n/(n+k)) and holds the reflected branch's
@@ -51,8 +52,9 @@ share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
 those moments; a series carrier's apply_rep uses the same block schedule.
 
 OperatorSpec and NodeDiscretization are immutable after construction,
-apart from the Gauss-Jacobi rules a Durrmeyer carrier keeps as its inputs
-need them, which change no number; all apply/moment operations are pure.
+apart from the stack a carrier fills on its first product and the
+Gauss-Jacobi rules a Durrmeyer carrier keeps as its inputs need them,
+which change no number; all apply/moment operations are pure.
 """
 
 from __future__ import annotations
@@ -686,9 +688,23 @@ class NodeDiscretization:
     Every family holds its matrix, the stack, k-major: stack[j, i] is the
     weight of input j at output i.  Without a pair map it is one array,
     the transpose of the square transfer matrix, so advance is
-    stack.T @ v; the exact carriers pass the view transfer.T, and a
+    stack.T @ v; the exact carriers fill the view transfer.T, and a
     one-branch series carrier fills its rows in node order with the routed
     masses in its endpoint row.
+
+    A carrier is made with its fill, not its stack: fill(store) returns
+    the stack (None where store is False) and the truncation bound.  The
+    first call that needs the matrix (advance, advance_sums, sweep_sums,
+    transfer and the paired products) runs fill(True) once, under the
+    carrier's lock, and keeps the stack; nodes, interior, rep, apply_rep
+    and apply_reps never fill, so a series carrier used only for images
+    holds no stack; an exact carrier runs its fill as it is made.
+    truncation_error_bound asked for before the first product runs
+    fill(False): a series carrier then makes the same weight rows in its
+    fill's one block (_MkzFill) and keeps only the bound, equal to the
+    filled stack's bit for bit.  matrix_bytes counts what the carrier
+    holds now, and the carrier cache applies its byte cap again once a
+    fill completes.
 
     mkz-symmetric keeps its stack in pair coordinates over the mirror
     pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth, with the pair map
@@ -747,18 +763,42 @@ class NodeDiscretization:
     """
 
     def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
-                 stack, truncation_error_bound: float,
-                 images: Callable, rep_builder=None, pairs=None,
-                 rules: Optional[_GaussRules] = None):
+                 fill: Callable, images: Callable, rep_builder=None,
+                 pairs=None, rules: Optional[_GaussRules] = None):
         self.spec = spec
         self.nodes = nodes
-        self._stack = stack  # one array, or (wide, narrow) with a pair map
-        self.truncation_error_bound = float(truncation_error_bound)
+        self._fill = fill  # store -> (stack, or None if not store; bound)
+        self._filled = None  # one array, or (wide, narrow) with a pair map
+        self._bound = None
+        self._lock = threading.Lock()
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
         self._pairs = pairs  # (low, high, sign) by pair, or None
         self._rules = rules  # the rule table rep_builder fills, or None
         self.interior = (nodes > 0.0) & (nodes < 1.0)
+
+    @property
+    def _stack(self):
+        """The stack, filled by the first call that reads it: once, under
+        the carrier's lock; the carrier cache then applies its byte cap
+        again, outside that lock."""
+        if self._filled is None:
+            with self._lock:
+                if self._filled is None:
+                    self._filled, self._bound = self._fill(True)
+            _apply_cache_cap()
+        return self._filled
+
+    @property
+    def truncation_error_bound(self) -> float:
+        """The largest routed mass at the carrier's nodes in the certified
+        interval (0 for the exact families): the filled stack's, or, before
+        the first product, that of a fill that stores no stack."""
+        if self._bound is None:
+            with self._lock:
+                if self._bound is None:
+                    self._bound = self._fill(False)[1]
+        return self._bound
 
     @property
     def transfer(self) -> np.ndarray:
@@ -770,10 +810,14 @@ class NodeDiscretization:
 
     @property
     def matrix_bytes(self) -> int:
-        """Bytes of the matrix this carrier holds, plus those of the
-        Gauss-Jacobi rules a Durrmeyer carrier has kept so far."""
+        """Bytes of the matrix this carrier holds now (none before its
+        first product), plus those of the Gauss-Jacobi rules a Durrmeyer
+        carrier has kept so far."""
         held = 0 if self._rules is None else self._rules.nbytes
-        blocks = (self._stack,) if self._pairs is None else self._stack
+        stack = self._filled
+        if stack is None:
+            return held
+        blocks = (stack,) if self._pairs is None else stack
         return held + sum(block.nbytes for block in blocks)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
@@ -801,8 +845,9 @@ class NodeDiscretization:
         no factorization is found.  S's error is not bounded here: the
         Neumann sweep certifies what it sums by the exact residual.
         Nothing is cached: the factors live as long as sums."""
+        stack = self._stack
         if self._pairs is not None:
-            y, z = _low_rank_pairs(self._stack, self._pairs, self.nodes)
+            y, z = _low_rank_pairs(stack, self._pairs, self.nodes)
             if y is not None:
                 return partial(self._coordinate_sums, y=y, z=z,
                                h=self._coordinate_map(y, z))
@@ -901,11 +946,21 @@ def _basis_images(n: int, reps, xs: np.ndarray) -> list:
     return [basis @ rep for rep in reps]
 
 
+def _exact_disc(spec: OperatorSpec, transfer: np.ndarray, images: Callable,
+                **kwargs) -> NodeDiscretization:
+    """A carrier of an exact family, filled as it is made with the k-major
+    view of its transfer; its truncation bound is 0."""
+    disc = NodeDiscretization(spec, np.arange(spec.n + 1) / spec.n,
+                              lambda store: (transfer.T if store else None, 0.0),
+                              images, **kwargs)
+    disc._stack
+    return disc
+
+
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
     n = spec.n
-    nodes = np.arange(n + 1) / n
-    return NodeDiscretization(spec, nodes, bernstein_basis_matrix(n, nodes).T,
-                              0.0, partial(_basis_images, n))
+    return _exact_disc(spec, bernstein_basis_matrix(n, np.arange(n + 1) / n),
+                       partial(_basis_images, n))
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -925,7 +980,6 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     The table's bytes count in matrix_bytes, so the carrier cache's byte
     cap bounds it, and it leaves the cache with the carrier."""
     n, rho = spec.n, spec.rho
-    nodes = np.arange(n + 1) / n
     a = np.arange(1, n)[:, None] * rho
     b = (n - np.arange(1, n))[:, None] * rho
     j = np.arange(n)
@@ -942,10 +996,9 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     transfer[n, n] = 1.0
     transfer[1:n] = inner
     rules = _GaussRules()
-    return NodeDiscretization(spec, nodes, transfer.T, 0.0,
-                              partial(_basis_images, n),
-                              partial(_durrmeyer_coeffs, n, rho, rules=rules),
-                              rules=rules)
+    return _exact_disc(spec, transfer, partial(_basis_images, n),
+                       rep_builder=partial(_durrmeyer_coeffs, n, rho, rules=rules),
+                       rules=rules)
 
 
 def _mkz_node_depth(spec: OperatorSpec) -> int:
@@ -974,16 +1027,22 @@ def _kahan_step(total, lost, s):
 
 class _MkzFill:
     """share * w_j(t) for j = 0, 1, ... at all the points t at once:
-    write(rows) fills the next len(rows) rows at the first rows.shape[1]
-    points, and the running product run carries from one call to the
-    next.  The points a write leaves out count as zero from then on, so
-    no write may be wider than the one before it.  routed is each point's
-    routed mass, share minus the weights written (share itself at t = 1,
-    the point mass at the branch's endpoint, which gets no weights).
+    write(count, width, out) makes the next count rows at the first width
+    points and copies them into out, a view of the stack a carrier fills,
+    and the running product run carries from one call to the next.  The
+    points a write leaves out count as zero from then on, so no write may
+    be wider than the one before it.  routed is each point's routed mass,
+    share minus the weights written (share itself at t = 1, the point mass
+    at the branch's endpoint, which gets no weights).
+
+    Without out a write keeps its rows only in the open block: the same
+    writes then give the same routed masses with no stack behind them,
+    which is how a carrier certifies its truncation bound before its
+    first product (NodeDiscretization).
 
     The rows are made in blocks of _FILL_ROWS, aligned at the absolute row
     indices that are multiples of _FILL_ROWS whatever rows each write
-    receives; the open block's rows wait in self.block, zero at the points
+    makes; the open block's rows wait in self.block, zero at the points
     left out.  A block takes one outer product for its ratios t (n+j)/j,
     one multiply per row for the running product, then one multiply by
     (1-t)^(n+1) and one flush, so each weight is multiplied in the order
@@ -1013,31 +1072,33 @@ class _MkzFill:
         self.total, self.lost = np.zeros(t.size), np.zeros(t.size)
         self.block = np.zeros((_FILL_ROWS, t.size))
 
-    def write(self, rows: np.ndarray) -> None:
-        """Fill rows with the next len(rows) weight rows at the first
-        rows.shape[1] points."""
-        n, w, done = self.n, rows.shape[1], 0
-        t, w0, run = self.t[:w], self.w0[:w], self.run[:w]
-        while done < len(rows):
+    def write(self, count: int, width: int,
+              out: Optional[np.ndarray] = None) -> None:
+        """Make the next count weight rows at the first width points, and
+        copy them into out, of shape (count, width), where it is given."""
+        n, done = self.n, 0
+        t, w0, run = self.t[:width], self.w0[:width], self.run[:width]
+        while done < count:
             first = self.j % _FILL_ROWS
-            count = min(_FILL_ROWS - first, len(rows) - done)
-            self.block[first:first + count, w:] = 0.0
-            seg = self.block[first:first + count, :w]
-            k = np.arange(self.j, self.j + count, dtype=float)
+            rows = min(_FILL_ROWS - first, count - done)
+            self.block[first:first + rows, width:] = 0.0
+            seg = self.block[first:first + rows, :width]
+            k = np.arange(self.j, self.j + rows, dtype=float)
             np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
             if self.j:
                 seg[0] *= run
             else:
                 seg[0] = 1.0
-            for i in range(1, count):
+            for i in range(1, rows):
                 seg[i] *= seg[i - 1]
             run[:] = seg[-1]
             seg *= w0
             seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
-            rows[done:done + count] = seg
-            done += count
-            self.j += count
-            if first + count == _FILL_ROWS:
+            if out is not None:
+                out[done:done + rows] = seg
+            done += rows
+            self.j += rows
+            if first + rows == _FILL_ROWS:
                 self.total, self.lost = _kahan_step(
                     self.total, self.lost, np.add.reduce(self.block, axis=0))
 
@@ -1059,8 +1120,8 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     share-weighted weights to its own nodes and routes each row's omitted
     mass to its hard endpoint node (1 plain, 0 reflected): the skipped
     terms sample f next to that endpoint, where weighted-space inputs
-    vanish like psi.  The stack (see NodeDiscretization) is allocated once
-    and filled in place by _MkzFill.
+    vanish like psi.  The stack (see NodeDiscretization) is allocated once,
+    on the first product, and filled in place by _MkzFill.
     """
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
@@ -1094,14 +1155,8 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         return outs
 
     if len(used) == 1:
-        # one branch: rows in node order, so the reflected nodes n/(n+k)
-        # fill backwards, and the routed masses in the endpoint row
         ((share, reflect),) = used
         at, pairs = nodes, None
-        stack = np.empty((depth + 2, depth + 2))
-        fill = _MkzFill(n, 1.0 - nodes if reflect else nodes, share)
-        fill.write(stack[:0:-1] if reflect else stack[:-1])
-        routed = stack[0 if reflect else -1] = fill.routed
     else:
         # pair k's low node is p_k up to k = n and r_k beyond, where the
         # odd sign flips; pair 0, (node 0, node 1), takes the routed
@@ -1111,37 +1166,65 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
         pairs = (low, high, np.where(first, 1.0, -1.0))
         at = nodes[low]
-        stack, m_p, m_r = _mkz_paired_stack(spec, at)
-        routed = m_p + m_r
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
-    bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-    return NodeDiscretization(spec, nodes, stack, bound, images, pairs=pairs)
+
+    def fill(store):
+        if pairs is None:
+            stack, routed = _mkz_branch_stack(n, nodes, share, reflect, store)
+        else:
+            stack, m_p, m_r = _mkz_paired_stack(spec, at, store)
+            routed = m_p + m_r
+        bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
+        return stack, bound
+
+    return NodeDiscretization(spec, nodes, fill, images, pairs=pairs)
 
 
-def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray):
+def _mkz_branch_stack(n: int, nodes: np.ndarray, share: float,
+                      reflect: bool, store: bool):
+    """(stack, routed) of a one-branch carrier: its rows in node order, so
+    the reflected nodes n/(n+k) fill backwards, and the routed masses in
+    the endpoint row; with store False no stack, (None, routed)."""
+    fill = _MkzFill(n, 1.0 - nodes if reflect else nodes, share)
+    if not store:
+        fill.write(nodes.size - 1, nodes.size)
+        return None, fill.routed
+    stack = np.empty((nodes.size, nodes.size))
+    fill.write(nodes.size - 1, nodes.size, stack[:0:-1] if reflect else stack[:-1])
+    routed = stack[0 if reflect else -1] = fill.routed
+    return stack, routed
+
+
+def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, store: bool = True):
     """((wide, narrow), m_p, m_r): the blocks of the mkz-symmetric stack
     over the low nodes at (NodeDiscretization) and the masses routed to
     nodes 1 and 0, each added to the other branch's row 0.  The plain
     fill runs full width up to the cut row r0, reads L off row r0 and
-    writes the narrow rows at the first L nodes, zero beyond (_MkzFill)."""
+    writes the narrow rows at the first L nodes, zero beyond (_MkzFill).
+    With store False the same writes run with no stack and only the
+    masses are kept: (None, m_p, m_r), equal to the stored fill's."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     cols = at.size  # depth + 1
     width = _mkz_plain_width(spec, cols - 1)  # c_p
     r0 = _mkz_cut_row(n, p_share, at, width)
-    wide, narrow = np.empty((r0 + cols, cols)), np.empty((0, cols))
+    wide = np.empty((r0 + cols, cols)) if store else None
+    narrow = np.empty((0, cols)) if store else None
     plain = _MkzFill(n, at, p_share)
-    plain.write(wide[:r0])
+    plain.write(r0, cols, wide[:r0] if store else None)
     if r0 < width:
         row = np.empty((1, cols))
-        plain.write(row)
+        plain.write(1, cols, row)
         cut = int(np.flatnonzero(row[0])[-1]) + 1  # L
-        narrow = np.empty((width - r0, cut))
-        narrow[0] = row[0, :cut]
-        plain.write(narrow[1:])
+        if store:
+            narrow = np.empty((width - r0, cut))
+            narrow[0] = row[0, :cut]
+        plain.write(width - r0 - 1, cut, narrow[1:] if store else None)
     refl = _MkzFill(n, 1.0 - at, r_share)
-    refl.write(wide[r0:])
+    refl.write(cols, cols, wide[r0:] if store else None)
     m_p, m_r = plain.routed, refl.routed
+    if not store:
+        return None, m_p, m_r
     wide[0] += m_r
     wide[r0] += m_p
     return (wide, narrow), m_p, m_r
@@ -1268,9 +1351,9 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
 
 def check_carrier_budget(spec: OperatorSpec) -> None:
     """Raise TruncationBudgetError, without building anything, if a
-    carrier's build may hold more than _CARRIER_BYTES_CAP at its peak.
+    carrier's fill may hold more than _CARRIER_BYTES_CAP at its peak.
 
-    A series build allocates its stack once and fills it in place, next to
+    A series fill allocates its stack once and fills it in place, next to
     a few vectors of its width.  A one-branch stack is N-square,
     N = depth + 2.  The paired stack is counted as the single
     (c_p + depth + 1) x (depth + 1) array, an upper bound on its two
@@ -1305,8 +1388,9 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     """Build (or fetch) the finite carrier for one operator instance.
 
     Carriers are kept least recently used first and evicted once the
-    matrices they hold pass _CACHE_BYTES_CAP (the newest always stays).
-    Builds run outside the lock.
+    matrices they hold pass _CACHE_BYTES_CAP (the newest always stays);
+    the cap is applied again whenever a carrier fills its stack.  Builds
+    run outside the lock.
     """
     with _DISC_LOCK:
         got = _DISC_CACHE.pop(op, None)
@@ -1317,12 +1401,19 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     got = op.record.carrier(op)
     with _DISC_LOCK:
         _DISC_CACHE[op] = got
+    _apply_cache_cap()
+    return got
+
+
+def _apply_cache_cap() -> None:
+    """Evict the least recently used carriers while the matrices the cache
+    holds pass _CACHE_BYTES_CAP; the most recently used always stays."""
+    with _DISC_LOCK:
         held = sum(d.matrix_bytes for d in _DISC_CACHE.values())
         for old in list(_DISC_CACHE)[:-1]:
             if held <= _CACHE_BYTES_CAP:
                 break
             held -= _DISC_CACHE.pop(old).matrix_bytes
-    return got
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values,
 the plain-pow Bernstein table, a 40-digit Bernstein row and one
 Meyer-Koenig-Zeller weight row, which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
-route; for the sweep tests the low-rank step of a paired
+route; the plain Meyer-Koenig-Zeller second moment from its
+hypergeometric closed form; for the sweep tests the low-rank step of a paired
 carrier, applied one step at a time; for the paired carrier the
 mkz-symmetric stack as one array, built row by row without a cut row,
 and its product; the square transfer matrix of any carrier, paired or
@@ -28,6 +29,7 @@ from opgeom.special import log_binomial
 
 __all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
            "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
+           "mkz_second_moment",
            "factored_step", "single_stack", "single_stack_advance",
            "implied_stack", "transfer", "unsplit_krylov", "exact_series"]
 
@@ -151,6 +153,28 @@ def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:
     np.cumprod(ratios, out=out[1:])
     out *= w0
     return out
+
+
+def mkz_second_moment(n: int, xs) -> tuple:
+    """(M2, tail) at the points xs in [0, 1): the second central moment of
+    the plain Meyer-Koenig-Zeller operator in closed form,
+
+        M2(x) = x (1-x)^2 / (n+1) 2F1(1, 2; n+2; x),
+
+    and a bound on what the summed hypergeometric series leaves out.  Its
+    term ratio (j+2) x / (n+2+j) is at most x, so all that follows a term
+    is at most that term over 1 - x; terms are added until this bound is
+    2^-60 of the sum.  No weight of the operator enters."""
+    xs = np.asarray(xs, dtype=float)
+    term, total, j = np.ones_like(xs), np.zeros_like(xs), 0
+    while True:
+        total += term
+        term = term * (j + 2) * xs / (n + 2 + j)
+        j += 1
+        if np.all(term / (1.0 - xs) <= 2.0**-60 * total):
+            break
+    scale = xs * (1.0 - xs) ** 2 / (n + 1)
+    return scale * total, scale * term / (1.0 - xs)
 
 
 def factored_step(disc):

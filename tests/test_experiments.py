@@ -272,6 +272,28 @@ class TestRunners:
         assert rep.rows[0][1] <= 0.75 / 4 - 0.5 / 16 + 1e-12
         assert rep.rows[1][1] < rep.rows[0][1]
 
+    @pytest.mark.parametrize("experiment", ["voronovskaya", "inverse-voronovskaya"])
+    def test_voronovskaya_runs_fill_no_stack(self, experiment, monkeypatch):
+        # both studies read L_n f at grid points only: the carriers they
+        # leave in the cache, at the defaults, hold no stack
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        run_experiment(ExperimentConfig(experiment=experiment,
+                                        family="mkz-symmetric"))
+        held = {spec.n: disc.matrix_bytes
+                for spec, disc in operators._DISC_CACHE.items()}
+        assert held == {4: 0, 8: 0, 16: 0}
+
+    def test_invariants_carrier_checks_fill_no_mkz_stack(self, monkeypatch):
+        # discretization-consistency and mkz-reflection-identity read
+        # images and truncation bounds: their series carriers hold no stack
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        run_experiment(ExperimentConfig(experiment="invariants", grid_size=257))
+        held = {(spec.family, spec.n): disc.matrix_bytes
+                for spec, disc in operators._DISC_CACHE.items()
+                if spec.record.series}
+        assert held == {("mkz", 6): 0, ("mkz-symmetric", 6): 0,
+                        ("mkz-reflected", 5): 0}
+
     def test_invariants_all_pass(self):
         rep = run_experiment(ExperimentConfig(
             experiment="invariants", grid_size=257))

@@ -24,8 +24,9 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               mkz_truncation_index, moment,
                               node_discretization)
 from opgeom.special import log_binomial, mkz_weight_matrix
-from oracles import (factored_step, implied_stack, mkz_weight_row, single_stack,
-                     single_stack_advance, transfer)
+from oracles import (factored_step, implied_stack, mkz_second_moment,
+                     mkz_weight_row, single_stack, single_stack_advance,
+                     transfer)
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -514,6 +515,32 @@ class TestMoments:
         got = moment(OperatorSpec("mkz", n, truncation_eps=1e-14), 2, 0.25)
         assert abs(got - float(partial)) <= tail + 1e-13
 
+    @pytest.mark.parametrize("n, eps, xs", [
+        (4, 1e-14, [0.1, 0.5, 0.9, 0.99]),
+        (16, 1e-14, [0.1, 0.5, 0.9, 0.99]),
+        (16, 1e-6, OperatorSpec("mkz-symmetric", 16,
+                                truncation_eps=1e-6).grid().points)],
+        ids=["4-1e-14", "16-1e-14", "16-1e-6-grid"])
+    def test_mkz_m2_hypergeometric_oracle(self, n, eps, xs):
+        # the plain moment and the mkz-symmetric average of the plain one
+        # at x and 1 - x against the closed form.  Each branch drops terms
+        # of weight tail at most 0.1 eps, at nodes within 1 - x (plain) or
+        # x (reflected) of x, so the moment sits below the closed form by
+        # at most that much, and above it by at most the oracle's own tail;
+        # both sides get 64 ulps of rounding
+        xs = np.asarray(xs, dtype=float)
+        ulps = 64 * np.finfo(float).eps
+        plain, plain_tail = mkz_second_moment(n, xs)
+        mirror, mirror_tail = mkz_second_moment(n, 1.0 - xs)
+        for family, want, below, above in (
+                ("mkz", plain, 0.1 * eps * (1.0 - xs) ** 2, plain_tail),
+                ("mkz-symmetric", 0.5 * (plain + mirror),
+                 0.05 * eps * ((1.0 - xs) ** 2 + xs ** 2),
+                 0.5 * (plain_tail + mirror_tail))):
+            got = moment(OperatorSpec(family, n, truncation_eps=eps), 2, xs)
+            assert np.all(got >= want - below - ulps * want), family
+            assert np.all(got <= want + above + ulps * want), family
+
     def test_symmetric_even_moment_identity(self):
         spec = OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-12)
         plain = OperatorSpec("mkz", 5, truncation_eps=1e-12)
@@ -899,10 +926,10 @@ def test_narrow_rows_add_the_zero_rows_that_move_a_sum():
     t = np.array([0.3, 0.0])  # from row 1 on every weight at t = 0 is zero
     full, cut = (operators._MkzFill(4, t, 0.5) for _ in range(2))
     for fill in (full, cut):
-        fill.write(np.empty((B + 5, 2)))  # one block summed, one open
+        fill.write(B + 5, 2)  # one block summed, one open
         fill.total[1], fill.lost[1] = 0.5, 2.0**-54
-    full.write(np.empty((2 * B, 2)))
-    cut.write(np.empty((2 * B, 1)))
+    full.write(2 * B, 2)
+    cut.write(2 * B, 1)
     assert full.total[1] == 0.5 - 2.0**-54
     assert np.array_equal(cut.total, full.total)
     assert np.array_equal(cut.lost, full.lost)
@@ -924,7 +951,7 @@ def test_fill_routes_the_exactly_summed_missing_mass(spec):
         t = 1.0 - nodes if reflect else nodes
         fill = operators._MkzFill(n, t, share)
         rows = np.empty((depth + 1, t.size))
-        fill.write(rows)
+        fill.write(depth + 1, t.size, rows)
         exact = np.array([math.fsum(col.tolist()) for col in rows.T[::3]])
         want = np.maximum(0.0, share - exact)
         assert np.all(np.abs(fill.routed[::3] - want) <= 8 * ulp * share)
@@ -940,15 +967,17 @@ def test_fill_split_into_writes_changes_no_number():
     rows, cut, width = 300, 20, 5
     full = operators._MkzFill(4, t, 0.5)
     stack = np.empty((rows, t.size))
-    full.write(stack)
+    full.write(rows, t.size, stack)
     assert np.all(stack[cut:, width:] == 0.0) and stack[0, 6] == 0.5
     for chunk in (1, 7, 31, 33, 100):
         fill = operators._MkzFill(4, t, 0.5)
         head, tail = np.empty((cut, t.size)), np.empty((rows - cut, width))
         for start in range(0, cut, chunk):
-            fill.write(head[start:start + chunk])
+            part = head[start:start + chunk]
+            fill.write(len(part), t.size, part)
         for start in range(0, rows - cut, chunk):
-            fill.write(tail[start:start + chunk])
+            part = tail[start:start + chunk]
+            fill.write(len(part), width, part)
         assert np.array_equal(head, stack[:cut])
         assert np.array_equal(tail, stack[cut:, :width])
         for name in ("total", "lost", "routed"):
@@ -958,10 +987,99 @@ def test_fill_split_into_writes_changes_no_number():
 def test_default_geom_carriers_store_pinned_bytes():
     # the stored bytes of the cut stacks that geom builds by default, so
     # that a change of the cut rule or of the fill shows; the single
-    # stack held 7.7e6, 35.5e6 and 172.3e6 bytes
+    # stack held 7.7e6, 35.5e6 and 172.3e6 bytes.  A carrier holds none
+    # of them until its first product fills the stack
     for n, stored in ((4, 5477800), (8, 25629528), (16, 145832344)):
         spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
-        assert operators._mkz_disc(spec).matrix_bytes == stored
+        disc = operators._mkz_disc(spec)
+        assert disc.matrix_bytes == 0
+        disc.advance(np.zeros(disc.nodes.size))
+        assert disc.matrix_bytes == stored
+
+
+def counted_fills(disc):
+    """Wrap the carrier's fill so that each call appends its store flag to
+    the returned list."""
+    calls, fill = [], disc._fill
+
+    def counted(store):
+        calls.append(store)
+        return fill(store)
+
+    disc._fill = counted
+    return calls
+
+
+BOUND_CARRIERS = [OperatorSpec(fam, n, truncation_eps=eps)
+                  for fam, ns in (("mkz", (3, 5, 8)), ("mkz-reflected", (3, 5, 8)),
+                                  ("mkz-symmetric", (3, 4, 6, 8)))
+                  for n in ns for eps in (1e-2, 1e-6, 1e-10)]
+BOUND_CARRIERS.append(OperatorSpec("mkz-symmetric", 16, truncation_eps=1e-6))
+
+
+@pytest.mark.parametrize("spec", BOUND_CARRIERS,
+                         ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
+def test_streamed_bound_is_the_stored_bound(spec):
+    # the bound asked for before any product comes from a fill that
+    # stores no stack, and equals, bit for bit, the bound of a carrier
+    # whose first product filled its stack
+    streamed = operators._mkz_disc(spec)
+    calls = counted_fills(streamed)
+    bound = streamed.truncation_error_bound
+    assert calls == [False] and streamed.matrix_bytes == 0
+    filled = operators._mkz_disc(spec)
+    filled.advance(np.zeros(filled.nodes.size))
+    assert filled.matrix_bytes > 0
+    assert filled.truncation_error_bound == bound
+
+
+def test_images_fill_no_stack():
+    # nodes, interior, rep, apply_rep, apply_reps and the bound leave the
+    # stack unfilled; the first advance fills it, once
+    spec = OperatorSpec("mkz-symmetric", 6, truncation_eps=1e-10)
+    disc = operators._mkz_disc(spec)
+    calls = counted_fills(disc)
+    f, xs = registry("exp"), np.linspace(0.0, 1.0, 7)
+    rep = disc.rep(f)
+    disc.apply_rep(rep, xs)
+    disc.apply_reps([rep, 2.0 * rep], xs)
+    assert disc.truncation_error_bound > 0.0 and disc.interior.size == disc.nodes.size
+    assert calls == [False] and disc.matrix_bytes == 0
+    once = disc.advance(rep)
+    assert np.array_equal(disc.advance(rep), once)
+    assert calls == [False, True] and disc.matrix_bytes > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_advance_fills_once(threads):
+    # threads that advance one fresh carrier, switching often, fill its
+    # stack once and all get the products of a carrier filled alone
+    spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+    alone = operators._mkz_disc(spec)
+    v = np.random.default_rng(8).standard_normal((alone.nodes.size, 2))
+    want = alone.advance(v)
+    disc = operators._mkz_disc(spec)
+    calls = counted_fills(disc)
+    got = []
+
+    def work():
+        for _ in range(3):
+            got.append(disc.advance(v))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert calls == [True]
+    assert len(got) == 3 * threads
+    assert all(np.array_equal(out, want) for out in got)
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
@@ -1117,13 +1235,16 @@ class TestCarrierMemoryBudget:
     def _cap_must_fit_the_stack(spec, stack, monkeypatch):
         # a cap one byte short of the counted stack refuses the build, and
         # a cap equal to it builds: the build holds nothing else of that
-        # order; returns the carrier built under the equal cap
+        # order; returns the carrier built under the equal cap, its stack
+        # filled
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack - 1)
         with pytest.raises(TruncationBudgetError, match="GiB"):
             node_discretization(spec)
         monkeypatch.setattr(operators, "_CARRIER_BYTES_CAP", stack)
-        return node_discretization(spec)
+        disc = node_discretization(spec)
+        disc._stack
+        return disc
 
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected"])
     def test_one_branch_build_counts_weights_and_transfer(self, family,
@@ -1167,6 +1288,7 @@ class TestCarrierMemoryBudget:
         tracemalloc.start()
         try:
             disc = operators._mkz_disc(spec)
+            disc._stack  # the fill
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1244,6 +1366,23 @@ class TestCarrierCache:
         node_discretization(a)
         node_discretization(b)
         assert log == [a, b, c, b]
+
+
+    def test_late_fill_applies_the_cap(self, monkeypatch):
+        # series carriers enter the cache holding no stack; the first
+        # product of the newer one fills it past the cap, and the least
+        # recently used carrier leaves
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        a, b = (OperatorSpec("mkz", n, truncation_eps=1e-6) for n in (3, 4))
+        older, newer = node_discretization(a), node_discretization(b)
+        assert older.matrix_bytes == newer.matrix_bytes == 0
+        monkeypatch.setattr(operators, "_CACHE_BYTES_CAP",
+                            8 * (_mkz_node_depth(a) + 2) ** 2)
+        older.advance(np.ones(older.nodes.size))  # fills within the cap
+        assert list(operators._DISC_CACHE) == [a, b]
+        newer.advance(np.ones(newer.nodes.size))
+        assert newer.matrix_bytes > 0
+        assert list(operators._DISC_CACHE) == [b]
 
 
 class TestConditionReport:

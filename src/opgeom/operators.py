@@ -8,8 +8,8 @@ of branching on the tag.
 
 Family carriers
 ---------------
-bernstein      node values at k/n; the transfer matrix is the basis matrix
-               evaluated at the nodes (exact).
+bernstein      node values at k/n; the transfer rows are the basis at the
+               nodes, by the Durrmeyer ratio recurrence's rho -> oo limit.
 durrmeyer      coefficients in the Bernstein basis: the image of f is
                sum_k c_k(f) p_{n,k} with c_k the Beta-density functionals,
                so one application advances the coefficient vector by the
@@ -744,10 +744,10 @@ class NodeDiscretization:
     and m, whose columns add up to its column; the midpoint pair k = n has
     odd input 0.
 
-    sweep_sums() gives a Neumann sweep its partial sums
+    sweep_sums(v, k) gives a Neumann sweep its partial sums
     sum_{j<k} S^j v under a stand-in S for advance.  Without a pair map S
     is advance itself, summed by advance_sums.  A paired stack is factored
-    for the one sweep as stack ~ Y Z with a = r columns of Y, r its
+    for the one call as stack ~ Y Z with a = r columns of Y, r its
     numerical rank (under 100 through n = 16); v has zero endpoint
     entries (the series entry projects its inputs) and column 0 of Z is
     zero, so every term keeps them zero.  S = expand o lift then
@@ -838,28 +838,22 @@ class NodeDiscretization:
             acc += term
         return acc
 
-    def sweep_sums(self):
-        """sums(v, k) = sum_{j<k} S^j v for the factored stand-in S of
-        advance (_low_rank_pairs), for v with zero endpoint entries (else
-        it raises DomainError); advance_sums without a pair map or where
-        no factorization is found.  S's error is not bounded here: the
-        Neumann sweep certifies what it sums by the exact residual.
-        Nothing is cached: the factors live as long as sums."""
-        stack = self._stack
-        if self._pairs is not None:
-            y, z = _low_rank_pairs(stack, self._pairs, self.nodes)
-            if y is not None:
-                return partial(self._coordinate_sums, y=y, z=z,
-                               h=self._coordinate_map(y, z))
-        return self.advance_sums
-
-    def _coordinate_sums(self, v: np.ndarray, k: int, y: np.ndarray,
-                         z: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """sum_{j<k} S^j v = v + expand(sum_{j<k-1} H^j lift(v)) for the
-        factored step S = expand o lift and H = lift o expand, with the 2a
-        coordinates of each column of v one row and H acting on the right."""
+    def sweep_sums(self, v: np.ndarray, k: int) -> np.ndarray:
+        """sum_{j<k} S^j v for a stand-in S of advance, whose error the
+        Neumann sweep certifies by the exact residual: advance_sums without
+        a pair map or a factorization, else the factored step S = expand o
+        lift (_low_rank_pairs), for v with zero endpoint entries (else
+        DomainError), as v + expand(sum_{j<k-1} H^j lift(v)), H = lift o
+        expand, with the 2a coordinates of each column of v one row and H
+        acting on the right.  The factors live for this call only."""
+        if self._pairs is None:
+            return self.advance_sums(v, k)
         if np.any(v[~self.interior]):
             raise DomainError("the factored step needs zero endpoint entries")
+        y, z = _low_rank_pairs(self._stack, self._pairs, self.nodes)
+        if y is None:
+            return self.advance_sums(v, k)
+        h = self._coordinate_map(y, z)
         acc = np.zeros_like(v)
         if k:
             acc += v
@@ -873,7 +867,7 @@ class NodeDiscretization:
         return acc
 
     def _coordinate_map(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """H of _coordinate_sums: row i is lift(expand(unit row i)), taken
+        """H of sweep_sums: row i is lift(expand(unit row i)), taken
         _FACTOR_BLOCK rows at a time, so no temporary is wider than a
         block."""
         dim = 2 * z.shape[0]
@@ -946,33 +940,50 @@ def _basis_images(n: int, reps, xs: np.ndarray) -> list:
     return [basis @ rep for rep in reps]
 
 
-def _exact_disc(spec: OperatorSpec, transfer: np.ndarray, images: Callable,
+def _exact_disc(spec: OperatorSpec, up: np.ndarray, falls,
                 **kwargs) -> NodeDiscretization:
-    """A carrier of an exact family, filled as it is made with the k-major
-    view of its transfer; its truncation bound is 0."""
-    disc = NodeDiscretization(spec, np.arange(spec.n + 1) / spec.n,
+    """A carrier of an exact family, filled as it is made; its truncation
+    bound is 0.  Its transfer comes from the ratios
+    up[i-1, j] = T[i, j+1] / T[i, j] of the interior rows i = 1..n-1, each
+    row divided by its sum; the endpoint rows are identities.  Where falls
+    (per row) the ratio falls through 1 once, so the row is anchored at
+    its largest entry and every product outward is at most 1; elsewhere it
+    rises through 1 and the anchor is the smallest entry."""
+    n = spec.n
+    j = np.arange(n)
+    anchor = np.where(falls, np.sum(up >= 1.0, axis=1, keepdims=True),
+                      np.sum(up < 1.0, axis=1, keepdims=True))
+    inner = np.ones((n - 1, n + 1))
+    inner[:, 1:] = np.cumprod(np.where(j >= anchor, up, 1.0), axis=1)
+    inner[:, :-1] *= np.cumprod(np.where(j < anchor, 1.0 / up, 1.0)[:, ::-1],
+                                axis=1)[:, ::-1]
+    inner /= inner.sum(axis=1, keepdims=True)
+    transfer = np.zeros((n + 1, n + 1))
+    transfer[0, 0] = transfer[n, n] = 1.0
+    transfer[1:n] = inner
+    disc = NodeDiscretization(spec, np.arange(n + 1) / n,
                               lambda store: (transfer.T if store else None, 0.0),
-                              images, **kwargs)
+                              partial(_basis_images, n), **kwargs)
     disc._stack
     return disc
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
+    """Row i of the transfer is the Bernstein basis at the node i/n, by the
+    ratio (n-j)/(j+1) * i/(n-i) left to right (its last bits move Krylov
+    certificates near eps): no power of a rounded node, no binomial."""
     n = spec.n
-    return _exact_disc(spec, bernstein_basis_matrix(n, np.arange(n + 1) / n),
-                       partial(_basis_images, n))
+    j = np.arange(n)
+    up = (n - j) / (j + 1.0) * j[1:, None]
+    up /= n - j[1:, None]
+    return _exact_disc(spec, up, True)
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     """Row i of the transfer is the beta-binomial law
     F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b), a = i rho,
-    b = (n - i) rho, built from the positive ratio
-    T[i, j+1] / T[i, j] = (n-j)/(j+1) * (a+j)/(b+n-j-1) and divided by its
-    sum, since F_{n,i}(1) = 1.  The ratio falls through 1 once when
-    a + b >= 2, so the row is anchored at its largest entry and every
-    product outward is at most 1; when a + b < 2 it rises through 1 and
-    the anchor is the smallest entry, with the others at most a power of
-    n above it.
+    b = (n - i) rho, by the ratio (n-j)/(j+1) * (a+j)/(b+n-j-1), which
+    falls through 1 once when a + b >= 2 (_exact_disc; F_{n,i}(1) = 1).
 
     The carrier keeps one _GaussRules table, bound into its rep builder:
     the Gauss-Jacobi rules depend on (n, rho) and the row only, so every
@@ -984,21 +995,9 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     b = (n - np.arange(1, n))[:, None] * rho
     j = np.arange(n)
     up = (n - j) / (j + 1.0) * ((a + j) / (b + (n - 1.0 - j)))
-    anchor = np.where(a + b >= 2.0, np.sum(up >= 1.0, axis=1, keepdims=True),
-                      np.sum(up < 1.0, axis=1, keepdims=True))
-    inner = np.ones((n - 1, n + 1))
-    inner[:, 1:] = np.cumprod(np.where(j >= anchor, up, 1.0), axis=1)
-    inner[:, :-1] *= np.cumprod(np.where(j < anchor, 1.0 / up, 1.0)[:, ::-1],
-                                axis=1)[:, ::-1]
-    inner /= inner.sum(axis=1, keepdims=True)
-    transfer = np.zeros((n + 1, n + 1))
-    transfer[0, 0] = 1.0
-    transfer[n, n] = 1.0
-    transfer[1:n] = inner
     rules = _GaussRules()
-    return _exact_disc(spec, transfer, partial(_basis_images, n),
-                       rep_builder=partial(_durrmeyer_coeffs, n, rho, rules=rules),
-                       rules=rules)
+    return _exact_disc(spec, up, a + b >= 2.0, rules=rules,
+                       rep_builder=partial(_durrmeyer_coeffs, n, rho, rules=rules))
 
 
 def _mkz_node_depth(spec: OperatorSpec) -> int:
@@ -1358,9 +1357,9 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
     N = depth + 2.  The paired stack is counted as the single
     (c_p + depth + 1) x (depth + 1) array, an upper bound on its two
     blocks (L <= depth + 1) that needs no fill to know.  An exact build
-    holds at most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once: for
-    durrmeyer the transfer, up, both cumulative products and inner; for
-    bernstein the basis (its transfer) and the tables of _powers."""
+    holds at most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once, the
+    same for both families (_exact_disc): the transfer, up, both
+    cumulative products and inner."""
     if spec.record.series:
         depth = _mkz_node_depth(spec)
         plain, refl = spec.record.shares

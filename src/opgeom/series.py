@@ -3,10 +3,10 @@ space, through one entry, geometric_series, with three methods:
 
 * "krylov" (default): one GMRES cycle on (I - T) on the interior node
   block per input (every member of the contraction class), split by
-  parity, with the Neumann sum as its fallback (see _krylov);
-* "neumann": truncated Neumann sums sharing one sweep, formed by the
-  carrier's sweep_sums, and by exact products where those miss eps (see
-  _neumann_sweep); the Krylov oracle; and
+  parity; a miss of eps is retried by "solve" or one more cycle (_krylov);
+* "neumann": truncated Neumann sums sharing one sweep, summed and
+  certified once by the carrier's sweep_sums (_neumann_sweep); the
+  oracle; and
 * "solve": a direct linear solve of (I - T) on the interior node block
   per input (exact carriers only, i.e. bernstein and durrmeyer).
 
@@ -187,31 +187,22 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
 
     K is the smallest term count whose a-priori tail
     b^(K+1) / (1 - b) |f|_psi meets eps for every input.  The carrier's
-    sweep_sums forms the sums first: on the paired mkz-symmetric carrier
+    sweep_sums forms the sums once: on the paired mkz-symmetric carrier
     each term is one small matrix product in the coordinates of its
     factored step (NodeDiscretization), elsewhere an exact advance.  Each
-    sum is certified by _certify, the larger of that tail and the
-    residual certificate; if any column's exceeds eps after a factored
-    step, the whole batch is summed again by advance_sums, and that exact
-    batch is returned whatever its certificate (near the rounding of the
-    sum the residual one exceeds eps).  The factors are freed before the
-    residuals.  f_evals evaluate the inputs off the nodes and norms are
-    their weighted norms.
+    sum is certified once by _certify, the larger of that tail and the
+    residual certificate, which is reported even above eps (a coarse
+    factored step, or a sum near its rounding).  f_evals evaluate the
+    inputs off the nodes and norms are their weighted norms.
     """
     b = op.contraction_bound()
     rep0 = np.column_stack(reps)
     k_max = max(neumann_tail_terms(b, v, eps) for v in norms)
     tails = [b ** (k_max + 1) / (1.0 - b) * norm for norm in norms]
-    sums = disc.sweep_sums()
-    while True:
-        exact = sums == disc.advance_sums
-        # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
-        acc = sums(rep0, k_max)
-        sums = disc.advance_sums  # drops the factors before the residuals
-        out = _certify(op, disc, f_evals, rep0, acc, grid, "neumann",
-                       k_max + 1, tails)
-        if exact or max(res.tail_bound for res in out) <= eps:
-            return out
+    # acc holds rep(sum_{k<K} L^k f), so g = f + L(acc) sums K + 1 terms
+    acc = disc.sweep_sums(rep0, k_max)
+    return _certify(op, disc, f_evals, rep0, acc, grid, "neumann", k_max + 1,
+                    tails)
 
 
 def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
@@ -302,8 +293,10 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     terms_used counts carrier applications (advance calls): one per
     GMRES step, the residual's included.  GMRES runs one cycle of at most
     _GMRES_MAX products, and no more than the Neumann sum would need for
-    eps; if its certificate still exceeds eps the Neumann result for that
-    input is returned instead (_neumann_sweep).
+    eps.  If its certificate still exceeds eps, an exact carrier returns
+    the _solve result; mkz-symmetric, which has no solve, runs one more
+    cycle on the first's defect (its 2-norm stop can end short of a
+    weighted eps near rounding), both cycles counted in terms_used.
     """
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
@@ -314,19 +307,25 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
         v[idx] = _unfold(u, idx.size)
         return u - _fold(disc.advance(v)[idx])
 
+    def certified(f, rep0, sol, products):
+        acc = np.zeros((rep0.size, 1))
+        acc[idx, 0] = _unfold(sol, idx.size)
+        return _certify(op, disc, [f], rep0[:, None], acc, grid, "krylov",
+                        products + 1)[0]
+
     out = []
     for f, rep0, norm in zip(fs, reps, norms):
         halves = _fold(rep0[idx])
         sizes = np.linalg.norm(halves, axis=1)
         halves[sizes <= _GMRES_RTOL * math.hypot(*sizes)] = 0.0
-        sol, used = _gmres(matvec, halves,
-                           min(_GMRES_MAX, neumann_tail_terms(b, norm, eps)))
-        acc = np.zeros((rep0.size, 1))
-        acc[idx, 0] = _unfold(sol, idx.size)
-        (res,) = _certify(op, disc, [f], rep0[:, None], acc, grid, "krylov",
-                          used + 1)
-        if res.tail_bound > eps:
-            (res,) = _neumann_sweep(op, disc, [f], [rep0], [norm], eps, grid)
+        budget = min(_GMRES_MAX, neumann_tail_terms(b, norm, eps))
+        sol, used = _gmres(matvec, halves, budget)
+        res = certified(f, rep0, sol, used)
+        if res.tail_bound > eps and not op.record.series:
+            (res,) = _solve(op, disc, [f], [rep0], [norm], eps, grid)
+        elif res.tail_bound > eps:  # one more cycle, on the first's defect
+            fix, more = _gmres(matvec, halves - matvec(sol), budget)
+            res = certified(f, rep0, sol + fix, used + 1 + more)
         out.append(res)
     return out
 
@@ -344,7 +343,8 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     carrier product.
     """
     idx = np.flatnonzero(disc.interior)
-    a = np.eye(idx.size) - disc.transfer[np.ix_(idx, idx)]
+    a = 0.0 - disc.transfer[np.ix_(idx, idx)]  # np.eye - T, bit for bit
+    a.flat[::idx.size + 1] += 1.0
     out = []
     for f, rep0 in zip(fs, reps):
         acc = np.zeros((rep0.size, 1))
@@ -387,10 +387,10 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     Inputs must lie in the weighted space up to _ENDPOINT_TOL at the
     endpoints, op in the contraction class, and "solve" needs an exact
     carrier.  Every result is that of project_to_Cpsi(f), whose values are
-    f's, bit for bit, if f is exactly 0 at 0 and 1.  Krylov and Neumann
-    results certify tail_bound <= eps, except a Neumann sum by exact
-    products limited by rounding: it reports its residual certificate,
-    even above eps.
+    f's, bit for bit, if f is exactly 0 at 0 and 1.  Every result reports
+    its certificate even above eps: "solve" ignores eps (as do the krylov
+    inputs it answers), and a Krylov or Neumann result near rounding, or
+    a Neumann sum with a coarse factored step, can miss it.
     """
     engine = _METHODS.get(method)
     if engine is None:

@@ -179,7 +179,7 @@ def mkz_second_moment(n: int, xs) -> tuple:
 
 def factored_step(disc):
     """step(v) = scatter((gather(v) @ y) @ z), the low-rank step of the
-    paired carrier disc, whose partial sums disc.sweep_sums() forms in the
+    paired carrier disc, whose partial sums disc.sweep_sums(v, k) forms in the
     step's own coordinates."""
     y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
 

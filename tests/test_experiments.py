@@ -313,14 +313,16 @@ class TestCli:
         assert "wrote" in capsys.readouterr().out
 
     def test_geom_flags_a_bound_above_eps(self, tmp_path, capsys):
-        # bernstein n = 32 certifies e1 only to 1.137e-12: the row and the
-        # exit status stay as they are, the sidecar and one warning say so
+        # bernstein n = 32 certifies e1 only to 1.137e-13, by the exact
+        # solve once Krylov misses eps: the row and the exit status stay as
+        # they are, the sidecar and one warning say so
         out = tmp_path / "geom.csv"
         argv = ["geom", "--family", "bernstein", "--function", "e1",
                 "-o", str(out)]
         assert cli_main(argv + ["--n-list", "32", "--eps", "1e-13"]) == 0
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["eps_met"] == [False]
+        assert meta["series_method"] == ["solve"]
         (bound,) = meta["tail_bounds"]
         assert read_report(out, "geom")[0][3] == bound > 1e-13
         warnings = [line for line in capsys.readouterr().err.splitlines()

@@ -1082,28 +1082,44 @@ def test_first_advance_fills_once(threads):
     assert all(np.array_equal(out, want) for out in got)
 
 
+@pytest.fixture
+def factored_once(monkeypatch):
+    """Factor each stack once for the test, keeping the factors by stack:
+    sweep_sums factors on every call."""
+    low_rank, made = operators._low_rank_pairs, {}
+
+    def once(stack, pairs, nodes):
+        if id(stack) not in made:
+            made[id(stack)] = low_rank(stack, pairs, nodes)
+        return made[id(stack)]
+
+    monkeypatch.setattr(operators, "_low_rank_pairs", once)
+    return made
+
+
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
-def test_sweep_step_is_certified(spec):
+def test_sweep_step_is_certified(spec, factored_once):
     # |S v - advance(v)|_psi <= STEP_GAP |v|_psi over the interior nodes
-    # for the step S v = sums(v, 2) - v, for v vanishing at the endpoints
-    # like a weighted-space input; the series certifies its sums by their
-    # residual, and this keeps the factorization itself as accurate
+    # for the step S v = sweep_sums(v, 2) - v, for v vanishing at the
+    # endpoints like a weighted-space input; the series certifies its sums
+    # by their residual, and this keeps the factorization itself as
+    # accurate
     disc = node_discretization(spec)
-    sums = disc.sweep_sums()
-    assert sums != disc.advance_sums  # the factored step
     for v in weighted_inputs(disc, 4, spec.n):
-        gap = weighted_max(disc, sums(v, 2) - v - disc.advance(v))
+        gap = weighted_max(disc, disc.sweep_sums(v, 2) - v - disc.advance(v))
         assert np.all(gap <= STEP_GAP * weighted_max(disc, v))
+    (factors,) = factored_once.values()
+    assert factors[0] is not None  # the factored step
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
-def test_sweep_sums_are_the_factored_steps(spec):
+def test_sweep_sums_are_the_factored_steps(spec, factored_once):
     # the sum in the step's coordinates is the same linear map as k - 1
     # explicit factored steps; only the rounding moves
     disc = node_discretization(spec)
-    sums = disc.sweep_sums()
+    sums = disc.sweep_sums
     step = factored_step(disc)
     for v in weighted_inputs(disc, 3, spec.n):
         assert np.array_equal(sums(v, 0), np.zeros_like(v))
@@ -1119,7 +1135,7 @@ def test_sweep_sums_are_the_factored_steps(spec):
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
-def test_sweep_step_keeps_endpoint_entries_zero(spec):
+def test_sweep_step_keeps_endpoint_entries_zero(spec, factored_once):
     # the factors hold the rank and nothing for pair 0: y = Q / rho, with
     # Q's columns a whole number of sketch chunks, is zero on the pair-0
     # rows, and column 0 of z is zero, so a weighted-space input keeps
@@ -1131,7 +1147,7 @@ def test_sweep_step_keeps_endpoint_entries_zero(spec):
     assert z.shape == (rank, disc._pairs[0].size)
     r0 = disc._stack[0].shape[0] - z.shape[1]
     assert not np.any(y[[0, r0]]) and not np.any(z[:, 0])
-    sums = disc.sweep_sums()
+    sums = disc.sweep_sums
     ends = ~disc.interior
     for v in weighted_inputs(disc, 3, spec.n):
         for k in (2, 50):
@@ -1164,7 +1180,6 @@ def test_paired_carrier_has_no_square_transfer():
 def test_sweep_step_without_pairs_is_advance(spec):
     # the plain sum of exact advances, bit for bit
     disc = node_discretization(spec)
-    assert disc.sweep_sums() == disc.advance_sums
     v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 3))
     term, want = v, np.zeros_like(v)
     for k in range(20):
@@ -1172,6 +1187,7 @@ def test_sweep_step_without_pairs_is_advance(spec):
             term = disc.transfer @ term
         want += term
     assert np.array_equal(disc.advance_sums(v, 20), want)
+    assert np.array_equal(disc.sweep_sums(v, 20), want)
 
 
 def test_test_rows_are_splitmix64():
@@ -1198,7 +1214,8 @@ def test_sweep_step_holds_factors_not_a_stack():
     # rank of the weighted stack (cut at 1e-16 of its largest singular
     # value, from one wide sketch), and never a stack-sized array; the
     # coordinate matrix H of the sums is built a block of unit rows at a
-    # time, within the same budget
+    # time, and one sweep_sums call on a column, factors, H and sums,
+    # stays within the same budget
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
     stack = implied_stack(disc._stack)
@@ -1214,13 +1231,14 @@ def test_sweep_step_holds_factors_not_a_stack():
                        compute_uv=False)
     rank = int(np.sum(sv > 1e-16 * sv[0]))
     assert rank < 128
+    v = next(weighted_inputs(disc, 1, spec.n))  # scaled by psi
     tracemalloc.start()
     try:
-        sums = disc.sweep_sums()
+        sums = disc.sweep_sums(v, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sums != disc.advance_sums  # the factored step
+    assert not np.array_equal(sums, disc.advance_sums(v, 50))  # factored
     assert peak <= 6 * (rows + cols) * rank * 8
     assert peak < stack.nbytes / 4
 

@@ -185,10 +185,10 @@ def test_each_input_is_projected_at_the_entry(method, op):
 @pytest.mark.parametrize("op", [OperatorSpec("bernstein", 512),
                                 OperatorSpec("durrmeyer", 512, rho=1.0)],
                          ids=lambda op: op.family)
-def test_krylov_certifies_sin_pi_at_large_n(op):
+def test_krylov_certifies_sin_pi_at_large_n(op, monkeypatch):
     # sin_pi(1) is 1.2e-16; left in the residual it alone would hold the
-    # certificate above eps, and the row would sum thousands of Neumann
-    # terms
+    # certificate above eps, and the row would go to the exact solve
+    no_neumann(monkeypatch)
     (res,) = geometric_series(op, [registry("sin_pi")], 1e-8)
     assert res.method == "krylov"
     assert res.tail_bound <= 1e-8
@@ -333,7 +333,15 @@ SWEEP_INPUTS = [registry("psi"), registry("psi") * registry("e1"),
 def exact_sweep(monkeypatch):
     """Make every Neumann sweep sum exact carrier products."""
     monkeypatch.setattr(NodeDiscretization, "sweep_sums",
-                        lambda d: d.advance_sums)
+                        NodeDiscretization.advance_sums)
+
+
+def no_neumann(monkeypatch):
+    """Make any Neumann sweep fail the test."""
+    def refuse(*args):
+        raise AssertionError("a Neumann sweep ran")
+
+    monkeypatch.setattr(series, "_neumann_sweep", refuse)
 
 
 def assert_identical(got, want, pts):
@@ -345,8 +353,8 @@ def assert_identical(got, want, pts):
 
 class TestCompressedSweep:
     """The mkz-symmetric Neumann sweep sums the factored step of
-    NodeDiscretization.sweep_sums and certifies the sums by their
-    residual, or sums the batch again exactly."""
+    NodeDiscretization.sweep_sums once and reports the certificate of
+    those sums, whatever it is."""
 
     op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
 
@@ -369,25 +377,28 @@ class TestCompressedSweep:
             assert a.tail_bound <= eps
             assert 0.0 < weighted_gap(a, e, pts) <= a.tail_bound + e.tail_bound
 
-    def test_out_of_reach_target_is_the_exact_sweep(self, monkeypatch):
-        # factors off by 1e-3 leave residual certificates far above eps,
-        # so the batch is summed again by exact advances
+    def test_spoiled_factors_are_reported(self, monkeypatch):
+        # factors off by 1e-3 leave residual certificates far above eps:
+        # the sums are made once, by the factored step, and their
+        # certificates say that eps is missed; nothing is summed again
         op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
-        low_rank, spoiled = operators._low_rank_pairs, []
+        b = op.contraction_bound()
+        low_rank, spoiled, exact = operators._low_rank_pairs, [], []
 
         def spoil(*args):
             y, z = low_rank(*args)
             spoiled.append(z.shape)
             return y, z * (1 + 1e-3)
 
-        with monkeypatch.context() as m:
-            m.setattr(operators, "_low_rank_pairs", spoil)
-            got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID,
-                                   method="neumann")
-        assert len(spoiled) == 1
-        exact_sweep(monkeypatch)
-        want = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
-        assert_identical(got, want, op.grid(GRID).points)
+        monkeypatch.setattr(operators, "_low_rank_pairs", spoil)
+        monkeypatch.setattr(NodeDiscretization, "advance_sums",
+                            lambda d, v, k: exact.append(k))
+        got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
+        assert len(spoiled) == 1 and not exact
+        assert max(res.tail_bound for res in got) > 1e-6
+        for res in got:
+            assert res.method == "neumann"
+            assert res.tail_bound >= res.residual_psi_norm / (1 - b)
 
     def test_tight_eps_keeps_the_compressed_sums(self, monkeypatch):
         # at n = 4 and eps 1e-12 the residual certificates still meet eps,
@@ -411,11 +422,11 @@ class TestCompressedSweep:
 
     def test_runs_agree_bit_for_bit(self):
         disc = node_discretization(self.op)
-        sums1, sums2 = disc.sweep_sums(), disc.sweep_sums()
-        assert sums1 != disc.advance_sums  # the factored step
         v = np.random.default_rng(3).standard_normal((disc.nodes.size, 4))
         v[~disc.interior] = 0.0  # the factored step takes weighted-space inputs
-        assert np.array_equal(sums1(v, 50), sums2(v, 50))
+        sums1, sums2 = disc.sweep_sums(v, 50), disc.sweep_sums(v, 50)
+        assert np.array_equal(sums1, sums2)
+        assert not np.array_equal(sums1, disc.advance_sums(v, 50))  # factored
         runs = [geometric_series(self.op, SWEEP_INPUTS, 1e-6, GRID,
                                  method="neumann") for _ in range(2)]
         assert_identical(*runs, self.op.grid(GRID).points)
@@ -457,7 +468,9 @@ class TestCompressedSweep:
         assert disc._pairs[0].size == 224
         assert operators._low_rank_pairs(disc._stack, disc._pairs,
                                          disc.nodes) == (None, None)
-        assert disc.sweep_sums() == disc.advance_sums
+        v = np.random.default_rng(3).standard_normal((disc.nodes.size, 2))
+        v[~disc.interior] = 0.0
+        assert np.array_equal(disc.sweep_sums(v, 20), disc.advance_sums(v, 20))
         got = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
         exact_sweep(monkeypatch)
         want = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
@@ -532,6 +545,32 @@ class TestSolve(EntryContract):
                          1e-8, "solve")
         assert res.terms_used == 1
 
+    @pytest.mark.parametrize("op", [OperatorSpec("bernstein", 33),
+                                    OperatorSpec("durrmeyer", 16, rho=0.5)],
+                             ids=lambda op: op.family)
+    def test_interior_block_is_the_identity_minus_t(self, op, monkeypatch):
+        # the block is formed in place, 1 + (0 - t) on the diagonal and
+        # 0 - t off it: the bytes of np.eye(m) - T, and so the same series
+        disc = node_discretization(op)
+        idx = np.flatnonzero(disc.interior)
+        want = np.eye(idx.size) - disc.transfer[np.ix_(idx, idx)]
+        blocks, solve = [], np.linalg.solve
+
+        def kept(a, rhs):
+            blocks.append(a.copy())
+            return solve(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", kept)
+        f = project_to_Cpsi(registry("e3"))
+        res = series_one(op, f, 1e-8, "solve")
+        assert len(blocks) == 1 and blocks[0].tobytes() == want.tobytes()
+        rep0 = disc.rep(f)
+        acc = np.zeros(rep0.size)
+        acc[idx] = solve(want, rep0[idx])
+        pts = op.grid(GRID).points
+        assert np.array_equal(np.asarray(res.g(pts)),
+                              np.asarray(f(pts)) + disc.apply_rep(acc, pts))
+
     def test_rejects_series_family(self):
         with pytest.raises(DomainError, match="exact finite carrier"):
             series_one(OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-8),
@@ -576,15 +615,20 @@ class TestExactOracle:
         assert err <= 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: above n = 1000 the Bernstein transfer forms x^k "
-           "at the rounded node k/n, and the series amplifies that entry "
-           "error; at n = 1100 solve misses G psi by 2.0e-8 against eps "
-           "1e-8, with tail_bound 1.3e-10")
 def test_exact_oracle_bernstein_past_exact_binomials():
+    # the transfer rows come from the exact ratio of neighbouring entries,
+    # not from x^k at the rounded node k/n, whose entry error the series
+    # amplified to 2.0e-8 here
     err, _ = oracle_error("bernstein", 1100, None, "psi", [1], "solve")
     assert err <= 1e-8
+
+
+def assert_solved(res, op, f, eps):
+    """res is the solve path's result for f, bit for bit."""
+    want = series_one(op, f, eps, "solve")
+    assert res.method == want.method
+    assert_identical([res], [want], op.grid(GRID).points)
+    assert np.array_equal(res.grid_values, want.grid_values)
 
 
 def weighted_gap(res_a, res_b, pts):
@@ -620,9 +664,9 @@ class TestKrylov(EntryContract):
         pts = op.grid(GRID).points
         assert weighted_gap(kry, neu, pts) <= kry.tail_bound + neu.tail_bound
 
-    def test_one_cycle_then_neumann(self, monkeypatch):
+    def test_one_cycle_then_solve(self, monkeypatch):
         # psi*osc on bernstein 32 takes 11 GMRES products; capped at 3 the
-        # one cycle ends short of eps and the input gets the Neumann sum
+        # one cycle ends short of eps and the exact carrier solves the input
         op = OperatorSpec("bernstein", 32)
         f = registry("psi") * registry("osc")
         gmres, used = series._gmres, []
@@ -635,23 +679,70 @@ class TestKrylov(EntryContract):
         monkeypatch.setattr(series, "_gmres", counted)
         assert series_one(op, f, 1e-8, "krylov").terms_used == 12
         monkeypatch.setattr(series, "_GMRES_MAX", 3)
+        no_neumann(monkeypatch)
         res = series_one(op, f, 1e-8, "krylov")
         assert used == [11, 3]
-        assert res.method == "neumann"
-        assert res.terms_used == 690 and res.tail_bound <= 1e-8
-        ref = series_one(op, f, 1e-8, "neumann")
-        assert_identical([res], [ref], op.grid(GRID).points)
+        assert res.method == "solve"
+        assert res.terms_used == 1 and res.tail_bound <= 1e-8
+        assert_solved(res, op, f, 1e-8)
 
-    def test_falls_back_to_neumann(self, monkeypatch):
+    def test_falls_back_to_solve(self, monkeypatch):
         monkeypatch.setattr(series, "_gmres",
                             lambda matvec, rhs, budget: (np.zeros_like(rhs), 0))
+        no_neumann(monkeypatch)
         op = OperatorSpec("durrmeyer", 5, rho=1.0)
         res = series_one(op, registry("psi"), 1e-8, "krylov")
-        assert res.method == "neumann"
+        assert res.method == "solve"
         assert res.tail_bound <= 1e-8
-        ref = series_one(op, registry("psi"), 1e-8, "neumann")
-        assert res.terms_used == ref.terms_used
-        assert weighted_gap(res, ref, GRID.points) == 0.0
+        assert_solved(res, op, registry("psi"), 1e-8)
+
+    def test_solve_answers_past_exact_binomials(self, monkeypatch):
+        # bernstein n = 1100: Krylov's certificate for sin_pi misses eps
+        # (1 / (1 - b) = 1100 times the rounding of its residual), and the
+        # exact solve meets it, with no Neumann sweep (which once summed
+        # about 28,000 terms here and still missed eps)
+        op = OperatorSpec("bernstein", 1100)
+        f = registry("sin_pi")
+        no_neumann(monkeypatch)
+        (res,) = geometric_series(op, [f], 1e-8)
+        assert res.method == "solve" and res.tail_bound <= 1e-8
+        (want,) = geometric_series(op, [f], 1e-8, method="solve")
+        assert_identical([res], [want], op.grid(None).points)
+        assert np.array_equal(res.grid_values, want.grid_values)
+
+    def test_mkz_symmetric_miss_keeps_its_own_certificate(self, monkeypatch):
+        # the paired carrier has no exact solve: capped at 3 products, the
+        # cycle and its one refinement on the defect (3 + 1 + 3 products
+        # and the residual's) still miss eps, and that result stands with
+        # its own certificate; no sweep runs
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        f = registry("psi") * registry("e1")
+        monkeypatch.setattr(series, "_GMRES_MAX", 3)
+        no_neumann(monkeypatch)
+        res = series_one(op, f, 1e-6, "krylov")
+        assert (res.method, res.terms_used) == ("krylov", 8)
+        assert res.tail_bound == \
+            res.residual_psi_norm / (1 - op.contraction_bound()) > 1e-6
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_mkz_symmetric_refines_a_miss(self, n, monkeypatch):
+        # sin_pi at eps 1e-12: the first cycle stops on its 2-norm target
+        # at about 1.03e-12, and one more cycle on its defect meets eps
+        op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+        f = registry("sin_pi")
+        gmres, used = series._gmres, []
+
+        def counted(*args):
+            x, matvecs = gmres(*args)
+            used.append(matvecs)
+            return x, matvecs
+
+        monkeypatch.setattr(series, "_gmres", counted)
+        no_neumann(monkeypatch)
+        (res,) = geometric_series(op, [f], 1e-12)
+        assert len(used) == 2
+        assert res.method == "krylov" and res.tail_bound <= 1e-12
+        assert res.terms_used == used[0] + 1 + used[1] + 1
 
 
 LAMBDA_CARRIERS = [OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 33),

@@ -32,9 +32,10 @@ x -> 1 - x, which reverses its interior coordinates: node values for
 bernstein and the mkz-symmetric mirror pairs, Bernstein coefficients
 c_k <-> c_(n-k) for durrmeyer.  So (I - T) x = b splits into an even and
 an odd problem, b = (b + Rb)/2 + (b - Rb)/2, and T maps each half into
-itself.  The Krylov path solves the two halves by GMRES in lockstep, one
-carrier product of the sum of their Arnoldi vectors per step, split back
-by parity; it stops on the combined estimate
+itself.  The Krylov path solves the two halves by GMRES in lockstep, as
+two full-length rows that keep their parity exactly, one carrier product
+of the sum of their Arnoldi vectors per step, split back the same way;
+it stops on the combined estimate
 sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it never takes more
 products than one GMRES on b would, and each half only damps its own
 part of the spectrum.  A half at or below that target (the odd half of
@@ -68,7 +69,6 @@ __all__ = [
 _ENDPOINT_TOL = 1e-12
 _GMRES_MAX = 40  # carrier products in the one Arnoldi cycle
 _GMRES_RTOL = 1e-13  # relative 2-norm residual target on the interior block
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,10 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
     estimate is exact) stops growing and is fed zeros.  The rows stop
     together, once the combined Arnoldi estimate
     sqrt(sum_k |rhs_k - A x_k|_2^2) falls to _GMRES_RTOL |rhs|_2 or after
-    max_matvecs products; there is no restart.  Returns (x, matvecs used).
+    max_matvecs products; there is no restart.  Each x_k is the running
+    sum of y_i q_i over its basis, entry by entry, so it keeps any mirror
+    symmetry the rows of rhs and the products have.  Returns
+    (x, matvecs used).
     """
     betas = [np.linalg.norm(rk) for rk in rhs]
     target = _GMRES_RTOL * math.hypot(*betas)
@@ -246,38 +249,19 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
                 math.hypot(*map(np.linalg.norm, shorts)) <= target:
             break
     x = np.zeros_like(rhs)
-    for k, q in enumerate(bases):
-        basis = np.array(q).reshape(len(q), rhs.shape[1])
-        x[k] += basis[:ys[k].size].T @ ys[k]
+    for xk, q, yk in zip(x, bases, ys):
+        for qi, yi in zip(q, yk):
+            xk += yi * qi
     return x, used
 
 
-def _fold(t: np.ndarray) -> np.ndarray:
-    """The even and odd halves of a vector t under its reversal R, as the
-    two rows of a (2, ceil(size/2)) array: the coordinates of
-    (t + Rt)/2 and (t - Rt)/2 in the orthonormal bases
-    (e_i + e_(size-1-i))/sqrt(2) and (e_i - e_(size-1-i))/sqrt(2),
-    i < size/2, with the middle unit vector (odd size) in the even basis
-    and a zero, (t_mid - t_mid)/sqrt(2), in the odd row.  The change of
-    coordinates is orthogonal, so GMRES on the rows is GMRES on the two
-    halves."""
-    c, mid = (t.size + 1) // 2, t.size // 2
-    lo, hi = t[:c], t[::-1][:c]
-    out = np.array([lo + hi, lo - hi]) / _SQRT2
-    out[0, mid:] = lo[mid:]
-    return out
-
-
-def _unfold(u: np.ndarray, size: int) -> np.ndarray:
-    """The vector of the given size whose _fold is u: the sum of its two
-    halves."""
-    c, mid = u.shape[1], size // 2
-    even, odd = u / _SQRT2
-    out = np.empty(size)
-    out[:c] = even + odd
-    out[::-1][:c] = even - odd
-    out[mid:c] = u[0, mid:]
-    return out
+def _halves(t: np.ndarray) -> np.ndarray:
+    """The even and odd halves (t + Rt)/2 and (t - Rt)/2 of t under its
+    reversal R, as the two rows of a (2, size) array, whose sum is t to
+    rounding.  Mirror entries are formed by the same operations, so the
+    rows are even and odd bit for bit (an odd size's middle odd entry is
+    0)."""
+    return np.array([t + t[::-1], t - t[::-1]]) / 2.0
 
 
 def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
@@ -286,9 +270,10 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     certified by _certify with no a-priori tail:
     tail_bound = |(I - L) g - f|_psi / (1 - b).
 
-    The even and odd halves of the right-hand side (module docstring) are
-    solved by _gmres in lockstep in their _fold coordinates; a half at or
-    below the stopping target is set to zero, so its row gets no basis.
+    The even and odd halves of the right-hand side (module docstring),
+    the two rows of _halves, are solved by _gmres in lockstep, and the
+    solution is the sum of the rows; a half at or below the stopping
+    target is set to zero, so its row gets no basis.
 
     terms_used counts carrier applications (advance calls): one per
     GMRES step, the residual's included.  GMRES runs one cycle of at most
@@ -304,18 +289,18 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     def matvec(u):
         # endpoint entries are held at zero: G f vanishes there
         v = np.zeros(disc.nodes.size)
-        v[idx] = _unfold(u, idx.size)
-        return u - _fold(disc.advance(v)[idx])
+        v[idx] = u.sum(axis=0)
+        return u - _halves(disc.advance(v)[idx])
 
     def certified(f, rep0, sol, products):
         acc = np.zeros((rep0.size, 1))
-        acc[idx, 0] = _unfold(sol, idx.size)
+        acc[idx, 0] = sol.sum(axis=0)
         return _certify(op, disc, [f], rep0[:, None], acc, grid, "krylov",
                         products + 1)[0]
 
     out = []
     for f, rep0, norm in zip(fs, reps, norms):
-        halves = _fold(rep0[idx])
+        halves = _halves(rep0[idx])
         sizes = np.linalg.norm(halves, axis=1)
         halves[sizes <= _GMRES_RTOL * math.hypot(*sizes)] = 0.0
         budget = min(_GMRES_MAX, neumann_tail_terms(b, norm, eps))

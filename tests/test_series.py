@@ -344,6 +344,19 @@ def no_neumann(monkeypatch):
     monkeypatch.setattr(series, "_neumann_sweep", refuse)
 
 
+def count_gmres(monkeypatch):
+    """The list to which each later _gmres call appends its products."""
+    gmres, used = series._gmres, []
+
+    def counted(*args):
+        x, matvecs = gmres(*args)
+        used.append(matvecs)
+        return x, matvecs
+
+    monkeypatch.setattr(series, "_gmres", counted)
+    return used
+
+
 def assert_identical(got, want, pts):
     for a, b in zip(got, want):
         assert (a.terms_used, a.tail_bound, a.residual_psi_norm) == \
@@ -669,14 +682,7 @@ class TestKrylov(EntryContract):
         # one cycle ends short of eps and the exact carrier solves the input
         op = OperatorSpec("bernstein", 32)
         f = registry("psi") * registry("osc")
-        gmres, used = series._gmres, []
-
-        def counted(*args):
-            x, matvecs = gmres(*args)
-            used.append(matvecs)
-            return x, matvecs
-
-        monkeypatch.setattr(series, "_gmres", counted)
+        used = count_gmres(monkeypatch)
         assert series_one(op, f, 1e-8, "krylov").terms_used == 12
         monkeypatch.setattr(series, "_GMRES_MAX", 3)
         no_neumann(monkeypatch)
@@ -724,25 +730,20 @@ class TestKrylov(EntryContract):
         assert res.tail_bound == \
             res.residual_psi_norm / (1 - op.contraction_bound()) > 1e-6
 
-    @pytest.mark.parametrize("n", [6, 12])
-    def test_mkz_symmetric_refines_a_miss(self, n, monkeypatch):
-        # sin_pi at eps 1e-12: the first cycle stops on its 2-norm target
-        # at about 1.03e-12, and one more cycle on its defect meets eps
+    @pytest.mark.parametrize("n,cap", [(6, 8), (12, 10)], ids=["6", "12"])
+    def test_mkz_symmetric_refines_a_miss(self, n, cap, monkeypatch):
+        # sin_pi at eps 1e-8 with the cycle capped: the first cycle ends
+        # short of eps after cap products (n = 6: 4.1e-5, n = 12: 6.2e-5),
+        # and one more cycle on its defect meets it (2.1e-9 and 2.7e-10)
         op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
         f = registry("sin_pi")
-        gmres, used = series._gmres, []
-
-        def counted(*args):
-            x, matvecs = gmres(*args)
-            used.append(matvecs)
-            return x, matvecs
-
-        monkeypatch.setattr(series, "_gmres", counted)
+        used = count_gmres(monkeypatch)
+        monkeypatch.setattr(series, "_GMRES_MAX", cap)
         no_neumann(monkeypatch)
-        (res,) = geometric_series(op, [f], 1e-12)
-        assert len(used) == 2
-        assert res.method == "krylov" and res.tail_bound <= 1e-12
-        assert res.terms_used == used[0] + 1 + used[1] + 1
+        (res,) = geometric_series(op, [f], 1e-8)
+        assert len(used) == 2 and used == [cap, cap]
+        assert res.method == "krylov" and res.tail_bound <= 1e-8
+        assert res.terms_used == used[0] + 1 + used[1] + 1 == 2 * cap + 2
 
 
 LAMBDA_CARRIERS = [OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 33),
@@ -821,6 +822,54 @@ def test_split_takes_fewer_products_on_mkz_symmetric(n):
     f = registry("psi") * registry("e1")
     split = series_one(op, f, 1e-6, "krylov")
     assert split.terms_used < unsplit_krylov(op, f, 1e-6, GRID).terms_used
+
+
+@pytest.mark.parametrize("op", [OperatorSpec("bernstein", 8),
+                                OperatorSpec("bernstein", 9),
+                                OperatorSpec("durrmeyer", 9, rho=1.0),
+                                OperatorSpec("mkz-symmetric", 3, truncation_eps=1e-6)],
+                         ids=lambda s: f"{s.family}-{s.n}")
+def test_halves_keep_exact_parity(op):
+    # the even half equals its reverse and the odd half minus its reverse,
+    # bit for bit, for odd and even interior sizes, and so does every row
+    # _gmres builds from them: its products and Arnoldi steps act on
+    # mirror entries alike
+    disc = node_discretization(op)
+    idx = np.flatnonzero(disc.interior)
+
+    def matvec(u):
+        v = np.zeros(disc.nodes.size)
+        v[idx] = u.sum(axis=0)
+        return u - series._halves(disc.advance(v)[idx])
+
+    def assert_parity(rows):
+        even, odd = rows
+        assert np.array_equal(even, even[::-1])
+        assert np.array_equal(odd, -odd[::-1])
+        if idx.size % 2:
+            assert odd[idx.size // 2] == 0.0
+
+    t = np.random.default_rng(op.n).standard_normal(idx.size)
+    halves = series._halves(t)
+    assert_parity(halves)
+    sol, used = series._gmres(matvec, halves, 3)
+    assert used == 3 and np.any(sol, axis=1).all()
+    assert_parity(sol)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_one_cycle_meets_eps_away_from_rounding(n, monkeypatch):
+    # at eps 1e-11 every input of the batch-mkz workload is answered by
+    # one GMRES cycle, certified about ten times inside eps
+    op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+    fs = [registry("psi"), registry("psi") * registry("e1"),
+          registry("psi") * registry("sin_pi"),
+          registry("psi") * registry("osc"), registry("sin_pi")]
+    used = count_gmres(monkeypatch)
+    no_neumann(monkeypatch)
+    for res in geometric_series(op, fs, 1e-11):
+        assert res.method == "krylov" and res.tail_bound <= 1e-11
+    assert len(used) == len(fs)
 
 
 @pytest.mark.parametrize("method,op", [

@@ -295,12 +295,15 @@ def _inverse_voronovskaya(config: ExperimentConfig):
 
 
 def _conditions(config: ExperimentConfig):
-    """Little-o condition table: sup M^4/M^2, eta, and the mixed bound."""
+    """Little-o condition table: sup M^4/M^2, eta, and the mixed bound.
+    The sidecar lists, per n, cond55_nodes and cond55_terms: the interior
+    nodes and the most closed-form M2 terms behind the cond55 cell."""
     table = condition_report(config.family, config.n_list,
                              config.base_grid(), rho=config.rho,
                              truncation_eps=config.truncation_eps)
     return [[(r["n"], r["sup_m4_over_m2"], r["eta"], r["cond55"])
-             for r in table]], {}
+             for r in table]], {key: [r[key] for r in table]
+                                for key in ("cond55_nodes", "cond55_terms")}
 
 
 # ---------------------------------------------------------------------------

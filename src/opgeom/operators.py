@@ -50,6 +50,8 @@ through one blocked weight-sum kernel, _mkz_sum, over the (share,
 reflect) pairs of Family.branches.  apply truncates each branch at
 share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
 those moments; a series carrier's apply_rep uses the same block schedule.
+The one exception is alpha at the series nodes in the mixed condition
+bound, which comes from the closed-form M_2 (_mkz_m2).
 
 OperatorSpec and NodeDiscretization are immutable after construction,
 apart from the stack a carrier fills on its first product and the
@@ -1426,7 +1428,9 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
     the mixed bound L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x)).
 
     Returns a list of dict rows, one per n, each column shrinking toward 0
-    along n for the supported families.
+    along n for the supported families; cond55_nodes and cond55_terms
+    count the interior nodes and the most closed-form terms behind cond55
+    (0 for the exact families).
     """
     rows = []
     for n in n_list:
@@ -1435,16 +1439,83 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
         prof = alpha_profile(spec, grid)
         xs = prof.grid.points
         sup_ratio = float(np.max(moment(spec, 4, xs) / moment(spec, 2, xs)))
-        rows.append({"n": n, "sup_m4_over_m2": sup_ratio,
-                     "eta": prof.eta, "cond55": _cond55_sup(spec, prof)})
+        cond, nodes, terms = _cond55_sup(spec, prof)
+        rows.append({"n": n, "sup_m4_over_m2": sup_ratio, "eta": prof.eta,
+                     "cond55": cond, "cond55_nodes": nodes,
+                     "cond55_terms": terms})
     return rows
 
 
-def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
-    """sup over the profile grid of L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x)),
-    each branch truncated at the moment tail 0.1 * truncation_eps."""
+def _mkz_m2(n: int, ts: np.ndarray) -> tuple:
+    """(M2, terms) at points t in [0, 1): the plain branch's second moment
+    t (1-t)^2/(n+1) 2F1(1, 2; n+2; t) and the most 2F1 terms a point took.
+
+    The terms T_j = T_(j-1) (j+1) t/(n+1+j), T_0 = 1, are running products
+    in blocks of at most _SUM_CELLS cells over row chunks; a point stops at
+    the first T_J whose tail bound T_J min(t/(1-t), t (J+2)/(n-1)) is at
+    most 2^-53 of its sum (the ratios are below t, and for n >= 2 their
+    products telescope by Gauss's sum at 1).  Past _SERIES_CAP terms it
+    raises TruncationBudgetError.
+    """
+    out, most = np.empty(ts.size), 0
+    chunk = _SUM_CELLS // 16  # rows per chunk, and terms per block at most
+    for first in range(0, ts.size, chunk):
+        rows = np.arange(first, min(first + chunk, ts.size))
+        t, j0 = ts[rows], 0
+        total, last = np.zeros(t.size), np.ones(t.size)
+        while rows.size:
+            if j0 >= _SERIES_CAP:
+                raise TruncationBudgetError(
+                    f"closed-form M2 needs over {_SERIES_CAP} terms "
+                    f"(t={float(t.max())} too close to 1)")
+            width = min(_SUM_CELLS // rows.size, chunk, _SERIES_CAP - j0)
+            j = np.arange(j0, j0 + width, dtype=float)
+            # one block holds the running sum before it and the terms, which
+            # the running sums then overwrite
+            block = np.empty((rows.size, width + 1))
+            block[:, 0], terms = total, block[:, 1:]
+            np.multiply.outer(t, (j + 1.0) / (n + 1.0 + j), out=terms)
+            terms[:, 0] = 1.0 if j0 == 0 else terms[:, 0] * last
+            np.cumprod(terms, axis=1, out=terms)
+            # 2^53 times the tail bound after each term; n = 1 does not
+            # telescope
+            tele = (2.0**53 * (j + 2.0) / (n - 1.0) if n >= 2
+                    else np.full(width, np.inf))
+            tail = np.minimum.outer(2.0**53 / (1.0 - t), tele)
+            tail *= t[:, None]
+            tail *= terms
+            last = terms[:, -1].copy()
+            np.cumsum(block, axis=1, out=block)  # terms now holds the sums
+            done = tail <= terms
+            stop, hit = done.argmax(axis=1), done.any(axis=1)
+            out[rows[hit]] = terms[hit, stop[hit]]
+            most = max(most, j0 + 1 + int(stop[hit].max(initial=-1)))
+            rows, t, total, last = (rows[~hit], t[~hit], block[~hit, -1],
+                                    last[~hit])
+            j0 += width
+            del block, terms, tail  # before the next block is allocated
+    return ts * (1.0 - ts) ** 2 / (n + 1.0) * out, most
+
+
+def _closed_alpha(spec: OperatorSpec, xs: np.ndarray) -> tuple:
+    """(alpha, terms): the series family's share-weighted M2/psi at interior
+    points xs by _mkz_m2, the reflected branch's at 1 - x."""
+    m2, most = 0.0, 0
+    for share, reflect in spec.record.branches:
+        m, used = _mkz_m2(spec.n, 1.0 - xs if reflect else xs)
+        m2, most = m2 + share * m, max(most, used)
+    return m2 / psi(xs), most
+
+
+def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> tuple:
+    """(cond55, nodes, terms): the sup over the profile grid of
+    L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x)), each branch truncated at
+    the moment tail 0.1 * truncation_eps; the interior node count and the
+    most closed-form terms.  alpha at the nodes alone comes from the closed
+    form (_closed_alpha): they crowd toward the hard endpoint, where the
+    weight series runs deepest, and 1/nu^2 amplifies its truncation."""
     if not spec.record.series:
-        return 0.0  # alpha is constant: the integrand vanishes
+        return 0.0, 0, 0  # alpha is constant: the integrand vanishes
     n, xs = spec.n, prof.grid.points
     tail = 0.1 * spec.truncation_eps
     used = [(share, 1.0 - xs if reflect else xs, reflect)
@@ -1459,7 +1530,7 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
                    for _, _, reflect in used])
     a_nodes = np.zeros(at.shape)
     inner = (at[0] > 0.0) & (at[0] < 1.0)
-    a_nodes[:, inner] = spec.record.alpha(spec, at[0, inner])
+    a_nodes[:, inner], terms = _closed_alpha(spec, at[0, inner])
     acc = np.zeros(xs.size)
     for (share, t, _), d, a_b, psi_b in zip(used, depths, a_nodes, psi(at)):
         def integrand(nodes, rows, a_b=a_b, psi_b=psi_b):
@@ -1469,7 +1540,8 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> float:
             return (g,)
 
         acc += share * _mkz_sum(n, t, d, integrand)
-    return float(np.max(acc / (prof.nu ** 2 * psi(xs))))
+    return (float(np.max(acc / (prof.nu ** 2 * psi(xs)))), int(inner.sum()),
+            terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from opgeom.cli import main as cli_main
 from opgeom.errors import DomainError
 from opgeom.experiments import (EXPERIMENTS, ExperimentConfig, read_report,
                                 run_experiment)
-from opgeom.funcspace import project_to_Cpsi, psi, registry
+from opgeom.funcspace import default_grid, project_to_Cpsi, psi, registry
 from opgeom.operators import alpha_profile
 from opgeom.series import iterate_apply
 
@@ -439,12 +439,40 @@ class TestCli:
 
     def test_conditions_needs_no_carrier(self, monkeypatch):
         # conditions builds no carrier, so an order whose carrier would not
-        # fit still runs
-        monkeypatch.setattr(experiments, "condition_report",
-                            lambda family, n_list, *a, **k: [])
+        # fit still runs: the real report at n = 64
+        def refuse(spec):
+            raise AssertionError(f"carrier built for {spec}")
+
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(operators, "node_discretization", refuse)
+        monkeypatch.setattr(experiments, "node_discretization", refuse)
         cfg = ExperimentConfig(experiment="conditions", family="mkz-symmetric",
                                n_list=(64,), grid_size=65)
-        assert run_experiment(cfg).rows == []
+        (row,) = run_experiment(cfg).rows
+        assert row[0] == 64 and all(np.isfinite(row[1:]))
+        assert operators._DISC_CACHE == {}
+
+    def test_conditions_sidecar(self, tmp_path):
+        # per n, the interior nodes and the most closed-form M2 terms
+        # behind cond55; 0 for an exact family, whose alpha is constant.
+        # The CSV keeps its four columns.
+        out = tmp_path / "c.csv"
+        for family, n_list in (("mkz-symmetric", "4,8"), ("bernstein", "4")):
+            assert cli_main(["conditions", "--family", family, "--n-list",
+                             n_list, "--grid-size", "65", "-o", str(out)]) == 0
+            meta = json.loads(Path(str(out) + ".meta.json").read_text())
+            header = out.read_text().splitlines()[0]
+            assert header == "n,sup_m4_over_m2,eta,cond55"
+            if family == "bernstein":
+                assert meta["cond55_nodes"] == meta["cond55_terms"] == [0]
+                continue
+            nodes, terms = meta["cond55_nodes"], meta["cond55_terms"]
+            for n, count in zip((4, 8), nodes):
+                spec = operators.OperatorSpec(family, n, truncation_eps=1e-6)
+                pts = spec.grid(default_grid(65)).points
+                assert count == max(operators.mkz_truncation_index(n, t, 1e-7)
+                                    for t in (pts[-1], 1.0 - pts[0]))
+            assert all(isinstance(v, int) and v > 0 for v in terms)
 
     def test_bad_input_exit_code(self, tmp_path, capsys):
         assert cli_main(["geom", "--function", "nope", "--grid-size", "65",

@@ -1428,3 +1428,40 @@ class TestConditionReport:
             vals = [row[col] for row in rows]
             assert vals[1] < vals[0], col
         assert all(row["eta"] <= 1.0 / (row["n"] + 1) + 1e-12 for row in rows)
+
+    @pytest.mark.parametrize("family, n", [
+        (family, n) for family in ("mkz", "mkz-reflected", "mkz-symmetric")
+        for n in (1, 2, 3, 8, 16) if n >= family_record(family).min_n])
+    def test_node_alpha_oracles(self, family, n):
+        # cond55's alpha at its nodes, down to the deepest node of the
+        # default profile grid, from the closed-form M2: against the
+        # series at eps 1e-14, which sits below the closed form by at most
+        # its dropped tail 0.1 eps (1 - t)^2 per branch (64 ulps of
+        # rounding either way), and against the oracle's 2F1 sum, which
+        # runs to 2^-60 of its total, within 8 ulps
+        spec = OperatorSpec(family, n, truncation_eps=1e-14)
+        k = np.arange(1, mkz_truncation_index(n, 1.0 - 0.25 / n, 1e-7) + 1)
+        x = n / (n + k) if family == "mkz-reflected" else k / (n + k)
+        got, terms = operators._closed_alpha(spec, x)
+        want, allow, ulps = 0.0, 0.0, np.finfo(float).eps
+        for share, reflect in spec.record.branches:
+            t = 1.0 - x if reflect else x
+            want = want + share * mkz_second_moment(n, t)[0]
+            allow = allow + share * 0.1 * spec.truncation_eps * (1.0 - t) ** 2
+        series = moment(spec, 2, x) / psi(x)
+        assert np.all(got >= series - 64 * ulps * series)
+        assert np.all(got <= series + allow / psi(x) + 64 * ulps * series)
+        assert np.all(np.abs(got - want / psi(x)) <= 8 * ulps * got)
+        assert 0 < terms < operators._SERIES_CAP
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_closed_m2_budget(self, n, monkeypatch):
+        # a point whose 2F1 sum would pass _SERIES_CAP terms raises rather
+        # than loops; n = 1 has no telescoping factor and n = 2 the weakest
+        t = np.array([0.5, 1.0 - 1e-3])
+        _, terms = operators._mkz_m2(n, t)
+        monkeypatch.setattr(operators, "_SERIES_CAP", terms - 1)
+        with pytest.raises(TruncationBudgetError):
+            operators._mkz_m2(n, t)
+        monkeypatch.setattr(operators, "_SERIES_CAP", terms)
+        operators._mkz_m2(n, t)

@@ -33,14 +33,12 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                the carrier's first product, and filled in place by the
                ratio recurrence over all nodes at once, a block of series
                indices at a time, and summed with one Kahan step per
-               block (_MkzFill).  A
-               one-branch stack is the transposed transfer matrix; the
-               (1/2, 1/2) stack is indexed by the mirror pairs
-               (k/(n+k), n/(n+k)) and holds the reflected branch's
-               weights once and the plain branch's up to their underflow
-               row, so one product advances both parities; its plain rows
-               past a cut row keep only the leading columns where their
-               weights are normal floats.
+               block (_mkz_fill).  A one-branch stack is the transposed
+               transfer matrix; the (1/2, 1/2) stack is indexed by the
+               mirror pairs (k/(n+k), n/(n+k)) and holds the reflected
+               branch's weights once and the plain branch's up to the
+               own depth of the midpoint, so one product advances both
+               parities.
 
 Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
 condition bound) take arrays of points of [0, 1]: apply and moment turn a
@@ -94,9 +92,10 @@ __all__ = [
 _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest carrier build, in bytes
 _EXACT_BUILD_ARRAYS = 5  # (n+1)-square float arrays an exact build holds at once
-# share-relative tail at which apply_rep stops a point's series: the dropped
-# weights join the routed mass, moving a value by <= 2^-63 |rep|_inf, which
-# is below one rounding of |rep|_inf
+# share-relative tail at which apply_rep stops a point's series, and at
+# which the mkz-symmetric stack stops its plain rows (the midpoint's own
+# depth): the dropped weights join the routed mass, moving a value by
+# <= 2^-63 |rep|_inf, which is below one rounding of |rep|_inf
 _EVAL_TAIL = 2.0**-64
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
@@ -478,7 +477,7 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     points come from math, per point, because numpy's log differs from
     libm's in the last bit for a few arguments and a depth is the ceiling
     of a quotient of them; log C(n + k0, k0) comes from _log_binomials,
-    once per distinct k0, equal to log_binomial bit for bit.
+    once per distinct k0.
     """
     ts = _points(ts)
     if not 0.0 < tail < math.inf:
@@ -510,11 +509,11 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
 
 
 def _log_binomials(n: int, ks: np.ndarray) -> np.ndarray:
-    """log_binomial(n + k, k) for every integer k in ks, bit for bit: the
-    sum of log((n + k - m + j) / j), j = 1..m, with m = min(k, n).  The k
-    that share m form one block whose rows are summed along the contiguous
+    """log C(n + k, k) for every integer k in ks: the sum of
+    log((n + k - m + j) / j), j = 1..m, with m = min(k, n).  The k that
+    share m form one block whose rows are summed along the contiguous
     axis, so each sum groups its m logs as numpy's pairwise sum groups
-    log_binomial's one row."""
+    one such row alone, whatever the other k of the call."""
     out = np.zeros(ks.size)
     short = np.minimum(ks, n)
     # sorted distinct m without np.unique, whose masked-array check
@@ -688,8 +687,8 @@ class NodeDiscretization:
     representations.
 
     Every family holds its matrix, the stack, k-major: stack[j, i] is the
-    weight of input j at output i.  Without a pair map it is one array,
-    the transpose of the square transfer matrix, so advance is
+    weight of input j at output i.  Without a pair map it is the
+    transpose of the square transfer matrix, so advance is
     stack.T @ v; the exact carriers fill the view transfer.T, and a
     one-branch series carrier fills its rows in node order with the routed
     masses in its endpoint row.
@@ -703,7 +702,7 @@ class NodeDiscretization:
     holds no stack; an exact carrier runs its fill as it is made.
     truncation_error_bound asked for before the first product runs
     fill(False): a series carrier then makes the same weight rows in its
-    fill's one block (_MkzFill) and keeps only the bound, equal to the
+    fill's one block (_mkz_fill) and keeps only the bound, equal to the
     filled stack's bit for bit.  matrix_bytes counts what the carrier
     holds now, and the carrier cache applies its byte cap again once a
     fill completes.
@@ -714,26 +713,17 @@ class NodeDiscretization:
     [0, 1/2] (p_i for i <= n, r_i beyond); the even and odd inputs e, o of
     pair j are the half sum and half difference of its low node's entry
     and its mirror's, and s_j = +1 for j <= n, -1 beyond.  The stack is
-    [W_p^T[:c_p]; W_r^T] with W_r[i, j] = w_j(1 - t_i)/2 (dense) and
-    W_p[i, j] = w_j(t_i)/2; c_p is one past the last column whose weight
-    at the deepest low node 1/2 is a normal float (for j > n, w_j rises on
-    [0, 1/2]), so every plain weight beyond it is flushed to zero.
-
-    It is stored as two blocks, (wide, narrow):
-
-        wide   = [W_p^T[:r0]; W_r^T], depth + 1 columns,
-        narrow = W_p^T[r0:c_p, :L], the plain rows past the cut row r0.
-
-    r0 >= n + 1 puts every plain row of narrow past its mode: w_j(t)
-    falls with j at every t <= 1/2, so a weight that row r0 flushes stays
-    flushed below it, and L, one past the last nonzero column of row r0,
-    cuts nothing but zeros.  r0 minimizes the stored bytes
-    8 ((r0 + depth + 1)(depth + 1) + (c_p - r0) L) and is chosen before
-    the fill (_mkz_cut_row); L is read off the fill.  The gathered rows
-    are ordered [plain j < r0 | reflected | plain r0 <= j < c_p], so a
-    product is u[:, :R] @ wide, R = r0 + depth + 1, with u[:, R:] @ narrow
-    added into its first L columns (_paired_product).  One advance
-    multiplies U = [e | s o] by both branches:
+    the one (P + depth + 1) x (depth + 1) array [W_p^T[:P]; W_r^T] with
+    W_r[i, j] = w_j(1 - t_i)/2 and W_p[i, j] = w_j(t_i)/2.  P is one past
+    the own depth of the deepest low node, 1/2, at the tail
+    share * _EVAL_TAIL that apply_rep stops each point at (at most
+    depth + 1; _mkz_plain_rows); w_j rises on [0, 1/2] for j > n, so
+    below that cap the plain weights past P sum to at most that tail at
+    every low node, and they join the mass routed to node 1 as those of
+    an image do.  The gathered rows
+    u hold e on every row, s o on the plain rows and -s o on the reflected
+    ones, so one product u @ stack multiplies U = [e | s o] by both
+    branches:
 
         even = W_p e + W_r e + (m_p + m_r) e_0,
         odd  = W_p (s o) - W_r (s o) + (m_r - m_p) o_0,
@@ -770,7 +760,7 @@ class NodeDiscretization:
         self.spec = spec
         self.nodes = nodes
         self._fill = fill  # store -> (stack, or None if not store; bound)
-        self._filled = None  # one array, or (wide, narrow) with a pair map
+        self._filled = None  # the stack, once filled
         self._bound = None
         self._lock = threading.Lock()
         self._images = images  # (reps, 1-D points) -> values of each rep
@@ -816,11 +806,7 @@ class NodeDiscretization:
         first product), plus those of the Gauss-Jacobi rules a Durrmeyer
         carrier has kept so far."""
         held = 0 if self._rules is None else self._rules.nbytes
-        stack = self._filled
-        if stack is None:
-            return held
-        blocks = (stack,) if self._pairs is None else stack
-        return held + sum(block.nbytes for block in blocks)
+        return held + (0 if self._filled is None else self._filled.nbytes)
 
     def advance(self, v: np.ndarray) -> np.ndarray:
         """One transfer-matrix application; v may have several columns."""
@@ -828,7 +814,7 @@ class NodeDiscretization:
             return self._stack.T @ v
         # u @ stack streams the k-major stack once, where stack.T @ u.T
         # with a few columns makes the BLAS pack it first
-        both = _paired_product(self._gather(v), self._stack)
+        both = self._gather(v) @ self._stack
         return self._scatter(both).reshape(v.shape)
 
     def advance_sums(self, v: np.ndarray, k: int) -> np.ndarray:
@@ -890,23 +876,20 @@ class NodeDiscretization:
 
     def _gather(self, v: np.ndarray) -> np.ndarray:
         """The rows u of a paired product, two per column of v, in the
-        stack's row order [plain j < r0 | reflected | plain r0 <= j < c_p]:
-        e on every row, and s o on the plain rows and -s o on the reflected
-        ones, so that u @ stack holds its even and odd rows."""
+        stack's row order [plain j < P | reflected]: e on every row, and
+        s o on the plain rows and -s o on the reflected ones, so that
+        u @ stack holds its even and odd rows."""
         low, high, sign = self._pairs
-        wide, narrow = self._stack
-        top = wide.shape[0]
-        r0, rows = top - low.size, top + narrow.shape[0]
+        rows = self._stack.shape[0]
+        plain = rows - low.size  # P
         cols = v.reshape(v.shape[0], -1)
         vl, vh = cols[low], cols[high]
         e = (0.5 * (vl + vh)).T
         so = ((0.5 * sign)[:, None] * (vl - vh)).T
         u = np.empty((cols.shape[1], 2, rows))
-        for half, x in ((0, e), (1, so)):
-            u[:, half, :r0] = x[:, :r0]
-            u[:, half, top:] = x[:, r0:r0 + narrow.shape[0]]
-        u[:, 0, r0:top] = e
-        np.negative(so, out=u[:, 1, r0:top])
+        u[:, 0, :plain], u[:, 0, plain:] = e[:, :plain], e
+        u[:, 1, :plain] = so[:, :plain]
+        np.negative(so, out=u[:, 1, plain:])
         return u.reshape(-1, rows)
 
     def _scatter(self, both: np.ndarray) -> np.ndarray:
@@ -1026,91 +1009,57 @@ def _kahan_step(total, lost, s):
     return step, (step - total) - y
 
 
-class _MkzFill:
-    """share * w_j(t) for j = 0, 1, ... at all the points t at once:
-    write(count, width, out) makes the next count rows at the first width
-    points and copies them into out, a view of the stack a carrier fills,
-    and the running product run carries from one call to the next.  The
-    points a write leaves out count as zero from then on, so no write may
-    be wider than the one before it.  routed is each point's routed mass,
-    share minus the weights written (share itself at t = 1, the point mass
-    at the branch's endpoint, which gets no weights).
+def _mkz_fill(n: int, t: np.ndarray, share: float, count: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Make share * w_j(t), j = 0 .. count - 1, at all the points t at
+    once, copy them into out (count rows) where it is given, and return
+    each point's routed mass: share minus the weights made (share itself
+    at t = 1, the point mass at the branch's endpoint, which gets no
+    weights).  Without out only the routed masses are kept, which is how
+    a carrier certifies its truncation bound before its first product
+    (NodeDiscretization).
 
-    Without out a write keeps its rows only in the open block: the same
-    writes then give the same routed masses with no stack behind them,
-    which is how a carrier certifies its truncation bound before its
-    first product (NodeDiscretization).
-
-    The rows are made in blocks of _FILL_ROWS, aligned at the absolute row
-    indices that are multiples of _FILL_ROWS whatever rows each write
-    makes; the open block's rows wait in self.block, zero at the points
-    left out.  A block takes one outer product for its ratios t (n+j)/j,
-    one multiply per row for the running product, then one multiply by
+    The rows are made in blocks of _FILL_ROWS in one scratch block.  A
+    block takes one outer product for its ratios t (n+j)/j, one multiply
+    per row for the running product (a row loop: np.cumprod over the
+    block gives the same bits five times slower), then one multiply by
     (1-t)^(n+1) and one flush, so each weight is multiplied in the order
-    of mkz_weight_matrix, with the share folded into (1-t)^(n+1).  For the
-    shares 1 and 1/2 the fold moves no normal float, so the weights equal
-    share times its columns bit for bit.  Subnormal weights slow every
-    product they enter; they are flushed to 0 and the routed mass absorbs
-    them exactly.
+    of mkz_weight_matrix, with the share folded into (1-t)^(n+1).  For
+    the shares 1 and 1/2 the fold moves no normal float, so the weights
+    equal share times its columns bit for bit.  Subnormal weights slow
+    every product they enter; they are flushed to 0 and the routed mass
+    absorbs them exactly.
 
     Each block is summed over all the points: numpy adds its rows in
-    order (a single column it would sum pairwise; every carrier has two or
-    more points), and one Kahan step adds the block sum into (total,
-    lost).  A plain running sum over thousands of rows would carry its
-    rounding into the routed mass; blocked, the error stays a few ulps of
-    share (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4),
-    and it depends only on the rows, not on how writes split them.  A
-    point left out takes zero block sums, which leave its sum as it is
-    once fl(total - lost) == total.
+    order (a single column it would sum pairwise; every carrier has two
+    or more points), and one Kahan step adds the block sum into the
+    running total.  A plain running sum over thousands of rows would
+    carry its rounding into the routed mass; blocked, the error stays a
+    few ulps of share (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).
     """
-
-    def __init__(self, n: int, t: np.ndarray, share: float):
-        self.n, self.j, self.share = n, 0, share
-        self.at_end = t == 1.0
-        self.t = np.where(self.at_end, 0.0, t)
-        self.w0 = np.where(self.at_end, 0.0, share * (1.0 - self.t) ** (n + 1))
-        self.run = np.ones(t.size)
-        self.total, self.lost = np.zeros(t.size), np.zeros(t.size)
-        self.block = np.zeros((_FILL_ROWS, t.size))
-
-    def write(self, count: int, width: int,
-              out: Optional[np.ndarray] = None) -> None:
-        """Make the next count weight rows at the first width points, and
-        copy them into out, of shape (count, width), where it is given."""
-        n, done = self.n, 0
-        t, w0, run = self.t[:width], self.w0[:width], self.run[:width]
-        while done < count:
-            first = self.j % _FILL_ROWS
-            rows = min(_FILL_ROWS - first, count - done)
-            self.block[first:first + rows, width:] = 0.0
-            seg = self.block[first:first + rows, :width]
-            k = np.arange(self.j, self.j + rows, dtype=float)
-            np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
-            if self.j:
-                seg[0] *= run
-            else:
-                seg[0] = 1.0
-            for i in range(1, rows):
-                seg[i] *= seg[i - 1]
-            run[:] = seg[-1]
-            seg *= w0
-            seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
-            if out is not None:
-                out[done:done + rows] = seg
-            done += rows
-            self.j += rows
-            if first + rows == _FILL_ROWS:
-                self.total, self.lost = _kahan_step(
-                    self.total, self.lost, np.add.reduce(self.block, axis=0))
-
-    @property
-    def routed(self) -> np.ndarray:
-        total, rows = self.total, self.j % _FILL_ROWS
-        if rows:  # the open block
-            total = _kahan_step(total, self.lost,
-                                np.add.reduce(self.block[:rows], axis=0))[0]
-        return np.where(self.at_end, self.share,
-                        np.maximum(0.0, self.share - total))
+    at_end = t == 1.0
+    t = np.where(at_end, 0.0, t)
+    w0 = np.where(at_end, 0.0, share * (1.0 - t) ** (n + 1))
+    total, lost = np.zeros(t.size), np.zeros(t.size)
+    block = np.empty((_FILL_ROWS, t.size))
+    for start in range(0, count, _FILL_ROWS):
+        seg = block[:min(_FILL_ROWS, count - start)]
+        k = np.arange(start, start + seg.shape[0], dtype=float)
+        np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
+        if start:
+            seg[0] *= run
+        else:
+            seg[0] = 1.0
+        for i in range(1, seg.shape[0]):
+            seg[i] *= seg[i - 1]
+        run = seg[-1].copy()
+        seg *= w0
+        seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
+        if out is not None:
+            out[start:start + seg.shape[0]] = seg
+        total, lost = _kahan_step(total, lost, np.add.reduce(seg, axis=0))
+    return np.where(at_end, share, np.maximum(0.0, share - total))
 
 
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -1122,7 +1071,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     mass to its hard endpoint node (1 plain, 0 reflected): the skipped
     terms sample f next to that endpoint, where weighted-space inputs
     vanish like psi.  The stack (see NodeDiscretization) is allocated once,
-    on the first product, and filled in place by _MkzFill.
+    on the first product, and filled in place by _mkz_fill.
     """
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
@@ -1187,88 +1136,42 @@ def _mkz_branch_stack(n: int, nodes: np.ndarray, share: float,
     """(stack, routed) of a one-branch carrier: its rows in node order, so
     the reflected nodes n/(n+k) fill backwards, and the routed masses in
     the endpoint row; with store False no stack, (None, routed)."""
-    fill = _MkzFill(n, 1.0 - nodes if reflect else nodes, share)
+    t, count = 1.0 - nodes if reflect else nodes, nodes.size - 1
     if not store:
-        fill.write(nodes.size - 1, nodes.size)
-        return None, fill.routed
+        return None, _mkz_fill(n, t, share, count)
     stack = np.empty((nodes.size, nodes.size))
-    fill.write(nodes.size - 1, nodes.size, stack[:0:-1] if reflect else stack[:-1])
-    routed = stack[0 if reflect else -1] = fill.routed
+    routed = _mkz_fill(n, t, share, count, stack[:0:-1] if reflect else stack[:-1])
+    stack[0 if reflect else -1] = routed
     return stack, routed
 
 
 def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, store: bool = True):
-    """((wide, narrow), m_p, m_r): the blocks of the mkz-symmetric stack
-    over the low nodes at (NodeDiscretization) and the masses routed to
-    nodes 1 and 0, each added to the other branch's row 0.  The plain
-    fill runs full width up to the cut row r0, reads L off row r0 and
-    writes the narrow rows at the first L nodes, zero beyond (_MkzFill).
-    With store False the same writes run with no stack and only the
-    masses are kept: (None, m_p, m_r), equal to the stored fill's."""
+    """(stack, m_p, m_r): the mkz-symmetric stack [W_p^T[:P]; W_r^T] over
+    the low nodes at (NodeDiscretization) and the masses routed to nodes 1
+    and 0, each added to the other branch's row 0.  With store False the
+    same fills run with no stack and only the masses are kept:
+    (None, m_p, m_r), equal to the stored fill's."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     cols = at.size  # depth + 1
-    width = _mkz_plain_width(spec, cols - 1)  # c_p
-    r0 = _mkz_cut_row(n, p_share, at, width)
-    wide = np.empty((r0 + cols, cols)) if store else None
-    narrow = np.empty((0, cols)) if store else None
-    plain = _MkzFill(n, at, p_share)
-    plain.write(r0, cols, wide[:r0] if store else None)
-    if r0 < width:
-        row = np.empty((1, cols))
-        plain.write(1, cols, row)
-        cut = int(np.flatnonzero(row[0])[-1]) + 1  # L
-        if store:
-            narrow = np.empty((width - r0, cut))
-            narrow[0] = row[0, :cut]
-        plain.write(width - r0 - 1, cut, narrow[1:] if store else None)
-    refl = _MkzFill(n, 1.0 - at, r_share)
-    refl.write(cols, cols, wide[r0:] if store else None)
-    m_p, m_r = plain.routed, refl.routed
-    if not store:
-        return None, m_p, m_r
-    wide[0] += m_r
-    wide[r0] += m_p
-    return (wide, narrow), m_p, m_r
+    plain = _mkz_plain_rows(spec, cols - 1)  # P
+    stack = np.empty((plain + cols, cols)) if store else None
+    m_p = _mkz_fill(n, at, p_share, plain, stack[:plain] if store else None)
+    m_r = _mkz_fill(n, 1.0 - at, r_share, cols, stack[plain:] if store else None)
+    if store:
+        stack[0] += m_r
+        stack[plain] += m_p
+    return stack, m_p, m_r
 
 
-def _mkz_plain_width(spec: OperatorSpec, depth: int) -> int:
-    """c_p of the mkz-symmetric carrier: one past the last column whose
-    share-weighted plain weight at t = 1/2 is a normal float.  For k > n,
-    w_k(t) rises on [0, 1/2], so no low node keeps a plain weight beyond
-    it once subnormals are flushed."""
+def _mkz_plain_rows(spec: OperatorSpec, depth: int) -> int:
+    """P of the mkz-symmetric stack: one past the own depth of the low
+    node 1/2 at the tail share * _EVAL_TAIL, the depth apply_rep sums 1/2
+    to, and at most depth + 1.  For k > n, w_k(t) rises on [0, 1/2], so
+    below the cap the plain weights past P sum to at most that tail at
+    every low node."""
     share = spec.record.shares[0]
-    w = share * mkz_weight_matrix(spec.n, np.array([0.5]), depth)[0]
-    return int(np.flatnonzero(w >= _TINY)[-1]) + 1
-
-
-def _mkz_cut_row(n: int, share: float, at: np.ndarray, width: int) -> int:
-    """r0 of the paired stack (NodeDiscretization): the row in
-    n + 1 .. c_p = width that minimizes the stored cells
-    (r0 + N) N + (c_p - r0) L(r0), N = at.size, chosen before the fill.
-
-    L(r) is one past the last low node in at whose plain weight at row r
-    is a normal float.  Past the mode (j >= n) the weight falls with j at
-    every low node, so each node's last such row is found by bisection on
-    log(share w_j(t)) = log(share) + log C(n+j, j) + (n+1) log(1-t)
-    + j log t; this estimates the cut that the fill then reads off row r0
-    exactly.
-    """
-    j = np.arange(1.0, width)
-    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n + j) / j))))
-    with np.errstate(divide="ignore"):
-        slope = np.log(at)
-    base = math.log(share) + (n + 1) * np.log1p(-at) - math.log(_TINY)
-    # lo: each node's last row with a normal weight (n - 1: none from n)
-    lo, hi = np.full(at.size, n - 1), np.full(at.size, width)
-    while np.any(hi - lo > 1):
-        mid = (lo + hi) // 2
-        normal = base + log_binom[mid] + mid * slope >= 0.0
-        lo, hi = np.where(normal, mid, lo), np.where(normal, hi, mid)
-    # L(r) counts the leading nodes up to the last one that is normal at r
-    last = np.maximum.accumulate(lo[::-1])  # nondecreasing, from the end
-    rows = np.arange(n + 1, width + 1)
-    cuts = at.size - np.searchsorted(last, rows)
-    return int(rows[np.argmin(at.size * rows + (width - rows) * cuts)])
+    half = _mkz_depths(spec.n, np.array([0.5]), share * _EVAL_TAIL)
+    return 1 + min(depth, int(half[0]))
 
 
 def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
@@ -1284,22 +1187,10 @@ def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
     return ((z >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(count, cols)
 
 
-def _paired_product(u: np.ndarray, stack, out=None) -> np.ndarray:
-    """u @ S for the implied stack S of the blocks (wide, narrow), with
-    u's columns in the gather order (NodeDiscretization): u[:, :R] @ wide,
-    plus u[:, R:] @ narrow added into the first L columns."""
-    wide, narrow = stack
-    top = wide.shape[0]
-    out = np.matmul(u[:, :top], wide, out=out)
-    out[:, :narrow.shape[1]] += u[:, top:] @ narrow
-    return out
-
-
 def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
-    """(y, z) with u @ y @ z standing in for u @ S, S the implied stack of
-    the paired blocks stack = (wide, narrow) with its rows in the gather
-    order, or (None, None) where the rank reaches a quarter of the
-    stack's width.
+    """(y, z) with u @ y @ z standing in for u @ S, S the paired stack
+    with its rows in the gather order, or (None, None) where the rank
+    reaches a quarter of the stack's width.
 
     The weighted stack S'[j, i] = S[j, i] rho_j / w_i, with rho_j psi
     at row j's pair (the larger of its two nodes) and w_i psi at output
@@ -1312,19 +1203,17 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     norm the series is certified in.  The factors are y = Q / rho and
     z = (rho Q)^T S, rank columns and rows, with column 0 of z zero.  psi
     vanishes on pair 0, so an input with zero endpoint entries
-    (sweep_sums) has zero pair-0 rows u (rows 0 and r0, the routed
+    (sweep_sums) has zero pair-0 rows u (rows 0 and P, the routed
     masses), which y ignores, and its endpoint outputs stay zero.  The
-    blocks are the right operand of every product, and every other array
+    stack is the right operand of every product, and every other array
     has at most rank + _SKETCH_CHUNK rows or columns.
     """
-    wide, narrow = stack
     low, high, _ = pairs
-    cols, top = low.size, wide.shape[0]
-    r0, rows, cut = top - cols, top + narrow.shape[0], narrow.shape[1]
+    rows, cols = stack.shape
     p_low, p_high = psi(nodes[low]), psi(nodes[high])
     rho = np.maximum(p_low, p_high)
     # rho of each row in the gather order, zero on the pair-0 rows
-    rw = np.concatenate((rho[:r0], rho, rho[r0:r0 + narrow.shape[0]]))
+    rw = np.concatenate((rho[:rows - cols], rho))
     iw = np.zeros(cols)
     iw[1:] = 1.0 / np.minimum(p_low, p_high)[1:]
     sketch = np.empty((0, rows))
@@ -1332,7 +1221,7 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
         if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
             return None, None
         g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
-        chunk = np.concatenate((g @ wide.T, g[:, :cut] @ narrow.T), axis=1)
+        chunk = g @ stack.T
         sketch = np.vstack((sketch, chunk * rw))
         q, r = np.linalg.qr(sketch.T)
         sv = np.linalg.svd(r, compute_uv=False)
@@ -1342,7 +1231,7 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     # S ~ y @ z off pair 0 and column 0, with z = (rho Q)^T S and y = Q / rho
     y = q * rw[:, None]
     del q
-    z = _paired_product(y.T, stack)
+    z = y.T @ stack
     z[:, 0] = 0.0
     irw = np.zeros(rows)
     np.divide(1.0, rw, out=irw, where=rw > 0.0)
@@ -1356,9 +1245,8 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
 
     A series fill allocates its stack once and fills it in place, next to
     a few vectors of its width.  A one-branch stack is N-square,
-    N = depth + 2.  The paired stack is counted as the single
-    (c_p + depth + 1) x (depth + 1) array, an upper bound on its two
-    blocks (L <= depth + 1) that needs no fill to know.  An exact build
+    N = depth + 2.  The paired stack is the (P + depth + 1) x (depth + 1)
+    array, counted exactly (_mkz_plain_rows).  An exact build
     holds at most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once, the
     same for both families (_exact_disc): the transfer, up, both
     cumulative products and inner."""
@@ -1366,7 +1254,7 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
         depth = _mkz_node_depth(spec)
         plain, refl = spec.record.shares
         if plain == refl:
-            rows, cols = _mkz_plain_width(spec, depth) + depth + 1, depth + 1
+            rows, cols = _mkz_plain_rows(spec, depth) + depth + 1, depth + 1
         else:
             rows = cols = depth + 2
     else:

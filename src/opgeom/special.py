@@ -9,31 +9,12 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
-    "log_binomial",
     "bernstein_basis_matrix",
     "mkz_weight_matrix",
 ]
 
 _EXACT_COMB_N = 1000  # largest order whose binomials and powers stay in range
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k), assembled as a sum of n - k (or k) log ratios.
-
-    Summing log((m+j)/j) keeps the absolute error near machine level,
-    which exp() turns into relative error; a log-Gamma difference would
-    lose ~1e-9 relative accuracy for large arguments.
-    """
-    if k < 0 or k > n:
-        raise DomainError(f"binomial index k={k} outside [0, {n}]")
-    k = min(k, n - k)
-    if k == 0:
-        return 0.0
-    j = np.arange(1, k + 1, dtype=float)
-    return float(np.sum(np.log((n - k + j) / j)))
 
 
 def bernstein_basis_matrix(n: int, xs: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Oracle helpers: for the special-function tests a log-domain number,
-exact binomials, single Bernstein and Meyer-Koenig-Zeller basis values,
-the plain-pow Bernstein table, a 40-digit Bernstein row and one
-Meyer-Koenig-Zeller weight row, which compute the same
+exact binomials and their logs as one sum of log ratios, single
+Bernstein and Meyer-Koenig-Zeller basis values, the plain-pow Bernstein
+table, a 40-digit Bernstein row and one Meyer-Koenig-Zeller weight row,
+which compute the same
 quantities as the vectorized kernels in opgeom.special by a separate
 route; the plain Meyer-Koenig-Zeller second moment from its
 hypergeometric closed form; for the sweep tests the low-rank step of a paired
 carrier, applied one step at a time; for the paired carrier the
-mkz-symmetric stack as one array, built row by row without a cut row,
-and its product; the square transfer matrix of any carrier, paired or
+mkz-symmetric stack built row by row by a fill of its own, and its
+product; the square transfer matrix of any carrier, paired or
 not, from advances of the unit vectors; for the Krylov tests one GMRES
 on the whole interior right-hand side, without the parity split; for the
 exact families their geometric series of a polynomial input, in exact
@@ -25,13 +26,12 @@ import numpy as np
 from opgeom import operators, series
 from opgeom.errors import DomainError
 from opgeom.funcspace import psi_norm
-from opgeom.special import log_binomial
 
-__all__ = ["LogDomainValue", "binomial", "bernstein_basis", "bernstein_pow_table",
-           "bernstein_row_mp", "mkz_basis_weight", "mkz_weight_row",
-           "mkz_second_moment",
+__all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
+           "bernstein_pow_table", "bernstein_row_mp", "mkz_basis_weight",
+           "mkz_weight_row", "mkz_second_moment",
            "factored_step", "single_stack", "single_stack_advance",
-           "implied_stack", "transfer", "unsplit_krylov", "exact_series"]
+           "transfer", "unsplit_krylov", "exact_series"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,22 @@ class LogDomainValue:
         if self.sign == 0 or other.sign == 0:
             return LogDomainValue(0.0, 0)
         return LogDomainValue(self.log_abs + other.log_abs, self.sign * other.sign)
+
+
+def log_binomial(n: int, k: int) -> float:
+    """log C(n, k), assembled as a sum of n - k (or k) log ratios.
+
+    Summing log((m+j)/j) keeps the absolute error near machine level,
+    which exp() turns into relative error; a log-Gamma difference would
+    lose ~1e-9 relative accuracy for large arguments.
+    """
+    if k < 0 or k > n:
+        raise DomainError(f"binomial index k={k} outside [0, {n}]")
+    k = min(k, n - k)
+    if k == 0:
+        return 0.0
+    j = np.arange(1, k + 1, dtype=float)
+    return float(np.sum(np.log((n - k + j) / j)))
 
 
 def binomial(n: int, k: int) -> float:
@@ -231,10 +247,10 @@ def _fill_rows(rows, n, t, share):
 
 def single_stack(spec):
     """(nodes, pairs, stack, m_p, m_r, bound) of the mkz-symmetric carrier
-    with its paired stack held as one (c_p + depth + 1) x (depth + 1)
-    array [W_p^T[:c_p]; W_r^T], every row full width: the layout the two
-    blocks (wide, narrow) stand for, with the masses m_p, m_r routed to
-    nodes 1 and 0 and the certified truncation bound."""
+    with its paired stack [W_p^T[:P]; W_r^T] filled row by row, P one past
+    the own depth of the midpoint 1/2 at share * 2^-64 (at most
+    depth + 1), with the masses m_p, m_r routed to nodes 1 and 0 and the
+    certified truncation bound."""
     n, fam = spec.n, spec.record
     depth = operators._mkz_node_depth(spec)
     k = np.arange(depth + 1)
@@ -244,13 +260,14 @@ def single_stack(spec):
     first = k <= n
     low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
     pairs = (low, high, np.where(first, 1.0, -1.0))
-    width = operators._mkz_plain_width(spec, depth)  # c_p
-    stack = np.empty((width + depth + 1, depth + 1))
+    plain = 1 + min(depth, operators.mkz_truncation_index(
+        n, 0.5, fam.shares[0] * 2.0**-64))  # P
+    stack = np.empty((plain + depth + 1, depth + 1))
     at = nodes[low]
-    m_p = _fill_rows(stack[:width], n, at, fam.shares[0])
-    m_r = _fill_rows(stack[width:], n, 1.0 - at, fam.shares[1])
+    m_p = _fill_rows(stack[:plain], n, at, fam.shares[0])
+    m_r = _fill_rows(stack[plain:], n, 1.0 - at, fam.shares[1])
     stack[0] += m_r
-    stack[width] += m_p
+    stack[plain] += m_p
     routed = m_p + m_r
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
@@ -259,34 +276,22 @@ def single_stack(spec):
 
 
 def single_stack_advance(disc, stack, v):
-    """One advance of the paired carrier disc through the single stack of
-    single_stack: the rows u = [e | e] and [s o | -s o] of each column of
-    v times the whole stack, scattered to the nodes."""
+    """One advance of the paired carrier disc through the stack of
+    single_stack, each branch by its own product: even = W_p e + W_r e and
+    odd = W_p (s o) - W_r (s o) over the pairs, then even + odd at the low
+    nodes and even - odd at their mirrors."""
     low, high, sign = disc._pairs
-    rows = stack.shape[0]
-    width = rows - low.size  # c_p
+    plain = stack.shape[0] - low.size  # P
     cols = v.reshape(v.shape[0], -1)
     vl, vh = cols[low], cols[high]
-    e = (0.5 * (vl + vh)).T
-    so = ((0.5 * sign)[:, None] * (vl - vh)).T
-    u = np.empty((cols.shape[1], 2, rows))
-    u[:, 0, :width], u[:, 0, width:] = e[:, :width], e
-    u[:, 1, :width] = so[:, :width]
-    np.negative(so, out=u[:, 1, width:])
-    return disc._scatter(u.reshape(-1, rows) @ stack).reshape(v.shape)
-
-
-def implied_stack(blocks):
-    """The single stack [W_p^T[:c_p]; W_r^T] that the paired blocks
-    (wide, narrow) stand for, the cells cut from narrow as zeros."""
-    wide, narrow = blocks
-    cols = wide.shape[1]
-    r0, cut = wide.shape[0] - cols, narrow.shape[0]
-    out = np.zeros((wide.shape[0] + cut, cols))
-    out[:r0] = wide[:r0]
-    out[r0:r0 + cut, :narrow.shape[1]] = narrow
-    out[r0 + cut:] = wide[r0:]
-    return out
+    e = 0.5 * (vl + vh)
+    so = (0.5 * sign)[:, None] * (vl - vh)
+    w_p, w_r = stack[:plain].T, stack[plain:].T
+    even = w_p @ e[:plain] + w_r @ e
+    odd = w_p @ so[:plain] - w_r @ so
+    out = np.empty_like(cols)
+    out[low], out[high] = even + odd, even - odd
+    return out.reshape(v.shape)
 
 
 def transfer(disc):

@@ -23,8 +23,7 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               alpha_profile, condition_report, family_record,
                               mkz_truncation_index, moment,
                               node_discretization)
-from opgeom.special import log_binomial, mkz_weight_matrix
-from oracles import (factored_step, implied_stack, mkz_second_moment,
+from oracles import (factored_step, log_binomial, mkz_second_moment,
                      mkz_weight_row, single_stack, single_stack_advance,
                      transfer)
 
@@ -840,31 +839,32 @@ def test_apply_rep_point_alone_matches_batch(family):
 SYMMETRIC_CARRIERS = [s for s in SERIES_CARRIERS if s.family == "mkz-symmetric"]
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS
+                         + [OperatorSpec("mkz-symmetric", 3, truncation_eps=1e300)],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_symmetric_plain_block_is_cut_where_its_weights_underflow(spec):
-    # every plain weight at the low nodes min(p_k, r_k) beyond c_p, and
-    # from the cut row r0 on at the low nodes from L on, is below the
-    # smallest normal float, so the carrier flushes it to 0 and stores
-    # the plain block only up to c_p, and past r0 only its first L
-    # columns; n = 8 cuts at c_p, every spec at r0
+    # the plain rows stop at the midpoint's own depth: P = 1 + the depth
+    # apply_rep sums t = 1/2 to at share * 2^-64, capped at depth + 1
+    # (eps 1e300 at n = 3 gives depth 66 and P = 67, and the plain block
+    # keeps every row); below the cap the plain weights dropped past P,
+    # summed exactly 3000 rows further, are at most share * 2^-64 at every
+    # low node min(p_k, r_k).  The stack is the one
+    # (P + depth + 1) x (depth + 1) array
     n, depth = spec.n, _mkz_node_depth(spec)
-    width = operators._mkz_plain_width(spec, depth)
-    k = np.arange(depth + 1)
-    low = np.minimum(k / (n + k), n / (n + k))
-    plain = 0.5 * mkz_weight_matrix(n, low, depth)
-    tiny = np.finfo(float).tiny
-    assert np.all(plain[:, width:] < tiny)
-    assert np.max(plain[:, width - 1]) >= tiny
-    assert width < depth + 1 if n == 8 else width <= depth + 1
+    share = spec.record.shares[0]
+    tail = share * operators._EVAL_TAIL
+    plain = 1 + min(depth, mkz_truncation_index(n, 0.5, tail))
+    if spec.truncation_eps == 1e300:
+        assert (depth, plain) == (66, 67)
+    else:
+        assert plain < depth + 1
+        k = np.arange(depth + 1)
+        for t in np.minimum(k / (n + k), n / (n + k)):
+            dropped = share * mkz_weight_row(n, float(t), plain + 3000)[plain:]
+            assert math.fsum(dropped.tolist()) <= tail
     disc = operators._mkz_disc(spec)  # no unfolded transfer
-    wide, narrow = disc._stack
-    r0, cut = wide.shape[0] - depth - 1, narrow.shape[1]
-    assert n + 1 <= r0 < width == r0 + narrow.shape[0]
-    assert np.all(plain[cut:, r0:] < tiny)
-    assert plain[cut - 1, r0] >= tiny
-    assert disc.matrix_bytes == 8 * ((r0 + depth + 1) * (depth + 1)
-                                     + (width - r0) * cut)
+    assert disc._stack.shape == (plain + depth + 1, depth + 1)
+    assert disc.matrix_bytes == 8 * (plain + depth + 1) * (depth + 1)
 
 
 STEP_GAP = 1e-12  # weighted error of one factored sweep step, relative
@@ -890,50 +890,21 @@ def weighted_max(disc, v):
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
-def test_cut_row_changes_no_number(spec, monkeypatch):
-    # the two blocks stand for the single stack of the uncut build bit for
-    # bit, with the same routed masses and truncation bound, at the
-    # smallest cut row n + 1, at the rule's and at c_p (no narrow rows);
-    # advance only regroups its sums
+def test_cut_row_changes_no_number(spec):
+    # the stack, cut at the plain row P, is the oracle's row-by-row build
+    # bit for bit, with the same routed masses and truncation bound;
+    # advance only regroups the oracle's per-branch sums
     nodes, pairs, stack, m_p, m_r, bound = single_stack(spec)
-    width = operators._mkz_plain_width(spec, _mkz_node_depth(spec))
-    cols = pairs[0].size  # depth + 1
-    chosen = operators._mkz_disc(spec)._stack[0].shape[0] - cols
-    assert spec.n + 1 <= chosen <= width
-    for r0 in (spec.n + 1, chosen, width):
-        monkeypatch.setattr(operators, "_mkz_cut_row", lambda *args, r0=r0: r0)
-        disc = operators._mkz_disc(spec)
-        assert disc._stack[0].shape[0] == r0 + cols
-        assert np.array_equal(disc.nodes, nodes)
-        assert all(np.array_equal(a, b) for a, b in zip(disc._pairs, pairs))
-        blocks, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]])
-        assert all(np.array_equal(a, b) for a, b in zip(blocks, disc._stack))
-        assert np.array_equal(implied_stack(blocks), stack)
-        assert np.array_equal(got_p, m_p) and np.array_equal(got_r, m_r)
-        assert disc.truncation_error_bound == bound
-        for v in weighted_inputs(disc, 4, spec.n):
-            gap = np.abs(disc.advance(v) - single_stack_advance(disc, stack, v))
-            assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
-
-
-def test_narrow_rows_add_the_zero_rows_that_move_a_sum():
-    # the rows past the kept points are zero, but a zero block sum still
-    # moves a Kahan sum where fl(total - lost) != total, here a
-    # power-of-two total with lost = 2^-54; rows written at width 1 close
-    # the dropped point's open block and add such zero blocks as the
-    # full-width fill does
-    B = operators._FILL_ROWS
-    t = np.array([0.3, 0.0])  # from row 1 on every weight at t = 0 is zero
-    full, cut = (operators._MkzFill(4, t, 0.5) for _ in range(2))
-    for fill in (full, cut):
-        fill.write(B + 5, 2)  # one block summed, one open
-        fill.total[1], fill.lost[1] = 0.5, 2.0**-54
-    full.write(2 * B, 2)
-    cut.write(2 * B, 1)
-    assert full.total[1] == 0.5 - 2.0**-54
-    assert np.array_equal(cut.total, full.total)
-    assert np.array_equal(cut.lost, full.lost)
-    assert np.array_equal(cut.routed, full.routed)
+    disc = operators._mkz_disc(spec)
+    assert np.array_equal(disc.nodes, nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(disc._pairs, pairs))
+    got, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]])
+    assert np.array_equal(got, stack) and np.array_equal(disc._stack, stack)
+    assert np.array_equal(got_p, m_p) and np.array_equal(got_r, m_r)
+    assert disc.truncation_error_bound == bound
+    for v in weighted_inputs(disc, 4, spec.n):
+        gap = np.abs(disc.advance(v) - single_stack_advance(disc, stack, v))
+        assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
 
 
 @pytest.mark.parametrize("spec", SERIES_CARRIERS,
@@ -949,47 +920,18 @@ def test_fill_routes_the_exactly_summed_missing_mass(spec):
     for reflect, share in enumerate(spec.record.shares):
         share = share or 1.0
         t = 1.0 - nodes if reflect else nodes
-        fill = operators._MkzFill(n, t, share)
         rows = np.empty((depth + 1, t.size))
-        fill.write(depth + 1, t.size, rows)
+        routed = operators._mkz_fill(n, t, share, depth + 1, rows)
         exact = np.array([math.fsum(col.tolist()) for col in rows.T[::3]])
         want = np.maximum(0.0, share - exact)
-        assert np.all(np.abs(fill.routed[::3] - want) <= 8 * ulp * share)
-
-
-def test_fill_split_into_writes_changes_no_number():
-    # the block sums sit at absolute rows, so writes of any length, and
-    # narrower writes from the middle of a block on, leave every weight,
-    # sum and compensation as one full-width write does; the dropped
-    # points 1e-30, 0 and 1 have no normal weight from the cut row on, and
-    # the weights of the first two sit in the block the narrow rows close
-    t = np.array([0.95, 0.7, 0.5, 0.3, 0.2, 1e-30, 0.0, 1.0])
-    rows, cut, width = 300, 20, 5
-    full = operators._MkzFill(4, t, 0.5)
-    stack = np.empty((rows, t.size))
-    full.write(rows, t.size, stack)
-    assert np.all(stack[cut:, width:] == 0.0) and stack[0, 6] == 0.5
-    for chunk in (1, 7, 31, 33, 100):
-        fill = operators._MkzFill(4, t, 0.5)
-        head, tail = np.empty((cut, t.size)), np.empty((rows - cut, width))
-        for start in range(0, cut, chunk):
-            part = head[start:start + chunk]
-            fill.write(len(part), t.size, part)
-        for start in range(0, rows - cut, chunk):
-            part = tail[start:start + chunk]
-            fill.write(len(part), width, part)
-        assert np.array_equal(head, stack[:cut])
-        assert np.array_equal(tail, stack[cut:, :width])
-        for name in ("total", "lost", "routed"):
-            assert np.array_equal(getattr(fill, name), getattr(full, name)), name
+        assert np.all(np.abs(routed[::3] - want) <= 8 * ulp * share)
 
 
 def test_default_geom_carriers_store_pinned_bytes():
-    # the stored bytes of the cut stacks that geom builds by default, so
-    # that a change of the cut rule or of the fill shows; the single
-    # stack held 7.7e6, 35.5e6 and 172.3e6 bytes.  A carrier holds none
-    # of them until its first product fills the stack
-    for n, stored in ((4, 5477800), (8, 25629528), (16, 145832344)):
+    # the stored bytes of the stacks that geom builds by default, so that
+    # a change of the plain-row rule or of the fill shows.  A carrier
+    # holds none of them until its first product fills the stack
+    for n, stored in ((4, 4753800), (8, 23544000), (16, 141092352)):
         spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
         disc = operators._mkz_disc(spec)
         assert disc.matrix_bytes == 0
@@ -1145,8 +1087,8 @@ def test_sweep_step_keeps_endpoint_entries_zero(spec, factored_once):
     rank = y.shape[1]
     assert rank % operators._SKETCH_CHUNK == 0
     assert z.shape == (rank, disc._pairs[0].size)
-    r0 = disc._stack[0].shape[0] - z.shape[1]
-    assert not np.any(y[[0, r0]]) and not np.any(z[:, 0])
+    plain = disc._stack.shape[0] - z.shape[1]  # P
+    assert not np.any(y[[0, plain]]) and not np.any(z[:, 0])
     sums = disc.sweep_sums
     ends = ~disc.interior
     for v in weighted_inputs(disc, 3, spec.n):
@@ -1218,7 +1160,7 @@ def test_sweep_step_holds_factors_not_a_stack():
     # stays within the same budget
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
-    stack = implied_stack(disc._stack)
+    stack = disc._stack
     rows, cols = stack.shape
     low, high, _ = disc._pairs
     width = rows - low.size
@@ -1276,27 +1218,31 @@ class TestCarrierMemoryBudget:
         assert disc.transfer.shape == (depth + 2,) * 2
 
     def test_symmetric_build_counts_its_stack(self, monkeypatch):
-        # the guard counts the equal-share stack as the single
-        # (c_p + depth + 1) x (depth + 1) array, an upper bound on the two
-        # blocks the build stores
+        # the guard counts the equal-share stack exactly: a cap one byte
+        # short of the (P + depth + 1) x (depth + 1) array refuses the
+        # build, an equal cap builds it, and the carrier holds that many
+        # bytes
         spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
         depth = _mkz_node_depth(spec)
-        width = operators._mkz_plain_width(spec, depth)
-        assert width < depth + 1
-        single = 8 * (width + depth + 1) * (depth + 1)
-        disc = self._cap_must_fit_the_stack(spec, single, monkeypatch)
-        assert disc.matrix_bytes < single
+        plain = 1 + min(depth, mkz_truncation_index(
+            spec.n, 0.5, spec.record.shares[0] * operators._EVAL_TAIL))
+        assert plain < depth + 1
+        counted = 8 * (plain + depth + 1) * (depth + 1)
+        disc = self._cap_must_fit_the_stack(spec, counted, monkeypatch)
+        assert disc.matrix_bytes == counted
 
     @pytest.mark.parametrize("family, largest", [
-        ("mkz", 50), ("mkz-reflected", 50), ("mkz-symmetric", 49)])
+        ("mkz", 50), ("mkz-reflected", 50), ("mkz-symmetric", 50)])
     def test_ceilings_at_the_default_tolerance(self, family, largest):
         # the guard alone, no build: the 4 GiB budget admits the stack of
-        # each tag up to these orders at eps 1e-6 and refuses n = 64
+        # each tag up to these orders at eps 1e-6, refuses the next order
+        # and refuses n = 64
         operators.check_carrier_budget(
             OperatorSpec(family, largest, truncation_eps=1e-6))
-        with pytest.raises(TruncationBudgetError, match="GiB"):
-            operators.check_carrier_budget(
-                OperatorSpec(family, 64, truncation_eps=1e-6))
+        for n in (largest + 1, 64):
+            with pytest.raises(TruncationBudgetError, match="GiB"):
+                operators.check_carrier_budget(
+                    OperatorSpec(family, n, truncation_eps=1e-6))
 
     @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
     def test_build_peaks_at_its_stack(self, family):

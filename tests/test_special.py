@@ -10,11 +10,10 @@ import pytest
 
 from opgeom.errors import DomainError
 from opgeom.funcspace import default_grid
-from opgeom.special import (bernstein_basis_matrix, log_binomial,
-                            mkz_weight_matrix)
+from opgeom.special import bernstein_basis_matrix, mkz_weight_matrix
 from oracles import (LogDomainValue, bernstein_basis, bernstein_pow_table,
-                     bernstein_row_mp, binomial, mkz_basis_weight,
-                     mkz_weight_row)
+                     bernstein_row_mp, binomial, log_binomial,
+                     mkz_basis_weight, mkz_weight_row)
 
 mp.mp.dps = 40
 

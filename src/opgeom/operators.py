@@ -46,10 +46,11 @@ point into a one-point array and back once, and the family record's
 kernels take the spec and a 1-D array.  For the series families they all go
 through one blocked weight-sum kernel, _mkz_sum, over the (share,
 reflect) pairs of Family.branches.  apply truncates each branch at
-share * eps, moments at the one tail 0.1 * eps, and alpha = M_2/psi reads
-those moments; a series carrier's apply_rep uses the same block schedule.
-The one exception is alpha at the series nodes in the mixed condition
-bound, which comes from the closed-form M_2 (_mkz_m2).
+share * eps and moments at the one tail 0.1 * eps; a series carrier's
+apply_rep uses the same block schedule.  The one exception is the second
+moment: every M_2 of a series family, and so alpha = M_2/psi on a grid
+and at the series nodes of the mixed condition bound, comes from one
+closed-form kernel (_mkz_m2), with no weight series and no truncation.
 
 OperatorSpec and NodeDiscretization are immutable after construction,
 apart from the stack a carrier fills on its first product and the
@@ -98,8 +99,13 @@ _EXACT_BUILD_ARRAYS = 5  # (n+1)-square float arrays an exact build holds at onc
 # <= 2^-63 |rep|_inf, which is below one rounding of |rep|_inf
 _EVAL_TAIL = 2.0**-64
 _SUM_CELLS = 2**16  # weight cells per block of the pointwise series sum
+_M2_SPLIT = 0.8  # _mkz_m2 sums the 2F1 series below this t, recurs from it
+_M2_TERMS = 172  # 2F1 terms a point below _M2_SPLIT can take
 _GAUSS_ORDERS = (24, 48, 96, 192)  # Gauss-Jacobi rule sizes, tried in turn
 _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
+# log-spaced panel edges toward each endpoint of the composite Beta
+# rule, tried in turn until its summed panel bound meets 1e-6
+_COMPOSITE_GRADINGS = (48, 96, 192)
 _TINY = np.finfo(float).tiny  # smallest normal float
 _FILL_ROWS = 32  # weight rows per block of the series carrier fill
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
@@ -116,8 +122,8 @@ class Family:
     Meyer-Koenig-Zeller tags); the exact families have no series branch.
     The callables take the OperatorSpec as their first argument.  The
     exact families give alpha in closed form; the series families take
-    it as moment(2)/psi, with each branch's moments truncated at the one
-    tail 0.1 * truncation_eps.
+    it as moment(2)/psi, their second moment being the closed form of
+    each branch (_mkz_m2) and not a truncated weight series.
     """
 
     min_n: int
@@ -406,11 +412,11 @@ def _beta_integral_composite(a: float, b: float, f: Function01) -> float:
     bounded density), on panels graded geometrically toward both
     endpoints: the ratio of the integrals of f*d and d, with d the density
     scaled to 1 at its mode, both from one _panel_integrals call.  The
-    weights have unit mass, so no Beta-function constant enters; a
-    summed panel bound above 1e-6 relative raises QuadratureError."""
-    half = np.concatenate(([0.0], np.logspace(-15, -1.01, 48),
-                           np.linspace(0.1, 0.5, 14)[1:]))
-    edges = np.concatenate((half, (1.0 - half[-2::-1])))
+    weights have unit mass, so no Beta-function constant enters.  A summed
+    panel bound above 1e-6 relative redoes the integral on the next finer
+    grading of _COMPOSITE_GRADINGS (an f oscillating toward an endpoint
+    leaves its bound on the panels there); past the last it raises
+    QuadratureError."""
 
     def h(t):
         # (a - 1) log(t / mode) + (b - 1) log((1 - t) / (1 - mode)),
@@ -425,13 +431,17 @@ def _beta_integral_composite(a: float, b: float, f: Function01) -> float:
         d = np.exp(lg)
         return np.stack((np.asarray(f(t), dtype=float) * d, d))
 
-    (fd, d), err = _panel_integrals(h, edges[:-1], edges[1:])
-    mass = float(np.sum(d))
-    total = float(np.sum(fd)) / mass
-    if np.sum(err) > 1e-6 * mass * max(1.0, abs(total)):
-        raise QuadratureError(
-            f"composite Beta quadrature residual {np.sum(err) / mass:.2e} too large")
-    return total
+    for graded in _COMPOSITE_GRADINGS:
+        half = np.concatenate(([0.0], np.logspace(-15, -1.01, graded),
+                               np.linspace(0.1, 0.5, 14)[1:]))
+        edges = np.concatenate((half, (1.0 - half[-2::-1])))
+        (fd, d), err = _panel_integrals(h, edges[:-1], edges[1:])
+        mass = float(np.sum(d))
+        total = float(np.sum(fd)) / mass
+        if np.sum(err) <= 1e-6 * mass * max(1.0, abs(total)):
+            return total
+    raise QuadratureError(
+        f"composite Beta quadrature residual {np.sum(err) / mass:.2e} too large")
 
 
 def _durrmeyer_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
@@ -592,9 +602,12 @@ def _mkz_family_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.n
 
 
 def _mkz_moment(spec: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
-    """Share-weighted central moments, each branch truncated at the one
+    """Share-weighted central moments: M2 in closed form (_closed_m2), any
+    other order by the weight series, each branch truncated at the one
     moment tail 0.1 * truncation_eps; the reflected branch is the plain
     moment at 1 - x with the sign of (-1)^k."""
+    if k == 2:
+        return _closed_m2(spec, xs)[0]
     n, tail, out = spec.n, 0.1 * spec.truncation_eps, 0.0
     for share, reflect in spec.record.branches:
         t = 1.0 - xs if reflect else xs
@@ -653,7 +666,11 @@ class AlphaProfile:
 def alpha_profile(op: OperatorSpec, grid: Optional[EvaluationGrid] = None) -> AlphaProfile:
     """Contraction profile on the family-capped grid."""
     grid = op.grid(grid)
-    alpha = op.record.alpha(op, grid.points)
+    return _profile(grid, op.record.alpha(op, grid.points))
+
+
+def _profile(grid: EvaluationGrid, alpha: np.ndarray) -> AlphaProfile:
+    """The AlphaProfile of alpha at the points of grid."""
     nu = float(alpha.min())
     if nu <= 0.0:
         raise DegenerateOperatorError(
@@ -1324,9 +1341,13 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
     for n in n_list:
         spec = OperatorSpec(family=family, n=n, rho=rho,
                             truncation_eps=truncation_eps)
-        prof = alpha_profile(spec, grid)
-        xs = prof.grid.points
-        sup_ratio = float(np.max(moment(spec, 4, xs) / moment(spec, 2, xs)))
+        at = spec.grid(grid)
+        xs = at.points
+        # one M2 per n: the series families' alpha is M2/psi
+        m2 = moment(spec, 2, xs)
+        prof = _profile(at, m2 / psi(xs) if spec.record.series
+                        else spec.record.alpha(spec, xs))
+        sup_ratio = float(np.max(moment(spec, 4, xs) / m2))
         cond, nodes, terms = _cond55_sup(spec, prof)
         rows.append({"n": n, "sup_m4_over_m2": sup_ratio, "eta": prof.eta,
                      "cond55": cond, "cond55_nodes": nodes,
@@ -1335,73 +1356,114 @@ def condition_report(family: str, n_list, grid: Optional[EvaluationGrid] = None,
 
 
 def _mkz_m2(n: int, ts: np.ndarray) -> tuple:
-    """(M2, terms) at points t in [0, 1): the plain branch's second moment
-    t (1-t)^2/(n+1) 2F1(1, 2; n+2; t) and the most 2F1 terms a point took.
+    """(M2, terms) at points t in [0, 1]: the plain branch's second moment
+    t (1-t)^2/(n+1) 2F1(1, 2; n+2; t), 0 at t = 0 and t = 1, and the most
+    2F1 terms a point took.
 
-    The terms T_j = T_(j-1) (j+1) t/(n+1+j), T_0 = 1, are running products
-    in blocks of at most _SUM_CELLS cells over row chunks; a point stops at
+    Below t = 4/5 it sums the series.  Its terms are T_J = P_J t^J, with
+    P_J = (J+1)/C(n+1+J, J) rounded once from the exact rational and t^J
+    a running product, so no rounded term ratio enters.  A point stops at
     the first T_J whose tail bound T_J min(t/(1-t), t (J+2)/(n-1)) is at
-    most 2^-53 of its sum (the ratios are below t, and for n >= 2 their
-    products telescope by Gauss's sum at 1).  Past _SERIES_CAP terms it
-    raises TruncationBudgetError.
+    most 2^-53 of its running sum (the term ratios are below t, and for
+    n >= 2 their products telescope by Gauss's sum at 1), and adds its
+    terms 0..J from the smallest.  As T_J <= t^J and t/(1-t) < 4, every
+    point stops within _M2_TERMS = 172 terms: 4 (4/5)^171 < 2^-53.  The
+    points are taken in order of t, in blocks as wide as their largest t
+    needs.
+
+    From t = 4/5 it takes Euler's integral (DLMF 15.6.1),
+
+        2F1(1, 2; n+2; t) = (n+1) int_0^1 (1-s)^n (1-ts)^-2 ds.
+
+    With u = 1 - s and a = (1-t)/t, 1 - ts = t (a + u), so M2 = t a^2 I_n
+    for I_m = int_0^1 u^m (a+u)^-2 du.  Writing u^m = u^(m-1) ((a+u) - a)
+    gives, with J_m = int_0^1 u^m (a+u)^-1 du,
+
+        I_m = J_(m-1) - a I_(m-1),   J_m = 1/m - a J_(m-1),
+
+    from I_0 = 1/(a(1+a)) and J_0 = log1p(1/a): n steps per point.  Each
+    step multiplies the error it inherits by a <= 1/4, and I_m, J_m fall
+    no faster than 1/(m+1), so the relative error stays a few roundings.
     """
-    out, most = np.empty(ts.size), 0
-    chunk = _SUM_CELLS // 16  # rows per chunk, and terms per block at most
-    for first in range(0, ts.size, chunk):
-        rows = np.arange(first, min(first + chunk, ts.size))
-        t, j0 = ts[rows], 0
-        total, last = np.zeros(t.size), np.ones(t.size)
-        while rows.size:
-            if j0 >= _SERIES_CAP:
-                raise TruncationBudgetError(
-                    f"closed-form M2 needs over {_SERIES_CAP} terms "
-                    f"(t={float(t.max())} too close to 1)")
-            width = min(_SUM_CELLS // rows.size, chunk, _SERIES_CAP - j0)
-            j = np.arange(j0, j0 + width, dtype=float)
-            # one block holds the running sum before it and the terms, which
-            # the running sums then overwrite
-            block = np.empty((rows.size, width + 1))
-            block[:, 0], terms = total, block[:, 1:]
-            np.multiply.outer(t, (j + 1.0) / (n + 1.0 + j), out=terms)
-            terms[:, 0] = 1.0 if j0 == 0 else terms[:, 0] * last
-            np.cumprod(terms, axis=1, out=terms)
-            # 2^53 times the tail bound after each term; n = 1 does not
-            # telescope
-            tele = (2.0**53 * (j + 2.0) / (n - 1.0) if n >= 2
-                    else np.full(width, np.inf))
-            tail = np.minimum.outer(2.0**53 / (1.0 - t), tele)
-            tail *= t[:, None]
-            tail *= terms
-            last = terms[:, -1].copy()
-            np.cumsum(block, axis=1, out=block)  # terms now holds the sums
-            done = tail <= terms
-            stop, hit = done.argmax(axis=1), done.any(axis=1)
-            out[rows[hit]] = terms[hit, stop[hit]]
-            most = max(most, j0 + 1 + int(stop[hit].max(initial=-1)))
-            rows, t, total, last = (rows[~hit], t[~hit], block[~hit, -1],
-                                    last[~hit])
-            j0 += width
-            del block, terms, tail  # before the next block is allocated
-    return ts * (1.0 - ts) ** 2 / (n + 1.0) * out, most
+    out, most = np.zeros(ts.size), 0
+    coef = _m2_coefficients(n)
+    # 2^53 times the telescoping tail factor after each term; n = 1 does
+    # not telescope
+    j = np.arange(_M2_TERMS)
+    tele = (2.0**53 * (j + 2.0) / (n - 1.0) if n >= 2
+            else np.full(_M2_TERMS, np.inf))
+    low = np.flatnonzero(ts < _M2_SPLIT)
+    low = low[np.argsort(ts[low], kind="stable")]
+    step = _SUM_CELLS // _M2_TERMS
+    for first in range(0, low.size, step):
+        rows = low[first:first + step]
+        t = ts[rows]
+        # every computed tail grows with t and every sum is at least 1, so
+        # the block's largest t bounds its width by its first tail <= 1
+        _, top = _m2_terms(coef, tele, t[-1:], _M2_TERMS)
+        width = 1 + int(np.argmax(top[0] <= 1.0))
+        terms, tail = _m2_terms(coef, tele, t, width)
+        stop = (tail <= np.cumsum(terms, axis=1)).argmax(axis=1)
+        terms[j[:width] > stop[:, None]] = 0.0
+        # summed from the smallest term: the zeros past a point's own
+        # stop add exactly, so its value does not depend on the width
+        total = np.cumsum(terms[:, ::-1], axis=1)[:, -1]
+        out[rows] = t * (1.0 - t) ** 2 / (n + 1.0) * total
+        most = max(most, int(stop.max()) + 1)
+    high = np.flatnonzero((ts >= _M2_SPLIT) & (ts < 1.0))
+    t = ts[high]
+    a = (1.0 - t) / t
+    i_m, j_m = 1.0 / (a * (1.0 + a)), np.log1p(1.0 / a)
+    for m in range(1, n + 1):
+        i_m = j_m - a * i_m
+        j_m = 1.0 / m - a * j_m
+    out[high] = t * a * a * i_m
+    return out, most
 
 
-def _closed_alpha(spec: OperatorSpec, xs: np.ndarray) -> tuple:
-    """(alpha, terms): the series family's share-weighted M2/psi at interior
-    points xs by _mkz_m2, the reflected branch's at 1 - x."""
+def _m2_terms(coef: np.ndarray, tele: np.ndarray, t: np.ndarray,
+              width: int) -> tuple:
+    """(T, tail) for the 2F1 terms J < width at the points t:
+    T_J = coef_J t^J, with t^J a running product, and 2^53 times each
+    term's tail bound T_J t min(1/(1-t), tele_J / 2^53)."""
+    terms = np.empty((t.size, width))
+    terms[:, 0] = 1.0
+    terms[:, 1:] = t[:, None]
+    np.cumprod(terms, axis=1, out=terms)
+    terms *= coef[:width]
+    tail = np.minimum.outer(2.0**53 / (1.0 - t), tele[:width])
+    tail *= t[:, None]
+    tail *= terms
+    return terms, tail
+
+
+@lru_cache(maxsize=64)
+def _m2_coefficients(n: int) -> np.ndarray:
+    """P_J = (J+1)/C(n+1+J, J) = prod_(i=1..J) (i+1)/(n+1+i), J = 0..171,
+    each rounded once from the exact rational (0 where it underflows);
+    read-only, as every call with n shares it."""
+    coef = np.array([(J + 1) / math.comb(n + 1 + J, J)
+                     for J in range(_M2_TERMS)])
+    coef.flags.writeable = False
+    return coef
+
+
+def _closed_m2(spec: OperatorSpec, xs: np.ndarray) -> tuple:
+    """(M2, terms): the series family's share-weighted second moment at
+    the points xs by _mkz_m2, the reflected branch's at 1 - x."""
     m2, most = 0.0, 0
     for share, reflect in spec.record.branches:
         m, used = _mkz_m2(spec.n, 1.0 - xs if reflect else xs)
         m2, most = m2 + share * m, max(most, used)
-    return m2 / psi(xs), most
+    return m2, most
 
 
 def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> tuple:
     """(cond55, nodes, terms): the sup over the profile grid of
     L(psi |alpha - alpha(x)|)(x) / (nu^2 psi(x)), each branch truncated at
     the moment tail 0.1 * truncation_eps; the interior node count and the
-    most closed-form terms.  alpha at the nodes alone comes from the closed
-    form (_closed_alpha): they crowd toward the hard endpoint, where the
-    weight series runs deepest, and 1/nu^2 amplifies its truncation."""
+    most 2F1 terms behind alpha at the nodes, which comes from the closed
+    form M2 (_closed_m2) as on the grid."""
     if not spec.record.series:
         return 0.0, 0, 0  # alpha is constant: the integrand vanishes
     n, xs = spec.n, prof.grid.points
@@ -1418,7 +1480,8 @@ def _cond55_sup(spec: OperatorSpec, prof: AlphaProfile) -> tuple:
                    for _, _, reflect in used])
     a_nodes = np.zeros(at.shape)
     inner = (at[0] > 0.0) & (at[0] < 1.0)
-    a_nodes[:, inner], terms = _closed_alpha(spec, at[0, inner])
+    m2, terms = _closed_m2(spec, at[0, inner])
+    a_nodes[:, inner] = m2 / psi(at[0, inner])
     acc = np.zeros(xs.size)
     for (share, t, _), d, a_b, psi_b in zip(used, depths, a_nodes, psi(at)):
         def integrand(nodes, rows, a_b=a_b, psi_b=psi_b):

@@ -2,22 +2,22 @@
 exact binomials and their logs as one sum of log ratios, single
 Bernstein and Meyer-Koenig-Zeller basis values, the plain-pow Bernstein
 table, a 40-digit Bernstein row and one Meyer-Koenig-Zeller weight row,
-which compute the same
-quantities as the vectorized kernels in opgeom.special by a separate
-route; the plain Meyer-Koenig-Zeller second moment from its
-hypergeometric closed form; for the sweep tests the low-rank step of a paired
-carrier, applied one step at a time; for the paired carrier the
-mkz-symmetric stack built row by row by a fill of its own, and its
-product; the square transfer matrix of any carrier, paired or
-not, from advances of the unit vectors; for the Krylov tests one GMRES
-on the whole interior right-hand side, without the parity split; for the
-exact families their geometric series of a polynomial input, in exact
-rational arithmetic."""
+which compute the same quantities as the vectorized kernels in
+opgeom.special by a separate route; the plain Meyer-Koenig-Zeller second
+moment from its hypergeometric closed form at 40 digits; for the sweep
+tests the low-rank step of a paired carrier, applied one step at a time;
+for the paired carrier the mkz-symmetric stack built row by row by a fill
+of its own, and its product; the square transfer matrix of any carrier,
+paired or not, from advances of the unit vectors; for the Krylov tests
+one GMRES on the whole interior right-hand side, without the parity
+split; for the exact families their geometric series of a polynomial
+input, in exact rational arithmetic."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import mpmath as mp
@@ -171,26 +171,45 @@ def mkz_weight_row(n: int, x: float, kmax: int) -> np.ndarray:
     return out
 
 
-def mkz_second_moment(n: int, xs) -> tuple:
-    """(M2, tail) at the points xs in [0, 1): the second central moment of
-    the plain Meyer-Koenig-Zeller operator in closed form,
+def mkz_second_moment(n: int, xs) -> np.ndarray:
+    """M2 at the points xs in [0, 1): the second central moment of the
+    plain Meyer-Koenig-Zeller operator in closed form,
 
         M2(x) = x (1-x)^2 / (n+1) 2F1(1, 2; n+2; x),
 
-    and a bound on what the summed hypergeometric series leaves out.  Its
-    term ratio (j+2) x / (n+2+j) is at most x, so all that follows a term
-    is at most that term over 1 - x; terms are added until this bound is
-    2^-60 of the sum.  No weight of the operator enters."""
-    xs = np.asarray(xs, dtype=float)
-    term, total, j = np.ones_like(xs), np.zeros_like(xs), 0
-    while True:
-        total += term
-        term = term * (j + 2) * xs / (n + 2 + j)
-        j += 1
-        if np.all(term / (1.0 - xs) <= 2.0**-60 * total):
-            break
-    scale = xs * (1.0 - xs) ** 2 / (n + 1)
-    return scale * total, scale * term / (1.0 - xs)
+    from the float x at 40 digits or more, rounded once: exact to the last
+    bit but for a tie.  No weight of the operator enters."""
+    return np.array([_m2_exact(n, x) for x in np.ravel(xs).tolist()])
+
+
+@lru_cache(maxsize=2**16)  # nodes recur across the tests' families
+def _m2_exact(n: int, x: float) -> float:
+    """One point of mkz_second_moment.  Below 1/2 it is mpmath's hyp2f1 at
+    40 digits.  From 1/2, where hyp2f1 takes milliseconds, it is the
+    finite form of the integer case: with a = (1-x)/x, M2 = x a^2 I_n and
+
+        I_n = int_0^1 u^n (a+u)^-2 du
+            = sum_k C(n, k) (-a)^(n-k) int_0^1 (a+u)^(k-2) du,
+
+    where the k = 1 integral is log((1+a)/a) = -log(1-x) and the others
+    are powers.  As a <= 1, no term exceeds n 3^n and I_n >= 1/(4(n+1)),
+    so 40 digits are left after the cancellation once that ratio's digits
+    are added (test_second_moment_oracle_matches_hyp2f1)."""
+    if x < 0.5:
+        with mp.workdps(40):
+            t = mp.mpf(x)
+            return float(t * (1 - t) ** 2 / (n + 1)
+                         * mp.hyp2f1(1, 2, n + 2, t))
+    lost = math.log10(4.0 * n * (n + 1)) + n * math.log10(3.0)
+    with mp.workdps(41 + int(lost)):
+        t = mp.mpf(x)
+        a = (1 - t) / t
+        integrals = [1 / (a * (1 + a)), -mp.log1p(-t)]
+        integrals += [((1 + a) ** (k - 1) - a ** (k - 1)) / (k - 1)
+                      for k in range(2, n + 1)]
+        total = mp.fsum(math.comb(n, k) * (-a) ** (n - k) * integrals[k]
+                        for k in range(n + 1))
+        return float(t * a * a * total)
 
 
 def factored_step(disc):

@@ -257,6 +257,43 @@ class TestDurrmeyerFunctional:
                 got = operators._beta_integral_composite(float(k), float(n - k), f)
                 assert abs(got / float(ref) - 1.0) <= 1e-12, (n, k)
 
+    def test_oscillating_rows_refine_their_grading(self, monkeypatch):
+        # sin(1/(t(1-t))) against Beta(1, 5) and Beta(5, 1) misses the 1e-6
+        # panel bound on the first grading (1.06e-6), which once made
+        # durrmeyer n = 6 raise QuadratureError at any point; the next
+        # grading meets it.  Reference: on each half of [0, 1],
+        # u = 1/(t(1-t)) gives t = (1 -+ r)/2, r = sqrt(1 - 4/u), and
+        # |dt| = du / (u^2 r): an integral of sin(u) over [8, oo) (QAWF),
+        # and u = 4 + s^2 on [4, 8], where 1/r is singular
+        from scipy.integrate import quad
+        f = registry("osc")
+        for a, b in ((1.0, 5.0), (5.0, 1.0)):
+            def density(t):
+                return 5.0 * (t if a > b else 1.0 - t) ** 4
+
+            ref = 0.0
+            for side in (-1.0, 1.0):
+                def near(s):
+                    u = 4.0 + s * s
+                    t = 0.5 * (1.0 + side * s / math.sqrt(u))
+                    return 2.0 * math.sin(u) * density(t) / u ** 1.5
+
+                def far(u):
+                    r = math.sqrt(1.0 - 4.0 / u)
+                    return density(0.5 * (1.0 + side * r)) / (u * u * r)
+
+                ref += quad(near, 0.0, 2.0, epsabs=1e-14, epsrel=1e-13)[0]
+                ref += quad(far, 8.0, math.inf, weight="sin", wvar=1.0,
+                            epsabs=1e-12)[0]
+            got = operators._beta_integral_composite(a, b, f)
+            assert abs(got - ref) <= 1e-6, (a, b)
+        got = durrmeyer(6, 1.0).apply(f, np.array([0.25, 0.5]))
+        assert np.all(np.isfinite(got))
+        monkeypatch.setattr(operators, "_COMPOSITE_GRADINGS",
+                            operators._COMPOSITE_GRADINGS[:1])
+        with pytest.raises(QuadratureError):
+            operators._beta_integral_composite(1.0, 5.0, f)
+
     def test_parameter_errors(self):
         # the functionals' order and shape are checked once, by the spec:
         # n >= 2 (at least one interior functional) and a finite rho > 0
@@ -522,23 +559,26 @@ class TestMoments:
         ids=["4-1e-14", "16-1e-14", "16-1e-6-grid"])
     def test_mkz_m2_hypergeometric_oracle(self, n, eps, xs):
         # the plain moment and the mkz-symmetric average of the plain one
-        # at x and 1 - x against the closed form.  Each branch drops terms
-        # of weight tail at most 0.1 eps, at nodes within 1 - x (plain) or
-        # x (reflected) of x, so the moment sits below the closed form by
-        # at most that much, and above it by at most the oracle's own tail;
-        # both sides get 64 ulps of rounding
+        # at x and 1 - x against the exact closed form: M2 is the closed
+        # form whatever eps, within 8 ulps
         xs = np.asarray(xs, dtype=float)
-        ulps = 64 * np.finfo(float).eps
-        plain, plain_tail = mkz_second_moment(n, xs)
-        mirror, mirror_tail = mkz_second_moment(n, 1.0 - xs)
-        for family, want, below, above in (
-                ("mkz", plain, 0.1 * eps * (1.0 - xs) ** 2, plain_tail),
-                ("mkz-symmetric", 0.5 * (plain + mirror),
-                 0.05 * eps * ((1.0 - xs) ** 2 + xs ** 2),
-                 0.5 * (plain_tail + mirror_tail))):
+        plain = mkz_second_moment(n, xs)
+        mirror = mkz_second_moment(n, 1.0 - xs)
+        for family, want in (("mkz", plain),
+                             ("mkz-symmetric", 0.5 * (plain + mirror))):
             got = moment(OperatorSpec(family, n, truncation_eps=eps), 2, xs)
-            assert np.all(got >= want - below - ulps * want), family
-            assert np.all(got <= want + above + ulps * want), family
+            gap = np.abs(got - want)
+            assert np.all(gap <= 8 * np.finfo(float).eps * want), family
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_second_moment_oracle_matches_hyp2f1(self, n):
+        # the oracle's finite form, which it takes from 1/2 on, against
+        # mpmath's hyp2f1 at 40 digits, bit for bit
+        xs = [0.5, 0.6, 0.8, 0.8 + 2.0**-52, 0.95, 0.999, 1.0 - 2.0**-30]
+        with mp.workdps(40):
+            want = [float(mp.mpf(x) * (1 - mp.mpf(x)) ** 2 / (n + 1)
+                          * mp.hyp2f1(1, 2, n + 2, mp.mpf(x))) for x in xs]
+        assert mkz_second_moment(n, xs).tolist() == want
 
     def test_symmetric_even_moment_identity(self):
         spec = OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-12)
@@ -549,8 +589,9 @@ class TestMoments:
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
     def test_point_value_does_not_depend_on_the_batch(self):
-        # each point sums to its own series depth: alpha at 0.8 once read
-        # 3.4e-12 higher in a call whose deepest point set the depth of all
+        # alpha at 0.8 once read 3.4e-12 higher in a call whose deepest
+        # point set the series depth of all; M2 is now the closed form,
+        # whose value at 0.8 is 0.114395635176077641... (mpmath, 40 digits)
         spec = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
         inner = node_discretization(spec).nodes[1:-1]
 
@@ -558,7 +599,7 @@ class TestMoments:
             return moment(spec, 2, xs) / psi(xs)
 
         alone = float(alpha(np.array([0.8]))[0])
-        assert alone == pytest.approx(0.11439563517568803, rel=1e-15, abs=0.0)
+        assert alone == pytest.approx(0.11439563517607764, rel=1e-15, abs=0.0)
         for batch in (np.concatenate(([0.8], inner)),
                       np.concatenate((inner, [0.8], 1.0 - inner))):
             at = int(np.flatnonzero(batch == 0.8)[0])
@@ -1381,33 +1422,42 @@ class TestConditionReport:
     def test_node_alpha_oracles(self, family, n):
         # cond55's alpha at its nodes, down to the deepest node of the
         # default profile grid, from the closed-form M2: against the
-        # series at eps 1e-14, which sits below the closed form by at most
-        # its dropped tail 0.1 eps (1 - t)^2 per branch (64 ulps of
-        # rounding either way), and against the oracle's 2F1 sum, which
-        # runs to 2^-60 of its total, within 8 ulps
+        # weight series at eps 1e-14 (_mkz_sum), which sits below the
+        # closed form by at most its dropped tail 0.1 eps (1 - t)^2 per
+        # branch (64 ulps of rounding either way), and against the exact
+        # oracle within 8 ulps
         spec = OperatorSpec(family, n, truncation_eps=1e-14)
         k = np.arange(1, mkz_truncation_index(n, 1.0 - 0.25 / n, 1e-7) + 1)
         x = n / (n + k) if family == "mkz-reflected" else k / (n + k)
-        got, terms = operators._closed_alpha(spec, x)
-        want, allow, ulps = 0.0, 0.0, np.finfo(float).eps
+        m2, terms = operators._closed_m2(spec, x)
+        got = m2 / psi(x)
+        want, series, allow = 0.0, 0.0, 0.0
+        ulps = np.finfo(float).eps
+        tail = 0.1 * spec.truncation_eps
         for share, reflect in spec.record.branches:
             t = 1.0 - x if reflect else x
-            want = want + share * mkz_second_moment(n, t)[0]
-            allow = allow + share * 0.1 * spec.truncation_eps * (1.0 - t) ** 2
-        series = moment(spec, 2, x) / psi(x)
+            want = want + share * mkz_second_moment(n, t)
+            series = series + share * operators._mkz_sum(
+                n, t, operators._mkz_depths(n, t, tail),
+                lambda nodes, rows, t=t: (nodes - t[rows, None],) * 2)
+            allow = allow + share * tail * (1.0 - t) ** 2
+        series = series / psi(x)
         assert np.all(got >= series - 64 * ulps * series)
         assert np.all(got <= series + allow / psi(x) + 64 * ulps * series)
         assert np.all(np.abs(got - want / psi(x)) <= 8 * ulps * got)
-        assert 0 < terms < operators._SERIES_CAP
+        assert 0 < terms <= operators._M2_TERMS
 
     @pytest.mark.parametrize("n", [1, 2, 16])
-    def test_closed_m2_budget(self, n, monkeypatch):
-        # a point whose 2F1 sum would pass _SERIES_CAP terms raises rather
-        # than loops; n = 1 has no telescoping factor and n = 2 the weakest
-        t = np.array([0.5, 1.0 - 1e-3])
-        _, terms = operators._mkz_m2(n, t)
-        monkeypatch.setattr(operators, "_SERIES_CAP", terms - 1)
-        with pytest.raises(TruncationBudgetError):
-            operators._mkz_m2(n, t)
-        monkeypatch.setattr(operators, "_SERIES_CAP", terms)
-        operators._mkz_m2(n, t)
+    def test_closed_m2_budget(self, n):
+        # below t = 4/5 the 2F1 series stops within 172 terms, at the
+        # deepest point one ulp below 4/5 too (n = 1 has no telescoping
+        # factor and n = 2 the weakest); from 4/5 the recurrence takes
+        # over, continuous there to within 8 ulps of the exact oracle
+        split = operators._M2_SPLIT
+        below = np.nextafter(split, 0.0)
+        around = np.array([0.5, np.nextafter(below, 0.0), below, split,
+                           np.nextafter(split, 1.0)])
+        got, terms = operators._mkz_m2(n, around)
+        assert terms <= operators._M2_TERMS == 172
+        want = mkz_second_moment(n, around)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)

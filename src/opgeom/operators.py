@@ -37,8 +37,10 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                transfer matrix; the (1/2, 1/2) stack is indexed by the
                mirror pairs (k/(n+k), n/(n+k)) and holds the reflected
                branch's weights once and the plain branch's up to the
-               own depth of the midpoint, so one product advances both
-               parities.
+               own depth of the midpoint; one product of the stack with
+               the entries each row reads, at the node for a pair's low
+               output and at the other node of the pair for its mirror,
+               advances both outputs of every pair.
 
 Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
 condition bound) take arrays of points of [0, 1]: apply and moment turn a
@@ -228,8 +230,11 @@ class OperatorSpec:
 
 
 def _points(x) -> np.ndarray:
-    """x as a 1-D float array; DomainError unless every point is in [0, 1]."""
+    """x as a 1-D float array; DomainError unless x is a point or a 1-D
+    array of points and every point is in [0, 1]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim > 1:
+        raise DomainError("operator points need a point or a 1-D array")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError("operator points need 0 <= x <= 1")
     return xs
@@ -637,11 +642,16 @@ def _durrmeyer_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ki->i", bernstein_basis_matrix(op.n, xs), full)
 
 
+def _check_order(k, what: str) -> None:
+    """DomainError unless k is an integer >= 0 (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise DomainError(f"{what} order must be an integer >= 0, got {k!r}")
+
+
 def moment(op: OperatorSpec, k: int, x):
     """Central moment L((e1 - x e0)^k)(x) at a point (a float) or at an
     array of points (an array)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise DomainError(f"moment order must be an integer >= 0, got {k!r}")
+    _check_order(k, "moment")
     out = op.record.moment(op, k, _points(x))
     return out if np.ndim(x) else float(out[0])
 
@@ -724,34 +734,36 @@ class NodeDiscretization:
     holds now, and the carrier cache applies its byte cap again once a
     fill completes.
 
-    mkz-symmetric keeps its stack in pair coordinates over the mirror
-    pairs (p_k, r_k) = (k/(n+k), n/(n+k)), k = 0..depth, with the pair map
-    (low, high, sign).  Column i sits at the pair's low node t_i in
-    [0, 1/2] (p_i for i <= n, r_i beyond); the even and odd inputs e, o of
-    pair j are the half sum and half difference of its low node's entry
-    and its mirror's, and s_j = +1 for j <= n, -1 beyond.  The stack is
-    the one (P + depth + 1) x (depth + 1) array [W_p^T[:P]; W_r^T] with
-    W_r[i, j] = w_j(1 - t_i)/2 and W_p[i, j] = w_j(t_i)/2.  P is one past
+    mkz-symmetric keeps its stack over the mirror pairs (p_k, r_k) =
+    (k/(n+k), n/(n+k)), k = 0..depth, with the pair map (low, high,
+    reads).  Column i gives the outputs at the pair's low node t_i in
+    [0, 1/2] (p_i for i <= n, r_i beyond) and at its mirror 1 - t_i, the
+    nodes low[i] and high[i].  The stack is the one
+    (P + depth + 1) x (depth + 1) array [W_p^T[:P]; W_r^T] with
+    W_p[i, j] = w_j(t_i)/2 and W_r[i, j] = w_j(1 - t_i)/2.  P is one past
     the own depth of the deepest low node, 1/2, at the tail
     share * _EVAL_TAIL that apply_rep stops each point at (at most
     depth + 1; _mkz_plain_rows); w_j rises on [0, 1/2] for j > n, so
     below that cap the plain weights past P sum to at most that tail at
     every low node, and they join the mass routed to node 1 as those of
-    an image do.  The gathered rows
-    u hold e on every row, s o on the plain rows and -s o on the reflected
-    ones, so one product u @ stack multiplies U = [e | s o] by both
-    branches:
+    an image do.  At 1 - t_i the two branches trade weights, so the same
+    column serves both outputs, each stack row reading the other node of
+    its pair:
 
-        even = W_p e + W_r e + (m_p + m_r) e_0,
-        odd  = W_p (s o) - W_r (s o) + (m_r - m_p) o_0,
+        L f(t_i)     = sum_j W_p[i, j] f(p_j) + W_r[i, j] f(r_j),
+        L f(1 - t_i) = sum_j W_p[i, j] f(r_j) + W_r[i, j] f(p_j).
 
-    with m_p, m_r the masses routed to nodes 1 and 0 (pair 0).  Each mass
-    is stored in column 0 of the other branch's weights (W_p[:, 0] += m_r,
-    W_r[:, 0] += m_p; s_0 = +1), so both come out of the same product.
-    advance writes even + odd at the low nodes and even - odd at their
-    mirrors.  A merged node p_j = r_m (j m = n^2) belongs to the pairs j
-    and m, whose columns add up to its column; the midpoint pair k = n has
-    odd input 0.
+    Row 0 of reads, [p_cols[:P], r_cols], is the node each stack row reads
+    for the low output, row 1, [r_cols[:P], p_cols], the one it reads for
+    the mirror output.  advance gathers v[reads], two rows per column of
+    v, multiplies them by the stack once, and writes row 0 at low and
+    row 1 at high; at the midpoint pair k = n, where low == high, the
+    mirror row is kept.  The masses m_p, m_r routed to nodes 1 and 0 are
+    stored in row 0 of the other branch (W_p[:, 0] += m_r,
+    W_r[:, 0] += m_p), whose reads are node 0 and node 1 for the low
+    output and node 1 and node 0 for the mirror one, so both come out of
+    the same product.  A merged node p_j = r_m (j m = n^2) is read by the
+    rows of both pairs and written by both, with equal columns.
 
     sweep_sums(v, k) gives a Neumann sweep its partial sums
     sum_{j<k} S^j v under a stand-in S for advance.  Without a pair map S
@@ -782,7 +794,7 @@ class NodeDiscretization:
         self._lock = threading.Lock()
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
-        self._pairs = pairs  # (low, high, sign) by pair, or None
+        self._pairs = pairs  # (low, high, reads), or None
         self._rules = rules  # the rule table rep_builder fills, or None
         self.interior = (nodes > 0.0) & (nodes < 1.0)
 
@@ -883,8 +895,8 @@ class NodeDiscretization:
         return h
 
     def _lift(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """gather(v) @ y: the even then the odd coordinates of each column
-        of v in one row."""
+        """gather(v) @ y: the coordinates of the low then the mirror
+        reads of each column of v in one row."""
         return (self._gather(v) @ y).reshape(-1, 2 * y.shape[1])
 
     def _expand(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -892,31 +904,22 @@ class NodeDiscretization:
         return self._scatter(x.reshape(-1, z.shape[0]) @ z)
 
     def _gather(self, v: np.ndarray) -> np.ndarray:
-        """The rows u of a paired product, two per column of v, in the
-        stack's row order [plain j < P | reflected]: e on every row, and
-        s o on the plain rows and -s o on the reflected ones, so that
-        u @ stack holds its even and odd rows."""
-        low, high, sign = self._pairs
-        rows = self._stack.shape[0]
-        plain = rows - low.size  # P
-        cols = v.reshape(v.shape[0], -1)
-        vl, vh = cols[low], cols[high]
-        e = (0.5 * (vl + vh)).T
-        so = ((0.5 * sign)[:, None] * (vl - vh)).T
-        u = np.empty((cols.shape[1], 2, rows))
-        u[:, 0, :plain], u[:, 0, plain:] = e[:, :plain], e
-        u[:, 1, :plain] = so[:, :plain]
-        np.negative(so, out=u[:, 1, plain:])
-        return u.reshape(-1, rows)
+        """The rows of a paired product, two per column of v: its entries
+        at the nodes the stack rows read for the low outputs, then for
+        the mirror outputs."""
+        reads = self._pairs[2]
+        # take along axis 1 of the transposed view writes its result in
+        # row order, so the reshape makes no second copy
+        rows = np.take(v.reshape(v.shape[0], -1).T, reads, axis=1)
+        return rows.reshape(-1, reads.shape[1])
 
     def _scatter(self, both: np.ndarray) -> np.ndarray:
-        """even + odd at the low nodes and even - odd at their mirrors,
-        one column per even and odd row pair of a paired product."""
+        """The low outputs of each row pair of a paired product at the
+        low nodes, then its mirror outputs at the high nodes."""
         low, high, _ = self._pairs
-        even, odd = both[0::2].T, both[1::2].T
-        out = np.empty((self.nodes.size, even.shape[1]))
-        out[low] = even + odd
-        out[high] = even - odd
+        out = np.empty((self.nodes.size, both.shape[0] // 2))
+        out[low] = both[0::2].T
+        out[high] = both[1::2].T
         return out
 
     def rep(self, f: Function01) -> np.ndarray:
@@ -1125,13 +1128,16 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         ((share, reflect),) = used
         at, pairs = nodes, None
     else:
-        # pair k's low node is p_k up to k = n and r_k beyond, where the
-        # odd sign flips; pair 0, (node 0, node 1), takes the routed
-        # masses, each in the other branch's row 0
+        # the nodes are sorted, so pair k's low node, p_k up to k = n and
+        # r_k beyond, has the smaller index; the plain rows j < P, then
+        # the reflected ones, read p_j and r_j for the low output and r_j
+        # and p_j for the mirror one
         p_cols, r_cols = branch_cols
-        first = k <= n
-        low, high = np.where(first, p_cols, r_cols), np.where(first, r_cols, p_cols)
-        pairs = (low, high, np.where(first, 1.0, -1.0))
+        low, high = np.minimum(p_cols, r_cols), np.maximum(p_cols, r_cols)
+        plain = _mkz_plain_rows(spec, depth)  # P
+        reads = np.array([np.concatenate((p_cols[:plain], r_cols)),
+                          np.concatenate((r_cols[:plain], p_cols))])
+        pairs = (low, high, reads)
         at = nodes[low]
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
@@ -1140,7 +1146,7 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
         if pairs is None:
             stack, routed = _mkz_branch_stack(n, nodes, share, reflect, store)
         else:
-            stack, m_p, m_r = _mkz_paired_stack(spec, at, store)
+            stack, m_p, m_r = _mkz_paired_stack(spec, at, plain, store)
             routed = m_p + m_r
         bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
         return stack, bound
@@ -1162,15 +1168,15 @@ def _mkz_branch_stack(n: int, nodes: np.ndarray, share: float,
     return stack, routed
 
 
-def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, store: bool = True):
+def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, plain: int,
+                      store: bool = True):
     """(stack, m_p, m_r): the mkz-symmetric stack [W_p^T[:P]; W_r^T] over
-    the low nodes at (NodeDiscretization) and the masses routed to nodes 1
-    and 0, each added to the other branch's row 0.  With store False the
-    same fills run with no stack and only the masses are kept:
+    the low nodes at (NodeDiscretization), P = plain, and the masses routed
+    to nodes 1 and 0, each added to the other branch's row 0.  With store
+    False the same fills run with no stack and only the masses are kept:
     (None, m_p, m_r), equal to the stored fill's."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     cols = at.size  # depth + 1
-    plain = _mkz_plain_rows(spec, cols - 1)  # P
     stack = np.empty((plain + cols, cols)) if store else None
     m_p = _mkz_fill(n, at, p_share, plain, stack[:plain] if store else None)
     m_r = _mkz_fill(n, 1.0 - at, r_share, cols, stack[plain:] if store else None)
@@ -1206,33 +1212,30 @@ def _test_rows(start: int, count: int, cols: int) -> np.ndarray:
 
 def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     """(y, z) with u @ y @ z standing in for u @ S, S the paired stack
-    with its rows in the gather order, or (None, None) where the rank
+    and u the rows that _gather makes, or (None, None) where the rank
     reaches a quarter of the stack's width.
 
-    The weighted stack S'[j, i] = S[j, i] rho_j / w_i, with rho_j psi
-    at row j's pair (the larger of its two nodes) and w_i psi at output
-    pair i (the smaller), is factored S' ~ Q Q^T S' by a randomized range
-    finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011), sec. 4): Q
-    is an orthonormal basis of the sketch S' G, G of _test_rows, widened by
-    _SKETCH_CHUNK columns until _OVERSAMPLE of its singular values are at
-    most _SKETCH_CUT of the largest.  Row j of u is at most rho_j |v|_psi,
-    so the weighting makes the factorization accurate in the weighted
-    norm the series is certified in.  The factors are y = Q / rho and
-    z = (rho Q)^T S, rank columns and rows, with column 0 of z zero.  psi
-    vanishes on pair 0, so an input with zero endpoint entries
-    (sweep_sums) has zero pair-0 rows u (rows 0 and P, the routed
-    masses), which y ignores, and its endpoint outputs stay zero.  The
-    stack is the right operand of every product, and every other array
-    has at most rank + _SKETCH_CHUNK rows or columns.
+    The weighted stack S'[j, i] = S[j, i] rho_j / w_i, with rho_j the
+    larger psi at the two nodes row j reads and w_i the smaller psi at
+    output pair i's two nodes, is factored S' ~ Q Q^T S' by a randomized
+    range finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011),
+    sec. 4): Q is an orthonormal basis of the sketch S' G, G of
+    _test_rows, widened by _SKETCH_CHUNK columns until _OVERSAMPLE of its
+    singular values are at most _SKETCH_CUT of the largest.  Column j of
+    u is at most rho_j |v|_psi, so the weighting makes the factorization
+    accurate in the weighted norm the series is certified in.  The
+    factors are y = Q / rho and z = (rho Q)^T S, rank columns and rows,
+    with column 0 of z zero.  psi vanishes at nodes 0 and 1, which rows 0
+    and P (the routed masses) read, so those rows of y are zero, and an
+    input with zero endpoint entries (sweep_sums) keeps zero endpoint
+    outputs.  The stack is the right operand of every product, and every
+    other array has at most rank + _SKETCH_CHUNK rows or columns.
     """
-    low, high, _ = pairs
+    low, high, reads = pairs
     rows, cols = stack.shape
-    p_low, p_high = psi(nodes[low]), psi(nodes[high])
-    rho = np.maximum(p_low, p_high)
-    # rho of each row in the gather order, zero on the pair-0 rows
-    rw = np.concatenate((rho[:rows - cols], rho))
-    iw = np.zeros(cols)
-    iw[1:] = 1.0 / np.minimum(p_low, p_high)[1:]
+    rw = psi(nodes[reads]).max(axis=0)
+    w = np.minimum(psi(nodes[low]), psi(nodes[high]))
+    iw = np.divide(1.0, w, out=np.zeros(cols), where=w > 0.0)
     sketch = np.empty((0, rows))
     while True:
         if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
@@ -1245,7 +1248,8 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
             break  # the sketch holds the rank, with _OVERSAMPLE to spare
     del sketch, chunk
-    # S ~ y @ z off pair 0 and column 0, with z = (rho Q)^T S and y = Q / rho
+    # S ~ y @ z off rows 0 and P and column 0, with z = (rho Q)^T S and
+    # y = Q / rho
     y = q * rw[:, None]
     del q
     z = y.T @ stack

@@ -54,7 +54,8 @@ import numpy as np
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
 from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi,
                         psi_norm, psi_sup)
-from .operators import NodeDiscretization, OperatorSpec, node_discretization
+from .operators import (NodeDiscretization, OperatorSpec, _check_order, _points,
+                        node_discretization)
 
 __all__ = [
     "GeometricSeriesResult",
@@ -87,17 +88,20 @@ class GeometricSeriesResult:
 
 
 def iterate_apply(op: OperatorSpec, k: int, f: Function01, x):
-    """L^k(f)(x): identity for k = 0, otherwise one pointwise application
-    of L to the representation advanced by k-1 transfer products."""
-    if k < 0:
-        raise DomainError("iterate order must be >= 0")
+    """L^k(f)(x) at a point (a float) or at an array of points (an array):
+    identity for k = 0, otherwise one pointwise application of L to the
+    representation advanced by k-1 transfer products.  The order and the
+    points are checked as moment checks them."""
+    _check_order(k, "iterate")
+    xs = _points(x)
     if k == 0:
-        return f(x)
-    disc = node_discretization(op)
-    v = disc.rep(f)
-    for _ in range(k - 1):
-        v = disc.advance(v)
-    out = disc.apply_rep(v, x)
+        out = np.asarray(f(xs), dtype=float)
+    else:
+        disc = node_discretization(op)
+        v = disc.rep(f)
+        for _ in range(k - 1):
+            v = disc.advance(v)
+        out = disc.apply_rep(v, xs)
     return out if np.ndim(x) else float(out[0])
 
 

@@ -265,11 +265,15 @@ def _fill_rows(rows, n, t, share):
 
 
 def single_stack(spec):
-    """(nodes, pairs, stack, m_p, m_r, bound) of the mkz-symmetric carrier
-    with its paired stack [W_p^T[:P]; W_r^T] filled row by row, P one past
-    the own depth of the midpoint 1/2 at share * 2^-64 (at most
+    """(nodes, pairs, reads, stack, m_p, m_r, bound) of the mkz-symmetric
+    carrier with its paired stack [W_p^T[:P]; W_r^T] filled row by row, P
+    one past the own depth of the midpoint 1/2 at share * 2^-64 (at most
     depth + 1), with the masses m_p, m_r routed to nodes 1 and 0 and the
-    certified truncation bound."""
+    certified truncation bound.  pairs = (low, high, sign) gives each
+    pair's low node, its mirror and the sign s_j of its odd part (+1 for
+    j <= n, -1 beyond), for the parity form of single_stack_advance;
+    reads[0][j] and reads[1][j] are the node stack row j reads for a low
+    output and for its mirror output."""
     n, fam = spec.n, spec.record
     depth = operators._mkz_node_depth(spec)
     k = np.arange(depth + 1)
@@ -281,6 +285,8 @@ def single_stack(spec):
     pairs = (low, high, np.where(first, 1.0, -1.0))
     plain = 1 + min(depth, operators.mkz_truncation_index(
         n, 0.5, fam.shares[0] * 2.0**-64))  # P
+    reads = np.array([list(p_cols[:plain]) + list(r_cols),
+                      list(r_cols[:plain]) + list(p_cols)])
     stack = np.empty((plain + depth + 1, depth + 1))
     at = nodes[low]
     m_p = _fill_rows(stack[:plain], n, at, fam.shares[0])
@@ -291,15 +297,17 @@ def single_stack(spec):
     lo, hi = spec.certified_interval()
     certified = (at >= lo) & (at <= hi)
     bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-    return nodes, pairs, stack, m_p, m_r, bound
+    return nodes, pairs, reads, stack, m_p, m_r, bound
 
 
-def single_stack_advance(disc, stack, v):
-    """One advance of the paired carrier disc through the stack of
-    single_stack, each branch by its own product: even = W_p e + W_r e and
+def single_stack_advance(pairs, stack, v):
+    """One advance of the mkz-symmetric carrier through the pairs and the
+    stack of single_stack, in parity form, each branch by its own product:
+    with e and o the half sum and half difference of the entries at a
+    pair's low node and its mirror, even = W_p e + W_r e and
     odd = W_p (s o) - W_r (s o) over the pairs, then even + odd at the low
     nodes and even - odd at their mirrors."""
-    low, high, sign = disc._pairs
+    low, high, sign = pairs
     plain = stack.shape[0] - low.size  # P
     cols = v.reshape(v.shape[0], -1)
     vl, vh = cols[low], cols[high]

@@ -606,24 +606,42 @@ class TestMoments:
             assert alpha(batch)[at] == pytest.approx(alone, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_points_outside_the_unit_interval_raise(family):
-    # bernstein and durrmeyer once extrapolated (bernstein n = 8 gave
-    # -0.3196 at -0.1), and a series carrier summed meaningless weights
+def point_calls(family):
+    """The family at n = 8 and the three calls that take points: apply,
+    moment and a carrier's apply_rep, each of sin_pi or its order 2."""
     param = family_record(family).param
     values = {"rho": 1.0, "truncation_eps": 1e-6}
     spec = OperatorSpec(family, 8, **({param: values[param]} if param else {}))
     disc = node_discretization(spec)
     rep = disc.rep(registry("sin_pi"))
+    return spec, (lambda p: spec.apply(registry("sin_pi"), p),
+                  lambda p: spec.moment(2, p),
+                  lambda p: disc.apply_rep(rep, p))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_points_outside_the_unit_interval_raise(family):
+    # bernstein and durrmeyer once extrapolated (bernstein n = 8 gave
+    # -0.3196 at -0.1), and a series carrier summed meaningless weights
+    spec, calls = point_calls(family)
     for x in (-0.1, 1.5, math.nan):
-        for call in (lambda p: spec.apply(registry("sin_pi"), p),
-                     lambda p: spec.moment(2, p),
-                     lambda p: disc.apply_rep(rep, p)):
+        for call in calls:
             with pytest.raises(DomainError, match="0 <= x <= 1"):
                 call(x)
             with pytest.raises(DomainError, match="0 <= x <= 1"):
                 call(np.array([0.0, 0.5, x]))
     assert np.isfinite(spec.apply(registry("sin_pi"), np.array([0.0, 0.5, 1.0]))).all()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_arrays_of_two_dimensions_raise(family):
+    # bernstein and durrmeyer once failed to broadcast them, the series
+    # families indexed out of bounds
+    _, calls = point_calls(family)
+    for call in calls:
+        for x in (np.array([[0.2, 0.3]]), np.array([[0.2], [0.3]])):
+            with pytest.raises(DomainError, match="1-D array"):
+                call(x)
 
 
 class TestAlphaProfile:
@@ -929,23 +947,33 @@ def weighted_max(disc, v):
     return np.max(np.abs(v[idx]) / psi(disc.nodes[idx])[:, None], axis=0)
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+GEOM_16 = OperatorSpec("mkz-symmetric", 16, truncation_eps=1e-6)  # geom's largest default
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GEOM_16],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_cut_row_changes_no_number(spec):
     # the stack, cut at the plain row P, is the oracle's row-by-row build
-    # bit for bit, with the same routed masses and truncation bound;
-    # advance only regroups the oracle's per-branch sums
-    nodes, pairs, stack, m_p, m_r, bound = single_stack(spec)
+    # bit for bit, with the same routed masses and truncation bound, and
+    # the pair map's nodes and reads are the oracle's; advance, which
+    # reads the nodes straight, stays within rounding of the oracle's
+    # parity form, also at n = 16 with one column (a Krylov product) and
+    # five (a batched sweep)
+    nodes, pairs, reads, stack, m_p, m_r, bound = single_stack(spec)
     disc = operators._mkz_disc(spec)
     assert np.array_equal(disc.nodes, nodes)
-    assert all(np.array_equal(a, b) for a, b in zip(disc._pairs, pairs))
-    got, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]])
+    low, high, got_reads = disc._pairs
+    assert np.array_equal(low, pairs[0]) and np.array_equal(high, pairs[1])
+    assert np.array_equal(got_reads, reads)
+    plain = stack.shape[0] - low.size  # P
+    got, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]], plain)
     assert np.array_equal(got, stack) and np.array_equal(disc._stack, stack)
     assert np.array_equal(got_p, m_p) and np.array_equal(got_r, m_r)
     assert disc.truncation_error_bound == bound
-    for v in weighted_inputs(disc, 4, spec.n):
-        gap = np.abs(disc.advance(v) - single_stack_advance(disc, stack, v))
-        assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
+    for cols in ((1, 5) if spec is GEOM_16 else (4,)):
+        for v in weighted_inputs(disc, cols, spec.n):
+            gap = np.abs(disc.advance(v) - single_stack_advance(pairs, stack, v))
+            assert np.all(gap.max(axis=0) <= 1e-15 * np.abs(v).max(axis=0))
 
 
 @pytest.mark.parametrize("spec", SERIES_CARRIERS,

@@ -67,6 +67,21 @@ class TestIterates:
         with pytest.raises(DomainError):
             iterate_apply(OperatorSpec("bernstein", 4), -1, registry("psi"), 0.5)
 
+    def test_order_and_points_are_checked_as_moment_checks_them(self):
+        # 1.5 and 2.0 once raised TypeError, True ran as k = 1, and k = 0
+        # returned f(1.5) = -1.0 where k >= 1 raised DomainError
+        op = OperatorSpec("bernstein", 8)
+        f = project_to_Cpsi(registry("sin_pi"))
+        for k in (1.5, 2.0, True, False):
+            with pytest.raises(DomainError, match="iterate order"):
+                iterate_apply(op, k, f, 0.3)
+        for k in (0, 1, 2):
+            with pytest.raises(DomainError, match="0 <= x <= 1"):
+                iterate_apply(op, k, f, 1.5)
+            with pytest.raises(DomainError, match="0 <= x <= 1"):
+                iterate_apply(op, k, f, np.array([0.3, 1.5]))
+        assert iterate_apply(op, np.int64(2), f, 0.3) == iterate_apply(op, 2, f, 0.3)
+
 
 class TestTailTerms:
     @pytest.mark.parametrize("b,f,eps", [

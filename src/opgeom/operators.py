@@ -720,19 +720,15 @@ class NodeDiscretization:
     one-branch series carrier fills its rows in node order with the routed
     masses in its endpoint row.
 
-    A carrier is made with its fill, not its stack: fill(store) returns
-    the stack (None where store is False) and the truncation bound.  The
-    first call that needs the matrix (advance, advance_sums, sweep_sums,
-    transfer and the paired products) runs fill(True) once, under the
-    carrier's lock, and keeps the stack; nodes, interior, rep, apply_rep
-    and apply_reps never fill, so a series carrier used only for images
-    holds no stack; an exact carrier runs its fill as it is made.
-    truncation_error_bound asked for before the first product runs
-    fill(False): a series carrier then makes the same weight rows in its
-    fill's one block (_mkz_fill) and keeps only the bound, equal to the
-    filled stack's bit for bit.  matrix_bytes counts what the carrier
-    holds now, and the carrier cache applies its byte cap again once a
-    fill completes.
+    A carrier is made with its truncation bound and its fill, not its
+    stack: fill() returns the stack.  The first call that needs the matrix
+    (advance, advance_sums, sweep_sums, transfer and the paired products)
+    runs it once, under the carrier's lock, and keeps the stack; nodes,
+    interior, rep, apply_rep, apply_reps and truncation_error_bound never
+    fill, so a series carrier used only for images or for its bound holds
+    no stack; an exact carrier runs its fill as it is made.  matrix_bytes
+    counts what the carrier holds now, and the carrier cache applies its
+    byte cap again once a fill completes.
 
     mkz-symmetric keeps its stack over the mirror pairs (p_k, r_k) =
     (k/(n+k), n/(n+k)), k = 0..depth, with the pair map (low, high,
@@ -777,20 +773,24 @@ class NodeDiscretization:
     2a-square H = lift o expand: each term of the sum costs one small
     matrix product instead of a pass over the stack.
 
-    truncation_error_bound certifies rows at points within the family's
-    certified interval; rows at deeper nodes carry larger omitted mass,
-    which the endpoint routing converts into an error of order psi(node)
-    for weighted-space inputs.
+    truncation_error_bound is an upper bound of the weight mass the
+    carrier's rows omit (the negative-binomial tails past each branch's
+    stored rows, _mkz_tail) at the nodes within the family's certified
+    interval, 0 for the exact families.  It does not count the rounding
+    of the stored weights, nor that of the routed masses, which are
+    share minus the weights summed.  Rows at deeper nodes carry larger
+    omitted mass, which the endpoint routing converts into an error of
+    order psi(node) for weighted-space inputs.
     """
 
-    def __init__(self, spec: OperatorSpec, nodes: np.ndarray,
+    def __init__(self, spec: OperatorSpec, nodes: np.ndarray, bound: float,
                  fill: Callable, images: Callable, rep_builder=None,
                  pairs=None, rules: Optional[_GaussRules] = None):
         self.spec = spec
         self.nodes = nodes
-        self._fill = fill  # store -> (stack, or None if not store; bound)
+        self.truncation_error_bound = bound
+        self._fill = fill  # () -> the stack
         self._filled = None  # the stack, once filled
-        self._bound = None
         self._lock = threading.Lock()
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
@@ -806,20 +806,9 @@ class NodeDiscretization:
         if self._filled is None:
             with self._lock:
                 if self._filled is None:
-                    self._filled, self._bound = self._fill(True)
+                    self._filled = self._fill()
             _apply_cache_cap()
         return self._filled
-
-    @property
-    def truncation_error_bound(self) -> float:
-        """The largest routed mass at the carrier's nodes in the certified
-        interval (0 for the exact families): the filled stack's, or, before
-        the first product, that of a fill that stores no stack."""
-        if self._bound is None:
-            with self._lock:
-                if self._bound is None:
-                    self._bound = self._fill(False)[1]
-        return self._bound
 
     @property
     def transfer(self) -> np.ndarray:
@@ -966,9 +955,9 @@ def _exact_disc(spec: OperatorSpec, up: np.ndarray, falls,
     transfer = np.zeros((n + 1, n + 1))
     transfer[0, 0] = transfer[n, n] = 1.0
     transfer[1:n] = inner
-    disc = NodeDiscretization(spec, np.arange(n + 1) / n,
-                              lambda store: (transfer.T if store else None, 0.0),
-                              partial(_basis_images, n), **kwargs)
+    disc = NodeDiscretization(spec, np.arange(n + 1) / n, 0.0,
+                              lambda: transfer.T, partial(_basis_images, n),
+                              **kwargs)
     disc._stack
     return disc
 
@@ -1029,17 +1018,13 @@ def _kahan_step(total, lost, s):
     return step, (step - total) - y
 
 
-def _mkz_fill(n: int, t: np.ndarray, share: float, count: int,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Make share * w_j(t), j = 0 .. count - 1, at all the points t at
-    once, copy them into out (count rows) where it is given, and return
-    each point's routed mass: share minus the weights made (share itself
-    at t = 1, the point mass at the branch's endpoint, which gets no
-    weights).  Without out only the routed masses are kept, which is how
-    a carrier certifies its truncation bound before its first product
-    (NodeDiscretization).
+def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray) -> np.ndarray:
+    """Write share * w_j(t) into out[j], j = 0 .. len(out) - 1, at all the
+    points t at once, and return each point's routed mass: share minus
+    the weights written (share itself at t = 1, the point mass at the
+    branch's endpoint, which gets no weights).
 
-    The rows are made in blocks of _FILL_ROWS in one scratch block.  A
+    The rows are made in place, in blocks of _FILL_ROWS rows of out.  A
     block takes one outer product for its ratios t (n+j)/j, one multiply
     per row for the running product (a row loop: np.cumprod over the
     block gives the same bits five times slower), then one multiply by
@@ -1053,18 +1038,20 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, count: int,
     Each block is summed over all the points: numpy adds its rows in
     order (a single column it would sum pairwise; every carrier has two
     or more points), and one Kahan step adds the block sum into the
-    running total.  A plain running sum over thousands of rows would
-    carry its rounding into the routed mass; blocked, the error stays a
-    few ulps of share (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 4).
+    running total, so the sum adds almost no rounding of its own (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4).  What remains
+    is the rounding of the weights, whose running product gathers about
+    one rounding per row: against the exact tails (I_t of _mkz_tail at 45
+    digits) the routed masses of the mkz carriers at n = 3..16, eps 1e-2
+    to 1e-10, are off by up to 88.1 ulps of share, at t = 0.99380 on the
+    reflected branch of mkz-symmetric at n = 16, eps 1e-6.
     """
     at_end = t == 1.0
     t = np.where(at_end, 0.0, t)
     w0 = np.where(at_end, 0.0, share * (1.0 - t) ** (n + 1))
     total, lost = np.zeros(t.size), np.zeros(t.size)
-    block = np.empty((_FILL_ROWS, t.size))
-    for start in range(0, count, _FILL_ROWS):
-        seg = block[:min(_FILL_ROWS, count - start)]
+    for start in range(0, out.shape[0], _FILL_ROWS):
+        seg = out[start:start + _FILL_ROWS]
         k = np.arange(start, start + seg.shape[0], dtype=float)
         np.multiply.outer((n + k) / np.maximum(k, 1.0), t, out=seg)
         if start:
@@ -1076,10 +1063,55 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, count: int,
         run = seg[-1].copy()
         seg *= w0
         seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
-        if out is not None:
-            out[start:start + seg.shape[0]] = seg
         total, lost = _kahan_step(total, lost, np.add.reduce(seg, axis=0))
     return np.where(at_end, share, np.maximum(0.0, share - total))
+
+
+def _mkz_tail(n: int, t: np.ndarray, share: float, count: int) -> np.ndarray:
+    """An upper bound of share * sum_{j >= count} w_j(t) at every point t,
+    the weight mass past a branch's first count >= 1 rows: share at t = 1,
+    0 at t = 0.
+
+    The tail is the regularized incomplete Beta function I_t(count, n + 1)
+    (DLMF 8.17.5), a binomial sum of n + 1 terms,
+
+        sum_{i=0..n} C(N, i) (1-t)^i t^(N-i),  N = count + n,
+
+    each made as exp(log C(N, i) + i log(1-t) + (N-i) log t) in one pass
+    over the points, with log C(N, i) the running sum of the logs of
+    (N + 1 - m)/m, m = 1..i.
+
+    With u = 2^-53 and every log, log1p and exp within 4 ulps (8u
+    relative) of its exact value, an exponent is off by at most
+    n u + (n + 10) u S, where
+
+        S = sum_m |log((N + 1 - m)/m)| + n |log(1-t)| + N |log t|:
+
+    each log is within 8u, each quotient, product and sum within u, and a
+    running sum of i terms within i u of their absolute sum.  So each
+    term is within exp(n u + (n + 10) u S) (1 + 8u) of its exact value,
+    and the sum of the n + 1 terms within 2u ((n + 10)(S + 1) + 2n) of
+    the tail, with room for the second-order terms and for the roundings
+    of that margin, of the share and of one later addition of two such
+    bounds; the sum is raised by this margin.  A term below the smallest
+    normal float may lose all its relative accuracy, so n + 1 of that
+    float are added too.  Against I_t at 45 digits the unraised sum is
+    off by at most 0.07 of its margin at n = 3..64.
+    """
+    big = count + n
+    m = np.arange(1.0, n + 1.0)
+    logs = np.log((big + 1.0 - m) / m)
+    log_binom = np.concatenate(([0.0], np.cumsum(logs)))
+    inner = (t > 0.0) & (t < 1.0)
+    x = np.where(inner, t, 0.5)
+    log_s, log_t = np.log1p(-x), np.log(x)
+    total = np.zeros(t.size)
+    for i in range(n + 1):
+        total += np.exp(log_binom[i] + i * log_s + (big - i) * log_t)
+    size = np.abs(logs).sum() - n * log_s - big * log_t
+    total *= 1.0 + 2.0**-52 * ((n + 10) * (size + 1.0) + 2 * n)
+    total += (n + 1) * _TINY
+    return share * np.where(inner, total, t >= 1.0)
 
 
 def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -1091,7 +1123,10 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     mass to its hard endpoint node (1 plain, 0 reflected): the skipped
     terms sample f next to that endpoint, where weighted-space inputs
     vanish like psi.  The stack (see NodeDiscretization) is allocated once,
-    on the first product, and filled in place by _mkz_fill.
+    on the first product, and filled in place by _mkz_fill; the truncation
+    bound is the largest of the branches' tails (_mkz_tail) at the
+    certified nodes, summed over both branches at the low node of a
+    mirror pair, and needs no fill.
     """
     n, fam = spec.n, spec.record
     depth = _mkz_node_depth(spec)
@@ -1127,6 +1162,8 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
     if len(used) == 1:
         ((share, reflect),) = used
         at, pairs = nodes, None
+        tails = _mkz_tail(n, 1.0 - nodes if reflect else nodes, share, nodes.size - 1)
+        fill = partial(_mkz_branch_stack, n, nodes, share, reflect)
     else:
         # the nodes are sorted, so pair k's low node, p_k up to k = n and
         # r_k beyond, has the smaller index; the plain rows j < P, then
@@ -1139,50 +1176,40 @@ def _mkz_disc(spec: OperatorSpec) -> NodeDiscretization:
                           np.concatenate((r_cols[:plain], p_cols))])
         pairs = (low, high, reads)
         at = nodes[low]
+        p_share, r_share = fam.shares
+        tails = (_mkz_tail(n, at, p_share, plain)
+                 + _mkz_tail(n, 1.0 - at, r_share, depth + 1))
+
+        def fill():
+            return _mkz_paired_stack(spec, at, plain)[0]
     lo, hi = spec.certified_interval()
-    certified = (at >= lo) & (at <= hi)
-
-    def fill(store):
-        if pairs is None:
-            stack, routed = _mkz_branch_stack(n, nodes, share, reflect, store)
-        else:
-            stack, m_p, m_r = _mkz_paired_stack(spec, at, plain, store)
-            routed = m_p + m_r
-        bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-        return stack, bound
-
-    return NodeDiscretization(spec, nodes, fill, images, pairs=pairs)
+    bound = float(np.max(tails[(at >= lo) & (at <= hi)]))
+    return NodeDiscretization(spec, nodes, bound, fill, images, pairs=pairs)
 
 
 def _mkz_branch_stack(n: int, nodes: np.ndarray, share: float,
-                      reflect: bool, store: bool):
-    """(stack, routed) of a one-branch carrier: its rows in node order, so
-    the reflected nodes n/(n+k) fill backwards, and the routed masses in
-    the endpoint row; with store False no stack, (None, routed)."""
-    t, count = 1.0 - nodes if reflect else nodes, nodes.size - 1
-    if not store:
-        return None, _mkz_fill(n, t, share, count)
+                      reflect: bool) -> np.ndarray:
+    """The stack of a one-branch carrier: its rows in node order, so the
+    reflected nodes n/(n+k) fill backwards, and the routed masses in the
+    endpoint row."""
     stack = np.empty((nodes.size, nodes.size))
-    routed = _mkz_fill(n, t, share, count, stack[:0:-1] if reflect else stack[:-1])
-    stack[0 if reflect else -1] = routed
-    return stack, routed
+    if reflect:
+        stack[0] = _mkz_fill(n, 1.0 - nodes, share, stack[:0:-1])
+    else:
+        stack[-1] = _mkz_fill(n, nodes, share, stack[:-1])
+    return stack
 
 
-def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, plain: int,
-                      store: bool = True):
+def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, plain: int):
     """(stack, m_p, m_r): the mkz-symmetric stack [W_p^T[:P]; W_r^T] over
     the low nodes at (NodeDiscretization), P = plain, and the masses routed
-    to nodes 1 and 0, each added to the other branch's row 0.  With store
-    False the same fills run with no stack and only the masses are kept:
-    (None, m_p, m_r), equal to the stored fill's."""
+    to nodes 1 and 0, each added to the other branch's row 0."""
     n, (p_share, r_share) = spec.n, spec.record.shares
-    cols = at.size  # depth + 1
-    stack = np.empty((plain + cols, cols)) if store else None
-    m_p = _mkz_fill(n, at, p_share, plain, stack[:plain] if store else None)
-    m_r = _mkz_fill(n, 1.0 - at, r_share, cols, stack[plain:] if store else None)
-    if store:
-        stack[0] += m_r
-        stack[plain] += m_p
+    stack = np.empty((plain + at.size, at.size))
+    m_p = _mkz_fill(n, at, p_share, stack[:plain])
+    m_r = _mkz_fill(n, 1.0 - at, r_share, stack[plain:])
+    stack[0] += m_r
+    stack[plain] += m_p
     return stack, m_p, m_r
 
 

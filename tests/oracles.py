@@ -4,7 +4,9 @@ Bernstein and Meyer-Koenig-Zeller basis values, the plain-pow Bernstein
 table, a 40-digit Bernstein row and one Meyer-Koenig-Zeller weight row,
 which compute the same quantities as the vectorized kernels in
 opgeom.special by a separate route; the plain Meyer-Koenig-Zeller second
-moment from its hypergeometric closed form at 40 digits; for the sweep
+moment from its hypergeometric closed form at 40 digits; the weight
+mass of that series past a depth, as mpmath's incomplete Beta function
+at 45 digits; for the sweep
 tests the low-rank step of a paired carrier, applied one step at a time;
 for the paired carrier the mkz-symmetric stack built row by row by a fill
 of its own, and its product; the square transfer matrix of any carrier,
@@ -29,7 +31,7 @@ from opgeom.funcspace import psi_norm
 
 __all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
            "bernstein_pow_table", "bernstein_row_mp", "mkz_basis_weight",
-           "mkz_weight_row", "mkz_second_moment",
+           "mkz_weight_row", "mkz_second_moment", "mkz_tail_mp",
            "factored_step", "single_stack", "single_stack_advance",
            "transfer", "unsplit_krylov", "exact_series"]
 
@@ -212,6 +214,18 @@ def _m2_exact(n: int, x: float) -> float:
         return float(t * a * a * total)
 
 
+@lru_cache(maxsize=2**12)  # the carrier tests ask for the same nodes
+def mkz_tail_mp(n: int, t: float, count: int):
+    """sum_{j >= count} w_j(t), the weight mass of the plain
+    Meyer-Koenig-Zeller series at the float t past its first count terms,
+    as an mpmath number (tails below the float range stay exact): the
+    regularized incomplete Beta function I_t(count, n + 1) at 45 digits,
+    by mpmath's hypergeometric route, not the binomial sum of
+    operators._mkz_tail."""
+    with mp.workdps(45):
+        return mp.betainc(count, n + 1, 0, mp.mpf(t), regularized=True)
+
+
 def factored_step(disc):
     """step(v) = scatter((gather(v) @ y) @ z), the low-rank step of the
     paired carrier disc, whose partial sums disc.sweep_sums(v, k) forms in the
@@ -265,13 +279,13 @@ def _fill_rows(rows, n, t, share):
 
 
 def single_stack(spec):
-    """(nodes, pairs, reads, stack, m_p, m_r, bound) of the mkz-symmetric
+    """(nodes, pairs, reads, stack, m_p, m_r) of the mkz-symmetric
     carrier with its paired stack [W_p^T[:P]; W_r^T] filled row by row, P
     one past the own depth of the midpoint 1/2 at share * 2^-64 (at most
-    depth + 1), with the masses m_p, m_r routed to nodes 1 and 0 and the
-    certified truncation bound.  pairs = (low, high, sign) gives each
-    pair's low node, its mirror and the sign s_j of its odd part (+1 for
-    j <= n, -1 beyond), for the parity form of single_stack_advance;
+    depth + 1), with the masses m_p, m_r routed to nodes 1 and 0.
+    pairs = (low, high, sign) gives each pair's low node, its mirror and
+    the sign s_j of its odd part (+1 for j <= n, -1 beyond), for the
+    parity form of single_stack_advance;
     reads[0][j] and reads[1][j] are the node stack row j reads for a low
     output and for its mirror output."""
     n, fam = spec.n, spec.record
@@ -293,11 +307,7 @@ def single_stack(spec):
     m_r = _fill_rows(stack[plain:], n, 1.0 - at, fam.shares[1])
     stack[0] += m_r
     stack[plain] += m_p
-    routed = m_p + m_r
-    lo, hi = spec.certified_interval()
-    certified = (at >= lo) & (at <= hi)
-    bound = float(np.max(routed[certified])) if np.any(certified) else 1.0
-    return nodes, pairs, reads, stack, m_p, m_r, bound
+    return nodes, pairs, reads, stack, m_p, m_r
 
 
 def single_stack_advance(pairs, stack, v):

@@ -294,6 +294,22 @@ class TestRunners:
         assert held == {("mkz", 6): 0, ("mkz-symmetric", 6): 0,
                         ("mkz-reflected", 5): 0}
 
+    def test_pointwise_studies_run_no_fill(self, monkeypatch):
+        # conditions on mkz-symmetric and invariants read alpha, images
+        # and truncation bounds: none of them makes a carrier weight row
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        calls, fill = [], operators._mkz_fill
+
+        def counted(*args):
+            calls.append(args[:3])
+            return fill(*args)
+
+        monkeypatch.setattr(operators, "_mkz_fill", counted)
+        run_experiment(ExperimentConfig(experiment="conditions",
+                                        family="mkz-symmetric"))
+        run_experiment(ExperimentConfig(experiment="invariants"))
+        assert calls == []
+
     def test_invariants_all_pass(self):
         rep = run_experiment(ExperimentConfig(
             experiment="invariants", grid_size=257))

@@ -24,8 +24,8 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               mkz_truncation_index, moment,
                               node_discretization)
 from oracles import (factored_step, log_binomial, mkz_second_moment,
-                     mkz_weight_row, single_stack, single_stack_advance,
-                     transfer)
+                     mkz_tail_mp, mkz_weight_row, single_stack,
+                     single_stack_advance, transfer)
 
 GRID = default_grid(401)
 X = GRID.points[::8]
@@ -762,11 +762,11 @@ class TestNodeDiscretization:
 
 
 def _dense_series_carrier(spec, xs=None):
-    """(nodes, rows, routed mass per row) of a series family, built row by
-    row at the points xs (by default the nodes, whose rows are the
-    transfer): each branch scatters share * mkz_weight_row onto its nodes
-    k/(n+k) (plain) or n/(n+k) (reflected) and routes the row's omitted
-    mass to its hard endpoint (1 plain, 0 reflected).
+    """(nodes, rows) of a series family, built row by row at the points
+    xs (by default the nodes, whose rows are the transfer): each branch
+    scatters share * mkz_weight_row onto its nodes k/(n+k) (plain) or
+    n/(n+k) (reflected) and routes the row's omitted mass to its hard
+    endpoint (1 plain, 0 reflected).
 
     With equal shares the carrier computes a node row above 1/2 as the
     mirror of its partner's row at the node x' < 1/2, and the float
@@ -782,7 +782,6 @@ def _dense_series_carrier(spec, xs=None):
         [n / (n + k) if r else k / (n + k) for _, r in used] + [[0.0, 1.0]]))
     at = nodes if xs is None else xs
     rows = np.zeros((at.size, nodes.size))
-    routed = np.zeros(at.size)
     for share, reflect in used:
         cols = np.searchsorted(nodes, n / (n + k) if reflect else k / (n + k))
         end = 0 if reflect else -1
@@ -794,12 +793,54 @@ def _dense_series_carrier(spec, xs=None):
                 rows[i, cols] += w
                 mass = max(0.0, share - w.sum())
             rows[i, end] += mass
-            routed[i] += mass
     if xs is None and spec.record.shares[0] == spec.record.shares[1]:
         high = nodes > 0.5
         rows[high] = rows[::-1, ::-1][high]
-        routed[high] = routed[::-1][high]
-    return nodes, rows, routed
+    return nodes, rows
+
+
+def carrier_branches(spec, disc):
+    """(at, branches) of the series carrier disc: the nodes its bound is
+    taken at (the low nodes of the mirror pairs for mkz-symmetric) and,
+    for each branch in use, (share, reflect, rows it keeps); a branch
+    makes its weights at at, or at 1 - at if reflect."""
+    if disc._pairs is None:
+        return disc.nodes, [(share, reflect, disc.nodes.size - 1)
+                            for share, reflect in spec.record.branches]
+    at = disc.nodes[disc._pairs[0]]
+    p_share, r_share = spec.record.shares
+    return at, [(p_share, False, operators._mkz_plain_rows(spec, at.size - 1)),
+                (r_share, True, at.size)]
+
+
+def exact_bound_range(spec, disc):
+    """(lo, hi), mpmath numbers around the largest exact omitted weight
+    mass at the certified nodes of the series carrier disc (mkz_tail_mp),
+    from the tails at the two ends t_min, t_max of those nodes.  The
+    plain branch's tail rises in t and the reflected branch's, at 1 - t,
+    falls, so a one-branch carrier's largest is at its hard end
+    (lo == hi), and the mkz-symmetric sum of both is at least its value
+    at either end and at most the plain tail at t_max plus the reflected
+    one at t_min."""
+    at, branches = carrier_branches(spec, disc)
+    lo, hi = spec.certified_interval()
+    certified = at[(at >= lo) & (at <= hi)]
+    ends = certified.min(), certified.max()
+
+    def tail(end, share, reflect, count):
+        t = 1.0 - end if reflect else end
+        return share * mkz_tail_mp(spec.n, float(t), count)
+
+    at_ends = [sum(tail(end, *branch) for branch in branches) for end in ends]
+    hardest = sum(tail(ends[0 if branch[1] else 1], *branch) for branch in branches)
+    return max(at_ends), hardest
+
+
+def assert_bound_is_the_exact_tail(spec, disc):
+    # the bound is at or above the exact omitted mass and within 1e-9 of it
+    lo, hi = exact_bound_range(spec, disc)
+    bound = mp.mpf(disc.truncation_error_bound)
+    assert lo <= hi <= bound <= lo * (1 + mp.mpf(1e-9)), (float(lo), float(bound))
 
 
 SERIES_CARRIERS = [OperatorSpec(fam, n, truncation_eps=eps)
@@ -822,13 +863,10 @@ class TestSeriesCarrier:
 
     def test_matches_dense_build(self, spec, dense_nodes):
         disc = node_discretization(spec)
-        nodes, dense, routed = dense_nodes
+        nodes, dense = dense_nodes
         assert np.array_equal(disc.nodes, nodes)
         assert np.max(np.abs(transfer(disc) - dense)) <= 1e-14
-        lo, hi = spec.certified_interval()
-        certified = (nodes >= lo) & (nodes <= hi)
-        assert abs(disc.truncation_error_bound
-                   - np.max(routed[certified])) <= 1e-15
+        assert_bound_is_the_exact_tail(spec, disc)
 
     def test_apply_rep_matches_basis_matrix(self, spec):
         # the basis matrix here is the dense build's rows at the points
@@ -842,7 +880,7 @@ class TestSeriesCarrier:
                               np.nextafter(cap, 0.0), np.nextafter(cap, 2.0),
                               1.0 - cap, np.nextafter(1.0 - cap, 0.0)],
                              np.linspace(0.0, 1.0, 601)))
-        _, rows, _ = _dense_series_carrier(spec, xs)
+        _, rows = _dense_series_carrier(spec, xs)
         rng = np.random.default_rng(spec.n)
         for rep in (rng.standard_normal(disc.nodes.size),
                     rng.standard_normal((disc.nodes.size, 3))):
@@ -853,7 +891,7 @@ class TestSeriesCarrier:
 
     def test_advance_matches_dense_build(self, spec, dense_nodes):
         disc = node_discretization(spec)
-        _, transfer, _ = dense_nodes
+        _, transfer = dense_nodes
         v = np.random.default_rng(spec.n).standard_normal((disc.nodes.size, 5))
         got = disc.advance(v)
         assert got.shape == v.shape
@@ -954,12 +992,12 @@ GEOM_16 = OperatorSpec("mkz-symmetric", 16, truncation_eps=1e-6)  # geom's large
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_cut_row_changes_no_number(spec):
     # the stack, cut at the plain row P, is the oracle's row-by-row build
-    # bit for bit, with the same routed masses and truncation bound, and
-    # the pair map's nodes and reads are the oracle's; advance, which
-    # reads the nodes straight, stays within rounding of the oracle's
-    # parity form, also at n = 16 with one column (a Krylov product) and
-    # five (a batched sweep)
-    nodes, pairs, reads, stack, m_p, m_r, bound = single_stack(spec)
+    # bit for bit, with the same routed masses, the truncation bound is the
+    # exact tail rounded up, and the pair map's nodes and reads are the
+    # oracle's; advance, which reads the nodes straight, stays within
+    # rounding of the oracle's parity form, also at n = 16 with one column
+    # (a Krylov product) and five (a batched sweep)
+    nodes, pairs, reads, stack, m_p, m_r = single_stack(spec)
     disc = operators._mkz_disc(spec)
     assert np.array_equal(disc.nodes, nodes)
     low, high, got_reads = disc._pairs
@@ -969,7 +1007,7 @@ def test_cut_row_changes_no_number(spec):
     got, got_p, got_r = operators._mkz_paired_stack(spec, nodes[pairs[0]], plain)
     assert np.array_equal(got, stack) and np.array_equal(disc._stack, stack)
     assert np.array_equal(got_p, m_p) and np.array_equal(got_r, m_r)
-    assert disc.truncation_error_bound == bound
+    assert_bound_is_the_exact_tail(spec, disc)
     for cols in ((1, 5) if spec is GEOM_16 else (4,)):
         for v in weighted_inputs(disc, cols, spec.n):
             gap = np.abs(disc.advance(v) - single_stack_advance(pairs, stack, v))
@@ -990,7 +1028,7 @@ def test_fill_routes_the_exactly_summed_missing_mass(spec):
         share = share or 1.0
         t = 1.0 - nodes if reflect else nodes
         rows = np.empty((depth + 1, t.size))
-        routed = operators._mkz_fill(n, t, share, depth + 1, rows)
+        routed = operators._mkz_fill(n, t, share, rows)
         exact = np.array([math.fsum(col.tolist()) for col in rows.T[::3]])
         want = np.maximum(0.0, share - exact)
         assert np.all(np.abs(routed[::3] - want) <= 8 * ulp * share)
@@ -1009,13 +1047,13 @@ def test_default_geom_carriers_store_pinned_bytes():
 
 
 def counted_fills(disc):
-    """Wrap the carrier's fill so that each call appends its store flag to
-    the returned list."""
+    """Wrap the carrier's fill so that each call appends True to the
+    returned list."""
     calls, fill = [], disc._fill
 
-    def counted(store):
-        calls.append(store)
-        return fill(store)
+    def counted():
+        calls.append(True)
+        return fill()
 
     disc._fill = counted
     return calls
@@ -1031,13 +1069,13 @@ BOUND_CARRIERS.append(OperatorSpec("mkz-symmetric", 16, truncation_eps=1e-6))
 @pytest.mark.parametrize("spec", BOUND_CARRIERS,
                          ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
 def test_streamed_bound_is_the_stored_bound(spec):
-    # the bound asked for before any product comes from a fill that
-    # stores no stack, and equals, bit for bit, the bound of a carrier
-    # whose first product filled its stack
+    # the bound asked for before any product runs no fill, and equals,
+    # bit for bit, the bound of a carrier whose first product filled its
+    # stack
     streamed = operators._mkz_disc(spec)
     calls = counted_fills(streamed)
     bound = streamed.truncation_error_bound
-    assert calls == [False] and streamed.matrix_bytes == 0
+    assert calls == [] and streamed.matrix_bytes == 0
     filled = operators._mkz_disc(spec)
     filled.advance(np.zeros(filled.nodes.size))
     assert filled.matrix_bytes > 0
@@ -1055,10 +1093,53 @@ def test_images_fill_no_stack():
     disc.apply_rep(rep, xs)
     disc.apply_reps([rep, 2.0 * rep], xs)
     assert disc.truncation_error_bound > 0.0 and disc.interior.size == disc.nodes.size
-    assert calls == [False] and disc.matrix_bytes == 0
+    assert calls == [] and disc.matrix_bytes == 0
     once = disc.advance(rep)
     assert np.array_equal(disc.advance(rep), once)
-    assert calls == [False, True] and disc.matrix_bytes > 0
+    assert calls == [True] and disc.matrix_bytes > 0
+
+
+def row_target(spec):
+    """tau_row of _mkz_node_depth: 0.25 eps psi(cap) (1 - b), the omitted
+    mass the depth rule keeps the rows at the cap point 1 - 1/(4n) under,
+    with 1 - b = 0.5/(n + 1) for the one-branch tags, whose b is 1."""
+    one_minus_b = 1.0 - spec.contraction_bound()
+    if one_minus_b <= 0.0:
+        one_minus_b = 0.5 / (spec.n + 1.0)
+    cap = 1.0 - 1.0 / (4.0 * spec.n)
+    return 0.25 * spec.truncation_eps * float(psi(cap)) * one_minus_b
+
+
+@pytest.mark.parametrize("spec", BOUND_CARRIERS
+                         + [OperatorSpec("mkz-symmetric", 32, truncation_eps=1e-6)],
+                         ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
+def test_bound_is_the_exact_tail_within_the_row_target(spec):
+    # the carrier is made with its bound and no fill (n = 32's 996 MiB
+    # stack is never built): the exact omitted mass rounded up by at most
+    # 1e-9 of it, within the target the depth rule sizes the carrier for
+    disc = operators._mkz_disc(spec)
+    assert_bound_is_the_exact_tail(spec, disc)
+    assert disc.truncation_error_bound <= row_target(spec)
+    assert disc.matrix_bytes == 0
+
+
+@pytest.mark.parametrize("spec", BOUND_CARRIERS,
+                         ids=lambda s: f"{s.family}-{s.n}-{s.truncation_eps:g}")
+def test_routed_masses_are_the_exact_tails_to_rounding(spec):
+    # the routed masses, share minus the weights the fill wrote, against
+    # the exact tails at every 16th node of each branch: at most 90 ulps
+    # of share apart (88.1 at the worst of all the nodes of these
+    # carriers, on the reflected branch of mkz-symmetric at n = 16,
+    # t = 0.99380).  That is the rounding of the stored weights, which
+    # the truncation bound does not count
+    disc = operators._mkz_disc(spec)
+    at, branches = carrier_branches(spec, disc)
+    for share, reflect, count in branches:
+        t = 1.0 - at if reflect else at
+        routed = operators._mkz_fill(spec.n, t, share, np.empty((count, t.size)))
+        for i in range(0, t.size, 16):
+            exact = share * mkz_tail_mp(spec.n, float(t[i]), count)
+            assert abs(routed[i] - exact) <= 90 * share * 2.0**-52, float(t[i])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

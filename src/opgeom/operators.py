@@ -225,9 +225,6 @@ class OperatorSpec:
         out = self.record.apply(self, f, _points(x))
         return out if np.ndim(x) else float(out[0])
 
-    def moment(self, k: int, x):
-        return moment(self, k, x)
-
 
 def _points(x) -> np.ndarray:
     """x as a 1-D float array; DomainError unless x is a point or a 1-D
@@ -313,7 +310,8 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
 class _GaussRules:
     """The Gauss-Jacobi rules of one Durrmeyer carrier, kept as long as the
     carrier is: for each order m, the nodes and weights _beta_rules gave,
-    one row per min(a, b), and the row of each key.  A rule is solved once,
+    one row per min(a, b), and the row of each key.  A call takes any keys,
+    duplicates included, and returns one row per key.  A rule is solved once,
     in the first batch that needs it, and every later use reads its stored
     row; a stacked solve treats each row on its own, so a stored row is
     the row a fresh solve gives, bit for bit.  One lock guards the table,
@@ -330,17 +328,17 @@ class _GaussRules:
             return sum(t.nbytes + w.nbytes for _, t, w in self._rules.values())
 
     def __call__(self, keys: np.ndarray, his: np.ndarray, m: int):
-        """_beta_rules(keys, his, m) for distinct keys, with _beta_rules
-        called only on the keys not stored yet, in one batch."""
+        """_beta_rules(keys, his, m), one row per key, for any keys,
+        duplicates included: _beta_rules runs once, on the distinct keys
+        not stored yet."""
         with self._lock:
             row, t, w = self._rules.get(m, ({}, np.empty((0, m)), np.empty((0, m))))
-            new = [i for i, key in enumerate(keys.tolist()) if key not in row]
+            new = {key: i for i, key in enumerate(keys.tolist()) if key not in row}
             if new:
-                t_new, w_new = _beta_rules(keys[new], his[new], m)
-                start = t.shape[0]
+                first = list(new.values())
+                t_new, w_new = _beta_rules(keys[first], his[first], m)
+                row.update(zip(new, range(t.shape[0], t.shape[0] + len(new))))
                 t, w = np.concatenate((t, t_new)), np.concatenate((w, w_new))
-                row.update((key, start + i)
-                           for i, key in enumerate(keys[new].tolist()))
                 self._rules[m] = row, t, w
             at = [row[key] for key in keys.tolist()]
         return t[at], w[at]
@@ -363,42 +361,38 @@ def _durrmeyer_quadrature(n: int, rho: float, f: Function01,
     endpoint-graded composite panels when the density is bounded, is
     accepted at 1e-4, or raises QuadratureError.
 
-    Each open row gets the rules of _GAUSS_ORDERS in turn; mirror rows k
-    and n - k, Beta(a, b) and Beta(b, a), share the rule solved once per
-    distinct min(a, b), reflected where a > b, and settle one by one.
-    Blocks hold at most _GAUSS_CELLS / 2 Jacobi-matrix cells, f evaluated
-    once per block on its rows' stacked nodes.  The composite fallback is
-    for kinked or endpoint-oscillatory f, on which global polynomial rules
-    converge only algebraically.
+    Each open row gets the rules of _GAUSS_ORDERS in turn, in blocks of
+    at most _GAUSS_CELLS / (2 m^2) rows, so a block solves at most
+    _GAUSS_CELLS / 2 Jacobi-matrix cells, f evaluated once per block on
+    its rows' stacked nodes.  Mirror rows k and n - k, Beta(a, b) and
+    Beta(b, a), share the rule solved once per distinct min(a, b),
+    reflected where a > b, and settle one by one.  The composite fallback
+    is for kinked or endpoint-oscillatory f, on which global polynomial
+    rules converge only algebraically.
 
     rules, the table a Durrmeyer carrier keeps (_durrmeyer_disc), supplies
     the rules it holds and stores the ones each block solves, so a carrier
-    solves every rule once over all its inputs; the functionals are those
-    of a call without it, bit for bit.  Without it every rule is solved
-    afresh.
+    solves every rule once over all its inputs; a call without it solves
+    through a fresh table.  ks may hold any rows, in any order; the
+    functionals are the same bits either way.
     """
     k = np.asarray(ks, dtype=float)
     a, b = k * rho, (n - k) * rho
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    out = np.empty(a.size)
-    prev = np.full(a.size, np.nan)
+    out = np.full(a.size, np.nan)
     delta = np.full(a.size, np.inf)
     open_rows = np.arange(a.size)
-    solve = _beta_rules if rules is None else rules
+    rules = _GaussRules() if rules is None else rules
     for m in _GAUSS_ORDERS:
-        keys, first, of_row = np.unique(lo[open_rows], return_index=True,
-                                        return_inverse=True)
         step = max(1, _GAUSS_CELLS // (2 * m * m))
-        for start in range(0, keys.size, step):
-            block = (of_row >= start) & (of_row < start + step)
-            rows, at = open_rows[block], of_row[block] - start
-            t, w = solve(keys[start:start + step],
-                         hi[open_rows[first[start:start + step]]], m)
-            t = np.where((a[rows] > b[rows])[:, None], 1.0 - t[at], t[at])
+        for start in range(0, open_rows.size, step):
+            rows = open_rows[start:start + step]
+            t, w = rules(lo[rows], hi[rows], m)
+            t = np.where((a[rows] > b[rows])[:, None], 1.0 - t, t)
             ft = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape)
-            val = np.sum(w[at] * ft, axis=1)
-            delta[rows] = np.abs(val - prev[rows])
-            out[rows] = prev[rows] = val
+            val = np.sum(w * ft, axis=1)
+            delta[rows] = np.abs(val - out[rows])
+            out[rows] = val
         settled = delta[open_rows] <= 1e-13 * np.maximum(1.0, np.abs(out[open_rows]))
         open_rows = open_rows[~settled]
     bounded = (a[open_rows] >= 1.0) & (b[open_rows] >= 1.0)
@@ -492,7 +486,7 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     points come from math, per point, because numpy's log differs from
     libm's in the last bit for a few arguments and a depth is the ceiling
     of a quotient of them; log C(n + k0, k0) comes from _log_binomials,
-    once per distinct k0.
+    which takes every point's k0 as it comes and sums each row on its own.
     """
     ts = _points(ts)
     if not 0.0 < tail < math.inf:
@@ -502,14 +496,12 @@ def _mkz_depths(n: int, ts: np.ndarray, tail: float) -> np.ndarray:
     x = ts[live]
     xp = 0.5 * (1.0 + x)
     k0 = np.maximum(0.0, np.ceil((x * (n + 1.0) - xp) / (xp - x)))
-    distinct, at = np.unique(k0, return_inverse=True)
-    log_binom = _log_binomials(n, distinct)
 
     def libm(fn, arg):
         return np.array(list(map(fn, arg.tolist())))
 
     log_xp = libm(math.log, xp)
-    log_w_k0 = (log_binom[at] + (n + 1.0) * libm(math.log1p, -x)
+    log_w_k0 = (_log_binomials(n, k0) + (n + 1.0) * libm(math.log1p, -x)
                 + k0 * libm(math.log, x))
     log_target = math.log(tail) + libm(math.log1p, -xp) - log_xp
     depth = np.where(log_w_k0 <= log_target, k0,

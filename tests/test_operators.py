@@ -363,6 +363,27 @@ class TestDurrmeyerRuleTable:
         if (first, second) == ("psi*sin_pi", "sin_pi"):
             assert solved == []
 
+    @pytest.mark.parametrize("n,rho,cells", [(32, 1.0, 1), (33, 0.5, 1),
+                                             (5, 1.0, None)])
+    def test_block_shape_changes_no_bit(self, n, rho, cells, monkeypatch):
+        # one Jacobi cell per block puts one row in each block at every
+        # order, so mirror rows meet only through the table; at n = 5 and
+        # the default cells one block holds both rows of each mirror pair
+        inputs, ks = rule_inputs(), np.arange(1, n)
+        solved = counting_rules(monkeypatch)
+        default = {}
+        for name in ("sin_pi", "psi*sin_pi", "abs_half"):
+            solved.clear()
+            default[name] = (operators._durrmeyer_quadrature(n, rho, inputs[name], ks),
+                             set(solved))
+        if cells is not None:
+            monkeypatch.setattr(operators, "_GAUSS_CELLS", cells)
+        for name, (expected, keys) in default.items():
+            solved.clear()
+            got = operators._durrmeyer_quadrature(n, rho, inputs[name], ks)
+            assert np.array_equal(got, expected), name
+            assert len(solved) == len(set(solved)) and set(solved) == keys, name
+
     def test_failed_rep_leaves_a_correct_table(self):
         n, rho = 4, 0.1
         disc = operators._durrmeyer_disc(durrmeyer(n, rho))
@@ -615,7 +636,7 @@ def point_calls(family):
     disc = node_discretization(spec)
     rep = disc.rep(registry("sin_pi"))
     return spec, (lambda p: spec.apply(registry("sin_pi"), p),
-                  lambda p: spec.moment(2, p),
+                  lambda p: moment(spec, 2, p),
                   lambda p: disc.apply_rep(rep, p))
 
 

@@ -80,6 +80,8 @@ class ExperimentConfig:
         if not isinstance(self.output, (str, type(None))):
             raise DomainError(f"output must be a string path, got {self.output!r}")
         fam = family_record(self.family)
+        if self.rho is not None and fam.param != "rho":
+            raise DomainError(f"{self.family} takes no rho")
         n_list = tuple(self.n_list) or fam.default_n_list
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise DomainError("n_list must be strictly increasing")
@@ -207,8 +209,9 @@ def _geom(config: ExperimentConfig):
     its count of carrier applications and tail_bound its certificate.
     The sidecar's eps_met says, per n, whether tail_bound <= eps; it also
     lists, per n, the bounds computed on the way: b, the carrier's
-    truncation_error_bound and node count, and the quad_error_bound of
-    the kernel transform."""
+    truncation_error_bound, node count and stack_bytes (recorded as the
+    carrier is made, so a carrier rebuilt unfilled reads the same), and
+    the quad_error_bound of the kernel transform."""
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
@@ -232,6 +235,7 @@ def _geom(config: ExperimentConfig):
             "contraction_bounds": op.contraction_bound(),
             "truncation_error_bounds": disc.truncation_error_bound,
             "carrier_nodes": int(disc.nodes.size),
+            "stack_bytes": disc.stack_bytes,
             "quad_error_bounds": transform.quad_error_bound}
 
     done = _map_per_n(one, config)

@@ -164,7 +164,9 @@ def family_record(tag: str) -> Family:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """One operator family member: family tag, order, and parameters."""
+    """One operator family member: family tag, order, and parameters: the
+    one its family needs, finite and positive, and no other (an ignored
+    one would make a second cached carrier of the same operator)."""
 
     family: str
     n: int
@@ -177,6 +179,9 @@ class OperatorSpec:
             raise DomainError(f"operator order must be an integer, got {self.n!r}")
         if self.n < fam.min_n:
             raise DomainError(f"{self.family} requires n >= {fam.min_n}")
+        for name in ("rho", "truncation_eps"):
+            if name != fam.param and getattr(self, name) is not None:
+                raise DomainError(f"{self.family} takes no {name}")
         if fam.param is not None:
             value = getattr(self, fam.param)
             if value is None or not 0.0 < value < math.inf:
@@ -718,9 +723,12 @@ class NodeDiscretization:
     runs it once, under the carrier's lock, and keeps the stack; nodes,
     interior, rep, apply_rep, apply_reps and truncation_error_bound never
     fill, so a series carrier used only for images or for its bound holds
-    no stack; an exact carrier runs its fill as it is made.  matrix_bytes
-    counts what the carrier holds now, and the carrier cache applies its
-    byte cap again once a fill completes.
+    no stack; an exact carrier runs its fill as it is made.  stack_bytes,
+    recorded as the carrier is made from the shape check_carrier_budget
+    counts (_stack_shape), is what the fill allocates, filled or not;
+    matrix_bytes counts what the carrier holds now.  The carrier cache
+    applies its byte cap before a fill, with stack_bytes counted as held,
+    and again once the fill completes.
 
     mkz-symmetric keeps its stack over the mirror pairs (p_k, r_k) =
     (k/(n+k), n/(n+k)), k = 0..depth, with the pair map (low, high,
@@ -781,6 +789,7 @@ class NodeDiscretization:
         self.spec = spec
         self.nodes = nodes
         self.truncation_error_bound = bound
+        self.stack_bytes = 8 * math.prod(_stack_shape(spec))
         self._fill = fill  # () -> the stack
         self._filled = None  # the stack, once filled
         self._lock = threading.Lock()
@@ -793,9 +802,12 @@ class NodeDiscretization:
     @property
     def _stack(self):
         """The stack, filled by the first call that reads it: once, under
-        the carrier's lock; the carrier cache then applies its byte cap
-        again, outside that lock."""
+        the carrier's lock.  Outside that lock the carrier cache applies its
+        byte cap before the fill, counting stack_bytes as held, so the
+        stack is allocated next to at most the cap's worth of cached
+        matrices (or next to the newest carrier alone), and again after."""
         if self._filled is None:
+            _apply_cache_cap(self.stack_bytes)
             with self._lock:
                 if self._filled is None:
                     self._filled = self._fill()
@@ -812,9 +824,9 @@ class NodeDiscretization:
 
     @property
     def matrix_bytes(self) -> int:
-        """Bytes of the matrix this carrier holds now (none before its
-        first product), plus those of the Gauss-Jacobi rules a Durrmeyer
-        carrier has kept so far."""
+        """Bytes of the matrix this carrier holds now, stack_bytes once its
+        stack is filled and none before, plus those of the Gauss-Jacobi
+        rules a Durrmeyer carrier has kept so far."""
         held = 0 if self._rules is None else self._rules.nbytes
         return held + (0 if self._filled is None else self._filled.nbytes)
 
@@ -1279,26 +1291,32 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     return y, z
 
 
+def _stack_shape(spec: OperatorSpec) -> tuple:
+    """(rows, cols) of the stack a carrier of spec fills, without building
+    anything: the (n+1)-square transfer of an exact family, the N-square
+    one-branch stack, N = depth + 2, and the (P + depth + 1) x (depth + 1)
+    paired stack (_mkz_plain_rows)."""
+    if not spec.record.series:
+        return spec.n + 1, spec.n + 1
+    depth = _mkz_node_depth(spec)
+    plain, refl = spec.record.shares
+    if plain == refl:
+        return _mkz_plain_rows(spec, depth) + depth + 1, depth + 1
+    return depth + 2, depth + 2
+
+
 def check_carrier_budget(spec: OperatorSpec) -> None:
     """Raise TruncationBudgetError, without building anything, if a
     carrier's fill may hold more than _CARRIER_BYTES_CAP at its peak.
 
-    A series fill allocates its stack once and fills it in place, next to
-    a few vectors of its width.  A one-branch stack is N-square,
-    N = depth + 2.  The paired stack is the (P + depth + 1) x (depth + 1)
-    array, counted exactly (_mkz_plain_rows).  An exact build
-    holds at most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once, the
-    same for both families (_exact_disc): the transfer, up, both
-    cumulative products and inner."""
-    if spec.record.series:
-        depth = _mkz_node_depth(spec)
-        plain, refl = spec.record.shares
-        if plain == refl:
-            rows, cols = _mkz_plain_rows(spec, depth) + depth + 1, depth + 1
-        else:
-            rows = cols = depth + 2
-    else:
-        rows, cols = _EXACT_BUILD_ARRAYS * (spec.n + 1), spec.n + 1
+    A series fill allocates its stack (_stack_shape) once and fills it in
+    place, next to a few vectors of its width.  An exact build holds at
+    most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once, the same for
+    both families (_exact_disc): the transfer, up, both cumulative
+    products and inner."""
+    rows, cols = _stack_shape(spec)
+    if not spec.record.series:
+        rows *= _EXACT_BUILD_ARRAYS
     size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
         # rounded up, so a size just past the cap reads above it
@@ -1308,7 +1326,7 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
             f"{_CARRIER_BYTES_CAP / 2**30:.0f} GiB budget")
 
 
-_CACHE_BYTES_CAP = 2**30  # carrier matrix bytes kept for reuse
+_CACHE_BYTES_CAP = 2**27  # carrier matrix bytes kept for reuse (128 MiB)
 _DISC_CACHE: dict = {}  # spec -> carrier, least recently used first
 _DISC_LOCK = threading.Lock()
 
@@ -1318,8 +1336,10 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
 
     Carriers are kept least recently used first and evicted once the
     matrices they hold pass _CACHE_BYTES_CAP (the newest always stays);
-    the cap is applied again whenever a carrier fills its stack.  Builds
-    run outside the lock.
+    the cap is applied again before and after a carrier fills its stack
+    (NodeDiscretization._stack).  At 128 MiB the n = 16 mkz-symmetric
+    stack (141.1 MB) is held alone, while the n = 4 and 8 ones (28.3 MB
+    together) are held side by side.  Builds run outside the lock.
     """
     with _DISC_LOCK:
         got = _DISC_CACHE.pop(op, None)
@@ -1334,11 +1354,15 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     return got
 
 
-def _apply_cache_cap() -> None:
+def _apply_cache_cap(pending: int = 0) -> None:
     """Evict the least recently used carriers while the matrices the cache
-    holds pass _CACHE_BYTES_CAP; the most recently used always stays."""
+    holds, plus pending bytes about to be allocated (the stack_bytes of a
+    carrier before its fill), pass _CACHE_BYTES_CAP; the most recently
+    used always stays.  An evicted carrier's stack is freed once no caller
+    holds the carrier: a series result keeps its image kernel, not the
+    carrier."""
     with _DISC_LOCK:
-        held = sum(d.matrix_bytes for d in _DISC_CACHE.values())
+        held = pending + sum(d.matrix_bytes for d in _DISC_CACHE.values())
         for old in list(_DISC_CACHE)[:-1]:
             if held <= _CACHE_BYTES_CAP:
                 break

@@ -77,7 +77,8 @@ class GeometricSeriesResult:
     """G_L(f) on the node carrier, evaluable anywhere through the
     fixed-point extension g = f + L(g-on-nodes); grid_values is g at the
     points of the family grid the residual was taken on, equal to
-    g(points) bit for bit."""
+    g(points) bit for bit.  g keeps the carrier's image kernel and its
+    coefficients, not the carrier, so a held result pins no stack."""
 
     g: Function01
     method: str
@@ -131,9 +132,11 @@ def neumann_tail_terms(b_norm: float, f_psi_norm: float, eps: float) -> int:
 
 
 def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Function01:
-    def ev(x, base=f_eval, d=disc, r=acc):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.asarray(base(xs), dtype=float) + d.apply_rep(r, xs)
+    """f_eval + L(acc): apply_rep of acc, from the carrier's image kernel
+    alone, so the function keeps no stack alive."""
+    def ev(x, base=f_eval, images=disc._images, r=acc):
+        xs = _points(x)
+        out = np.asarray(base(xs), dtype=float) + images([r], xs)[0]
         return out if np.ndim(x) else out[0]
 
     return Function01(ev, name="geometric-series")

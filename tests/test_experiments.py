@@ -60,6 +60,9 @@ class TestConfig:
                 ExperimentConfig(experiment="geom", family="durrmeyer", rho=value)
         with pytest.raises(DomainError):
             ExperimentConfig(experiment="geom", jobs=0)
+        for family in ("bernstein", "mkz", "mkz-reflected", "mkz-symmetric"):
+            with pytest.raises(DomainError, match=f"^{family} takes no rho$"):
+                ExperimentConfig(experiment="geom", family=family, rho=0.5)
 
     def test_durrmeyer_default_rho(self):
         assert ExperimentConfig(experiment="geom",
@@ -112,7 +115,7 @@ class TestReports:
         assert metas[0] == metas[1]
         meta = metas[0]
         for key in ("contraction_bounds", "truncation_error_bounds",
-                    "carrier_nodes", "quad_error_bounds"):
+                    "carrier_nodes", "stack_bytes", "quad_error_bounds"):
             assert len(meta[key]) == 2, key
         for i, n in enumerate(cfg.n_list):
             op = cfg.spec(n)
@@ -122,6 +125,7 @@ class TestReports:
             assert meta["contraction_bounds"][i] == op.contraction_bound() < 1.0
             assert meta["truncation_error_bounds"][i] == disc.truncation_error_bound > 0.0
             assert meta["carrier_nodes"][i] == disc.nodes.size
+            assert meta["stack_bytes"][i] == disc.stack_bytes
             assert meta["quad_error_bounds"][i] == transform.quad_error_bound
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -282,6 +286,19 @@ class TestRunners:
         held = {spec.n: disc.matrix_bytes
                 for spec, disc in operators._DISC_CACHE.items()}
         assert held == {4: 0, 8: 0, 16: 0}
+
+    def test_default_mkz_geom_holds_one_stack(self, monkeypatch):
+        # the cap is applied before each fill: geom on mkz-symmetric at its
+        # defaults leaves one filled stack in the cache, the n = 16 one,
+        # whose 141.1 MB pass the cap alone; the sidecar records each
+        # carrier's stack bytes
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        cfg = ExperimentConfig(experiment="geom", family="mkz-symmetric")
+        rep = run_experiment(cfg)
+        held = [disc.matrix_bytes for disc in operators._DISC_CACHE.values()
+                if disc.matrix_bytes]
+        assert held == [operators.node_discretization(cfg.spec(16)).stack_bytes]
+        assert rep.metadata["stack_bytes"] == [4753800, 23544000, 141092352]
 
     def test_invariants_carrier_checks_fill_no_mkz_stack(self, monkeypatch):
         # discretization-consistency and mkz-reflection-identity read
@@ -507,6 +524,17 @@ class TestCli:
                     assert cli_main(argv) == 2, argv
                     assert "finite" in capsys.readouterr().err, argv
                     assert not out.exists()
+
+    def test_parameter_outside_the_family_exit_code(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # --rho on a family that takes none was once ignored, with exit 0
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(cli, "run_experiment", None)  # no run starts
+        for family in ("bernstein", "mkz-symmetric"):
+            assert cli_main(["geom", "--family", family, "--rho", "0.5",
+                             "-o", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {family} takes no rho\n"
+            assert not out.exists()
 
     def test_non_integer_order_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

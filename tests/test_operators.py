@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,6 +73,18 @@ class TestSpecValidation:
             for family in ("mkz", "mkz-reflected", "mkz-symmetric"):
                 with pytest.raises(DomainError, match="finite"):
                     OperatorSpec(family, 4, truncation_eps=value)
+
+    def test_parameters_outside_the_family_are_refused(self):
+        # a parameter the family does not take was once ignored, and made
+        # a second cached carrier of the same operator
+        for family in FAMILIES:
+            param = operators.family_record(family).param
+            given = {} if param is None else {param: 0.5}
+            for name in ("rho", "truncation_eps"):
+                if name != param:
+                    with pytest.raises(DomainError,
+                                       match=f"^{family} takes no {name}$"):
+                        OperatorSpec(family, 4, **given, **{name: 0.5})
 
     def test_order_must_be_an_integer(self):
         for n in (4.5, 4.0, "4", True):
@@ -1067,6 +1080,21 @@ def test_default_geom_carriers_store_pinned_bytes():
         assert disc.matrix_bytes == stored
 
 
+@pytest.mark.parametrize("spec", [
+    OperatorSpec("bernstein", 6), OperatorSpec("durrmeyer", 6, rho=1.0),
+    OperatorSpec("mkz", 4, truncation_eps=1e-6),
+    OperatorSpec("mkz-reflected", 4, truncation_eps=1e-6),
+    OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)],
+    ids=lambda s: s.family)
+def test_stack_bytes_are_the_bytes_the_fill_allocates(spec):
+    # recorded as the carrier is made, from the shape the budget guard
+    # counts, before any fill
+    disc = spec.record.carrier(spec)
+    recorded = disc.stack_bytes
+    assert disc._stack.nbytes == recorded
+    assert recorded == 8 * math.prod(operators._stack_shape(spec))
+
+
 def counted_fills(disc):
     """Wrap the carrier's fill so that each call appends True to the
     returned list."""
@@ -1518,6 +1546,80 @@ class TestCarrierCache:
         newer.advance(np.ones(newer.nodes.size))
         assert newer.matrix_bytes > 0
         assert list(operators._DISC_CACHE) == [b]
+
+    def test_cap_holds_when_each_stack_is_allocated(self, monkeypatch):
+        # inside every fill, the matrices the cache holds plus the stack
+        # being filled are within the cap, or the cache holds the newest
+        # carrier alone: the cap is applied before the fill, not only after
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        specs = [OperatorSpec("mkz", n, truncation_eps=1e-6) for n in (3, 4, 5)]
+        discs = [node_discretization(s) for s in specs]
+        cap = discs[0].stack_bytes + discs[1].stack_bytes
+        monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", cap)
+        seen = []
+
+        def recorded(disc, fill):
+            cache = operators._DISC_CACHE
+            seen.append((disc.stack_bytes
+                         + sum(d.matrix_bytes for d in cache.values()),
+                         list(cache)))
+            return fill()
+
+        for disc in discs:
+            disc._fill = partial(recorded, disc, disc._fill)
+        for disc in discs:
+            disc.advance(np.ones(disc.nodes.size))
+        assert len(seen) == 3
+        for held, cached in seen:
+            assert held <= cap or cached == specs[-1:], (held, cap, cached)
+
+    def test_threads_under_a_small_cap_get_the_products_alone(self,
+                                                              monkeypatch):
+        # more threads than cores fill, evict and rebuild three carriers
+        # under a cap that holds one stack: every product equals that of a
+        # carrier filled alone, and the cache ends keyed by its carriers'
+        # specs and within the cap
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        specs = [OperatorSpec("mkz", n, truncation_eps=1e-6) for n in (3, 4, 5)]
+        alone = {s: operators._mkz_disc(s) for s in specs}
+        vs = {s: np.linspace(0.0, 1.0, d.nodes.size) for s, d in alone.items()}
+        want = {s: alone[s].advance(vs[s]) for s in specs}
+        cap = max(d.stack_bytes for d in alone.values())
+        monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", cap)
+        wrong = []
+
+        def work(shift):
+            for i in range(12):
+                s = specs[(i + shift) % 3]
+                if not np.array_equal(node_discretization(s).advance(vs[s]), want[s]):
+                    wrong.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+        cache = operators._DISC_CACHE
+        assert all(spec == disc.spec for spec, disc in cache.items())
+        assert sum(disc.matrix_bytes for disc in cache.values()) <= cap
+
+    def test_stack_above_the_cap_stays(self, monkeypatch):
+        # the newest carrier stays even when its stack alone passes the cap
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", 1)
+        spec = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        disc = node_discretization(spec)
+        disc.advance(np.zeros(disc.nodes.size))
+        assert list(operators._DISC_CACHE) == [spec]
+        assert disc.matrix_bytes == disc.stack_bytes > 1
+        assert node_discretization(spec) is disc
 
 
 class TestConditionReport:

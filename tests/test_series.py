@@ -2,7 +2,9 @@
 checks, certified tails, the three methods, the exact families against
 their exact rational series, and the inversion identities."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +42,27 @@ def test_series_function_rejects_points_outside_the_unit_interval():
         with pytest.raises(DomainError, match="0 <= x <= 1"):
             res.g(x)
     assert math.isfinite(res.g(0.5))
+
+
+def test_held_result_pins_no_stack(monkeypatch):
+    # a result keeps the carrier's image kernel, not the carrier: once the
+    # carrier leaves the cache its stack is freed, and g still gives the
+    # same bits and still refuses points outside [0, 1]
+    monkeypatch.setattr(operators, "_DISC_CACHE", {})
+    op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+    res = series_one(op, registry("psi"), 1e-6, "krylov")
+    stack = weakref.ref(node_discretization(op)._stack)
+    xs = np.linspace(0.0, 1.0, 33)
+    want = res.g(xs)
+    monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", 0)
+    node_discretization(OperatorSpec("bernstein", 4))  # op's carrier leaves
+    assert list(operators._DISC_CACHE) == [OperatorSpec("bernstein", 4)]
+    gc.collect()
+    assert stack() is None
+    assert np.array_equal(res.g(xs), want)
+    for x in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match="0 <= x <= 1"):
+            res.g(x)
 
 
 class TestIterates:

@@ -211,16 +211,28 @@ def _geom(config: ExperimentConfig):
     lists, per n, the bounds computed on the way: b, the carrier's
     truncation_error_bound, node count and stack_bytes (recorded as the
     carrier is made, so a carrier rebuilt unfilled reads the same), and
-    the quad_error_bound of the kernel transform."""
+    the quad_error_bound of the kernel transform.  gauss_rules lists, per
+    n, how many Gauss-Jacobi rules of each order the carrier has solved
+    ({} for the families other than durrmeyer).
+
+    The kernel transform is built once per certified interval, that is
+    once per family grid, on the first n that needs it: the exact
+    families take one grid for every n, the series families one per n.
+    The memo fills inside each n's work, after _map_per_n's carrier budget
+    check; two threads may build the same transform, with equal bits."""
     f = registry(config.function)
     psi_f = registry("psi") * f
     base = config.base_grid()
+    transforms = {}  # certified_interval() -> kernel transform on that grid
 
     def one(n):
         op = config.spec(n)
         fam_grid = op.grid(base)
         pts = fam_grid.points
-        transform = F_transform(f, grid=fam_grid)
+        interval = op.certified_interval()
+        if interval not in transforms:
+            transforms[interval] = F_transform(f, grid=fam_grid)
+        transform = transforms[interval]
         ref = 2.0 * np.asarray(transform(pts), dtype=float)
         prof = alpha_profile(op, base)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
@@ -236,6 +248,7 @@ def _geom(config: ExperimentConfig):
             "truncation_error_bounds": disc.truncation_error_bound,
             "carrier_nodes": int(disc.nodes.size),
             "stack_bytes": disc.stack_bytes,
+            "gauss_rules": disc.gauss_rules,
             "quad_error_bounds": transform.quad_error_bound}
 
     done = _map_per_n(one, config)

@@ -127,6 +127,24 @@ class TestReports:
             assert meta["carrier_nodes"][i] == disc.nodes.size
             assert meta["stack_bytes"][i] == disc.stack_bytes
             assert meta["quad_error_bounds"][i] == transform.quad_error_bound
+        assert meta["gauss_rules"] == [{}, {}]
+
+    @pytest.mark.parametrize("function,top", [("sin_pi", 24), ("abs_half", 192)])
+    def test_geom_sidecar_counts_the_gauss_rules(self, function, top, tmp_path,
+                                                 monkeypatch):
+        # per n, the rules of each order the durrmeyer carrier solved: one
+        # per mirror pair k, n - k; an analytic input stops at 24 points
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        out = tmp_path / "g.csv"
+        cfg = ExperimentConfig(experiment="geom", family="durrmeyer",
+                               n_list=(8, 16), function=function, grid_size=65,
+                               output=str(out))
+        run_experiment(cfg)
+        meta = json.loads(out.with_name(out.name + ".meta.json").read_text())
+        for n, counts in zip(cfg.n_list, meta["gauss_rules"]):
+            table = operators.node_discretization(cfg.spec(n)).gauss_rules
+            assert counts == {str(m): k for m, k in table.items()}
+            assert max(table) == top and table[12] == table[24] == n // 2
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_experiment_round_trips(self, experiment, tmp_path):
@@ -229,6 +247,35 @@ class TestRunners:
                                         grid_size=65))
         assert [n for n, size in calls if size == 65] == [4, 8]
         assert all(size == n + 1 for n, size in calls if size != 65)
+
+    @pytest.mark.parametrize("family,built", [("bernstein", 1),
+                                              ("mkz-symmetric", 3)])
+    def test_geom_builds_one_kernel_transform_per_grid(self, family, built,
+                                                       tmp_path, monkeypatch):
+        # at its defaults, bernstein takes one family grid for n = 4..32
+        # and mkz-symmetric one per n (its cap tightens with n).  The CSV
+        # and sidecar equal those of one run per n, each with its own
+        # transform, and two workers write the bytes of one
+        calls = []
+        inner = experiments.F_transform
+        monkeypatch.setattr(experiments, "F_transform",
+                            lambda f, grid: calls.append(grid) or inner(f, grid=grid))
+
+        def geom(name, *flags):
+            out = tmp_path / name
+            assert cli_main(["geom", "--family", family, *flags, "-o", str(out)]) == 0
+            meta = json.loads(out.with_name(name + ".meta.json").read_text())
+            for key in ("wall_time_s", "config"):
+                del meta[key]
+            return out.read_text().splitlines(), meta
+
+        lines, meta = geom("all.csv")
+        assert len(calls) == built
+        n_list = operators.family_record(family).default_n_list
+        alone = [geom(f"{n}.csv", "--n-list", str(n)) for n in n_list]
+        assert lines == lines[:1] + [row for part, _ in alone for row in part[1:]]
+        assert meta == {key: [m[key][0] for _, m in alone] for key in meta}
+        assert geom("jobs2.csv", "--jobs", "2") == (lines, meta)
 
     @pytest.mark.parametrize("experiment,family", [
         ("voronovskaya", "mkz"), ("inverse-voronovskaya", "mkz"),

@@ -229,6 +229,43 @@ class TestDurrmeyerFunctional:
         if name == "abs_half":  # the kink keeps rows open to the last order
             assert len(expected) == len(operators._GAUSS_ORDERS)
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 64, 256])
+    @pytest.mark.parametrize("rho", [0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_exp_functionals_match_kummer(self, rho, n):
+        # E exp(X) = 1F1(a; a + b; 1) for X ~ Beta(a, b) (Kummer), at 30
+        # digits: every accepted functional within the 1e-13 settle
+        # tolerance.  A row that climbed to 48 points read 3.4e-12 off at
+        # rho = 0.01, n = 4, and 1.6e-13 at n = 16.  Every row up to
+        # n = 16; the edge rows and a spread of about 25 beyond
+        ks = (list(range(1, n)) if n <= 16 else
+              sorted({*range(1, 5), *range(n - 4, n), *range(1, n, n // 16)}))
+        got = operators._durrmeyer_quadrature(n, rho, registry("exp"), np.array(ks))
+        with mp.workdps(30):
+            for k, value in zip(ks, got):
+                a, b = mp.mpf(k * rho), mp.mpf((n - k) * rho)
+                ref = mp.hyp1f1(a, a + b, 1)
+                assert abs(value / ref - 1) <= 1e-13, (k, value, ref)
+
+    @pytest.mark.parametrize("n", [5, 32, 128])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_smooth_rows_settle_on_the_first_pair(self, n, rho, monkeypatch):
+        # an analytic input settles every row on the 12/24-point pair: no
+        # rule of 48 points or more is solved.  A kinked one still climbs
+        # the whole ladder, and its open rows take the composite panels
+        solved = counting_rules(monkeypatch)
+        for f in (registry("sin_pi"), registry("exp"),
+                  registry("exp") * registry("sin_pi")):
+            solved.clear()
+            operators._durrmeyer_quadrature(n, rho, f, np.arange(1, n))
+            assert {m for m, _ in solved} == {12, 24}
+        composite = []
+        inner = operators._beta_integral_composite
+        monkeypatch.setattr(operators, "_beta_integral_composite",
+                            lambda a, b, f: composite.append(a) or inner(a, b, f))
+        solved.clear()
+        operators._durrmeyer_quadrature(n, rho, registry("abs_half"), np.arange(1, n))
+        assert max(m for m, _ in solved) == 192 and composite
+
     def test_kinked_input_composite_rows_in_batch(self, monkeypatch):
         from scipy.integrate import quad
         n, rho = 16, 1.0

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .operators import (OperatorSpec, alpha_profile, check_carrier_budget,
                         condition_report, family_record, moment,
                         node_discretization)
 from .series import check_inversion_identities, geometric_series
-from .special import bernstein_basis_matrix
+from .special import bernstein_values
 
 __all__ = [
     "EXPERIMENTS",
@@ -212,8 +213,10 @@ def _geom(config: ExperimentConfig):
     truncation_error_bound, node count and stack_bytes (recorded as the
     carrier is made, so a carrier rebuilt unfilled reads the same), and
     the quad_error_bound of the kernel transform.  gauss_rules lists, per
-    n, how many Gauss-Jacobi rules of each order the carrier has solved
-    ({} for the families other than durrmeyer).
+    n, how many Gauss-Jacobi rules of each order the carrier solved for
+    this series ({} for the families other than durrmeyer): rules that an
+    earlier call left in a cached carrier are not counted, so the value
+    does not depend on what ran before in the process.
 
     The kernel transform is built once per certified interval, that is
     once per family grid, on the first n that needs it: the exact
@@ -235,10 +238,11 @@ def _geom(config: ExperimentConfig):
         transform = transforms[interval]
         ref = 2.0 * np.asarray(transform(pts), dtype=float)
         prof = alpha_profile(op, base)
+        disc = node_discretization(op)
+        before = Counter(disc.gauss_rules)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
         vals = prof.alpha_values * res.grid_values
         err = psi_sup(vals - ref, pts)
-        disc = node_discretization(op)
         return [(n, err, res.terms_used, res.tail_bound)], {
             "tail_bounds": res.tail_bound,
             "eps_met": bool(res.tail_bound <= config.eps),
@@ -248,7 +252,7 @@ def _geom(config: ExperimentConfig):
             "truncation_error_bounds": disc.truncation_error_bound,
             "carrier_nodes": int(disc.nodes.size),
             "stack_bytes": disc.stack_bytes,
-            "gauss_rules": disc.gauss_rules,
+            "gauss_rules": dict(Counter(disc.gauss_rules) - before),
             "quad_error_bounds": transform.quad_error_bound}
 
     done = _map_per_n(one, config)
@@ -331,6 +335,7 @@ def _invariants(config: ExperimentConfig):
     """One row per invariant: (name, measured, threshold, pass)."""
     base = config.base_grid()
     pts = base.points
+    fexp = registry("exp")
     rows = []
 
     def add(name, measured, threshold):
@@ -363,10 +368,10 @@ def _invariants(config: ExperimentConfig):
     add("durrmeyer-m4-closed-form", np.max(np.abs(m4d - ref)), 1e-8)
 
     # Basis health
-    p64 = bernstein_basis_matrix(64, pts)
-    add("bernstein-partition-of-unity", np.max(np.abs(p64.sum(axis=1) - 1.0)), 1e-12)
-    sym = np.abs(bernstein_basis_matrix(33, pts)
-                 - bernstein_basis_matrix(33, 1.0 - pts)[:, ::-1])
+    (unity,) = bernstein_values(64, [np.ones(65)], pts)
+    add("bernstein-partition-of-unity", np.max(np.abs(unity - 1.0)), 1e-12)
+    sym = np.abs(bernstein_values(33, [np.eye(34)], pts)[0]
+                 - bernstein_values(33, [np.eye(34)[::-1]], 1.0 - pts)[0])
     add("bernstein-basis-symmetry", np.max(sym), 1e-13)
     bpsi = OperatorSpec("bernstein", 16).apply(registry("psi"), pts)
     add("bernstein-eigenfunction",
@@ -386,7 +391,6 @@ def _invariants(config: ExperimentConfig):
         worst_pos = max(worst_pos, float(np.max(-vals)))
         lpsi = np.asarray(spec.apply(registry("psi"), fam_pts))
         worst_contr = max(worst_contr, float(np.max(lpsi - psi(fam_pts))))
-        fexp = registry("exp")
         e0 = abs(spec.apply(fexp, 0.0) - fexp(0.0))
         e1 = abs(spec.apply(fexp, 1.0) - fexp(1.0))
         worst_endpoint = max(worst_endpoint, e0, e1)
@@ -440,7 +444,6 @@ def _invariants(config: ExperimentConfig):
         lo, hi = spec.certified_interval()
         mask = disc.interior & (disc.nodes >= lo) & (disc.nodes <= hi)
         nodes = disc.nodes[mask][:: max(1, mask.sum() // 40)]
-        fexp = registry("exp")
         direct = np.asarray(spec.apply(fexp, nodes))
         via_t = disc.apply_rep(disc.rep(fexp), nodes)
         tol = disc.truncation_error_bound * math.e + 1e-10
@@ -451,7 +454,6 @@ def _invariants(config: ExperimentConfig):
     spec_r = OperatorSpec("mkz-reflected", 5, truncation_eps=1e-10)
     disc_r = node_discretization(spec_r)
     rpts = spec_r.grid(base).points[:: 37]
-    fexp = registry("exp")
     lhs = disc_r.apply_rep(disc_r.rep(fexp), rpts)
     rhs = OperatorSpec("mkz", 5, truncation_eps=1e-10).apply(fexp.reflected(),
                                                              1.0 - rpts)

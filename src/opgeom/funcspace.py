@@ -66,7 +66,7 @@ class Function01:
 
         obj = cls(ev, name=name, poly_coeffs=coeffs)
         if len(coeffs) <= 2:
-            obj._d2 = _zero_function()
+            obj._d2 = _ZERO
         else:
             obj._d2 = cls.polynomial(_poly_deriv(coeffs, 2))
         return obj
@@ -132,21 +132,14 @@ def _poly_deriv(coeffs, order):
     return tuple(float(v) for v in np.atleast_1d(c))
 
 
-_ZERO: Optional[Function01] = None
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero_function() -> Function01:
-    # Two levels deep so derivative chains terminate without cycles.
-    global _ZERO
-    if _ZERO is None:
-        def ev(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        inner = Function01(ev, name="zero", poly_coeffs=(0.0,))
-        zero = Function01(ev, name="zero", poly_coeffs=(0.0,))
-        zero._d2 = inner
-        _ZERO = zero
-    return _ZERO
+# the second derivative of every polynomial of degree <= 1, two levels deep
+# so that derivative chains end without a cycle
+_ZERO = Function01(_zeros, name="zero", poly_coeffs=(0.0,),
+                   d2=Function01(_zeros, name="zero", poly_coeffs=(0.0,)))
 
 
 def _osc_eval(x):

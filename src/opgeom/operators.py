@@ -75,7 +75,7 @@ from .errors import (DegenerateOperatorError, DomainError, QuadratureError,
                      TruncationBudgetError)
 from .funcspace import (EvaluationGrid, Function01, _panel_integrals,
                         default_grid, psi)
-from .special import bernstein_basis_matrix, mkz_weight_matrix
+from .special import bernstein_values, mkz_weight_matrix
 
 __all__ = [
     "FAMILIES",
@@ -251,9 +251,8 @@ def _points(x) -> np.ndarray:
 
 def _bernstein_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
     """sum_k f(k/n) p_{n,k}(x); reproduces affine functions exactly."""
-    n = spec.n
-    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
-    return bernstein_basis_matrix(n, xs) @ vals
+    vals = np.asarray(f(np.arange(spec.n + 1) / spec.n), dtype=float)
+    return bernstein_values(spec.n, [vals], xs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +464,7 @@ def _beta_integral_composite(a: float, b: float, f: Function01) -> float:
 def _durrmeyer_apply(spec: OperatorSpec, f: Function01, xs: np.ndarray) -> np.ndarray:
     """Durrmeyer-type image: interior Beta functionals recombined with the
     Bernstein basis plus exact endpoint terms."""
-    return bernstein_basis_matrix(spec.n, xs) @ _durrmeyer_coeffs(spec.n, spec.rho, f)
+    return bernstein_values(spec.n, [_durrmeyer_coeffs(spec.n, spec.rho, f)], xs)[0]
 
 
 def _durrmeyer_coeffs(n: int, rho: float, f: Function01,
@@ -638,9 +637,8 @@ def _mkz_moment(spec: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bernstein_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
-    nodes = np.arange(op.n + 1) / op.n
-    return np.einsum("ik,ik->i", bernstein_basis_matrix(op.n, xs),
-                     (nodes[None, :] - xs[:, None]) ** k)
+    coeffs = (np.arange(op.n + 1)[:, None] / op.n - xs) ** k
+    return bernstein_values(op.n, [coeffs], xs, per_point=True)[0]
 
 
 def _durrmeyer_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
@@ -650,7 +648,7 @@ def _durrmeyer_moment(op: OperatorSpec, k: int, xs: np.ndarray) -> np.ndarray:
     coeffs = np.array([float(math.comb(k, i)) for i in j]) * (-xs[:, None]) ** (k - j)
     interior = _durrmeyer_monomial_moments(op.n, op.rho, k) @ coeffs.T
     full = np.vstack(((0.0 - xs) ** k, interior, (1.0 - xs) ** k))
-    return np.einsum("ik,ki->i", bernstein_basis_matrix(op.n, xs), full)
+    return bernstein_values(op.n, [full], xs, per_point=True)[0]
 
 
 def _check_order(k, what: str) -> None:
@@ -718,10 +716,11 @@ class NodeDiscretization:
 
         L^m(f)(x) = apply_rep(transfer^(m-1) @ rep(f), x),  m >= 1.
 
-    The exact carriers apply the Bernstein basis matrix at x; the series
-    carriers sum each point's branch weights to its own depth (_mkz_blocks)
-    against the columns, plus the routed mass times the endpoint entry.
-    apply_reps evaluates that basis or those blocks once for several
+    The exact carriers evaluate the Bernstein-form polynomial of the
+    columns at x (special.bernstein_values); the series carriers sum each
+    point's branch weights to its own depth (_mkz_blocks) against the
+    columns, plus the routed mass times the endpoint entry.  apply_reps
+    forms those basis slabs or weight blocks once for several
     representations.
 
     Every family holds its matrix, the stack, k-major: stack[j, i] is the
@@ -741,8 +740,9 @@ class NodeDiscretization:
     recorded as the carrier is made from the shape check_carrier_budget
     counts (_stack_shape), is what the fill allocates, filled or not;
     matrix_bytes counts what the carrier holds now.  The carrier cache
-    applies its byte cap before a fill, with stack_bytes counted as held,
-    and again once the fill completes.
+    applies its byte cap before a fill, with stack_bytes counted as held
+    next to those of the fills running in other threads, and again once
+    the fill completes.
 
     mkz-symmetric keeps its stack over the mirror pairs (p_k, r_k) =
     (k/(n+k), n/(n+k)), k = 0..depth, with the pair map (low, high,
@@ -816,16 +816,19 @@ class NodeDiscretization:
     @property
     def _stack(self):
         """The stack, filled by the first call that reads it: once, under
-        the carrier's lock.  Outside that lock the carrier cache applies its
-        byte cap before the fill, counting stack_bytes as held, so the
-        stack is allocated next to at most the cap's worth of cached
-        matrices (or next to the newest carrier alone), and again after."""
+        the carrier's lock.  The carrier cache applies its byte cap before
+        the fill, with stack_bytes counted as in flight until the fill
+        ends, so the stack is allocated next to at most the cap's worth of
+        cached matrices and of fills running in other threads (or next to
+        the newest carrier alone), and again after."""
         if self._filled is None:
-            _apply_cache_cap(self.stack_bytes)
             with self._lock:
                 if self._filled is None:
-                    self._filled = self._fill()
-            _apply_cache_cap()
+                    _apply_cache_cap(self.stack_bytes)
+                    try:
+                        self._filled = self._fill()
+                    finally:
+                        _apply_cache_cap(-self.stack_bytes)
         return self._filled
 
     @property
@@ -947,16 +950,9 @@ class NodeDiscretization:
 
     def apply_reps(self, reps, xs) -> list:
         """apply_rep of each representation in reps at the points xs, from
-        one evaluation of the basis or weight blocks at xs; each rep is
+        one pass of the basis slabs or weight blocks at xs; each rep is
         applied on its own, so each image equals its apply_rep bit for bit."""
         return self._images(reps, _points(xs))
-
-
-def _basis_images(n: int, reps, xs: np.ndarray) -> list:
-    """The images of Bernstein-basis representations at xs: one basis
-    matrix, applied to each rep on its own."""
-    basis = bernstein_basis_matrix(n, xs)
-    return [basis @ rep for rep in reps]
 
 
 def _exact_disc(spec: OperatorSpec, up: np.ndarray, falls,
@@ -981,7 +977,8 @@ def _exact_disc(spec: OperatorSpec, up: np.ndarray, falls,
     transfer[0, 0] = transfer[n, n] = 1.0
     transfer[1:n] = inner
     disc = NodeDiscretization(spec, np.arange(n + 1) / n, 0.0,
-                              lambda: transfer.T, partial(_basis_images, n),
+                              lambda: transfer.T,
+                              lambda reps, xs: bernstein_values(n, reps, xs),
                               **kwargs)
     disc._stack
     return disc
@@ -1350,6 +1347,7 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
 _CACHE_BYTES_CAP = 2**27  # carrier matrix bytes kept for reuse (128 MiB)
 _DISC_CACHE: dict = {}  # spec -> carrier, least recently used first
 _DISC_LOCK = threading.Lock()
+_in_flight = 0  # stack bytes of the fills running now, in any thread
 
 
 def node_discretization(op: OperatorSpec) -> NodeDiscretization:
@@ -1375,15 +1373,19 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     return got
 
 
-def _apply_cache_cap(pending: int = 0) -> None:
-    """Evict the least recently used carriers while the matrices the cache
-    holds, plus pending bytes about to be allocated (the stack_bytes of a
-    carrier before its fill), pass _CACHE_BYTES_CAP; the most recently
-    used always stays.  An evicted carrier's stack is freed once no caller
-    holds the carrier: a series result keeps its image kernel, not the
-    carrier."""
+def _apply_cache_cap(filling: int = 0) -> None:
+    """Add filling to the stack bytes in flight (a carrier's stack_bytes
+    before its fill, and their negative after it), then evict the least
+    recently used carriers while the matrices the cache holds, plus the
+    bytes in flight, pass _CACHE_BYTES_CAP; the most recently used always
+    stays.  Both steps take one hold of the cache lock, so a fill that
+    starts in one thread is counted by the cap of every fill after it.
+    An evicted carrier's stack is freed once no caller holds the carrier:
+    a series result keeps its image kernel, not the carrier."""
+    global _in_flight
     with _DISC_LOCK:
-        held = pending + sum(d.matrix_bytes for d in _DISC_CACHE.values())
+        _in_flight += filling
+        held = _in_flight + sum(d.matrix_bytes for d in _DISC_CACHE.values())
         for old in list(_DISC_CACHE)[:-1]:
             if held <= _CACHE_BYTES_CAP:
                 break

@@ -1,7 +1,7 @@
 """Oracle helpers: for the special-function tests a log-domain number,
 exact binomials and their logs as one sum of log ratios, single
 Bernstein and Meyer-Koenig-Zeller basis values, the plain-pow Bernstein
-table, a 40-digit Bernstein row and one Meyer-Koenig-Zeller weight row,
+table, a 40-digit Bernstein-form sum and one Meyer-Koenig-Zeller weight row,
 which compute the same quantities as the vectorized kernels in
 opgeom.special by a separate route; the plain Meyer-Koenig-Zeller second
 moment from its hypergeometric closed form at 40 digits; the weight
@@ -30,7 +30,8 @@ from opgeom.errors import DomainError
 from opgeom.funcspace import psi_norm
 
 __all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
-           "bernstein_pow_table", "bernstein_row_mp", "mkz_basis_weight",
+           "bernstein_pow_table", "bernstein_sums_mp",
+           "mkz_basis_weight",
            "mkz_weight_row", "mkz_second_moment", "mkz_tail_mp",
            "factored_step", "single_stack", "single_stack_advance",
            "transfer", "unsplit_krylov", "exact_series"]
@@ -108,26 +109,32 @@ def bernstein_basis(n: int, k: int, x: float) -> float:
 def bernstein_pow_table(n: int, xs: np.ndarray) -> np.ndarray:
     """C(n,k) * x^k * (1-x)^(n-k) for n <= 1000 as one numpy expression:
     math.comb binomials and plain pow on every cell, multiplied left to
-    right.  The vectorized basis must equal it bit for bit."""
+    right: the route the Bernstein-form values are measured against."""
     xs = np.asarray(xs, dtype=float)[:, None]
     k = np.arange(n + 1)
     comb = np.array([float(math.comb(n, j)) for j in range(n + 1)])
     return comb * xs ** k * (1.0 - xs) ** (n - k)
 
 
-def bernstein_row_mp(n: int, x: float) -> list:
-    """C(n,k) x^k y^(n-k), k = 0..n, in 40-digit arithmetic with y the
-    rounded float 1 - x, by the ratio recurrence from y^n (its rounding
-    stays near n * 1e-40 relative)."""
-    y = 1.0 - x
+def bernstein_sums_mp(n: int, x: float, coeffs: list) -> list:
+    """(sum_k c_k p_{n,k}(x), sum_k |c_k| p_{n,k}(x)) for each coefficient
+    array c of coeffs, in 40-digit arithmetic with x and 1 - x exact: the
+    basis row by the ratio recurrence from (1-x)^n (its rounding stays
+    near n * 1e-40 relative), made once for all the arrays."""
     with mp.workdps(40):
-        mx, my = mp.mpf(x), mp.mpf(y)
-        if y == 0.0:
-            return [mp.mpf(0)] * n + [mp.mpf(1)]
-        row = [my ** n]
-        for k in range(n):
-            row.append(row[-1] * (n - k) / (k + 1) * mx / my)
-        return row
+        mx = mp.mpf(x)
+        my = 1 - mx
+        row = [mp.mpf(0)] * n + [mp.mpf(1)]
+        if my != 0:
+            row = [my ** n]
+            for k in range(1, n + 1):
+                row.append(row[-1] * (n - k + 1) / k * mx / my)
+        out = []
+        for c in coeffs:
+            cs = [mp.mpf(float(v)) for v in c]
+            out.append((mp.fsum(v * p for v, p in zip(cs, row)),
+                        mp.fsum(abs(v) * p for v, p in zip(cs, row))))
+        return out
 
 
 def mkz_basis_weight(n: int, k: int, x: float) -> float:

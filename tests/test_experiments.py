@@ -146,6 +146,24 @@ class TestReports:
             assert counts == {str(m): k for m, k in table.items()}
             assert max(table) == top and table[12] == table[24] == n // 2
 
+    def test_geom_sidecar_counts_only_the_rules_it_solved(self, monkeypatch):
+        # geom after voronovskaya in one process finds every rule in the
+        # cached carriers and lists none; a fresh geom lists the carriers'
+        # whole tables, as before
+        cfg = dict(family="durrmeyer", n_list=(32, 64), function="sin_pi",
+                   grid_size=65)
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        fresh = run_experiment(ExperimentConfig(experiment="geom", **cfg))
+        tables = [operators.node_discretization(ExperimentConfig(
+            experiment="geom", **cfg).spec(n)).gauss_rules for n in (32, 64)]
+        assert fresh.metadata["gauss_rules"] == tables
+        assert all(table[12] == table[24] for table in tables)
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        run_experiment(ExperimentConfig(experiment="voronovskaya", **cfg))
+        warm = run_experiment(ExperimentConfig(experiment="geom", **cfg))
+        assert warm.metadata["gauss_rules"] == [{}, {}]
+        assert warm.rows == fresh.rows
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_experiment_round_trips(self, experiment, tmp_path):
         out = tmp_path / f"{experiment}.csv"
@@ -236,12 +254,14 @@ class TestRunners:
             assert err == pytest.approx(ref, rel=1e-13, abs=0.0), k
 
     def test_geom_evaluates_the_grid_basis_once_per_row(self, monkeypatch):
-        # the residual and g share one basis at the grid points (a carrier
-        # build, if its carrier is not cached yet, takes one at the nodes)
+        # the residual and g share one Bernstein-form evaluation at the
+        # grid points (a carrier build, if its carrier is not cached yet,
+        # takes one at the nodes)
         calls = []
-        basis = operators.bernstein_basis_matrix
-        monkeypatch.setattr(operators, "bernstein_basis_matrix",
-                            lambda n, xs: calls.append((n, len(xs))) or basis(n, xs))
+        values = operators.bernstein_values
+        monkeypatch.setattr(operators, "bernstein_values",
+                            lambda n, coeffs, xs, **kwargs: calls.append((n, len(xs)))
+                            or values(n, coeffs, xs, **kwargs))
         run_experiment(ExperimentConfig(experiment="geom", family="bernstein",
                                         n_list=(4, 8), function="e1",
                                         grid_size=65))

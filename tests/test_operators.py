@@ -972,10 +972,13 @@ class TestSeriesCarrier:
 
 @pytest.mark.parametrize("spec", [bernstein(9), OperatorSpec("durrmeyer", 6, rho=1.0),
                                   OperatorSpec("mkz", 5, truncation_eps=1e-6),
-                                  OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-6)],
-                         ids=lambda s: s.family)
+                                  OperatorSpec("mkz-symmetric", 5, truncation_eps=1e-6),
+                                  bernstein(1100),
+                                  OperatorSpec("durrmeyer", 1100, rho=1.0)],
+                         ids=lambda s: s.family if s.n < 1000 else f"{s.family}-{s.n}")
 def test_apply_reps_is_apply_rep_of_each(spec):
-    # one evaluation of the basis or blocks, each rep applied on its own
+    # one evaluation of the basis or blocks, each rep applied on its own;
+    # n = 1100 runs the Bernstein-form values over 35 slabs
     disc = node_discretization(spec)
     rng = np.random.default_rng(5)
     reps = [rng.standard_normal(disc.nodes.size),
@@ -1610,12 +1613,43 @@ class TestCarrierCache:
         for held, cached in seen:
             assert held <= cap or cached == specs[-1:], (held, cap, cached)
 
+    def test_cap_counts_a_fill_running_in_another_thread(self, monkeypatch):
+        # a's fill is held mid-way in a thread; b's fill then applies the
+        # cap with a's stack bytes counted as held, so the oldest carrier
+        # leaves, where b's bytes and the cached ones alone fit the cap
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        old, a, b = (node_discretization(OperatorSpec("mkz", n, truncation_eps=1e-6))
+                     for n in (3, 4, 5))
+        old.advance(np.ones(old.nodes.size))
+        started, release = threading.Event(), threading.Event()
+
+        def held(fill):
+            started.set()
+            assert release.wait(60)
+            return fill()
+
+        a._fill = partial(held, a._fill)
+        worker = threading.Thread(target=lambda: a._stack)
+        worker.start()
+        try:
+            assert started.wait(60)
+            assert operators._in_flight == a.stack_bytes
+            monkeypatch.setattr(operators, "_CACHE_BYTES_CAP",
+                                old.matrix_bytes + a.stack_bytes + b.stack_bytes - 1)
+            b.advance(np.ones(b.nodes.size))
+            assert list(operators._DISC_CACHE) == [a.spec, b.spec]
+        finally:
+            release.set()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert a.matrix_bytes == a.stack_bytes and operators._in_flight == 0
+
     def test_threads_under_a_small_cap_get_the_products_alone(self,
                                                               monkeypatch):
         # more threads than cores fill, evict and rebuild three carriers
         # under a cap that holds one stack: every product equals that of a
         # carrier filled alone, and the cache ends keyed by its carriers'
-        # specs and within the cap
+        # specs, within the cap and with no fill counted in flight
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         specs = [OperatorSpec("mkz", n, truncation_eps=1e-6) for n in (3, 4, 5)]
         alone = {s: operators._mkz_disc(s) for s in specs}
@@ -1646,6 +1680,7 @@ class TestCarrierCache:
         cache = operators._DISC_CACHE
         assert all(spec == disc.spec for spec, disc in cache.items())
         assert sum(disc.matrix_bytes for disc in cache.values()) <= cap
+        assert operators._in_flight == 0  # every fill's bytes left the count
 
     def test_stack_above_the_cap_stays(self, monkeypatch):
         # the newest carrier stays even when its stack alone passes the cap

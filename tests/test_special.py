@@ -10,9 +10,9 @@ import pytest
 
 from opgeom.errors import DomainError
 from opgeom.funcspace import default_grid
-from opgeom.special import bernstein_basis_matrix, mkz_weight_matrix
+from opgeom.special import bernstein_values, mkz_weight_matrix
 from oracles import (LogDomainValue, bernstein_basis, bernstein_pow_table,
-                     bernstein_row_mp, binomial, log_binomial,
+                     bernstein_sums_mp, binomial, log_binomial,
                      mkz_basis_weight, mkz_weight_row)
 
 mp.mp.dps = 40
@@ -78,19 +78,21 @@ class TestBernsteinBasis:
     def test_partition_of_unity(self):
         xs = np.linspace(0.0, 1.0, 101)
         for n in (1, 7, 33, 64):
-            p = bernstein_basis_matrix(n, xs)
-            assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
-            assert np.min(p) >= 0.0
+            ones, basis = bernstein_values(n, [np.ones(n + 1), np.eye(n + 1)], xs)
+            assert np.max(np.abs(ones - 1.0)) <= 1e-12
+            assert np.min(basis) >= 0.0
 
     def test_symmetry(self):
+        # the basis is the values of the identity coefficients
         xs = np.linspace(0.01, 0.99, 57)
         for n in (5, 33, 64):
-            a = bernstein_basis_matrix(n, xs)
-            b = bernstein_basis_matrix(n, 1.0 - xs)[:, ::-1]
+            eye = np.eye(n + 1)
+            (a,) = bernstein_values(n, [eye], xs)
+            (b,) = bernstein_values(n, [eye[::-1]], 1.0 - xs)
             assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_row_matches_scalar(self):
-        (row,) = bernstein_basis_matrix(12, np.array([0.37]))
+        ((row,),) = bernstein_values(12, [np.eye(13)], np.array([0.37]))
         for k in range(13):
             assert row[k] == pytest.approx(bernstein_basis(12, k, 0.37), rel=1e-14)
 
@@ -100,31 +102,14 @@ class TestBernsteinBasis:
         ref = float(mp.binomial(1200, 600) * mp.mpf(0.5) ** 1200)
         assert val == pytest.approx(ref, rel=1e-11)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 256, 512, 1000])
-    def test_matrix_is_the_plain_pow_table(self, n):
-        # the cells skipped as underflowing are those that pow rounds to 0
-        for xs in (CHEB, EDGE):
-            assert np.array_equal(bernstein_basis_matrix(n, xs),
-                                  bernstein_pow_table(n, xs))
-
-    @pytest.mark.parametrize("n", [256, 512, 1000])
-    def test_matrix_against_forty_digits(self, n):
-        u = 2.0 ** -53
-        xs = np.concatenate((CHEB[::10], EDGE))
-        p = bernstein_basis_matrix(n, xs)
-        for i, x in enumerate(xs):
-            ref = np.array([float(v) for v in bernstein_row_mp(n, float(x))])
-            assert np.max(np.abs(p[i] - ref)) <= 2e-16, x
-            big = ref >= 1e-30
-            assert np.max(np.abs(p[i][big] / ref[big] - 1.0)) <= 8 * u, x
-
     @pytest.mark.parametrize("n", [1200, 2000])
     def test_matrix_past_exact_binomials(self, n):
-        # C(n, k) overflows a float from n = 1030 and the powers go
-        # subnormal from about n = 1022: the matrix takes the log domain
+        # C(n, k) overflows a float from n = 1030 and (1-x)^n goes
+        # subnormal from about n = 1022: the basis, the values of the
+        # identity coefficients, stays in range by its power-of-two scale
         xs = np.array([0.0, 1e-9, 0.013, 0.2, 0.37, 0.5, 0.71, 0.999,
                        1.0 - 1e-9, 1.0])
-        p = bernstein_basis_matrix(n, xs)
+        (p,) = bernstein_values(n, [np.eye(n + 1)], xs)
         assert np.all(np.isfinite(p)) and np.min(p) >= 0.0
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
         for i, x in enumerate(xs):
@@ -132,6 +117,60 @@ class TestBernsteinBasis:
                 ref = bernstein_basis(n, k, float(x))
                 if ref >= 1e-300:
                     assert abs(p[i, k] / ref - 1.0) <= 1e-11, (x, k)
+
+
+class TestBernsteinValues:
+    # the endpoints, points next to them and to 1/2 (1 - x is exact at
+    # all of these but 1e-9), and a spread of grid points
+    POINTS = np.concatenate(([0.0, 1e-9, 0.5, 0.5 + 1e-12, 1.0 - 1e-9, 1.0],
+                             CHEB[5::80]))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 256, 512, 1000, 1100, 2000])
+    def test_against_forty_digits(self, n):
+        # at every point within the docstring's bound of the exact sum,
+        # relative to sum_k |c_k| p_{n,k}(x); up to n = 1000 the largest
+        # such error over the points is also at most twice the pow
+        # table's, plus 4u
+        u = 2.0 ** -53
+        k = np.arange(n + 1)
+        coeffs = [np.cos(7.0 * k) * (1.0 + k / n),
+                  np.random.default_rng(n).standard_normal(n + 1),
+                  np.sin(np.pi * k / n) * (1.0 + 0.3 * np.cos(7.0 * k))]
+        got = bernstein_values(n, coeffs, self.POINTS)
+        table = bernstein_pow_table(n, self.POINTS) if n <= 1000 else None
+        refs = [bernstein_sums_mp(n, float(x), coeffs) for x in self.POINTS]
+        for j, (c, vals) in enumerate(zip(coeffs, got)):
+            floor = (n + 1) * 2.0 ** -1021 * np.max(np.abs(c))
+            worst = worst_table = 0.0
+            for i, x in enumerate(self.POINTS):
+                ref, size = refs[i][j]
+                err = float(abs(mp.mpf(vals[i]) - ref))
+                assert err <= (6 * n + 64) * u * float(size) + floor, x
+                if table is not None and size > 0:
+                    worst = max(worst, err / float(size))
+                    table_err = abs(mp.mpf(float(table[i] @ c)) - ref)
+                    worst_table = max(worst_table, float(table_err / size))
+            assert worst <= 2.0 * worst_table + 4.0 * u
+
+    def test_per_point_coefficients(self):
+        # column i of a per-point array holds the coefficients of xs[i]:
+        # each value is that column's shared-coefficient value at xs[i]
+        xs = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
+        c = np.random.default_rng(1).standard_normal((41, xs.size))
+        (got,) = bernstein_values(40, [c], xs, per_point=True)
+        for i, x in enumerate(xs):
+            (alone,) = bernstein_values(40, [c[:, i]], np.array([x]))
+            assert got[i] == pytest.approx(alone[0], rel=0.0, abs=1e-14)
+
+    def test_each_array_is_evaluated_on_its_own(self):
+        # the slabs depend on the points only: an array's values are the
+        # same bits alone and beside others, at any n
+        xs = np.concatenate((CHEB[::50], EDGE))
+        for n in (3, 100, 1500):
+            rng = np.random.default_rng(n)
+            reps = [rng.standard_normal(n + 1), rng.standard_normal((n + 1, 4))]
+            for rep, got in zip(reps, bernstein_values(n, reps, xs)):
+                assert np.array_equal(got, bernstein_values(n, [rep], xs)[0])
 
 
 class TestMkzWeights:

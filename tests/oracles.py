@@ -1,8 +1,8 @@
 """Oracle helpers: for the special-function tests a log-domain number,
 exact binomials and their logs as one sum of log ratios, single
 Bernstein and Meyer-Koenig-Zeller basis values, the plain-pow Bernstein
-table, a 40-digit Bernstein-form sum and one Meyer-Koenig-Zeller weight row,
-which compute the same quantities as the vectorized kernels in
+table, a 40-digit Bernstein row and Bernstein-form sum and one
+Meyer-Koenig-Zeller weight row, which compute the same quantities as the vectorized kernels in
 opgeom.special by a separate route; the plain Meyer-Koenig-Zeller second
 moment from its hypergeometric closed form at 40 digits; the weight
 mass of that series past a depth, as mpmath's incomplete Beta function
@@ -30,7 +30,7 @@ from opgeom.errors import DomainError
 from opgeom.funcspace import psi_norm
 
 __all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
-           "bernstein_pow_table", "bernstein_sums_mp",
+           "bernstein_pow_table", "bernstein_row_mp", "bernstein_sums_mp",
            "mkz_basis_weight",
            "mkz_weight_row", "mkz_second_moment", "mkz_tail_mp",
            "factored_step", "single_stack", "single_stack_advance",
@@ -114,6 +114,21 @@ def bernstein_pow_table(n: int, xs: np.ndarray) -> np.ndarray:
     k = np.arange(n + 1)
     comb = np.array([float(math.comb(n, j)) for j in range(n + 1)])
     return comb * xs ** k * (1.0 - xs) ** (n - k)
+
+
+def bernstein_row_mp(n: int, x: float) -> list:
+    """C(n,k) x^k y^(n-k), k = 0..n, in 40-digit arithmetic with y the
+    rounded float 1 - x, as the pow table takes it, by the ratio
+    recurrence from y^n (its rounding stays near n * 1e-40 relative)."""
+    y = 1.0 - x
+    with mp.workdps(40):
+        mx, my = mp.mpf(x), mp.mpf(y)
+        if y == 0.0:
+            return [mp.mpf(0)] * n + [mp.mpf(1)]
+        row = [my ** n]
+        for k in range(n):
+            row.append(row[-1] * (n - k) / (k + 1) * mx / my)
+        return row
 
 
 def bernstein_sums_mp(n: int, x: float, coeffs: list) -> list:

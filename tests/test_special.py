@@ -12,7 +12,7 @@ from opgeom.errors import DomainError
 from opgeom.funcspace import default_grid
 from opgeom.special import bernstein_values, mkz_weight_matrix
 from oracles import (LogDomainValue, bernstein_basis, bernstein_pow_table,
-                     bernstein_sums_mp, binomial, log_binomial,
+                     bernstein_row_mp, bernstein_sums_mp, binomial, log_binomial,
                      mkz_basis_weight, mkz_weight_row)
 
 mp.mp.dps = 40
@@ -101,6 +101,37 @@ class TestBernsteinBasis:
         val = bernstein_basis(1200, 600, 0.5)
         ref = float(mp.binomial(1200, 600) * mp.mpf(0.5) ** 1200)
         assert val == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [256, 512, 1000])
+    def test_matrix_is_the_plain_pow_table(self, n):
+        # the basis matrix, the values of the identity coefficients, starts
+        # each point's recurrence from the plain pow value: (1-x)^n in
+        # column 0 where x <= 1/2 and x^n in column n where x > 1/2 are the
+        # pow table's to the bit, and so are the unit rows at x = 0 and 1
+        for xs in (CHEB, EDGE):
+            (p,) = bernstein_values(n, [np.eye(n + 1)], xs)
+            table = bernstein_pow_table(n, xs)
+            low, ends = xs <= 0.5, np.isin(xs, (0.0, 1.0))
+            assert np.array_equal(p[low, 0], table[low, 0])
+            assert np.array_equal(p[~low, n], table[~low, n])
+            assert np.array_equal(p[ends], table[ends])
+
+    @pytest.mark.parametrize("n", [256, 512, 1000])
+    def test_matrix_against_forty_digits(self, n):
+        # the pow table, which the values are measured against, is within
+        # 8u of 40 digits at every cell above 1e-30; the kernel's basis
+        # matrix is within its docstring bound at every cell
+        u = 2.0 ** -53
+        xs = np.concatenate((CHEB[::10], EDGE))
+        table = bernstein_pow_table(n, xs)
+        (p,) = bernstein_values(n, [np.eye(n + 1)], xs)
+        for i, x in enumerate(xs):
+            ref = np.array([float(v) for v in bernstein_row_mp(n, float(x))])
+            assert np.max(np.abs(table[i] - ref)) <= 2e-16, x
+            big = ref >= 1e-30
+            assert np.max(np.abs(table[i][big] / ref[big] - 1.0)) <= 8 * u, x
+            bound = (6 * n + 64) * u * ref + (n + 1) * 2.0 ** -1021
+            assert np.all(np.abs(p[i] - ref) <= bound), x
 
     @pytest.mark.parametrize("n", [1200, 2000])
     def test_matrix_past_exact_binomials(self, n):

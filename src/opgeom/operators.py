@@ -1055,7 +1055,12 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray) -> np.ndarra
     the shares 1 and 1/2 the fold moves no normal float, so the weights
     equal share times its columns bit for bit.  Subnormal weights slow
     every product they enter; they are flushed to 0 and the routed mass
-    absorbs them exactly.
+    absorbs them exactly.  Each column is unimodal in j, in floating point
+    too: the rounded ratios never increase, so the running product rises,
+    then falls, and the multiply by (1-t)^(n+1) keeps that order.  So a
+    block's smallest weight in a column sits in its first or last row,
+    and only the columns where one of those is below the smallest normal
+    float are flushed.
 
     Each block is summed over all the points: numpy adds its rows in
     order (a single column it would sum pairwise; every carrier has two
@@ -1084,7 +1089,9 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray) -> np.ndarra
             seg[i] *= seg[i - 1]
         run = seg[-1].copy()
         seg *= w0
-        seg *= seg >= _TINY  # flush; twice as fast as np.putmask here
+        low = np.flatnonzero(np.minimum(seg[0], seg[-1]) < _TINY)
+        sub = seg[:, low]  # the only columns that can hold a subnormal
+        seg[:, low] = sub * (sub >= _TINY)
         total, lost = _kahan_step(total, lost, np.add.reduce(seg, axis=0))
     return np.where(at_end, share, np.maximum(0.0, share - total))
 

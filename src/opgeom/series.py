@@ -35,11 +35,20 @@ an odd problem, b = (b + Rb)/2 + (b - Rb)/2, and T maps each half into
 itself.  The Krylov path solves the two halves by GMRES in lockstep, as
 two full-length rows that keep their parity exactly, one carrier product
 of the sum of their Arnoldi vectors per step, split back the same way;
-it stops on the combined estimate
-sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it never takes more
-products than one GMRES on b would, and each half only damps its own
-part of the spectrum.  A half at or below that target (the odd half of
-psi, sin_pi, psi sin_pi) is set to zero and gets no basis.
+it stops at the first of two stops (_gmres).  The 2-norm stop is the
+combined estimate sqrt(r_even^2 + r_odd^2) <= _GMRES_RTOL |b|_2, so it
+never takes more products than one GMRES on b would, and each half only
+damps its own part of the spectrum.  A half at or below that target (the
+odd half of psi, sin_pi, psi sin_pi) is set to zero and gets no basis.
+The weighted stop reads the node residual d = r_even + r_odd from the
+Arnoldi bases, with no product, and ends the cycle once
+max_j |d_j| / psi(x_j) <= (1 - b) eps / 2 over the interior nodes x_j.
+Every image kernel of the class is positive with
+sum_j row_j(x) psi(x_j) <= psi(x) (L psi <= b psi for bernstein and the
+mkz-symmetric rows, B_n psi = (1 - 1/n) psi over durrmeyer's
+coefficients), so the residual certificate of _certify is at most that
+node sup over (1 - b), and a cycle the weighted stop ends certifies
+within eps / 2 up to the rounding of d.
 terms_used counts carrier products: one per step, plus the residual's.
 """
 
@@ -52,7 +61,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
-from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi,
+from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi, psi,
                         psi_norm, psi_sup)
 from .operators import (NodeDiscretization, OperatorSpec, _check_order, _points,
                         node_discretization)
@@ -212,7 +221,20 @@ def _neumann_sweep(op: OperatorSpec, disc: NodeDiscretization, f_evals,
                     tails)
 
 
-def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
+def _arnoldi_residual(bases, shorts) -> np.ndarray:
+    """sum_k Q_k s_k: the residual sum_k (rhs_k - A x_k) of the rows in
+    lockstep, from each row's basis Q_k and its short residual
+    s_k = beta_k e_1 - H_k y_k, with no product (Saad, Iterative Methods
+    for Sparse Linear Systems, 2nd ed., 6.5)."""
+    d = 0.0
+    for q, s in zip(bases, shorts):
+        for qi, si in zip(q, s):
+            d = d + si * qi
+    return d
+
+
+def _gmres(matvec, rhs: np.ndarray, max_matvecs: int, psis: np.ndarray,
+           threshold: float):
     """One GMRES cycle from x = 0 with modified Gram-Schmidt Arnoldi, for
     the rows of rhs in lockstep: matvec maps a block of rows v (one per
     row of rhs) to the block of their products A v_k at the cost of one
@@ -221,15 +243,25 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
     Each row grows its own Arnoldi basis by one vector per product; a row
     whose basis breaks down (its Krylov space is invariant, so its
     estimate is exact) stops growing and is fed zeros.  The rows stop
-    together, once the combined Arnoldi estimate
-    sqrt(sum_k |rhs_k - A x_k|_2^2) falls to _GMRES_RTOL |rhs|_2 or after
-    max_matvecs products; there is no restart.  Each x_k is the running
-    sum of y_i q_i over its basis, entry by entry, so it keeps any mirror
-    symmetry the rows of rhs and the products have.  Returns
-    (x, matvecs used).
+    together after max_matvecs products (there is no restart), or at the
+    first of two stops:
+
+    * the 2-norm stop: the combined Arnoldi estimate
+      sqrt(sum_k |rhs_k - A x_k|_2^2) falls to _GMRES_RTOL |rhs|_2;
+    * the weighted stop: the residual d = sum_k (rhs_k - A x_k), formed
+      from the bases (_arnoldi_residual), meets
+      max_j |d_j| / psis_j <= threshold.  As psis <= 1/4, that sup is at
+      least 4 |d|_2 / sqrt(size), and the rows are orthogonal, so d is
+      only formed once 4 sqrt(sum_k |rhs_k - A x_k|_2^2) / sqrt(size)
+      meets threshold; threshold 0 leaves the 2-norm stop alone.
+
+    Each x_k is the running sum of y_i q_i over its basis, entry by
+    entry, so it keeps any mirror symmetry the rows of rhs and the
+    products have.  Returns (x, matvecs used).
     """
     betas = [np.linalg.norm(rk) for rk in rhs]
     target = _GMRES_RTOL * math.hypot(*betas)
+    gate = threshold * math.sqrt(rhs.shape[1]) / 4.0
     bases = [[rk / beta] if beta > 0.0 else [] for rk, beta in zip(rhs, betas)]
     h = np.zeros((len(rhs), max_matvecs + 1, max_matvecs))
     ys = [np.zeros(0) for _ in rhs]
@@ -252,8 +284,10 @@ def _gmres(matvec, rhs: np.ndarray, max_matvecs: int):
             e1[0] = betas[k]
             ys[k] = np.linalg.lstsq(hk[:j + 2, :j + 1], e1, rcond=None)[0]
             shorts[k] = e1 - hk[:j + 2, :j + 1] @ ys[k]
-        if all(len(q) <= j + 1 for q in bases) or \
-                math.hypot(*map(np.linalg.norm, shorts)) <= target:
+        est = math.hypot(*map(np.linalg.norm, shorts))
+        if all(len(q) <= j + 1 for q in bases) or est <= target or (
+                est <= gate and np.max(np.abs(
+                    _arnoldi_residual(bases, shorts)) / psis) <= threshold):
             break
     x = np.zeros_like(rhs)
     for xk, q, yk in zip(x, bases, ys):
@@ -283,15 +317,18 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     target is set to zero, so its row gets no basis.
 
     terms_used counts carrier applications (advance calls): one per
-    GMRES step, the residual's included.  GMRES runs one cycle of at most
-    _GMRES_MAX products, and no more than the Neumann sum would need for
-    eps.  If its certificate still exceeds eps, an exact carrier returns
-    the _solve result; mkz-symmetric, which has no solve, runs one more
-    cycle on the first's defect (its 2-norm stop can end short of a
-    weighted eps near rounding), both cycles counted in terms_used.
+    GMRES step, the residual's included, whichever stop ends the cycle.
+    GMRES runs one cycle of at most _GMRES_MAX products, and no more than
+    the Neumann sum would need for eps; both cycles get psi at the
+    interior nodes and the weighted stop's target (1 - b) eps / 2.  If
+    its certificate still exceeds eps, an exact carrier returns the
+    _solve result; mkz-symmetric, which has no solve, runs one more cycle
+    on the first's defect (a 2-norm stop or the product cap can end short
+    of a weighted eps), both cycles counted in terms_used.
     """
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
+    stop = (psi(disc.nodes[idx]), (1.0 - b) * eps / 2.0)
 
     def matvec(u):
         # endpoint entries are held at zero: G f vanishes there
@@ -311,12 +348,12 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
         sizes = np.linalg.norm(halves, axis=1)
         halves[sizes <= _GMRES_RTOL * math.hypot(*sizes)] = 0.0
         budget = min(_GMRES_MAX, neumann_tail_terms(b, norm, eps))
-        sol, used = _gmres(matvec, halves, budget)
+        sol, used = _gmres(matvec, halves, budget, *stop)
         res = certified(f, rep0, sol, used)
         if res.tail_bound > eps and not op.record.series:
             (res,) = _solve(op, disc, [f], [rep0], [norm], eps, grid)
         elif res.tail_bound > eps:  # one more cycle, on the first's defect
-            fix, more = _gmres(matvec, halves - matvec(sol), budget)
+            fix, more = _gmres(matvec, halves - matvec(sol), budget, *stop)
             res = certified(f, rep0, sol + fix, used + 1 + more)
         out.append(res)
     return out

@@ -27,13 +27,13 @@ import numpy as np
 
 from opgeom import operators, series
 from opgeom.errors import DomainError
-from opgeom.funcspace import psi_norm
+from opgeom.funcspace import psi, psi_norm
 
 __all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
            "bernstein_pow_table", "bernstein_row_mp", "bernstein_sums_mp",
            "mkz_basis_weight",
            "mkz_weight_row", "mkz_second_moment", "mkz_tail_mp",
-           "factored_step", "single_stack", "single_stack_advance",
+           "factored_step", "fill_rows", "single_stack", "single_stack_advance",
            "transfer", "unsplit_krylov", "exact_series"]
 
 
@@ -260,7 +260,7 @@ def factored_step(disc):
     return step
 
 
-def _fill_rows(rows, n, t, share):
+def fill_rows(rows, n, t, share):
     """Write share * w_j(t) into rows[j], j = 0..len(rows) - 1, at all the
     points t at once; return each point's routed mass, share minus the
     weights written (share itself at t = 1, the point mass at the
@@ -269,10 +269,10 @@ def _fill_rows(rows, n, t, share):
     Each row is one vector operation over the points, multiplied in the
     order of mkz_weight_matrix (running product of t (n+j)/j, then
     (1-t)^(n+1), then the share), so the weights equal its columns bit for
-    bit.  Subnormal weights are flushed to 0 and the routed mass absorbs
-    them exactly.  The weights are summed in blocks of _FILL_ROWS rows
-    from row 0, each block's rows added in order, and the block sums with
-    Kahan's compensation.
+    bit.  Every weight below the smallest normal float is flushed to 0,
+    cell by cell, and the routed mass absorbs them exactly.  The weights
+    are summed in blocks of _FILL_ROWS rows from row 0, each block's rows
+    added in order, and the block sums with Kahan's compensation.
     """
     at_end = t == 1.0
     t = np.where(at_end, 0.0, t)
@@ -325,8 +325,8 @@ def single_stack(spec):
                       list(r_cols[:plain]) + list(p_cols)])
     stack = np.empty((plain + depth + 1, depth + 1))
     at = nodes[low]
-    m_p = _fill_rows(stack[:plain], n, at, fam.shares[0])
-    m_r = _fill_rows(stack[plain:], n, 1.0 - at, fam.shares[1])
+    m_p = fill_rows(stack[:plain], n, at, fam.shares[0])
+    m_r = fill_rows(stack[plain:], n, 1.0 - at, fam.shares[1])
     stack[0] += m_r
     stack[plain] += m_p
     return nodes, pairs, reads, stack, m_p, m_r
@@ -360,11 +360,13 @@ def transfer(disc):
     return disc.advance(np.eye(disc.nodes.size))
 
 
-def _unsplit_gmres(matvec, rhs, max_matvecs):
+def _unsplit_gmres(matvec, rhs, max_matvecs, psis, threshold):
     """One GMRES cycle from x = 0 with modified Gram-Schmidt Arnoldi on one
     right-hand side, of at most max_matvecs products, stopping once the
-    Arnoldi estimate of |rhs - A x|_2 falls to series._GMRES_RTOL |rhs|_2;
-    returns (x, matvecs used)."""
+    Arnoldi estimate of |rhs - A x|_2 falls to series._GMRES_RTOL |rhs|_2
+    or once the residual Q s formed from the basis meets
+    max_j |(Q s)_j| / psis_j <= threshold, at every step; returns
+    (x, matvecs used)."""
     beta = np.linalg.norm(rhs)
     target = series._GMRES_RTOL * beta
     q = np.zeros((max_matvecs + 1, rhs.size))
@@ -382,8 +384,9 @@ def _unsplit_gmres(matvec, rhs, max_matvecs):
         e1 = np.zeros(j + 2)
         e1[0] = beta
         y = np.linalg.lstsq(h[:j + 2, :j + 1], e1, rcond=None)[0]
-        if h[j + 1, j] == 0.0 or \
-                np.linalg.norm(e1 - h[:j + 2, :j + 1] @ y) <= target:
+        short = e1 - h[:j + 2, :j + 1] @ y
+        if h[j + 1, j] == 0.0 or np.linalg.norm(short) <= target or \
+                np.max(np.abs(short @ q[:j + 2]) / psis) <= threshold:
             break
     return q[:j + 1].T @ y, j + 1
 
@@ -402,9 +405,10 @@ def unsplit_krylov(op, f, eps, grid):
         v[idx] = x
         return x - disc.advance(v)[idx]
 
-    budget = series.neumann_tail_terms(op.contraction_bound(),
-                                       psi_norm(f, fam_grid), eps)
-    sol, used = _unsplit_gmres(matvec, rep0[idx], min(series._GMRES_MAX, budget))
+    b = op.contraction_bound()
+    budget = series.neumann_tail_terms(b, psi_norm(f, fam_grid), eps)
+    sol, used = _unsplit_gmres(matvec, rep0[idx], min(series._GMRES_MAX, budget),
+                               psi(disc.nodes[idx]), (1.0 - b) * eps / 2.0)
     acc = np.zeros((rep0.size, 1))
     acc[idx, 0] = sol
     (res,) = series._certify(op, disc, [f], rep0[:, None], acc, fam_grid,

@@ -24,7 +24,7 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               alpha_profile, condition_report, family_record,
                               mkz_truncation_index, moment,
                               node_discretization)
-from oracles import (factored_step, log_binomial, mkz_second_moment,
+from oracles import (factored_step, fill_rows, log_binomial, mkz_second_moment,
                      mkz_tail_mp, mkz_weight_row, single_stack,
                      single_stack_advance, transfer)
 
@@ -1106,6 +1106,47 @@ def test_fill_routes_the_exactly_summed_missing_mass(spec):
         exact = np.array([math.fsum(col.tolist()) for col in rows.T[::3]])
         want = np.maximum(0.0, share - exact)
         assert np.all(np.abs(routed[::3] - want) <= 8 * ulp * share)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_fill_flushes_like_the_cell_by_cell_oracle(n, monkeypatch):
+    # the fill flushes only the columns whose first or last row in a
+    # block is below the smallest normal float; the oracle flushes every
+    # cell, row by row.  Same weights and routed masses bit for bit, on
+    # both branches at the carrier's nodes and depths, with a t = 1
+    # column (no weights, its whole share routed).  Without any flush the
+    # weights of the plain branch (at n = 8 both) differ, so the flush is
+    # exercised
+    spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-10)
+    at, branches = carrier_branches(spec, operators._mkz_disc(spec))
+    flushed = []
+    for share, reflect, count in branches:
+        t = np.append(1.0 - at if reflect else at, 1.0)
+        got, want = np.empty((2, count, t.size))
+        routed = operators._mkz_fill(n, t, share, got)
+        assert np.array_equal(routed, fill_rows(want, n, t, share))
+        assert np.array_equal(got, want)
+        assert routed[-1] == share and not got[:, -1].any()
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_TINY", 0.0)
+            operators._mkz_fill(n, t, share, want)
+        flushed.append(not np.array_equal(got, want))
+    assert flushed == [True, n == 8]
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GEOM_16],
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_filled_weights_are_unimodal_in_j(spec):
+    # what the fill's column flush rests on: every column of each branch
+    # of the stack rises, then falls, in j, so a block's smallest weight
+    # sits in its first or last row
+    at, branches = carrier_branches(spec, operators._mkz_disc(spec))
+    for share, reflect, count in branches:
+        rows = np.empty((count, at.size))
+        operators._mkz_fill(spec.n, 1.0 - at if reflect else at, share, rows)
+        steps = np.diff(rows, axis=0)
+        fallen = np.logical_or.accumulate(steps < 0.0, axis=0)
+        assert not np.any(fallen & (steps > 0.0))
 
 
 def test_default_geom_carriers_store_pinned_bytes():

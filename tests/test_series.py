@@ -716,23 +716,25 @@ class TestKrylov(EntryContract):
         assert weighted_gap(kry, neu, pts) <= kry.tail_bound + neu.tail_bound
 
     def test_one_cycle_then_solve(self, monkeypatch):
-        # psi*osc on bernstein 32 takes 11 GMRES products; capped at 3 the
-        # one cycle ends short of eps and the exact carrier solves the input
+        # psi*osc on bernstein 32 takes 10 GMRES products (the weighted
+        # stop; 11 to the 2-norm target); capped at 3 the one cycle ends
+        # short of eps and the exact carrier solves the input
         op = OperatorSpec("bernstein", 32)
         f = registry("psi") * registry("osc")
         used = count_gmres(monkeypatch)
-        assert series_one(op, f, 1e-8, "krylov").terms_used == 12
+        assert series_one(op, f, 1e-8, "krylov").terms_used == 11
         monkeypatch.setattr(series, "_GMRES_MAX", 3)
         no_neumann(monkeypatch)
         res = series_one(op, f, 1e-8, "krylov")
-        assert used == [11, 3]
+        assert used == [10, 3]
         assert res.method == "solve"
         assert res.terms_used == 1 and res.tail_bound <= 1e-8
         assert_solved(res, op, f, 1e-8)
 
     def test_falls_back_to_solve(self, monkeypatch):
         monkeypatch.setattr(series, "_gmres",
-                            lambda matvec, rhs, budget: (np.zeros_like(rhs), 0))
+                            lambda matvec, rhs, budget, psis, threshold:
+                            (np.zeros_like(rhs), 0))
         no_neumann(monkeypatch)
         op = OperatorSpec("durrmeyer", 5, rho=1.0)
         res = series_one(op, registry("psi"), 1e-8, "krylov")
@@ -843,6 +845,30 @@ class TestParitySplit:
             assert weighted_gap(split, whole, pts) <= \
                 split.tail_bound + whole.tail_bound
 
+    def test_weighted_stop_lands_within_half_eps(self, op, monkeypatch):
+        # each cycle ends at the first of its two stops, so no result
+        # takes more products than with the 2-norm target alone (stop
+        # dropped); a result that the weighted stop ended sooner reads
+        # tail_bound <= eps / 2
+        eps = 1e-6 if op.record.series else 1e-8
+        fs = [registry("psi") * registry(name) for name in MIXED_INPUTS]
+        fs += SINGLE_PARITY_INPUTS
+        got = [series_one(op, f, eps, "krylov") for f in fs]
+        gmres = series._gmres
+        monkeypatch.setattr(series, "_gmres", lambda matvec, rhs, budget, psis, _:
+                            gmres(matvec, rhs, budget, psis, 0.0))
+        plain = [series_one(op, f, eps, "krylov") for f in fs]
+        sooner = []
+        for res, alone in zip(got, plain):
+            assert res.method == alone.method == "krylov"
+            assert res.terms_used <= alone.terms_used
+            if res.terms_used < alone.terms_used:
+                sooner.append(res.tail_bound)
+        # bernstein 8 and durrmeyer 7 (7 and 6 interior nodes) exhaust
+        # each half's Krylov space before either stop
+        assert bool(sooner) == (op.record.series or op.n > 8)
+        assert max(sooner, default=0.0) <= eps / 2
+
     def test_within_the_certificates_of_neumann(self, op):
         eps = 1e-6 if op.record.series else 1e-8
         pts = op.grid(GRID).points
@@ -852,6 +878,38 @@ class TestParitySplit:
             neu = series_one(op, f, eps, "neumann")
             assert split.tail_bound <= eps and neu.tail_bound <= eps
             assert weighted_gap(split, neu, pts) <= split.tail_bound + neu.tail_bound
+
+
+@pytest.mark.parametrize("op,name,eps", [
+    (OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6), "e1", 1e-6),
+    (OperatorSpec("bernstein", 32), "osc", 1e-8)],
+    ids=["mkz-symmetric-4", "bernstein-32"])
+def test_weighted_stop_reads_the_explicit_residual(op, name, eps, monkeypatch):
+    # at the step where the weighted stop fires, the residual it formed
+    # from the bases, with no product, equals rhs - A x formed by one
+    # explicit product, to 1e-12 of rhs in the weighted sup over the
+    # interior nodes
+    gmres, arnoldi = series._gmres, series._arnoldi_residual
+    cycles, residuals = [], []
+
+    def recorded(matvec, rhs, budget, psis, threshold):
+        x, used = gmres(matvec, rhs, budget, psis, threshold)
+        cycles.append((matvec, rhs, psis, threshold, x, used))
+        return x, used
+
+    monkeypatch.setattr(series, "_gmres", recorded)
+    monkeypatch.setattr(series, "_arnoldi_residual", lambda bases, shorts:
+                        residuals.append(arnoldi(bases, shorts)) or residuals[-1])
+    res = series_one(op, registry("psi") * registry(name), eps, "krylov")
+    ((matvec, rhs, psis, threshold, x, used),) = cycles
+    assert threshold == (1 - op.contraction_bound()) * eps / 2
+    d = residuals[-1]
+    assert np.max(np.abs(d) / psis) <= threshold  # the rule fired here
+    explicit = (rhs - matvec(x)).sum(axis=0)
+    scale = np.max(np.abs(rhs.sum(axis=0)) / psis)
+    assert np.max(np.abs(d - explicit) / psis) <= 1e-12 * scale
+    assert (res.method, res.terms_used) == ("krylov", used + 1)
+    assert res.tail_bound <= eps / 2
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -890,7 +948,7 @@ def test_halves_keep_exact_parity(op):
     t = np.random.default_rng(op.n).standard_normal(idx.size)
     halves = series._halves(t)
     assert_parity(halves)
-    sol, used = series._gmres(matvec, halves, 3)
+    sol, used = series._gmres(matvec, halves, 3, psi(disc.nodes[idx]), 0.0)
     assert used == 3 and np.any(sol, axis=1).all()
     assert_parity(sol)
 

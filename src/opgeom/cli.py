@@ -70,7 +70,10 @@ def _merge_config(args) -> ExperimentConfig:
         if named != args.experiment:
             raise DomainError(f"config {args.config} is for experiment "
                               f"{named!r}, not {args.experiment!r}")
-        merged.update({k: v for k, v in loaded.items() if k in _FLAG_KEYS})
+        unknown = sorted(set(loaded) - {"experiment", *_FLAG_KEYS})
+        if unknown:
+            raise DomainError(f"config {args.config} has unknown keys {unknown}")
+        merged.update(loaded)
     for key in _FLAG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
@@ -83,7 +86,7 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         report = run_experiment(config)
-    except (KeyError, ValueError, QuadratureError,
+    except (KeyError, ValueError, OSError, QuadratureError,
             TruncationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

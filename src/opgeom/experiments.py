@@ -495,8 +495,11 @@ EXPERIMENTS = tuple(_TABLE)
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment and assemble its report: the rows in n order
     and the sidecar metadata (config, the runner's extras, wall time).
-    Writes the CSV and its sidecar when config.output is set."""
+    Writes the CSV and its sidecar when config.output is set; a missing
+    output directory raises DomainError before the runner starts."""
     start = time.perf_counter()
+    if config.output and not Path(config.output).parent.is_dir():
+        raise DomainError(f"output directory of {config.output} does not exist")
     record = _TABLE[config.experiment]
     chunks, extras = record.runner(config)
     metadata = {"config": {**asdict(config), "n_list": list(config.n_list)},

@@ -10,6 +10,9 @@ Family carriers
 ---------------
 bernstein      node values at k/n; the transfer rows are the basis at the
                nodes, by the Durrmeyer ratio recurrence's rho -> oo limit.
+               Like the durrmeyer transfer, it is allocated on the
+               carrier's first product and filled in place, a block of
+               rows at a time (_exact_fill).
 durrmeyer      coefficients in the Bernstein basis: the image of f is
                sum_k c_k(f) p_{n,k} with c_k the Beta-density functionals,
                so one application advances the coefficient vector by the
@@ -55,9 +58,10 @@ and at the series nodes of the mixed condition bound, comes from one
 closed-form kernel (_mkz_m2), with no weight series and no truncation.
 
 OperatorSpec and NodeDiscretization are immutable after construction,
-apart from the stack a carrier fills on its first product and the
-Gauss-Jacobi rules a Durrmeyer carrier keeps as its inputs need them,
-which change no number; all apply/moment operations are pure.
+apart from the stack every carrier fills on its first product, one fill
+at a time, and the Gauss-Jacobi rules a Durrmeyer carrier keeps as its
+inputs need them, which change no number; all apply/moment operations
+are pure.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ __all__ = [
 
 _SERIES_CAP = 500_000
 _CARRIER_BYTES_CAP = 4 * 2**30  # largest carrier build, in bytes
-_EXACT_BUILD_ARRAYS = 5  # (n+1)-square float arrays an exact build holds at once
 # share-relative tail at which apply_rep stops a point's series, and at
 # which the mkz-symmetric stack stops its plain rows (the midpoint's own
 # depth): the dropped weights join the routed mass, moving a value by
@@ -112,7 +115,7 @@ _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 # rule, tried in turn until its summed panel bound meets 1e-6
 _COMPOSITE_GRADINGS = (48, 96, 192)
 _TINY = np.finfo(float).tiny  # smallest normal float
-_FILL_ROWS = 32  # weight rows per block of the series carrier fill
+_FILL_ROWS = 32  # stack rows per block of a carrier fill
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
 _SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
 _OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
@@ -726,23 +729,23 @@ class NodeDiscretization:
     Every family holds its matrix, the stack, k-major: stack[j, i] is the
     weight of input j at output i.  Without a pair map it is the
     transpose of the square transfer matrix, so advance is
-    stack.T @ v; the exact carriers fill the view transfer.T, and a
-    one-branch series carrier fills its rows in node order with the routed
-    masses in its endpoint row.
+    stack.T @ v; the exact carriers fill the view transfer.T
+    (_exact_fill), and a one-branch series carrier fills its rows in node
+    order with the routed masses in its endpoint row.
 
-    A carrier is made with its truncation bound and its fill, not its
-    stack: fill() returns the stack.  The first call that needs the matrix
-    (advance, advance_sums, sweep_sums, transfer and the paired products)
-    runs it once, under the carrier's lock, and keeps the stack; nodes,
-    interior, rep, apply_rep, apply_reps and truncation_error_bound never
-    fill, so a series carrier used only for images or for its bound holds
-    no stack; an exact carrier runs its fill as it is made.  stack_bytes,
-    recorded as the carrier is made from the shape check_carrier_budget
-    counts (_stack_shape), is what the fill allocates, filled or not;
-    matrix_bytes counts what the carrier holds now.  The carrier cache
-    applies its byte cap before a fill, with stack_bytes counted as held
-    next to those of the fills running in other threads, and again once
-    the fill completes.
+    Every family's carrier is made with its nodes, truncation bound,
+    images, rep builder and fill, not its stack: fill() allocates the
+    stack once and fills it in place.  The first call that needs the
+    matrix (advance, advance_sums, sweep_sums, transfer and the paired
+    products) runs it once, under the module's fill lock, and keeps the
+    stack; nodes, interior, rep, apply_rep, apply_reps and
+    truncation_error_bound never fill, so a carrier used only for images
+    or for its bound holds no stack.  stack_bytes, recorded as the
+    carrier is made from the shape check_carrier_budget counts
+    (_stack_shape), is what the fill allocates, filled or not;
+    matrix_bytes counts what the carrier holds now.  Fills run one at a
+    time, and the carrier cache applies its byte cap before each, with
+    stack_bytes counted next to the cached matrices.
 
     mkz-symmetric keeps its stack over the mirror pairs (p_k, r_k) =
     (k/(n+k), n/(n+k)), k = 0..depth, with the pair map (low, high,
@@ -806,7 +809,6 @@ class NodeDiscretization:
         self.stack_bytes = 8 * math.prod(_stack_shape(spec))
         self._fill = fill  # () -> the stack
         self._filled = None  # the stack, once filled
-        self._lock = threading.Lock()
         self._images = images  # (reps, 1-D points) -> values of each rep
         self._rep_builder = rep_builder
         self._pairs = pairs  # (low, high, reads), or None
@@ -816,19 +818,16 @@ class NodeDiscretization:
     @property
     def _stack(self):
         """The stack, filled by the first call that reads it: once, under
-        the carrier's lock.  The carrier cache applies its byte cap before
-        the fill, with stack_bytes counted as in flight until the fill
-        ends, so the stack is allocated next to at most the cap's worth of
-        cached matrices and of fills running in other threads (or next to
-        the newest carrier alone), and again after."""
+        the module's fill lock, which lets one fill of any carrier run at
+        a time.  The carrier cache applies its byte cap before the fill,
+        with stack_bytes counted next to the cached matrices, so the stack
+        is allocated next to at most the cap's worth of them (or next to
+        the newest carrier alone)."""
         if self._filled is None:
-            with self._lock:
+            with _FILL_LOCK:
                 if self._filled is None:
                     _apply_cache_cap(self.stack_bytes)
-                    try:
-                        self._filled = self._fill()
-                    finally:
-                        _apply_cache_cap(-self.stack_bytes)
+                    self._filled = self._fill()
         return self._filled
 
     @property
@@ -955,33 +954,41 @@ class NodeDiscretization:
         return self._images(reps, _points(xs))
 
 
-def _exact_disc(spec: OperatorSpec, up: np.ndarray, falls,
+def _exact_disc(spec: OperatorSpec, ratios: Callable,
                 **kwargs) -> NodeDiscretization:
-    """A carrier of an exact family, filled as it is made; its truncation
-    bound is 0.  Its transfer comes from the ratios
-    up[i-1, j] = T[i, j+1] / T[i, j] of the interior rows i = 1..n-1, each
-    row divided by its sum; the endpoint rows are identities.  Where falls
-    (per row) the ratio falls through 1 once, so the row is anchored at
-    its largest entry and every product outward is at most 1; elsewhere it
-    rises through 1 and the anchor is the smallest entry."""
+    """A carrier of an exact family; its truncation bound is 0 and its
+    first product fills its transfer (_exact_fill)."""
     n = spec.n
-    j = np.arange(n)
-    anchor = np.where(falls, np.sum(up >= 1.0, axis=1, keepdims=True),
-                      np.sum(up < 1.0, axis=1, keepdims=True))
-    inner = np.ones((n - 1, n + 1))
-    inner[:, 1:] = np.cumprod(np.where(j >= anchor, up, 1.0), axis=1)
-    inner[:, :-1] *= np.cumprod(np.where(j < anchor, 1.0 / up, 1.0)[:, ::-1],
-                                axis=1)[:, ::-1]
-    inner /= inner.sum(axis=1, keepdims=True)
-    transfer = np.zeros((n + 1, n + 1))
-    transfer[0, 0] = transfer[n, n] = 1.0
-    transfer[1:n] = inner
-    disc = NodeDiscretization(spec, np.arange(n + 1) / n, 0.0,
-                              lambda: transfer.T,
+    return NodeDiscretization(spec, np.arange(n + 1) / n, 0.0,
+                              partial(_exact_fill, n, ratios),
                               lambda reps, xs: bernstein_values(n, reps, xs),
                               **kwargs)
-    disc._stack
-    return disc
+
+
+def _exact_fill(n: int, ratios: Callable) -> np.ndarray:
+    """The stack of an exact carrier, the view transfer.T of its transfer,
+    which is allocated once and filled in place, _FILL_ROWS interior rows
+    at a time; the endpoint rows are identities.  ratios(i) gives the
+    ratios up[r, j] = T[i[r], j+1] / T[i[r], j] of the rows i and whether
+    each falls; each row is divided by its sum.  Where a row falls the
+    ratio falls through 1 once, so the row is anchored at its largest
+    entry and every product outward is at most 1; elsewhere it rises
+    through 1 and the anchor is the smallest entry.  Every operation acts
+    on each row alone, so the block size moves no bit."""
+    j = np.arange(n)
+    transfer = np.eye(n + 1)  # each interior row is then overwritten
+    for start in range(1, n, _FILL_ROWS):
+        stop = min(start + _FILL_ROWS, n)
+        up, falls = ratios(np.arange(start, stop))
+        anchor = np.where(falls, np.sum(up >= 1.0, axis=1, keepdims=True),
+                          np.sum(up < 1.0, axis=1, keepdims=True))
+        inner = transfer[start:stop]  # a view: the rows are made in place
+        inner[:, 0] = 1.0
+        inner[:, 1:] = np.cumprod(np.where(j >= anchor, up, 1.0), axis=1)
+        inner[:, :-1] *= np.cumprod(np.where(j < anchor, 1.0 / up, 1.0)[:, ::-1],
+                                    axis=1)[:, ::-1]
+        inner /= inner.sum(axis=1, keepdims=True)
+    return transfer.T
 
 
 def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
@@ -990,16 +997,15 @@ def _bernstein_disc(spec: OperatorSpec) -> NodeDiscretization:
     certificates near eps): no power of a rounded node, no binomial."""
     n = spec.n
     j = np.arange(n)
-    up = (n - j) / (j + 1.0) * j[1:, None]
-    up /= n - j[1:, None]
-    return _exact_disc(spec, up, True)
+    return _exact_disc(spec, lambda i: ((n - j) / (j + 1.0) * i[:, None]
+                                        / (n - i[:, None]), True))
 
 
 def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     """Row i of the transfer is the beta-binomial law
     F_{n,i}(p_{n,j}) = C(n,j) B(a + j, b + n - j) / B(a, b), a = i rho,
     b = (n - i) rho, by the ratio (n-j)/(j+1) * (a+j)/(b+n-j-1), which
-    falls through 1 once when a + b >= 2 (_exact_disc; F_{n,i}(1) = 1).
+    falls through 1 once when a + b >= 2 (_exact_fill; F_{n,i}(1) = 1).
 
     The carrier keeps one _GaussRules table, bound into its rep builder:
     the Gauss-Jacobi rules depend on (n, rho) and the row only, so every
@@ -1007,12 +1013,14 @@ def _durrmeyer_disc(spec: OperatorSpec) -> NodeDiscretization:
     The table's bytes count in matrix_bytes, so the carrier cache's byte
     cap bounds it, and it leaves the cache with the carrier."""
     n, rho = spec.n, spec.rho
-    a = np.arange(1, n)[:, None] * rho
-    b = (n - np.arange(1, n))[:, None] * rho
     j = np.arange(n)
-    up = (n - j) / (j + 1.0) * ((a + j) / (b + (n - 1.0 - j)))
+
+    def ratios(i):
+        a, b = i[:, None] * rho, (n - i)[:, None] * rho
+        return (n - j) / (j + 1.0) * ((a + j) / (b + (n - 1.0 - j))), a + b >= 2.0
+
     rules = _GaussRules()
-    return _exact_disc(spec, up, a + b >= 2.0, rules=rules,
+    return _exact_disc(spec, ratios, rules=rules,
                        rep_builder=partial(_durrmeyer_coeffs, n, rho, rules=rules))
 
 
@@ -1334,14 +1342,10 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
     """Raise TruncationBudgetError, without building anything, if a
     carrier's fill may hold more than _CARRIER_BYTES_CAP at its peak.
 
-    A series fill allocates its stack (_stack_shape) once and fills it in
-    place, next to a few vectors of its width.  An exact build holds at
-    most _EXACT_BUILD_ARRAYS (n+1)-square arrays at once, the same for
-    both families (_exact_disc): the transfer, up, both cumulative
-    products and inner."""
+    Every fill allocates its stack (_stack_shape) once and fills it in
+    place, next to a few vectors of its width (a block of _FILL_ROWS rows
+    for the exact families), so the stack alone is counted."""
     rows, cols = _stack_shape(spec)
-    if not spec.record.series:
-        rows *= _EXACT_BUILD_ARRAYS
     size = 8 * rows * cols
     if size > _CARRIER_BYTES_CAP:
         # rounded up, so a size just past the cap reads above it
@@ -1354,18 +1358,20 @@ def check_carrier_budget(spec: OperatorSpec) -> None:
 _CACHE_BYTES_CAP = 2**27  # carrier matrix bytes kept for reuse (128 MiB)
 _DISC_CACHE: dict = {}  # spec -> carrier, least recently used first
 _DISC_LOCK = threading.Lock()
-_in_flight = 0  # stack bytes of the fills running now, in any thread
+_FILL_LOCK = threading.Lock()  # held by the one carrier fill running
 
 
 def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     """Build (or fetch) the finite carrier for one operator instance.
 
-    Carriers are kept least recently used first and evicted once the
-    matrices they hold pass _CACHE_BYTES_CAP (the newest always stays);
-    the cap is applied again before and after a carrier fills its stack
-    (NodeDiscretization._stack).  At 128 MiB the n = 16 mkz-symmetric
-    stack (141.1 MB) is held alone, while the n = 4 and 8 ones (28.3 MB
-    together) are held side by side.  Builds run outside the lock.
+    A carrier is made with its nodes, bound, images and rep builder,
+    never its stack, which its first product fills.  Carriers are kept
+    least recently used first and evicted once the matrices they hold
+    pass _CACHE_BYTES_CAP (the newest always stays); the cap is applied
+    again before a carrier fills its stack (NodeDiscretization._stack).
+    At 128 MiB the n = 16 mkz-symmetric stack (141.1 MB) is held alone,
+    while the n = 4 and 8 ones (28.3 MB together) are held side by side.
+    Builds run outside the lock.
     """
     with _DISC_LOCK:
         got = _DISC_CACHE.pop(op, None)
@@ -1381,18 +1387,14 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
 
 
 def _apply_cache_cap(filling: int = 0) -> None:
-    """Add filling to the stack bytes in flight (a carrier's stack_bytes
-    before its fill, and their negative after it), then evict the least
-    recently used carriers while the matrices the cache holds, plus the
-    bytes in flight, pass _CACHE_BYTES_CAP; the most recently used always
-    stays.  Both steps take one hold of the cache lock, so a fill that
-    starts in one thread is counted by the cap of every fill after it.
-    An evicted carrier's stack is freed once no caller holds the carrier:
-    a series result keeps its image kernel, not the carrier."""
-    global _in_flight
+    """Evict the least recently used carriers while the matrices the cache
+    holds, plus filling, the stack_bytes of the one stack about to be
+    filled (0 when none is), pass _CACHE_BYTES_CAP; the most recently
+    used always stays.  An evicted carrier's stack is freed once no
+    caller holds the carrier: a series result keeps its image kernel,
+    not the carrier."""
     with _DISC_LOCK:
-        _in_flight += filling
-        held = _in_flight + sum(d.matrix_bytes for d in _DISC_CACHE.values())
+        held = filling + sum(d.matrix_bytes for d in _DISC_CACHE.values())
         for old in list(_DISC_CACHE)[:-1]:
             if held <= _CACHE_BYTES_CAP:
                 break

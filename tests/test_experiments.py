@@ -346,13 +346,21 @@ class TestRunners:
     @pytest.mark.parametrize("experiment", ["voronovskaya", "inverse-voronovskaya"])
     def test_voronovskaya_runs_fill_no_stack(self, experiment, monkeypatch):
         # both studies read L_n f at grid points only: the carriers they
-        # leave in the cache, at the defaults, hold no stack
-        monkeypatch.setattr(operators, "_DISC_CACHE", {})
-        run_experiment(ExperimentConfig(experiment=experiment,
-                                        family="mkz-symmetric"))
-        held = {spec.n: disc.matrix_bytes
-                for spec, disc in operators._DISC_CACHE.items()}
-        assert held == {4: 0, 8: 0, 16: 0}
+        # leave in the cache hold no stack, a durrmeyer carrier the rules
+        # its functionals solved alone
+        for family, kw in [("mkz-symmetric", {}), ("bernstein", {}), (
+                "durrmeyer", {"rho": 1.0, "function": "sin_pi",
+                              "n_list": (32, 64, 128, 256, 512)})]:
+            monkeypatch.setattr(operators, "_DISC_CACHE", {})
+            cfg = ExperimentConfig(experiment=experiment, family=family, **kw)
+            run_experiment(cfg)
+            cache = operators._DISC_CACHE
+            held = {spec.n: disc.matrix_bytes for spec, disc in cache.items()}
+            rules = {spec.n: 0 if disc._rules is None else disc._rules.nbytes
+                     for spec, disc in cache.items()}
+            assert held == rules and list(held) == list(cfg.n_list), family
+            assert all(disc._filled is None for disc in cache.values()), family
+            assert (min(rules.values()) > 0) == (family == "durrmeyer"), family
 
     def test_default_mkz_geom_holds_one_stack(self, monkeypatch):
         # the cap is applied before each fill: geom on mkz-symmetric at its
@@ -377,6 +385,12 @@ class TestRunners:
                 if spec.record.series}
         assert held == {("mkz", 6): 0, ("mkz-symmetric", 6): 0,
                         ("mkz-reflected", 5): 0}
+        # and, of the two exact carriers it reads, the bernstein one holds
+        # no transfer; the inversion row's products fill the durrmeyer one
+        exact = [operators._DISC_CACHE[operators.OperatorSpec(*key)] for key in
+                 (("bernstein", 6), ("durrmeyer", 6, 1.0))]
+        assert [disc._filled is None for disc in exact] == [True, False]
+        assert exact[0].matrix_bytes == 0
 
     def test_pointwise_studies_run_no_fill(self, monkeypatch):
         # conditions on mkz-symmetric and invariants read alpha, images
@@ -616,7 +630,8 @@ class TestCli:
     @pytest.mark.parametrize("config", [
         {"jobs": "2"}, {"jobs": 2.5}, {"jobs": True}, {"eps": "1e-6"},
         {"rho": "1"}, {"grid_size": "abc"}, {"grid_size": 100.5}, [1],
-        {"n_list": 4}, {"output": 3, "n_list": [4]}],
+        {"n_list": 4}, {"output": 3, "n_list": [4]}, {"n-list": [4, 8]},
+        {"famly": "durrmeyer"}],
         ids=lambda c: json.dumps(c))
     def test_mistyped_config_exit_code(self, config, tmp_path, capsys,
                                        monkeypatch):
@@ -635,6 +650,41 @@ class TestCli:
         assert cli_main(argv) == 2
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_config_keys_are_named(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a key the config does not know was once dropped: this file ran
+        # conditions on bernstein at the default orders, with exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-list": [4, 8], "famly": "durrmeyer"}))
+        monkeypatch.setattr(cli, "run_experiment", None)  # no run starts
+        assert cli_main(["conditions", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {cfg} has unknown keys ['famly', 'n-list']\n")
+
+    def test_missing_output_directory_exit_code(self, tmp_path, capsys,
+                                                monkeypatch):
+        # checked before the runner starts: once the run did all its work,
+        # then died writing the CSV with a traceback and exit 1
+        monkeypatch.setitem(experiments._TABLE, "conditions", replace(
+            experiments._TABLE["conditions"], runner=None))  # no run starts
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["conditions", "--family", "bernstein", "--n-list", "4",
+                         "-o", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_failed_write_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an output the CSV cannot be written to (here a directory) is an
+        # OSError of the write, exit 2; the runner returns no rows
+        calls = []
+        monkeypatch.setitem(experiments._TABLE, "conditions", replace(
+            experiments._TABLE["conditions"],
+            runner=lambda config: calls.append(config) or ([], {})))
+        assert cli_main(["conditions", "--family", "bernstein", "--n-list", "4",
+                         "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert len(calls) == 1 and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field,value", [
         ("grid_size", 100.5), ("grid_size", True), ("jobs", 2.5),

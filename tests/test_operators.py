@@ -392,7 +392,10 @@ class TestDurrmeyerRuleTable:
             assert np.array_equal(got, expected), name
             if name == "abs_half":  # the fallback rows are in the comparison
                 assert composite
-        assert disc.matrix_bytes > disc.transfer.nbytes
+        table = disc.matrix_bytes  # the rules alone: no product has run
+        assert table > 0 and disc._filled is None
+        disc.transfer  # the first product fills the transfer
+        assert disc.matrix_bytes == table + disc.stack_bytes
 
     @pytest.mark.parametrize("first,second", [
         ("psi*sin_pi", "sin_pi"), ("sin_pi", "abs_half"), ("abs_half", "exp")])
@@ -479,10 +482,13 @@ class TestDurrmeyerRuleTable:
     def test_cache_holds_the_table_bytes(self, monkeypatch):
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         disc = node_discretization(durrmeyer(32, 1.0))
-        cold = disc.matrix_bytes
-        assert cold == disc.transfer.nbytes
+        assert disc.matrix_bytes == 0  # no rule solved, no transfer filled
         disc.rep(registry("sin_pi"))
-        assert disc.matrix_bytes > cold
+        table = disc.matrix_bytes
+        assert table > 0
+        disc.advance(np.ones(disc.nodes.size))
+        assert disc.matrix_bytes == table + disc.transfer.nbytes
+        assert operators._DISC_CACHE[disc.spec] is disc
 
 
 class TestDurrmeyerApply:
@@ -1524,48 +1530,58 @@ class TestCarrierMemoryBudget:
                 operators.check_carrier_budget(
                     OperatorSpec(family, n, truncation_eps=1e-6))
 
-    @pytest.mark.parametrize("family", ["mkz", "mkz-reflected", "mkz-symmetric"])
-    def test_build_peaks_at_its_stack(self, family):
-        # the stack is allocated once and filled in place: no transfer
-        # next to its weights, no row blocks, no ratio scratch
-        spec = OperatorSpec(family, 8, truncation_eps=1e-6)
+    @pytest.mark.parametrize("spec", [
+        *(OperatorSpec(family, 8, truncation_eps=1e-6)
+          for family in ("mkz", "mkz-reflected", "mkz-symmetric")),
+        OperatorSpec("bernstein", 2000), OperatorSpec("durrmeyer", 2000, rho=1.0)],
+        ids=lambda s: s.family)
+    def test_build_peaks_at_its_stack(self, spec):
+        # the stack is allocated once, on the first product, and filled in
+        # place: no transfer next to a series carrier's weights, and next
+        # to an exact one's rows no ratio or product arrays of its size
         tracemalloc.start()
         try:
-            disc = operators._mkz_disc(spec)
+            disc = spec.record.carrier(spec)
+            assert disc.matrix_bytes == 0  # made without its stack
             disc._stack  # the fill
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * disc.matrix_bytes
+        assert disc.matrix_bytes == disc.stack_bytes
+        assert peak <= 1.1 * disc.stack_bytes
 
 
     @pytest.mark.parametrize("family, rho", [("bernstein", None),
                                              ("durrmeyer", 1.0)])
-    def test_exact_ceiling(self, family, rho):
-        # the guard alone, no build: five (n+1)-square arrays fit the
-        # 4 GiB budget up to n = 10361; one past it, the message names a
-        # size above the budget (4.0002 GiB must not read 4.0)
-        operators.check_carrier_budget(OperatorSpec(family, 10361, rho=rho))
-        with pytest.raises(TruncationBudgetError, match="GiB") as err:
-            operators.check_carrier_budget(OperatorSpec(family, 10362, rho=rho))
+    def test_exact_ceiling(self, family, rho, monkeypatch):
+        # the guard counts the (n+1)-square transfer alone, which fits the
+        # 4 GiB budget up to n = 23169; a carrier of that order is made
+        # without allocating it.  One past it, the message names a size
+        # above the budget (4.0002 GiB must not read 4.0), and nothing of
+        # that order is allocated before the refusal
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        tracemalloc.start()
+        try:
+            disc = node_discretization(OperatorSpec(family, 23169, rho=rho))
+            with pytest.raises(TruncationBudgetError, match="GiB") as err:
+                node_discretization(OperatorSpec(family, 23170, rho=rho))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert disc.matrix_bytes == 0 and disc.stack_bytes == 8 * 23170 ** 2
+        assert peak < 2**20
         needs, budget = map(float, re.findall(r"([\d.]+) GiB", str(err.value)))
         assert needs > budget
 
     @pytest.mark.parametrize("spec", [OperatorSpec("bernstein", 256),
                                       OperatorSpec("durrmeyer", 256, rho=1.0)],
                              ids=lambda s: s.family)
-    def test_exact_build_peaks_within_its_count(self, spec, monkeypatch):
-        # the guard counts _EXACT_BUILD_ARRAYS (n+1)-square arrays, refusing
-        # a cap one byte short of them; the build's traced peak stays below
-        counted = 8 * operators._EXACT_BUILD_ARRAYS * (spec.n + 1) ** 2
-        self._cap_must_fit_the_stack(spec, counted, monkeypatch)
-        tracemalloc.start()
-        try:
-            spec.record.carrier(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= counted
+    def test_exact_build_counts_its_stack(self, spec, monkeypatch):
+        # the guard counts the (n+1)-square transfer exactly, refusing a
+        # cap one byte short of it; the filled carrier holds that many bytes
+        counted = 8 * (spec.n + 1) ** 2
+        disc = self._cap_must_fit_the_stack(spec, counted, monkeypatch)
+        assert disc.matrix_bytes == disc.stack_bytes == counted
 
 
 def test_no_module_has_a_log_gamma():
@@ -1602,10 +1618,16 @@ class TestCarrierCache:
         log = builds
         a, b, c = (OperatorSpec("bernstein", n) for n in (5, 6, 7))
         held = {s: 8 * (s.n + 1) ** 2 for s in (a, b, c)}
-        assert all(node_discretization(s).matrix_bytes == held[s] for s in (a, b))
+
+        def filled(spec):
+            disc = node_discretization(spec)
+            disc.advance(np.ones(spec.n + 1))  # the first product fills it
+            return disc
+
+        assert all(filled(s).matrix_bytes == held[s] for s in (a, b))
         monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", held[a] + held[c])
         node_discretization(a)  # a is now the most recently used
-        node_discretization(c)  # over the cap: b leaves, not a
+        filled(c)  # over the cap: b leaves, not a
         assert list(operators._DISC_CACHE) == [a, c]
         node_discretization(a)
         node_discretization(b)
@@ -1655,42 +1677,56 @@ class TestCarrierCache:
             assert held <= cap or cached == specs[-1:], (held, cap, cached)
 
     def test_cap_counts_a_fill_running_in_another_thread(self, monkeypatch):
-        # a's fill is held mid-way in a thread; b's fill then applies the
-        # cap with a's stack bytes counted as held, so the oldest carrier
-        # leaves, where b's bytes and the cached ones alone fit the cap
+        # a's fill is held mid-way in a thread; b's fill, asked for in a
+        # second thread, does not start until a's ends.  The cap before b's
+        # fill then counts b's stack next to the cached matrices, a's
+        # stack among them, so the oldest carrier leaves, where the cached
+        # ones alone fit the cap
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         old, a, b = (node_discretization(OperatorSpec("mkz", n, truncation_eps=1e-6))
                      for n in (3, 4, 5))
         old.advance(np.ones(old.nodes.size))
-        started, release = threading.Event(), threading.Event()
+        started, release, b_started = (threading.Event() for _ in range(3))
+        seen = []
 
         def held(fill):
             started.set()
             assert release.wait(60)
             return fill()
 
-        a._fill = partial(held, a._fill)
-        worker = threading.Thread(target=lambda: a._stack)
-        worker.start()
+        def recorded(fill):
+            b_started.set()
+            seen.append((list(operators._DISC_CACHE), sum(
+                d.matrix_bytes for d in operators._DISC_CACHE.values())))
+            return fill()
+
+        a._fill, b._fill = partial(held, a._fill), partial(recorded, b._fill)
+        workers = [threading.Thread(target=lambda: a._stack),
+                   threading.Thread(target=lambda: b.advance(np.ones(b.nodes.size)))]
+        cap = old.stack_bytes + a.stack_bytes + b.stack_bytes - 1
+        workers[0].start()
         try:
             assert started.wait(60)
-            assert operators._in_flight == a.stack_bytes
-            monkeypatch.setattr(operators, "_CACHE_BYTES_CAP",
-                                old.matrix_bytes + a.stack_bytes + b.stack_bytes - 1)
-            b.advance(np.ones(b.nodes.size))
-            assert list(operators._DISC_CACHE) == [a.spec, b.spec]
+            monkeypatch.setattr(operators, "_CACHE_BYTES_CAP", cap)
+            workers[1].start()
+            assert not b_started.wait(0.5)  # b waits for a's fill
+            assert workers[1].is_alive() and seen == []
         finally:
             release.set()
-            worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert a.matrix_bytes == a.stack_bytes and operators._in_flight == 0
+            for worker in workers:
+                worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [([a.spec, b.spec], a.stack_bytes)]
+        assert a.stack_bytes + b.stack_bytes <= cap
+        assert list(operators._DISC_CACHE) == [a.spec, b.spec]
+        assert a.matrix_bytes == a.stack_bytes and b.matrix_bytes == b.stack_bytes
 
     def test_threads_under_a_small_cap_get_the_products_alone(self,
                                                               monkeypatch):
         # more threads than cores fill, evict and rebuild three carriers
         # under a cap that holds one stack: every product equals that of a
         # carrier filled alone, and the cache ends keyed by its carriers'
-        # specs, within the cap and with no fill counted in flight
+        # specs and within the cap
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         specs = [OperatorSpec("mkz", n, truncation_eps=1e-6) for n in (3, 4, 5)]
         alone = {s: operators._mkz_disc(s) for s in specs}
@@ -1721,7 +1757,6 @@ class TestCarrierCache:
         cache = operators._DISC_CACHE
         assert all(spec == disc.spec for spec, disc in cache.items())
         assert sum(disc.matrix_bytes for disc in cache.values()) <= cap
-        assert operators._in_flight == 0  # every fill's bytes left the count
 
     def test_stack_above_the_cap_stays(self, monkeypatch):
         # the newest carrier stays even when its stack alone passes the cap

@@ -2,9 +2,14 @@
 CSV reports, plus the invariant suite used as a health gate.
 
 One table maps each experiment name to its CSV header, column types and
-runner.  run_experiment is the one place that assembles a report and its
-sidecar metadata; ExperimentReport.csv_lines is the one CSV row format,
-for files and for stdout alike.
+runner.  A runner returns chunks (rows, sidecar values), one per order n
+(invariants returns a single one).  Each per-order study is a function
+of its order's operator, family grid and carrier; _map_per_n makes those
+three for every order and calls the study.  run_experiment is the one
+place that assembles a report: it joins the rows in n order and turns
+each sidecar key into the list of its per-order values.
+ExperimentReport.csv_lines is the one CSV row format, for files and for
+stdout alike.
 
 Every report is deterministic given its config: fixed grids, fixed
 quadrature, no randomness.  Distinct n values may be computed in parallel
@@ -49,7 +54,7 @@ ITERATE_STEPS = 30
 class _Experiment:
     header: tuple  # CSV column names
     types: tuple  # column types that read_report parses back
-    runner: Callable  # config -> (per-n row chunks, extra sidecar entries)
+    runner: Callable  # config -> one chunk (rows, sidecar values) per order
 
 
 @dataclass(frozen=True)
@@ -162,34 +167,37 @@ def read_report(path, experiment: str) -> list:
     return rows
 
 
-def _map_per_n(fn, config: ExperimentConfig):
-    """[fn(n) for n in config.n_list], on config.jobs threads.  fn builds
-    the carrier of n, so every order's carrier is checked against the
-    memory budget first: an oversized one fails before any work."""
-    for n in config.n_list:
-        check_carrier_budget(config.spec(n))
+def _map_per_n(study, config: ExperimentConfig):
+    """One chunk (rows, sidecar values) per order of config.n_list, in n
+    order, on config.jobs threads: study(op, family grid, carrier), with
+    the operator, family grid and carrier of the order made here.  Every
+    order's carrier is first checked against the memory budget, so an
+    oversized one fails before any order's work starts."""
+    base = config.base_grid()
+    ops = [config.spec(n) for n in config.n_list]
+    for op in ops:
+        check_carrier_budget(op)
+
+    def one(op):
+        return study(op, op.grid(base), node_discretization(op))
+
     if config.jobs <= 1:
-        return [fn(n) for n in config.n_list]
+        return [one(op) for op in ops]
     with ThreadPoolExecutor(max_workers=config.jobs) as ex:
-        return list(ex.map(fn, config.n_list))
+        return list(ex.map(one, ops))
 
 
 # ---------------------------------------------------------------------------
-# Runners: config -> (per-n row chunks, extra sidecar entries)
+# Runners: config -> one chunk (rows, sidecar values) per order
 # ---------------------------------------------------------------------------
 
 def _iterates(config: ExperimentConfig):
     """Decay of the iterates toward endpoint interpolation, with the
     geometric envelope b^k |f - B1 f| alongside."""
-    f = registry(config.function)
-    f1 = project_to_Cpsi(f)
-    base = config.base_grid()
+    f1 = project_to_Cpsi(registry(config.function))
 
-    def one(n):
-        op = config.spec(n)
-        fam_grid = op.grid(base)
+    def study(op, fam_grid, disc):
         pts = fam_grid.points
-        disc = node_discretization(op)
         norm0 = psi_norm(f1, fam_grid)
         b = op.contraction_bound()
         # reps[:, k-1] = rep(L^(k-1) f1), so its image on the grid is L^k f1
@@ -197,11 +205,11 @@ def _iterates(config: ExperimentConfig):
         for _ in range(ITERATE_STEPS - 1):
             reps.append(disc.advance(reps[-1]))
         vals = disc.apply_rep(np.column_stack(reps), pts)
-        return [(n, 0, norm0, norm0)] + [
-            (n, k, psi_sup(vals[:, k - 1], pts), b ** k * norm0)
-            for k in range(1, ITERATE_STEPS + 1)]
+        return [(op.n, 0, norm0, norm0)] + [
+            (op.n, k, psi_sup(vals[:, k - 1], pts), b ** k * norm0)
+            for k in range(1, ITERATE_STEPS + 1)], {}
 
-    return _map_per_n(one, config), {}
+    return _map_per_n(study, config)
 
 
 def _geom(config: ExperimentConfig):
@@ -228,9 +236,7 @@ def _geom(config: ExperimentConfig):
     base = config.base_grid()
     transforms = {}  # certified_interval() -> kernel transform on that grid
 
-    def one(n):
-        op = config.spec(n)
-        fam_grid = op.grid(base)
+    def study(op, fam_grid, disc):
         pts = fam_grid.points
         interval = op.certified_interval()
         if interval not in transforms:
@@ -238,12 +244,10 @@ def _geom(config: ExperimentConfig):
         transform = transforms[interval]
         ref = 2.0 * np.asarray(transform(pts), dtype=float)
         prof = alpha_profile(op, base)
-        disc = node_discretization(op)
         before = Counter(disc.gauss_rules)
         (res,) = geometric_series(op, [psi_f], config.eps, base)
-        vals = prof.alpha_values * res.grid_values
-        err = psi_sup(vals - ref, pts)
-        return [(n, err, res.terms_used, res.tail_bound)], {
+        err = psi_sup(prof.alpha_values * res.grid_values - ref, pts)
+        return [(op.n, err, res.terms_used, res.tail_bound)], {
             "tail_bounds": res.tail_bound,
             "eps_met": bool(res.tail_bound <= config.eps),
             "series_method": res.method,
@@ -255,14 +259,13 @@ def _geom(config: ExperimentConfig):
             "gauss_rules": dict(Counter(disc.gauss_rules) - before),
             "quad_error_bounds": transform.quad_error_bound}
 
-    done = _map_per_n(one, config)
-    return [rows for rows, _ in done], {
-        key: [extra[key] for _, extra in done] for key in done[0][1]}
+    return _map_per_n(study, config)
 
 
 def _defects(config: ExperimentConfig):
-    """f, f'' and, per order n, (n, family grid points, L_n f - f on
-    them, the alpha profile): the premise of both Voronovskaya studies."""
+    """f, f'' and the premise of both Voronovskaya studies as a function
+    of an order's operator, family grid and carrier: the grid points,
+    L_n f - f on them and the alpha profile."""
     f = registry(config.function)
     d2 = f.second_derivative()
     if d2 is None:
@@ -270,28 +273,28 @@ def _defects(config: ExperimentConfig):
                           "second derivative")
     base = config.base_grid()
 
-    def one(n):
-        op = config.spec(n)
-        pts = op.grid(base).points
-        disc = node_discretization(op)
+    def defect(op, fam_grid, disc):
+        pts = fam_grid.points
         lf = disc.apply_rep(disc.rep(f), pts)
-        return n, pts, lf - np.asarray(f(pts)), alpha_profile(op, base)
+        return pts, lf - np.asarray(f(pts)), alpha_profile(op, base)
 
-    return f, d2, _map_per_n(one, config)
+    return f, d2, defect
 
 
 def _voronovskaya(config: ExperimentConfig):
     """Distance of (1/nu)(L_n f - f) from psi f''/2, weighted and plain.
     The sidecar's error_psi_condition holds max_x 1/(nu psi(x)) per n: a
     change delta of L_n f moves error_psi by at most delta times it."""
-    _, d2, defects = _defects(config)
-    chunks, conds = [], []
-    for n, pts, defect, prof in defects:
-        resid = defect / prof.nu - 0.5 * np.asarray(d2(pts)) * psi(pts)
-        chunks.append([(n, psi_sup(resid, pts),
-                        float(np.max(np.abs(resid))))])
-        conds.append(float(np.max(1.0 / (prof.nu * psi(pts)))))
-    return chunks, {"error_psi_condition": conds}
+    _, d2, defect = _defects(config)
+
+    def study(op, fam_grid, disc):
+        pts, dev, prof = defect(op, fam_grid, disc)
+        resid = dev / prof.nu - 0.5 * np.asarray(d2(pts)) * psi(pts)
+        cond = float(np.max(1.0 / (prof.nu * psi(pts))))
+        return [(op.n, psi_sup(resid, pts), float(np.max(np.abs(resid))))], {
+            "error_psi_condition": cond}
+
+    return _map_per_n(study, config)
 
 
 def _inverse_voronovskaya(config: ExperimentConfig):
@@ -300,31 +303,34 @@ def _inverse_voronovskaya(config: ExperimentConfig):
     in the aux column.  The sidecar's error_psi_condition holds
     max_x 1/(alpha(x) psi(x)) per n: a change delta of L_n f moves
     error_psi by at most delta times it."""
-    f, d2, defects = _defects(config)
+    f, d2, defect = _defects(config)
     g = d2.scaled(0.5)
     base = config.base_grid()
     fg = F_transform(g, grid=base)
     pts_full = base.points
     recon = psi_sup(np.asarray(project_to_Cpsi(f)(pts_full))
-                             + 2.0 * np.asarray(fg(pts_full)), pts_full)
-    chunks, conds = [], []
-    for n, pts, defect, prof in defects:
-        resid = defect / prof.alpha_values - np.asarray(g(pts)) * psi(pts)
-        chunks.append([(n, psi_sup(resid, pts), recon)])
-        conds.append(float(np.max(1.0 / (prof.alpha_values * psi(pts)))))
-    return chunks, {"error_psi_condition": conds}
+                    + 2.0 * np.asarray(fg(pts_full)), pts_full)
+
+    def study(op, fam_grid, disc):
+        pts, dev, prof = defect(op, fam_grid, disc)
+        resid = dev / prof.alpha_values - np.asarray(g(pts)) * psi(pts)
+        cond = float(np.max(1.0 / (prof.alpha_values * psi(pts))))
+        return [(op.n, psi_sup(resid, pts), recon)], {"error_psi_condition": cond}
+
+    return _map_per_n(study, config)
 
 
 def _conditions(config: ExperimentConfig):
-    """Little-o condition table: sup M^4/M^2, eta, and the mixed bound.
-    The sidecar lists, per n, cond55_nodes and cond55_terms: the interior
-    nodes and the most closed-form M2 terms behind the cond55 cell."""
+    """Little-o condition table: sup M^4/M^2, eta, and the mixed bound,
+    one chunk per row of condition_report, which builds no carrier.  The
+    sidecar lists, per n, the rest of the row: cond55_nodes and
+    cond55_terms, the interior nodes and the most closed-form M2 terms
+    behind the cond55 cell."""
     table = condition_report(config.family, config.n_list,
                              config.base_grid(), rho=config.rho,
                              truncation_eps=config.truncation_eps)
-    return [[(r["n"], r["sup_m4_over_m2"], r["eta"], r["cond55"])
-             for r in table]], {key: [r[key] for r in table]
-                                for key in ("cond55_nodes", "cond55_terms")}
+    header = _TABLE["conditions"].header
+    return [([tuple(r.pop(key) for key in header)], r) for r in table]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def _invariants(config: ExperimentConfig):
         errs.append(np.max(np.abs(nn * m2a - lead) / psi(apts)))
     add("mkz-moment-asymptotic-order", max(b / a for a, b in zip(errs, errs[1:])), 0.7)
 
-    return [rows], {}
+    return [(rows, {})]
 
 
 _TABLE = {
@@ -493,19 +499,25 @@ EXPERIMENTS = tuple(_TABLE)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one experiment and assemble its report: the rows in n order
-    and the sidecar metadata (config, the runner's extras, wall time).
-    Writes the CSV and its sidecar when config.output is set; a missing
-    output directory raises DomainError before the runner starts."""
+    """Run one experiment and assemble its report: the rows of its chunks
+    joined in n order, and the sidecar metadata (config, each sidecar key
+    as the list of its per-chunk values, wall time).  Writes the CSV and
+    its sidecar when config.output is set; an output whose directory is
+    missing, or that is itself a directory, raises DomainError before the
+    runner starts."""
     start = time.perf_counter()
     if config.output and not Path(config.output).parent.is_dir():
         raise DomainError(f"output directory of {config.output} does not exist")
+    if config.output and Path(config.output).is_dir():
+        raise DomainError(f"output {config.output} is a directory")
     record = _TABLE[config.experiment]
-    chunks, extras = record.runner(config)
+    chunks = record.runner(config)
     metadata = {"config": {**asdict(config), "n_list": list(config.n_list)},
-                **extras, "wall_time_s": time.perf_counter() - start}
+                **{key: [values[key] for _, values in chunks]
+                   for key in chunks[0][1]},
+                "wall_time_s": time.perf_counter() - start}
     report = ExperimentReport(config.experiment, record.header,
-                              [row for chunk in chunks for row in chunk],
+                              [row for rows, _ in chunks for row in rows],
                               metadata)
     if config.output:
         report.write_csv(config.output)

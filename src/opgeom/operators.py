@@ -1371,17 +1371,17 @@ def node_discretization(op: OperatorSpec) -> NodeDiscretization:
     again before a carrier fills its stack (NodeDiscretization._stack).
     At 128 MiB the n = 16 mkz-symmetric stack (141.1 MB) is held alone,
     while the n = 4 and 8 ones (28.3 MB together) are held side by side.
-    Builds run outside the lock.
+    Builds run under the cache lock, after the budget check: threads that
+    ask for one spec share one carrier, built once (a build holds no
+    stack, so it is short).  The cap is applied once the lock is released.
     """
     with _DISC_LOCK:
         got = _DISC_CACHE.pop(op, None)
         if got is not None:
             _DISC_CACHE[op] = got  # now the most recently used
             return got
-    check_carrier_budget(op)
-    got = op.record.carrier(op)
-    with _DISC_LOCK:
-        _DISC_CACHE[op] = got
+        check_carrier_budget(op)
+        got = _DISC_CACHE[op] = op.record.carrier(op)
     _apply_cache_cap()
     return got
 

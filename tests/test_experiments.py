@@ -36,6 +36,29 @@ def run_fresh(code, path):
     return out
 
 
+def _assert_joins_its_orders(tmp_path, experiment, family, *flags):
+    """At the family's default orders, the CSV and sidecar of one run
+    equal the joined outputs of one run per order, each sidecar key one
+    value per order, and two workers write the bytes of one."""
+    def run(name, *more):
+        out = tmp_path / name
+        assert cli_main([experiment, "--family", family, *flags, *more,
+                         "-o", str(out)]) == 0
+        meta = json.loads(out.with_name(name + ".meta.json").read_text())
+        for key in ("wall_time_s", "config"):
+            del meta[key]
+        return out.read_text().splitlines(), meta
+
+    lines, meta = run("all.csv")
+    n_list = operators.family_record(family).default_n_list
+    alone = [run(f"{n}.csv", "--n-list", str(n)) for n in n_list]
+    assert meta and all(len(values) == len(n_list) for values in meta.values())
+    assert lines == lines[:1] + [row for part, _ in alone for row in part[1:]]
+    assert meta == {key: [m[key][0] for _, m in alone] for key in meta}
+    assert all(m.keys() == meta.keys() for _, m in alone)
+    assert run("jobs2.csv", "--jobs", "2") == (lines, meta)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(experiment="geom")
@@ -280,22 +303,18 @@ class TestRunners:
         inner = experiments.F_transform
         monkeypatch.setattr(experiments, "F_transform",
                             lambda f, grid: calls.append(grid) or inner(f, grid=grid))
-
-        def geom(name, *flags):
-            out = tmp_path / name
-            assert cli_main(["geom", "--family", family, *flags, "-o", str(out)]) == 0
-            meta = json.loads(out.with_name(name + ".meta.json").read_text())
-            for key in ("wall_time_s", "config"):
-                del meta[key]
-            return out.read_text().splitlines(), meta
-
-        lines, meta = geom("all.csv")
+        run_experiment(ExperimentConfig(experiment="geom", family=family))
         assert len(calls) == built
-        n_list = operators.family_record(family).default_n_list
-        alone = [geom(f"{n}.csv", "--n-list", str(n)) for n in n_list]
-        assert lines == lines[:1] + [row for part, _ in alone for row in part[1:]]
-        assert meta == {key: [m[key][0] for _, m in alone] for key in meta}
-        assert geom("jobs2.csv", "--jobs", "2") == (lines, meta)
+        _assert_joins_its_orders(tmp_path, "geom", family)
+
+    @pytest.mark.parametrize("experiment,family", [
+        ("voronovskaya", "bernstein"), ("voronovskaya", "mkz-symmetric"),
+        ("inverse-voronovskaya", "durrmeyer"), ("inverse-voronovskaya", "mkz"),
+        ("conditions", "bernstein"), ("conditions", "mkz-symmetric")])
+    def test_run_joins_its_per_order_chunks(self, experiment, family,
+                                            tmp_path):
+        _assert_joins_its_orders(tmp_path, experiment, family,
+                                 "--grid-size", "129")
 
     @pytest.mark.parametrize("experiment,family", [
         ("voronovskaya", "mkz"), ("inverse-voronovskaya", "mkz"),
@@ -674,17 +693,32 @@ class TestCli:
         assert "does not exist" in capsys.readouterr().err
         assert not out.parent.exists()
 
-    def test_failed_write_exit_code(self, tmp_path, capsys, monkeypatch):
-        # an output the CSV cannot be written to (here a directory) is an
-        # OSError of the write, exit 2; the runner returns no rows
+    def test_output_is_a_directory_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        # checked before the runner starts: once the run did all its work,
+        # then failed writing the CSV ("Is a directory")
         calls = []
         monkeypatch.setitem(experiments._TABLE, "conditions", replace(
             experiments._TABLE["conditions"],
-            runner=lambda config: calls.append(config) or ([], {})))
+            runner=lambda config: calls.append(config) or [([], {})]))
         assert cli_main(["conditions", "--family", "bernstein", "--n-list", "4",
                          "-o", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert len(calls) == 1 and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            f"error: output {tmp_path} is a directory\n")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_failed_write_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a write that fails with an OSError (here a full disk) exits 2
+        def full(report, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiments.ExperimentReport, "write_csv", full)
+        out = tmp_path / "out.csv"
+        assert cli_main(["conditions", "--family", "bernstein", "--n-list", "4",
+                         "--grid-size", "65", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field,value", [
         ("grid_size", 100.5), ("grid_size", True), ("jobs", 2.5),

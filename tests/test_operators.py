@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -1633,6 +1634,36 @@ class TestCarrierCache:
         node_discretization(b)
         assert log == [a, b, c, b]
 
+    def test_threads_asking_for_one_spec_share_one_build(self, builds,
+                                                         monkeypatch):
+        # the build runs under the cache lock: threads (more than the
+        # cores) asking for the same spec while a slow build runs wait for
+        # it and get the cached carrier.  Once each built its own, and all
+        # but one kept a carrier the cache never saw
+        record = operators.family_record("bernstein")
+
+        def slow(spec):
+            time.sleep(0.3)
+            return record.carrier(spec)
+
+        monkeypatch.setitem(operators._FAMILY_TABLE, "bernstein",
+                            replace(record, carrier=slow))
+        spec = OperatorSpec("bernstein", 5)
+        ready = threading.Barrier(4)
+        got = []
+
+        def ask():
+            ready.wait(60)
+            got.append(node_discretization(spec))
+
+        workers = [threading.Thread(target=ask) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert builds == [spec] and len(got) == 4
+        assert all(disc is operators._DISC_CACHE[spec] for disc in got)
 
     def test_late_fill_applies_the_cap(self, monkeypatch):
         # series carriers enter the cache holding no stack; the first

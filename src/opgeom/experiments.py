@@ -23,7 +23,6 @@ import math
 import numbers
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -183,6 +182,9 @@ def _map_per_n(study, config: ExperimentConfig):
 
     if config.jobs <= 1:
         return [one(op) for op in ops]
+    # imported here: with logging it costs a few ms at every start-up,
+    # and a one-worker run never needs it
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=config.jobs) as ex:
         return list(ex.map(one, ops))
 

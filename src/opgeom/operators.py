@@ -119,7 +119,6 @@ _FILL_ROWS = 32  # stack rows per block of a carrier fill
 _SKETCH_CHUNK = 32  # sketch columns added per pass until the sketch holds the rank
 _SKETCH_CUT = 1e-16  # rank cut on the sketch's singular values, relative
 _OVERSAMPLE = 8  # sketch directions below the cut before the sketch is done
-_FACTOR_BLOCK = 32  # unit rows per block of the coordinate map H
 
 
 @dataclass(frozen=True)
@@ -781,8 +780,9 @@ class NodeDiscretization:
     sweep_sums(v, k) gives a Neumann sweep its partial sums
     sum_{j<k} S^j v under a stand-in S for advance.  Without a pair map S
     is advance itself, summed by advance_sums.  A paired stack is factored
-    for the one call as stack ~ Y Z with a = r columns of Y, r its
-    numerical rank (under 100 through n = 16); v has zero endpoint
+    for the one call as stack ~ Y Z with a columns of Y, the width of
+    the sketch that holds its numerical rank (64, 64 and 96 at n = 4, 8
+    and 16, eps 1e-6, for ranks 43, 57 and 74); v has zero endpoint
     entries (the series entry projects its inputs) and column 0 of Z is
     zero, so every term keeps them zero.  S = expand o lift then
     maps v to 2a coordinates per column, lift(v) = gather(v) Y, and back,
@@ -878,7 +878,11 @@ class NodeDiscretization:
         lift (_low_rank_pairs), for v with zero endpoint entries (else
         DomainError), as v + expand(sum_{j<k-1} H^j lift(v)), H = lift o
         expand, with the 2a coordinates of each column of v one row and H
-        acting on the right.  The factors live for this call only."""
+        acting on the right.  The factors come from one sketch of the
+        stack, grown chunk by chunk until it holds the rank, and H from four
+        products of gathered columns of z with y (_coordinate_map); the
+        stack is read once per sketch pass and once for z, never per term.
+        The factors live for this call only."""
         if self._pairs is None:
             return self.advance_sums(v, k)
         if np.any(v[~self.interior]):
@@ -900,14 +904,26 @@ class NodeDiscretization:
         return acc
 
     def _coordinate_map(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """H of sweep_sums: row i is lift(expand(unit row i)), taken
-        _FACTOR_BLOCK rows at a time, so no temporary is wider than a
-        block."""
-        dim = 2 * z.shape[0]
-        unit, h = np.eye(dim), np.empty((dim, dim))
-        for start in range(0, dim, _FACTOR_BLOCK):
-            block = slice(start, start + _FACTOR_BLOCK)
-            h[block] = self._lift(self._expand(unit[block], z), y)
+        """H of sweep_sums, lift o expand, as four products: the block from
+        the coordinates of output side s (low, then mirror) to those of the
+        reads of side t is zpad[:, col[s, reads[t]]] @ y.  zpad is z with
+        one zero column, and col[s, m] is the column of z whose side-s
+        output _scatter writes at node m, or that zero column where it
+        writes none; at a node that is both, the mirror side wins, as in
+        _scatter."""
+        low, high, reads = self._pairs
+        a, cols = z.shape
+        zpad = np.zeros((a, cols + 1))
+        zpad[:, :cols] = z
+        col = np.full((2, self.nodes.size), cols)
+        col[0, low] = np.arange(cols)
+        col[0, high] = cols
+        col[1, high] = np.arange(cols)
+        h = np.empty((2 * a, 2 * a))
+        blocks = h.reshape(2, a, 2, a)
+        for s in range(2):
+            for t in range(2):
+                blocks[s, :, t] = zpad[:, col[s, reads[t]]] @ y
         return h
 
     def _lift(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1284,43 +1300,69 @@ def _low_rank_pairs(stack, pairs, nodes: np.ndarray):
     output pair i's two nodes, is factored S' ~ Q Q^T S' by a randomized
     range finder (Halko, Martinsson and Tropp, SIAM Rev. 53 (2011),
     sec. 4): Q is an orthonormal basis of the sketch S' G, G of
-    _test_rows, widened by _SKETCH_CHUNK columns until _OVERSAMPLE of its
-    singular values are at most _SKETCH_CUT of the largest.  Column j of
-    u is at most rho_j |v|_psi, so the weighting makes the factorization
-    accurate in the weighted norm the series is certified in.  The
-    factors are y = Q / rho and z = (rho Q)^T S, rank columns and rows,
-    with column 0 of z zero.  psi vanishes at nodes 0 and 1, which rows 0
-    and P (the routed masses) read, so those rows of y are zero, and an
-    input with zero endpoint entries (sweep_sums) keeps zero endpoint
-    outputs.  The stack is the right operand of every product, and every
-    other array has at most rank + _SKETCH_CHUNK rows or columns.
+    _test_rows, until _OVERSAMPLE of the sketch's singular values are at
+    most _SKETCH_CUT of the largest.  The first pass sketches two
+    _SKETCH_CHUNK chunks at once (one chunk ends the search only at rank
+    _SKETCH_CHUNK - _OVERSAMPLE or below) and factors them by one
+    Householder QR; each later chunk extends Q, and the sketch is never
+    factored again: two block Gram-Schmidt passes against Q, a QR of the
+    remainder, then one more pass and QR of that normalized block, whose
+    loss of orthogonality to Q would otherwise feed back through the
+    sums.  The singular values are those of the sketch's block-triangular
+    R built on the way.  Column j of u is at most rho_j |v|_psi, so the
+    weighting makes the factorization accurate in the weighted norm the
+    series is certified in.  psi vanishes at nodes 0 and 1, which rows 0
+    and P (the routed masses) read, so the sketch and Q are taken on the
+    other rows.  The factors are y = Q / rho and z = (rho Q)^T S, as many
+    columns and rows as the sketch, zero on rows 0 and P of y and on
+    column 0 of z, so an input with zero endpoint entries (sweep_sums)
+    keeps zero endpoint outputs.  The stack is the right operand of every
+    product, and every other array has at most rank + _SKETCH_CHUNK +
+    _OVERSAMPLE rows or columns, or 2 _SKETCH_CHUNK where that is more.
     """
     low, high, reads = pairs
     rows, cols = stack.shape
     rw = psi(nodes[reads]).max(axis=0)
+    live = rw > 0.0  # every row but 0 and P
+    rho = rw[live, None]
     w = np.minimum(psi(nodes[low]), psi(nodes[high]))
     iw = np.divide(1.0, w, out=np.zeros(cols), where=w > 0.0)
-    sketch = np.empty((0, rows))
+
+    def sketch(start, count):
+        # columns start .. start + count - 1 of S' G on the live rows
+        return ((_test_rows(start, count, cols) * iw) @ stack.T)[:, live].T * rho
+
+    width = 2 * _SKETCH_CHUNK
+    if width > cols // 4:
+        return None, None
+    q, r = np.linalg.qr(sketch(0, width))
     while True:
-        if sketch.shape[0] + _SKETCH_CHUNK > cols // 4:
-            return None, None
-        g = _test_rows(sketch.shape[0], _SKETCH_CHUNK, cols) * iw
-        chunk = g @ stack.T
-        sketch = np.vstack((sketch, chunk * rw))
-        q, r = np.linalg.qr(sketch.T)
         sv = np.linalg.svd(r, compute_uv=False)
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _OVERSAMPLE:
             break  # the sketch holds the rank, with _OVERSAMPLE to spare
-    del sketch, chunk
+        if width + _SKETCH_CHUNK > cols // 4:
+            return None, None
+        # chunk = Q (top + again @ r_new) + q_new (r_again @ r_new)
+        chunk = sketch(width, _SKETCH_CHUNK)
+        top = q.T @ chunk
+        chunk -= q @ top
+        again = q.T @ chunk
+        q_new, r_new = np.linalg.qr(chunk - q @ again)
+        top += again
+        again = q.T @ q_new
+        q_new, r_again = np.linalg.qr(q_new - q @ again)
+        r = np.block([[r, top + again @ r_new],
+                      [np.zeros((_SKETCH_CHUNK, width)), r_again @ r_new]])
+        q = np.hstack((q, q_new))
+        width += _SKETCH_CHUNK
     # S ~ y @ z off rows 0 and P and column 0, with z = (rho Q)^T S and
-    # y = Q / rho
-    y = q * rw[:, None]
+    # y = Q / rho, both zero on rows 0 and P
+    y = np.zeros((rows, width))
+    y[live] = q * rho
     del q
     z = y.T @ stack
     z[:, 0] = 0.0
-    irw = np.zeros(rows)
-    np.divide(1.0, rw, out=irw, where=rw > 0.0)
-    y *= (irw * irw)[:, None]
+    y[live] /= rho * rho
     return y, z
 
 

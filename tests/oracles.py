@@ -7,7 +7,8 @@ opgeom.special by a separate route; the plain Meyer-Koenig-Zeller second
 moment from its hypergeometric closed form at 40 digits; the weight
 mass of that series past a depth, as mpmath's incomplete Beta function
 at 45 digits; for the sweep
-tests the low-rank step of a paired carrier, applied one step at a time;
+tests the low-rank step of a paired carrier, applied one step at a time,
+and its coordinate map built from unit rows;
 for the paired carrier the mkz-symmetric stack built row by row by a fill
 of its own, and its product; the square transfer matrix of any carrier,
 paired or not, from advances of the unit vectors; for the Krylov tests
@@ -33,8 +34,8 @@ __all__ = ["LogDomainValue", "log_binomial", "binomial", "bernstein_basis",
            "bernstein_pow_table", "bernstein_row_mp", "bernstein_sums_mp",
            "mkz_basis_weight",
            "mkz_weight_row", "mkz_second_moment", "mkz_tail_mp",
-           "factored_step", "fill_rows", "single_stack", "single_stack_advance",
-           "transfer", "unsplit_krylov", "exact_series"]
+           "factored_step", "coordinate_map", "fill_rows", "single_stack",
+           "single_stack_advance", "transfer", "unsplit_krylov", "exact_series"]
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,18 @@ def factored_step(disc):
         return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
 
     return step
+
+
+def coordinate_map(disc, y, z):
+    """H of disc.sweep_sums for the factors (y, z): row i is
+    lift(expand(unit row i)), through the carrier's own _expand and
+    _lift, 32 unit rows at a time."""
+    dim = 2 * z.shape[0]
+    unit, h = np.eye(dim), np.empty((dim, dim))
+    for start in range(0, dim, 32):
+        rows = slice(start, start + 32)
+        h[rows] = disc._lift(disc._expand(unit[rows], z), y)
+    return h
 
 
 def fill_rows(rows, n, t, share):

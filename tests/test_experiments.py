@@ -769,6 +769,17 @@ class TestCli:
                         "print('numpy.ma' in sys.modules)\n", tmp_path / "g.csv")
         assert out.stdout.strip().splitlines()[-1] == "False"
 
+    def test_one_worker_loads_no_thread_pool(self, tmp_path):
+        # concurrent.futures, with the logging it imports, loads only for a
+        # run on more than one worker: not on import, nor for --jobs 1
+        out = run_fresh("print('concurrent.futures' in sys.modules)\n"
+                        "assert opgeom.cli.main(['geom', '--family', 'bernstein', "
+                        "'--n-list', '4', '--jobs', '1', '-o', sys.argv[1]]) == 0\n"
+                        "print('concurrent.futures' in sys.modules)\n",
+                        tmp_path / "g.csv")
+        lines = out.stdout.strip().splitlines()
+        assert (lines[0], lines[-1]) == ("False", "False")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_warm_rule_tables_write_the_fresh_csv(self, jobs, tmp_path,
                                                   monkeypatch):

@@ -25,8 +25,8 @@ from opgeom.operators import (FAMILIES, OperatorSpec, _mkz_node_depth,
                               alpha_profile, condition_report, family_record,
                               mkz_truncation_index, moment,
                               node_discretization)
-from oracles import (factored_step, fill_rows, log_binomial, mkz_second_moment,
-                     mkz_tail_mp, mkz_weight_row, single_stack,
+from oracles import (coordinate_map, factored_step, fill_rows, log_binomial,
+                     mkz_second_moment, mkz_tail_mp, mkz_weight_row, single_stack,
                      single_stack_advance, transfer)
 
 GRID = default_grid(401)
@@ -1326,23 +1326,45 @@ def factored_once(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+# the width-96 factors of a 32 MB stack: the first two-chunk sketch falls
+# short of the rank, so the basis grows by one chunk
+GROWN_8 = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-8)
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GROWN_8, GEOM_16],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sweep_step_is_certified(spec, factored_once):
     # |S v - advance(v)|_psi <= STEP_GAP |v|_psi over the interior nodes
     # for the step S v = sweep_sums(v, 2) - v, for v vanishing at the
     # endpoints like a weighted-space input; the series certifies its sums
     # by their residual, and this keeps the factorization itself as
-    # accurate
+    # accurate.  The basis Q = y * rho, grown (n = 16, and n = 8 at eps
+    # 1e-8) or not, is orthonormal; at n = 16 a grown chunk left without
+    # its last pass against Q is off by 2e-12
     disc = node_discretization(spec)
     for v in weighted_inputs(disc, 4, spec.n):
         gap = weighted_max(disc, disc.sweep_sums(v, 2) - v - disc.advance(v))
         assert np.all(gap <= STEP_GAP * weighted_max(disc, v))
-    (factors,) = factored_once.values()
-    assert factors[0] is not None  # the factored step
+    ((y, _),) = factored_once.values()
+    assert y is not None  # the factored step
+    if spec in (GROWN_8, GEOM_16):
+        assert y.shape[1] == 3 * operators._SKETCH_CHUNK
+    q = y * psi(disc.nodes[disc._pairs[2]]).max(axis=0)[:, None]
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-13
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_coordinate_map_is_the_unit_row_map(spec):
+    # the four block products of H are lift(expand(unit row)) row by row,
+    # bit for bit: the zero column stands in for the reads no output of a
+    # side writes, and the mirror side wins at the midpoint, as in _scatter
+    disc = node_discretization(spec)
+    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    assert np.array_equal(disc._coordinate_map(y, z), coordinate_map(disc, y, z))
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GROWN_8],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sweep_sums_are_the_factored_steps(spec, factored_once):
     # the sum in the step's coordinates is the same linear map as k - 1
@@ -1442,9 +1464,10 @@ def test_sweep_step_holds_factors_not_a_stack():
     # a few arrays of (rows + cols) x rank, where rank is the numerical
     # rank of the weighted stack (cut at 1e-16 of its largest singular
     # value, from one wide sketch), and never a stack-sized array; the
-    # coordinate matrix H of the sums is built a block of unit rows at a
-    # time, and one sweep_sums call on a column, factors, H and sums,
-    # stays within the same budget
+    # sketch is two chunks wide, the coordinate matrix H of the sums is
+    # four products of a rank x rows gather of z with y, and one
+    # sweep_sums call on a column, factors, H and sums, stays within the
+    # same budget
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
     stack = disc._stack

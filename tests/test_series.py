@@ -511,14 +511,20 @@ class TestCompressedSweep:
 
 
     def test_quarter_width_gate_takes_the_exact_sweep(self, monkeypatch):
-        # n = 3 at truncation_eps 0.1 has 224 pair columns, and its rank
-        # reaches a quarter of them: no factors, so the sweep is the exact
-        # one from the start
+        # n = 3 at truncation_eps 0.1 has 224 pair columns, a quarter of
+        # which (56) is less than the first two-chunk sketch: no factors
+        # and no sketch product, so the sweep is the exact one from the
+        # start
         op = OperatorSpec("mkz-symmetric", 3, truncation_eps=0.1)
         disc = node_discretization(op)
         assert disc._pairs[0].size == 224
-        assert operators._low_rank_pairs(disc._stack, disc._pairs,
-                                         disc.nodes) == (None, None)
+        test_rows, sketched = operators._test_rows, []
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_test_rows",
+                      lambda *args: sketched.append(args) or test_rows(*args))
+            assert operators._low_rank_pairs(disc._stack, disc._pairs,
+                                             disc.nodes) == (None, None)
+        assert sketched == []
         v = np.random.default_rng(3).standard_normal((disc.nodes.size, 2))
         v[~disc.interior] = 0.0
         assert np.array_equal(disc.sweep_sums(v, 20), disc.advance_sums(v, 20))

@@ -1,14 +1,17 @@
 """Iterates L^k and the geometric series G_L = sum_k L^k on the weighted
 space, through one entry, geometric_series, with three methods:
 
-* "krylov" (default): one GMRES cycle on (I - T) on the interior node
-  block per input (every member of the contraction class), split by
-  parity; a miss of eps is retried by "solve" or one more cycle (_krylov);
+* "krylov" (the default on bernstein and durrmeyer): one GMRES cycle on
+  (I - T) on the interior node block per input (every member of the
+  contraction class), split by parity; a miss of eps is answered by
+  "solve" (_krylov);
 * "neumann": truncated Neumann sums sharing one sweep, summed and
   certified once by the carrier's sweep_sums (_neumann_sweep); the
   oracle; and
-* "solve": a direct linear solve of (I - T) on the interior node block
-  per input (exact carriers only, i.e. bernstein and durrmeyer).
+* "solve" (the default on mkz-symmetric): a direct solve of (I - T) on
+  the interior node block per input, by dense LU on the exact carriers
+  and by Woodbury's identity on the factors of the mkz-symmetric stack,
+  which it never fills (_solve).
 
 Whichever path produced g, |g - G f|_psi <= |(I - L) g - f|_psi / (1 - b)
 with b = contraction_bound(), since |G|_psi <= 1 / (1 - b).  Every result
@@ -49,13 +52,20 @@ mkz-symmetric rows, B_n psi = (1 - 1/n) psi over durrmeyer's
 coefficients), so the residual certificate of _certify is at most that
 node sup over (1 - b), and a cycle the weighted stop ends certifies
 within eps / 2 up to the rounding of d.
-terms_used counts carrier products: one per step, plus the residual's.
+
+terms_used counts carrier products: for Krylov one per step, plus the
+residual's; for a Neumann sum its K + 1 terms; for the solve the passes
+over the stack (the residual's on an exact carrier; on mkz-symmetric the
+factors' z, the certificate and a refinement's certificate).  Every
+residual takes one exact product that fills no stack
+(NodeDiscretization.product): a carrier that holds its stack reads it,
+and the mkz-symmetric one that holds none streams it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,15 +161,21 @@ def _series_function(f_eval, disc: NodeDiscretization, acc: np.ndarray) -> Funct
     return Function01(ev, name="geometric-series")
 
 
-def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
+def _defect(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray) -> np.ndarray:
+    """acc - rep0 - T acc, the defect of (I - T) acc = rep0 on the nodes,
+    by one exact product that fills no stack (NodeDiscretization.product:
+    the held stack, or one streamed pass with none held)."""
+    return acc - rep0 - disc.product(acc)
+
+
+def _residual_norms(disc: NodeDiscretization, defect: np.ndarray,
                     grid: EvaluationGrid, accs: Sequence[np.ndarray]):
-    """(norms, images): |(I - L) g - f|_psi per column of acc, and the
-    images L(acc_i) at the grid points of accs, the columns of acc one by
-    one, each taken on its own as g(points) takes it, from the same
+    """(norms, images): |(I - L) g - f|_psi per column of the defect, and
+    the images L(acc_i) at the grid points of accs, the columns of acc one
+    by one, each taken on its own as g(points) takes it, from the same
     evaluation of the grid basis.  Off the nodes (I - L) g - f is the
-    image of acc - rep0 - T acc, formed for all columns at once."""
+    image of the defect acc - rep0 - T acc (_defect)."""
     pts = grid.points
-    defect = acc - rep0 - disc.advance(acc)
     images, *parts = disc.apply_reps([defect, *accs], pts)
     norms = [psi_sup(col, pts) for col in images.reshape(pts.size, -1).T]
     return norms, parts
@@ -167,7 +183,7 @@ def _residual_norms(disc: NodeDiscretization, acc: np.ndarray, rep0: np.ndarray,
 
 def _certify(op: OperatorSpec, disc: NodeDiscretization, f_evals,
              rep0: np.ndarray, acc: np.ndarray, grid: EvaluationGrid,
-             method: str, terms_used: int, tails=None) -> list:
+             method: str, terms_used: int, tails=None, defect=None) -> list:
     """One result g_i = f_i + L(acc_i) per column of acc, rep0 holding the
     inputs' representations as columns, each certified by the rule every
     series result here follows:
@@ -175,11 +191,14 @@ def _certify(op: OperatorSpec, disc: NodeDiscretization, f_evals,
         tail_bound = max(tails_i, |(I - L) g_i - f_i|_psi / (1 - b)),
 
     with tails_i the a-priori Neumann tail of a truncated sum and zero
-    where tails is None (krylov, solve).  One exact advance serves the
-    residuals of all the columns (_residual_norms)."""
+    where tails is None (krylov, solve).  One exact product serves the
+    residuals of all the columns (_defect), unless the caller has formed
+    the defect already."""
     b = op.contraction_bound()
     accs = [col.copy() for col in acc.T]
-    resids, images = _residual_norms(disc, acc, rep0, grid, accs)
+    if defect is None:
+        defect = _defect(disc, acc, rep0)
+    resids, images = _residual_norms(disc, defect, grid, accs)
     return [GeometricSeriesResult(
         g=_series_function(f_eval, disc, col), method=method,
         terms_used=terms_used, tail_bound=max(tail, resid / (1.0 - b)),
@@ -321,10 +340,9 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     GMRES runs one cycle of at most _GMRES_MAX products, and no more than
     the Neumann sum would need for eps; both cycles get psi at the
     interior nodes and the weighted stop's target (1 - b) eps / 2.  If
-    its certificate still exceeds eps, an exact carrier returns the
-    _solve result; mkz-symmetric, which has no solve, runs one more cycle
-    on the first's defect (a 2-norm stop or the product cap can end short
-    of a weighted eps), both cycles counted in terms_used.
+    its certificate still exceeds eps (a 2-norm stop or the product cap
+    can end short of a weighted eps), the input's _solve result is
+    returned instead.
     """
     b = op.contraction_bound()
     idx = np.flatnonzero(disc.interior)
@@ -350,40 +368,79 @@ def _krylov(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
         budget = min(_GMRES_MAX, neumann_tail_terms(b, norm, eps))
         sol, used = _gmres(matvec, halves, budget, *stop)
         res = certified(f, rep0, sol, used)
-        if res.tail_bound > eps and not op.record.series:
+        if res.tail_bound > eps:
             (res,) = _solve(op, disc, [f], [rep0], [norm], eps, grid)
-        elif res.tail_bound > eps:  # one more cycle, on the first's defect
-            fix, more = _gmres(matvec, halves - matvec(sol), budget, *stop)
-            res = certified(f, rep0, sol + fix, used + 1 + more)
         out.append(res)
     return out
 
 
 def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
            eps: float, grid: EvaluationGrid) -> list:
-    """Direct inversion of (I - T) on the interior node block.
+    """Direct inversion of (I - T) on the interior node block, one input
+    at a time (a stacked right-hand side does not round like a single
+    one), so a result alone is the same result in a batch, bit for bit.
 
     Endpoint rows of an exact carrier's T are identities, so they are
     dropped rather than zeroed, and the interior block of I - T is a
-    strictly diagonally dominated M-matrix solved by dense LU, once per
-    input: a stacked right-hand side does not round like a single one.
-    tail_bound is the residual certificate of _certify, as for the
-    Krylov path; eps plays no part.  terms_used is 1, the residual's
-    carrier product.
+    strictly diagonally dominated M-matrix solved by dense LU.  terms_used
+    is 1, the residual's carrier product.
+
+    mkz-symmetric takes the factored step S = expand o lift of its stack
+    (NodeDiscretization.factored_step) and Woodbury's identity,
+
+        (I - S)^-1 v = v + expand(lift(v) (I - H)^-1),  H = lift o expand,
+
+    one small 2a-square solve per input; v has zero endpoint entries, and
+    so has the result.  Its certificate is refined at most once: above
+    eps / 2 (the Krylov target), the defect d that _certify reads is
+    solved the same way, acc - (I - S)^-1 d is certified in turn, and the
+    result with the smaller certificate stands.  Where the stack is not
+    factored (a sample past a quarter of its width: small carriers), the
+    interior block is unfolded by one product of the unit vectors and
+    solved by dense LU, as an exact carrier's.  No path fills the stack:
+    every product reads the held stack or streams it, and terms_used
+    counts those passes: the factors' z or the unfolding, then each
+    certificate.  tail_bound is the residual certificate of _certify, as
+    for the Krylov path.
     """
     idx = np.flatnonzero(disc.interior)
-    a = 0.0 - disc.transfer[np.ix_(idx, idx)]  # np.eye - T, bit for bit
-    a.flat[::idx.size + 1] += 1.0
-    out = []
-    for f, rep0 in zip(fs, reps):
-        acc = np.zeros((rep0.size, 1))
+    step = disc.factored_step() if op.record.series else None
+    if step is not None:
+        y, z, h = step
+        a, passes = 0.0 - h.T, 2  # the factors' z, then the certificate
+    elif op.record.series:  # T on the interior nodes, by one streamed pass
+        a, passes = 0.0 - disc.product(np.eye(disc.nodes.size)[:, idx])[idx], 2
+    else:
+        a, passes = 0.0 - disc.transfer[np.ix_(idx, idx)], 1
+    a.flat[::a.shape[0] + 1] += 1.0  # np.eye - T (or H^T), bit for bit
+
+    def inverse(v):
+        # (I - T)^-1 v on the interior block, or (I - S)^-1 v
         try:
-            acc[idx, 0] = np.linalg.solve(a, rep0[idx])
+            if step is None:
+                acc = np.zeros_like(v)
+                acc[idx] = np.linalg.solve(a, v[idx])
+                return acc
+            return v + disc._expand(np.linalg.solve(a, disc._lift(v, y).T).T, z)
         except np.linalg.LinAlgError as exc:
             raise DegenerateOperatorError(
                 "interior block of I - T is singular; the operator is "
                 "outside the contraction class") from exc
-        out += _certify(op, disc, [f], rep0[:, None], acc, grid, "solve", 1)
+
+    out = []
+    for f, rep0 in zip(fs, reps):
+        rep0 = rep0[:, None]
+        acc = inverse(rep0)
+        defect = _defect(disc, acc, rep0)
+        (res,) = _certify(op, disc, [f], rep0, acc, grid, "solve", passes,
+                          defect=defect)
+        if step is not None and res.tail_bound > eps / 2.0:
+            fixed = acc - inverse(defect)
+            (again,) = _certify(op, disc, [f], rep0, fixed, grid, "solve",
+                                passes + 1)
+            res = again if again.tail_bound <= res.tail_bound else replace(
+                res, terms_used=again.terms_used)
+        out.append(res)
     return out
 
 
@@ -409,27 +466,29 @@ def _check_request(op: OperatorSpec, fs: Sequence[Function01], eps: float) -> No
 
 def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
                      grid: Optional[EvaluationGrid] = None,
-                     method: str = "krylov") -> list:
+                     method: Optional[str] = None) -> list:
     """One GeometricSeriesResult G_L(f) per input f in fs, in order, by
-    method "krylov", "neumann" or "solve" (see the module docstring).
+    method "krylov", "neumann" or "solve" (see the module docstring); by
+    default "solve" on mkz-symmetric, whose stack it then never fills, and
+    "krylov" on the exact families.
 
     Inputs must lie in the weighted space up to _ENDPOINT_TOL at the
-    endpoints, op in the contraction class, and "solve" needs an exact
-    carrier.  Every result is that of project_to_Cpsi(f), whose values are
-    f's, bit for bit, if f is exactly 0 at 0 and 1.  Every result reports
-    its certificate even above eps: "solve" ignores eps (as do the krylov
-    inputs it answers), and a Krylov or Neumann result near rounding, or
-    a Neumann sum with a coarse factored step, can miss it.
+    endpoints, and op in the contraction class.  Every result is that of
+    project_to_Cpsi(f), whose values are f's, bit for bit, if f is exactly
+    0 at 0 and 1.  Every result reports its certificate even above eps:
+    a solve is as accurate as its rounding allows, whatever eps (eps only
+    decides whether an mkz-symmetric solve is refined), and a Krylov or
+    Neumann result near rounding, or a Neumann sum with a coarse factored
+    step, can miss it.
     """
+    if method is None:
+        method = "solve" if op.record.series else "krylov"
     engine = _METHODS.get(method)
     if engine is None:
         raise DomainError(f"unknown series method {method!r}; choose from "
                           f"{tuple(_METHODS)}")
     _check_request(op, fs, eps)
     fs = [project_to_Cpsi(f) for f in fs]
-    if method == "solve" and op.record.series:
-        raise DomainError("the solve path needs an exact finite carrier "
-                          "(bernstein or durrmeyer)")
     fam_grid = op.grid(grid)
     norms = [psi_norm(f, fam_grid) for f in fs]
     live = [i for i, v in enumerate(norms) if v > 0.0]

@@ -253,7 +253,7 @@ def factored_step(disc):
     """step(v) = scatter((gather(v) @ y) @ z), the low-rank step of the
     paired carrier disc, whose partial sums disc.sweep_sums(v, k) forms in the
     step's own coordinates."""
-    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    y, z = operators._low_rank_pairs(disc)
 
     def step(v):
         return disc._scatter(disc._gather(v) @ y @ z).reshape(v.shape)
@@ -264,12 +264,17 @@ def factored_step(disc):
 def coordinate_map(disc, y, z):
     """H of disc.sweep_sums for the factors (y, z): row i is
     lift(expand(unit row i)), through the carrier's own _expand and
-    _lift, 32 unit rows at a time."""
-    dim = 2 * z.shape[0]
-    unit, h = np.eye(dim), np.empty((dim, dim))
-    for start in range(0, dim, 32):
-        rows = slice(start, start + 32)
-        h[rows] = disc._lift(disc._expand(unit[rows], z), y)
+    _gather, for the a unit rows of one output side at a time, and the
+    rows each gathers for one side of the reads at a time; so each product
+    with y is a x rows times rows x a, the shape of each of the carrier's
+    four (the BLAS may round a row of a product by the product's shape)."""
+    a = z.shape[0]
+    unit, h = np.eye(2 * a), np.empty((2 * a, 2 * a))
+    for s in range(2):
+        outs = disc._expand(unit[s * a:(s + 1) * a], z)  # column i: unit row i
+        rows = disc._gather(outs).reshape(a, 2, -1)
+        for t in range(2):
+            h[s * a:(s + 1) * a, t * a:(t + 1) * a] = rows[:, t] @ y
     return h
 
 

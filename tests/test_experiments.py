@@ -381,18 +381,29 @@ class TestRunners:
             assert all(disc._filled is None for disc in cache.values()), family
             assert (min(rules.values()) > 0) == (family == "durrmeyer"), family
 
-    def test_default_mkz_geom_holds_one_stack(self, monkeypatch):
-        # the cap is applied before each fill: geom on mkz-symmetric at its
-        # defaults leaves one filled stack in the cache, the n = 16 one,
-        # whose 141.1 MB pass the cap alone; the sidecar records each
-        # carrier's stack bytes
+    def test_default_mkz_geom_holds_no_stack(self, monkeypatch):
+        # geom on mkz-symmetric at its defaults takes the factored solve,
+        # whose products stream each stack: no carrier holds one
+        # afterwards, and the sidecar records the bytes each would fill
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         cfg = ExperimentConfig(experiment="geom", family="mkz-symmetric")
         rep = run_experiment(cfg)
+        cache = operators._DISC_CACHE
+        assert [spec.n for spec in cache] == [4, 8, 16]
+        assert all(disc.matrix_bytes == 0 for disc in cache.values())
+        assert rep.metadata["series_method"] == ["solve"] * 3
+        assert rep.metadata["stack_bytes"] == [4753800, 23544000, 141092352]
+
+    def test_default_mkz_iterates_holds_one_stack(self, monkeypatch):
+        # the cap is applied before each fill: iterates on mkz-symmetric at
+        # its defaults advances every carrier and leaves one filled stack
+        # in the cache, the n = 16 one, whose 141.1 MB pass the cap alone
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        cfg = ExperimentConfig(experiment="iterates", family="mkz-symmetric")
+        run_experiment(cfg)
         held = [disc.matrix_bytes for disc in operators._DISC_CACHE.values()
                 if disc.matrix_bytes]
         assert held == [operators.node_discretization(cfg.spec(16)).stack_bytes]
-        assert rep.metadata["stack_bytes"] == [4753800, 23544000, 141092352]
 
     def test_invariants_carrier_checks_fill_no_mkz_stack(self, monkeypatch):
         # discretization-consistency and mkz-reflection-identity read
@@ -768,6 +779,23 @@ class TestCli:
                         "'mkz-symmetric', '--n-list', '4', '-o', sys.argv[1]]) == 0\n"
                         "print('numpy.ma' in sys.modules)\n", tmp_path / "g.csv")
         assert out.stdout.strip().splitlines()[-1] == "False"
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak from /proc/self/status")
+    def test_default_mkz_geom_peaks_below_120_mb(self, tmp_path):
+        # geom on mkz-symmetric at its defaults, alone in a fresh process,
+        # holds no stack: it peaks near 65 MB, where filling the n = 16
+        # stack (141.1 MB) took it to 172 MB.  The peak is VmHWM, that of
+        # the process's own memory: ru_maxrss keeps the RSS this test
+        # process had when it started the child
+        out = run_fresh("assert opgeom.cli.main(['geom', '--family', "
+                        "'mkz-symmetric', '-o', sys.argv[1]]) == 0\n"
+                        "print(open('/proc/self/status').read())\n",
+                        tmp_path / "g.csv")
+        (peak,) = [line.split()[1:] for line in out.stdout.splitlines()
+                   if line.startswith("VmHWM:")]
+        assert peak[1] == "kB" and int(peak[0]) < 120 * 1024
 
     def test_one_worker_loads_no_thread_pool(self, tmp_path):
         # concurrent.futures, with the logging it imports, loads only for a

@@ -1313,44 +1313,107 @@ def test_first_advance_fills_once(threads):
 
 @pytest.fixture
 def factored_once(monkeypatch):
-    """Factor each stack once for the test, keeping the factors by stack:
-    sweep_sums factors on every call."""
+    """Factor each carrier's stack once for the test, keeping the factors
+    by carrier: sweep_sums factors on every call."""
     low_rank, made = operators._low_rank_pairs, {}
 
-    def once(stack, pairs, nodes):
-        if id(stack) not in made:
-            made[id(stack)] = low_rank(stack, pairs, nodes)
-        return made[id(stack)]
+    def once(disc):
+        if id(disc) not in made:
+            made[id(disc)] = low_rank(disc)
+        return made[id(disc)]
 
     monkeypatch.setattr(operators, "_low_rank_pairs", once)
     return made
 
 
-# the width-96 factors of a 32 MB stack: the first two-chunk sketch falls
-# short of the rank, so the basis grows by one chunk
+# a 32 MB stack at eps 1e-8, and n = 24, whose 443 MB stack is never
+# filled: its products stream, and its first sample falls short of the
+# rank, so the sample grows once
 GROWN_8 = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-8)
+STREAMED_24 = OperatorSpec("mkz-symmetric", 24, truncation_eps=1e-6)
+# the width of the factors, the rank of the sampled columns, to within
+# WIDTH_SLACK: the last singular values kept sit at 1.0e-16 to 2.5e-16 of
+# the largest, against the cut at 1e-16 and a rounding floor near 8e-17,
+# so another BLAS may keep one or two more or fewer
+WIDTH_SLACK = 2
+FACTOR_WIDTHS = {(3, 1e-6): 38, (3, 1e-10): 41, (4, 1e-6): 43, (4, 1e-10): 46,
+                 (6, 1e-6): 51, (6, 1e-10): 54, (8, 1e-6): 57, (8, 1e-8): 59,
+                 (8, 1e-10): 61, (16, 1e-6): 75, (24, 1e-6): 89}
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GROWN_8, GEOM_16],
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GROWN_8, GEOM_16, STREAMED_24],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
-def test_sweep_step_is_certified(spec, factored_once):
-    # |S v - advance(v)|_psi <= STEP_GAP |v|_psi over the interior nodes
-    # for the step S v = sweep_sums(v, 2) - v, for v vanishing at the
-    # endpoints like a weighted-space input; the series certifies its sums
-    # by their residual, and this keeps the factorization itself as
-    # accurate.  The basis Q = y * rho, grown (n = 16, and n = 8 at eps
-    # 1e-8) or not, is orthonormal; at n = 16 a grown chunk left without
-    # its last pass against Q is off by 2e-12
+def test_sweep_step_is_certified(spec, factored_once, monkeypatch):
+    # |S v - T v|_psi <= STEP_GAP |v|_psi over the interior nodes for the
+    # step S v = sweep_sums(v, 2) - v and the exact product T v, for v
+    # vanishing at the endpoints like a weighted-space input; the series
+    # certifies its sums by their residual, and this keeps the
+    # factorization itself as accurate.  The sample grows until 24 of its
+    # singular values are below the cut: with 16 the step at n = 24 was
+    # off by 1.4e-12.  The basis Q = y * rho is orthonormal, and the
+    # factors are the rank wide
     disc = node_discretization(spec)
+    tries = []
+    fill = operators._mkz_paired_stack
+    monkeypatch.setattr(operators, "_mkz_paired_stack",
+                        lambda *args: tries.append(args[1].size) or fill(*args))
     for v in weighted_inputs(disc, 4, spec.n):
-        gap = weighted_max(disc, disc.sweep_sums(v, 2) - v - disc.advance(v))
+        gap = weighted_max(disc, disc.sweep_sums(v, 2) - v - disc.product(v))
         assert np.all(gap <= STEP_GAP * weighted_max(disc, v))
     ((y, _),) = factored_once.values()
     assert y is not None  # the factored step
-    if spec in (GROWN_8, GEOM_16):
-        assert y.shape[1] == 3 * operators._SKETCH_CHUNK
+    assert abs(y.shape[1] - FACTOR_WIDTHS[spec.n, spec.truncation_eps]) <= WIDTH_SLACK
+    assert len(tries) == (2 if spec is STREAMED_24 else 1)
     q = y * psi(disc.nodes[disc._pairs[2]]).max(axis=0)[:, None]
     assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-13
+    assert spec is not STREAMED_24 or disc._filled is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_streamed_product_is_the_held_one(n):
+    # a carrier that holds no stack streams it, block by block, and keeps
+    # nothing: within 1e-15 of the held stack's product in the weighted
+    # norm for inputs with zero endpoint entries, and, where the routed
+    # masses enter (nonzero endpoint entries, which have no weighted
+    # norm), within 4e-15 of the largest entry; the endpoint outputs agree
+    # exactly
+    spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+    held, fresh = node_discretization(spec), operators._mkz_disc(spec)
+    ends = ~held.interior
+    for v in weighted_inputs(held, 3, n):
+        gap = held.advance(v) - fresh.product(v)
+        assert np.all(weighted_max(held, gap) <= 1e-15 * weighted_max(held, v))
+        v[ends] = np.random.default_rng(n).standard_normal((2, 3))
+        gap = held.advance(v) - fresh.product(v)
+        assert np.all(np.abs(gap).max(axis=0) <= 4e-15 * np.abs(v).max(axis=0))
+        assert not np.any(gap[ends])
+    assert held.matrix_bytes == held.stack_bytes and fresh._filled is None
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GEOM_16],
+                         ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
+def test_sampled_columns_are_the_stack_columns(spec):
+    # the factors' sample, made at its low nodes alone, is those columns
+    # of the stack bit for bit, routed masses included; and a streamed
+    # fill, its rows made in a buffer of _STREAM_ROWS and handed on block
+    # by block, makes the same rows and routed masses as the fill
+    disc = node_discretization(spec)
+    low, _, reads = disc._pairs
+    plain = reads.shape[1] - low.size
+    at = disc.nodes[low]
+    picks = np.array([1, 2, 5, low.size // 3, low.size - 1])
+    cols = operators._mkz_paired_stack(spec, at[picks], plain, low.size - 1)[0]
+    assert np.array_equal(cols, disc._stack[:, picks])
+    rows = np.empty((low.size, low.size))
+    want = operators._mkz_fill(spec.n, 1.0 - at, 0.5, rows)
+    got = np.empty_like(rows)
+
+    def keep(start, block):
+        got[start:start + block.shape[0]] = block
+
+    buf = np.empty((operators._STREAM_ROWS, low.size))
+    masses = operators._mkz_fill(spec.n, 1.0 - at, 0.5, buf, low.size, keep)
+    assert np.array_equal(got, rows) and np.array_equal(masses, want)
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
@@ -1360,7 +1423,7 @@ def test_coordinate_map_is_the_unit_row_map(spec):
     # bit for bit: the zero column stands in for the reads no output of a
     # side writes, and the mirror side wins at the midpoint, as in _scatter
     disc = node_discretization(spec)
-    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    y, z = operators._low_rank_pairs(disc)
     assert np.array_equal(disc._coordinate_map(y, z), coordinate_map(disc, y, z))
 
 
@@ -1388,15 +1451,15 @@ def test_sweep_sums_are_the_factored_steps(spec, factored_once):
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sweep_step_keeps_endpoint_entries_zero(spec, factored_once):
     # the factors hold the rank and nothing for pair 0: y = Q / rho, with
-    # Q's columns a whole number of sketch chunks, is zero on the pair-0
+    # Q's columns the rank of the sampled columns, is zero on the pair-0
     # rows, and column 0 of z is zero, so a weighted-space input keeps
     # exactly zero endpoint entries and any other input is refused
     disc = node_discretization(spec)
-    y, z = operators._low_rank_pairs(disc._stack, disc._pairs, disc.nodes)
+    y, z = operators._low_rank_pairs(disc)
     rank = y.shape[1]
-    assert rank % operators._SKETCH_CHUNK == 0
+    assert abs(rank - FACTOR_WIDTHS[spec.n, spec.truncation_eps]) <= WIDTH_SLACK
     assert z.shape == (rank, disc._pairs[0].size)
-    plain = disc._stack.shape[0] - z.shape[1]  # P
+    plain = disc._pairs[2].shape[1] - z.shape[1]  # P
     assert not np.any(y[[0, plain]]) and not np.any(z[:, 0])
     sums = disc.sweep_sums
     ends = ~disc.interior
@@ -1441,33 +1504,16 @@ def test_sweep_step_without_pairs_is_advance(spec):
     assert np.array_equal(disc.sweep_sums(v, 20), want)
 
 
-def test_test_rows_are_splitmix64():
-    # the range finder's test matrix against a scalar SplitMix64 on
-    # Python integers; its first output from state 0 is the published
-    # 0xE220A8397B1DCDAF
-    def splitmix(i):
-        mask = 2**64 - 1
-        z = (i * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
-    assert splitmix(1) == 0xE220A8397B1DCDAF
-    got = operators._test_rows(2, 3, 7)
-    want = [[(splitmix(i) >> 11) * 2.0**-52 - 1.0 for i in range(r * 7 + 1, r * 7 + 8)]
-            for r in (2, 3, 4)]
-    assert np.array_equal(got, want)
-
-
 def test_sweep_step_holds_factors_not_a_stack():
     # the compression keeps every product narrow: beyond the stack it holds
     # a few arrays of (rows + cols) x rank, where rank is the numerical
     # rank of the weighted stack (cut at 1e-16 of its largest singular
-    # value, from one wide sketch), and never a stack-sized array; the
-    # sketch is two chunks wide, the coordinate matrix H of the sums is
-    # four products of a rank x rows gather of z with y, and one
-    # sweep_sums call on a column, factors, H and sums, stays within the
-    # same budget
+    # value, from one wide random sketch here), and never a stack-sized
+    # array; the sample is about 1.7 rank columns, the coordinate matrix H
+    # of the sums is four products of a rank x rows gather of z with y,
+    # and one sweep_sums call on a column, factors, H and sums, stays
+    # within the same budget.  A carrier that holds no stack streams it
+    # and fills none, within that budget plus the stream's row buffer
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
     stack = disc._stack
@@ -1493,6 +1539,17 @@ def test_sweep_step_holds_factors_not_a_stack():
     assert not np.array_equal(sums, disc.advance_sums(v, 50))  # factored
     assert peak <= 6 * (rows + cols) * rank * 8
     assert peak < stack.nbytes / 4
+    fresh = operators._mkz_disc(spec)
+    tracemalloc.start()
+    try:
+        streamed = fresh.sweep_sums(v, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh._filled is None
+    assert peak <= 6 * (rows + cols) * rank * 8 + operators._STREAM_ROWS * cols * 8
+    assert peak < stack.nbytes / 2
+    assert np.max(np.abs(streamed - sums)) <= 1e-13 * np.max(np.abs(sums))
 
 
 class TestCarrierMemoryBudget:

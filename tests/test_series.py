@@ -206,7 +206,8 @@ RESIDUE_INPUTS = [registry("sin_pi"), registry("psi") + registry("e1").scaled(1e
     ("neumann", OperatorSpec("durrmeyer", 16, rho=1.0)),
     ("neumann", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
     ("solve", OperatorSpec("bernstein", 8)),
-    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0)),
+    ("solve", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6))],
     ids=lambda v: v if isinstance(v, str) else f"{v.family}-{v.n}")
 def test_each_input_is_projected_at_the_entry(method, op):
     # every method solves, certifies and returns the series of
@@ -237,7 +238,8 @@ def test_krylov_certifies_sin_pi_at_large_n(op, monkeypatch):
     ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
     ("krylov", OperatorSpec("durrmeyer", 5, rho=1.0)),
     ("solve", OperatorSpec("bernstein", 8)),
-    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0)),
+    ("solve", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6))],
     ids=lambda v: v if isinstance(v, str) else v.family)
 def test_multi_input_is_per_input(method, op):
     # the per-input methods treat each input exactly as a call of its own
@@ -318,18 +320,18 @@ class TestNeumann(EntryContract):
         disc = node_discretization(op)
         fs = [registry("psi"), registry("psi") * registry("sin_pi"),
               registry("sin_pi")]
-        advances, sums = [], []
-        advance = NodeDiscretization.advance
-        residual_norms = series._residual_norms
-        monkeypatch.setattr(NodeDiscretization, "advance",
-                            lambda d, v: advances.append(v.shape) or advance(d, v))
-        monkeypatch.setattr(series, "_residual_norms",
-                            lambda d, acc, *rest: sums.append(acc.copy())
-                            or residual_norms(d, acc, *rest))
+        products, sums = [], []
+        advance, product = NodeDiscretization.advance, NodeDiscretization.product
+        defect = series._defect
+        monkeypatch.setattr(NodeDiscretization, "product",
+                            lambda d, v: products.append(v.shape) or product(d, v))
+        monkeypatch.setattr(series, "_defect",
+                            lambda d, acc, rep0: sums.append(acc.copy())
+                            or defect(d, acc, rep0))
         batch = geometric_series(op, fs, 1e-6, GRID, method="neumann")
-        # the sums make no advance (they take the factored step): one
-        # exact advance, with all the columns, serves all the residuals
-        assert advances == [(disc.nodes.size, len(fs))]
+        # the sums make no exact product (they take the factored step): one
+        # exact product, with all the columns, serves all the residuals
+        assert products == [(disc.nodes.size, len(fs))]
         # terms_used is K + 1 (g = f + L(acc)), and acc is K - 1 factored
         # steps summed, to rounding
         reps = np.column_stack([disc.rep(f) for f in fs])
@@ -345,7 +347,8 @@ class TestNeumann(EntryContract):
                       <= 1e-13 * np.max(np.abs(reps[idx]) / w, axis=0))
         pts = op.grid(GRID).points
         acc = reps + advance(disc, reps)
-        got_norms, _ = series._residual_norms(disc, acc, reps, op.grid(GRID), [])
+        got_norms, _ = series._residual_norms(disc, series._defect(disc, acc, reps),
+                                              op.grid(GRID), [])
         for i, got in enumerate(got_norms):
             defect = acc[:, i] - reps[:, i] - advance(disc, acc[:, i])
             want = psi_sup(disc.apply_rep(defect, pts), pts)
@@ -512,19 +515,18 @@ class TestCompressedSweep:
 
     def test_quarter_width_gate_takes_the_exact_sweep(self, monkeypatch):
         # n = 3 at truncation_eps 0.1 has 224 pair columns, a quarter of
-        # which (56) is less than the first two-chunk sketch: no factors
-        # and no sketch product, so the sweep is the exact one from the
-        # start
+        # which (56) is less than the first sample (76 distinct columns):
+        # no factors and no sample made, so the sweep is the exact one
+        # from the start
         op = OperatorSpec("mkz-symmetric", 3, truncation_eps=0.1)
         disc = node_discretization(op)
         assert disc._pairs[0].size == 224
-        test_rows, sketched = operators._test_rows, []
+        fill, sampled = operators._mkz_paired_stack, []
         with monkeypatch.context() as m:
-            m.setattr(operators, "_test_rows",
-                      lambda *args: sketched.append(args) or test_rows(*args))
-            assert operators._low_rank_pairs(disc._stack, disc._pairs,
-                                             disc.nodes) == (None, None)
-        assert sketched == []
+            m.setattr(operators, "_mkz_paired_stack",
+                      lambda *args: sampled.append(args) or fill(*args))
+            assert operators._low_rank_pairs(disc) == (None, None)
+        assert sampled == []
         v = np.random.default_rng(3).standard_normal((disc.nodes.size, 2))
         v[~disc.interior] = 0.0
         assert np.array_equal(disc.sweep_sums(v, 20), disc.advance_sums(v, 20))
@@ -545,8 +547,6 @@ def test_every_certificate_covers_its_residual(op):
     b = op.contraction_bound()
     eps = 1e-6 if op.record.series else 1e-8
     for method in ("krylov", "neumann", "solve"):
-        if method == "solve" and op.record.series:
-            continue
         for res in geometric_series(op, SWEEP_INPUTS, eps, GRID, method=method):
             assert res.tail_bound >= res.residual_psi_norm / (1 - b)
 
@@ -628,10 +628,108 @@ class TestSolve(EntryContract):
         assert np.array_equal(np.asarray(res.g(pts)),
                               np.asarray(f(pts)) + disc.apply_rep(acc, pts))
 
-    def test_rejects_series_family(self):
-        with pytest.raises(DomainError, match="exact finite carrier"):
-            series_one(OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-8),
-                       registry("psi"), 1e-8, "solve")
+
+
+BATCH_INPUTS = [registry("psi"), registry("psi") * registry("e1"),
+                registry("psi") * registry("sin_pi"),
+                registry("psi") * registry("osc"), registry("sin_pi")]
+
+
+class TestFactoredSolve:
+    """The mkz-symmetric solve, that family's default engine: Woodbury's
+    identity on the factors of its stack, whose products stream it."""
+
+    def test_default_engine_holds_no_stack(self, monkeypatch):
+        # with default arguments every input is solved, within eps / 2, in
+        # two passes over the stack (the factors' z and the certificate),
+        # and no carrier holds a stack afterwards
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        for n in (4, 8, 16):
+            op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+            for res in geometric_series(op, BATCH_INPUTS, 1e-6, GRID):
+                assert (res.method, res.terms_used) == ("solve", 2)
+                assert res.tail_bound <= 1e-6 / 2
+        assert len(operators._DISC_CACHE) == 3
+        assert all(d._filled is None for d in operators._DISC_CACHE.values())
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_agrees_with_krylov(self, n):
+        # the five batch-mkz inputs: within the sum of both certificates
+        op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+        pts = op.grid(GRID).points
+        solved = geometric_series(op, BATCH_INPUTS, 1e-6, GRID)
+        kry = geometric_series(op, BATCH_INPUTS, 1e-6, GRID, method="krylov")
+        for a, k in zip(solved, kry):
+            assert (a.method, k.method) == ("solve", "krylov")
+            assert weighted_gap(a, k, pts) <= a.tail_bound + k.tail_bound
+
+    def test_agrees_with_the_exact_neumann_sum(self, monkeypatch):
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        pts = op.grid(GRID).points
+        solved = geometric_series(op, BATCH_INPUTS, 1e-6, GRID)
+        exact_sweep(monkeypatch)
+        summed = geometric_series(op, BATCH_INPUTS, 1e-6, GRID, method="neumann")
+        for a, e in zip(solved, summed):
+            assert weighted_gap(a, e, pts) <= a.tail_bound + e.tail_bound
+
+    def test_a_result_alone_is_the_batch_one(self):
+        op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+        batch = geometric_series(op, BATCH_INPUTS, 1e-6, GRID)
+        alone = [series_one(op, f, 1e-6, "solve") for f in BATCH_INPUTS]
+        assert_identical(alone, batch, op.grid(GRID).points)
+        for a, b in zip(alone, batch):
+            assert np.array_equal(a.grid_values, b.grid_values)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_refinement_never_raises_the_certificate(self, n, monkeypatch):
+        # a certificate above eps / 2 is refined once, on the defect the
+        # certificate formed: a third pass, and the smaller certificate
+        # stands.  At eps 1e-6 no input takes it (the first certificates
+        # are at most 4.8e-12); at eps 1e-12 the refinement is what meets
+        # eps at n = 16, where sin_pi's first certificate is 4.8e-12
+        op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+        certify, tails = series._certify, []
+
+        def recorded(*args, **kw):
+            out = certify(*args, **kw)
+            tails.append(out[0].tail_bound)
+            return out
+
+        monkeypatch.setattr(series, "_certify", recorded)
+        for eps in (1e-6, 1e-12, 1e-13):
+            firsts, results = [], geometric_series(op, BATCH_INPUTS, eps, GRID)
+            for res in results:
+                firsts.append(tails.pop(0))
+                if firsts[-1] > eps / 2:
+                    assert res.terms_used == 3
+                    assert res.tail_bound == min(firsts[-1], tails.pop(0))
+                else:
+                    assert (res.terms_used, res.tail_bound) == (2, firsts[-1])
+            assert not tails
+            if eps == 1e-6:
+                assert max(firsts) <= eps / 2
+            if eps == 1e-12 and n == 16:
+                assert max(firsts) > eps
+                assert all(res.tail_bound <= eps for res in results)
+
+    def test_quarter_width_gate_solves_the_unfolded_block(self, monkeypatch):
+        # n = 3 at truncation_eps 0.1: the stack is not factored (its
+        # sample would pass a quarter of its 224 columns); the interior
+        # block of I - T, unfolded by one streamed product of the unit
+        # vectors, is solved by dense LU: two passes, no fill, no Krylov
+        # cycle, and the exact Neumann sum within both certificates
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        monkeypatch.setattr(series, "_gmres", lambda *args: pytest.fail("Krylov ran"))
+        op = OperatorSpec("mkz-symmetric", 3, truncation_eps=0.1)
+        solved = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID)
+        assert node_discretization(op)._filled is None
+        exact_sweep(monkeypatch)
+        summed = geometric_series(op, SWEEP_INPUTS, 1e-6, GRID, method="neumann")
+        pts = op.grid(GRID).points
+        for a, e in zip(solved, summed):
+            assert (a.method, a.terms_used) == ("solve", 2)
+            assert a.tail_bound <= 1e-6 / 2
+            assert weighted_gap(a, e, pts) <= a.tail_bound + e.tail_bound
 
 
 ORACLE_INPUTS = [pytest.param(name, q, id=name) for name, q in
@@ -763,34 +861,40 @@ class TestKrylov(EntryContract):
         assert np.array_equal(res.grid_values, want.grid_values)
 
     def test_mkz_symmetric_miss_keeps_its_own_certificate(self, monkeypatch):
-        # the paired carrier has no exact solve: capped at 3 products, the
-        # cycle and its one refinement on the defect (3 + 1 + 3 products
-        # and the residual's) still miss eps, and that result stands with
-        # its own certificate; no sweep runs
+        # checks that a capped Krylov miss is answered by the solve (the
+        # name is the test's id from before the solve took misses).
+        # Capped at 3 products, the cycle for psi*e1 at n = 4 misses eps
+        # 1e-6; the input's solve on the stack's factors answers it with
+        # its own certificate, and no second cycle and no sweep run
         op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
         f = registry("psi") * registry("e1")
+        used = count_gmres(monkeypatch)
         monkeypatch.setattr(series, "_GMRES_MAX", 3)
         no_neumann(monkeypatch)
         res = series_one(op, f, 1e-6, "krylov")
-        assert (res.method, res.terms_used) == ("krylov", 8)
-        assert res.tail_bound == \
-            res.residual_psi_norm / (1 - op.contraction_bound()) > 1e-6
+        assert used == [3]
+        assert res.method == "solve", "a capped miss goes to the solve"
+        assert res.tail_bound <= 1e-6 / 2
+        assert_solved(res, op, f, 1e-6)
 
     @pytest.mark.parametrize("n,cap", [(6, 8), (12, 10)], ids=["6", "12"])
     def test_mkz_symmetric_refines_a_miss(self, n, cap, monkeypatch):
-        # sin_pi at eps 1e-8 with the cycle capped: the first cycle ends
-        # short of eps after cap products (n = 6: 4.1e-5, n = 12: 6.2e-5),
-        # and one more cycle on its defect meets it (2.1e-9 and 2.7e-10)
+        # checks that a capped Krylov miss is answered by the solve, with
+        # no second cycle (the name is the test's id from before the solve
+        # took misses).  sin_pi at eps 1e-8 with the cycle capped: the one
+        # cycle ends short of eps after cap products (n = 6: 4.1e-5,
+        # n = 12: 6.2e-5), and the input's solve answers it, as on an
+        # exact carrier, with no sweep
         op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
         f = registry("sin_pi")
         used = count_gmres(monkeypatch)
         monkeypatch.setattr(series, "_GMRES_MAX", cap)
         no_neumann(monkeypatch)
-        (res,) = geometric_series(op, [f], 1e-8)
-        assert len(used) == 2 and used == [cap, cap]
-        assert res.method == "krylov" and res.tail_bound <= 1e-8
-        assert res.terms_used == used[0] + 1 + used[1] + 1 == 2 * cap + 2
-
+        res = series_one(op, f, 1e-8, "krylov")
+        assert used == [cap]
+        assert res.method == "solve", "a capped miss goes to the solve"
+        assert res.tail_bound <= 1e-8 / 2
+        assert_solved(res, op, f, 1e-8)
 
 LAMBDA_CARRIERS = [OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 33),
                    OperatorSpec("durrmeyer", 7, rho=2.0),
@@ -969,7 +1073,7 @@ def test_one_cycle_meets_eps_away_from_rounding(n, monkeypatch):
           registry("psi") * registry("osc"), registry("sin_pi")]
     used = count_gmres(monkeypatch)
     no_neumann(monkeypatch)
-    for res in geometric_series(op, fs, 1e-11):
+    for res in geometric_series(op, fs, 1e-11, method="krylov"):
         assert res.method == "krylov" and res.tail_bound <= 1e-11
     assert len(used) == len(fs)
 
@@ -978,7 +1082,8 @@ def test_one_cycle_meets_eps_away_from_rounding(n, monkeypatch):
     ("krylov", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
     ("krylov", OperatorSpec("bernstein", 8)),
     ("neumann", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)),
-    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0))],
+    ("solve", OperatorSpec("durrmeyer", 8, rho=1.0)),
+    ("solve", OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6))],
     ids=lambda v: v if isinstance(v, str) else v.family)
 def test_grid_values_are_g_on_the_family_grid(method, op):
     # the residual's evaluation of the grid basis also gives g there

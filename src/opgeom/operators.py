@@ -46,8 +46,9 @@ mkz families   the plain series operator (nodes k/(n+k)) and its
                advances both outputs of every pair.  That carrier fills
                its stack only for advance: its other products stream
                the same kernel's row blocks (_mkz_paired_product), and
-               its low-rank factors start from stack columns made at
-               sampled nodes alone (_low_rank_pairs).
+               its low-rank factors read no pass of it: stack columns
+               made at sampled nodes alone, and stack rows in closed
+               form (_low_rank_pairs).
 
 Pointwise quantities (OperatorSpec.apply, moment, alpha, the mixed
 condition bound) take arrays of points of [0, 1]: apply and moment turn a
@@ -120,7 +121,6 @@ _GAUSS_CELLS = 2**18  # Jacobi-matrix cells per block of the batched rules
 _COMPOSITE_GRADINGS = (48, 96, 192)
 _TINY = np.finfo(float).tiny  # smallest normal float
 _FILL_ROWS = 32  # stack rows per block of a carrier fill
-_STREAM_ROWS = 256  # stack rows per block of a streamed paired product
 _SAMPLES = 128  # stack columns sampled first for the paired factors
 _SAMPLE_GROWTH = 1.5  # factor on the sample count per try
 _SKETCH_CUT = 1e-16  # rank cut on the sampled columns' singular values, relative
@@ -747,9 +747,10 @@ class NodeDiscretization:
     apply_reps and truncation_error_bound never fill, so a carrier used
     only for images or for its bound holds no stack.  The mkz-symmetric
     carrier holds one only after advance (iterates, Krylov, the
-    unfactored sweep): product, sweep_sums and factored_step read a held
-    stack and otherwise stream it (_mkz_paired_product), so its series
-    solve and factored sweep hold none.  stack_bytes, recorded as the
+    unfactored sweep): product and an unfactored sweep_sums read a held
+    stack and otherwise stream it (_mkz_paired_product), and
+    factored_step makes the few stack columns and rows it needs, so its
+    series solve and factored sweep hold none.  stack_bytes, recorded as the
     carrier is made from the shape check_carrier_budget counts
     (_stack_shape), is what the fill allocates, filled or not;
     matrix_bytes counts what the carrier holds now.  Fills run one at a
@@ -876,18 +877,16 @@ class NodeDiscretization:
         held, and on every other carrier, this is advance, bit for bit."""
         if self._pairs is None:
             return self.advance(v)
-        return self._scatter(self._stack_product(self._gather(v))).reshape(v.shape)
-
-    def _stack_product(self, u: np.ndarray) -> np.ndarray:
-        """u @ stack for a paired carrier: from the held stack if there is
-        one, else streamed, one block of rows at a time."""
+        u = self._gather(v)
         if self._filled is not None:
             # u @ stack streams the k-major stack once, where stack.T @ u.T
             # with a few columns makes the BLAS pack it first
-            return u @ self._filled
-        low, _, reads = self._pairs
-        return _mkz_paired_product(self.spec, self.nodes[low],
-                                   reads.shape[1] - low.size, u)
+            both = u @ self._filled
+        else:
+            low, _, reads = self._pairs
+            both = _mkz_paired_product(self.spec, self.nodes[low],
+                                       reads.shape[1] - low.size, u)
+        return self._scatter(both).reshape(v.shape)
 
     def advance_sums(self, v: np.ndarray, k: int) -> np.ndarray:
         """sum_{j<k} T^j v, by k - 1 advances."""
@@ -906,11 +905,11 @@ class NodeDiscretization:
         DomainError), as v + expand(sum_{j<k-1} H^j lift(v)), H = lift o
         expand, with the 2a coordinates of each column of v one row and H
         acting on the right.  The factors come from sampled stack columns,
-        made at their nodes alone, and one product of the stack for z, and
-        H from four products of gathered columns of z with y
-        (_coordinate_map) (factored_step): the stack is read once, held or
-        streamed, never per term, and never filled.  The factors live for
-        this call only."""
+        made at their nodes alone, and DEIM-picked stack rows in closed
+        form, and H from four products of gathered columns of z with y
+        (_coordinate_map) (factored_step): the stack is never read, never
+        per term and never filled.  The factors live for this call
+        only."""
         if self._pairs is None:
             return self.advance_sums(v, k)
         if np.any(v[~self.interior]):
@@ -935,7 +934,8 @@ class NodeDiscretization:
         """(y, z, h): the factors of a paired stack (_low_rank_pairs) and
         the 2a-square coordinate map h = lift o expand of the factored step
         S = expand o lift, or None where the stack is not factored.  They
-        are made for each call, with no fill, and nothing keeps them."""
+        are made for each call from a few stack columns and rows, with no
+        fill and no pass over the stack, and nothing keeps them."""
         y, z = _low_rank_pairs(self)
         return None if y is None else (y, z, self._coordinate_map(y, z))
 
@@ -1326,21 +1326,15 @@ def _mkz_paired_product(spec: OperatorSpec, at: np.ndarray, plain: int,
                         u: np.ndarray) -> np.ndarray:
     """u @ stack for the mkz-symmetric stack over the low nodes at, all
     the pairs, without the stack: _mkz_fill makes its rows into one
-    reused buffer, and each full buffer is multiplied as it is made.  A u
-    of fewer than _FILL_ROWS rows (a certificate's product) takes each
-    block of _FILL_ROWS rows while it is in cache; a wider one (the
-    factors' z) takes _STREAM_ROWS rows at a time, which the BLAS
-    multiplies at a better rate.  At n = 16 (4288 x 4113, 2-vCPU Xeon)
-    a 2-row u took 37 ms with the small buffer and 46 ms with the large
-    one, a 75-row u 109 ms and 87 ms.  The routed masses of rows 0 and P
-    are added at the end, where u reads them, so an input with zero
-    endpoint entries, whose gathered rows are zero there, skips them.
-    The blocks are summed in row order, so the product is within rounding
-    of u @ stack, not equal to it bit for bit."""
+    reused buffer of _FILL_ROWS rows, and each block is multiplied while
+    it is in cache.  The routed masses of rows 0 and P are added at the
+    end, where u reads them, so an input with zero endpoint entries,
+    whose gathered rows are zero there, skips them.  The blocks are
+    summed in row order, so the product is within rounding of u @ stack,
+    not equal to it bit for bit."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     out = np.zeros((u.shape[0], at.size))
-    buf = np.empty((_FILL_ROWS if u.shape[0] < _FILL_ROWS else _STREAM_ROWS,
-                    at.size))
+    buf = np.empty((_FILL_ROWS, at.size))
 
     def visit(offset):
         def add(start, block):
@@ -1352,6 +1346,33 @@ def _mkz_paired_product(spec: OperatorSpec, at: np.ndarray, plain: int,
     ends = u[:, [0, plain]]
     if np.any(ends):
         out += ends @ np.array([m_r, m_p])
+    return out
+
+
+def _mkz_paired_rows(spec: OperatorSpec, at: np.ndarray, plain: int,
+                     rows: np.ndarray) -> np.ndarray:
+    """Rows of the mkz-symmetric stack over the low nodes at, none of them
+    0 or P (the rows that hold the routed masses), in closed form: a plain
+    row j < P is share * C(n+j, j) t^j (1-t)^(n+1) at t = at, a reflected
+    row P + j the same at t = 1 - at, each made in place, one row at a
+    time, and flushed below the smallest normal float as _mkz_fill
+    flushes.  C(n+j, j) is the product of the n ratios (j+i)/i, within
+    n roundings, and t^j one rounded power; the fill's running product
+    gathers about one rounding per row instead, so deep rows differ from
+    the stack's by its rounding (2.1e-14 of the row's largest weight at
+    n = 16, where these rows are within 1e-15 of 40-digit values)."""
+    n, shares = spec.n, spec.record.shares
+    out = np.empty((rows.size, at.size))
+    reflect = rows >= plain
+    js = np.where(reflect, rows - plain, rows)
+    i = np.arange(1.0, n + 1.0)
+    binomials = np.prod((js[:, None] + i) / i, axis=1)
+    for branch, t in enumerate((at, 1.0 - at)):
+        w0 = shares[branch] * (1.0 - t) ** (n + 1)
+        for r in np.flatnonzero(reflect == branch):
+            row = np.power(t, js[r], out=out[r])
+            row *= binomials[r] * w0
+            np.putmask(row, row < _TINY, 0.0)
     return out
 
 
@@ -1400,10 +1421,18 @@ def _low_rank_pairs(disc: NodeDiscretization):
     the weighted norm the series is certified in.  psi vanishes at nodes
     0 and 1, which rows 0 and P (the routed masses) read, so Q is taken
     on the other rows, and pair 0 is never sampled.  The factors are
-    y = Q / rho and z = (rho Q)^T S, by one product with the stack
-    (NodeDiscretization._stack_product: the held stack, or one streamed
-    pass), zero on rows 0 and P of y and on column 0 of z, so an input
-    with zero endpoint entries keeps zero endpoint outputs.
+    y = Q / rho, zero on rows 0 and P, and z = y_I^-1 S_I, zero on column
+    0, so an input with zero endpoint entries keeps zero endpoint
+    outputs.  I is the rank rows of Q that DEIM picks (Chaturantabut and
+    Sorensen, SIAM J. Sci. Comput. 32 (2010)): its row m is where column
+    m of Q is worst interpolated, on the rows picked before, by the
+    columns before it.  So y z is S on the rows I and interpolates it
+    elsewhere, rho S ~ Q Q_I^-1 (rho S)_I, and the rows I come in closed
+    form (_mkz_paired_rows), with no pass over the stack.  |Q_I^-1|_2 was
+    12 to 43 at n = 3..24, and the weighted error |S' - y' z'|_max /
+    |S'|_max 6e-16 to 3.9e-15 (1.2e-15 to 3.0e-15 for Q Q^T S').  No
+    certificate reads the factors: every series result is certified by
+    an exact product of the stack.
     """
     low, high, reads = disc._pairs
     cols = low.size
@@ -1432,10 +1461,14 @@ def _low_rank_pairs(disc: NodeDiscretization):
     for _ in range(2):  # Cholesky QR, twice
         q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q)).T
     y = np.zeros((reads.shape[1], rank))
-    y[live] = q * rho
-    z = disc._stack_product(y.T)
+    y[live] = q / rho
+    chosen = [int(np.argmax(np.abs(q[:, 0])))]
+    for m in range(1, rank):  # DEIM
+        c = np.linalg.solve(q[chosen, :m], q[chosen, m])
+        chosen.append(int(np.argmax(np.abs(q[:, m] - q[:, :m] @ c))))
+    rows = np.flatnonzero(live)[chosen]
+    z = np.linalg.solve(y[rows], _mkz_paired_rows(disc.spec, at, plain, rows))
     z[:, 0] = 0.0
-    y[live] /= rho * rho
     return y, z
 
 

@@ -55,8 +55,9 @@ within eps / 2 up to the rounding of d.
 
 terms_used counts carrier products: for Krylov one per step, plus the
 residual's; for a Neumann sum its K + 1 terms; for the solve the passes
-over the stack (the residual's on an exact carrier; on mkz-symmetric the
-factors' z, the certificate and a refinement's certificate).  Every
+over the stack: the certificate's, and on mkz-symmetric a refinement's
+certificate, or the unfolding where its stack is not factored (the
+factors take none: their rows of the stack come in closed form).  Every
 residual takes one exact product that fills no stack
 (NodeDiscretization.product): a carrier that holds its stack reads it,
 and the mkz-symmetric one that holds none streams it.
@@ -398,16 +399,17 @@ def _solve(op: OperatorSpec, disc: NodeDiscretization, fs, reps, norms,
     factored (a sample past a quarter of its width: small carriers), the
     interior block is unfolded by one product of the unit vectors and
     solved by dense LU, as an exact carrier's.  No path fills the stack:
+    the factors read none of it (their rows of it come in closed form),
     every product reads the held stack or streams it, and terms_used
-    counts those passes: the factors' z or the unfolding, then each
-    certificate.  tail_bound is the residual certificate of _certify, as
-    for the Krylov path.
+    counts those passes: the unfolding, if any, then each certificate,
+    so 1 for a factored solve (2 refined).  tail_bound is the residual
+    certificate of _certify, as for the Krylov path.
     """
     idx = np.flatnonzero(disc.interior)
     step = disc.factored_step() if op.record.series else None
     if step is not None:
         y, z, h = step
-        a, passes = 0.0 - h.T, 2  # the factors' z, then the certificate
+        a, passes = 0.0 - h.T, 1  # the certificate
     elif op.record.series:  # T on the interior nodes, by one streamed pass
         a, passes = 0.0 - disc.product(np.eye(disc.nodes.size)[:, idx])[idx], 2
     else:

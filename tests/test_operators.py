@@ -1395,8 +1395,9 @@ def test_streamed_product_is_the_held_one(n):
 def test_sampled_columns_are_the_stack_columns(spec):
     # the factors' sample, made at its low nodes alone, is those columns
     # of the stack bit for bit, routed masses included; and a streamed
-    # fill, its rows made in a buffer of _STREAM_ROWS and handed on block
-    # by block, makes the same rows and routed masses as the fill
+    # fill, its rows made in a buffer of several _FILL_ROWS blocks and
+    # handed on buffer by buffer, makes the same rows and routed masses as
+    # the fill
     disc = node_discretization(spec)
     low, _, reads = disc._pairs
     plain = reads.shape[1] - low.size
@@ -1411,9 +1412,51 @@ def test_sampled_columns_are_the_stack_columns(spec):
     def keep(start, block):
         got[start:start + block.shape[0]] = block
 
-    buf = np.empty((operators._STREAM_ROWS, low.size))
+    buf = np.empty((8 * operators._FILL_ROWS, low.size))
     masses = operators._mkz_fill(spec.n, 1.0 - at, 0.5, buf, low.size, keep)
     assert np.array_equal(got, rows) and np.array_equal(masses, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_closed_form_rows_are_the_stack_rows(n, monkeypatch):
+    # the stack rows the factors take in closed form, on both branches,
+    # next to P and the deepest one: within 2e-15 of each row's largest
+    # weight of the 40-digit weights (at 48 columns), and within 1e-14 of
+    # it of the filled rows.  The deepest filled row carries its running
+    # product's rounding, one per row (1.6e-14 off the 40-digit weights
+    # at n = 16, the closed form 2.7e-16), so it is held to 3e-14.  The
+    # rows DEIM picks for the factors are distinct, and never 0 or P
+    spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+    disc = operators._mkz_disc(spec)
+    low, _, reads = disc._pairs
+    plain = reads.shape[1] - low.size
+    at = disc.nodes[low]
+    last = reads.shape[1] - 1
+    rows = np.array([1, 2, plain - 1, plain + 1, plain + 2, last])
+    got = operators._mkz_paired_rows(spec, at, plain, rows)
+    stack = disc._stack[rows]
+    top = np.max(stack, axis=1)
+    assert np.all(np.abs(got - stack)[:-1].T <= 1e-14 * top[:-1])
+    assert np.all(np.abs(got[-1] - stack[-1]) <= 3e-14 * top[-1])
+    cols = np.linspace(0, at.size - 1, 48).astype(int)
+    with mp.workdps(40):
+        for row, r in zip(got, rows):
+            j, t = (r, at[cols]) if r < plain else (r - plain, 1.0 - at[cols])
+            exact = np.array([float(mp.binomial(n + j, j) * mp.mpf(x) ** j
+                                    * (1 - mp.mpf(x)) ** (n + 1) / 2) for x in t])
+            exact[exact < operators._TINY] = 0.0
+            assert np.all(np.abs(row[cols] - exact) <= 2e-15 * np.max(row))
+    made, picked = operators._mkz_paired_rows, []
+
+    def kept(spec, at, plain, rows):
+        picked.append(rows)
+        return made(spec, at, plain, rows)
+
+    monkeypatch.setattr(operators, "_mkz_paired_rows", kept)
+    y, _ = operators._low_rank_pairs(disc)
+    (rows,) = picked
+    assert rows.size == y.shape[1] == np.unique(rows).size
+    assert not np.isin(rows, [0, plain]).any()
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,
@@ -1512,8 +1555,8 @@ def test_sweep_step_holds_factors_not_a_stack():
     # array; the sample is about 1.7 rank columns, the coordinate matrix H
     # of the sums is four products of a rank x rows gather of z with y,
     # and one sweep_sums call on a column, factors, H and sums, stays
-    # within the same budget.  A carrier that holds no stack streams it
-    # and fills none, within that budget plus the stream's row buffer
+    # within the same budget.  A carrier that holds no stack reads none of
+    # it and fills none, within that budget plus one block of stack rows
     spec = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
     disc = node_discretization(spec)
     stack = disc._stack
@@ -1547,7 +1590,7 @@ def test_sweep_step_holds_factors_not_a_stack():
     finally:
         tracemalloc.stop()
     assert fresh._filled is None
-    assert peak <= 6 * (rows + cols) * rank * 8 + operators._STREAM_ROWS * cols * 8
+    assert peak <= 6 * (rows + cols) * rank * 8 + operators._FILL_ROWS * cols * 8
     assert peak < stack.nbytes / 2
     assert np.max(np.abs(streamed - sums)) <= 1e-13 * np.max(np.abs(sums))
 

@@ -641,16 +641,39 @@ class TestFactoredSolve:
 
     def test_default_engine_holds_no_stack(self, monkeypatch):
         # with default arguments every input is solved, within eps / 2, in
-        # two passes over the stack (the factors' z and the certificate),
+        # one pass over the stack (the certificate: the factors take none),
         # and no carrier holds a stack afterwards
         monkeypatch.setattr(operators, "_DISC_CACHE", {})
         for n in (4, 8, 16):
             op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
             for res in geometric_series(op, BATCH_INPUTS, 1e-6, GRID):
-                assert (res.method, res.terms_used) == ("solve", 2)
+                assert (res.method, res.terms_used) == ("solve", 1)
                 assert res.tail_bound <= 1e-6 / 2
         assert len(operators._DISC_CACHE) == 3
         assert all(d._filled is None for d in operators._DISC_CACHE.values())
+
+    def test_one_streamed_pass_per_unrefined_input(self, monkeypatch):
+        # the factors take no pass over the stack: factored_step on a fresh
+        # carrier streams nothing and fills nothing; a default call then
+        # streams the stack once per unrefined input, for its certificate
+        stream, calls = operators._mkz_paired_product, []
+
+        def counted(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(operators, "_mkz_paired_product", counted)
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        for n in (4, 8, 16):
+            op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+            fresh = operators._mkz_disc(op)
+            assert fresh.factored_step() is not None
+            assert not calls and fresh._filled is None
+            results = geometric_series(op, BATCH_INPUTS, 1e-6, GRID)
+            assert [r.terms_used for r in results] == [1] * len(BATCH_INPUTS)
+            assert len(calls) == len(BATCH_INPUTS)
+            assert node_discretization(op)._filled is None
+            calls.clear()
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_agrees_with_krylov(self, n):
@@ -683,7 +706,7 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_refinement_never_raises_the_certificate(self, n, monkeypatch):
         # a certificate above eps / 2 is refined once, on the defect the
-        # certificate formed: a third pass, and the smaller certificate
+        # certificate formed: a second pass, and the smaller certificate
         # stands.  At eps 1e-6 no input takes it (the first certificates
         # are at most 4.8e-12); at eps 1e-12 the refinement is what meets
         # eps at n = 16, where sin_pi's first certificate is 4.8e-12
@@ -701,10 +724,10 @@ class TestFactoredSolve:
             for res in results:
                 firsts.append(tails.pop(0))
                 if firsts[-1] > eps / 2:
-                    assert res.terms_used == 3
+                    assert res.terms_used == 2
                     assert res.tail_bound == min(firsts[-1], tails.pop(0))
                 else:
-                    assert (res.terms_used, res.tail_bound) == (2, firsts[-1])
+                    assert (res.terms_used, res.tail_bound) == (1, firsts[-1])
             assert not tails
             if eps == 1e-6:
                 assert max(firsts) <= eps / 2
@@ -860,41 +883,26 @@ class TestKrylov(EntryContract):
         assert_identical([res], [want], op.grid(None).points)
         assert np.array_equal(res.grid_values, want.grid_values)
 
-    def test_mkz_symmetric_miss_keeps_its_own_certificate(self, monkeypatch):
-        # checks that a capped Krylov miss is answered by the solve (the
-        # name is the test's id from before the solve took misses).
-        # Capped at 3 products, the cycle for psi*e1 at n = 4 misses eps
-        # 1e-6; the input's solve on the stack's factors answers it with
-        # its own certificate, and no second cycle and no sweep run
-        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
-        f = registry("psi") * registry("e1")
-        used = count_gmres(monkeypatch)
-        monkeypatch.setattr(series, "_GMRES_MAX", 3)
-        no_neumann(monkeypatch)
-        res = series_one(op, f, 1e-6, "krylov")
-        assert used == [3]
-        assert res.method == "solve", "a capped miss goes to the solve"
-        assert res.tail_bound <= 1e-6 / 2
-        assert_solved(res, op, f, 1e-6)
-
-    @pytest.mark.parametrize("n,cap", [(6, 8), (12, 10)], ids=["6", "12"])
-    def test_mkz_symmetric_refines_a_miss(self, n, cap, monkeypatch):
-        # checks that a capped Krylov miss is answered by the solve, with
-        # no second cycle (the name is the test's id from before the solve
-        # took misses).  sin_pi at eps 1e-8 with the cycle capped: the one
-        # cycle ends short of eps after cap products (n = 6: 4.1e-5,
-        # n = 12: 6.2e-5), and the input's solve answers it, as on an
-        # exact carrier, with no sweep
+    @pytest.mark.parametrize("n,name,cap,eps", [
+        (4, "psi*e1", 3, 1e-6), (6, "sin_pi", 8, 1e-8), (12, "sin_pi", 10, 1e-8)],
+        ids=["4", "6", "12"])
+    def test_mkz_symmetric_capped_miss_is_answered_by_the_solve(
+            self, n, name, cap, eps, monkeypatch):
+        # the one cycle, capped at cap products, ends short of eps (psi*e1
+        # at n = 4 misses 1e-6 after 3; sin_pi misses 1e-8 at n = 6 with
+        # 4.1e-5 and at n = 12 with 6.2e-5); the input's solve on the
+        # stack's factors answers it with its own certificate within
+        # eps / 2, as on an exact carrier, with no second cycle and no sweep
         op = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
-        f = registry("sin_pi")
+        f = registry("sin_pi") if name == "sin_pi" else registry("psi") * registry("e1")
         used = count_gmres(monkeypatch)
         monkeypatch.setattr(series, "_GMRES_MAX", cap)
         no_neumann(monkeypatch)
-        res = series_one(op, f, 1e-8, "krylov")
+        res = series_one(op, f, eps, "krylov")
         assert used == [cap]
         assert res.method == "solve", "a capped miss goes to the solve"
-        assert res.tail_bound <= 1e-8 / 2
-        assert_solved(res, op, f, 1e-8)
+        assert res.tail_bound <= eps / 2
+        assert_solved(res, op, f, eps)
 
 LAMBDA_CARRIERS = [OperatorSpec("bernstein", 8), OperatorSpec("bernstein", 33),
                    OperatorSpec("durrmeyer", 7, rho=2.0),

@@ -71,9 +71,11 @@ operations are pure.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -290,6 +292,7 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
     a <= b (callers reflect for a > b) the small nodes, next to the mass
     at 0, come out to high relative accuracy.  Nodes whose recurrence
     overflows carry weight below the smallest double and get weight 0.
+    The eigenvalue solve runs on one BLAS thread (_one_blas_thread).
     """
     a, b = a[:, None], b[:, None]
     s = a + b - 2.0
@@ -307,7 +310,8 @@ def _beta_rules(a: np.ndarray, b: np.ndarray, m: int):
     rows = np.arange(m)
     jac[:, rows, rows] = diag
     jac[:, rows[1:], rows[:-1]] = off[:, 1:]
-    t = np.linalg.eigvalsh(jac)  # the lower triangle is read
+    with _one_blas_thread():
+        t = np.linalg.eigvalsh(jac)  # the lower triangle is read
     # Christoffel numbers 1 / sum_j p_j(t)^2 over the orthonormal
     # polynomials of the unit-mass density (p_0 = 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1507,6 +1511,57 @@ _CACHE_BYTES_CAP = 2**27  # carrier matrix bytes kept for reuse (128 MiB)
 _DISC_CACHE: dict = {}  # spec -> carrier, least recently used first
 _DISC_LOCK = threading.Lock()
 _FILL_LOCK = threading.Lock()  # held by the one carrier fill running
+_BLAS_LOCK = threading.Lock()
+_blas_scopes = [0, 0]  # scopes open, and the thread count the first saved
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy links, looked
+    up once, on first use, through numpy's own extension module, or None
+    where it exports none of the three name pairs (another BLAS)."""
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                           ("openblas", "")):
+        calls = [getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+                 for verb in ("get", "set")]
+        if all(calls):
+            return tuple(calls)
+    return None
+
+
+@contextmanager
+def _one_blas_thread(on: bool = True):
+    """Run the block on one BLAS thread (if on), then restore the count.
+
+    The small dense work of the paired series (a QR and an SVD of the
+    sampled stack columns, DEIM solves, the 2a-square Woodbury solve,
+    32-row stream blocks) and the Gauss-Jacobi eigvalsh gain nothing from
+    a second thread, which only spins and stalls.  The count is process-
+    wide, so scopes of several threads share it: the first to open saves
+    it and sets 1, the last to close restores it.  A no-op where the
+    count cannot be set (_openblas_threads)."""
+    calls = _openblas_threads() if on else None
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_LOCK:
+        if not _blas_scopes[0]:
+            _blas_scopes[1] = get()
+            put(1)
+        _blas_scopes[0] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_scopes[0] -= 1
+            if not _blas_scopes[0]:
+                put(_blas_scopes[1])
 
 
 def node_discretization(op: OperatorSpec) -> NodeDiscretization:

@@ -61,6 +61,13 @@ factors take none: their rows of the stack come in closed form).  Every
 residual takes one exact product that fills no stack
 (NodeDiscretization.product): a carrier that holds its stack reads it,
 and the mkz-symmetric one that holds none streams it.
+
+Every engine call on the paired mkz-symmetric carrier, and the sweep of
+check_inversion_identities there, runs on one BLAS thread
+(operators._one_blas_thread), whether or not the carrier holds its
+stack: its work is small dense products and factorizations that a
+second thread only stalls, and so its bits follow neither the process's
+thread count nor whether another thread's scope is open.
 """
 
 from __future__ import annotations
@@ -74,8 +81,8 @@ import numpy as np
 from .errors import DegenerateOperatorError, DomainError, NotInCpsiError
 from .funcspace import (EvaluationGrid, Function01, project_to_Cpsi, psi,
                         psi_norm, psi_sup)
-from .operators import (NodeDiscretization, OperatorSpec, _check_order, _points,
-                        node_discretization)
+from .operators import (NodeDiscretization, OperatorSpec, _check_order,
+                        _one_blas_thread, _points, node_discretization)
 
 __all__ = [
     "GeometricSeriesResult",
@@ -497,9 +504,10 @@ def geometric_series(op: OperatorSpec, fs: Sequence[Function01], eps: float,
     out = [_zero_result(method, fam_grid) for _ in fs]  # G 0 = 0, no carrier work
     if live:
         disc = node_discretization(op)
-        done = engine(op, disc, [fs[i] for i in live],
-                      [disc.rep(fs[i]) for i in live], [norms[i] for i in live],
-                      eps, fam_grid)
+        with _one_blas_thread(disc._pairs is not None):
+            done = engine(op, disc, [fs[i] for i in live],
+                          [disc.rep(fs[i]) for i in live],
+                          [norms[i] for i in live], eps, fam_grid)
         for i, res in zip(live, done):
             out[i] = res
     return out
@@ -531,8 +539,9 @@ def check_inversion_identities(op: OperatorSpec, f: Function01, eps: float,
     # h = (I - L) f has the same representation algebra in every carrier:
     # rep(h) = rep(f) - T rep(f), and off the nodes h = f + L(-rep(f)).
     h = _series_function(f, disc, -rep0)
-    res1, res2 = _neumann_sweep(
-        op, disc, [f, h], [rep0, rep0 - disc.advance(rep0)],
-        [psi_norm(f, fam_grid), psi_sup(h(pts), pts)], eps, fam_grid)
+    with _one_blas_thread(disc._pairs is not None):
+        res1, res2 = _neumann_sweep(
+            op, disc, [f, h], [rep0, rep0 - disc.advance(rep0)],
+            [psi_norm(f, fam_grid), psi_sup(h(pts), pts)], eps, fam_grid)
     second = psi_sup(res2.grid_values - np.asarray(f(pts)), pts)
     return res1.residual_psi_norm, second

@@ -22,11 +22,16 @@ from opgeom.operators import alpha_profile
 from opgeom.series import iterate_apply
 
 
-def run_fresh(code, path):
+def run_fresh(code, path, **env_vars):
     """Run code after `import sys, opgeom, opgeom.cli` in a fresh process,
-    on this checkout's opgeom, with sys.argv[1] = path; assert it exits 0."""
+    on this checkout's opgeom, with sys.argv[1] = path and the environment
+    variables env_vars set (unset where None); assert it exits 0."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ)
+    for key, value in env_vars.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c",
@@ -824,3 +829,39 @@ class TestCli:
                   f"sys.argv[1]]) == 0\n", fresh)
         assert warm.read_bytes() == fresh.read_bytes()
 
+    def test_held_stack_geom_on_two_workers_writes_the_bytes_of_one(
+            self, tmp_path, monkeypatch):
+        # the n = 4 carrier holds its stack (filled by advance) while the
+        # other orders' carriers hold none; every series solve on a paired
+        # carrier runs on one BLAS thread, held or not, so no worker's
+        # bits follow whether another worker's scope is open
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        spec = ExperimentConfig(experiment="geom", family="mkz-symmetric").spec(4)
+        disc = operators.node_discretization(spec)
+        disc.advance(np.zeros(disc.nodes.size))
+
+        def run(name, jobs):
+            out = tmp_path / name
+            assert cli_main(["geom", "--family", "mkz-symmetric", "--jobs",
+                             jobs, "-o", str(out)]) == 0
+            assert operators.node_discretization(spec) is disc
+            assert disc._filled is not None
+            return out.read_bytes()
+
+        want = run("jobs1.csv", "1")
+        for k in range(3):
+            assert run(f"jobs2-{k}.csv", "2") == want, k
+
+    @pytest.mark.slow
+    def test_mkz_geom_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # geom on mkz-symmetric in fresh processes on one BLAS thread, on
+        # two, and on the default count: the same CSV bytes
+        outs = []
+        for threads in ("1", "2", None):
+            out = tmp_path / f"geom-{threads}.csv"
+            run_fresh("assert opgeom.cli.main(['geom', '--family', "
+                      "'mkz-symmetric', '--function', 'e1', '-o', "
+                      "sys.argv[1]]) == 0\n", out,
+                      OPENBLAS_NUM_THREADS=threads)
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 2

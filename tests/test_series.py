@@ -4,6 +4,7 @@ their exact rational series, and the inversion identities."""
 
 import gc
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -1159,3 +1160,115 @@ class TestInversionIdentities:
         tau = node_discretization(op).truncation_error_bound
         r1, r2 = check_inversion_identities(op, registry("psi"), 1e-6, GRID)
         assert max(r1, r2) <= 10 * (1e-6 + tau)
+
+
+@pytest.mark.skipif(operators._openblas_threads() is None,
+                    reason="numpy's BLAS thread count cannot be set here")
+class TestOneBlasThread:
+    """The scope that runs the paired series and the Gauss-Jacobi rules on
+    one BLAS thread, and gives the process its count back on exit."""
+
+    @staticmethod
+    def count():
+        return operators._openblas_threads()[0]()
+
+    def test_restores_the_count_on_exit_error_and_nesting(self):
+        start = self.count()
+        with operators._one_blas_thread():
+            assert self.count() == 1
+        assert self.count() == start
+        with pytest.raises(KeyError):
+            with operators._one_blas_thread():
+                raise KeyError("inside")
+        assert self.count() == start
+        with operators._one_blas_thread():
+            with operators._one_blas_thread():
+                assert self.count() == 1
+            assert self.count() == 1
+        assert self.count() == start
+        with operators._one_blas_thread(False):
+            assert self.count() == start
+        assert operators._blas_scopes[0] == 0
+
+    def test_overlapping_scopes_of_two_threads_restore_the_count(self):
+        # each thread opens its scope, both wait inside, then one leaves
+        # first while the other is still inside
+        start, inside, errors = self.count(), threading.Barrier(2), []
+        first_out = threading.Event()
+
+        def work(leaves_first):
+            try:
+                with operators._one_blas_thread():
+                    inside.wait(timeout=30)
+                    if not leaves_first:
+                        first_out.wait(timeout=30)
+                        assert self.count() == 1
+                if leaves_first:
+                    first_out.set()
+            except BaseException as exc:  # reported in the main thread
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work, args=(k == 0,)) for k in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert errors == []
+        assert self.count() == start and operators._blas_scopes[0] == 0
+
+    def test_without_the_setter_the_scope_is_a_noop(self, monkeypatch):
+        # with no count to set, the scope leaves it alone, and the series
+        # run on a count pinned to 1 by hand gives the scoped results
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        f = registry("psi") * registry("e1")
+        want = geometric_series(op, [f], 1e-6, GRID)[0]
+        get, put = operators._openblas_threads()
+        start = get()
+        monkeypatch.setattr(operators, "_openblas_threads", lambda: None)
+        with operators._one_blas_thread():
+            assert get() == start
+        put(1)
+        try:
+            got = geometric_series(op, [f], 1e-6, GRID)[0]
+        finally:
+            put(start)
+        assert got.tail_bound == want.tail_bound
+        assert got.residual_psi_norm == want.residual_psi_norm
+        assert np.array_equal(got.grid_values, want.grid_values)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_paired_factors_run_on_one_thread(self, held, monkeypatch):
+        # held or not: a stack one caller filled must not leave another
+        # caller's series on the process count
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        disc = node_discretization(op)
+        if held:
+            disc.advance(np.zeros(disc.nodes.size))
+        seen, inner = [], operators._low_rank_pairs
+        monkeypatch.setattr(operators, "_low_rank_pairs",
+                            lambda d: seen.append(self.count()) or inner(d))
+        start = self.count()
+        geometric_series(op, [registry("psi")], 1e-6, GRID)
+        assert (disc._filled is not None) == held
+        check_inversion_identities(op, registry("psi"), 1e-6, GRID)
+        assert seen == [1, 1] and self.count() == start
+
+    def test_gauss_jacobi_rules_run_on_one_thread(self, monkeypatch):
+        seen, inner = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: seen.append(self.count()) or inner(a))
+        start = self.count()
+        operators._beta_rules(np.array([2.0, 3.5]), np.array([3.0, 4.0]), 12)
+        assert seen == [1] and self.count() == start
+
+    def test_held_stack_iterates_keep_the_process_count(self, monkeypatch):
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        op = OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6)
+        seen, inner = [], NodeDiscretization.advance
+        monkeypatch.setattr(NodeDiscretization, "advance",
+                            lambda d, v: seen.append(self.count()) or inner(d, v))
+        start = self.count()
+        iterate_apply(op, 4, registry("psi"), 0.3)
+        assert seen == [start] * 3
+        assert node_discretization(op)._filled is not None

@@ -946,15 +946,16 @@ class NodeDiscretization:
     def _coordinate_map(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """H of sweep_sums, lift o expand, as four products: the block from
         the coordinates of output side s (low, then mirror) to those of the
-        reads of side t is zpad[:, col[s, reads[t]]] @ y.  zpad is z with
-        one zero column, and col[s, m] is the column of z whose side-s
-        output _scatter writes at node m, or that zero column where it
-        writes none; at a node that is both, the mirror side wins, as in
-        _scatter."""
+        reads of side t is z[:, col[s, reads[t]]] @ y, with a zero column
+        where col holds the sentinel.  col[s, m] is the column of z whose
+        side-s output _scatter writes at node m, or the sentinel (the
+        column count) where it writes none; at a node that is both, the
+        mirror side wins, as in _scatter.  Each block's columns are
+        gathered straight from z, the sentinel clipped to a real column
+        and those columns then zeroed, and dropped before the next: one
+        gathered copy beside y and z, no padded copy of z."""
         low, high, reads = self._pairs
         a, cols = z.shape
-        zpad = np.zeros((a, cols + 1))
-        zpad[:, :cols] = z
         col = np.full((2, self.nodes.size), cols)
         col[0, low] = np.arange(cols)
         col[0, high] = cols
@@ -963,7 +964,11 @@ class NodeDiscretization:
         blocks = h.reshape(2, a, 2, a)
         for s in range(2):
             for t in range(2):
-                blocks[s, :, t] = zpad[:, col[s, reads[t]]] @ y
+                pick = col[s, reads[t]]
+                gathered = z[:, np.minimum(pick, cols - 1)]
+                gathered[:, pick == cols] = 0.0
+                blocks[s, :, t] = gathered @ y
+                del gathered  # before the next is made
         return h
 
     def _lift(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1105,12 +1110,15 @@ def _kahan_step(total, lost, s):
 
 
 def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray,
-              rows: Optional[int] = None,
-              visit: Optional[Callable] = None) -> np.ndarray:
+              rows: Optional[int] = None, visit: Optional[Callable] = None,
+              masses: bool = True) -> Optional[np.ndarray]:
     """Write share * w_j(t), j = 0 .. rows - 1 (rows = len(out) by
     default), at all the points t at once, and return each point's routed
     mass: share minus the weights made (share itself at t = 1, the point
-    mass at the branch's endpoint, which gets no weights).
+    mass at the branch's endpoint, which gets no weights).  With masses
+    False the weights are the same, bit for bit, and no mass is summed:
+    None is returned, for callers that read no routed mass (a streamed
+    product whose input is zero at the endpoints, the factors' sample).
 
     The one row-block kernel of the series stacks: a fill passes the
     stack, whose row j is written at out[j]; a streamed product passes a
@@ -1133,18 +1141,21 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray,
     then falls, and the multiply by (1-t)^(n+1) keeps that order.  So a
     block's smallest weight in a column sits in its first or last row,
     and only the columns where one of those is below the smallest normal
-    float are flushed.
+    float are flushed, in place, a run of adjacent columns at a time (a
+    gathered copy of them took up to 2867 of the 4113 columns of a block
+    at n = 16).
 
-    Each block is summed over all the points: numpy adds its rows in
-    order (a single column it would sum pairwise; every carrier has two
-    or more points), and one Kahan step adds the block sum into the
-    running total, so the sum adds almost no rounding of its own (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 4).  What remains
-    is the rounding of the weights, whose running product gathers about
-    one rounding per row: against the exact tails (I_t of _mkz_tail at 45
-    digits) the routed masses of the mkz carriers at n = 3..16, eps 1e-2
-    to 1e-10, are off by up to 88.1 ulps of share, at t = 0.99380 on the
-    reflected branch of mkz-symmetric at n = 16, eps 1e-6.
+    Where masses are made, each block is summed over all the points:
+    numpy adds its rows in order (a single column it would sum pairwise;
+    every carrier has two or more points), and one Kahan step adds the
+    block sum into the running total, so the sum adds almost no rounding
+    of its own (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 4).  What remains is the rounding of the weights, whose running
+    product gathers about one rounding per row: against the exact tails
+    (I_t of _mkz_tail at 45 digits) the routed masses of the mkz carriers
+    at n = 3..16, eps 1e-2 to 1e-10, are off by up to 88.1 ulps of share,
+    at t = 0.99380 on the reflected branch of mkz-symmetric at n = 16,
+    eps 1e-6.
     """
     at_end = t == 1.0
     t = np.where(at_end, 0.0, t)
@@ -1165,14 +1176,21 @@ def _mkz_fill(n: int, t: np.ndarray, share: float, out: np.ndarray,
             seg[i] *= seg[i - 1]
         run = seg[-1].copy()
         seg *= w0
-        low = np.flatnonzero(np.minimum(seg[0], seg[-1]) < _TINY)
-        sub = seg[:, low]  # the only columns that can hold a subnormal
-        seg[:, low] = sub * (sub >= _TINY)
-        total, lost = _kahan_step(total, lost, np.add.reduce(seg, axis=0))
+        # the only columns that can hold a subnormal, flushed in place, one
+        # run of adjacent columns at a time
+        low = np.minimum(seg[0], seg[-1]) < _TINY
+        edges = np.flatnonzero(np.diff(low, prepend=False, append=False))
+        for a, b in zip(edges[0::2], edges[1::2]):
+            part = seg[:, a:b]
+            np.copyto(part, 0.0, where=part < _TINY)
+        if masses:
+            total, lost = _kahan_step(total, lost, np.add.reduce(seg, axis=0))
         made = at + seg.shape[0]
         if visit is not None and (made == size or start + seg.shape[0] == rows):
             visit(start + seg.shape[0] - made, out[:made])
-    return np.where(at_end, share, np.maximum(0.0, share - total))
+    if masses:
+        return np.where(at_end, share, np.maximum(0.0, share - total))
+    return None
 
 
 def _mkz_tail(n: int, t: np.ndarray, share: float, count: int) -> np.ndarray:
@@ -1309,20 +1327,23 @@ def _mkz_branch_stack(n: int, nodes: np.ndarray, share: float,
 
 
 def _mkz_paired_stack(spec: OperatorSpec, at: np.ndarray, plain: int,
-                      depth: Optional[int] = None):
+                      depth: Optional[int] = None, masses: bool = True):
     """(stack, m_p, m_r): the mkz-symmetric stack [W_p^T[:P]; W_r^T] over
     the low nodes at (NodeDiscretization), P = plain, and the masses routed
     to nodes 1 and 0, each added to the other branch's row 0.  With the
     carrier's depth given, at may be any of its low nodes, and the result
     is the stack's columns at those nodes, bit for bit (every operation of
-    _mkz_fill acts on each point alone)."""
+    _mkz_fill acts on each point alone).  With masses False no mass is
+    summed or added (m_p and m_r are None): rows 0 and P hold their plain
+    weights, and every other row is the stack's."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     depth = at.size - 1 if depth is None else depth
     stack = np.empty((plain + depth + 1, at.size))
-    m_p = _mkz_fill(n, at, p_share, stack[:plain])
-    m_r = _mkz_fill(n, 1.0 - at, r_share, stack[plain:])
-    stack[0] += m_r
-    stack[plain] += m_p
+    m_p = _mkz_fill(n, at, p_share, stack[:plain], masses=masses)
+    m_r = _mkz_fill(n, 1.0 - at, r_share, stack[plain:], masses=masses)
+    if masses:
+        stack[0] += m_r
+        stack[plain] += m_p
     return stack, m_p, m_r
 
 
@@ -1331,24 +1352,27 @@ def _mkz_paired_product(spec: OperatorSpec, at: np.ndarray, plain: int,
     """u @ stack for the mkz-symmetric stack over the low nodes at, all
     the pairs, without the stack: _mkz_fill makes its rows into one
     reused buffer of _FILL_ROWS rows, and each block is multiplied while
-    it is in cache.  The routed masses of rows 0 and P are added at the
-    end, where u reads them, so an input with zero endpoint entries,
-    whose gathered rows are zero there, skips them.  The blocks are
-    summed in row order, so the product is within rounding of u @ stack,
-    not equal to it bit for bit."""
+    it is in cache.  The routed masses of rows 0 and P are summed and
+    added at the end only where u reads them: an input with zero endpoint
+    entries, every series input, whose gathered rows are zero there, has
+    no mass summed at all (those sums took 6.7 of the 36.8 ms of a pass
+    at n = 16), and its blocks, so its product, are the same.  The blocks
+    are summed in row order, so the product is within rounding of
+    u @ stack, not equal to it bit for bit."""
     n, (p_share, r_share) = spec.n, spec.record.shares
     out = np.zeros((u.shape[0], at.size))
     buf = np.empty((_FILL_ROWS, at.size))
+    ends = u[:, [0, plain]]
+    routed = bool(np.any(ends))
 
     def visit(offset):
         def add(start, block):
             out[...] += u[:, offset + start:offset + start + block.shape[0]] @ block
         return add
 
-    m_p = _mkz_fill(n, at, p_share, buf, plain, visit(0))
-    m_r = _mkz_fill(n, 1.0 - at, r_share, buf, at.size, visit(plain))
-    ends = u[:, [0, plain]]
-    if np.any(ends):
+    m_p = _mkz_fill(n, at, p_share, buf, plain, visit(0), routed)
+    m_r = _mkz_fill(n, 1.0 - at, r_share, buf, at.size, visit(plain), routed)
+    if routed:
         out += ends @ np.array([m_r, m_p])
     return out
 
@@ -1437,6 +1461,18 @@ def _low_rank_pairs(disc: NodeDiscretization):
     |S'|_max 6e-16 to 3.9e-15 (1.2e-15 to 3.0e-15 for Q Q^T S').  No
     certificate reads the factors: every series result is certified by
     an exact product of the stack.
+
+    At most two arrays of the sample's or a factor's size are held at
+    once.  The sample's live rows are taken once and weighted in place,
+    and no routed mass is summed for it; it is dropped once Q is formed,
+    and Q once y and the DEIM rows are taken (Q / rho formed in place).
+    z is solved a chunk of low nodes at a time, _SUM_CELLS cells of it,
+    each against the one y_I, so no whole right-hand side, nor LAPACK's
+    copy of it, sits beside z; the chunks give the bits of one whole
+    solve.  At n = 16 the call peaks at 7.2 MB of traced allocations, two
+    arrays of the sample's size (3.5 MB each: the full sample and its live
+    rows, then those rows and the QR's copy of them); y and z take
+    5.0 MB.
     """
     low, high, reads = disc._pairs
     cols = low.size
@@ -1454,24 +1490,35 @@ def _low_rank_pairs(disc: NodeDiscretization):
         picks = picks[np.diff(picks, prepend=0) > 0]
         if picks.size > cols // 4:
             return None, None
-        sample = _mkz_paired_stack(disc.spec, at[picks], plain, cols - 1)[0]
-        sample = sample[live] * rho / w[picks]
+        # no routed masses (masses=False): the sample drops rows 0 and P
+        sample = _mkz_paired_stack(disc.spec, at[picks], plain, cols - 1,
+                                   False)[0][live]
+        sample *= rho
+        sample /= w[picks]
         _, sv, vt = np.linalg.svd(np.linalg.qr(sample, mode="r"))
         if np.sum(sv <= _SKETCH_CUT * sv[0]) >= _SPARE:
             break
         count = math.ceil(count * _SAMPLE_GROWTH)
     rank = int(np.sum(sv > _SKETCH_CUT * sv[0]))
     q = sample @ (vt[:rank].T / sv[:rank])
+    del sample
     for _ in range(2):  # Cholesky QR, twice
         q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q)).T
-    y = np.zeros((reads.shape[1], rank))
-    y[live] = q / rho
     chosen = [int(np.argmax(np.abs(q[:, 0])))]
     for m in range(1, rank):  # DEIM
         c = np.linalg.solve(q[chosen, :m], q[chosen, m])
         chosen.append(int(np.argmax(np.abs(q[:, m] - q[:, :m] @ c))))
     rows = np.flatnonzero(live)[chosen]
-    z = np.linalg.solve(y[rows], _mkz_paired_rows(disc.spec, at, plain, rows))
+    y = np.zeros((reads.shape[1], rank))
+    q /= rho
+    y[live] = q
+    del q
+    z = np.empty((rank, cols))
+    y_rows, width = y[rows], max(1, _SUM_CELLS // rank)
+    for start in range(0, cols, width):
+        part = slice(start, start + width)
+        z[:, part] = np.linalg.solve(
+            y_rows, _mkz_paired_rows(disc.spec, at[part], plain, rows))
     z[:, 0] = 0.0
     return y, z
 

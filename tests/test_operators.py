@@ -1390,6 +1390,28 @@ def test_streamed_product_is_the_held_one(n):
     assert held.matrix_bytes == held.stack_bytes and fresh._filled is None
 
 
+@pytest.mark.parametrize("n", [4, 16])
+def test_streamed_product_sums_no_unread_mass(n, monkeypatch):
+    # an input with zero endpoint entries reads no routed mass (rows 0 and
+    # P), so its streamed product sums none: no Kahan step runs.  An input
+    # that reads row 0 or P, and a fill, still sum the masses
+    disc = operators._mkz_disc(OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6))
+    step, calls = operators._kahan_step, []
+    monkeypatch.setattr(operators, "_kahan_step",
+                        lambda *args: calls.append(1) or step(*args))
+    for v in weighted_inputs(disc, 2, n):
+        disc.product(v)
+    assert calls == [] and disc._filled is None
+    for end in np.flatnonzero(~disc.interior):
+        v[end, 1] = 1.0
+        disc.product(v)
+        assert calls
+        calls.clear()
+        v[end, 1] = 0.0
+    disc._stack
+    assert calls
+
+
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS + [GEOM_16],
                          ids=lambda s: f"{s.n}-{s.truncation_eps:g}")
 def test_sampled_columns_are_the_stack_columns(spec):
@@ -1425,7 +1447,9 @@ def test_closed_form_rows_are_the_stack_rows(n, monkeypatch):
     # it of the filled rows.  The deepest filled row carries its running
     # product's rounding, one per row (1.6e-14 off the 40-digit weights
     # at n = 16, the closed form 2.7e-16), so it is held to 3e-14.  The
-    # rows DEIM picks for the factors are distinct, and never 0 or P
+    # rows DEIM picks for the factors are distinct, and never 0 or P: z
+    # is made a chunk of low nodes at a time, every chunk at the same rows,
+    # and the chunks cover the low nodes in order
     spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
     disc = operators._mkz_disc(spec)
     low, _, reads = disc._pairs
@@ -1449,14 +1473,38 @@ def test_closed_form_rows_are_the_stack_rows(n, monkeypatch):
     made, picked = operators._mkz_paired_rows, []
 
     def kept(spec, at, plain, rows):
-        picked.append(rows)
+        picked.append((at, rows))
         return made(spec, at, plain, rows)
 
     monkeypatch.setattr(operators, "_mkz_paired_rows", kept)
     y, _ = operators._low_rank_pairs(disc)
-    (rows,) = picked
+    rows = picked[0][1]
+    assert all(np.array_equal(chunk, rows) for _, chunk in picked)
+    assert np.array_equal(np.concatenate([chunk for chunk, _ in picked]), at)
     assert rows.size == y.shape[1] == np.unique(rows).size
     assert not np.isin(rows, [0, plain]).any()
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 24])
+def test_chunked_right_factor_is_the_whole_solve(n, monkeypatch):
+    # z is solved a chunk of low nodes at a time, _SUM_CELLS cells each,
+    # against the one y_I: the same bits as one solve of the whole
+    # right-hand side (one chunk at n = 3 and 4, up to 10 at n = 24)
+    spec = OperatorSpec("mkz-symmetric", n, truncation_eps=1e-6)
+    disc = node_discretization(spec)
+    low, _, reads = disc._pairs
+    plain = reads.shape[1] - low.size
+    made, picked = operators._mkz_paired_rows, []
+    monkeypatch.setattr(operators, "_mkz_paired_rows",
+                        lambda *args: picked.append(args[3]) or made(*args))
+    with operators._one_blas_thread():
+        y, z = operators._low_rank_pairs(disc)
+        rows = picked[0]
+        want = np.linalg.solve(y[rows], made(spec, disc.nodes[low], plain, rows))
+    want[:, 0] = 0.0
+    assert len(picked) == -(-low.size // (operators._SUM_CELLS // y.shape[1]))
+    assert np.array_equal(z, want)
+    assert disc._filled is None
 
 
 @pytest.mark.parametrize("spec", SYMMETRIC_CARRIERS,

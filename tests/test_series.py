@@ -5,6 +5,7 @@ their exact rational series, and the inversion identities."""
 import gc
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -653,6 +654,27 @@ class TestFactoredSolve:
         assert len(operators._DISC_CACHE) == 3
         assert all(d._filled is None for d in operators._DISC_CACHE.values())
 
+    def test_traced_peak_is_the_factors_and_a_block(self, monkeypatch):
+        # numpy's traced allocations, not RSS, so no allocator enters: on a
+        # fresh n = 16 carrier a default solve holds y and z (5.0 MB) beside
+        # at most one gathered copy of z's columns or one block of the
+        # streamed pass, and so does the five-input Neumann sum (8.5 and
+        # 9.0 MB with numpy 2 on x86-64 Linux; 14.3 and 14.8 MB with copies
+        # of the sample, basis and right factor beside them)
+        op = OperatorSpec("mkz-symmetric", 16, truncation_eps=1e-6)
+        grid = default_grid()
+        geometric_series(OperatorSpec("mkz-symmetric", 4, truncation_eps=1e-6),
+                         BATCH_INPUTS, 1e-6, grid)  # the code paths, warm
+        for fs, method in (([BATCH_INPUTS[1]], None), (BATCH_INPUTS, "neumann")):
+            monkeypatch.setattr(operators, "_DISC_CACHE", {})
+            tracemalloc.start()
+            try:
+                geometric_series(op, fs, 1e-6, grid, method=method)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10e6, (method, peak)
+
     def test_one_streamed_pass_per_unrefined_input(self, monkeypatch):
         # the factors take no pass over the stack: factored_step on a fresh
         # carrier streams nothing and fills nothing; a default call then
@@ -1160,6 +1182,23 @@ class TestInversionIdentities:
         tau = node_discretization(op).truncation_error_bound
         r1, r2 = check_inversion_identities(op, registry("psi"), 1e-6, GRID)
         assert max(r1, r2) <= 10 * (1e-6 + tau)
+
+    def test_mkz_symmetric_fills_no_stack(self, monkeypatch):
+        # rep(h) streams the stack as the sweep and the certificates do, so
+        # a fresh carrier still holds nothing after the call (an advance
+        # filled 23.5 MB at n = 8); its residuals, about 5.5e-9, are those of a
+        # carrier that holds its stack to well within their rounding
+        monkeypatch.setattr(operators, "_DISC_CACHE", {})
+        op = OperatorSpec("mkz-symmetric", 8, truncation_eps=1e-6)
+        f = registry("psi") * registry("e1")
+        streamed = check_inversion_identities(op, f, 1e-6, GRID)
+        disc = node_discretization(op)
+        assert disc.matrix_bytes == 0
+        disc.advance(np.zeros(disc.nodes.size))
+        held = check_inversion_identities(op, f, 1e-6, GRID)
+        assert disc.matrix_bytes == disc.stack_bytes
+        assert all(0.0 < r <= 1e-7 for r in held)
+        assert np.all(np.abs(np.subtract(streamed, held)) <= 1e-12)
 
 
 @pytest.mark.skipif(operators._openblas_threads() is None,
